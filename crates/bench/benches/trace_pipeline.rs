@@ -6,8 +6,8 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rfd_bgp::{Network, NetworkConfig};
 use rfd_metrics::{
-    ConvergenceTracker, Fanout, MessageCounter, NullSink, SuppressionStats, TraceEventKind,
-    TraceSink, VecSink,
+    ConvergenceTracker, MessageCounter, NullSink, SuppressionStats, TraceEventKind, TraceSink,
+    VecSink,
 };
 use rfd_sim::{SimDuration, SimTime};
 use rfd_topology::{mesh_torus, NodeId};
@@ -84,7 +84,7 @@ fn bench_sink_record(c: &mut Criterion) {
     let stream = synthetic_stream(10_000);
     let mut group = c.benchmark_group("sink/record_10k");
     group.bench_function("vec", |b| {
-        b.iter(|| black_box(drive(VecSink::new(), &stream).trace().len()));
+        b.iter(|| black_box(drive(VecSink::new(), &stream).len()));
     });
     group.bench_function("null", |b| {
         b.iter(|| black_box(drive(NullSink::new(), &stream).seen()));
@@ -102,15 +102,6 @@ fn bench_sink_record(c: &mut Criterion) {
                 msgs.message_count(),
                 stats.ever_suppressed_entries(),
             ))
-        });
-    });
-    group.bench_function("aggregate_fanout3", |b| {
-        b.iter(|| {
-            let sink = Fanout::new()
-                .with(ConvergenceTracker::new())
-                .with(MessageCounter::new())
-                .with(SuppressionStats::new());
-            black_box(drive(sink, &stream).len())
         });
     });
     group.finish();

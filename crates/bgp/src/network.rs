@@ -5,8 +5,8 @@
 //! partitions the routers into [`NetworkConfig::sim_shards`]
 //! conservative simulation shards, injects the paper's pulse workload
 //! on the origin link, and streams every trace event into a pluggable
-//! [`TraceSink`] (default: a [`VecSink`] buffering the full
-//! [`rfd_metrics::Trace`]; sweeps plug in O(1)-memory aggregators).
+//! [`TraceSink`] (default: [`VecSink`], the full [`rfd_metrics::Trace`];
+//! sweeps plug in O(1)-memory aggregators).
 //!
 //! # Sharded execution
 //!
@@ -22,6 +22,14 @@
 //! `(time, key)` order. The result is byte-identical at any shard
 //! count — a tested contract, the same way the sweep runner proves
 //! thread-count invariance.
+//!
+//! There is one window loop (`Coordinator::run`): plan a window, run it
+//! on every shard, merge traces and ledger records in `(time, key)`
+//! order, route cross-shard messages into per-shard inboxes. Only the
+//! "run it on every shard" step differs by shard count: one shard runs
+//! inline on the caller's thread, several run on scoped worker threads.
+//! A shard that panics takes the run down with its own panic payload
+//! either way.
 //!
 //! A run has three phases:
 //!
@@ -42,8 +50,8 @@ use rfd_core::{
 };
 use rfd_metrics::{ConvergenceTracker, MessageCounter, Trace, TraceEventKind, TraceSink, VecSink};
 use rfd_sim::{
-    event_key, DetRng, Engine, EpochBarrier, RunOutcome, ShardEngine, SimDuration, SimTime,
-    WindowPlan, INJECTOR_SRC,
+    event_key, DetRng, EpochBarrier, RunOutcome, ShardEngine, SimDuration, SimTime, WindowPlan,
+    INJECTOR_SRC,
 };
 use rfd_topology::{Graph, NodeId};
 
@@ -171,12 +179,35 @@ struct RemoteMsg {
     degraded: Option<bool>,
 }
 
-/// Everything one shard hands the coordinator at a window barrier.
-type WindowOutput = (
-    Vec<RemoteMsg>,
-    Vec<(SimTime, u64, TraceEventKind)>,
-    Vec<(SimTime, u64, LedgerRecord)>,
-);
+/// One shard's side of the barrier exchange. The coordinator fills
+/// `inbox` before a window; [`Shard::run_window`] drains it and leaves
+/// the window's output in the other fields. The vectors are drained,
+/// never dropped, so a run allocates them once rather than per window.
+#[derive(Debug, Default)]
+struct Mailbox {
+    /// Cross-shard messages routed to this shard, in `(time, key)`
+    /// order, not yet on its queue.
+    inbox: Vec<RemoteMsg>,
+    /// Cross-shard messages the shard sent this window.
+    outbox: Vec<RemoteMsg>,
+    /// The window's trace events, in processing order (which is
+    /// `(time, key)` order — pops are monotone).
+    traces: Vec<(SimTime, u64, TraceEventKind)>,
+    /// The window's ledger records.
+    ledger: Vec<(SimTime, u64, LedgerRecord)>,
+    /// The shard's earliest queued event after the window.
+    next_time: Option<SimTime>,
+    /// Events the shard processed this window.
+    delta: u64,
+}
+
+impl Mailbox {
+    /// The shard's earliest pending event, queued or still in the inbox.
+    fn earliest(&self) -> Option<SimTime> {
+        let routed = self.inbox.iter().map(|m| m.at);
+        self.next_time.into_iter().chain(routed).min()
+    }
+}
 
 /// One simulation shard: the routers it owns, their event queue, path
 /// interner, and per-node RNG streams.
@@ -217,12 +248,10 @@ struct Shard {
     muted: bool,
     /// Trace events discarded while muted.
     discarded: u64,
-    /// Current window's trace buffer, in processing order (which is
-    /// `(time, key)` order — pops are monotone).
+    /// Current window's trace, ledger-record and cross-shard message
+    /// buffers; swapped into the [`Mailbox`] when the window ends.
     traces: Vec<(SimTime, u64, TraceEventKind)>,
-    /// Current window's ledger-record buffer.
     ledger: Vec<(SimTime, u64, LedgerRecord)>,
-    /// Cross-shard messages produced this window.
     outbox: Vec<RemoteMsg>,
 }
 
@@ -286,10 +315,8 @@ impl Shard {
         at
     }
 
-    /// Puts one update on the wire: local deliveries go straight onto
-    /// this shard's queue, cross-shard ones into the outbox with the
-    /// AS path resolved. `emit_key` is the identity of the event being
-    /// processed (for trace ordering).
+    /// Sends one update, tracing it under `emit_key`, the identity of
+    /// the event being processed (for trace ordering).
     fn send(&mut self, now: SimTime, emit_key: u64, from: NodeId, to: NodeId, msg: UpdateMessage) {
         self.emit(
             now,
@@ -300,6 +327,13 @@ impl Shard {
                 withdrawal: msg.is_withdrawal(),
             },
         );
+        self.transmit(now, from, to, msg);
+    }
+
+    /// Puts one update on the wire: local deliveries go straight onto
+    /// this shard's queue, cross-shard ones into the outbox with the
+    /// AS path resolved.
+    fn transmit(&mut self, now: SimTime, from: NodeId, to: NodeId, msg: UpdateMessage) {
         let at = self.delivery_at(now, from, to);
         let key = self.next_key(from);
         if self.is_local(to) {
@@ -481,49 +515,45 @@ impl Shard {
         }
     }
 
-    /// Processes every queued event strictly before `end`; returns the
-    /// number processed.
-    fn run_window(&mut self, end: SimTime) -> u64 {
+    /// Runs one window: queues the inbox, processes every event
+    /// strictly before `end`, and leaves the output in `mail`, whose
+    /// output buffers the coordinator has drained.
+    fn run_window(&mut self, end: SimTime, mail: &mut Mailbox) {
+        self.accept_inbox(mail);
         let before = self.engine.processed();
         while let Some((at, key, event)) = self.engine.pop_before(end) {
             self.handle(at, key, event);
         }
-        self.engine.processed() - before
+        mail.delta = self.engine.processed() - before;
+        mail.next_time = self.engine.next_time();
+        std::mem::swap(&mut self.outbox, &mut mail.outbox);
+        std::mem::swap(&mut self.traces, &mut mail.traces);
+        std::mem::swap(&mut self.ledger, &mut mail.ledger);
     }
 
-    /// Schedules a message routed here from another shard, re-interning
-    /// its AS path. Callers deliver accepted messages in global
+    /// Schedules the messages routed here from other shards,
+    /// re-interning their AS paths. The coordinator routes in global
     /// `(time, key)` order, which makes the intern order canonical.
-    fn accept_remote(&mut self, msg: RemoteMsg) {
-        let update = match msg.path {
-            Some(ref path) => UpdateMessage::announce(self.path_table.from_path(path)),
-            None => UpdateMessage::withdraw(),
-        };
-        let mut update = update
-            .with_root_cause(msg.root_cause)
-            .with_degraded(msg.degraded);
-        update.prefix = msg.prefix;
-        self.engine.schedule(
-            msg.at,
-            msg.key,
-            NetEvent::Deliver {
-                from: msg.from,
-                to: msg.to,
-                msg: update,
-            },
-        );
-    }
-
-    fn next_time(&mut self) -> Option<SimTime> {
-        self.engine.next_time()
-    }
-
-    fn take_window_output(&mut self) -> WindowOutput {
-        (
-            std::mem::take(&mut self.outbox),
-            std::mem::take(&mut self.traces),
-            std::mem::take(&mut self.ledger),
-        )
+    fn accept_inbox(&mut self, mail: &mut Mailbox) {
+        for msg in mail.inbox.drain(..) {
+            let update = match msg.path {
+                Some(ref path) => UpdateMessage::announce(self.path_table.from_path(path)),
+                None => UpdateMessage::withdraw(),
+            };
+            let mut update = update
+                .with_root_cause(msg.root_cause)
+                .with_degraded(msg.degraded);
+            update.prefix = msg.prefix;
+            self.engine.schedule(
+                msg.at,
+                msg.key,
+                NetEvent::Deliver {
+                    from: msg.from,
+                    to: msg.to,
+                    msg: update,
+                },
+            );
+        }
     }
 
     /// Runs the origin's kickoff announcement through this shard's
@@ -540,61 +570,95 @@ impl Shard {
             &mut out,
         );
         for (to, msg) in out.sends {
-            let at = self.delivery_at(SimTime::ZERO, origin, to);
-            let key = self.next_key(origin);
-            if self.is_local(to) {
-                self.engine.schedule(
-                    at,
-                    key,
-                    NetEvent::Deliver {
-                        from: origin,
-                        to,
-                        msg,
-                    },
-                );
-            } else {
-                let path = match msg.payload {
-                    UpdatePayload::Announce(route) => Some(self.path_table.path(route).to_vec()),
-                    UpdatePayload::Withdraw => None,
-                };
-                self.outbox.push(RemoteMsg {
-                    at,
-                    key,
-                    from: origin,
-                    to,
-                    prefix: msg.prefix,
-                    path,
-                    root_cause: msg.root_cause,
-                    degraded: msg.degraded,
-                });
-            }
+            self.transmit(SimTime::ZERO, origin, to, msg);
         }
     }
 }
 
-/// Feeds a window's merged trace events to the coordinator-side
-/// consumers in canonical `(time, key)` order. The sort is stable, so
-/// events of one processing step keep their emission order; keys are
-/// unique per step, so cross-shard ties cannot occur.
-fn feed_traces<S: TraceSink>(
-    conv: &mut ConvergenceTracker,
-    msgs: &mut MessageCounter,
-    sink: &mut S,
-    mut traces: Vec<(SimTime, u64, TraceEventKind)>,
-) {
-    traces.sort_by_key(|&(at, key, _)| (at, key));
-    for (at, _, kind) in traces {
-        conv.record(at, kind);
-        msgs.record(at, kind);
-        sink.record(at, kind);
-    }
+/// The coordinator's half of a run: everything the window loop touches
+/// except the shards themselves, which the loop reaches only through
+/// the `run_window` step it is handed.
+struct Coordinator<S> {
+    /// Raw node id → owning shard.
+    node_shard: Arc<Vec<u16>>,
+    /// One mailbox per shard.
+    mail: Vec<Mailbox>,
+    /// Per-window merge scratch, kept across windows like the
+    /// mailboxes' buffers.
+    traces: Vec<(SimTime, u64, TraceEventKind)>,
+    records: Vec<(SimTime, u64, LedgerRecord)>,
+    outbox: Vec<RemoteMsg>,
+    /// The pluggable trace observer for the measured phase.
+    sink: S,
+    /// Always-on headline aggregators: [`RunReport`] fields come from
+    /// these, whatever sink is plugged in.
+    conv: ConvergenceTracker,
+    msgs: MessageCounter,
+    /// The damping-lifecycle ledger consumer ([`NullLedger`] until a
+    /// filter is installed with `Network::set_ledger`).
+    ledger: Box<dyn LedgerSink>,
+    /// Total events processed over the network's lifetime.
+    processed: u64,
 }
 
-/// Feeds a window's merged ledger records in canonical order.
-fn feed_ledger(sink: &mut dyn LedgerSink, mut records: Vec<(SimTime, u64, LedgerRecord)>) {
-    records.sort_by_key(|&(at, key, _)| (at, key));
-    for (_, _, record) in records {
-        sink.record(record);
+impl<S: TraceSink> Coordinator<S> {
+    /// The window loop. Each iteration plans a window from the earliest
+    /// pending event (queued or still in an inbox), has `run_window`
+    /// run it on every shard, feeds the shards' trace events and ledger
+    /// records to the consumers in canonical order, and routes the
+    /// cross-shard messages. Returns `None` if `run_window` reports
+    /// that a shard stopped answering.
+    fn run(
+        &mut self,
+        barrier: &mut EpochBarrier,
+        mut run_window: impl FnMut(SimTime, &mut [Mailbox]) -> bool,
+    ) -> Option<RunOutcome> {
+        let run_start = self.processed;
+        loop {
+            let min_next = self.mail.iter().filter_map(Mailbox::earliest).min();
+            let end = match barrier.plan(min_next, self.processed - run_start) {
+                WindowPlan::Run { end } => end,
+                WindowPlan::Done(outcome) => return Some(outcome),
+            };
+            if !run_window(end, &mut self.mail) {
+                return None;
+            }
+            for mail in &mut self.mail {
+                self.processed += mail.delta;
+                self.traces.append(&mut mail.traces);
+                self.records.append(&mut mail.ledger);
+            }
+            // The sorts are stable, so events of one processing step
+            // keep their emission order; keys are unique per step, so
+            // cross-shard ties cannot occur.
+            self.traces.sort_by_key(|&(at, key, _)| (at, key));
+            for (at, _, kind) in self.traces.drain(..) {
+                self.conv.record(at, kind);
+                self.msgs.record(at, kind);
+                self.sink.record(at, kind);
+            }
+            self.records.sort_by_key(|&(at, key, _)| (at, key));
+            for (_, _, record) in self.records.drain(..) {
+                self.ledger.record(record);
+            }
+            self.route();
+        }
+    }
+
+    /// Moves every shard's outbox into the destination shards' inboxes
+    /// in global `(time, key)` order.
+    fn route(&mut self) {
+        for mail in &mut self.mail {
+            self.outbox.append(&mut mail.outbox);
+        }
+        // `(at, key)` pairs are globally unique, so the unstable sort
+        // is a total order: the destination shards re-intern paths in
+        // canonical order.
+        self.outbox.sort_unstable_by_key(|m| (m.at, m.key));
+        for msg in self.outbox.drain(..) {
+            let dest = self.node_shard[msg.to.index()] as usize;
+            self.mail[dest].inbox.push(msg);
+        }
     }
 }
 
@@ -608,28 +672,16 @@ fn feed_ledger(sink: &mut dyn LedgerSink, mut records: Vec<(SimTime, u64, Ledger
 /// come from built-in aggregators either way.
 pub struct Network<S: TraceSink = VecSink> {
     shards: Vec<Shard>,
-    /// Raw node id → owning shard.
-    node_shard: Arc<Vec<u16>>,
+    coord: Coordinator<S>,
     /// The conservative window width: the minimum link delay.
     lookahead: SimDuration,
     horizon: SimTime,
     origins: Vec<OriginAttachment>,
-    /// The pluggable trace observer for the measured phase.
-    sink: S,
-    /// Always-on headline aggregators: [`RunReport`] fields come from
-    /// these, whatever sink is plugged in.
-    conv: ConvergenceTracker,
-    msgs: MessageCounter,
-    /// The damping-lifecycle ledger consumer ([`NullLedger`] until a
-    /// filter is installed with `Network::set_ledger`).
-    ledger: Box<dyn LedgerSink>,
     rcn_enabled: bool,
     /// Root-cause sequence numbers, stamped at injection time.
     rc_seq: u64,
     /// Canonical key sequence for injected (primed) events.
     inj_seq: u64,
-    /// Total events processed over the network's lifetime.
-    processed: u64,
     /// Synchronization windows executed over the network's lifetime.
     windows: u64,
     /// Wall-clock time shards spent waiting at window barriers
@@ -641,7 +693,7 @@ pub struct Network<S: TraceSink = VecSink> {
     /// penalties zero, filters pristine — and eligible for forking
     /// into damping-parameter variants (see [`snapshot`]).
     warm_boundary: bool,
-    /// Lifetime `processed` count at the instant the current measured
+    /// Lifetime processed count at the instant the current measured
     /// workload was primed; checkpointed runs report
     /// `processed - measured_base` so a killed-and-resumed run yields
     /// the same [`RunReport`] as an uninterrupted one.
@@ -653,7 +705,7 @@ impl<S: TraceSink> std::fmt::Debug for Network<S> {
         f.debug_struct("Network")
             .field("shards", &self.shards)
             .field("origins", &self.origins)
-            .field("retained_events", &self.sink.retained_events())
+            .field("retained_events", &self.coord.sink.retained_events())
             .field("warmed_up", &self.warmed_up)
             .finish()
     }
@@ -690,7 +742,7 @@ impl Network<VecSink> {
     /// The trace recorded so far (measured phase only; warm-up records
     /// nothing).
     pub fn trace(&self) -> &Trace {
-        self.sink.trace()
+        &self.coord.sink
     }
 }
 
@@ -829,19 +881,25 @@ impl<S: TraceSink> Network<S> {
         }
 
         Network {
+            coord: Coordinator {
+                node_shard,
+                mail: shards.iter().map(|_| Mailbox::default()).collect(),
+                traces: Vec::new(),
+                records: Vec::new(),
+                outbox: Vec::new(),
+                sink,
+                conv: ConvergenceTracker::new(),
+                msgs: MessageCounter::new(),
+                ledger: Box::new(NullLedger),
+                processed: 0,
+            },
             shards,
-            node_shard,
             lookahead: config.delay_range.0,
             horizon: SimTime::ZERO + config.horizon,
             origins,
-            sink,
-            conv: ConvergenceTracker::new(),
-            msgs: MessageCounter::new(),
-            ledger: Box::new(NullLedger),
             rcn_enabled: config.filter == crate::config::PenaltyFilter::Rcn,
             rc_seq: 0,
             inj_seq: 0,
-            processed: 0,
             windows: 0,
             stall: std::time::Duration::ZERO,
             warmed_up: false,
@@ -889,7 +947,7 @@ impl<S: TraceSink> Network<S> {
     /// Total events processed over the network's lifetime (warm-up
     /// included).
     pub fn events_processed(&self) -> u64 {
-        self.processed
+        self.coord.processed
     }
 
     /// Cumulative wall-clock time shards spent stalled at window
@@ -903,20 +961,20 @@ impl<S: TraceSink> Network<S> {
 
     /// Read access to the measured-phase sink.
     pub fn sink(&self) -> &S {
-        &self.sink
+        &self.coord.sink
     }
 
     /// Mutable access to the measured-phase sink.
     pub fn sink_mut(&mut self) -> &mut S {
-        &mut self.sink
+        &mut self.coord.sink
     }
 
     /// Consumes the network, finishing and yielding the sink (pending
     /// aggregator state flushes; `metrics.sink.*` obs counters fire).
     pub fn into_sink(mut self) -> S {
-        self.ledger.finish();
-        self.sink.finish();
-        self.sink
+        self.coord.ledger.finish();
+        self.coord.sink.finish();
+        self.coord.sink
     }
 
     /// Installs the damping-lifecycle ledger: every router starts
@@ -933,7 +991,7 @@ impl<S: TraceSink> Network<S> {
                 router.set_ledger_filter(Some(std::sync::Arc::clone(&filter)));
             }
         }
-        self.ledger = sink;
+        self.coord.ledger = sink;
     }
 
     /// Finishes and detaches the ledger sink, restoring the off state.
@@ -943,13 +1001,13 @@ impl<S: TraceSink> Network<S> {
                 router.set_ledger_filter(None);
             }
         }
-        self.ledger.finish();
-        self.ledger = Box::new(NullLedger);
+        self.coord.ledger.finish();
+        self.coord.ledger = Box::new(NullLedger);
     }
 
     /// Read access to a router (for tests and inspection).
     pub fn router(&self, id: NodeId) -> &Router {
-        let shard = &self.shards[self.node_shard[id.index()] as usize];
+        let shard = &self.shards[self.shard_index(id)];
         &shard.routers[shard.node_local[id.index()] as usize]
     }
 
@@ -960,7 +1018,7 @@ impl<S: TraceSink> Network<S> {
     ///
     /// [`Route`]: crate::intern::Route
     pub fn path_table_for(&self, id: NodeId) -> &PathTable {
-        &self.shards[self.node_shard[id.index()] as usize].path_table
+        &self.shards[self.shard_index(id)].path_table
     }
 
     /// Read access to the first shard's AS-path interner. With
@@ -985,7 +1043,7 @@ impl<S: TraceSink> Network<S> {
     }
 
     fn shard_index(&self, node: NodeId) -> usize {
-        self.node_shard[node.index()] as usize
+        self.coord.node_shard[node.index()] as usize
     }
 
     /// Injects one coordinator event onto the owning shard's queue
@@ -1011,21 +1069,40 @@ impl<S: TraceSink> Network<S> {
     }
 
     /// Runs every shard to completion under the conservative barrier
-    /// protocol. Single shard runs inline; multiple shards run on
-    /// scoped worker threads — with identical results either way, by
-    /// the canonical-merge construction.
+    /// protocol: [`Coordinator::run`] is the loop, and the shard count
+    /// picks how a window reaches the shards — one shard runs inline,
+    /// several run on scoped worker threads — with identical results
+    /// either way, by the canonical-merge construction.
     fn drive(&mut self) -> (RunOutcome, u64) {
         let obs_span = rfd_obs::is_enabled().then(|| rfd_obs::span("sim.run"));
-        let budget = Engine::<NetEvent>::DEFAULT_EVENT_BUDGET;
+        let budget = EpochBarrier::DEFAULT_EVENT_BUDGET;
         let mut barrier = EpochBarrier::new(self.lookahead, self.horizon, budget);
-        let before = self.processed;
-        let outcome = if self.shards.len() == 1 {
-            self.drive_sequential(&mut barrier, before)
+        let before = self.coord.processed;
+        for (shard, mail) in self.shards.iter_mut().zip(&mut self.coord.mail) {
+            mail.next_time = shard.engine.next_time();
+        }
+        let outcome = if let [shard] = self.shards.as_mut_slice() {
+            self.coord.run(&mut barrier, |end, mail| {
+                shard.run_window(end, &mut mail[0]);
+                true
+            })
         } else {
-            self.drive_threaded(&mut barrier, before)
+            Self::drive_on_workers(
+                &mut self.shards,
+                &mut self.coord,
+                &mut barrier,
+                &mut self.stall,
+            )
         };
+        let outcome = outcome.expect("a shard worker only stops early by panicking");
+        // A horizon/budget cutoff can leave routed-but-undelivered
+        // messages; park them on their destination queues so a later
+        // run (or a snapshot) still sees them.
+        for (shard, mail) in self.shards.iter_mut().zip(&mut self.coord.mail) {
+            shard.accept_inbox(mail);
+        }
         self.windows += barrier.windows();
-        let delta = self.processed - before;
+        let delta = self.coord.processed - before;
         rfd_obs::add("sim.events", delta);
         if let Some(mut span) = obs_span {
             span.sim_time_us(self.now().as_micros());
@@ -1033,164 +1110,70 @@ impl<S: TraceSink> Network<S> {
         (outcome, delta)
     }
 
-    fn drive_sequential(&mut self, barrier: &mut EpochBarrier, run_start: u64) -> RunOutcome {
-        loop {
-            let min_next = self.shards.iter_mut().filter_map(Shard::next_time).min();
-            match barrier.plan(min_next, self.processed - run_start) {
-                WindowPlan::Run { end } => {
-                    let mut traces = Vec::new();
-                    let mut records = Vec::new();
-                    let mut outmsgs = Vec::new();
-                    for shard in &mut self.shards {
-                        self.processed += shard.run_window(end);
-                        let (outbox, t, l) = shard.take_window_output();
-                        outmsgs.extend(outbox);
-                        traces.extend(t);
-                        records.extend(l);
-                    }
-                    feed_traces(&mut self.conv, &mut self.msgs, &mut self.sink, traces);
-                    feed_ledger(self.ledger.as_mut(), records);
-                    // `(at, key)` pairs are globally unique, so the
-                    // unstable sort is a total order: the destination
-                    // shards re-intern paths in canonical order.
-                    outmsgs.sort_unstable_by_key(|m: &RemoteMsg| (m.at, m.key));
-                    for msg in outmsgs {
-                        let dest = self.node_shard[msg.to.index()] as usize;
-                        self.shards[dest].accept_remote(msg);
-                    }
-                }
-                WindowPlan::Quiescent => return RunOutcome::Quiescent,
-                WindowPlan::HorizonReached => return RunOutcome::HorizonReached,
-                WindowPlan::BudgetExhausted => return RunOutcome::BudgetExhausted,
-            }
-        }
-    }
-
-    fn drive_threaded(&mut self, barrier: &mut EpochBarrier, run_start: u64) -> RunOutcome {
+    /// [`Network::drive`]'s window step for several shards: one scoped
+    /// worker thread per shard, each with its own command and reply
+    /// channel. A window sends every worker its mailbox and waits for
+    /// all of them back; a worker that panicked has dropped its ends,
+    /// so the coordinator sees the failure instead of waiting forever,
+    /// stops, and re-raises that worker's panic.
+    fn drive_on_workers(
+        shards: &mut [Shard],
+        coord: &mut Coordinator<S>,
+        barrier: &mut EpochBarrier,
+        stall: &mut std::time::Duration,
+    ) -> Option<RunOutcome> {
         use std::sync::mpsc;
+        use std::time::{Duration, Instant};
 
-        enum Cmd {
-            Window { end: SimTime, inbox: Vec<RemoteMsg> },
-            Stop,
-        }
-        struct Reply {
-            shard: usize,
-            next_time: Option<SimTime>,
-            output: WindowOutput,
-            delta: u64,
-            busy: std::time::Duration,
-        }
-
-        let n = self.shards.len();
-        let mut next_times: Vec<Option<SimTime>> =
-            self.shards.iter_mut().map(Shard::next_time).collect();
-        let mut inboxes: Vec<Vec<RemoteMsg>> = (0..n).map(|_| Vec::new()).collect();
-        let shards = &mut self.shards;
-        let node_shard = Arc::clone(&self.node_shard);
-        let conv = &mut self.conv;
-        let msgs = &mut self.msgs;
-        let sink = &mut self.sink;
-        let ledger = self.ledger.as_mut();
-        let processed = &mut self.processed;
-        let stall = &mut self.stall;
-
-        let outcome = std::thread::scope(|scope| {
-            let mut cmd_txs = Vec::with_capacity(n);
-            let (reply_tx, reply_rx) = mpsc::channel::<Reply>();
-            for (i, shard) in shards.iter_mut().enumerate() {
-                let (tx, rx) = mpsc::channel::<Cmd>();
-                cmd_txs.push(tx);
-                let reply_tx = reply_tx.clone();
-                scope.spawn(move || {
-                    while let Ok(cmd) = rx.recv() {
-                        match cmd {
-                            Cmd::Window { end, inbox } => {
-                                let started = std::time::Instant::now();
-                                for msg in inbox {
-                                    shard.accept_remote(msg);
-                                }
-                                let delta = shard.run_window(end);
-                                let output = shard.take_window_output();
-                                let next_time = shard.next_time();
-                                let _ = reply_tx.send(Reply {
-                                    shard: i,
-                                    next_time,
-                                    output,
-                                    delta,
-                                    busy: started.elapsed(),
-                                });
+        let n = shards.len() as u32;
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = shards
+                .iter_mut()
+                .map(|shard| {
+                    let (cmd_tx, cmd_rx) = mpsc::channel::<(SimTime, Mailbox)>();
+                    let (reply_tx, reply_rx) = mpsc::channel::<(Mailbox, Duration)>();
+                    let handle = scope.spawn(move || {
+                        while let Ok((end, mut mail)) = cmd_rx.recv() {
+                            let started = Instant::now();
+                            shard.run_window(end, &mut mail);
+                            if reply_tx.send((mail, started.elapsed())).is_err() {
+                                break;
                             }
-                            Cmd::Stop => break,
                         }
+                    });
+                    (cmd_tx, reply_rx, handle)
+                })
+                .collect();
+            let outcome = coord.run(barrier, |end, mail| {
+                let dispatched = Instant::now();
+                for ((cmd_tx, _, _), slot) in workers.iter().zip(mail.iter_mut()) {
+                    if cmd_tx.send((end, std::mem::take(slot))).is_err() {
+                        return false;
                     }
-                });
-            }
-            drop(reply_tx);
-
-            let outcome = loop {
-                let min_next = next_times
-                    .iter()
-                    .flatten()
-                    .copied()
-                    .chain(inboxes.iter().flatten().map(|m| m.at))
-                    .min();
-                match barrier.plan(min_next, *processed - run_start) {
-                    WindowPlan::Run { end } => {
-                        let dispatched = std::time::Instant::now();
-                        for (i, tx) in cmd_txs.iter().enumerate() {
-                            tx.send(Cmd::Window {
-                                end,
-                                inbox: std::mem::take(&mut inboxes[i]),
-                            })
-                            .expect("shard worker alive");
-                        }
-                        let mut traces = Vec::new();
-                        let mut records = Vec::new();
-                        let mut outmsgs = Vec::new();
-                        let mut busy = std::time::Duration::ZERO;
-                        for _ in 0..n {
-                            let reply = reply_rx.recv().expect("shard worker reply");
-                            next_times[reply.shard] = reply.next_time;
-                            *processed += reply.delta;
-                            busy += reply.busy;
-                            let (outbox, t, l) = reply.output;
-                            outmsgs.extend(outbox);
-                            traces.extend(t);
-                            records.extend(l);
-                        }
-                        // Stall = idle shard-time at this barrier: the
-                        // window spans `wall` for everyone, each shard
-                        // was busy for its own slice.
-                        let wall = dispatched.elapsed();
-                        *stall += (wall * n as u32).saturating_sub(busy);
-                        feed_traces(conv, msgs, sink, traces);
-                        feed_ledger(ledger, records);
-                        outmsgs.sort_unstable_by_key(|m: &RemoteMsg| (m.at, m.key));
-                        for msg in outmsgs {
-                            let dest = node_shard[msg.to.index()] as usize;
-                            inboxes[dest].push(msg);
-                        }
-                    }
-                    WindowPlan::Quiescent => break RunOutcome::Quiescent,
-                    WindowPlan::HorizonReached => break RunOutcome::HorizonReached,
-                    WindowPlan::BudgetExhausted => break RunOutcome::BudgetExhausted,
                 }
-            };
-            for tx in &cmd_txs {
-                let _ = tx.send(Cmd::Stop);
+                let mut busy = Duration::ZERO;
+                for ((_, reply_rx, _), slot) in workers.iter().zip(mail.iter_mut()) {
+                    let Ok((mail, worked)) = reply_rx.recv() else {
+                        return false;
+                    };
+                    *slot = mail;
+                    busy += worked;
+                }
+                // Stall = idle shard-time at this barrier: the window
+                // spans `wall` for everyone, each shard was busy for
+                // its own slice.
+                *stall += (dispatched.elapsed() * n).saturating_sub(busy);
+                true
+            });
+            // Hanging up the command channels ends the workers' loops.
+            for (cmd_tx, _, handle) in workers {
+                drop(cmd_tx);
+                if let Err(panic) = handle.join() {
+                    std::panic::resume_unwind(panic);
+                }
             }
             outcome
-        });
-
-        // A horizon/budget cutoff can leave routed-but-undelivered
-        // messages; park them on their destination queues so a later
-        // run still sees them.
-        for (i, inbox) in inboxes.into_iter().enumerate() {
-            for msg in inbox {
-                shards[i].accept_remote(msg);
-            }
-        }
-        outcome
+        })
     }
 
     /// Phase 1: the origin announces its prefix and the network
@@ -1211,15 +1194,10 @@ impl<S: TraceSink> Network<S> {
             self.shards[s].kickoff_origin(origin);
         }
         // Route any cross-shard kickoff announcements before the run.
-        let mut outmsgs = Vec::new();
-        for shard in &mut self.shards {
-            outmsgs.append(&mut shard.outbox);
+        for (shard, mail) in self.shards.iter_mut().zip(&mut self.coord.mail) {
+            mail.outbox.append(&mut shard.outbox);
         }
-        outmsgs.sort_unstable_by_key(|m: &RemoteMsg| (m.at, m.key));
-        for msg in outmsgs {
-            let dest = self.node_shard[msg.to.index()] as usize;
-            self.shards[dest].accept_remote(msg);
-        }
+        self.coord.route();
         let (outcome, _) = self.drive();
         assert_eq!(outcome, RunOutcome::Quiescent, "warm-up failed to converge");
         for att in &self.origins {
@@ -1238,7 +1216,7 @@ impl<S: TraceSink> Network<S> {
             }
         }
         assert_eq!(
-            self.sink.retained_events(),
+            self.coord.sink.retained_events(),
             0,
             "warm-up must not retain trace events"
         );
@@ -1293,8 +1271,8 @@ impl<S: TraceSink> Network<S> {
         self.prime_schedules(schedules, lead_in);
         let (outcome, delta) = self.drive();
         RunReport {
-            convergence_time: self.conv.convergence_time(),
-            message_count: self.msgs.message_count(),
+            convergence_time: self.coord.conv.convergence_time(),
+            message_count: self.coord.msgs.message_count(),
             events_processed: delta,
             outcome,
         }
@@ -1309,7 +1287,7 @@ impl<S: TraceSink> Network<S> {
         lead_in: SimDuration,
     ) {
         assert!(self.warmed_up, "call warm_up() before running a workload");
-        self.measured_base = self.processed;
+        self.measured_base = self.coord.processed;
         let start = self.now() + lead_in;
         for &(origin, schedule) in schedules {
             assert!(
@@ -1382,9 +1360,9 @@ impl<S: TraceSink> Network<S> {
         assert!(self.warmed_up, "resume requires a warmed-up network");
         let (outcome, _) = self.drive();
         RunReport {
-            convergence_time: self.conv.convergence_time(),
-            message_count: self.msgs.message_count(),
-            events_processed: self.processed - self.measured_base,
+            convergence_time: self.coord.conv.convergence_time(),
+            message_count: self.coord.msgs.message_count(),
+            events_processed: self.coord.processed - self.measured_base,
             outcome,
         }
     }
@@ -1411,9 +1389,9 @@ impl<S: TraceSink> Network<S> {
             }
         };
         RunReport {
-            convergence_time: self.conv.convergence_time(),
-            message_count: self.msgs.message_count(),
-            events_processed: self.processed - self.measured_base,
+            convergence_time: self.coord.conv.convergence_time(),
+            message_count: self.coord.msgs.message_count(),
+            events_processed: self.coord.processed - self.measured_base,
             outcome,
         }
     }
@@ -1449,7 +1427,7 @@ impl<S: TraceSink> Network<S> {
     ) -> RunReport {
         assert!(self.warmed_up, "call warm_up() before running a workload");
         assert!(
-            a.index() < self.node_shard.len() && self.router(a).peers().contains(&b),
+            a.index() < self.coord.node_shard.len() && self.router(a).peers().contains(&b),
             "{a}–{b} is not a link of this network"
         );
         let start = self.now() + lead_in;
@@ -1482,8 +1460,8 @@ impl<S: TraceSink> Network<S> {
         }
         let (outcome, delta) = self.drive();
         RunReport {
-            convergence_time: self.conv.convergence_time(),
-            message_count: self.msgs.message_count(),
+            convergence_time: self.coord.conv.convergence_time(),
+            message_count: self.coord.msgs.message_count(),
             events_processed: delta,
             outcome,
         }
@@ -1731,15 +1709,121 @@ mod tests {
                 report.message_count,
                 report.convergence_time,
                 report.events_processed,
+                net.windows(),
                 net.dropped_messages(),
                 net.suppressed_entries(),
                 events,
             )
         };
         let one = run(1);
-        assert!(!one.5.is_empty(), "the reference run must trace something");
+        assert!(!one.6.is_empty(), "the reference run must trace something");
         assert_eq!(one, run(2), "2 shards diverged from 1");
         assert_eq!(one, run(8), "8 shards diverged from 1");
+    }
+
+    /// A horizon that cuts the run between two pulses, with updates in
+    /// flight: every output is identical at any shard count, a second
+    /// `resume` under the same horizon is a no-op, and once the horizon
+    /// lifts the run finishes exactly like an uninterrupted one — the
+    /// messages routed but not yet delivered at the cutoff were parked,
+    /// not lost.
+    #[test]
+    fn horizon_cutoff_parks_in_flight_messages_at_any_shard_count() {
+        let g = mesh_torus(4, 4);
+        let isp = NodeId::new(2);
+        let cfg = |shards: usize| {
+            let mut cfg = NetworkConfig::paper_full_damping(11);
+            cfg.sim_shards = shards;
+            cfg
+        };
+        let far = SimTime::ZERO + cfg(1).horizon;
+        let (warm_end, uncut) = {
+            let mut net = Network::new(&g, isp, cfg(1));
+            net.warm_up();
+            let warm_end = net.now();
+            let report = net.run_paper_workload(3);
+            (
+                warm_end,
+                (report.message_count, net.trace().events().to_vec()),
+            )
+        };
+        // 100 s lead-in, withdrawal, announcement 60 s later; cut 300 ms
+        // after it, inside the 10–500 ms link-delay range.
+        let cut = SimDuration::from_secs(160) + SimDuration::from_millis(300);
+        let run = |shards: usize| {
+            let mut cfg = cfg(shards);
+            cfg.horizon = warm_end.since(SimTime::ZERO) + cut;
+            let mut net = Network::new(&g, isp, cfg);
+            let first = net.run_paper_workload(3);
+            assert_eq!(first.outcome, RunOutcome::HorizonReached);
+            let at_cut = (
+                first.events_processed,
+                net.events_processed(),
+                net.windows(),
+                net.dropped_messages(),
+                net.trace().events().to_vec(),
+            );
+            let again = net.resume();
+            assert_eq!(again.outcome, RunOutcome::HorizonReached);
+            assert_eq!(
+                at_cut,
+                (
+                    again.events_processed,
+                    net.events_processed(),
+                    net.windows(),
+                    net.dropped_messages(),
+                    net.trace().events().to_vec(),
+                ),
+                "a second resume under the same horizon must change nothing"
+            );
+            net.horizon = far;
+            let rest = net.resume();
+            assert_eq!(rest.outcome, RunOutcome::Quiescent);
+            let finished = (rest.message_count, net.trace().events().to_vec());
+            (at_cut, finished)
+        };
+        let one = run(1);
+        let (_, _, _, dropped, events) = &one.0;
+        let sent = events.iter().filter(|e| e.is_update_sent()).count() as u64;
+        let received = events.iter().filter(|e| e.is_update_received()).count() as u64;
+        assert!(
+            sent > received + dropped,
+            "the cut must catch updates in flight"
+        );
+        assert_eq!(one.1, uncut, "the cut-and-resumed run diverged");
+        assert_eq!(one, run(2), "2 shards diverged from 1");
+        assert_eq!(one, run(8), "8 shards diverged from 1");
+    }
+
+    /// A panic inside a shard must end the run with a panic at every
+    /// shard count — never leave the coordinator waiting on a worker
+    /// that is gone.
+    #[test]
+    fn shard_panic_propagates_instead_of_hanging() {
+        for shards in [1, 2, 8] {
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let mut cfg = small_cfg(3);
+                cfg.sim_shards = shards;
+                let mut net = Network::new(&mesh_torus(4, 4), NodeId::new(0), cfg);
+                net.warm_up();
+                let (at, owner) = (net.now() + SimDuration::from_secs(1), net.origin());
+                // There is no origin 99: the owning shard panics on it.
+                let event = NetEvent::OriginLink {
+                    origin: 99,
+                    up: false,
+                    rc: None,
+                };
+                net.prime(at, owner, event);
+                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| net.resume()));
+                let _ = done_tx.send(run.is_err());
+            });
+            assert_eq!(
+                done_rx.recv_timeout(std::time::Duration::from_secs(10)),
+                Ok(true),
+                "sim_shards = {shards}: the run must panic, not hang"
+            );
+        }
     }
 
     /// Same contract under RCN damping (root causes are stamped at

@@ -236,7 +236,7 @@ impl Snapshot {
         enc.bool(net.warmed_up);
         enc.u64(net.rc_seq);
         enc.u64(net.inj_seq);
-        enc.u64(net.processed);
+        enc.u64(net.coord.processed);
         enc.u64(net.windows);
         enc.u64(net.measured_base);
         enc.usize(net.shards.len());
@@ -244,21 +244,25 @@ impl Snapshot {
             encode_shard(&mut enc, shard);
         }
         let conv = net
+            .coord
             .conv
             .export_snapshot()
             .ok_or(SnapshotError::UnsupportedSink("convergence tracker"))?;
         enc.bytes(&conv);
         let msgs = net
+            .coord
             .msgs
             .export_snapshot()
             .ok_or(SnapshotError::UnsupportedSink("message counter"))?;
         enc.bytes(&msgs);
         let sink = net
+            .coord
             .sink
             .export_snapshot()
             .ok_or_else(|| SnapshotError::UnsupportedSink(std::any::type_name::<S>()))?;
         enc.bytes(&sink);
         let ledger = net
+            .coord
             .ledger
             .export_snapshot()
             .ok_or(SnapshotError::UnsupportedSink("ledger sink"))?;
@@ -400,16 +404,16 @@ impl Snapshot {
         let sink = dec.bytes("trace sink snapshot")?;
         let ledger = dec.bytes("ledger sink snapshot")?;
         if !fork {
-            if !net.conv.import_snapshot(conv) {
+            if !net.coord.conv.import_snapshot(conv) {
                 return Err(SnapshotError::UnsupportedSink("convergence tracker"));
             }
-            if !net.msgs.import_snapshot(msgs) {
+            if !net.coord.msgs.import_snapshot(msgs) {
                 return Err(SnapshotError::UnsupportedSink("message counter"));
             }
-            if !net.sink.import_snapshot(sink) {
+            if !net.coord.sink.import_snapshot(sink) {
                 return Err(SnapshotError::UnsupportedSink(std::any::type_name::<S>()));
             }
-            if !net.ledger.import_snapshot(ledger) {
+            if !net.coord.ledger.import_snapshot(ledger) {
                 return Err(SnapshotError::UnsupportedSink("ledger sink"));
             }
         }
@@ -420,7 +424,7 @@ impl Snapshot {
         net.warmed_up = warmed_up;
         net.rc_seq = rc_seq;
         net.inj_seq = inj_seq;
-        net.processed = processed;
+        net.coord.processed = processed;
         net.windows = windows;
         net.measured_base = measured_base;
         Ok(())

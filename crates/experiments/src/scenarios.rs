@@ -370,13 +370,12 @@ pub fn run_pattern_metrics_full(
     }
 }
 
-// The runner moves whole simulations across threads: the engine, the
-// world it drives, and the graphs they are built from must be `Send`.
+// The runner moves whole simulations across threads: the network (its
+// shard engines included) and the graphs it is built from must be `Send`.
 // Compile-time proof — if a future change adds an `Rc` or a raw pointer
 // to any of these, this stops building.
 const _: () = {
     const fn assert_send<T: Send>() {}
-    assert_send::<rfd_sim::Engine<rfd_bgp::NetEvent>>();
     assert_send::<Network>();
     assert_send::<Network<rfd_metrics::SuppressionStats>>();
     assert_send::<Graph>();

@@ -55,13 +55,9 @@ pub fn pack_key(peer: u32, prefix: u32) -> u64 {
 }
 
 /// FNV-1a hash of a state key; the engine routes `hash % shards`.
+#[inline]
 pub fn shard_hash(key: u64) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.to_le_bytes() {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    rfd_snap::fnv1a(&key.to_le_bytes())
 }
 
 /// The statistical shape of the generated firehose.

@@ -12,9 +12,9 @@
 //! * [`StateClassifier`] — the charging / suppression / releasing /
 //!   converged reconstruction of §4.1 (Figure 4);
 //! * [`TraceSink`] and the streaming aggregators ([`ConvergenceTracker`],
-//!   [`MessageCounter`], [`UpdateBins`], [`SuppressionStats`],
-//!   [`OnlineClassifier`]) — the same metrics computed online in O(1)
-//!   space, for sweeps that must not buffer whole event histories;
+//!   [`MessageCounter`], [`UpdateBins`], [`SuppressionStats`]) — the
+//!   same metrics computed online in O(1) space, for sweeps that must
+//!   not buffer whole event histories;
 //! * [`Table`] — plain-text and CSV reporting for the experiment
 //!   binaries.
 //!
@@ -42,8 +42,7 @@ pub use plot::AsciiChart;
 pub use report::{fmt_f64, Table};
 pub use series::{bin_events, StepSeries};
 pub use sink::{
-    ConvergenceTracker, Fanout, MessageCounter, NullSink, OnlineClassifier, SuppressionStats,
-    TraceSink, UpdateBins, VecSink,
+    ConvergenceTracker, MessageCounter, NullSink, SuppressionStats, TraceSink, UpdateBins, VecSink,
 };
 pub use states::{DampingState, StateClassifier, StateSpan};
 pub use stats::Summary;

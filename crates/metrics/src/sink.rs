@@ -7,32 +7,25 @@
 //! aggregators in this module compute the headline metrics in O(1)
 //! (or O(changes)) space:
 //!
-//! * [`VecSink`] — the full-fidelity buffer, a thin wrapper around
-//!   [`Trace`]; figures that genuinely need the raw event history
-//!   (penalty sawtooths, Figure 10 panels) opt into it;
+//! * [`VecSink`] — the full-fidelity buffer: [`Trace`] itself; figures
+//!   that genuinely need the raw event history (penalty sawtooths,
+//!   Figure 10 panels) opt into it;
 //! * [`NullSink`] — counts and drops everything (warm-up);
 //! * [`ConvergenceTracker`] — the paper's convergence-time metric;
 //! * [`MessageCounter`] — the paper's message-count metric;
 //! * [`UpdateBins`] — the Figure 10 update series (5-second bins);
-//! * [`SuppressionStats`] — reuse/suppression tallies and peak penalty;
-//! * [`OnlineClassifier`] — the four-state classification, equivalent
-//!   to the post-hoc [`StateClassifier::classify`] on every trace;
-//! * [`Fanout`] — broadcasts one stream to several boxed sinks; tuples
-//!   of sinks compose statically.
+//! * [`SuppressionStats`] — reuse/suppression tallies and peak penalty.
 //!
-//! Every leaf sink reports `metrics.sink.events` / `metrics.sink.retained`
-//! counters through `rfd-obs` when [`TraceSink::finish`] runs (inert
-//! unless observability is enabled).
-//!
-//! [`StateClassifier::classify`]: crate::StateClassifier::classify
+//! Tuples of sinks compose statically. Every leaf sink reports
+//! `metrics.sink.events` / `metrics.sink.retained` counters through
+//! `rfd-obs` when [`TraceSink::finish`] runs (inert unless
+//! observability is enabled).
 
 use std::collections::HashSet;
 
 use rfd_sim::{SimDuration, SimTime};
 
 use crate::events::TraceEventKind;
-use crate::series::StepSeries;
-use crate::states::{DampingState, StateSpan};
 use crate::trace::Trace;
 
 /// An observer of the simulation's time-ordered trace-event stream.
@@ -342,59 +335,11 @@ fn report_sink_obs(seen: u64, retained: usize) {
     rfd_obs::add("metrics.sink.retained", retained as u64);
 }
 
-/// The full-fidelity sink: buffers every event in a [`Trace`], exactly
-/// like the pre-streaming pipeline. Memory grows O(events); only
-/// consumers that replay history (penalty sawtooths, state-span plots,
-/// trace export) should pay for it.
-#[derive(Debug, Clone, Default)]
-pub struct VecSink {
-    trace: Trace,
-}
-
-impl VecSink {
-    /// Creates an empty sink.
-    pub fn new() -> Self {
-        VecSink::default()
-    }
-
-    /// The buffered trace.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Consumes the sink, yielding the buffered trace.
-    pub fn into_trace(self) -> Trace {
-        self.trace
-    }
-}
-
-impl TraceSink for VecSink {
-    fn record(&mut self, at: SimTime, kind: TraceEventKind) {
-        self.trace.record(at, kind);
-    }
-
-    fn finish(&mut self) {
-        report_sink_obs(self.trace.len() as u64, self.trace.len());
-    }
-
-    fn retained_events(&self) -> usize {
-        self.trace.len()
-    }
-
-    fn export_snapshot(&self) -> Option<Vec<u8>> {
-        Some(trace_snapshot(&self.trace))
-    }
-
-    fn import_snapshot(&mut self, bytes: &[u8]) -> bool {
-        match restore_trace(bytes) {
-            Some(trace) => {
-                self.trace = trace;
-                true
-            }
-            None => false,
-        }
-    }
-}
+/// The full-fidelity sink: buffers every event, exactly like the
+/// pre-streaming pipeline. Memory grows O(events); only consumers that
+/// replay history (penalty sawtooths, state-span plots, trace export)
+/// should pay for it.
+pub type VecSink = Trace;
 
 /// Counts events and drops them — the warm-up sink.
 #[derive(Debug, Clone, Copy, Default)]
@@ -435,64 +380,6 @@ impl TraceSink for NullSink {
             }
             Err(_) => false,
         }
-    }
-}
-
-/// Broadcasts the stream to several boxed sinks (dynamic composition;
-/// tuples of sinks compose statically with zero indirection).
-#[derive(Debug, Default)]
-pub struct Fanout {
-    sinks: Vec<Box<dyn TraceSink>>,
-}
-
-impl Fanout {
-    /// Creates an empty fanout.
-    pub fn new() -> Self {
-        Fanout::default()
-    }
-
-    /// Builder-style push.
-    pub fn with(mut self, sink: impl TraceSink + 'static) -> Self {
-        self.push(sink);
-        self
-    }
-
-    /// Adds a sink.
-    pub fn push(&mut self, sink: impl TraceSink + 'static) {
-        self.sinks.push(Box::new(sink));
-    }
-
-    /// Number of attached sinks.
-    pub fn len(&self) -> usize {
-        self.sinks.len()
-    }
-
-    /// True when no sinks are attached.
-    pub fn is_empty(&self) -> bool {
-        self.sinks.is_empty()
-    }
-
-    /// Consumes the fanout, yielding the attached sinks.
-    pub fn into_inner(self) -> Vec<Box<dyn TraceSink>> {
-        self.sinks
-    }
-}
-
-impl TraceSink for Fanout {
-    fn record(&mut self, at: SimTime, kind: TraceEventKind) {
-        for sink in &mut self.sinks {
-            sink.record(at, kind);
-        }
-    }
-
-    fn finish(&mut self) {
-        for sink in &mut self.sinks {
-            sink.finish();
-        }
-    }
-
-    fn retained_events(&self) -> usize {
-        self.sinks.iter().map(|s| s.retained_events()).sum()
     }
 }
 
@@ -966,222 +853,9 @@ impl TraceSink for SuppressionStats {
     }
 }
 
-/// Incremental four-state classifier, span-for-span equivalent to
-/// running [`StateClassifier::classify`] over the buffered trace.
-///
-/// The post-hoc classifier derives *activity periods* from the in-flight
-/// step series (whose same-instant deltas coalesce before transitions
-/// are read off) and labels quiet gaps by probing the damped-link series
-/// at the gap midpoint. The streaming version reproduces that exactly:
-///
-/// * in-flight deltas buffer per instant and apply only once the clock
-///   advances, so a send+receive at one timestamp never fabricates an
-///   activity interval;
-/// * a gap's midpoint probe is evaluated when the *next* activity
-///   interval opens — by then every damped-link change at or before the
-///   midpoint has already streamed in (events arrive in time order);
-/// * the damped-link series keeps one change point per
-///   suppress/reuse instant — O(suppression churn), not O(events).
-///
-/// [`StateClassifier::classify`]: crate::StateClassifier::classify
-#[derive(Debug, Clone)]
-pub struct OnlineClassifier {
-    merge_gap: SimDuration,
-    first_flap: Option<SimTime>,
-    in_flight: i64,
-    /// Unapplied in-flight delta at one instant.
-    pending: Option<(SimTime, i64)>,
-    /// Last instant any in-flight shift happened (closes a final
-    /// still-open interval, like the post-hoc series' last change
-    /// point).
-    last_shift: Option<SimTime>,
-    /// Start of the currently-open *raw* positive interval.
-    raw_open: Option<SimTime>,
-    /// The merged activity interval under construction.
-    current: Option<(SimTime, SimTime)>,
-    committed_intervals: usize,
-    spans: Vec<StateSpan>,
-    damped: StepSeries,
-    finished: bool,
-    seen: u64,
-}
-
-impl Default for OnlineClassifier {
-    /// Uses the same 240-second merge gap as
-    /// [`StateClassifier::default`](crate::StateClassifier).
-    fn default() -> Self {
-        OnlineClassifier::with_merge_gap(SimDuration::from_secs(240))
-    }
-}
-
-impl OnlineClassifier {
-    /// Creates a classifier with an explicit merge gap.
-    pub fn with_merge_gap(merge_gap: SimDuration) -> Self {
-        OnlineClassifier {
-            merge_gap,
-            first_flap: None,
-            in_flight: 0,
-            pending: None,
-            last_shift: None,
-            raw_open: None,
-            current: None,
-            committed_intervals: 0,
-            spans: Vec::new(),
-            damped: StepSeries::new(),
-            finished: false,
-            seen: 0,
-        }
-    }
-
-    fn shift_in_flight(&mut self, at: SimTime, delta: i64) {
-        match self.pending {
-            Some((t, _)) if t != at => {
-                self.flush_pending();
-                self.pending = Some((at, delta));
-            }
-            Some((_, ref mut d)) => *d += delta,
-            None => self.pending = Some((at, delta)),
-        }
-        self.last_shift = Some(at);
-    }
-
-    /// Applies the buffered instant to the in-flight value and runs the
-    /// positive-interval transition logic on the coalesced change point.
-    fn flush_pending(&mut self) {
-        let Some((t, delta)) = self.pending.take() else {
-            return;
-        };
-        let new = self.in_flight + delta;
-        if self.in_flight <= 0 && new > 0 {
-            self.open_interval(t);
-        } else if self.in_flight > 0 && new <= 0 && self.raw_open.take().is_some() {
-            if let Some((_, to)) = self.current.as_mut() {
-                *to = t;
-            }
-        }
-        self.in_flight = new;
-    }
-
-    fn open_interval(&mut self, t: SimTime) {
-        self.raw_open = Some(t);
-        match self.current {
-            None => self.current = Some((t, t)),
-            Some((_, to)) if t.saturating_since(to) <= self.merge_gap => {}
-            Some((from, to)) => {
-                self.commit_activity(from, to);
-                // Label the quiet gap by whether suppression is active
-                // in its interior (the post-hoc midpoint probe; every
-                // damped change at or before it has already arrived).
-                let probe = to + t.saturating_since(to) / 2;
-                let state = if self.damped.value_at(probe) > 0 {
-                    DampingState::Suppression
-                } else {
-                    DampingState::Converged
-                };
-                self.spans.push(StateSpan {
-                    state,
-                    from: to,
-                    to: t,
-                });
-                self.current = Some((t, t));
-            }
-        }
-    }
-
-    fn commit_activity(&mut self, from: SimTime, to: SimTime) {
-        let first = self.committed_intervals == 0;
-        let state = if first {
-            DampingState::Charging
-        } else {
-            DampingState::Releasing
-        };
-        // The first activity period contains the flapping; any flap
-        // still unseen at commit time necessarily lies in the future,
-        // so the min is a no-op then — same result as post-hoc.
-        let from = if first {
-            from.min(self.first_flap.unwrap_or(from))
-        } else {
-            from
-        };
-        self.spans.push(StateSpan { state, from, to });
-        self.committed_intervals += 1;
-    }
-
-    /// The classified spans. Empty when nothing flapped or no activity
-    /// occurred, exactly like the post-hoc classifier.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless [`TraceSink::finish`] ran (pending activity would
-    /// otherwise be missing).
-    pub fn spans(&self) -> &[StateSpan] {
-        assert!(self.finished, "call finish() before reading spans");
-        if self.first_flap.is_none() || self.committed_intervals == 0 {
-            &[]
-        } else {
-            &self.spans
-        }
-    }
-
-    /// Total time spent in `state` (matches
-    /// [`StateClassifier::time_in`](crate::StateClassifier::time_in)).
-    pub fn time_in(&self, state: DampingState) -> SimDuration {
-        self.spans()
-            .iter()
-            .filter(|s| s.state == state)
-            .fold(SimDuration::ZERO, |acc, s| acc + s.duration())
-    }
-
-    /// Number of distinct suppression spans (matches
-    /// [`StateClassifier::suppression_periods`](crate::StateClassifier::suppression_periods)).
-    pub fn suppression_periods(&self) -> usize {
-        self.spans()
-            .iter()
-            .filter(|s| s.state == DampingState::Suppression)
-            .count()
-    }
-}
-
-impl TraceSink for OnlineClassifier {
-    fn record(&mut self, at: SimTime, kind: TraceEventKind) {
-        self.seen += 1;
-        match kind {
-            TraceEventKind::UpdateSent { .. } => self.shift_in_flight(at, 1),
-            TraceEventKind::UpdateReceived { .. } => self.shift_in_flight(at, -1),
-            TraceEventKind::OriginFlap { .. } | TraceEventKind::LinkFlap { .. } => {
-                self.first_flap.get_or_insert(at);
-            }
-            TraceEventKind::Suppressed { .. } => self.damped.shift(at, 1),
-            TraceEventKind::Reused { .. } => self.damped.shift(at, -1),
-            _ => {}
-        }
-    }
-
-    fn finish(&mut self) {
-        if self.finished {
-            return;
-        }
-        self.flush_pending();
-        if let Some(open_from) = self.raw_open.take() {
-            // A still-open interval closes at the series' last change
-            // point (`last.max(from)` post-hoc).
-            let end = self.last_shift.map_or(open_from, |t| t.max(open_from));
-            if let Some((_, to)) = self.current.as_mut() {
-                *to = end;
-            }
-        }
-        if let Some((from, to)) = self.current.take() {
-            self.commit_activity(from, to);
-        }
-        self.finished = true;
-        report_sink_obs(self.seen, 0);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::states::StateClassifier;
 
     fn t(secs: u64) -> SimTime {
         SimTime::from_secs(secs)
@@ -1372,19 +1046,9 @@ mod tests {
         let trace = feed(&events, &mut vec_sink);
         feed(&events, &mut null);
         assert_eq!(vec_sink.retained_events(), events.len());
-        assert_eq!(vec_sink.trace().events(), trace.events());
+        assert_eq!(vec_sink.events(), trace.events());
         assert_eq!(null.retained_events(), 0);
         assert_eq!(null.seen(), events.len() as u64);
-    }
-
-    #[test]
-    fn fanout_broadcasts_to_all_sinks() {
-        let mut fan = Fanout::new()
-            .with(MessageCounter::new())
-            .with(VecSink::new());
-        let trace = feed(&pulse_stream(), &mut fan);
-        assert_eq!(fan.len(), 2);
-        assert_eq!(fan.retained_events(), trace.len());
     }
 
     #[test]
@@ -1394,95 +1058,6 @@ mod tests {
         assert_eq!(pair.0.convergence_time(), trace.convergence_time());
         assert_eq!(pair.1.message_count(), trace.message_count());
         assert_eq!(pair.retained_events(), 0);
-    }
-
-    fn assert_classifier_equivalence(events: &[(SimTime, TraceEventKind)], gap: SimDuration) {
-        let mut online = OnlineClassifier::with_merge_gap(gap);
-        let trace = feed(events, &mut online);
-        let post_hoc = StateClassifier::with_merge_gap(gap);
-        assert_eq!(
-            online.spans(),
-            post_hoc.classify(&trace).as_slice(),
-            "spans diverged (gap {gap})"
-        );
-        for state in [
-            DampingState::Charging,
-            DampingState::Suppression,
-            DampingState::Releasing,
-            DampingState::Converged,
-        ] {
-            assert_eq!(online.time_in(state), post_hoc.time_in(&trace, state));
-        }
-        assert_eq!(
-            online.suppression_periods(),
-            post_hoc.suppression_periods(&trace)
-        );
-    }
-
-    #[test]
-    fn classifier_matches_on_single_pulse() {
-        assert_classifier_equivalence(&pulse_stream(), SimDuration::from_secs(240));
-        assert_classifier_equivalence(&pulse_stream(), SimDuration::from_secs(10));
-        assert_classifier_equivalence(&pulse_stream(), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn classifier_matches_on_same_instant_send_receive() {
-        // A send+receive at one instant coalesces to a net-zero change
-        // point: no activity interval may open.
-        let events = [
-            (t(0), flap(false)),
-            (t(5), sent()),
-            (t(5), received()),
-            (t(600), sent()),
-            (t(601), received()),
-        ];
-        assert_classifier_equivalence(&events, SimDuration::from_secs(240));
-    }
-
-    #[test]
-    fn classifier_matches_with_open_final_interval() {
-        let events = [(t(0), flap(false)), (t(5), sent()), (t(9), sent())];
-        assert_classifier_equivalence(&events, SimDuration::from_secs(240));
-    }
-
-    #[test]
-    fn classifier_empty_without_flaps() {
-        let events = [(t(5), sent()), (t(6), received())];
-        let mut online = OnlineClassifier::default();
-        let trace = feed(&events, &mut online);
-        assert!(online.spans().is_empty());
-        assert!(StateClassifier::default().classify(&trace).is_empty());
-    }
-
-    #[test]
-    fn classifier_empty_without_activity() {
-        let events = [(t(0), flap(false)), (t(60), flap(true))];
-        let mut online = OnlineClassifier::default();
-        let trace = feed(&events, &mut online);
-        assert!(online.spans().is_empty());
-        assert!(StateClassifier::default().classify(&trace).is_empty());
-    }
-
-    #[test]
-    fn classifier_matches_with_late_first_flap() {
-        // Activity opens before the first flap: the post-hoc Charging
-        // span still starts at min(from, first_flap).
-        let events = [
-            (t(5), sent()),
-            (t(6), received()),
-            (t(30), flap(false)),
-            (t(31), sent()),
-            (t(33), received()),
-        ];
-        assert_classifier_equivalence(&events, SimDuration::from_secs(240));
-    }
-
-    #[test]
-    #[should_panic(expected = "finish")]
-    fn classifier_spans_require_finish() {
-        let c = OnlineClassifier::default();
-        let _ = c.spans();
     }
 
     #[test]

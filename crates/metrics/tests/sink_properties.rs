@@ -5,8 +5,8 @@
 
 use proptest::prelude::*;
 use rfd_metrics::{
-    bin_events, ConvergenceTracker, DampingState, MessageCounter, OnlineClassifier,
-    StateClassifier, SuppressionStats, Trace, TraceEventKind, TraceSink, UpdateBins,
+    bin_events, ConvergenceTracker, MessageCounter, SuppressionStats, Trace, TraceEventKind,
+    TraceSink, UpdateBins,
 };
 use rfd_sim::{SimDuration, SimTime};
 
@@ -104,36 +104,6 @@ fn to_trace(stream: &[(SimTime, TraceEventKind)]) -> Trace {
 }
 
 proptest! {
-    /// The online classifier reconstructs the exact spans of the
-    /// post-hoc [`StateClassifier`], for arbitrary streams and merge
-    /// gaps — and therefore the same `time_in` and suppression count.
-    #[test]
-    fn online_classifier_matches_post_hoc(
-        stream in stream_strategy(),
-        merge_gap_us in 1u64..1_000_000,
-    ) {
-        let merge_gap = SimDuration::from_micros(merge_gap_us);
-        let mut online = OnlineClassifier::with_merge_gap(merge_gap);
-        for (at, kind) in &stream {
-            online.record(*at, *kind);
-        }
-        online.finish();
-
-        let trace = to_trace(&stream);
-        let post_hoc = StateClassifier::with_merge_gap(merge_gap);
-        let expected = post_hoc.classify(&trace);
-        prop_assert_eq!(online.spans(), expected.as_slice());
-        for state in [
-            DampingState::Charging,
-            DampingState::Suppression,
-            DampingState::Releasing,
-            DampingState::Converged,
-        ] {
-            prop_assert_eq!(online.time_in(state), post_hoc.time_in(&trace, state));
-        }
-        prop_assert_eq!(online.suppression_periods(), post_hoc.suppression_periods(&trace));
-    }
-
     /// Headline-metric aggregators equal their trace-scan counterparts.
     #[test]
     fn aggregators_match_trace_scans(stream in stream_strategy()) {

@@ -11,16 +11,7 @@
 use std::fmt;
 
 use rfd_sim::DetRng;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= u64::from(b);
-        *hash = hash.wrapping_mul(FNV_PRIME);
-    }
-}
+use rfd_snap::Fingerprint;
 
 /// FNV-1a hash of a sequence of string parts (with separators, so
 /// `["ab","c"]` and `["a","bc"]` differ). Callers fold
@@ -28,12 +19,11 @@ fn fnv1a(hash: &mut u64, bytes: &[u8]) {
 /// with this, making the journal fingerprint sensitive to RFD/BGP
 /// configuration that the grid axes alone can't see.
 pub fn hash_params<'a>(parts: impl IntoIterator<Item = &'a str>) -> u64 {
-    let mut h = FNV_OFFSET;
+    let mut h = Fingerprint::new();
     for part in parts {
-        fnv1a(&mut h, &[0x1f]);
-        fnv1a(&mut h, part.as_bytes());
+        h.bytes(&[0x1f]).bytes(part.as_bytes());
     }
-    h
+    h.finish()
 }
 
 /// The identity of a grid, written as the journal's header line and
@@ -156,29 +146,25 @@ impl<S> RunGrid<S> {
     /// The journal-integrity fingerprint of this grid (see
     /// [`GridFingerprint`]).
     pub fn fingerprint(&self) -> GridFingerprint {
-        let mut h = FNV_OFFSET;
-        fnv1a(&mut h, self.name.as_bytes());
+        let mut h = Fingerprint::new();
+        h.bytes(self.name.as_bytes());
         for series in &self.series {
-            fnv1a(&mut h, b"\x1fseries\x1f");
-            fnv1a(&mut h, series.label.as_bytes());
+            h.bytes(b"\x1fseries\x1f").bytes(series.label.as_bytes());
         }
         for &pulses in &self.pulses {
-            fnv1a(&mut h, b"\x1fpulses\x1f");
-            fnv1a(&mut h, &(pulses as u64).to_le_bytes());
+            h.bytes(b"\x1fpulses\x1f").u64(pulses as u64);
         }
         for &seed in &self.seeds {
-            fnv1a(&mut h, b"\x1fseed\x1f");
-            fnv1a(&mut h, &seed.to_le_bytes());
+            h.bytes(b"\x1fseed\x1f").u64(seed);
         }
-        fnv1a(&mut h, b"\x1fsalt\x1f");
-        fnv1a(&mut h, &self.param_salt.to_le_bytes());
+        h.bytes(b"\x1fsalt\x1f").u64(self.param_salt);
         GridFingerprint {
             grid: self.name.clone(),
             series: self.series.len(),
             pulses: self.pulses.len(),
             seeds: self.seeds.len(),
             cells: self.cell_count(),
-            param_hash: h,
+            param_hash: h.finish(),
         }
     }
 

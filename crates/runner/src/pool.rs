@@ -164,9 +164,13 @@ where
                 let ctx = WorkerCtx { worker: me };
                 let mut done: Vec<(usize, std::thread::Result<T>)> = Vec::new();
                 loop {
-                    // Own work first (front), then steal (back).
+                    // Own work first (front), then steal (back). The own
+                    // queue's lock is released before a victim's is
+                    // taken: two idle workers each holding their own
+                    // and wanting the other's would deadlock.
                     let mut stolen = false;
-                    let job = lock_queue(&queues[me]).pop_front().or_else(|| {
+                    let own = lock_queue(&queues[me]).pop_front();
+                    let job = own.or_else(|| {
                         (1..workers)
                             .map(|k| (me + k) % workers)
                             .find_map(|v| lock_queue(&queues[v]).pop_back())
@@ -348,5 +352,24 @@ mod tests {
             job
         });
         assert!(progress.total_steals() > 0, "{:?}", progress.steal_counts());
+    }
+
+    /// Two workers that run dry together each try to steal from the
+    /// other; neither may hold its own queue's lock while it does.
+    #[test]
+    fn idle_workers_do_not_deadlock_stealing_from_each_other() {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for _ in 0..50_000 {
+                execute(2, 2, |i| i);
+            }
+            let _ = done_tx.send(());
+        });
+        assert!(
+            done_rx
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .is_ok(),
+            "the pool deadlocked"
+        );
     }
 }

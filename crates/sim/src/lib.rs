@@ -7,44 +7,50 @@
 //! It provides:
 //!
 //! * [`SimTime`] / [`SimDuration`] — integer-microsecond simulated time;
-//! * [`Scheduler`] — the event agenda, ordered by `(time, FIFO)`,
-//!   backed by a hierarchical [`TimerWheel`] with O(1) cancellation
-//!   (the original binary-heap agenda survives as [`HeapScheduler`]);
-//! * [`Engine`] / [`World`] / [`Context`] — the run loop that hands
-//!   events to the model and lets it schedule more;
+//! * [`TimerWheel`] — the event agenda: a hierarchical timer wheel
+//!   popping in `(time, key)` order with O(1) cancellation;
+//! * [`ShardEngine`] — one wheel plus a clock; the model pops events up
+//!   to a window end, handles them and schedules more;
+//! * [`EpochBarrier`] — plans the lock-step windows (lookahead, horizon,
+//!   event budget) that keep any number of shard engines conservative;
 //! * [`DetRng`] — seeded, splittable random streams so every run is
 //!   reproducible and structurally independent.
 //!
 //! # Examples
 //!
-//! A two-node "ping-pong" model:
+//! A two-node "ping-pong" model on one shard:
 //!
 //! ```
-//! use rfd_sim::{Context, Engine, RunOutcome, SimDuration, SimTime, World};
+//! use rfd_sim::{
+//!     event_key, EpochBarrier, RunOutcome, ShardEngine, SimDuration, SimTime, WindowPlan,
+//! };
 //!
 //! #[derive(Debug)]
 //! enum Ball { AtA, AtB }
 //!
-//! struct PingPong { volleys: u32 }
-//!
-//! impl World for PingPong {
-//!     type Event = Ball;
-//!     fn handle(&mut self, ctx: &mut Context<'_, Ball>, ball: Ball) {
-//!         self.volleys += 1;
-//!         if self.volleys < 10 {
-//!             let next = match ball { Ball::AtA => Ball::AtB, Ball::AtB => Ball::AtA };
-//!             ctx.schedule_in(SimDuration::from_millis(5), next);
+//! let mut shard = ShardEngine::new();
+//! shard.schedule(SimTime::ZERO, event_key(0, 0), Ball::AtA);
+//! let (lookahead, horizon) = (SimDuration::from_millis(1), SimTime::from_secs(60));
+//! let mut barrier = EpochBarrier::new(lookahead, horizon, EpochBarrier::DEFAULT_EVENT_BUDGET);
+//! let mut volleys = 0;
+//! let outcome = loop {
+//!     match barrier.plan(shard.next_time(), shard.processed()) {
+//!         WindowPlan::Run { end } => {
+//!             while let Some((at, _, ball)) = shard.pop_before(end) {
+//!                 volleys += 1;
+//!                 if volleys < 10 {
+//!                     let next = match ball { Ball::AtA => Ball::AtB, Ball::AtB => Ball::AtA };
+//!                     let back = at + SimDuration::from_millis(5);
+//!                     shard.schedule(back, event_key(0, volleys), next);
+//!                 }
+//!             }
 //!         }
+//!         WindowPlan::Done(outcome) => break outcome,
 //!     }
-//! }
-//!
-//! let mut engine = Engine::new();
-//! engine.prime(SimTime::ZERO, Ball::AtA);
-//! let mut world = PingPong { volleys: 0 };
-//! let (outcome, stats) = engine.run(&mut world);
+//! };
 //! assert_eq!(outcome, RunOutcome::Quiescent);
-//! assert_eq!(world.volleys, 10);
-//! assert_eq!(stats.last_event_time, SimTime::from_micros(45_000));
+//! assert_eq!(volleys, 10);
+//! assert_eq!(shard.now(), SimTime::from_micros(45_000));
 //! ```
 //!
 //! (See each module for focused examples.)
@@ -52,16 +58,12 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod engine;
 mod rng;
-mod scheduler;
 mod shard;
 mod time;
 mod wheel;
 
-pub use engine::{Context, Engine, RunOutcome, RunStats, World};
 pub use rng::DetRng;
-pub use scheduler::{EventId, HeapScheduler, Scheduler};
-pub use shard::{event_key, EpochBarrier, ShardEngine, WindowPlan, INJECTOR_SRC};
+pub use shard::{event_key, EpochBarrier, RunOutcome, ShardEngine, WindowPlan, INJECTOR_SRC};
 pub use time::{SimDuration, SimTime, MICROS_PER_SEC};
 pub use wheel::TimerWheel;

@@ -12,6 +12,8 @@
 //! `rand` dependency — pins the exact stream for every seed forever and
 //! lets the workspace build offline.
 
+use rfd_snap::fnv1a;
+
 use crate::time::SimDuration;
 
 /// A deterministic random stream.
@@ -202,16 +204,6 @@ impl DetRng {
             items.swap(i, j);
         }
     }
-}
-
-/// 64-bit FNV-1a hash, used to fold labels into seeds.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// SplitMix64 finaliser; whitens low-entropy seeds (0, 1, 2, ...).

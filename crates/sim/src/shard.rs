@@ -50,10 +50,10 @@ pub fn event_key(src: u32, seq: u64) -> u64 {
     (u64::from(src) << 32) | seq
 }
 
-/// One shard's event queue and clock: the per-shard half of the
-/// [`Engine`](crate::Engine)/`Scheduler` pair, driven from outside by
-/// an [`EpochBarrier`] window plan instead of a self-contained run
-/// loop.
+/// One shard's event queue and clock, driven from outside by an
+/// [`EpochBarrier`] window plan: the owner pops events with
+/// [`pop_before`](Self::pop_before), handles them, and schedules what
+/// they cause.
 #[derive(Debug)]
 pub struct ShardEngine<E> {
     wheel: TimerWheel<E>,
@@ -138,8 +138,9 @@ impl<E> ShardEngine<E> {
         events
     }
 
-    /// Re-schedules events drained by [`drain_pending`] (or decoded
-    /// from a snapshot). Events may lie at or after arbitrary times —
+    /// Re-schedules events drained by
+    /// [`drain_pending`](Self::drain_pending) (or decoded from a
+    /// snapshot). Events may lie at or after arbitrary times —
     /// unlike [`schedule`](Self::schedule) this path does not assert
     /// against the clock, because a restored clock is set separately
     /// via [`set_clock`](Self::set_clock).
@@ -172,6 +173,18 @@ impl<E> ShardEngine<E> {
     }
 }
 
+/// Why a run returned.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum RunOutcome {
+    /// Every queue drained: no events remain anywhere in the system.
+    Quiescent,
+    /// The earliest pending event lies beyond the horizon; it stays
+    /// queued, so a later run with a later horizon continues from it.
+    HorizonReached,
+    /// The event budget was exhausted (runaway-model guard).
+    BudgetExhausted,
+}
+
 /// What the coordinator should do next, as decided by
 /// [`EpochBarrier::plan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -181,13 +194,8 @@ pub enum WindowPlan {
         /// Exclusive upper bound of the window.
         end: SimTime,
     },
-    /// No shard has pending events: the simulation is quiescent.
-    Quiescent,
-    /// The earliest pending event lies beyond the horizon; it stays
-    /// queued (mirroring `Engine`'s horizon semantics).
-    HorizonReached,
-    /// The event budget was exhausted.
-    BudgetExhausted,
+    /// Stop: the run is over, for the given reason.
+    Done(RunOutcome),
 }
 
 /// Plans lock-step synchronization windows for a set of
@@ -197,11 +205,11 @@ pub enum WindowPlan {
 /// the lookahead; per window it takes the minimum next-event time
 /// across shards and returns the exclusive window end
 /// `min(t0 + lookahead, horizon + 1µs)`. Capping at one past the
-/// horizon preserves the single-engine contract exactly: no event with
-/// `time > horizon` is ever processed (it is reported as
-/// [`WindowPlan::HorizonReached`] on the next plan), while events *at*
-/// the horizon still run. The cap keeps `end > t0`, so every planned
-/// window makes progress.
+/// horizon makes the horizon exact: no event with `time > horizon` is
+/// ever processed (the next plan reports
+/// [`RunOutcome::HorizonReached`]), while events *at* the horizon still
+/// run. The cap keeps `end > t0`, so every planned window makes
+/// progress.
 #[derive(Debug)]
 pub struct EpochBarrier {
     lookahead: SimDuration,
@@ -211,6 +219,9 @@ pub struct EpochBarrier {
 }
 
 impl EpochBarrier {
+    /// Default cap on events per run; a guard against runaway models.
+    pub const DEFAULT_EVENT_BUDGET: u64 = 500_000_000;
+
     /// Creates a barrier with the given lookahead, horizon and event
     /// budget. `lookahead` must be positive — a zero lookahead would
     /// plan empty windows forever.
@@ -242,13 +253,13 @@ impl EpochBarrier {
     /// total events processed so far.
     pub fn plan(&mut self, min_next: Option<SimTime>, processed: u64) -> WindowPlan {
         let Some(t0) = min_next else {
-            return WindowPlan::Quiescent;
+            return WindowPlan::Done(RunOutcome::Quiescent);
         };
         if t0 > self.horizon {
-            return WindowPlan::HorizonReached;
+            return WindowPlan::Done(RunOutcome::HorizonReached);
         }
         if processed >= self.budget {
-            return WindowPlan::BudgetExhausted;
+            return WindowPlan::Done(RunOutcome::BudgetExhausted);
         }
         self.windows += 1;
         let natural = t0 + self.lookahead;
@@ -302,7 +313,7 @@ mod tests {
     fn barrier_plans_lookahead_windows() {
         let mut b = EpochBarrier::new(SimDuration::from_micros(100), t(1_000), 10);
         assert_eq!(b.plan(Some(t(40)), 0), WindowPlan::Run { end: t(140) });
-        assert_eq!(b.plan(None, 1), WindowPlan::Quiescent);
+        assert_eq!(b.plan(None, 1), WindowPlan::Done(RunOutcome::Quiescent));
         assert_eq!(b.windows(), 1);
     }
 
@@ -312,13 +323,19 @@ mod tests {
         // An event exactly at the horizon still runs: end is horizon+1.
         assert_eq!(b.plan(Some(t(1_000)), 0), WindowPlan::Run { end: t(1_001) });
         // Beyond the horizon the event stays queued.
-        assert_eq!(b.plan(Some(t(1_001)), 1), WindowPlan::HorizonReached);
+        assert_eq!(
+            b.plan(Some(t(1_001)), 1),
+            WindowPlan::Done(RunOutcome::HorizonReached)
+        );
     }
 
     #[test]
     fn barrier_reports_budget_exhaustion() {
         let mut b = EpochBarrier::new(SimDuration::from_micros(1), t(1_000), 2);
-        assert_eq!(b.plan(Some(t(0)), 2), WindowPlan::BudgetExhausted);
+        assert_eq!(
+            b.plan(Some(t(0)), 2),
+            WindowPlan::Done(RunOutcome::BudgetExhausted)
+        );
         assert!(matches!(b.plan(Some(t(0)), 1), WindowPlan::Run { .. }));
     }
 }

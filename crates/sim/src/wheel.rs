@@ -1,23 +1,23 @@
 //! A hierarchical timer wheel absorbing the MRAI/reuse timer flood.
 //!
-//! The wheel keeps the [`Scheduler`](crate::Scheduler) contract —
-//! strict `(time, seq)` FIFO pop order and O(1) cancellation — while
-//! making the schedule/pop flood cheap: scheduling hashes the deadline
-//! into one of four levels of 64 slots (slot widths growing by 64× per
-//! level, ~16 ms at level 0 to ~76 h of total span), and popping drains
-//! one slot at a time into a small "front" heap that provides the exact
-//! global ordering.
+//! The wheel is the event agenda: strict `(time, seq)` FIFO pop order
+//! (or `(time, key)` under caller-supplied keys) and O(1) cancellation,
+//! while making the schedule/pop flood cheap: scheduling hashes the
+//! deadline into one of four levels of 64 slots (slot widths growing by
+//! 64× per level, ~16 ms at level 0 to ~76 h of total span), and
+//! popping drains one slot at a time into a small "front" heap that
+//! provides the exact global ordering.
 //!
 //! * **Front heap** — all live entries with `at < cursor` live in a
 //!   `BinaryHeap` ordered by `(at, seq)`. Because every wheel/overflow
 //!   entry is `≥ cursor`, the front minimum is the global minimum, so
-//!   pop order is identical to the plain heap scheduler's. The heap
+//!   pop order is identical to a plain binary heap's. The heap
 //!   only ever holds one drained slot's worth of entries (plus
 //!   stragglers scheduled into the past), so its `log n` is tiny.
 //! * **Cancellation** — entries live in a slab with per-slot generation
-//!   stamps; an [`EventId`](crate::EventId) packs `(generation, slot)`.
-//!   Cancel flips the slot state and drops the payload in O(1) — no
-//!   tombstone set to grow under MRAI reprogramming churn.
+//!   stamps; the raw `u64` id packs `(generation, slot)`. Cancel flips
+//!   the slot state and drops the payload in O(1) — no tombstone set to
+//!   grow under MRAI reprogramming churn.
 //! * **Overflow** — deadlines beyond the top level's rotation go to an
 //!   ordered map and are re-hashed into the wheel when the cursor
 //!   reaches them (never at simulation scale: the span is ~76 hours).
@@ -67,9 +67,9 @@ struct SlabEntry<E> {
     event: Option<E>,
 }
 
-/// The wheel. Most users want it through
-/// [`Scheduler`](crate::Scheduler); it is public so the property tests
-/// can pin it against the reference heap implementation directly.
+/// The wheel. The simulator drives it through
+/// [`ShardEngine`](crate::ShardEngine); it is public so the property
+/// tests can pin it against a reference binary-heap model directly.
 #[derive(Debug)]
 pub struct TimerWheel<E> {
     slab: Vec<SlabEntry<E>>,
@@ -115,19 +115,9 @@ impl<E> TimerWheel<E> {
     /// Schedules `event` at `at`; the returned raw id packs
     /// `(generation, slab slot)`.
     pub fn schedule(&mut self, at: SimTime, event: E) -> u64 {
-        let at_us = at.as_micros();
         let seq = self.next_seq;
         self.next_seq += 1;
-        let idx = self.alloc(at_us, seq, event);
-        if at_us < self.cur {
-            // Behind the cursor (e.g. scheduling at "now" mid-slot):
-            // straight to the front heap, preserving global order.
-            self.front.push(Reverse((at_us, seq, idx)));
-        } else {
-            self.place(idx, at_us, seq);
-        }
-        let gen = self.slab[idx as usize].gen;
-        (u64::from(gen) << 32) | u64::from(idx)
+        self.schedule_keyed(at, seq, event)
     }
 
     /// Schedules `event` at `at` under a caller-supplied ordering key.
@@ -145,6 +135,8 @@ impl<E> TimerWheel<E> {
         let at_us = at.as_micros();
         let idx = self.alloc(at_us, key, event);
         if at_us < self.cur {
+            // Behind the cursor (e.g. scheduling at "now" mid-slot):
+            // straight to the front heap, preserving global order.
             self.front.push(Reverse((at_us, key, idx)));
         } else {
             self.place(idx, at_us, key);
@@ -247,12 +239,7 @@ impl<E> TimerWheel<E> {
 
     /// Removes and returns the earliest live event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let (at, _, idx) = self.settle()?;
-        self.front.pop();
-        let event = self.slab[idx as usize].event.take().expect("live entry");
-        self.release(idx);
-        self.live -= 1;
-        Some((SimTime::from_micros(at), event))
+        self.pop_keyed().map(|(at, _, event)| (at, event))
     }
 
     /// Removes and returns the earliest live event together with its
@@ -483,6 +470,25 @@ mod tests {
         assert!(w.cancel(b));
         assert!(w.is_empty());
         assert_eq!(w.pop(), None);
+    }
+
+    #[test]
+    fn cancel_is_exact_and_idempotent() {
+        let mut w = TimerWheel::new();
+        assert!(!w.cancel(42), "unknown id");
+        let ids: Vec<u64> = (0..1000)
+            .map(|i| w.schedule(t_us(i * 1_000_000), i))
+            .collect();
+        for &id in &ids[1..] {
+            assert!(w.cancel(id));
+        }
+        assert!(!w.cancel(ids[1]), "double cancel reports false");
+        assert_eq!(w.len(), 1, "len tracks live entries exactly");
+        assert_eq!(w.peek_time(), Some(t_us(0)));
+        assert_eq!(w.pop(), Some((t_us(0), 0)));
+        assert!(!w.cancel(ids[0]), "delivered id is stale");
+        assert!(w.is_empty());
+        assert_eq!(w.peek_time(), None);
     }
 
     #[test]

@@ -1,16 +1,67 @@
 //! Property-based tests for the simulation kernel.
 
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashSet};
+
 use proptest::prelude::*;
-use rfd_sim::{
-    Context, DetRng, Engine, HeapScheduler, RunOutcome, Scheduler, SimDuration, SimTime, World,
-};
+use rfd_sim::{event_key, DetRng, ShardEngine, SimDuration, SimTime, TimerWheel};
+
+/// Reference model of the agenda: a binary heap ordered by
+/// `(time, insertion sequence)` with a tombstone set for cancellation.
+/// Obviously right rather than fast; [`TimerWheel`] is pinned against it.
+#[derive(Default)]
+struct HeapScheduler<E> {
+    heap: BinaryHeap<Reverse<(SimTime, u64)>>,
+    events: Vec<Option<E>>,
+    cancelled: HashSet<u64>,
+}
+
+impl<E> HeapScheduler<E> {
+    fn schedule(&mut self, at: SimTime, event: E) -> u64 {
+        let seq = self.events.len() as u64;
+        self.events.push(Some(event));
+        self.heap.push(Reverse((at, seq)));
+        seq
+    }
+
+    /// Cancels a handle that is still pending (the only kind the
+    /// differential tests cancel); `false` on a repeat.
+    fn cancel(&mut self, id: u64) -> bool {
+        self.cancelled.insert(id)
+    }
+
+    /// Drops tombstoned entries from the front so the top is live.
+    fn settle(&mut self) {
+        while let Some(&Reverse((_, seq))) = self.heap.peek() {
+            if !self.cancelled.remove(&seq) {
+                break;
+            }
+            self.heap.pop();
+        }
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, E)> {
+        self.settle();
+        let Reverse((at, seq)) = self.heap.pop()?;
+        Some((at, self.events[seq as usize].take().expect("popped once")))
+    }
+
+    fn peek_time(&mut self) -> Option<SimTime> {
+        self.settle();
+        self.heap.peek().map(|&Reverse((at, _))| at)
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len() - self.cancelled.len()
+    }
+}
 
 proptest! {
     /// Events always pop in non-decreasing time order, regardless of the
     /// insertion order.
     #[test]
-    fn scheduler_pops_sorted(times in proptest::collection::vec(0u64..1_000_000, 1..200)) {
-        let mut s = Scheduler::new();
+    fn wheel_pops_sorted(times in proptest::collection::vec(0u64..1_000_000, 1..200)) {
+        let mut s = TimerWheel::new();
         for (i, &t) in times.iter().enumerate() {
             s.schedule(SimTime::from_micros(t), i);
         }
@@ -27,8 +78,8 @@ proptest! {
     /// Among events with equal timestamps, delivery preserves insertion
     /// order (FIFO).
     #[test]
-    fn scheduler_equal_times_fifo(n in 1usize..100, t in 0u64..1_000) {
-        let mut s = Scheduler::new();
+    fn wheel_equal_times_fifo(n in 1usize..100, t in 0u64..1_000) {
+        let mut s = TimerWheel::new();
         for i in 0..n {
             s.schedule(SimTime::from_micros(t), i);
         }
@@ -38,11 +89,11 @@ proptest! {
 
     /// Cancelling an arbitrary subset removes exactly that subset.
     #[test]
-    fn scheduler_cancellation_exact(
+    fn wheel_cancellation_exact(
         times in proptest::collection::vec(0u64..10_000, 1..100),
         cancel_mask in proptest::collection::vec(any::<bool>(), 1..100),
     ) {
-        let mut s = Scheduler::new();
+        let mut s = TimerWheel::new();
         let ids: Vec<_> = times
             .iter()
             .enumerate()
@@ -63,28 +114,23 @@ proptest! {
         prop_assert_eq!(popped, expect);
     }
 
-    /// The engine delivers every primed event exactly once, in time order.
+    /// A shard engine delivers every scheduled event exactly once, in
+    /// time order, and counts them.
     #[test]
-    fn engine_delivers_all_once(times in proptest::collection::vec(0u64..100_000, 1..100)) {
-        struct Collect(Vec<SimTime>);
-        impl World for Collect {
-            type Event = ();
-            fn handle(&mut self, ctx: &mut Context<'_, ()>, _: ()) {
-                self.0.push(ctx.now());
-            }
+    fn shard_engine_delivers_all_once(times in proptest::collection::vec(0u64..100_000, 1..100)) {
+        let mut shard = ShardEngine::new();
+        for (i, &t) in times.iter().enumerate() {
+            shard.schedule(SimTime::from_micros(t), event_key(0, i as u64), ());
         }
-        let mut engine = Engine::new();
-        for &t in &times {
-            engine.prime(SimTime::from_micros(t), ());
-        }
-        let mut world = Collect(Vec::new());
-        let (outcome, stats) = engine.run(&mut world);
-        prop_assert_eq!(outcome, RunOutcome::Quiescent);
-        prop_assert_eq!(stats.events_processed as usize, times.len());
+        let end = SimTime::from_micros(100_000);
+        let seen: Vec<SimTime> =
+            std::iter::from_fn(|| shard.pop_before(end).map(|(at, _, ())| at)).collect();
+        prop_assert!(shard.is_empty());
+        prop_assert_eq!(shard.processed() as usize, times.len());
         let mut sorted = times.clone();
         sorted.sort_unstable();
         prop_assert_eq!(
-            world.0,
+            seen,
             sorted.into_iter().map(SimTime::from_micros).collect::<Vec<_>>()
         );
     }
@@ -123,11 +169,10 @@ proptest! {
         prop_assert!(time + dur >= time);
     }
 
-    /// Differential test: the timer-wheel [`Scheduler`] and the
-    /// reference [`HeapScheduler`] deliver identical `(time, payload)`
-    /// streams under randomized interleavings of schedule, cancel (of
-    /// live handles only — the two implementations intentionally differ
-    /// on cancelling an already-delivered handle), and pop. Times are
+    /// Differential test: [`TimerWheel`] and the reference
+    /// [`HeapScheduler`] deliver identical `(time, payload)` streams
+    /// under randomized interleavings of schedule, cancel (of live
+    /// handles only — the model does not track delivered ones), and pop. Times are
     /// drawn from a coarse palette so FIFO ties are common.
     #[test]
     fn wheel_matches_heap_reference(
@@ -136,10 +181,10 @@ proptest! {
             1..300,
         )
     ) {
-        let mut wheel = Scheduler::new();
-        let mut heap = HeapScheduler::new();
+        let mut wheel = TimerWheel::new();
+        let mut heap = HeapScheduler::default();
         // Live (not yet cancelled or popped) handles, keyed by payload.
-        let mut live: Vec<(usize, rfd_sim::EventId, rfd_sim::EventId)> = Vec::new();
+        let mut live: Vec<(usize, u64, u64)> = Vec::new();
         let mut next_payload = 0usize;
         // Pops advance time, so remember the floor: scheduling in the
         // past is legal, but keep most inserts clustered for ties.
@@ -198,8 +243,8 @@ proptest! {
             1..200,
         )
     ) {
-        let mut wheel = Scheduler::new();
-        let mut heap = HeapScheduler::new();
+        let mut wheel = TimerWheel::new();
+        let mut heap = HeapScheduler::default();
         for (sel, mant, shift) in ops {
             if sel < 4 {
                 // mant << shift sweeps from microseconds to ~2000 hours,

@@ -49,9 +49,11 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// FNV-1a over a byte slice, continuing from `state` (seed with
-/// [`fnv1a`] or [`FNV_OFFSET`]-equivalent by passing the previous
-/// result).
+/// FNV-1a over a byte slice, continuing from `state`: the result of
+/// an earlier [`fnv1a`] or `fnv1a_continue` call. This pair is the
+/// workspace's only byte-wise FNV-1a; seeds, fingerprints, shard
+/// assignment and firehose routing all hash through it.
+#[inline]
 pub fn fnv1a_continue(mut state: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         state ^= u64::from(b);
@@ -61,6 +63,7 @@ pub fn fnv1a_continue(mut state: u64, bytes: &[u8]) -> u64 {
 }
 
 /// FNV-1a hash of a byte slice.
+#[inline]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     fnv1a_continue(FNV_OFFSET, bytes)
 }

@@ -87,16 +87,6 @@ impl TestRng {
     }
 }
 
-/// FNV-1a, used to derive a stable per-test seed from the test name.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 // ---------------------------------------------------------------------
 // Strategy
 // ---------------------------------------------------------------------
@@ -451,7 +441,8 @@ pub fn run_cases<F>(config: ProptestConfig, name: &str, mut case: F)
 where
     F: FnMut(&mut TestRng) -> Result<(), TestCaseError>,
 {
-    let seed = fnv1a(name.as_bytes());
+    // A stable per-test seed derived from the test name.
+    let seed = rfd_snap::fnv1a(name.as_bytes());
     let mut passed = 0u32;
     let mut rejected = 0u32;
     let max_rejects = config.cases.saturating_mul(16).max(256);

@@ -20,9 +20,6 @@ use crate::graph::{Graph, NodeId};
 /// Identifies one shard of a partitioned simulation.
 pub type ShardId = u16;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
 /// Maps a node to its shard: FNV-1a over the little-endian bytes of the
 /// raw node id, modulo `n_shards`.
 ///
@@ -31,11 +28,7 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// Panics if `n_shards` is zero.
 pub fn shard_of(node: NodeId, n_shards: usize) -> ShardId {
     assert!(n_shards > 0, "partition needs at least one shard");
-    let mut h = FNV_OFFSET;
-    for byte in node.raw().to_le_bytes() {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
+    let h = rfd_snap::fnv1a(&node.raw().to_le_bytes());
     (h % n_shards as u64) as ShardId
 }
 
