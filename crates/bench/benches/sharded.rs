@@ -4,12 +4,11 @@
 //!
 //! Besides the criterion wall-time rows, each configuration prints an
 //! `events/sec` line with the engine's own counters (events processed,
-//! barrier windows, cumulative barrier-stall time) — those are the
-//! numbers BENCH_9.json records. On a single-core container the shard
-//! workers time-slice one CPU, so sharding cannot beat the sequential
-//! engine on wall time here; the interesting outputs are the protocol
-//! overhead (windows, stall) and the proof that the 10k-node run
-//! completes under the sharded engine at all.
+//! barrier windows, cumulative barrier-stall time). On a single-core
+//! container the shard workers time-slice one CPU, so sharding cannot
+//! beat the sequential engine on wall time here; the interesting
+//! outputs are the protocol overhead (windows, stall) and the proof
+//! that the 10k-node run completes under the sharded engine at all.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rfd_bgp::{Network, NetworkConfig};

@@ -4,10 +4,10 @@
 //!
 //! Each configuration prints a `snapshot:` line with the file size and
 //! one-shot save/restore wall times, and the sweep section prints
-//! cold-vs-forked wall times — those are the numbers BENCH_10.json
-//! records. On this 1-vCPU container the warm-fork saving is exactly
-//! the warm-up fraction of each cell's wall time; it grows with
-//! topology size and shrinks as the measured pulse count grows.
+//! cold-vs-forked wall times. On this 1-vCPU container the warm-fork
+//! saving is exactly the warm-up fraction of each cell's wall time; it
+//! grows with topology size and shrinks as the measured pulse count
+//! grows.
 
 use std::time::Instant;
 

@@ -5,9 +5,7 @@
 use rfd_experiments::figures::extensions::{
     deployment_table, heterogeneous_params_demo, partial_deployment_sweep, prefix_interference,
 };
-use rfd_experiments::output::{
-    banner, obs_finish, obs_init, publish_csv, quick_flag, runner_config,
-};
+use rfd_experiments::output::{banner, obs_init, publish_csv, quick_flag, runner_config};
 use rfd_experiments::TopologyKind;
 
 fn main() {
@@ -15,7 +13,7 @@ fn main() {
         "Extensions",
         "heterogeneous parameters & partial deployment",
     );
-    let obs = obs_init("extensions");
+    let _obs = obs_init("extensions");
 
     eprintln!("-- §6 heterogeneous parameters (4-node line, zero path exploration) --");
     for (label, rcn) in [("plain damping", false), ("RCN-enhanced", true)] {
@@ -45,14 +43,7 @@ fn main() {
     );
 
     eprintln!("\n-- partial deployment (1 pulse) --");
-    let kind = if quick_flag() {
-        TopologyKind::Mesh {
-            width: 5,
-            height: 5,
-        }
-    } else {
-        TopologyKind::PAPER_MESH
-    };
+    let kind = TopologyKind::experiment_mesh(quick_flag());
     let seeds: &[u64] = if quick_flag() { &[1] } else { &[1, 2, 3] };
     let points = partial_deployment_sweep(
         kind,
@@ -63,7 +54,4 @@ fn main() {
     );
     let table = deployment_table(&points);
     publish_csv("extensions_partial_deployment", &table);
-    if let Some(path) = &obs {
-        obs_finish(path);
-    }
 }

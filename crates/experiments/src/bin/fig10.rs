@@ -3,7 +3,7 @@
 //! annotated with the Figure 4 state classification.
 
 use rfd_experiments::figures::fig10::{figure10, figure10_with};
-use rfd_experiments::output::{banner, obs_finish, obs_init, publish_csv, quick_flag};
+use rfd_experiments::output::{banner, obs_init, publish_csv, quick_flag};
 use rfd_experiments::TopologyKind;
 use rfd_metrics::AsciiChart;
 
@@ -12,7 +12,7 @@ fn main() {
         "Figure 10",
         "update series & damped link count for n = 1, 3, 5",
     );
-    let obs = obs_init("fig10");
+    let _obs = obs_init("fig10");
     let fig = if quick_flag() {
         figure10_with(
             TopologyKind::Mesh {
@@ -50,8 +50,5 @@ fn main() {
         eprintln!("{}", AsciiChart::new(66, 10).render_one("damped", &damped));
         let table = panel.render();
         publish_csv(&format!("fig10_n{}", panel.pulses), &table);
-    }
-    if let Some(path) = &obs {
-        obs_finish(path);
     }
 }

@@ -4,14 +4,12 @@
 use rfd_experiments::figures::fig13_14::figure13_14;
 use std::process::ExitCode;
 
-use rfd_experiments::output::{
-    banner, obs_finish, obs_init, publish_csv, sweep_exit_code, sweep_options,
-};
+use rfd_experiments::output::{banner, obs_init, publish_csv, sweep_exit_code, sweep_options};
 use rfd_metrics::AsciiChart;
 
 fn main() -> ExitCode {
     banner("Figure 13", "convergence time vs pulses, with RCN");
-    let obs = obs_init("fig13");
+    let _obs = obs_init("fig13");
     let sweep = figure13_14(&sweep_options());
     let table = sweep.convergence_table();
     let curves: Vec<(&str, Vec<(f64, f64)>)> = sweep
@@ -29,8 +27,5 @@ fn main() -> ExitCode {
     let refs: Vec<(&str, &[(f64, f64)])> = curves.iter().map(|(l, v)| (*l, v.as_slice())).collect();
     eprintln!("{}", AsciiChart::new(66, 16).render(&refs));
     publish_csv("fig13", &table);
-    if let Some(path) = &obs {
-        obs_finish(path);
-    }
     sweep_exit_code(&sweep)
 }

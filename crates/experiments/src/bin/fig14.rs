@@ -5,18 +5,13 @@
 use rfd_experiments::figures::fig13_14::figure13_14;
 use std::process::ExitCode;
 
-use rfd_experiments::output::{
-    banner, obs_finish, obs_init, publish_csv, sweep_exit_code, sweep_options,
-};
+use rfd_experiments::output::{banner, obs_init, publish_csv, sweep_exit_code, sweep_options};
 
 fn main() -> ExitCode {
     banner("Figure 14", "message count vs pulses, with RCN");
-    let obs = obs_init("fig14");
+    let _obs = obs_init("fig14");
     let sweep = figure13_14(&sweep_options());
     let table = sweep.message_table();
     publish_csv("fig14", &table);
-    if let Some(path) = &obs {
-        obs_finish(path);
-    }
     sweep_exit_code(&sweep)
 }

@@ -7,14 +7,14 @@ use rfd_experiments::figures::fig15::{
 use std::process::ExitCode;
 
 use rfd_experiments::output::{
-    banner, obs_finish, obs_init, publish_csv, quick_flag, sweep_exit_code, sweep_options,
+    banner, obs_init, publish_csv, quick_flag, sweep_exit_code, sweep_options,
 };
 use rfd_experiments::TopologyKind;
 use rfd_metrics::AsciiChart;
 
 fn main() -> ExitCode {
     banner("Figure 15", "impact of routing policy (208-node Internet)");
-    let obs = obs_init("fig15");
+    let _obs = obs_init("fig15");
     let opts = sweep_options();
     let sweep = if quick_flag() {
         figure15_on(&opts, TopologyKind::Internet { nodes: 60, m: 2 })
@@ -42,8 +42,5 @@ fn main() -> ExitCode {
         }
     }
     publish_csv("fig15", &table);
-    if let Some(path) = &obs {
-        obs_finish(path);
-    }
     sweep_exit_code(&sweep)
 }

@@ -2,12 +2,12 @@
 //! flaps (Cisco defaults), including the suppression span.
 
 use rfd_experiments::figures::fig3::figure3;
-use rfd_experiments::output::{banner, obs_finish, obs_init, publish_csv};
+use rfd_experiments::output::{banner, obs_init, publish_csv};
 use rfd_metrics::AsciiChart;
 
 fn main() {
     banner("Figure 3", "damping penalty under a few flaps");
-    let obs = obs_init("fig3");
+    let _obs = obs_init("fig3");
     let fig = figure3();
     eprintln!(
         "cut-off {} / reuse {} — peak {:.0}",
@@ -39,7 +39,4 @@ fn main() {
     let table = fig.render();
     eprintln!("{} curve points (penalty vs time)", table.row_count());
     publish_csv("fig3", &table);
-    if let Some(path) = &obs {
-        obs_finish(path);
-    }
 }

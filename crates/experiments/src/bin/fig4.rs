@@ -5,7 +5,7 @@
 //! timeline.
 
 use rfd_bgp::NetworkConfig;
-use rfd_experiments::output::{banner, obs_finish, obs_init, publish_csv, quick_flag};
+use rfd_experiments::output::{banner, obs_init, publish_csv, quick_flag};
 use rfd_experiments::{run_workload, TopologyKind};
 use rfd_metrics::{DampingState, StateClassifier, Table};
 
@@ -14,15 +14,8 @@ fn main() {
         "Figure 4",
         "four-state damping process (reconstructed from an n = 1 trace)",
     );
-    let obs = obs_init("fig4");
-    let kind = if quick_flag() {
-        TopologyKind::Mesh {
-            width: 5,
-            height: 5,
-        }
-    } else {
-        TopologyKind::PAPER_MESH
-    };
+    let _obs = obs_init("fig4");
+    let kind = TopologyKind::experiment_mesh(quick_flag());
     let (report, network) = run_workload(kind, NetworkConfig::paper_full_damping(1), 1);
     let trace = network.trace();
     let start = trace.first_flap_at().expect("one pulse injected");
@@ -70,7 +63,4 @@ fn main() {
         report.convergence_time.as_secs_f64()
     );
     publish_csv("fig4", &table);
-    if let Some(path) = &obs {
-        obs_finish(path);
-    }
 }

@@ -3,7 +3,7 @@
 //! cut-off, secondary charging re-crosses it during release.
 
 use rfd_experiments::figures::fig7::{figure7, figure7_with};
-use rfd_experiments::output::{banner, obs_finish, obs_init, publish_csv, quick_flag};
+use rfd_experiments::output::{banner, obs_init, publish_csv, quick_flag};
 use rfd_experiments::TopologyKind;
 use rfd_metrics::AsciiChart;
 
@@ -12,7 +12,7 @@ fn main() {
         "Figure 7",
         "penalty at a remote router after one flap (100-node mesh)",
     );
-    let obs = obs_init("fig7");
+    let _obs = obs_init("fig7");
     let fig = if quick_flag() {
         figure7_with(
             TopologyKind::Mesh {
@@ -53,7 +53,4 @@ fn main() {
     let table = fig.render();
     eprintln!("{} curve points (penalty vs time)", table.row_count());
     publish_csv("fig7", &table);
-    if let Some(path) = &obs {
-        obs_finish(path);
-    }
 }

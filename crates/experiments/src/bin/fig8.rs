@@ -5,14 +5,12 @@
 use rfd_experiments::figures::fig8_9::{critical_point, figure8_9, FULL_DAMPING_MESH};
 use std::process::ExitCode;
 
-use rfd_experiments::output::{
-    banner, obs_finish, obs_init, publish_csv, sweep_exit_code, sweep_options,
-};
+use rfd_experiments::output::{banner, obs_init, publish_csv, sweep_exit_code, sweep_options};
 use rfd_metrics::AsciiChart;
 
 fn main() -> ExitCode {
     banner("Figure 8", "convergence time vs number of pulses");
-    let obs = obs_init("fig8");
+    let _obs = obs_init("fig8");
     let sweep = figure8_9(&sweep_options());
     let table = sweep.convergence_table();
     let curves: Vec<(&str, Vec<(f64, f64)>)> = sweep
@@ -33,8 +31,5 @@ fn main() -> ExitCode {
         eprintln!("critical point N_h (mesh, 30% band): {nh}");
     }
     publish_csv("fig8", &table);
-    if let Some(path) = &obs {
-        obs_finish(path);
-    }
     sweep_exit_code(&sweep)
 }

@@ -5,7 +5,7 @@
 
 use rfd_bgp::{Network, NetworkConfig};
 use rfd_core::{FlapPattern, FlapSchedule};
-use rfd_experiments::output::{banner, obs_finish, obs_init, publish_csv, quick_flag};
+use rfd_experiments::output::{banner, obs_init, publish_csv, quick_flag};
 use rfd_experiments::{pick_isp, TopologyKind};
 use rfd_metrics::{fmt_f64, Table};
 use rfd_sim::SimDuration;
@@ -15,15 +15,8 @@ fn main() {
         "Link failure",
         "interior-link flapping under full damping (extension)",
     );
-    let obs = obs_init("link_failure");
-    let kind = if quick_flag() {
-        TopologyKind::Mesh {
-            width: 5,
-            height: 5,
-        }
-    } else {
-        TopologyKind::PAPER_MESH
-    };
+    let _obs = obs_init("link_failure");
+    let kind = TopologyKind::experiment_mesh(quick_flag());
     let seed = 1u64;
     let graph = kind.build(seed);
     let isp = pick_isp(&graph, seed);
@@ -60,7 +53,4 @@ fn main() {
     }
     eprintln!();
     publish_csv("link_failure", &table);
-    if let Some(path) = &obs {
-        obs_finish(path);
-    }
 }

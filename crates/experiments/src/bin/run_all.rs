@@ -16,8 +16,7 @@ use rfd_experiments::figures::fig7::{figure7, figure7_with};
 use rfd_experiments::figures::fig8_9::figure8_9;
 use rfd_experiments::figures::table1::table1;
 use rfd_experiments::output::{
-    banner, obs_finish, obs_init, quick_flag, report_sweep_failures, runner_config, save_csv,
-    sweep_options,
+    banner, obs_init, quick_flag, report_sweep_failures, runner_config, save_csv, sweep_options,
 };
 use rfd_experiments::TopologyKind;
 
@@ -30,7 +29,7 @@ fn step(label: &str, f: impl FnOnce()) {
 
 fn main() -> ExitCode {
     banner("run_all", "regenerate every table and figure");
-    let obs = obs_init("run_all");
+    let _obs = obs_init("run_all");
     let quick = quick_flag();
     let opts = sweep_options();
     let mut any_failed = false;
@@ -45,14 +44,7 @@ fn main() -> ExitCode {
         // The Figure 4 state timeline is derived from the same n = 1
         // run as Figure 10; regenerate its CSV via the classifier.
         use rfd_metrics::{StateClassifier, Table};
-        let kind = if quick {
-            TopologyKind::Mesh {
-                width: 5,
-                height: 5,
-            }
-        } else {
-            TopologyKind::PAPER_MESH
-        };
+        let kind = TopologyKind::experiment_mesh(quick);
         let (_, network) =
             rfd_experiments::run_workload(kind, rfd_bgp::NetworkConfig::paper_full_damping(1), 1);
         let trace = network.trace();
@@ -123,28 +115,14 @@ fn main() -> ExitCode {
     step("Extensions", || {
         let _ = heterogeneous_params_demo(4, false);
         let _ = heterogeneous_params_demo(4, true);
-        let kind = if quick {
-            TopologyKind::Mesh {
-                width: 5,
-                height: 5,
-            }
-        } else {
-            TopologyKind::PAPER_MESH
-        };
+        let kind = TopologyKind::experiment_mesh(quick);
         let points = partial_deployment_sweep(kind, &[0.0, 0.5, 1.0], 1, &[1], &runner_config());
         save_csv("extensions_partial_deployment", &deployment_table(&points));
     });
     step("Sweeps [15]", || {
         use rfd_experiments::figures::report15::*;
         use rfd_sim::SimDuration;
-        let kind = if quick {
-            TopologyKind::Mesh {
-                width: 5,
-                height: 5,
-            }
-        } else {
-            TopologyKind::PAPER_MESH
-        };
+        let kind = TopologyKind::experiment_mesh(quick);
         let intervals = [
             SimDuration::from_secs(30),
             SimDuration::from_secs(60),
@@ -177,9 +155,6 @@ fn main() -> ExitCode {
         );
     } else {
         eprintln!("\nall artefacts regenerated under results/");
-    }
-    if let Some(path) = &obs {
-        obs_finish(path);
     }
     if any_failed {
         ExitCode::FAILURE

@@ -5,9 +5,7 @@ use rfd_core::DampingParams;
 use rfd_experiments::figures::report15::{
     interval_sweep, interval_table, parameter_sweep, parameter_table, size_sweep, size_table,
 };
-use rfd_experiments::output::{
-    banner, obs_finish, obs_init, publish_csv, quick_flag, runner_config,
-};
+use rfd_experiments::output::{banner, obs_init, publish_csv, quick_flag, runner_config};
 use rfd_experiments::TopologyKind;
 use rfd_sim::SimDuration;
 
@@ -16,16 +14,9 @@ fn main() {
         "Sweeps [15]",
         "flapping interval, topology size, damping parameters",
     );
-    let obs = obs_init("sweeps");
+    let _obs = obs_init("sweeps");
     let quick = quick_flag();
-    let kind = if quick {
-        TopologyKind::Mesh {
-            width: 5,
-            height: 5,
-        }
-    } else {
-        TopologyKind::PAPER_MESH
-    };
+    let kind = TopologyKind::experiment_mesh(quick);
     let seeds: &[u64] = if quick { &[1] } else { &[1, 2, 3] };
 
     eprintln!("-- flapping interval (3 pulses, full Cisco damping) --");
@@ -61,7 +52,4 @@ fn main() {
     let points = parameter_sweep(kind, &presets, 3, seeds, &exec);
     let table = parameter_table(&points);
     publish_csv("sweep_params", &table);
-    if let Some(path) = &obs {
-        obs_finish(path);
-    }
 }

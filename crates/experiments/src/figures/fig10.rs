@@ -118,10 +118,7 @@ impl Fig10Panel {
 mod tests {
     use super::*;
 
-    const SMALL: TopologyKind = TopologyKind::Mesh {
-        width: 5,
-        height: 5,
-    };
+    const SMALL: TopologyKind = TopologyKind::experiment_mesh(true);
 
     #[test]
     fn single_pulse_panel_shows_four_states() {

@@ -58,10 +58,7 @@ mod tests {
             seeds: vec![2],
             ..SweepOptions::default()
         };
-        let mesh = TopologyKind::Mesh {
-            width: 5,
-            height: 5,
-        };
+        let mesh = TopologyKind::experiment_mesh(true);
         let sweep = figure13_14_on(&opts, mesh, TopologyKind::Internet { nodes: 25, m: 2 });
         let rcn = sweep.series(DAMPING_AND_RCN).unwrap();
         let plain = sweep.series(FULL_DAMPING_MESH).unwrap();

@@ -205,14 +205,7 @@ mod tests {
 
     #[test]
     fn curve_starts_at_first_flap() {
-        let fig = figure7_with(
-            TopologyKind::Mesh {
-                width: 5,
-                height: 5,
-            },
-            1,
-            3,
-        );
+        let fig = figure7_with(TopologyKind::experiment_mesh(true), 1, 3);
         assert!(!fig.curve.is_empty());
         // First charge happens within the charging period (well under
         // 300 s of the flap).

@@ -131,10 +131,7 @@ mod tests {
         };
         let sweep = figure8_9_on(
             &opts,
-            TopologyKind::Mesh {
-                width: 5,
-                height: 5,
-            },
+            TopologyKind::experiment_mesh(true),
             TopologyKind::Internet { nodes: 25, m: 2 },
         );
 

@@ -102,6 +102,8 @@ pub fn knob_comparison_with(
                     };
                     NetworkConfig { protocol, ..base }
                 },
+                None,
+                &[],
             )
         },
     );

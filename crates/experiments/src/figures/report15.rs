@@ -60,6 +60,8 @@ pub fn interval_sweep(
             cell.seed,
             FlapPattern::new(cell.pulses, interval),
             |_| NetworkConfig::paper_full_damping(cell.seed),
+            None,
+            &[],
         )
     });
     let results = crate::sweep::grid_results_or_exit(results);

@@ -20,15 +20,15 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod args;
 pub mod figures;
 pub mod output;
 pub mod scenarios;
 pub mod sweep;
 
 pub use scenarios::{
-    pick_isp, run_cell_metrics, run_cell_metrics_full, run_pattern_metrics,
-    run_pattern_metrics_forked, run_pattern_metrics_full, run_workload, run_workload_on,
-    TopologyKind, WarmCache,
+    pick_isp, run_cell_metrics, run_pattern_metrics, run_workload, run_workload_on, TopologyKind,
+    WarmCache,
 };
 pub use sweep::{
     calculation_series, estimate_t_up, grid_slug, measure_series, measure_series_on, measure_sweep,

@@ -16,15 +16,20 @@
 //! `--obs[=PATH]` (or the `RFD_OBS` environment variable) turns the
 //! [`rfd_obs`] recording layer on. [`obs_init`] resolves the
 //! destination, enables recording, installs the panic hook and points
-//! the flight recorder next to the trace; [`obs_finish`] writes the
-//! Chrome-trace/summary file once the run completes.
+//! the flight recorder next to the trace; the [`ObsSession`] it returns
+//! writes the Chrome-trace/summary file when the run ends.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::sync::OnceLock;
 use std::time::Duration;
 
 use rfd_metrics::Table;
+use rfd_runner::ChaosPlan;
+
+use crate::args::{self, wall_clock, CliError, Flag, Parsed, Takes};
+use crate::sweep::{PulseSweep, SweepOptions};
 
 /// Reports a fatal command-line or I/O problem on stderr and exits
 /// non-zero. The experiment binaries' "fail with a message, never
@@ -61,172 +66,137 @@ pub fn publish_csv(name: &str, table: &Table) -> PathBuf {
     eprintln!("{table}");
     print!("{}", table.to_csv());
     let path = save_csv(name, table);
-    saved(&path);
+    eprintln!("\nsaved {}", path.display());
     path
+}
+
+/// The execution flags `rfd sweep` and every experiment binary share.
+#[rustfmt::skip]
+pub const EXEC: args::Table = args::Table { command: "<experiment binary>", base: None, flags: &[
+    Flag::switch("--quick", "small topologies, 5 pulses, 1 seed by default"),
+    Flag::value("--threads", "N", "grid worker threads (default 0: all cores)"),
+    SIM_SHARDS,
+    Flag::switch("--resume", "skip cells already journaled under results/"),
+    Flag::switch("--resume-force", "resume despite a grid-fingerprint mismatch"),
+    Flag::value("--retries", "N", "re-run a failed cell N times before quarantine"),
+    Flag::value("--cell-budget", "SECS", "wall-clock budget per cell"),
+    CHAOS,
+    OBS,
+] };
+
+/// `--sim-shards N`, wherever a simulation is configured.
+#[rustfmt::skip]
+pub const SIM_SHARDS: Flag =
+    Flag::value("--sim-shards", "N", "lock-step simulation shards (default 1)");
+
+/// The hidden fault-injection knob (see [`ChaosPlan::parse`]).
+pub const CHAOS: Flag = Flag::value("--chaos", "SPEC", "deterministic fault injection").hidden();
+
+/// `--obs[=PATH]`, wherever a run can be observed.
+#[rustfmt::skip]
+pub const OBS: Flag =
+    Flag::new("--obs", Takes::OptionalEq("PATH"), "record spans/counters to a Chrome-trace JSON");
+
+/// Reads [`SIM_SHARDS`]: absent means 1, zero is refused.
+pub fn sim_shards(p: &Parsed<'_>) -> Result<usize, CliError> {
+    match p.parse("--sim-shards")? {
+        Some(0) => Err(CliError("--sim-shards must be at least 1".into())),
+        n => Ok(n.unwrap_or(1)),
+    }
+}
+
+/// Reads [`CHAOS`]: absent means the empty plan.
+pub fn chaos(p: &Parsed<'_>) -> Result<ChaosPlan, CliError> {
+    p.get("--chaos").map_or(Ok(ChaosPlan::none()), |spec| {
+        ChaosPlan::parse(spec).map_err(|e| CliError(format!("--chaos: {e}")))
+    })
+}
+
+/// The plan in force: the `--chaos` flag's, else `RFD_CHAOS`'s — an
+/// injection plan must never silently no-op, so a malformed variable
+/// is an error.
+pub fn chaos_or_env(flag: ChaosPlan) -> Result<ChaosPlan, CliError> {
+    if !flag.is_empty() {
+        return Ok(flag);
+    }
+    ChaosPlan::from_env()
+        .map(Option::unwrap_or_default)
+        .map_err(|e| CliError(format!("RFD_CHAOS: {e}")))
+}
+
+/// Reads [`OBS`]: `None` off, `Some(None)` on at the default
+/// destination, `Some(Some(path))` on at `path`.
+pub fn obs(p: &Parsed<'_>) -> Option<Option<PathBuf>> {
+    p.has("--obs").then(|| p.get("--obs").map(PathBuf::from))
+}
+
+/// What the [`EXEC`] flags of a command line resolve to.
+#[derive(Debug, Clone)]
+pub struct Exec {
+    /// `--quick`: callers pick reduced topology sizes.
+    pub quick: bool,
+    /// The `--obs` request (see [`obs`]).
+    pub obs: Option<Option<PathBuf>>,
+    /// [`SweepOptions::quick`] under `--quick`, else the default, with
+    /// every execution flag applied.
+    pub opts: SweepOptions,
+}
+
+/// Reads every [`EXEC`] flag; the [`CliError`] names the offending one.
+pub fn exec_flags(p: &Parsed<'_>) -> Result<Exec, CliError> {
+    let quick = p.has("--quick");
+    let resume_force = p.has("--resume-force");
+    Ok(Exec {
+        quick,
+        obs: obs(p),
+        opts: SweepOptions {
+            threads: p.parse("--threads")?.unwrap_or(0),
+            sim_shards: sim_shards(p)?,
+            resume: resume_force || p.has("--resume"),
+            resume_force,
+            retries: p.parse("--retries")?.unwrap_or(0),
+            cell_budget: p.positive_secs("--cell-budget")?.map(wall_clock),
+            chaos: chaos(p)?,
+            ..if quick {
+                SweepOptions::quick()
+            } else {
+                SweepOptions::default()
+            }
+        },
+    })
+}
+
+/// The process's own [`EXEC`] flags, parsed once. A command line the
+/// table does not accept exits 2 naming the flag — an experiment
+/// binary never runs a sweep other than the one asked for.
+fn exec() -> &'static Exec {
+    static PARSED: OnceLock<Exec> = OnceLock::new();
+    PARSED.get_or_init(|| {
+        let args: Vec<String> = std::env::args_os()
+            .skip(1)
+            .map(|a| a.to_string_lossy().into_owned())
+            .collect();
+        args::parse(&EXEC, &args)
+            .and_then(|p| exec_flags(&p))
+            .unwrap_or_else(|e| exit_with(&e.0))
+    })
 }
 
 /// True when `--quick` was passed (reduced sizes for smoke runs).
 pub fn quick_flag() -> bool {
-    std::env::args().any(|a| a == "--quick")
-}
-
-/// True when `--resume` was passed (skip cells already journaled under
-/// `results/`).
-pub fn resume_flag() -> bool {
-    std::env::args().any(|a| a == "--resume")
-}
-
-/// True when `--resume-force` was passed: splice a journal even when
-/// its grid fingerprint does not match the current sweep (expert
-/// escape hatch; implies `--resume`).
-pub fn resume_force_flag() -> bool {
-    std::env::args().any(|a| a == "--resume-force")
-}
-
-/// Parses `--threads N` (or `--threads=N`); 0 / absent means "all
-/// available cores". Exits with a message on a malformed count.
-pub fn threads_flag() -> usize {
-    let mut args = std::env::args();
-    while let Some(arg) = args.next() {
-        let value = if arg == "--threads" {
-            args.next()
-        } else {
-            arg.strip_prefix("--threads=").map(str::to_owned)
-        };
-        if let Some(value) = value {
-            return value
-                .parse()
-                .unwrap_or_else(|e| exit_with(&format!("bad --threads value {value:?}: {e}")));
-        }
-    }
-    0
-}
-
-/// Parses `--sim-shards N` (or `--sim-shards=N`): how many conservative
-/// simulation shards each cell's network runs on. Absent means 1 (the
-/// classic single-queue engine). Results are byte-identical at any
-/// count — CI diffs shard-1 and shard-2 sweeps to prove it. Exits with
-/// a message on a malformed or zero count.
-pub fn sim_shards_flag() -> usize {
-    let mut args = std::env::args();
-    while let Some(arg) = args.next() {
-        let value = if arg == "--sim-shards" {
-            args.next()
-        } else {
-            arg.strip_prefix("--sim-shards=").map(str::to_owned)
-        };
-        if let Some(value) = value {
-            let n: usize = value
-                .parse()
-                .unwrap_or_else(|e| exit_with(&format!("bad --sim-shards value {value:?}: {e}")));
-            if n == 0 {
-                exit_with("--sim-shards must be at least 1");
-            }
-            return n;
-        }
-    }
-    1
-}
-
-/// Parses `--retries N` (or `--retries=N`): how many times a failed
-/// cell is deterministically re-executed (same seed, same inputs)
-/// before it is quarantined. Absent means no retries. Exits with a
-/// message on a malformed count.
-pub fn retries_flag() -> u32 {
-    let mut args = std::env::args();
-    while let Some(arg) = args.next() {
-        let value = if arg == "--retries" {
-            args.next()
-        } else {
-            arg.strip_prefix("--retries=").map(str::to_owned)
-        };
-        if let Some(value) = value {
-            return value
-                .parse()
-                .unwrap_or_else(|e| exit_with(&format!("bad --retries value {value:?}: {e}")));
-        }
-    }
-    0
-}
-
-/// Parses `--cell-budget SECS` (or `--cell-budget=SECS`): the per-cell
-/// wall-clock budget beyond which the runner quarantines the cell as
-/// timed out and dumps the flight recorder. Exits with a message on a
-/// malformed budget.
-pub fn cell_budget_flag() -> Option<Duration> {
-    let mut args = std::env::args();
-    while let Some(arg) = args.next() {
-        let value = if arg == "--cell-budget" {
-            args.next()
-        } else {
-            arg.strip_prefix("--cell-budget=").map(str::to_owned)
-        };
-        if let Some(value) = value {
-            let secs: f64 = value
-                .parse()
-                .unwrap_or_else(|e| exit_with(&format!("bad --cell-budget value {value:?}: {e}")));
-            return Some(Duration::from_secs_f64(secs));
-        }
-    }
-    None
-}
-
-/// The chaos-injection plan the command line resolves to: the hidden
-/// `--chaos SPEC` flag (or `--chaos=SPEC`) wins, with the `RFD_CHAOS`
-/// environment variable as the fallback. Malformed specs exit with a
-/// message — an injection plan must never silently no-op.
-pub fn chaos_plan() -> rfd_runner::ChaosPlan {
-    let mut args = std::env::args();
-    let mut spec: Option<String> = None;
-    while let Some(arg) = args.next() {
-        if arg == "--chaos" {
-            spec = args.next();
-        } else if let Some(v) = arg.strip_prefix("--chaos=") {
-            spec = Some(v.to_owned());
-        }
-    }
-    if let Some(spec) = spec {
-        return rfd_runner::ChaosPlan::parse(&spec)
-            .unwrap_or_else(|e| exit_with(&format!("--chaos: {e}")));
-    }
-    rfd_runner::ChaosPlan::from_env()
-        .unwrap_or_else(|e| exit_with(&format!("RFD_CHAOS: {e}")))
-        .unwrap_or_else(rfd_runner::ChaosPlan::none)
-}
-
-/// The observability destination the command line resolves to:
-/// `--obs` / `RFD_OBS=1` use `results/<default_name>.trace.json`,
-/// `--obs=PATH` / `RFD_OBS=PATH` use the explicit path, absent means
-/// observability stays off.
-pub fn obs_flag(default_name: &str) -> Option<PathBuf> {
-    let mut found: Option<Option<PathBuf>> = None;
-    for arg in std::env::args() {
-        if arg == "--obs" {
-            found = Some(None);
-        } else if let Some(path) = arg.strip_prefix("--obs=") {
-            found = Some(Some(PathBuf::from(path)));
-        }
-    }
-    found
-        .or_else(obs_env)
-        .map(|explicit| explicit.unwrap_or_else(|| default_trace_path(default_name)))
+    exec().quick
 }
 
 /// The `RFD_OBS` environment variable as an observability request:
 /// unset / empty / `0` → off, `1` → on at the default destination,
 /// anything else → on at that path.
-pub fn obs_env() -> Option<Option<PathBuf>> {
+fn obs_env() -> Option<Option<PathBuf>> {
     match std::env::var("RFD_OBS") {
         Ok(v) if v.is_empty() || v == "0" => None,
         Ok(v) if v == "1" => Some(None),
         Ok(v) => Some(Some(PathBuf::from(v))),
         Err(_) => None,
     }
-}
-
-/// Where an observability trace lands when no explicit path was given.
-pub fn default_trace_path(default_name: &str) -> PathBuf {
-    results_dir().join(format!("{default_name}.trace.json"))
 }
 
 /// The flight-recorder dump path that goes with a trace destination:
@@ -243,66 +213,62 @@ pub fn flight_path_for(trace: &Path) -> PathBuf {
     trace.with_file_name(format!("{base}.flightrec.json"))
 }
 
-/// If the command line asks for observability ([`obs_flag`]): enables
-/// recording, installs the panic hook, points the flight recorder next
-/// to the trace, and returns the trace destination for [`obs_finish`].
-pub fn obs_init(default_name: &str) -> Option<PathBuf> {
-    obs_flag(default_name).map(obs_init_at)
+/// [`obs_begin`] for the process's own `--obs` flag.
+pub fn obs_init(default_name: &str) -> Option<ObsSession> {
+    obs_begin(&exec().obs, default_name)
 }
 
-/// Enables recording towards an already-resolved trace destination:
-/// turns the registry on, installs the panic hook and points the
-/// flight recorder next to the trace. Returns the destination for
-/// [`obs_finish`].
-pub fn obs_init_at(path: PathBuf) -> PathBuf {
+/// Resolves an `--obs` request (`RFD_OBS` is the fallback, and
+/// `results/<default_name>.trace.json` the default destination). When
+/// observability is on: enables recording, installs the panic hook,
+/// points the flight recorder next to the trace, and returns the
+/// session whose end writes the trace.
+pub fn obs_begin(request: &Option<Option<PathBuf>>, default_name: &str) -> Option<ObsSession> {
+    let request = request.clone().or_else(obs_env)?;
+    let path = request.unwrap_or_else(|| results_dir().join(format!("{default_name}.trace.json")));
     rfd_obs::enable();
     rfd_obs::install_panic_hook();
     rfd_obs::set_flight_path(flight_path_for(&path));
     eprintln!("obs: recording to {}", path.display());
-    path
+    Some(ObsSession(path))
 }
 
-/// Writes the Chrome-trace/summary file at the end of an observed run.
-pub fn obs_finish(trace_path: &Path) {
-    match rfd_obs::write_trace(trace_path) {
-        Ok(()) => eprintln!("obs: trace written to {}", trace_path.display()),
-        Err(e) => eprintln!("obs: failed to write {}: {e}", trace_path.display()),
+/// An observed run; dropping it writes the Chrome-trace/summary file
+/// (a failed write is reported on stderr, never a panic).
+#[derive(Debug)]
+#[must_use = "the trace is written when the session is dropped: bind it for the whole run"]
+pub struct ObsSession(PathBuf);
+
+impl Drop for ObsSession {
+    fn drop(&mut self) {
+        match rfd_obs::write_trace(&self.0) {
+            Ok(()) => eprintln!("obs: trace written to {}", self.0.display()),
+            Err(e) => eprintln!("obs: failed to write {}: {e}", self.0.display()),
+        }
     }
 }
 
 /// How often sweeps report progress on stderr.
 const HEARTBEAT_PERIOD: Duration = Duration::from_secs(10);
 
-/// Sweep options honouring `--quick`, `--threads N`, `--sim-shards N`,
-/// `--resume`, `--resume-force`, `--retries N`, `--cell-budget SECS`
-/// and the hidden `--chaos` / `RFD_CHAOS` fault-injection knob. Runs journal
-/// under [`results_dir`] so interrupted sweeps can resume; progress
+/// The sweep options the process's [`EXEC`] flags resolve to, with
+/// `RFD_CHAOS` as the `--chaos` fallback. Runs journal under
+/// [`results_dir`] so interrupted sweeps can resume; progress
 /// heartbeats go to stderr.
-pub fn sweep_options() -> crate::sweep::SweepOptions {
-    let base = if quick_flag() {
-        crate::sweep::SweepOptions::quick()
-    } else {
-        crate::sweep::SweepOptions::default()
-    };
-    let resume_force = resume_force_flag();
-    crate::sweep::SweepOptions {
-        threads: threads_flag(),
+pub fn sweep_options() -> SweepOptions {
+    let opts = exec().opts.clone();
+    SweepOptions {
         journal_dir: Some(results_dir()),
-        resume: resume_flag() || resume_force,
-        resume_force,
         heartbeat: Some(HEARTBEAT_PERIOD),
-        cell_budget: cell_budget_flag(),
-        retries: retries_flag(),
-        chaos: chaos_plan(),
-        sim_shards: sim_shards_flag(),
-        ..base
+        chaos: chaos_or_env(opts.chaos).unwrap_or_else(|e| exit_with(&e.0)),
+        ..opts
     }
 }
 
 /// Prints a sweep's failure report on stderr (if any cells failed) and
 /// reports whether there was one — the building block for binaries
 /// that run several sweeps and fold the outcomes together.
-pub fn report_sweep_failures(sweep: &crate::sweep::PulseSweep) -> bool {
+pub fn report_sweep_failures(sweep: &PulseSweep) -> bool {
     if sweep.failures.is_empty() {
         false
     } else {
@@ -316,7 +282,7 @@ pub fn report_sweep_failures(sweep: &crate::sweep::PulseSweep) -> bool {
 /// non-zero so scripts notice — while stdout still carries every
 /// healthy cell's CSV (failed points are marked, never silently
 /// absent).
-pub fn sweep_exit_code(sweep: &crate::sweep::PulseSweep) -> ExitCode {
+pub fn sweep_exit_code(sweep: &PulseSweep) -> ExitCode {
     if report_sweep_failures(sweep) {
         ExitCode::FAILURE
     } else {
@@ -333,16 +299,13 @@ pub fn runner_config() -> rfd_runner::RunnerConfig {
 
 /// Prints a standard experiment header (stderr — narrative, not data).
 pub fn banner(figure: &str, description: &str) {
+    // Every binary prints its banner first: check the flags before it.
+    let quick = quick_flag();
     eprintln!("== {figure} — {description} ==");
-    if quick_flag() {
+    if quick {
         eprintln!("(quick mode: reduced sizes)");
     }
     eprintln!();
-}
-
-/// Reports where a CSV landed (stderr — narrative, not data).
-pub fn saved(path: &Path) {
-    eprintln!("\nsaved {}", path.display());
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use rfd_bgp::{DampingDeployment, Network, NetworkConfig, PenaltyFilter, RunReport, Snapshot};
-use rfd_metrics::TraceSink;
+use rfd_metrics::{SuppressionStats, TraceSink};
 use rfd_sim::{DetRng, SimDuration};
 use rfd_topology::{internet_like, mesh_torus, Graph, NodeId, Relationships};
 
@@ -44,6 +44,17 @@ impl TopologyKind {
 
     /// The §7 policy experiment's 208-node Internet-derived topology.
     pub const PAPER_INTERNET_208: TopologyKind = TopologyKind::Internet { nodes: 208, m: 2 };
+
+    /// The mesh the experiments run on: [`Self::PAPER_MESH`], or 5×5
+    /// for `--quick` smoke runs.
+    pub const fn experiment_mesh(quick: bool) -> TopologyKind {
+        let (width, height) = (5, 5);
+        if quick {
+            TopologyKind::Mesh { width, height }
+        } else {
+            TopologyKind::PAPER_MESH
+        }
+    }
 
     /// Builds the graph (Internet graphs are wired from `seed`).
     pub fn build(&self, seed: u64) -> Graph {
@@ -120,41 +131,59 @@ pub fn run_workload_pattern(
     (report, network)
 }
 
-/// Runs one grid cell's workload and extracts the metrics the runner
-/// journals and aggregates.
+/// [`run_pattern_metrics`] for the paper's default flap pattern, cold
+/// and unaudited.
 pub fn run_cell_metrics(
     kind: TopologyKind,
     seed: u64,
     pulses: usize,
     make_config: impl FnOnce(&Graph) -> NetworkConfig,
 ) -> rfd_runner::RunMetrics {
-    run_pattern_metrics(
-        kind,
-        seed,
-        rfd_core::FlapPattern::paper_default(pulses),
-        make_config,
-    )
+    let pattern = rfd_core::FlapPattern::paper_default(pulses);
+    run_pattern_metrics(kind, seed, pattern, make_config, None, &[])
 }
 
-/// Like [`run_cell_metrics`] with an explicit flap pattern.
+/// Runs one grid cell's workload and extracts the metrics the runner
+/// journals and aggregates: build the network, fork it from `warm`'s
+/// donor snapshot or warm it up, attach the timer-interaction ledger
+/// when `ledger_keys` names any (peer, prefix), run `pattern`.
 ///
 /// Grid cells stream into an aggregate-only sink
 /// ([`rfd_metrics::SuppressionStats`]): per-cell memory stays O(1) in
 /// the event count and no `Vec<TraceEvent>` is ever retained
-/// (asserted). Sweeps that want the old buffer-then-scan pipeline use
-/// [`run_pattern_metrics_full`].
+/// (asserted). Ledger records stream into a
+/// [`rfd_core::CountingLedger`] — O(1) memory, and deliberately *not*
+/// part of [`rfd_runner::RunMetrics`]: a sweep's CSVs are
+/// byte-identical with the ledger on or off, forked or cold (tested at
+/// the sweep layer).
 pub fn run_pattern_metrics(
     kind: TopologyKind,
     seed: u64,
     pattern: rfd_core::FlapPattern,
     make_config: impl FnOnce(&Graph) -> NetworkConfig,
+    warm: Option<&WarmCache>,
+    ledger_keys: &[(u32, u32)],
 ) -> rfd_runner::RunMetrics {
     let graph = kind.build(seed);
     let isp = pick_isp(&graph, seed);
     let config = make_config(&graph);
-    let mut network =
-        Network::new_with_sink(&graph, isp, config, rfd_metrics::SuppressionStats::new());
-    network.warm_up();
+    let mut network = match warm.and_then(|cache| cache.fork(&graph, isp, &config)) {
+        Some(forked) => {
+            rfd_obs::inc("runner.cell.warm_forks");
+            forked
+        }
+        None => {
+            let mut cold = Network::new_with_sink(&graph, isp, config, SuppressionStats::new());
+            cold.warm_up();
+            cold
+        }
+    };
+    if !ledger_keys.is_empty() {
+        network.set_ledger(
+            rfd_core::LedgerFilter::keys(ledger_keys.iter().copied()),
+            Box::new(rfd_core::CountingLedger::new()),
+        );
+    }
     let report = network.run_pulses(pattern, SimDuration::from_secs(100));
     let stats = network.into_sink();
     assert_eq!(
@@ -207,166 +236,48 @@ impl WarmCache {
         self.len() == 0
     }
 
-    fn slot(&self, flow_fp: u64) -> Arc<OnceLock<Option<Arc<Snapshot>>>> {
-        let mut slots = self.slots.lock().expect("warm cache poisoned");
-        slots.entry(flow_fp).or_default().clone()
-    }
-
-    fn warm(
+    /// A network for `config` seeded from the warm donor of its flow
+    /// fingerprint, warming the donor on first use; `None` when the
+    /// capture or the fork failed and the cell must start cold — the
+    /// answer is never wrong, only slower.
+    ///
+    /// The donor runs the cell's own configuration normalised exactly
+    /// the way the flow fingerprint is computed (damping off, plain
+    /// filter, no reuse granularity) — the warm-up flow never consults
+    /// any of those, so the fork is byte-equivalent to a cold start
+    /// (property-tested at the rfd-bgp layer, and the sweep CSVs are
+    /// diffed cold-vs-forked in CI).
+    fn fork(
         &self,
-        flow_fp: u64,
-        build: impl FnOnce() -> Option<Snapshot>,
-    ) -> Option<Arc<Snapshot>> {
-        self.slot(flow_fp)
-            .get_or_init(|| build().map(Arc::new))
-            .clone()
-    }
-}
-
-/// Like [`run_pattern_metrics`], but seeds the network from a warm
-/// snapshot in `cache` when one exists for this cell's flow
-/// fingerprint, warming a donor on first use.
-///
-/// The donor runs the cell's own configuration normalised exactly the
-/// way the flow fingerprint is computed (damping off, plain filter, no
-/// reuse granularity) — the warm-up flow never consults any of those,
-/// so the fork is byte-equivalent to a cold start (property-tested at
-/// the rfd-bgp layer, and the sweep CSVs are diffed cold-vs-forked in
-/// CI). Any capture or fork failure falls back to a cold start; the
-/// answer is never wrong, only slower.
-pub fn run_pattern_metrics_forked(
-    cache: &WarmCache,
-    kind: TopologyKind,
-    seed: u64,
-    pattern: rfd_core::FlapPattern,
-    make_config: impl FnOnce(&Graph) -> NetworkConfig,
-) -> rfd_runner::RunMetrics {
-    let graph = kind.build(seed);
-    let isp = pick_isp(&graph, seed);
-    let config = make_config(&graph);
-    let key = rfd_bgp::snapshot::fingerprints(&graph, &[isp], &config);
-
-    let donor = cache.warm(key.flow_fp, || {
-        let mut donor_cfg = config.clone();
-        donor_cfg.damping = DampingDeployment::Off;
-        donor_cfg.filter = PenaltyFilter::Plain;
-        donor_cfg.protocol.reuse_granularity = None;
-        let donor_key = rfd_bgp::snapshot::fingerprints(&graph, &[isp], &donor_cfg);
-        debug_assert_eq!(
-            donor_key.flow_fp, key.flow_fp,
-            "flow normalisation must be idempotent"
-        );
-        let mut donor =
-            Network::new_with_sink(&graph, isp, donor_cfg, rfd_metrics::SuppressionStats::new());
-        donor.warm_up();
-        Snapshot::capture(&mut donor, donor_key).ok()
-    });
-
-    let mut network = Network::new_with_sink(
-        &graph,
-        isp,
-        config.clone(),
-        rfd_metrics::SuppressionStats::new(),
-    );
-    let mut forked = false;
-    if let Some(snap) = donor.as_deref() {
-        if snap.fork_into(&mut network, &key).is_ok() {
-            forked = true;
-        } else {
-            // A refused fork may leave partially-restored state behind;
-            // rebuild before the cold fallback.
-            network =
-                Network::new_with_sink(&graph, isp, config, rfd_metrics::SuppressionStats::new());
-        }
-    }
-    if forked {
-        rfd_obs::inc("runner.cell.warm_forks");
-    } else {
-        network.warm_up();
-    }
-
-    let report = network.run_pulses(pattern, SimDuration::from_secs(100));
-    let stats = network.into_sink();
-    assert_eq!(
-        stats.retained_events(),
-        0,
-        "aggregate-only grid cells must not retain trace events"
-    );
-    rfd_runner::RunMetrics {
-        convergence_secs: report.convergence_time.as_secs_f64(),
-        messages: report.message_count as f64,
-        suppressed: stats.ever_suppressed_entries() as f64,
-    }
-}
-
-/// Like [`run_cell_metrics`], but with the timer-interaction ledger
-/// attached for the given (peer, prefix) keys.
-///
-/// Records stream into a [`rfd_core::CountingLedger`] — O(1) memory,
-/// and deliberately *not* part of [`rfd_runner::RunMetrics`]: the
-/// sweep's output contract is that its CSVs are byte-identical with
-/// the ledger on or off (the non-perturbation contract, tested at the
-/// sweep layer).
-pub fn run_cell_metrics_audited(
-    kind: TopologyKind,
-    seed: u64,
-    pulses: usize,
-    keys: &[(u32, u32)],
-    make_config: impl FnOnce(&Graph) -> NetworkConfig,
-) -> rfd_runner::RunMetrics {
-    let pattern = rfd_core::FlapPattern::paper_default(pulses);
-    let graph = kind.build(seed);
-    let isp = pick_isp(&graph, seed);
-    let config = make_config(&graph);
-    let mut network =
-        Network::new_with_sink(&graph, isp, config, rfd_metrics::SuppressionStats::new());
-    network.warm_up();
-    network.set_ledger(
-        rfd_core::LedgerFilter::keys(keys.iter().copied()),
-        Box::new(rfd_core::CountingLedger::new()),
-    );
-    let report = network.run_pulses(pattern, SimDuration::from_secs(100));
-    let stats = network.into_sink();
-    rfd_runner::RunMetrics {
-        convergence_secs: report.convergence_time.as_secs_f64(),
-        messages: report.message_count as f64,
-        suppressed: stats.ever_suppressed_entries() as f64,
-    }
-}
-
-/// Full-trace variant of [`run_cell_metrics`] (see
-/// [`run_pattern_metrics_full`]).
-pub fn run_cell_metrics_full(
-    kind: TopologyKind,
-    seed: u64,
-    pulses: usize,
-    make_config: impl FnOnce(&Graph) -> NetworkConfig,
-) -> rfd_runner::RunMetrics {
-    run_pattern_metrics_full(
-        kind,
-        seed,
-        rfd_core::FlapPattern::paper_default(pulses),
-        make_config,
-    )
-}
-
-/// Full-trace variant of [`run_pattern_metrics`]: buffers the whole
-/// event history in a [`rfd_metrics::VecSink`] and derives every metric
-/// by post-hoc trace scans, exactly like the pre-streaming pipeline.
-/// The CI smoke job diffs its sweep CSV byte-for-byte against the
-/// streaming one.
-pub fn run_pattern_metrics_full(
-    kind: TopologyKind,
-    seed: u64,
-    pattern: rfd_core::FlapPattern,
-    make_config: impl FnOnce(&Graph) -> NetworkConfig,
-) -> rfd_runner::RunMetrics {
-    let (_report, network) = run_workload_pattern(kind, seed, pattern, make_config);
-    let trace = network.trace();
-    rfd_runner::RunMetrics {
-        convergence_secs: trace.convergence_time().as_secs_f64(),
-        messages: trace.message_count() as f64,
-        suppressed: trace.ever_suppressed_entries() as f64,
+        graph: &Graph,
+        isp: NodeId,
+        config: &NetworkConfig,
+    ) -> Option<Network<SuppressionStats>> {
+        let key = rfd_bgp::snapshot::fingerprints(graph, &[isp], config);
+        let slot = {
+            let mut slots = self.slots.lock().expect("warm cache poisoned");
+            slots.entry(key.flow_fp).or_default().clone()
+        };
+        let donor = slot.get_or_init(|| {
+            let mut donor_cfg = config.clone();
+            donor_cfg.damping = DampingDeployment::Off;
+            donor_cfg.filter = PenaltyFilter::Plain;
+            donor_cfg.protocol.reuse_granularity = None;
+            let donor_key = rfd_bgp::snapshot::fingerprints(graph, &[isp], &donor_cfg);
+            debug_assert_eq!(
+                donor_key.flow_fp, key.flow_fp,
+                "flow normalisation must be idempotent"
+            );
+            let mut donor = Network::new_with_sink(graph, isp, donor_cfg, SuppressionStats::new());
+            donor.warm_up();
+            Snapshot::capture(&mut donor, donor_key).ok().map(Arc::new)
+        });
+        // A refused fork may leave partially-restored state behind, so
+        // the half-forked network is dropped, never reused.
+        let mut network =
+            Network::new_with_sink(graph, isp, config.clone(), SuppressionStats::new());
+        donor.as_deref()?.fork_into(&mut network, &key).ok()?;
+        Some(network)
     }
 }
 
@@ -377,7 +288,7 @@ pub fn run_pattern_metrics_full(
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<Network>();
-    assert_send::<Network<rfd_metrics::SuppressionStats>>();
+    assert_send::<Network<SuppressionStats>>();
     assert_send::<Graph>();
     assert_send::<RunReport>();
 };
@@ -440,14 +351,32 @@ mod tests {
             NetworkConfig::paper_rcn_damping,
         ];
         for make in configs {
-            let cold = run_pattern_metrics(kind, 5, pattern, |_| make(5));
-            let forked = run_pattern_metrics_forked(&cache, kind, 5, pattern, |_| make(5));
+            let cold = run_pattern_metrics(kind, 5, pattern, |_| make(5), None, &[]);
+            let forked = run_pattern_metrics(kind, 5, pattern, |_| make(5), Some(&cache), &[]);
             assert_eq!(cold.convergence_secs, forked.convergence_secs);
             assert_eq!(cold.messages, forked.messages);
             assert_eq!(cold.suppressed, forked.suppressed);
         }
         // All three variants share one (topology, seed) flow, hence one donor.
         assert_eq!(cache.len(), 1);
+    }
+
+    /// The pre-streaming pipeline: buffer the whole event history in a
+    /// [`rfd_metrics::VecSink`] and derive every metric by post-hoc
+    /// trace scans.
+    fn run_pattern_metrics_full(
+        kind: TopologyKind,
+        seed: u64,
+        pattern: rfd_core::FlapPattern,
+        make_config: impl FnOnce(&Graph) -> NetworkConfig,
+    ) -> rfd_runner::RunMetrics {
+        let (_report, network) = run_workload_pattern(kind, seed, pattern, make_config);
+        let trace = network.trace();
+        rfd_runner::RunMetrics {
+            convergence_secs: trace.convergence_time().as_secs_f64(),
+            messages: trace.message_count() as f64,
+            suppressed: trace.ever_suppressed_entries() as f64,
+        }
     }
 
     #[test]
@@ -458,11 +387,9 @@ mod tests {
         };
         for pulses in [1, 3] {
             let pattern = rfd_core::FlapPattern::paper_default(pulses);
-            let streaming =
-                run_pattern_metrics(kind, 5, pattern, |_| NetworkConfig::paper_full_damping(5));
-            let full = run_pattern_metrics_full(kind, 5, pattern, |_| {
-                NetworkConfig::paper_full_damping(5)
-            });
+            let full_damping = |_: &Graph| NetworkConfig::paper_full_damping(5);
+            let streaming = run_pattern_metrics(kind, 5, pattern, full_damping, None, &[]);
+            let full = run_pattern_metrics_full(kind, 5, pattern, full_damping);
             assert_eq!(streaming.convergence_secs, full.convergence_secs);
             assert_eq!(streaming.messages, full.messages);
             assert_eq!(streaming.suppressed, full.suppressed);

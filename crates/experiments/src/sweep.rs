@@ -18,10 +18,7 @@ use rfd_runner::{
 use rfd_sim::SimDuration;
 use rfd_topology::Graph;
 
-use crate::scenarios::{
-    run_cell_metrics, run_cell_metrics_audited, run_cell_metrics_full, run_pattern_metrics_forked,
-    run_workload, TopologyKind, WarmCache,
-};
+use crate::scenarios::{run_pattern_metrics, run_workload, TopologyKind, WarmCache};
 
 /// One measured point of a sweep (averaged over seeds).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -133,11 +130,6 @@ pub struct SweepOptions {
     /// Per-cell wall-clock budget; exceeding it flags the cell and
     /// dumps the observability flight recorder.
     pub cell_budget: Option<std::time::Duration>,
-    /// Buffer full event traces per cell ([`rfd_metrics::VecSink`]) and
-    /// derive metrics by post-hoc scans instead of the streaming
-    /// aggregators. Off by default — the CI smoke job turns it on once
-    /// and diffs the CSVs byte-for-byte against a streaming sweep.
-    pub full_traces: bool,
     /// Extra attempts for panicked / timed-out cells (`--retries N`).
     pub retries: u32,
     /// Resume a journal even when its grid fingerprint doesn't match
@@ -166,9 +158,7 @@ pub struct SweepOptions {
     /// damping-parameter variant from its snapshot instead of repeating
     /// the warm-up (`--warm-fork`). Byte-identical CSVs either way
     /// (tested, and diffed in CI); folded into the journal fingerprint
-    /// so forked and cold journals never resume each other. Ignored —
-    /// cells stay cold — when combined with `full_traces` or ledger
-    /// auditing.
+    /// so forked and cold journals never resume each other.
     pub warm_fork: bool,
 }
 
@@ -182,7 +172,6 @@ impl Default for SweepOptions {
             resume: false,
             heartbeat: None,
             cell_budget: None,
-            full_traces: false,
             retries: 0,
             resume_force: false,
             chaos: ChaosPlan::none(),
@@ -349,32 +338,21 @@ pub fn try_measure_sweep(
         let label = spec.label.clone();
         grid = grid.series(label, spec);
     }
-    let full = opts.full_traces;
-    let ledger = opts.ledger_keys.clone();
     let shards = opts.sim_shards.max(1);
-    let warm_fork = opts.warm_fork && !full && ledger.is_empty();
-    let warm_cache = WarmCache::new();
+    let warm_cache = opts.warm_fork.then(WarmCache::new);
     let results = run_grid(&grid, &opts.runner_config(), |spec: &SeriesSpec, cell| {
-        let make = |g: &Graph| {
-            let mut cfg = (spec.make)(g, cell.seed);
-            cfg.sim_shards = shards;
-            cfg
-        };
-        if full {
-            run_cell_metrics_full(spec.kind, cell.seed, cell.pulses, make)
-        } else if warm_fork {
-            run_pattern_metrics_forked(
-                &warm_cache,
-                spec.kind,
-                cell.seed,
-                rfd_core::FlapPattern::paper_default(cell.pulses),
-                make,
-            )
-        } else if ledger.is_empty() {
-            run_cell_metrics(spec.kind, cell.seed, cell.pulses, make)
-        } else {
-            run_cell_metrics_audited(spec.kind, cell.seed, cell.pulses, &ledger, make)
-        }
+        run_pattern_metrics(
+            spec.kind,
+            cell.seed,
+            FlapPattern::paper_default(cell.pulses),
+            |g| {
+                let mut cfg = (spec.make)(g, cell.seed);
+                cfg.sim_shards = shards;
+                cfg
+            },
+            warm_cache.as_ref(),
+            &opts.ledger_keys,
+        )
     })?;
 
     let series = results
@@ -594,63 +572,35 @@ mod tests {
         assert_eq!(grid_slug("--x--"), "x");
     }
 
+    /// Both CSVs of a three-series, 0..=2-pulse sweep over [`TINY`] —
+    /// what the byte-identity contracts below compare.
+    fn tiny_csvs(name: &str, opts: SweepOptions) -> (String, String) {
+        let specs = vec![
+            SeriesSpec::by_seed("undamped", TINY, NetworkConfig::paper_no_damping),
+            SeriesSpec::by_seed("damped", TINY, NetworkConfig::paper_full_damping),
+            SeriesSpec::by_seed("rcn", TINY, NetworkConfig::paper_rcn_damping),
+        ];
+        let opts = SweepOptions {
+            max_pulses: 2,
+            ..opts
+        };
+        let sweep = measure_sweep(name, specs, &opts);
+        (
+            sweep.convergence_table().to_csv(),
+            sweep.message_table().to_csv(),
+        )
+    }
+
     /// The runner's headline guarantee, exercised end-to-end on real
-    /// simulations: a 2-series × 3-seed pulse sweep renders *byte-
+    /// simulations: a 3-series × 3-seed pulse sweep renders *byte-
     /// identical* CSV tables whether it runs on one thread or four.
     #[test]
     fn sweep_is_byte_identical_across_thread_counts() {
-        let opts = |threads| SweepOptions {
-            max_pulses: 2,
-            seeds: vec![1, 2, 3],
+        let on = |threads| SweepOptions {
             threads,
             ..SweepOptions::default()
         };
-        let specs = || {
-            vec![
-                SeriesSpec::by_seed("undamped", TINY, NetworkConfig::paper_no_damping),
-                SeriesSpec::by_seed("damped", TINY, NetworkConfig::paper_full_damping),
-            ]
-        };
-        let sequential = measure_sweep("det-check", specs(), &opts(1));
-        let parallel = measure_sweep("det-check", specs(), &opts(4));
-        assert_eq!(
-            sequential.convergence_table().to_csv(),
-            parallel.convergence_table().to_csv()
-        );
-        assert_eq!(
-            sequential.message_table().to_csv(),
-            parallel.message_table().to_csv()
-        );
-    }
-
-    /// The other CSV-diff contract (also exercised by the CI smoke
-    /// job): a sweep over aggregate-only sinks renders byte-identical
-    /// tables to one buffering full traces and scanning post hoc.
-    #[test]
-    fn sweep_is_byte_identical_with_and_without_full_traces() {
-        let opts = |full_traces| SweepOptions {
-            max_pulses: 2,
-            seeds: vec![1, 2],
-            threads: 1,
-            full_traces,
-            ..SweepOptions::default()
-        };
-        let specs = || {
-            vec![
-                SeriesSpec::by_seed("undamped", TINY, NetworkConfig::paper_no_damping),
-                SeriesSpec::by_seed("damped", TINY, NetworkConfig::paper_full_damping),
-            ]
-        };
-        let streaming = measure_sweep("sink-check", specs(), &opts(false));
-        let buffered = measure_sweep("sink-check", specs(), &opts(true));
-        assert_eq!(
-            streaming.convergence_table().to_csv(),
-            buffered.convergence_table().to_csv()
-        );
-        assert_eq!(
-            streaming.message_table().to_csv(),
-            buffered.message_table().to_csv()
-        );
+        assert_eq!(tiny_csvs("det-check", on(1)), tiny_csvs("det-check", on(4)));
     }
 
     /// The snapshot subsystem's warm-fork contract at the sweep layer:
@@ -659,71 +609,45 @@ mod tests {
     /// every cell, sequentially and under a parallel pool.
     #[test]
     fn sweep_is_byte_identical_with_and_without_warm_fork() {
-        let opts = |threads, warm_fork| SweepOptions {
-            max_pulses: 2,
-            seeds: vec![1, 2],
-            threads,
-            warm_fork,
-            ..SweepOptions::default()
-        };
-        let specs = || {
-            vec![
-                SeriesSpec::by_seed("undamped", TINY, NetworkConfig::paper_no_damping),
-                SeriesSpec::by_seed("damped", TINY, NetworkConfig::paper_full_damping),
-                SeriesSpec::by_seed("rcn", TINY, NetworkConfig::paper_rcn_damping),
-            ]
-        };
         for threads in [1, 2] {
-            let cold = measure_sweep("fork-check", specs(), &opts(threads, false));
-            let forked = measure_sweep("fork-check", specs(), &opts(threads, true));
+            let with = |warm_fork| SweepOptions {
+                seeds: vec![1, 2],
+                threads,
+                warm_fork,
+                ..SweepOptions::default()
+            };
             assert_eq!(
-                cold.convergence_table().to_csv(),
-                forked.convergence_table().to_csv(),
-                "warm-fork perturbed the convergence CSV at threads={threads}"
-            );
-            assert_eq!(
-                cold.message_table().to_csv(),
-                forked.message_table().to_csv(),
-                "warm-fork perturbed the message CSV at threads={threads}"
+                tiny_csvs("fork-check", with(false)),
+                tiny_csvs("fork-check", with(true)),
+                "warm-fork perturbed a CSV at threads={threads}"
             );
         }
     }
 
     /// The ledger's non-perturbation contract at the sweep layer:
     /// auditing every cell's (peer, prefix) keys must leave the CSVs
-    /// byte-identical, sequentially and under a parallel pool.
+    /// byte-identical, sequentially and under a parallel pool, on cold
+    /// cells and on warm-forked ones (the two compose).
     #[test]
     fn sweep_is_byte_identical_with_and_without_ledger() {
-        let opts = |threads, ledger_keys: Vec<(u32, u32)>| SweepOptions {
-            max_pulses: 2,
-            seeds: vec![1, 2],
-            threads,
-            ledger_keys,
-            ..SweepOptions::default()
-        };
-        let specs = || {
-            vec![
-                SeriesSpec::by_seed("undamped", TINY, NetworkConfig::paper_no_damping),
-                SeriesSpec::by_seed("damped", TINY, NetworkConfig::paper_full_damping),
-            ]
-        };
         // Watch every plausible peer of the origin entry plus one key
         // that never matches — emission on hit and the filter miss
         // branch are both exercised.
         let keys: Vec<(u32, u32)> = (0..32).map(|peer| (peer, 0)).collect();
         for threads in [1, 2] {
-            let plain = measure_sweep("ledger-check", specs(), &opts(threads, Vec::new()));
-            let audited = measure_sweep("ledger-check", specs(), &opts(threads, keys.clone()));
-            assert_eq!(
-                plain.convergence_table().to_csv(),
-                audited.convergence_table().to_csv(),
-                "ledger perturbed the convergence CSV at threads={threads}"
-            );
-            assert_eq!(
-                plain.message_table().to_csv(),
-                audited.message_table().to_csv(),
-                "ledger perturbed the message CSV at threads={threads}"
-            );
+            let with = |ledger_keys, warm_fork| SweepOptions {
+                seeds: vec![1, 2],
+                threads,
+                ledger_keys,
+                warm_fork,
+                ..SweepOptions::default()
+            };
+            let plain = tiny_csvs("ledger-check", with(Vec::new(), false));
+            for warm_fork in [false, true] {
+                let audited = tiny_csvs("ledger-check", with(keys.clone(), warm_fork));
+                let what = format!("threads={threads}, warm_fork={warm_fork}");
+                assert_eq!(plain, audited, "ledger perturbed a CSV at {what}");
+            }
         }
     }
 

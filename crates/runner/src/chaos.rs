@@ -183,12 +183,10 @@ impl ChaosPlan {
                 let secs: f64 = secs.parse().map_err(|_| {
                     ChaosParseError(format!("`{secs}` is not a duration in `{part}`"))
                 })?;
-                if !(secs.is_finite() && secs >= 0.0) {
-                    return Err(ChaosParseError(format!(
-                        "hang duration must be non-negative in `{part}`"
-                    )));
-                }
-                ChaosKind::Hang(Duration::from_secs_f64(secs))
+                // Refuses negative, NaN, infinite and too-large-to-hold values.
+                ChaosKind::Hang(Duration::try_from_secs_f64(secs).map_err(|_| {
+                    ChaosParseError(format!("hang duration must be non-negative in `{part}`"))
+                })?)
             } else {
                 return Err(ChaosParseError(format!(
                     "unknown fault `{kind_spec}` in `{part}` \
@@ -283,6 +281,7 @@ mod tests {
             "explode@cell",    // unknown kind
             "hang=abc@cell",   // bad duration
             "hang=-1@cell",    // negative duration
+            "hang=1e300@cell", // unrepresentable duration (panicked before ISSUE 14)
             "panic*zero@cell", // bad attempt count
             "panic*0@cell",    // zero attempts
         ] {

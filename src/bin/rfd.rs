@@ -6,23 +6,28 @@ use std::process::ExitCode;
 
 use route_flap_damping::bgp::{snapshot, Network, RunReport, Snapshot};
 use route_flap_damping::cli::{
-    network_config, parse_explain_command, parse_firehose_command, parse_run_options,
-    parse_snapshot_command, parse_sweep_command, ReportFormat, RunOptions, SnapshotCommand,
-    SweepFigure, TopologySpec, USAGE,
+    network_config, parse_explain_command, parse_firehose_command, parse_intended_command,
+    parse_run_options, parse_snapshot_command, parse_sweep_command, parse_topology_command, usage,
+    CliError, ReportFormat, RunOptions, SnapshotCommand, SweepFigure,
 };
-use route_flap_damping::damping::{intended_behavior, DampingParams, FlapPattern, FlapSchedule};
-use route_flap_damping::experiments::output;
+use route_flap_damping::damping::{intended_behavior, FlapPattern, FlapSchedule};
+use route_flap_damping::experiments::output::{chaos_or_env, obs_begin};
 use route_flap_damping::experiments::pick_isp;
 use route_flap_damping::explain;
-use route_flap_damping::metrics::{export_trace, StateClassifier};
-use route_flap_damping::runner::{ChaosKind, ChaosPlan};
+use route_flap_damping::metrics::{export_trace, StateClassifier, StateSpan, Trace};
+use route_flap_damping::runner::ChaosKind;
 use route_flap_damping::sim::SimDuration;
 use route_flap_damping::topology::{to_edge_list, Graph, NodeId};
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    // Lossy, not `args()`: a non-UTF-8 argument must reach the flag
+    // tables and be refused by name, not panic here.
+    let args: Vec<String> = std::env::args_os()
+        .skip(1)
+        .map(|a| a.to_string_lossy().into_owned())
+        .collect();
     let Some((command, rest)) = args.split_first() else {
-        print!("{USAGE}");
+        print!("{}", usage());
         return ExitCode::FAILURE;
     };
     let result = match command.as_str() {
@@ -43,33 +48,27 @@ fn main() -> ExitCode {
             Ok(())
         }
         "help" | "--help" | "-h" => {
-            print!("{USAGE}");
+            print!("{}", usage());
             Ok(())
         }
-        other => Err(format!("unknown command `{other}`\n\n{USAGE}").into()),
+        other => Err(format!("unknown command `{other}`\n\n{}", usage()).into()),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
-            ExitCode::FAILURE
+            // A command line the flag tables refuse exits 2, like the
+            // experiment binaries; a run that failed exits 1.
+            if e.is::<CliError>() {
+                ExitCode::from(2)
+            } else {
+                ExitCode::FAILURE
+            }
         }
     }
 }
 
 type CmdResult = Result<(), Box<dyn std::error::Error>>;
-
-/// Resolves a parsed `--obs` request (with `RFD_OBS` as fallback) and,
-/// when observability is on, enables recording towards the returned
-/// trace destination.
-fn obs_begin(
-    parsed: &Option<Option<std::path::PathBuf>>,
-    default_name: &str,
-) -> Option<std::path::PathBuf> {
-    let request = parsed.clone().or_else(output::obs_env)?;
-    let path = request.unwrap_or_else(|| output::default_trace_path(default_name));
-    Some(output::obs_init_at(path))
-}
 
 /// Resolves the ISP node of a run: a validated `--isp`, or the seeded
 /// random pick the experiments use.
@@ -93,7 +92,7 @@ fn cmd_run(args: &[String]) -> CmdResult {
     let graph = opts.topology.build(opts.seed);
     let isp = resolve_isp(&opts, &graph)?;
     let config = network_config(&opts, &graph);
-    let obs = obs_begin(&opts.obs, "run");
+    let _obs = obs_begin(&opts.obs, "run");
     println!(
         "topology {} nodes / {} links, ISP {isp}, {} pulses at {:.0} s, damping {}",
         graph.node_count(),
@@ -140,9 +139,6 @@ fn cmd_run(args: &[String]) -> CmdResult {
             stats.reuse_counts(),
             stats.peak_penalty(),
         );
-        if let Some(path) = &obs {
-            output::obs_finish(path);
-        }
         return Ok(());
     }
     let (net, report) = match &opts.snapshot {
@@ -161,27 +157,16 @@ fn cmd_run(args: &[String]) -> CmdResult {
         net.trace().peak_penalty(),
     );
     if opts.states {
-        println!("\nstates:");
-        let start = net.trace().first_flap_at();
-        for span in StateClassifier::default().classify(net.trace()) {
-            let rel = |t: route_flap_damping::sim::SimTime| {
-                start.map_or(0.0, |s| t.saturating_since(s).as_secs_f64())
-            };
-            println!(
-                "  {:<12} {:>8.0} s → {:>8.0} s",
-                span.state.to_string(),
-                rel(span.from),
-                rel(span.to)
-            );
-        }
+        println!();
+        print_states(
+            net.trace(),
+            &StateClassifier::default().classify(net.trace()),
+        );
     }
     if let Some(path) = &opts.trace_out {
         std::fs::write(path, export_trace(net.trace()))
             .map_err(|e| format!("cannot write trace file {path}: {e}"))?;
         println!("trace written to {path} ({} events)", net.trace().len());
-    }
-    if let Some(path) = &obs {
-        output::obs_finish(path);
     }
     Ok(())
 }
@@ -206,11 +191,7 @@ fn run_with_snapshots(
     quiet: SimDuration,
     path: &std::path::Path,
 ) -> Result<(Network, RunReport), Box<dyn std::error::Error>> {
-    let chaos = if opts.chaos.is_empty() {
-        ChaosPlan::from_env()?.unwrap_or_default()
-    } else {
-        opts.chaos.clone()
-    };
+    let chaos = chaos_or_env(opts.chaos.clone())?;
     let key = snapshot::fingerprints(graph, &[isp], &config);
     let schedule = FlapSchedule::from(pattern);
     let mut net = Network::new(graph, isp, config.clone());
@@ -413,24 +394,13 @@ fn cmd_sweep(args: &[String]) -> CmdResult {
     use route_flap_damping::experiments::TopologyKind;
 
     let mut cmd = parse_sweep_command(args)?;
-    // The hidden `--chaos` flag wins; otherwise the `RFD_CHAOS`
-    // environment variable can inject the same fault plan.
-    if cmd.opts.chaos.is_empty() {
-        if let Some(plan) = rfd_runner::ChaosPlan::from_env()? {
-            cmd.opts.chaos = plan;
-        }
-    }
-    let obs = obs_begin(&cmd.obs, "sweep");
-    let (mesh, internet) = if cmd.quick {
-        (
-            TopologyKind::Mesh {
-                width: 5,
-                height: 5,
-            },
-            TopologyKind::Internet { nodes: 25, m: 2 },
-        )
+    cmd.opts.chaos = chaos_or_env(cmd.opts.chaos)?;
+    let _obs = obs_begin(&cmd.obs, "sweep");
+    let mesh = TopologyKind::experiment_mesh(cmd.quick);
+    let internet = if cmd.quick {
+        TopologyKind::Internet { nodes: 25, m: 2 }
     } else {
-        (TopologyKind::PAPER_MESH, TopologyKind::PAPER_INTERNET)
+        TopologyKind::PAPER_INTERNET
     };
     let (label, sweep) = match cmd.figure {
         SweepFigure::Fig8_9 => (
@@ -468,9 +438,6 @@ fn cmd_sweep(args: &[String]) -> CmdResult {
     eprintln!("updates:\n{messages}");
     print!("{}", convergence.to_csv());
     print!("{}", messages.to_csv());
-    if let Some(path) = &obs {
-        output::obs_finish(path);
-    }
     if !sweep.failures.is_empty() {
         eprint!("{}", rfd_runner::render_failure_report(&sweep.failures));
         return Err(format!(
@@ -484,13 +451,7 @@ fn cmd_sweep(args: &[String]) -> CmdResult {
 
 fn cmd_firehose(args: &[String]) -> CmdResult {
     let mut cmd = parse_firehose_command(args)?;
-    // Like `sweep`: the hidden `--chaos` flag wins, otherwise the
-    // `RFD_CHAOS` environment variable injects the same fault plan.
-    if cmd.config.chaos.is_empty() {
-        if let Some(plan) = rfd_runner::ChaosPlan::from_env()? {
-            cmd.config.chaos = plan;
-        }
-    }
+    cmd.config.chaos = chaos_or_env(cmd.config.chaos)?;
     // Narrative on stderr; stdout carries only the report so
     // `rfd firehose … > report.csv` stays machine-parseable.
     eprintln!(
@@ -555,29 +516,7 @@ fn cmd_firehose(args: &[String]) -> CmdResult {
 }
 
 fn cmd_intended(args: &[String]) -> CmdResult {
-    let mut pulses = 3usize;
-    let mut interval = SimDuration::from_secs(60);
-    let mut params = DampingParams::cisco();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--pulses" => pulses = value("--pulses")?.parse()?,
-            "--interval" => interval = SimDuration::from_secs_f64(value("--interval")?.parse()?),
-            "--params" => {
-                params = match value("--params")?.as_str() {
-                    "cisco" => DampingParams::cisco(),
-                    "juniper" => DampingParams::juniper(),
-                    other => return Err(format!("unknown preset `{other}`").into()),
-                }
-            }
-            other => return Err(format!("unknown flag `{other}`").into()),
-        }
-    }
+    let (pulses, interval, params) = parse_intended_command(args)?;
     let b = intended_behavior(
         &params,
         FlapPattern::new(pulses, interval),
@@ -622,21 +561,27 @@ fn cmd_trace_stats(args: &[String]) -> CmdResult {
     );
     let spans = StateClassifier::default().classify(&trace);
     if !spans.is_empty() {
-        println!("states:");
-        let start = trace.first_flap_at();
-        for span in spans {
-            let rel = |t: route_flap_damping::sim::SimTime| {
-                start.map_or(0.0, |s| t.saturating_since(s).as_secs_f64())
-            };
-            println!(
-                "  {:<12} {:>8.0} s → {:>8.0} s",
-                span.state.to_string(),
-                rel(span.from),
-                rel(span.to)
-            );
-        }
+        print_states(&trace, &spans);
     }
     Ok(())
+}
+
+/// Prints the charging/suppression/releasing spans of a trace, in
+/// seconds since its first flap.
+fn print_states(trace: &Trace, spans: &[StateSpan]) {
+    println!("states:");
+    let start = trace.first_flap_at();
+    for span in spans {
+        let rel = |t: route_flap_damping::sim::SimTime| {
+            start.map_or(0.0, |s| t.saturating_since(s).as_secs_f64())
+        };
+        println!(
+            "  {:<12} {:>8.0} s → {:>8.0} s",
+            span.state.to_string(),
+            rel(span.from),
+            rel(span.to)
+        );
+    }
 }
 
 fn cmd_obs_report(args: &[String]) -> CmdResult {
@@ -650,24 +595,7 @@ fn cmd_obs_report(args: &[String]) -> CmdResult {
 }
 
 fn cmd_topology(args: &[String]) -> CmdResult {
-    let mut kind: Option<TopologySpec> = None;
-    let mut seed = 1u64;
-    let mut out: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--kind" => kind = Some(TopologySpec::parse(&value("--kind")?)?),
-            "--seed" => seed = value("--seed")?.parse()?,
-            "--out" => out = Some(value("--out")?),
-            other => return Err(format!("unknown flag `{other}`").into()),
-        }
-    }
-    let kind = kind.ok_or("topology needs --kind")?;
+    let (kind, seed, out) = parse_topology_command(args)?;
     let graph = kind.build(seed);
     let text = to_edge_list(&graph);
     match out {

@@ -1,20 +1,25 @@
 //! Command-line interface plumbing for the `rfd` binary.
 //!
-//! Argument parsing is hand-rolled (the workspace keeps its dependency
-//! set minimal) and lives in the library so it is unit-testable; the
-//! binary in `src/bin/rfd.rs` only dispatches.
+//! Every subcommand declares its flags as one
+//! [`rfd_experiments::args::Table`]; the `parse_*` functions here are
+//! table look-ups plus the cross-flag checks, and [`usage`] renders the
+//! same tables. Parsing lives in the library so it is unit-testable;
+//! the binary in `src/bin/rfd.rs` only dispatches.
 
-use std::fmt;
 use std::path::PathBuf;
 use std::time::Duration;
 
 use rfd_bgp::{DampingDeployment, NetworkConfig, PenaltyFilter, Policy, ProtocolOptions};
 use rfd_core::DampingParams;
+use rfd_experiments::args::{self, render_usage, wall_clock, Flag, Parsed, Table};
+use rfd_experiments::output::{chaos, exec_flags, obs, sim_shards, CHAOS, EXEC, OBS, SIM_SHARDS};
 use rfd_experiments::scenarios::{infer_relationships, TopologyKind};
 use rfd_experiments::SweepOptions;
 use rfd_runner::ChaosPlan;
 use rfd_sim::SimDuration;
 use rfd_topology::Graph;
+
+pub use rfd_experiments::args::CliError;
 
 /// A parsed topology specification, e.g. `mesh:10x10`, `internet:100`,
 /// `ring:8`, `line:5`, `clique:6`.
@@ -77,18 +82,6 @@ impl TopologySpec {
     }
 }
 
-/// A CLI usage error.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CliError(pub String);
-
-impl fmt::Display for CliError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-
-impl std::error::Error for CliError {}
-
 /// Options for `rfd run`.
 #[derive(Debug, Clone)]
 pub struct RunOptions {
@@ -136,152 +129,85 @@ pub struct RunOptions {
     pub chaos: ChaosPlan,
 }
 
-impl Default for RunOptions {
-    fn default() -> Self {
-        RunOptions {
-            topology: TopologySpec::Mesh(10, 10),
-            isp: None,
-            pulses: 1,
-            interval: SimDuration::from_secs(60),
-            seed: 1,
-            damping: Some(DampingParams::cisco()),
-            filter: PenaltyFilter::Plain,
-            no_valley: false,
-            trace_out: None,
-            states: false,
-            protocol: ProtocolOptions::default(),
-            obs: None,
-            sim_shards: 1,
-            snapshot: None,
-            checkpoint_every: None,
-            resume: false,
-            chaos: ChaosPlan::none(),
-        }
-    }
+/// The flags of `rfd run` (and of every command that embeds a run).
+#[rustfmt::skip]
+pub const RUN: Table = Table { command: "rfd run", base: None, flags: &[
+    Flag::value("--topology", "KIND:SIZE", "topology (default mesh:10x10)"),
+    Flag::value("--isp", "N", "ISP node index (default: seeded random pick)"),
+    Flag::value("--pulses", "N", "number of pulses (default 1)"),
+    Flag::value("--interval", "SECS", "gap between flap events (default 60)"),
+    Flag::value("--seed", "N", "master seed (default 1)"),
+    Flag::value("--damping", "off|cisco|juniper|ripe229", "Table 1 preset (default cisco)"),
+    Flag::value("--filter", "plain|rcn|selective", "penalty filter (default plain)"),
+    Flag::value("--policy", "shortest|novalley", "routing policy (default shortest)"),
+    Flag::value("--trace", "FILE", "write the full event trace to FILE"),
+    Flag::switch("--states", "print the charging/suppression/releasing spans"),
+    Flag::switch("--wrate", "pace withdrawals with MRAI too"),
+    Flag::switch("--no-loop-avoidance", "turn sender-side loop avoidance off"),
+    Flag::value("--reuse-granularity", "SECS", "quantise reuse timers to SECS ticks"),
+    SIM_SHARDS,
+    OBS,
+    Flag::value("--snapshot", "FILE", "checkpoint file for the two flags below"),
+    Flag::value("--checkpoint-every", "SECS", "checkpoint every SECS simulated seconds"),
+    Flag::switch("--resume", "continue from the snapshot file if it is usable"),
+    CHAOS,
+] };
+
+/// The Table 1 presets by CLI name (`rfd intended` takes the first two).
+fn presets() -> [(&'static str, DampingParams); 3] {
+    [
+        ("cisco", DampingParams::cisco()),
+        ("juniper", DampingParams::juniper()),
+        ("ripe229", DampingParams::ripe229_aggressive()),
+    ]
 }
 
-/// Parses the arguments of `rfd run` (everything after the subcommand).
-///
-/// # Errors
-///
-/// Returns [`CliError`] on unknown flags, missing values, or malformed
-/// values.
+/// Parses the arguments of `rfd run` (everything after the subcommand)
+/// against [`RUN`]; the [`CliError`] names the offending flag.
 pub fn parse_run_options(args: &[String]) -> Result<RunOptions, CliError> {
-    let mut opts = RunOptions::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| CliError(format!("{name} needs a value")))
-        };
-        match flag.as_str() {
-            "--topology" => opts.topology = TopologySpec::parse(&value("--topology")?)?,
-            "--isp" => {
-                opts.isp = Some(
-                    value("--isp")?
-                        .parse()
-                        .map_err(|_| CliError("--isp needs a node index".into()))?,
-                )
-            }
-            "--pulses" => {
-                opts.pulses = value("--pulses")?
-                    .parse()
-                    .map_err(|_| CliError("--pulses needs an integer".into()))?
-            }
-            "--interval" => {
-                let secs: f64 = value("--interval")?
-                    .parse()
-                    .map_err(|_| CliError("--interval needs seconds".into()))?;
-                if !(secs.is_finite() && secs > 0.0) {
-                    return Err(CliError("--interval must be positive".into()));
-                }
-                opts.interval = SimDuration::from_secs_f64(secs);
-            }
-            "--seed" => {
-                opts.seed = value("--seed")?
-                    .parse()
-                    .map_err(|_| CliError("--seed needs an integer".into()))?
-            }
-            "--damping" => {
-                opts.damping = match value("--damping")?.as_str() {
-                    "off" => None,
-                    "cisco" => Some(DampingParams::cisco()),
-                    "juniper" => Some(DampingParams::juniper()),
-                    "ripe229" => Some(DampingParams::ripe229_aggressive()),
-                    other => {
-                        return Err(CliError(format!(
-                            "unknown damping preset `{other}` (off|cisco|juniper|ripe229)"
-                        )))
-                    }
-                }
-            }
-            "--filter" => {
-                opts.filter = match value("--filter")?.as_str() {
-                    "plain" => PenaltyFilter::Plain,
-                    "rcn" => PenaltyFilter::Rcn,
-                    "selective" => PenaltyFilter::Selective,
-                    other => {
-                        return Err(CliError(format!(
-                            "unknown filter `{other}` (plain|rcn|selective)"
-                        )))
-                    }
-                }
-            }
-            "--policy" => {
-                opts.no_valley = match value("--policy")?.as_str() {
-                    "shortest" => false,
-                    "novalley" => true,
-                    other => {
-                        return Err(CliError(format!(
-                            "unknown policy `{other}` (shortest|novalley)"
-                        )))
-                    }
-                }
-            }
-            "--trace" => opts.trace_out = Some(value("--trace")?),
-            "--sim-shards" => {
-                opts.sim_shards = value("--sim-shards")?
-                    .parse()
-                    .map_err(|_| CliError("--sim-shards needs an integer".into()))?;
-                if opts.sim_shards == 0 {
-                    return Err(CliError("--sim-shards must be at least 1".into()));
-                }
-            }
-            "--snapshot" => opts.snapshot = Some(PathBuf::from(value("--snapshot")?)),
-            "--checkpoint-every" => {
-                let secs: f64 = value("--checkpoint-every")?
-                    .parse()
-                    .map_err(|_| CliError("--checkpoint-every needs seconds".into()))?;
-                if !(secs.is_finite() && secs > 0.0) {
-                    return Err(CliError("--checkpoint-every must be positive".into()));
-                }
-                opts.checkpoint_every = Some(SimDuration::from_secs_f64(secs));
-            }
-            "--resume" => opts.resume = true,
-            "--chaos" => {
-                opts.chaos = ChaosPlan::parse(&value("--chaos")?)
-                    .map_err(|e| CliError(format!("--chaos: {e}")))?
-            }
-            "--obs" => opts.obs = Some(None),
-            "--states" => opts.states = true,
-            "--wrate" => opts.protocol.withdrawal_pacing = true,
-            "--no-loop-avoidance" => opts.protocol.sender_side_loop_avoidance = false,
-            "--reuse-granularity" => {
-                let secs: f64 = value("--reuse-granularity")?
-                    .parse()
-                    .map_err(|_| CliError("--reuse-granularity needs seconds".into()))?;
-                if !(secs.is_finite() && secs > 0.0) {
-                    return Err(CliError("--reuse-granularity must be positive".into()));
-                }
-                opts.protocol.reuse_granularity = Some(SimDuration::from_secs_f64(secs));
-            }
-            other => match other.strip_prefix("--obs=") {
-                Some(path) => opts.obs = Some(Some(PathBuf::from(path))),
-                None => return Err(CliError(format!("unknown flag `{other}`"))),
-            },
-        }
-    }
+    run_options(&args::parse(&RUN, args)?)
+}
+
+/// Reads the [`RUN`] flags of any table that embeds them.
+fn run_options(p: &Parsed<'_>) -> Result<RunOptions, CliError> {
+    let [cisco, juniper, ripe229] = presets().map(|(name, params)| (name, Some(params)));
+    let filters = [
+        ("plain", PenaltyFilter::Plain),
+        ("rcn", PenaltyFilter::Rcn),
+        ("selective", PenaltyFilter::Selective),
+    ];
+    let opts = RunOptions {
+        topology: match p.get("--topology") {
+            Some(spec) => TopologySpec::parse(spec)?,
+            None => TopologySpec::Mesh(10, 10),
+        },
+        isp: p.parse("--isp")?,
+        pulses: p.parse("--pulses")?.unwrap_or(1),
+        interval: p
+            .positive_secs("--interval")?
+            .unwrap_or(SimDuration::from_secs(60)),
+        seed: p.parse("--seed")?.unwrap_or(1),
+        damping: p
+            .one_of("--damping", &[("off", None), cisco, juniper, ripe229])?
+            .unwrap_or(cisco.1),
+        filter: p
+            .one_of("--filter", &filters)?
+            .unwrap_or(PenaltyFilter::Plain),
+        no_valley: p.one_of("--policy", &[("shortest", false), ("novalley", true)])? == Some(true),
+        trace_out: p.get("--trace").map(str::to_owned),
+        states: p.has("--states"),
+        protocol: ProtocolOptions {
+            withdrawal_pacing: p.has("--wrate"),
+            sender_side_loop_avoidance: !p.has("--no-loop-avoidance"),
+            reuse_granularity: p.positive_secs("--reuse-granularity")?,
+        },
+        obs: obs(p),
+        sim_shards: sim_shards(p)?,
+        snapshot: p.get("--snapshot").map(PathBuf::from),
+        checkpoint_every: p.positive_secs("--checkpoint-every")?,
+        resume: p.has("--resume"),
+        chaos: chaos(p)?,
+    };
     if opts.filter != PenaltyFilter::Plain && opts.damping.is_none() {
         return Err(CliError(
             "--filter rcn|selective requires damping to be enabled".into(),
@@ -312,60 +238,26 @@ pub struct ExplainCommand {
     pub json: bool,
 }
 
-/// Parses the arguments of `rfd explain`: `--peer N`, `--prefix N`,
-/// `--node N`, `--json`, plus every `rfd run` flag (the replayed run
-/// must be describable exactly).
-///
-/// # Errors
-///
-/// Returns [`CliError`] on unknown flags, missing values, or malformed
-/// values.
+/// The flags of `rfd explain`: the audited key plus every [`RUN`] flag
+/// (the replayed run must be describable exactly).
+#[rustfmt::skip]
+pub const EXPLAIN: Table = Table { command: "rfd explain", base: Some(&RUN), flags: &[
+    Flag::value("--peer", "N", "peer whose entry to audit (default: origin AS)"),
+    Flag::value("--prefix", "N", "prefix id to audit (default 0)"),
+    Flag::value("--node", "N", "only this observing router's records"),
+    Flag::switch("--json", "machine-readable JSON instead of the timeline"),
+] };
+
+/// Parses the arguments of `rfd explain` against [`EXPLAIN`]; the
+/// [`CliError`] names the offending flag.
 pub fn parse_explain_command(args: &[String]) -> Result<ExplainCommand, CliError> {
-    let mut peer = None;
-    let mut prefix = 0u32;
-    let mut node = None;
-    let mut json = false;
-    let mut run_args: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| CliError(format!("{name} needs a value")))
-        };
-        match flag.as_str() {
-            "--peer" => {
-                peer = Some(
-                    value("--peer")?
-                        .parse()
-                        .map_err(|_| CliError("--peer needs a node index".into()))?,
-                );
-            }
-            "--prefix" => {
-                prefix = value("--prefix")?
-                    .parse()
-                    .map_err(|_| CliError("--prefix needs a prefix id".into()))?;
-            }
-            "--node" => {
-                node = Some(
-                    value("--node")?
-                        .parse()
-                        .map_err(|_| CliError("--node needs a node index".into()))?,
-                );
-            }
-            "--json" => json = true,
-            // Everything else (flags and their values alike) belongs to
-            // the embedded run description.
-            other => run_args.push(other.to_owned()),
-        }
-    }
-    let run = parse_run_options(&run_args)?;
+    let p = args::parse(&EXPLAIN, args)?;
     Ok(ExplainCommand {
-        run,
-        peer,
-        prefix,
-        node,
-        json,
+        run: run_options(&p)?,
+        peer: p.parse("--peer")?,
+        prefix: p.parse("--prefix")?.unwrap_or(0),
+        node: p.parse("--node")?,
+        json: p.has("--json"),
     })
 }
 
@@ -420,123 +312,63 @@ fn sweep_topology(spec: &TopologySpec) -> Result<TopologyKind, CliError> {
     }
 }
 
-/// Parses the arguments of `rfd sweep`: `--figure`, `--threads N`,
-/// `--sim-shards N`, `--topology torus:RxC|ba:N`, `--resume`,
-/// `--resume-force`, `--retries N`, `--cell-budget SECS`,
-/// `--max-pulses N`, `--seeds A,B,C`, `--quick`, `--no-journal`,
-/// `--full-traces`, `--warm-fork`, `--obs[=PATH]`, plus the hidden
-/// fault-injection knob `--chaos SPEC` (see [`ChaosPlan::parse`]).
-///
-/// # Errors
-///
-/// Returns [`CliError`] on unknown flags, missing values, or malformed
-/// values.
+/// The flags of `rfd sweep`: the grid's axes plus the [`EXEC`] flags
+/// every experiment binary takes.
+#[rustfmt::skip]
+pub const SWEEP: Table = Table { command: "rfd sweep", base: Some(&EXEC), flags: &[
+    Flag::value("--figure", "fig8-9|fig13-14|fig15", "grid to run (default fig8-9)"),
+    Flag::value("--max-pulses", "N", "largest pulse count (default 10)"),
+    Flag::value("--seeds", "A,B,C", "seeds averaged per point (default 1,2,3)"),
+    Flag::switch("--no-journal", "do not journal cells under results/"),
+    Flag::value("--topology", "torus:RxC|ba:N", "run every series on this topology"),
+    Flag::switch("--warm-fork", "fork damping variants from one warm donor"),
+    Flag::value("--ledger", "PEER[:PREFIX]", "audit this damping entry in every cell").repeatable(),
+] };
+
+/// Parses the arguments of `rfd sweep` against [`SWEEP`]; the
+/// [`CliError`] names the offending flag.
 pub fn parse_sweep_command(args: &[String]) -> Result<SweepCommand, CliError> {
-    let mut cmd = SweepCommand {
-        figure: SweepFigure::Fig8_9,
-        opts: SweepOptions {
-            journal_dir: Some(PathBuf::from("results")),
-            ..SweepOptions::default()
-        },
-        quick: false,
-        obs: None,
+    let p = args::parse(&SWEEP, args)?;
+    let exec = exec_flags(&p)?;
+    let figure = p.one_of(
+        "--figure",
+        &[
+            ("fig8-9", SweepFigure::Fig8_9),
+            ("fig13-14", SweepFigure::Fig13_14),
+            ("fig15", SweepFigure::Fig15),
+        ],
+    )?;
+    let seeds = match p.get("--seeds") {
+        Some(list) => list
+            .split(',')
+            .map(|s| {
+                s.trim()
+                    .parse()
+                    .map_err(|_| CliError(format!("bad seed `{s}` in --seeds")))
+            })
+            .collect::<Result<Vec<u64>, _>>()?,
+        None => exec.opts.seeds,
     };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| CliError(format!("{name} needs a value")))
-        };
-        match flag.as_str() {
-            "--figure" => {
-                cmd.figure = match value("--figure")?.as_str() {
-                    "fig8-9" => SweepFigure::Fig8_9,
-                    "fig13-14" => SweepFigure::Fig13_14,
-                    "fig15" => SweepFigure::Fig15,
-                    other => {
-                        return Err(CliError(format!(
-                            "unknown figure `{other}` (fig8-9|fig13-14|fig15)"
-                        )))
-                    }
-                }
-            }
-            "--threads" => {
-                cmd.opts.threads = value("--threads")?
-                    .parse()
-                    .map_err(|_| CliError("--threads needs an integer".into()))?
-            }
-            "--sim-shards" => {
-                cmd.opts.sim_shards = value("--sim-shards")?
-                    .parse()
-                    .map_err(|_| CliError("--sim-shards needs an integer".into()))?;
-                if cmd.opts.sim_shards == 0 {
-                    return Err(CliError("--sim-shards must be at least 1".into()));
-                }
-            }
-            "--topology" => {
-                cmd.opts.topology = Some(sweep_topology(&TopologySpec::parse(&value(
-                    "--topology",
-                )?)?)?)
-            }
-            "--resume" => cmd.opts.resume = true,
-            "--resume-force" => {
-                cmd.opts.resume = true;
-                cmd.opts.resume_force = true;
-            }
-            "--retries" => {
-                cmd.opts.retries = value("--retries")?
-                    .parse()
-                    .map_err(|_| CliError("--retries needs an integer".into()))?
-            }
-            "--cell-budget" => {
-                let secs: f64 = value("--cell-budget")?
-                    .parse()
-                    .map_err(|_| CliError("--cell-budget needs seconds".into()))?;
-                cmd.opts.cell_budget = Some(Duration::from_secs_f64(secs));
-            }
-            "--chaos" => {
-                cmd.opts.chaos = ChaosPlan::parse(&value("--chaos")?)
-                    .map_err(|e| CliError(format!("--chaos: {e}")))?
-            }
-            "--max-pulses" => {
-                cmd.opts.max_pulses = value("--max-pulses")?
-                    .parse()
-                    .map_err(|_| CliError("--max-pulses needs an integer".into()))?
-            }
-            "--seeds" => {
-                cmd.opts.seeds = value("--seeds")?
-                    .split(',')
-                    .map(|s| {
-                        s.trim()
-                            .parse()
-                            .map_err(|_| CliError(format!("bad seed `{s}` in --seeds")))
-                    })
-                    .collect::<Result<Vec<u64>, _>>()?;
-                if cmd.opts.seeds.is_empty() {
-                    return Err(CliError("--seeds needs at least one seed".into()));
-                }
-            }
-            "--quick" => {
-                cmd.quick = true;
-                cmd.opts.max_pulses = cmd.opts.max_pulses.min(5);
-                cmd.opts.seeds.truncate(1);
-            }
-            "--no-journal" => cmd.opts.journal_dir = None,
-            "--full-traces" => cmd.opts.full_traces = true,
-            "--warm-fork" => cmd.opts.warm_fork = true,
-            "--ledger" => {
-                let spec = value("--ledger")?;
-                cmd.opts.ledger_keys.push(parse_ledger_key(&spec)?);
-            }
-            "--obs" => cmd.obs = Some(None),
-            other => match other.strip_prefix("--obs=") {
-                Some(path) => cmd.obs = Some(Some(PathBuf::from(path))),
-                None => return Err(CliError(format!("unknown flag `{other}`"))),
-            },
-        }
-    }
-    Ok(cmd)
+    Ok(SweepCommand {
+        figure: figure.unwrap_or(SweepFigure::Fig8_9),
+        quick: exec.quick,
+        obs: exec.obs,
+        opts: SweepOptions {
+            max_pulses: p.parse("--max-pulses")?.unwrap_or(exec.opts.max_pulses),
+            seeds,
+            journal_dir: (!p.has("--no-journal")).then(|| PathBuf::from("results")),
+            topology: p
+                .get("--topology")
+                .map(|spec| sweep_topology(&TopologySpec::parse(spec)?))
+                .transpose()?,
+            warm_fork: p.has("--warm-fork"),
+            ledger_keys: p
+                .all("--ledger")
+                .map(parse_ledger_key)
+                .collect::<Result<_, _>>()?,
+            ..exec.opts
+        },
+    })
 }
 
 /// Output format of the `rfd firehose` report.
@@ -563,147 +395,76 @@ pub struct FirehoseCommand {
     pub prom: Option<PathBuf>,
 }
 
-/// Parses the arguments of `rfd firehose`: `--peers N`, `--prefixes N`,
-/// `--rate UPDATES_PER_SIM_SEC`, `--duration SIM_SECS`,
-/// `--workload poisson|flap-storm`, `--seed N`, `--shards N`,
-/// `--params cisco|juniper|ripe229`, `--queue-capacity N`,
-/// `--reuse-tick SIM_SECS`, `--evict-every TICKS`,
-/// `--decay exact|bucketed`, `--heartbeat SECS`, `--format csv|json`,
-/// `--telemetry FILE`, `--telemetry-interval SECS`, `--prom FILE`,
-/// plus the hidden fault-injection knob `--chaos SPEC` with shard keys
-/// `shard0`, `shard1`, … (see [`ChaosPlan::parse`]).
-///
-/// # Errors
-///
-/// Returns [`CliError`] on unknown flags, missing values, malformed
-/// values, or a config that fails engine validation.
+/// The flags of `rfd firehose`; `--chaos` shard keys are `shard0`,
+/// `shard1`, ….
+#[rustfmt::skip]
+pub const FIREHOSE: Table = Table { command: "rfd firehose", base: None, flags: &[
+    Flag::value("--peers", "N", "peers in the key space (default 16)"),
+    Flag::value("--prefixes", "N", "prefixes per peer (default 1024)"),
+    Flag::value("--rate", "R", "updates per simulated second (default 200)"),
+    Flag::value("--duration", "SIM_SECS", "simulated seconds to stream (default 3600)"),
+    Flag::value("--workload", "poisson|flap-storm", "update mix (default flap-storm)"),
+    Flag::value("--seed", "N", "workload seed (default 1)"),
+    Flag::value("--shards", "N", "damping shards (default 1)"),
+    Flag::value("--params", "cisco|juniper|ripe229", "damping preset (default cisco)"),
+    Flag::value("--queue-capacity", "N", "per-shard ingest queue bound"),
+    Flag::value("--reuse-tick", "SIM_SECS", "reuse-list tick (default 10)"),
+    Flag::value("--evict-every", "TICKS", "sweep decayed entries every TICKS (default 30)"),
+    Flag::value("--decay", "exact|bucketed", "penalty decay arithmetic (default exact)"),
+    Flag::value("--heartbeat", "SECS", "stall-monitor period on stderr"),
+    Flag::value("--format", "csv|json", "report format on stdout (default csv)"),
+    Flag::value("--telemetry", "FILE", "write per-shard telemetry snapshots (JSONL)"),
+    Flag::value("--telemetry-interval", "SECS", "wall-clock sampling period (default 1)"),
+    Flag::value("--prom", "FILE", "write the final Prometheus exposition"),
+    CHAOS,
+] };
+
+/// Parses the arguments of `rfd firehose` against [`FIREHOSE`]; the
+/// [`CliError`] names the offending flag, or is the engine's own
+/// refusal of the resulting config.
 pub fn parse_firehose_command(args: &[String]) -> Result<FirehoseCommand, CliError> {
     use rfd_firehose::{FirehoseConfig, WorkloadKind, WorkloadSpec};
-    let mut cmd = FirehoseCommand {
-        config: FirehoseConfig::new(WorkloadSpec {
-            peers: 16,
-            prefixes: 1024,
-            rate: 200.0,
-            duration: SimDuration::from_secs(3600),
-            kind: WorkloadKind::FlapStorm,
-            seed: 1,
-        }),
-        format: ReportFormat::Csv,
-        telemetry: None,
-        telemetry_interval: Duration::from_secs(1),
-        prom: None,
-    };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| CliError(format!("{name} needs a value")))
-        };
-        let int = |name: &str, s: String| {
-            s.parse::<u64>()
-                .map_err(|_| CliError(format!("{name} needs an integer, got `{s}`")))
-        };
-        match flag.as_str() {
-            "--peers" => cmd.config.spec.peers = int("--peers", value("--peers")?)? as u32,
-            "--prefixes" => {
-                cmd.config.spec.prefixes = int("--prefixes", value("--prefixes")?)? as u32
-            }
-            "--rate" => {
-                cmd.config.spec.rate = value("--rate")?
-                    .parse()
-                    .map_err(|_| CliError("--rate needs updates per simulated second".into()))?
-            }
-            "--duration" => {
-                let secs: f64 = value("--duration")?
-                    .parse()
-                    .map_err(|_| CliError("--duration needs simulated seconds".into()))?;
-                if !(secs.is_finite() && secs > 0.0) {
-                    return Err(CliError("--duration must be positive".into()));
-                }
-                cmd.config.spec.duration = SimDuration::from_secs_f64(secs);
-            }
-            "--workload" => {
-                cmd.config.spec.kind =
-                    rfd_firehose::WorkloadKind::parse(&value("--workload")?).map_err(CliError)?
-            }
-            "--seed" => cmd.config.spec.seed = int("--seed", value("--seed")?)?,
-            "--shards" => cmd.config.shards = int("--shards", value("--shards")?)? as usize,
-            "--params" => {
-                cmd.config.params = match value("--params")?.as_str() {
-                    "cisco" => DampingParams::cisco(),
-                    "juniper" => DampingParams::juniper(),
-                    "ripe229" => DampingParams::ripe229_aggressive(),
-                    other => {
-                        return Err(CliError(format!(
-                            "unknown damping preset `{other}` (cisco|juniper|ripe229)"
-                        )))
-                    }
-                }
-            }
-            "--queue-capacity" => {
-                cmd.config.queue_capacity =
-                    int("--queue-capacity", value("--queue-capacity")?)? as usize
-            }
-            "--reuse-tick" => {
-                let secs: f64 = value("--reuse-tick")?
-                    .parse()
-                    .map_err(|_| CliError("--reuse-tick needs simulated seconds".into()))?;
-                if !(secs.is_finite() && secs > 0.0) {
-                    return Err(CliError("--reuse-tick must be positive".into()));
-                }
-                cmd.config.reuse_tick = SimDuration::from_secs_f64(secs);
-            }
-            "--evict-every" => {
-                cmd.config.evict_every = int("--evict-every", value("--evict-every")?)?
-            }
-            "--decay" => {
-                cmd.config.decay = match value("--decay")?.as_str() {
-                    "exact" => rfd_core::DecayMode::Exact,
-                    "bucketed" => rfd_core::DecayMode::Bucketed,
-                    other => {
-                        return Err(CliError(format!(
-                            "unknown decay mode `{other}` (exact|bucketed)"
-                        )))
-                    }
-                }
-            }
-            "--heartbeat" => {
-                let secs: f64 = value("--heartbeat")?
-                    .parse()
-                    .map_err(|_| CliError("--heartbeat needs seconds".into()))?;
-                if !(secs.is_finite() && secs > 0.0) {
-                    return Err(CliError("--heartbeat must be positive".into()));
-                }
-                cmd.config.heartbeat = Some(Duration::from_secs_f64(secs));
-            }
-            "--chaos" => {
-                cmd.config.chaos = ChaosPlan::parse(&value("--chaos")?)
-                    .map_err(|e| CliError(format!("--chaos: {e}")))?
-            }
-            "--format" => {
-                cmd.format = match value("--format")?.as_str() {
-                    "csv" => ReportFormat::Csv,
-                    "json" => ReportFormat::Json,
-                    other => return Err(CliError(format!("unknown format `{other}` (csv|json)"))),
-                }
-            }
-            "--telemetry" => cmd.telemetry = Some(PathBuf::from(value("--telemetry")?)),
-            "--telemetry-interval" => {
-                let secs: f64 = value("--telemetry-interval")?
-                    .parse()
-                    .map_err(|_| CliError("--telemetry-interval needs seconds".into()))?;
-                if !(secs.is_finite() && secs > 0.0) {
-                    return Err(CliError("--telemetry-interval must be positive".into()));
-                }
-                cmd.telemetry_interval = Duration::from_secs_f64(secs);
-            }
-            "--prom" => cmd.prom = Some(PathBuf::from(value("--prom")?)),
-            other => return Err(CliError(format!("unknown flag `{other}`"))),
-        }
-    }
-    cmd.config.validate().map_err(CliError)?;
-    Ok(cmd)
+    let p = args::parse(&FIREHOSE, args)?;
+    let mut config = FirehoseConfig::new(WorkloadSpec {
+        peers: p.parse("--peers")?.unwrap_or(16),
+        prefixes: p.parse("--prefixes")?.unwrap_or(1024),
+        rate: p.parse("--rate")?.unwrap_or(200.0),
+        duration: p
+            .positive_secs("--duration")?
+            .unwrap_or(SimDuration::from_secs(3600)),
+        kind: match p.get("--workload") {
+            Some(name) => WorkloadKind::parse(name).map_err(CliError)?,
+            None => WorkloadKind::FlapStorm,
+        },
+        seed: p.parse("--seed")?.unwrap_or(1),
+    });
+    config.shards = p.parse("--shards")?.unwrap_or(config.shards);
+    config.params = p.one_of("--params", &presets())?.unwrap_or(config.params);
+    config.queue_capacity = p
+        .parse("--queue-capacity")?
+        .unwrap_or(config.queue_capacity);
+    config.reuse_tick = p
+        .positive_secs("--reuse-tick")?
+        .unwrap_or(config.reuse_tick);
+    config.evict_every = p.parse("--evict-every")?.unwrap_or(config.evict_every);
+    let decay = [
+        ("exact", rfd_core::DecayMode::Exact),
+        ("bucketed", rfd_core::DecayMode::Bucketed),
+    ];
+    config.decay = p.one_of("--decay", &decay)?.unwrap_or(config.decay);
+    config.heartbeat = p.positive_secs("--heartbeat")?.map(wall_clock);
+    config.chaos = chaos(&p)?;
+    config.validate().map_err(CliError)?;
+    let format = [("csv", ReportFormat::Csv), ("json", ReportFormat::Json)];
+    Ok(FirehoseCommand {
+        config,
+        format: p.one_of("--format", &format)?.unwrap_or(ReportFormat::Csv),
+        telemetry: p.get("--telemetry").map(PathBuf::from),
+        telemetry_interval: p
+            .positive_secs("--telemetry-interval")?
+            .map_or(Duration::from_secs(1), wall_clock),
+        prom: p.get("--prom").map(PathBuf::from),
+    })
 }
 
 /// A parsed `rfd snapshot` invocation.
@@ -732,50 +493,84 @@ pub enum SnapshotCommand {
     Inspect(PathBuf),
 }
 
-/// Parses the arguments of `rfd snapshot save|restore|inspect`.
-///
-/// # Errors
-///
-/// Returns [`CliError`] on a missing/unknown verb, missing
-/// `--out`/`--in` file, or any malformed run flag.
+/// The flags of `rfd snapshot save`.
+#[rustfmt::skip]
+pub const SNAPSHOT_SAVE: Table = Table { command: "rfd snapshot save", base: Some(&RUN), flags: &[
+    Flag::value("--out", "FILE", "where to write the warm snapshot").required(),
+] };
+
+/// The flags of `rfd snapshot restore`.
+#[rustfmt::skip]
+pub const SNAPSHOT_RESTORE: Table = Table { command: "rfd snapshot restore", base: Some(&RUN), flags: &[
+    Flag::value("--in", "FILE", "the snapshot to restore").required(),
+] };
+
+/// Parses the arguments of `rfd snapshot save|restore|inspect`; the
+/// [`CliError`] names the missing or unknown verb, or the offending flag.
 pub fn parse_snapshot_command(args: &[String]) -> Result<SnapshotCommand, CliError> {
-    let Some((verb, rest)) = args.split_first() else {
-        return Err(CliError(
-            "snapshot needs a verb: save|restore|inspect".into(),
-        ));
-    };
-    match verb.as_str() {
-        "save" | "restore" => {
-            let mut file = None;
-            let mut run_args: Vec<String> = Vec::new();
-            let file_flag = if verb == "save" { "--out" } else { "--in" };
-            let mut it = rest.iter();
-            while let Some(flag) = it.next() {
-                if flag == file_flag {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| CliError(format!("{file_flag} needs a file")))?;
-                    file = Some(PathBuf::from(v));
-                } else {
-                    run_args.push(flag.clone());
-                }
-            }
-            let file =
-                file.ok_or_else(|| CliError(format!("snapshot {verb} needs {file_flag} FILE")))?;
-            let run = parse_run_options(&run_args)?;
-            Ok(match verb.as_str() {
-                "save" => SnapshotCommand::Save { out: file, run },
-                _ => SnapshotCommand::Restore { input: file, run },
-            })
+    let no_verb = || CliError("snapshot needs a verb: save|restore|inspect".into());
+    let (verb, rest) = args.split_first().ok_or_else(no_verb)?;
+    let table = match (verb.as_str(), rest) {
+        ("save", _) => &SNAPSHOT_SAVE,
+        ("restore", _) => &SNAPSHOT_RESTORE,
+        ("inspect", [file]) => return Ok(SnapshotCommand::Inspect(PathBuf::from(file))),
+        ("inspect", _) => return Err(CliError("snapshot inspect needs exactly one FILE".into())),
+        (other, _) => {
+            let verbs = "(save|restore|inspect)";
+            return Err(CliError(format!("unknown snapshot verb `{other}` {verbs}")));
         }
-        "inspect" => match rest {
-            [file] => Ok(SnapshotCommand::Inspect(PathBuf::from(file))),
-            _ => Err(CliError("snapshot inspect needs exactly one FILE".into())),
-        },
-        other => Err(CliError(format!(
-            "unknown snapshot verb `{other}` (save|restore|inspect)"
-        ))),
-    }
+    };
+    let p = args::parse(table, rest)?;
+    let file = PathBuf::from(p.get(table.flags[0].name).expect("required by the table"));
+    let run = run_options(&p)?;
+    Ok(match verb.as_str() {
+        "save" => SnapshotCommand::Save { out: file, run },
+        _ => SnapshotCommand::Restore { input: file, run },
+    })
+}
+
+/// The flags of `rfd intended`.
+#[rustfmt::skip]
+pub const INTENDED: Table = Table { command: "rfd intended", base: None, flags: &[
+    Flag::value("--pulses", "N", "number of pulses (default 3)"),
+    Flag::value("--interval", "SECS", "gap between flap events (default 60)"),
+    Flag::value("--params", "cisco|juniper", "damping preset (default cisco)"),
+] };
+
+/// Parses the arguments of `rfd intended` against [`INTENDED`] into
+/// (pulses, interval, preset); the [`CliError`] names the offending flag.
+pub fn parse_intended_command(
+    args: &[String],
+) -> Result<(usize, SimDuration, DampingParams), CliError> {
+    let p = args::parse(&INTENDED, args)?;
+    let [cisco, juniper, _] = presets();
+    Ok((
+        p.parse("--pulses")?.unwrap_or(3),
+        p.positive_secs("--interval")?
+            .unwrap_or(SimDuration::from_secs(60)),
+        p.one_of("--params", &[cisco, juniper])?.unwrap_or(cisco.1),
+    ))
+}
+
+/// The flags of `rfd topology`.
+#[rustfmt::skip]
+pub const TOPOLOGY: Table = Table { command: "rfd topology", base: None, flags: &[
+    Flag::value("--kind", "KIND:SIZE", "the graph to generate").required(),
+    Flag::value("--seed", "N", "seed for internet/ba graphs (default 1)"),
+    Flag::value("--out", "FILE", "write the edge list to FILE, not stdout"),
+] };
+
+/// Parses the arguments of `rfd topology` against [`TOPOLOGY`] into
+/// (graph, seed, output file); the [`CliError`] names the offending flag.
+pub fn parse_topology_command(
+    args: &[String],
+) -> Result<(TopologySpec, u64, Option<String>), CliError> {
+    let p = args::parse(&TOPOLOGY, args)?;
+    Ok((
+        TopologySpec::parse(p.get("--kind").expect("required by the table"))?,
+        p.parse("--seed")?.unwrap_or(1),
+        p.get("--out").map(str::to_owned),
+    ))
 }
 
 /// Builds the [`NetworkConfig`] for parsed run options against a built
@@ -799,41 +594,33 @@ pub fn network_config(opts: &RunOptions, graph: &Graph) -> NetworkConfig {
     }
 }
 
-/// The top-level usage string.
-pub const USAGE: &str = "\
-rfd — route flap damping simulator (reproduction of ICDCS 2005)
+const fn flagless(command: &'static str) -> Table {
+    Table {
+        command,
+        base: None,
+        flags: &[],
+    }
+}
 
-USAGE:
-  rfd run [--topology KIND:SIZE] [--isp N] [--pulses N] [--interval SECS]
-          [--seed N] [--damping off|cisco|juniper|ripe229]
-          [--filter plain|rcn|selective] [--policy shortest|novalley]
-          [--trace FILE] [--states] [--wrate] [--no-loop-avoidance]
-          [--reuse-granularity SECS] [--sim-shards N] [--obs[=PATH]]
-          [--snapshot FILE [--checkpoint-every SECS] [--resume]]
-  rfd explain [--peer N] [--prefix N] [--node N] [--json]
-              [any `rfd run` flag: --topology, --pulses, --seed, ...]
-  rfd snapshot save --out FILE [any `rfd run` flag]
-  rfd snapshot restore --in FILE [any `rfd run` flag]
-  rfd snapshot inspect FILE
-  rfd sweep [--figure fig8-9|fig13-14|fig15] [--threads N] [--resume]
-            [--resume-force] [--retries N] [--cell-budget SECS]
-            [--max-pulses N] [--seeds A,B,C] [--quick] [--no-journal]
-            [--topology torus:RxC|ba:N] [--sim-shards N] [--warm-fork]
-            [--full-traces] [--ledger PEER[:PREFIX]]... [--obs[=PATH]]
-  rfd firehose [--peers N] [--prefixes N] [--rate R] [--duration SIM_SECS]
-               [--workload poisson|flap-storm] [--seed N] [--shards N]
-               [--params cisco|juniper|ripe229] [--queue-capacity N]
-               [--reuse-tick SIM_SECS] [--evict-every TICKS]
-               [--decay exact|bucketed] [--heartbeat SECS]
-               [--format csv|json] [--telemetry FILE]
-               [--telemetry-interval SECS] [--prom FILE]
-  rfd intended [--pulses N] [--interval SECS] [--params cisco|juniper]
-  rfd topology --kind KIND:SIZE [--seed N] [--out FILE]
-  rfd trace-stats FILE
-  rfd obs-report FILE
-  rfd table1
-  rfd help
+/// Every command line this workspace accepts, in `rfd help` order.
+#[rustfmt::skip]
+pub const TABLES: [&Table; 14] = [
+    &RUN, &EXPLAIN, &SNAPSHOT_SAVE, &SNAPSHOT_RESTORE, &flagless("rfd snapshot inspect FILE"),
+    &SWEEP, &FIREHOSE, &INTENDED, &TOPOLOGY, &flagless("rfd trace-stats FILE"),
+    &flagless("rfd obs-report FILE"), &flagless("rfd table1"), &flagless("rfd help"), &EXEC,
+];
 
+/// The top-level usage text: [`TABLES`] rendered, then the notes.
+pub fn usage() -> String {
+    format!(
+        "rfd — route flap damping simulator (reproduction of ICDCS 2005)\n\nUSAGE:\n{}\n{NOTES}",
+        render_usage(&TABLES)
+    )
+}
+
+const NOTES: &str = "\
+EXPERIMENT BINARIES (package rfd-experiments): table1 fig3 fig4 fig7 fig8
+  fig9 fig10 fig13 fig14 fig15 extensions knobs link_failure sweeps run_all
 TOPOLOGIES: mesh:10x10 (alias torus:10x10), internet:100 (alias ba:100),
   ring:8, line:5, clique:6
 SHARDING: --sim-shards N partitions the routers into N conservative
@@ -862,32 +649,127 @@ mod tests {
         s.split_whitespace().map(str::to_owned).collect()
     }
 
+    /// Asserts that `parse` refuses every `|`-separated command line.
+    fn all_rejected<T>(parse: fn(&[String]) -> Result<T, CliError>, lines: &str) {
+        for line in lines.split('|') {
+            assert!(parse(&args(line)).is_err(), "`{line}` must be rejected");
+        }
+    }
+
+    /// Every flag of every table: shown in `rfd help` unless hidden
+    /// (and nothing else is), accepted as `--flag value` and as
+    /// `--flag=value`, and named by its own missing-value error.
+    #[test]
+    fn every_flag_of_every_table_renders_and_parses_in_both_spellings() {
+        use rfd_experiments::args::Takes;
+        let help = usage();
+        for (table, flag) in TABLES
+            .iter()
+            .flat_map(|t| t.all_flags().map(move |f| (t, f)))
+        {
+            let name = flag.name;
+            let rows = table.all_flags().filter(|f| f.name == name).count();
+            assert_eq!(rows, 1, "{name} in `{}`", table.command);
+            let shown = help.lines().any(|l| l.trim_start().starts_with(name));
+            assert_eq!(shown, !flag.hidden, "{name} in the rendered usage");
+            // Each line also carries the table's other required flags.
+            let got = |tokens: &[&str]| {
+                let needed = table.all_flags().filter(|f| f.required && f.name != name);
+                let needed = needed.map(|f| format!("{}=v", f.name));
+                let line: Vec<String> =
+                    needed.chain(tokens.iter().map(|t| t.to_string())).collect();
+                args::parse(table, &line).map(|p| p.get(name).map(str::to_owned))
+            };
+            let v = Ok(Some("v".to_owned()));
+            let joined = got(&[&format!("{name}=v")]);
+            match flag.takes {
+                Takes::Value(_) => {
+                    assert_eq!((got(&[name, "v"]), joined), (v.clone(), v));
+                    let missing = CliError(format!("{name} needs a value"));
+                    assert_eq!(got(&[name]), Err(missing));
+                }
+                Takes::OptionalEq(_) => assert_eq!((got(&[name]), joined), (Ok(None), v)),
+                Takes::Nothing => {
+                    assert_eq!(got(&[name]), Ok(None));
+                    assert!(joined.unwrap_err().0.starts_with(name));
+                }
+            }
+        }
+        assert_eq!(help.lines().find(|l| l.chars().count() > 80), None);
+        let declared = |w: &str| TABLES.iter().any(|t| t.all_flags().any(|f| f.name == w));
+        for word in help.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')) {
+            let flag_like = word.starts_with("--");
+            assert!(
+                !flag_like || declared(word),
+                "`rfd help` shows undeclared {word}"
+            );
+        }
+    }
+
+    /// ISSUE 14's hostile seconds: every seconds-valued flag refuses
+    /// them by name (three of these lines panicked before).
+    #[test]
+    fn seconds_valued_flags_refuse_unrepresentable_values() {
+        for secs in ["-1", "0", "1e300", "NaN", "inf", "1e-9"] {
+            let refused = |result: Result<(), CliError>, flag: &str| {
+                let err = result.unwrap_err().0;
+                assert!(err.contains(flag) && err.contains(secs), "{err}");
+            };
+            for flag in ["--interval", "--checkpoint-every", "--reuse-granularity"] {
+                let line = args(&format!("--snapshot s {flag} {secs}"));
+                refused(parse_run_options(&line).map(drop), flag);
+            }
+            for flag in [
+                "--duration",
+                "--reuse-tick",
+                "--heartbeat",
+                "--telemetry-interval",
+            ] {
+                let line = args(&format!("{flag} {secs}"));
+                refused(parse_firehose_command(&line).map(drop), flag);
+            }
+            let line = args(&format!("--cell-budget {secs}"));
+            refused(parse_sweep_command(&line).map(drop), "--cell-budget");
+            let line = args(&format!("--interval {secs}"));
+            refused(parse_intended_command(&line).map(drop), "--interval");
+        }
+    }
+
+    #[test]
+    fn intended_and_topology_commands_parse() {
+        let cmd = parse_intended_command(&args("--pulses 5 --interval 30 --params juniper"));
+        let thirty = SimDuration::from_secs(30);
+        assert_eq!(cmd, Ok((5, thirty, DampingParams::juniper())));
+        assert_eq!(parse_intended_command(&[]).unwrap().0, 3);
+        all_rejected(
+            parse_intended_command,
+            "--params ripe229 | --pulses x | --bogus",
+        );
+
+        let cmd = parse_topology_command(&args("--kind ring:6 --seed 4 --out g.txt"));
+        assert_eq!(cmd, Ok((TopologySpec::Ring(6), 4, Some("g.txt".into()))));
+        all_rejected(parse_topology_command, " | --kind blob:3 | --seed 1");
+    }
+
     #[test]
     fn topology_specs_parse() {
-        assert_eq!(
-            TopologySpec::parse("mesh:10x10"),
-            Ok(TopologySpec::Mesh(10, 10))
-        );
-        assert_eq!(
-            TopologySpec::parse("internet:208"),
-            Ok(TopologySpec::Internet(208))
-        );
-        assert_eq!(TopologySpec::parse("ring:8"), Ok(TopologySpec::Ring(8)));
-        assert!(TopologySpec::parse("mesh:10").is_err());
-        assert!(TopologySpec::parse("blob:3").is_err());
-        assert!(TopologySpec::parse("mesh").is_err());
+        for (spec, parsed) in [
+            ("mesh:10x10", TopologySpec::Mesh(10, 10)),
+            ("internet:208", TopologySpec::Internet(208)),
+            ("ring:8", TopologySpec::Ring(8)),
+        ] {
+            assert_eq!(TopologySpec::parse(spec), Ok(parsed));
+        }
+        for bad in ["mesh:10", "blob:3", "mesh"] {
+            assert!(TopologySpec::parse(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]
     fn topology_aliases_parse() {
-        assert_eq!(
-            TopologySpec::parse("torus:6x7"),
-            Ok(TopologySpec::Mesh(6, 7))
-        );
-        assert_eq!(
-            TopologySpec::parse("ba:2000"),
-            Ok(TopologySpec::Internet(2000))
-        );
+        let (torus, ba) = (TopologySpec::Mesh(6, 7), TopologySpec::Internet(2000));
+        assert_eq!(TopologySpec::parse("torus:6x7"), Ok(torus));
+        assert_eq!(TopologySpec::parse("ba:2000"), Ok(ba));
         assert!(TopologySpec::parse("torus:6").is_err());
     }
 
@@ -896,8 +778,7 @@ mod tests {
         let opts = parse_run_options(&args("--sim-shards 4")).unwrap();
         assert_eq!(opts.sim_shards, 4);
         assert_eq!(parse_run_options(&args("")).unwrap().sim_shards, 1);
-        assert!(parse_run_options(&args("--sim-shards 0")).is_err());
-        assert!(parse_run_options(&args("--sim-shards x")).is_err());
+        all_rejected(parse_run_options, "--sim-shards 0 | --sim-shards x");
 
         let cmd = parse_sweep_command(&args("--sim-shards 2")).unwrap();
         assert_eq!(cmd.opts.sim_shards, 2);
@@ -911,10 +792,9 @@ mod tests {
         assert_eq!(opts.snapshot, Some(PathBuf::from("s.snap")));
         assert_eq!(opts.checkpoint_every, Some(SimDuration::from_secs(30)));
         assert!(opts.resume);
-        assert!(parse_run_options(&args("--checkpoint-every 30")).is_err());
-        assert!(parse_run_options(&args("--resume")).is_err());
-        assert!(parse_run_options(&args("--snapshot s --checkpoint-every 0")).is_err());
-        assert!(parse_run_options(&args("--snapshot s --checkpoint-every x")).is_err());
+        let lines = "--checkpoint-every 30 | --resume | --snapshot s --checkpoint-every 0 \
+                     | --snapshot s --checkpoint-every x";
+        all_rejected(parse_run_options, lines);
     }
 
     #[test]
@@ -950,42 +830,28 @@ mod tests {
             SnapshotCommand::Inspect(p) => assert_eq!(p, PathBuf::from("warm.snap")),
             other => panic!("wrong verb: {other:?}"),
         }
-        assert!(parse_snapshot_command(&args("")).is_err());
-        assert!(parse_snapshot_command(&args("save")).is_err());
-        assert!(parse_snapshot_command(&args("restore --out x")).is_err());
-        assert!(parse_snapshot_command(&args("inspect a b")).is_err());
-        assert!(parse_snapshot_command(&args("explode x")).is_err());
-        assert!(parse_snapshot_command(&args("save --out f --bogus")).is_err());
+        all_rejected(
+            parse_snapshot_command,
+            " | save | restore --out x | inspect a b | explode x | save --out f --bogus",
+        );
     }
 
     #[test]
     fn warm_fork_flag_parses_on_sweep() {
-        assert!(
-            parse_sweep_command(&args("--warm-fork"))
-                .unwrap()
-                .opts
-                .warm_fork
-        );
-        assert!(!parse_sweep_command(&args("")).unwrap().opts.warm_fork);
+        let warm_fork = |line| parse_sweep_command(&args(line)).unwrap().opts.warm_fork;
+        assert!(warm_fork("--warm-fork") && !warm_fork(""));
     }
 
     #[test]
     fn sweep_topology_override_parses() {
-        let cmd = parse_sweep_command(&args("--topology torus:5x8")).unwrap();
-        assert_eq!(
-            cmd.opts.topology,
-            Some(TopologyKind::Mesh {
-                width: 5,
-                height: 8
-            })
-        );
-        let cmd = parse_sweep_command(&args("--topology ba:500")).unwrap();
-        assert_eq!(
-            cmd.opts.topology,
-            Some(TopologyKind::Internet { nodes: 500, m: 2 })
-        );
-        assert!(parse_sweep_command(&args("--topology ring:8")).is_err());
-        assert_eq!(parse_sweep_command(&args("")).unwrap().opts.topology, None);
+        let topology = |line| parse_sweep_command(&args(line)).map(|cmd| cmd.opts.topology);
+        let (width, height) = (5, 8);
+        let torus = TopologyKind::Mesh { width, height };
+        assert_eq!(topology("--topology torus:5x8").unwrap(), Some(torus));
+        let ba = TopologyKind::Internet { nodes: 500, m: 2 };
+        assert_eq!(topology("--topology ba:500").unwrap(), Some(ba));
+        assert!(topology("--topology ring:8").is_err());
+        assert_eq!(topology("").unwrap(), None);
     }
 
     #[test]
@@ -1013,11 +879,9 @@ mod tests {
 
     #[test]
     fn bad_flags_are_rejected() {
-        assert!(parse_run_options(&args("--bogus")).is_err());
-        assert!(parse_run_options(&args("--pulses")).is_err());
-        assert!(parse_run_options(&args("--pulses x")).is_err());
-        assert!(parse_run_options(&args("--interval -5")).is_err());
-        assert!(parse_run_options(&args("--damping never")).is_err());
+        let lines = "--bogus | --pulses | --pulses x | --interval -5 | --damping never \
+                     | --states=yes | stray";
+        all_rejected(parse_run_options, lines);
     }
 
     #[test]
@@ -1030,8 +894,10 @@ mod tests {
             opts.protocol.reuse_granularity,
             Some(SimDuration::from_secs(15))
         );
-        assert!(parse_run_options(&args("--reuse-granularity nope")).is_err());
-        assert!(parse_run_options(&args("--reuse-granularity -2")).is_err());
+        all_rejected(
+            parse_run_options,
+            "--reuse-granularity nope | --reuse-granularity -2",
+        );
     }
 
     #[test]
@@ -1059,10 +925,10 @@ mod tests {
 
     #[test]
     fn explain_command_rejects_bad_input() {
-        assert!(parse_explain_command(&args("--peer")).is_err());
-        assert!(parse_explain_command(&args("--peer x")).is_err());
-        assert!(parse_explain_command(&args("--bogus")).is_err());
-        assert!(parse_explain_command(&args("--pulses nope")).is_err());
+        all_rejected(
+            parse_explain_command,
+            "--peer | --peer x | --bogus | --pulses nope",
+        );
     }
 
     #[test]
@@ -1087,13 +953,6 @@ mod tests {
     }
 
     #[test]
-    fn sweep_command_parses_full_traces() {
-        assert!(!parse_sweep_command(&[]).unwrap().opts.full_traces);
-        let cmd = parse_sweep_command(&args("--quick --full-traces")).unwrap();
-        assert!(cmd.opts.full_traces);
-    }
-
-    #[test]
     fn sweep_command_parses_ledger_keys() {
         assert!(parse_sweep_command(&[])
             .unwrap()
@@ -1102,9 +961,7 @@ mod tests {
             .is_empty());
         let cmd = parse_sweep_command(&args("--ledger 4:1 --ledger 7")).unwrap();
         assert_eq!(cmd.opts.ledger_keys, vec![(4, 1), (7, 0)]);
-        assert!(parse_sweep_command(&args("--ledger")).is_err());
-        assert!(parse_sweep_command(&args("--ledger x:y")).is_err());
-        assert!(parse_sweep_command(&args("--ledger 4:")).is_err());
+        all_rejected(parse_sweep_command, "--ledger | --ledger x:y | --ledger 4:");
     }
 
     #[test]
@@ -1123,29 +980,21 @@ mod tests {
 
     #[test]
     fn obs_flag_parses_in_run_and_sweep() {
-        assert_eq!(parse_run_options(&[]).unwrap().obs, None);
-        assert_eq!(parse_run_options(&args("--obs")).unwrap().obs, Some(None));
-        assert_eq!(
-            parse_run_options(&args("--obs=/tmp/t.trace.json"))
-                .unwrap()
-                .obs,
-            Some(Some(PathBuf::from("/tmp/t.trace.json")))
-        );
-        let cmd = parse_sweep_command(&args("--quick --obs=x.json")).unwrap();
-        assert_eq!(cmd.obs, Some(Some(PathBuf::from("x.json"))));
-        assert_eq!(parse_sweep_command(&args("--obs")).unwrap().obs, Some(None));
+        let run = |line| parse_run_options(&args(line)).unwrap().obs;
+        let sweep = |line| parse_sweep_command(&args(line)).unwrap().obs;
+        let at = |path| Some(Some(PathBuf::from(path)));
+        assert_eq!(run(""), None);
+        assert_eq!(run("--obs"), Some(None));
+        assert_eq!(run("--obs=/tmp/t.trace.json"), at("/tmp/t.trace.json"));
+        assert_eq!(sweep("--quick --obs=x.json"), at("x.json"));
+        assert_eq!(sweep("--obs"), Some(None));
     }
 
     #[test]
     fn sweep_command_rejects_bad_input() {
-        assert!(parse_sweep_command(&args("--figure fig99")).is_err());
-        assert!(parse_sweep_command(&args("--threads many")).is_err());
-        assert!(parse_sweep_command(&args("--seeds 1,x")).is_err());
-        assert!(parse_sweep_command(&args("--seeds")).is_err());
-        assert!(parse_sweep_command(&args("--bogus")).is_err());
-        assert!(parse_sweep_command(&args("--retries many")).is_err());
-        assert!(parse_sweep_command(&args("--cell-budget soon")).is_err());
-        assert!(parse_sweep_command(&args("--chaos panic")).is_err());
+        let lines = "--figure fig99 | --threads many | --seeds 1,x | --seeds | --bogus \
+                     | --retries many | --cell-budget soon | --chaos panic | --full-traces";
+        all_rejected(parse_sweep_command, lines);
     }
 
     #[test]
@@ -1214,32 +1063,20 @@ mod tests {
         assert_eq!(cmd.telemetry_interval, Duration::from_millis(500));
         assert_eq!(cmd.prom, Some(PathBuf::from("metrics.prom")));
 
-        assert!(parse_firehose_command(&args("--telemetry")).is_err());
-        assert!(parse_firehose_command(&args("--telemetry-interval 0")).is_err());
-        assert!(parse_firehose_command(&args("--telemetry-interval nope")).is_err());
-        assert!(parse_firehose_command(&args("--prom")).is_err());
+        all_rejected(
+            parse_firehose_command,
+            "--telemetry | --telemetry-interval 0 | --telemetry-interval nope | --prom",
+        );
     }
 
     #[test]
     fn firehose_command_rejects_bad_input() {
-        assert!(parse_firehose_command(&args("--bogus")).is_err());
-        assert!(parse_firehose_command(&args("--peers")).is_err());
-        assert!(parse_firehose_command(&args("--peers many")).is_err());
-        assert!(
-            parse_firehose_command(&args("--peers 0")).is_err(),
-            "fails validation"
-        );
-        assert!(parse_firehose_command(&args("--workload tsunami")).is_err());
-        assert!(parse_firehose_command(&args("--duration -3")).is_err());
-        assert!(parse_firehose_command(&args("--shards 0")).is_err());
-        assert!(parse_firehose_command(&args("--params never")).is_err());
-        assert!(parse_firehose_command(&args("--format yaml")).is_err());
-        assert!(parse_firehose_command(&args("--chaos panic")).is_err());
-        assert!(parse_firehose_command(&args("--heartbeat 0")).is_err());
-        assert!(parse_firehose_command(&args("--reuse-tick 0")).is_err());
-        assert!(parse_firehose_command(&args("--reuse-tick soon")).is_err());
-        assert!(parse_firehose_command(&args("--evict-every 0")).is_err());
-        assert!(parse_firehose_command(&args("--decay fuzzy")).is_err());
+        // `--peers 0` parses and then fails engine validation.
+        let lines = "--bogus | --peers | --peers many | --peers 0 | --peers 4294967297 \
+                     | --workload tsunami | --duration -3 | --shards 0 | --params never \
+                     | --format yaml | --chaos panic | --heartbeat 0 | --reuse-tick 0 \
+                     | --reuse-tick soon | --evict-every 0 | --decay fuzzy";
+        all_rejected(parse_firehose_command, lines);
     }
 
     #[test]

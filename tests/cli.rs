@@ -85,8 +85,25 @@ fn run_and_trace_stats_round_trip() {
 
 #[test]
 fn run_rejects_bad_flags() {
-    let out = rfd().args(["run", "--pulses", "banana"]).output().unwrap();
-    assert!(!out.status.success());
+    // A command line the flag tables refuse exits 2 with one `error:`
+    // line naming the flag and the value (the last three died with a
+    // panic and a backtrace before ISSUE 14).
+    for args in [
+        ["run", "--pulses", "banana"],
+        ["sweep", "--cell-budget", "-1"],
+        ["intended", "--interval", "-5"],
+        ["run", "--interval", "1e300"],
+    ] {
+        let out = rfd().args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "rfd {args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "rfd {args:?}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{stderr}");
+        assert!(
+            stderr.contains(args[1]) && stderr.contains(args[2]),
+            "{stderr}"
+        );
+    }
     let out = rfd()
         .args(["run", "--damping", "off", "--filter", "rcn"])
         .output()
