@@ -16,11 +16,16 @@
 //! ## Determinism
 //!
 //! [`PathId`]s are assigned in first-intern order, which depends only
-//! on the (deterministic) simulation event order. The internal hash
-//! maps are used strictly for point lookups — nothing ever iterates
-//! them — so hash seeding cannot leak into simulator output.
+//! on the (deterministic) simulation event order. Deduplication maps a
+//! path's content hash to the *newest* id with that hash; earlier ids
+//! with the same hash hang off it through [`PathMeta::next`], so a
+//! collision costs one slice comparison per link and no allocation.
+//! The table's maps are used strictly for point lookups — nothing ever
+//! iterates them — so neither the hash function ([`MixHasher`]) nor the
+//! chain order can reach simulator output.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use rfd_topology::NodeId;
 
@@ -80,6 +85,55 @@ impl Route {
     }
 }
 
+/// Multiply-mix hasher for the event path's point-lookup maps (the
+/// table's two, and the shard's delivery clamps and down-link set).
+/// Their keys are small integers the program made itself (node ids, path
+/// ids, FNV content hashes), so SipHash's resistance to crafted keys
+/// buys nothing and costs more than the lookup. No per-process seed;
+/// a map under it that is iterated for output must still be sorted.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct MixHasher(u64);
+
+impl MixHasher {
+    #[inline]
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
+impl Hasher for MixHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.mix(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, word: u32) {
+        self.mix(u64::from(word));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        self.mix(word);
+    }
+
+    /// The multiply leaves the entropy in the high bits; the table
+    /// indexes with the low ones, so fold the halves together.
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+/// A `HashMap` under [`MixHasher`].
+pub(crate) type MixMap<K, V> = HashMap<K, V, BuildHasherDefault<MixHasher>>;
+/// A `HashSet` under [`MixHasher`].
+pub(crate) type MixSet<K> = HashSet<K, BuildHasherDefault<MixHasher>>;
+
+/// End of a collision chain ([`PathMeta::next`]).
+const NO_PATH: u32 = u32::MAX;
+
 /// Per-path metadata: a slice of the flat arenas plus the membership
 /// bloom for O(1) negative `contains` checks.
 #[derive(Debug, Clone, Copy)]
@@ -87,6 +141,9 @@ struct PathMeta {
     off: u32,
     len: u32,
     bloom: u64,
+    /// The previously interned path with the same content hash, or
+    /// [`NO_PATH`].
+    next: u32,
 }
 
 impl PathMeta {
@@ -118,14 +175,15 @@ pub struct PathTable {
     /// for loop detection).
     sorted: Vec<NodeId>,
     meta: Vec<PathMeta>,
-    /// Content hash → candidate ids (collisions resolved by slice
+    /// Content hash → the newest id with that hash; older ones follow
+    /// through [`PathMeta::next`] (collisions resolved by slice
     /// comparison). Point lookups only — never iterated.
-    dedup: HashMap<u64, Vec<u32>>,
+    dedup: MixMap<u64, u32>,
     /// `(path, prepended node) → path`: the k-peer fan-out interns at
     /// most once per distinct (route, self) pair.
-    prepend_memo: HashMap<(u32, u32), u32>,
-    /// Reusable buffer for prepend (keeps the steady state
-    /// allocation-free).
+    prepend_memo: MixMap<(u32, u32), u32>,
+    /// Reusable buffer for prepend and the `from_path` loop check
+    /// (keeps the steady state allocation-free).
     scratch: Vec<NodeId>,
     hits: u64,
     misses: u64,
@@ -171,16 +229,23 @@ impl PathTable {
     /// Interns `path`, returning the existing id when the same hop
     /// sequence was seen before.
     fn intern(&mut self, path: &[NodeId]) -> PathId {
+        self.intern_hashed(hash_path(path), path)
+    }
+
+    /// [`PathTable::intern`] under a given content hash (the unit tests
+    /// force collisions through this).
+    fn intern_hashed(&mut self, h: u64, path: &[NodeId]) -> PathId {
         debug_assert!(!path.is_empty());
-        let h = hash_path(path);
-        if let Some(candidates) = self.dedup.get(&h) {
-            for &id in candidates {
-                if &self.arena[self.meta[id as usize].range()] == path {
-                    self.hits += 1;
-                    rfd_obs::inc("bgp.intern.hits");
-                    return PathId(id);
-                }
+        let head = self.dedup.get(&h).copied().unwrap_or(NO_PATH);
+        let mut id = head;
+        while id != NO_PATH {
+            let m = self.meta[id as usize];
+            if &self.arena[m.range()] == path {
+                self.hits += 1;
+                rfd_obs::inc("bgp.intern.hits");
+                return PathId(id);
             }
+            id = m.next;
         }
         self.misses += 1;
         rfd_obs::inc("bgp.intern.misses");
@@ -190,7 +255,11 @@ impl PathTable {
             (2 * path.len() * std::mem::size_of::<NodeId>() + std::mem::size_of::<PathMeta>())
                 as u64,
         );
-        let id = u32::try_from(self.meta.len()).expect("more than u32::MAX distinct paths");
+        assert!(
+            self.meta.len() < NO_PATH as usize,
+            "more than u32::MAX - 1 distinct paths"
+        );
+        let id = self.meta.len() as u32;
         let off = u32::try_from(self.arena.len()).expect("path arena exceeds u32 offsets");
         self.arena.extend_from_slice(path);
         self.sorted.extend_from_slice(path);
@@ -201,8 +270,9 @@ impl PathTable {
             off,
             len: path.len() as u32,
             bloom,
+            next: head,
         });
-        self.dedup.entry(h).or_default().push(id);
+        self.dedup.insert(h, id);
         PathId(id)
     }
 
@@ -234,9 +304,11 @@ impl PathTable {
     /// path must never be constructed).
     pub fn from_path(&mut self, path: &[NodeId]) -> Route {
         assert!(!path.is_empty(), "a route needs a non-empty AS path");
-        let mut seen = std::collections::HashSet::new();
+        self.scratch.clear();
+        self.scratch.extend_from_slice(path);
+        self.scratch.sort_unstable();
         assert!(
-            path.iter().all(|n| seen.insert(*n)),
+            self.scratch.windows(2).all(|w| w[0] != w[1]),
             "AS path contains a loop: {path:?}"
         );
         let id = self.intern(path);
@@ -382,6 +454,22 @@ mod tests {
         assert_eq!(a.id(), c.id());
         assert_eq!(t.stats().hits, before.hits + 1);
         assert_eq!(t.stats().misses, before.misses);
+    }
+
+    #[test]
+    fn colliding_hashes_chain_without_merging() {
+        let mut t = PathTable::new();
+        let paths = [vec![n(1), n(0)], vec![n(2), n(0)], vec![n(3), n(2), n(0)]];
+        let ids: Vec<PathId> = paths.iter().map(|p| t.intern_hashed(42, p)).collect();
+        assert_eq!(ids, [PathId(0), PathId(1), PathId(2)], "first-seen order");
+        assert_eq!((t.stats().hits, t.stats().misses), (0, 3));
+        for (path, id) in paths.iter().zip(&ids) {
+            assert_eq!(t.intern_hashed(42, path), *id, "found again down the chain");
+        }
+        assert_eq!((t.stats().hits, t.stats().misses), (3, 3));
+        assert_eq!(t.distinct(), 3);
+        let listed: Vec<&[NodeId]> = t.paths().collect();
+        assert_eq!(listed, paths.iter().map(Vec::as_slice).collect::<Vec<_>>());
     }
 
     #[test]

@@ -17,11 +17,11 @@
 //! random draws depend only on its own event order — never on which
 //! shard it shares with whom. Shards advance in lock-step windows of
 //! `lookahead = min link delay` planned by an [`EpochBarrier`]; BGP
-//! messages crossing a shard boundary travel as resolved AS paths and
-//! are re-interned and merged at the window barrier in the canonical
-//! `(time, key)` order. The result is byte-identical at any shard
-//! count — a tested contract, the same way the sweep runner proves
-//! thread-count invariance.
+//! messages crossing a shard boundary travel as resolved AS paths (hops
+//! in a per-mailbox arena, see [`Wire`]) and are re-interned and merged
+//! at the window barrier in the canonical `(time, key)` order. The
+//! result is byte-identical at any shard count — a tested contract, the
+//! same way the sweep runner proves thread-count invariance.
 //!
 //! There is one window loop (`Coordinator::run`): plan a window, run it
 //! on every shard, merge traces and ledger records in `(time, key)`
@@ -42,7 +42,6 @@
 //!    MRAI and reuse timer fires (silent reuse timers do not affect the
 //!    metrics, matching the paper's footnote 3).
 
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use rfd_core::{
@@ -56,7 +55,7 @@ use rfd_sim::{
 use rfd_topology::{Graph, NodeId};
 
 use crate::config::NetworkConfig;
-use crate::intern::PathTable;
+use crate::intern::{MixMap, MixSet, PathTable};
 use crate::message::{Prefix, UpdateMessage, UpdatePayload};
 use crate::policy::Policy;
 use crate::router::{Router, RouterConfig, RouterOutput};
@@ -161,11 +160,12 @@ fn norm_link(a: NodeId, b: NodeId) -> (u32, u32) {
 }
 
 /// A BGP update crossing a shard boundary. [`Route`] handles are
-/// per-shard, so the AS path travels resolved and is re-interned on the
-/// destination shard in canonical merge order.
+/// per-shard, so the AS path travels resolved — as a span of the hop
+/// arena of the [`Wire`] holding the message — and is re-interned on
+/// the destination shard in canonical merge order.
 ///
 /// [`Route`]: crate::intern::Route
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 struct RemoteMsg {
     at: SimTime,
     /// Canonical event key ([`event_key`] of the sender).
@@ -173,23 +173,57 @@ struct RemoteMsg {
     from: NodeId,
     to: NodeId,
     prefix: Prefix,
-    /// `None` for a withdrawal, the resolved AS path otherwise.
-    path: Option<Vec<NodeId>>,
+    /// `None` for a withdrawal; otherwise `(offset, len)` of the
+    /// resolved AS path in the owning [`Wire`]'s hop arena.
+    path: Option<(u32, u32)>,
     root_cause: Option<RootCause>,
     degraded: Option<bool>,
 }
 
+/// A batch of cross-shard messages and the hop arena their paths live
+/// in. Cleared, never dropped, so after the first windows a message
+/// crosses a shard boundary without touching the allocator.
+#[derive(Debug, Default)]
+struct Wire {
+    msgs: Vec<RemoteMsg>,
+    hops: Vec<NodeId>,
+}
+
+impl Wire {
+    /// Appends `msg`, copying `path` into this wire's arena (whatever
+    /// span `msg.path` held belonged to another wire).
+    fn push(&mut self, mut msg: RemoteMsg, path: Option<&[NodeId]>) {
+        msg.path = path.map(|hops| {
+            let off = u32::try_from(self.hops.len()).expect("hop arena exceeds u32 offsets");
+            self.hops.extend_from_slice(hops);
+            (off, hops.len() as u32)
+        });
+        self.msgs.push(msg);
+    }
+
+    /// The AS path `msg` (one of this wire's messages) announces.
+    fn path(&self, msg: &RemoteMsg) -> Option<&[NodeId]> {
+        msg.path
+            .map(|(off, len)| &self.hops[off as usize..(off + len) as usize])
+    }
+
+    fn clear(&mut self) {
+        self.msgs.clear();
+        self.hops.clear();
+    }
+}
+
 /// One shard's side of the barrier exchange. The coordinator fills
 /// `inbox` before a window; [`Shard::run_window`] drains it and leaves
-/// the window's output in the other fields. The vectors are drained,
+/// the window's output in the other fields. The buffers are drained,
 /// never dropped, so a run allocates them once rather than per window.
 #[derive(Debug, Default)]
 struct Mailbox {
     /// Cross-shard messages routed to this shard, in `(time, key)`
     /// order, not yet on its queue.
-    inbox: Vec<RemoteMsg>,
+    inbox: Wire,
     /// Cross-shard messages the shard sent this window.
-    outbox: Vec<RemoteMsg>,
+    outbox: Wire,
     /// The window's trace events, in processing order (which is
     /// `(time, key)` order — pops are monotone).
     traces: Vec<(SimTime, u64, TraceEventKind)>,
@@ -204,7 +238,7 @@ struct Mailbox {
 impl Mailbox {
     /// The shard's earliest pending event, queued or still in the inbox.
     fn earliest(&self) -> Option<SimTime> {
-        let routed = self.inbox.iter().map(|m| m.at);
+        let routed = self.inbox.msgs.iter().map(|m| m.at);
         self.next_time.into_iter().chain(routed).min()
     }
 }
@@ -237,11 +271,11 @@ struct Shard {
     /// (without this, a withdrawal can be overtaken by an older
     /// announcement and install a permanently stale route). The sender
     /// owns the slot, so cross-shard links need no shared state.
-    last_delivery: HashMap<(u32, u32), SimTime>,
+    last_delivery: MixMap<(u32, u32), SimTime>,
     /// This shard's view of interior links currently down. Both
     /// endpoints process their own `LinkSession` event, so every shard
     /// that can receive over the link knows its status.
-    down_links: HashSet<(u32, u32)>,
+    down_links: MixSet<(u32, u32)>,
     /// Messages dropped on dead links.
     dropped: u64,
     /// True during warm-up: traces and ledger records are discarded.
@@ -252,7 +286,11 @@ struct Shard {
     /// buffers; swapped into the [`Mailbox`] when the window ends.
     traces: Vec<(SimTime, u64, TraceEventKind)>,
     ledger: Vec<(SimTime, u64, LedgerRecord)>,
-    outbox: Vec<RemoteMsg>,
+    outbox: Wire,
+    /// The one [`RouterOutput`] every event of this shard is handled
+    /// through: [`Shard::handle`] takes it, the router fills it,
+    /// [`Shard::apply_output`] drains it and hands it back.
+    out: RouterOutput,
 }
 
 impl std::fmt::Debug for Shard {
@@ -341,46 +379,51 @@ impl Shard {
                 .schedule(at, key, NetEvent::Deliver { from, to, msg });
         } else {
             let path = match msg.payload {
-                UpdatePayload::Announce(route) => Some(self.path_table.path(route).to_vec()),
+                UpdatePayload::Announce(route) => Some(self.path_table.path(route)),
                 UpdatePayload::Withdraw => None,
             };
-            self.outbox.push(RemoteMsg {
+            let remote = RemoteMsg {
                 at,
                 key,
                 from,
                 to,
                 prefix: msg.prefix,
-                path,
+                path: None,
                 root_cause: msg.root_cause,
                 degraded: msg.degraded,
-            });
+            };
+            self.outbox.push(remote, path);
         }
     }
 
-    fn apply_output(&mut self, now: SimTime, key: u64, node: NodeId, out: RouterOutput) {
+    /// Turns what a router produced into trace events, ledger records
+    /// and scheduled events, leaving `out` empty in `self.out` for the
+    /// next event.
+    fn apply_output(&mut self, now: SimTime, key: u64, node: NodeId, mut out: RouterOutput) {
         rfd_obs::add("bgp.updates_sent", out.sends.len() as u64);
         rfd_obs::add("bgp.mrai_scheduled", out.mrai_timers.len() as u64);
-        for kind in out.traces {
+        for kind in out.traces.drain(..) {
             self.emit(now, key, kind);
         }
-        if !self.muted {
-            for record in out.ledger {
+        for record in out.ledger.drain(..) {
+            if !self.muted {
                 self.ledger.push((now, key, record));
             }
         }
-        for (to, msg) in out.sends {
+        for (to, msg) in out.sends.drain(..) {
             self.send(now, key, node, to, msg);
         }
-        for (peer, prefix, at) in out.mrai_timers {
+        for (peer, prefix, at) in out.mrai_timers.drain(..) {
             let k = self.next_key(node);
             self.engine
                 .schedule(at, k, NetEvent::MraiExpiry { node, peer, prefix });
         }
-        for (peer, prefix, at) in out.reuse_timers {
+        for (peer, prefix, at) in out.reuse_timers.drain(..) {
             let k = self.next_key(node);
             self.engine
                 .schedule(at, k, NetEvent::ReuseTimer { node, peer, prefix });
         }
+        self.out = out;
     }
 
     fn handle(&mut self, at: SimTime, key: u64, event: NetEvent) {
@@ -403,7 +446,7 @@ impl Shard {
                     },
                 );
                 let l = self.local(to);
-                let mut out = RouterOutput::default();
+                let mut out = std::mem::take(&mut self.out);
                 self.routers[l].handle_update(
                     at,
                     from,
@@ -418,7 +461,7 @@ impl Shard {
             NetEvent::MraiExpiry { node, peer, prefix } => {
                 rfd_obs::inc("bgp.mrai_expiries");
                 let l = self.local(node);
-                let mut out = RouterOutput::default();
+                let mut out = std::mem::take(&mut self.out);
                 self.routers[l].on_mrai_expiry(
                     at,
                     peer,
@@ -432,7 +475,7 @@ impl Shard {
             }
             NetEvent::ReuseTimer { node, peer, prefix } => {
                 let l = self.local(node);
-                let mut out = RouterOutput::default();
+                let mut out = std::mem::take(&mut self.out);
                 self.routers[l].on_reuse_timer(
                     at,
                     peer,
@@ -488,7 +531,7 @@ impl Shard {
                     self.down_links.insert(link);
                 }
                 let l = self.local(node);
-                let mut out = RouterOutput::default();
+                let mut out = std::mem::take(&mut self.out);
                 if up {
                     self.routers[l].on_session_up(
                         at,
@@ -535,9 +578,9 @@ impl Shard {
     /// re-interning their AS paths. The coordinator routes in global
     /// `(time, key)` order, which makes the intern order canonical.
     fn accept_inbox(&mut self, mail: &mut Mailbox) {
-        for msg in mail.inbox.drain(..) {
-            let update = match msg.path {
-                Some(ref path) => UpdateMessage::announce(self.path_table.from_path(path)),
+        for msg in &mail.inbox.msgs {
+            let update = match mail.inbox.path(msg) {
+                Some(path) => UpdateMessage::announce(self.path_table.from_path(path)),
                 None => UpdateMessage::withdraw(),
             };
             let mut update = update
@@ -554,6 +597,7 @@ impl Shard {
                 },
             );
         }
+        mail.inbox.clear();
     }
 
     /// Runs the origin's kickoff announcement through this shard's
@@ -587,6 +631,8 @@ struct Coordinator<S> {
     /// mailboxes' buffers.
     traces: Vec<(SimTime, u64, TraceEventKind)>,
     records: Vec<(SimTime, u64, LedgerRecord)>,
+    /// Every shard's outbox messages in `(time, key)` order; their
+    /// hops stay in the sending shard's outbox arena until routed.
     outbox: Vec<RemoteMsg>,
     /// The pluggable trace observer for the measured phase.
     sink: S,
@@ -646,18 +692,32 @@ impl<S: TraceSink> Coordinator<S> {
     }
 
     /// Moves every shard's outbox into the destination shards' inboxes
-    /// in global `(time, key)` order.
+    /// in global `(time, key)` order, copying each announced path from
+    /// the sender's hop arena into the receiver's.
     fn route(&mut self) {
         for mail in &mut self.mail {
-            self.outbox.append(&mut mail.outbox);
+            self.outbox.append(&mut mail.outbox.msgs);
         }
         // `(at, key)` pairs are globally unique, so the unstable sort
         // is a total order: the destination shards re-intern paths in
         // canonical order.
         self.outbox.sort_unstable_by_key(|m| (m.at, m.key));
         for msg in self.outbox.drain(..) {
+            let src = self.node_shard[msg.from.index()] as usize;
             let dest = self.node_shard[msg.to.index()] as usize;
-            self.mail[dest].inbox.push(msg);
+            // Two mailboxes at once; a routed message always crosses
+            // shards, so `src != dest`.
+            let (sender, receiver) = if src < dest {
+                let (lo, hi) = self.mail.split_at_mut(dest);
+                (&lo[src], &mut hi[0])
+            } else {
+                let (lo, hi) = self.mail.split_at_mut(src);
+                (&hi[0], &mut lo[dest])
+            };
+            receiver.inbox.push(msg, sender.outbox.path(&msg));
+        }
+        for mail in &mut self.mail {
+            mail.outbox.clear();
         }
     }
 }
@@ -841,8 +901,8 @@ impl<S: TraceSink> Network<S> {
                 seqs: vec![0; shard_sizes[id] as usize],
                 delay_range: config.delay_range,
                 origins: origins.clone(),
-                last_delivery: HashMap::new(),
-                down_links: HashSet::new(),
+                last_delivery: MixMap::default(),
+                down_links: MixSet::default(),
                 dropped: 0,
                 // Warm-up runs muted; `warm_up` lifts the mute once the
                 // network has converged.
@@ -850,7 +910,8 @@ impl<S: TraceSink> Network<S> {
                 discarded: 0,
                 traces: Vec::new(),
                 ledger: Vec::new(),
-                outbox: Vec::new(),
+                outbox: Wire::default(),
+                out: RouterOutput::default(),
             })
             .collect();
 
@@ -1195,7 +1256,7 @@ impl<S: TraceSink> Network<S> {
         }
         // Route any cross-shard kickoff announcements before the run.
         for (shard, mail) in self.shards.iter_mut().zip(&mut self.coord.mail) {
-            mail.outbox.append(&mut shard.outbox);
+            std::mem::swap(&mut shard.outbox, &mut mail.outbox);
         }
         self.coord.route();
         let (outcome, _) = self.drive();

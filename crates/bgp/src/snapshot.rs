@@ -444,7 +444,7 @@ pub fn inspect(path: &Path) -> Result<ContainerInfo, SnapshotError> {
 
 fn encode_shard(enc: &mut Encoder, shard: &mut Shard) {
     assert!(
-        shard.traces.is_empty() && shard.ledger.is_empty() && shard.outbox.is_empty(),
+        shard.traces.is_empty() && shard.ledger.is_empty() && shard.outbox.msgs.is_empty(),
         "snapshot capture outside a drive boundary (window buffers not flushed)"
     );
     enc.usize(shard.routers.len());

@@ -12,7 +12,9 @@
 //! * `prepend` ⇔ pushing onto the front of the vector;
 //! * `from_path` of any suffix (truncation re-interning) resolves back
 //!   to exactly that suffix;
-//! * `len`, `head`, `origin`, and `path` agree with the vector.
+//! * `len`, `head`, `origin`, and `path` agree with the vector;
+//! * a route's id is its path's first-seen index — the order
+//!   `PathTable::rebuild` and the snapshot path list rely on.
 
 use proptest::prelude::*;
 use rfd_bgp::{PathTable, Route};
@@ -125,6 +127,30 @@ proptest! {
                 );
             }
         }
+    }
+
+    /// Ids are dense first-seen indices: however collisions are chained
+    /// and whichever operation first produced a path, `id().raw()` is
+    /// the number of distinct paths seen before it, and `paths()` lists
+    /// them in that order.
+    #[test]
+    fn ids_are_first_seen_indices(script in proptest::collection::vec(op_strategy(), 1..80)) {
+        let mut table = PathTable::new();
+        let (routes, model) = run_script(&mut table, &script);
+        // `prepend` interns nothing the model does not also record, so
+        // first occurrences in `model` are first interns in the table.
+        let mut first_seen: Vec<&[NodeId]> = Vec::new();
+        for (route, path) in routes.iter().zip(&model) {
+            let index = match first_seen.iter().position(|p| *p == path.as_slice()) {
+                Some(index) => index,
+                None => {
+                    first_seen.push(path);
+                    first_seen.len() - 1
+                }
+            };
+            prop_assert_eq!(route.id().raw() as usize, index, "{}", table.display(*route));
+        }
+        prop_assert_eq!(table.paths().collect::<Vec<_>>(), first_seen);
     }
 
     /// Interning is idempotent and the table never double-counts:

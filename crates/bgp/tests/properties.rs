@@ -3,12 +3,12 @@
 
 use proptest::prelude::*;
 use rfd_bgp::{
-    PathTable, PenaltyFilter, Policy, Prefix, Route, Router, RouterConfig, RouterOutput,
-    UpdateMessage, UpdatePayload,
+    Network, NetworkConfig, PathTable, PenaltyFilter, Policy, Prefix, Route, Router, RouterConfig,
+    RouterOutput, UpdateMessage, UpdatePayload,
 };
 use rfd_core::DampingParams;
-use rfd_sim::{DetRng, SimDuration, SimTime};
-use rfd_topology::NodeId;
+use rfd_sim::{DetRng, RunOutcome, SimDuration, SimTime};
+use rfd_topology::{mesh_torus, NodeId};
 
 const ORIGIN: u32 = 100;
 
@@ -321,5 +321,28 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+/// `horizon: SimDuration::MAX` means "no horizon": it validates, and the
+/// run must end by draining its queues, not by overflowing the window
+/// arithmetic — with the same report as under the default horizon.
+#[test]
+fn a_run_without_a_horizon_ends_quiescent() {
+    let graph = mesh_torus(4, 4);
+    let run = |horizon, sim_shards| {
+        let config = NetworkConfig {
+            horizon,
+            sim_shards,
+            ..NetworkConfig::paper_full_damping(3)
+        };
+        let mut net = Network::new(&graph, NodeId::new(5), config);
+        let report = net.run_paper_workload(3);
+        assert_eq!(report.outcome, RunOutcome::Quiescent);
+        (report.message_count, report.convergence_time, net.windows())
+    };
+    let bounded = run(NetworkConfig::paper_full_damping(3).horizon, 1);
+    for sim_shards in [1, 2] {
+        assert_eq!(run(SimDuration::MAX, sim_shards), bounded);
     }
 }

@@ -313,6 +313,46 @@ fn mid_run_snapshot_cannot_fork() {
     );
 }
 
+/// The path interner's hasher and collision chain, and the cross-shard
+/// hop arena, are invisible to the file format: the first checkpoint of
+/// a fixed run hashes to the value it had before either existed.
+#[test]
+fn checkpoint_bytes_are_pinned() {
+    let graph = mesh_torus(6, 6);
+    let isp = NodeId::new(0);
+    let schedule = FlapSchedule::from(FlapPattern::paper_default(3));
+    for (shards, pinned) in [(1, 0x8b83_c4fe_dee8_36d0_u64), (2, 0xc389_9aec_b1e6_eef6)] {
+        let mut cfg = NetworkConfig::paper_full_damping(5);
+        cfg.sim_shards = shards;
+        let key = snapshot::fingerprints(&graph, &[isp], &cfg);
+        let mut net = Network::new(&graph, isp, cfg);
+        net.warm_up();
+        let mut first = None;
+        net.run_schedules_with_checkpoints(
+            &[(0, &schedule)],
+            LEAD_IN,
+            SimDuration::from_secs(120),
+            |n| {
+                first = Some(Snapshot::capture(n, key).expect("capture"));
+                false
+            },
+        );
+        let path = scratch("pin");
+        first
+            .expect("a checkpoint at 120 s")
+            .write(&path)
+            .expect("write");
+        let payload = rfd_snap::read_file(&path).expect("read back").payload;
+        std::fs::remove_file(&path).ok();
+        assert_eq!(
+            rfd_snap::fnv1a(&payload),
+            pinned,
+            "snapshot payload changed at sim_shards = {shards} ({} bytes)",
+            payload.len()
+        );
+    }
+}
+
 #[test]
 fn inspect_reports_fingerprints_without_restoring() {
     let (path, key) = warm_snapshot_file("inspect");

@@ -102,11 +102,7 @@ impl<E> ShardEngine<E> {
     /// Pops the earliest event if it is strictly before `end`,
     /// advancing the shard clock to it. Returns `(time, key, event)`.
     pub fn pop_before(&mut self, end: SimTime) -> Option<(SimTime, u64, E)> {
-        let at = self.wheel.peek_time()?;
-        if at >= end {
-            return None;
-        }
-        let (at, key, event) = self.wheel.pop_keyed().expect("peeked entry");
+        let (at, key, event) = self.wheel.pop_keyed_before(end)?;
         self.now = at;
         self.processed += 1;
         Some((at, key, event))
@@ -209,7 +205,9 @@ pub enum WindowPlan {
 /// ever processed (the next plan reports
 /// [`RunOutcome::HorizonReached`]), while events *at* the horizon still
 /// run. The cap keeps `end > t0`, so every planned window makes
-/// progress.
+/// progress. Both sums saturate, so a horizon of [`SimTime::MAX`] means
+/// "no horizon"; an event at `SimTime::MAX` itself is the one instant no
+/// exclusive end can include, and counts as beyond any horizon.
 #[derive(Debug)]
 pub struct EpochBarrier {
     lookahead: SimDuration,
@@ -261,12 +259,14 @@ impl EpochBarrier {
         if processed >= self.budget {
             return WindowPlan::Done(RunOutcome::BudgetExhausted);
         }
-        self.windows += 1;
-        let natural = t0 + self.lookahead;
-        let cap = self.horizon + SimDuration::from_micros(1);
-        WindowPlan::Run {
-            end: natural.min(cap),
+        let natural = t0.saturating_add(self.lookahead);
+        let cap = self.horizon.saturating_add(SimDuration::from_micros(1));
+        let end = natural.min(cap);
+        if end <= t0 {
+            return WindowPlan::Done(RunOutcome::HorizonReached);
         }
+        self.windows += 1;
+        WindowPlan::Run { end }
     }
 }
 
@@ -327,6 +327,28 @@ mod tests {
             b.plan(Some(t(1_001)), 1),
             WindowPlan::Done(RunOutcome::HorizonReached)
         );
+    }
+
+    #[test]
+    fn barrier_survives_a_horizon_at_simtime_max() {
+        let mut b = EpochBarrier::new(SimDuration::from_secs(1), SimTime::MAX, 10);
+        assert_eq!(
+            b.plan(Some(t(40)), 0),
+            WindowPlan::Run { end: t(1_000_040) },
+            "the lookahead still bounds the window"
+        );
+        let late = t(u64::MAX - 5);
+        assert_eq!(
+            b.plan(Some(late), 1),
+            WindowPlan::Run { end: SimTime::MAX },
+            "both sums saturate instead of overflowing"
+        );
+        assert_eq!(
+            b.plan(Some(SimTime::MAX), 2),
+            WindowPlan::Done(RunOutcome::HorizonReached),
+            "no exclusive end includes SimTime::MAX: stop, do not spin"
+        );
+        assert_eq!(b.windows(), 2);
     }
 
     #[test]

@@ -247,12 +247,25 @@ impl<E> TimerWheel<E> {
     /// entries; the caller's key for
     /// [`schedule_keyed`](Self::schedule_keyed) ones).
     pub fn pop_keyed(&mut self) -> Option<(SimTime, u64, E)> {
-        let (at, key, idx) = self.settle()?;
+        let head = self.settle()?;
+        Some(self.take(head))
+    }
+
+    /// Like [`pop_keyed`](Self::pop_keyed), but leaves the earliest
+    /// live event queued (and returns `None`) unless it is strictly
+    /// before `end`. One settle serves the check and the removal.
+    pub fn pop_keyed_before(&mut self, end: SimTime) -> Option<(SimTime, u64, E)> {
+        let head = self.settle()?;
+        (head.0 < end.as_micros()).then(|| self.take(head))
+    }
+
+    /// Removes the entry [`settle`](Self::settle) just returned.
+    fn take(&mut self, (at, key, idx): (u64, u64, u32)) -> (SimTime, u64, E) {
         self.front.pop();
         let event = self.slab[idx as usize].event.take().expect("live entry");
         self.release(idx);
         self.live -= 1;
-        Some((SimTime::from_micros(at), key, event))
+        (SimTime::from_micros(at), key, event)
     }
 
     /// The timestamp of the earliest live event.
@@ -564,6 +577,24 @@ mod tests {
         w.schedule_keyed(t_us(50), 3, "early");
         assert_eq!(w.pop_keyed().unwrap(), (t_us(50), 3, "early"));
         assert_eq!(w.pop_keyed().unwrap(), (t_us(50), 4, "late"));
+    }
+
+    #[test]
+    fn pop_keyed_before_is_exclusive_and_leaves_the_head_queued() {
+        let mut w = TimerWheel::new();
+        let dead = w.schedule_keyed(t_us(5), 0, "cancelled");
+        w.schedule_keyed(t_us(10), 2, "b");
+        w.schedule_keyed(t_us(10), 1, "a");
+        w.schedule_keyed(t_us(slot_size(1) + 4), 3, "far");
+        assert!(w.cancel(dead));
+        assert_eq!(w.pop_keyed_before(t_us(10)), None, "end is exclusive");
+        assert_eq!(w.len(), 3, "a refused pop removes nothing");
+        assert_eq!(w.pop_keyed_before(t_us(11)), Some((t_us(10), 1, "a")));
+        assert_eq!(w.pop_keyed_before(t_us(11)), Some((t_us(10), 2, "b")));
+        assert_eq!(w.pop_keyed_before(t_us(11)), None);
+        assert_eq!(w.peek_time(), Some(t_us(slot_size(1) + 4)));
+        assert_eq!(w.pop_keyed().unwrap().2, "far");
+        assert_eq!(w.pop_keyed_before(SimTime::MAX), None, "empty wheel");
     }
 
     #[test]
