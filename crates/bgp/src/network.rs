@@ -754,9 +754,9 @@ pub struct Network<S: TraceSink = VecSink> {
     /// into damping-parameter variants (see [`snapshot`]).
     warm_boundary: bool,
     /// Lifetime processed count at the instant the current measured
-    /// workload was primed; checkpointed runs report
-    /// `processed - measured_base` so a killed-and-resumed run yields
-    /// the same [`RunReport`] as an uninterrupted one.
+    /// workload was primed; every [`RunReport`] counts
+    /// `processed - measured_base`, so a cut- or killed-and-resumed run
+    /// reports the same as an uninterrupted one.
     measured_base: u64,
 }
 
@@ -1134,7 +1134,7 @@ impl<S: TraceSink> Network<S> {
     /// picks how a window reaches the shards — one shard runs inline,
     /// several run on scoped worker threads — with identical results
     /// either way, by the canonical-merge construction.
-    fn drive(&mut self) -> (RunOutcome, u64) {
+    fn drive(&mut self) -> RunOutcome {
         let obs_span = rfd_obs::is_enabled().then(|| rfd_obs::span("sim.run"));
         let budget = EpochBarrier::DEFAULT_EVENT_BUDGET;
         let mut barrier = EpochBarrier::new(self.lookahead, self.horizon, budget);
@@ -1163,12 +1163,21 @@ impl<S: TraceSink> Network<S> {
             shard.accept_inbox(mail);
         }
         self.windows += barrier.windows();
-        let delta = self.coord.processed - before;
-        rfd_obs::add("sim.events", delta);
+        rfd_obs::add("sim.events", self.coord.processed - before);
         if let Some(mut span) = obs_span {
             span.sim_time_us(self.now().as_micros());
         }
-        (outcome, delta)
+        outcome
+    }
+
+    /// The report of the measured workload so far.
+    fn report(&self, outcome: RunOutcome) -> RunReport {
+        RunReport {
+            convergence_time: self.coord.conv.convergence_time(),
+            message_count: self.coord.msgs.message_count(),
+            events_processed: self.coord.processed - self.measured_base,
+            outcome,
+        }
     }
 
     /// [`Network::drive`]'s window step for several shards: one scoped
@@ -1259,7 +1268,7 @@ impl<S: TraceSink> Network<S> {
             std::mem::swap(&mut shard.outbox, &mut mail.outbox);
         }
         self.coord.route();
-        let (outcome, _) = self.drive();
+        let outcome = self.drive();
         assert_eq!(outcome, RunOutcome::Quiescent, "warm-up failed to converge");
         for att in &self.origins {
             assert!(
@@ -1330,13 +1339,8 @@ impl<S: TraceSink> Network<S> {
         lead_in: SimDuration,
     ) -> RunReport {
         self.prime_schedules(schedules, lead_in);
-        let (outcome, delta) = self.drive();
-        RunReport {
-            convergence_time: self.coord.conv.convergence_time(),
-            message_count: self.coord.msgs.message_count(),
-            events_processed: delta,
-            outcome,
-        }
+        let outcome = self.drive();
+        self.report(outcome)
     }
 
     /// Injects every flap event of `schedules` up-front (so a snapshot
@@ -1419,13 +1423,8 @@ impl<S: TraceSink> Network<S> {
     /// Panics if called before [`Network::warm_up`].
     pub fn resume(&mut self) -> RunReport {
         assert!(self.warmed_up, "resume requires a warmed-up network");
-        let (outcome, _) = self.drive();
-        RunReport {
-            convergence_time: self.coord.conv.convergence_time(),
-            message_count: self.coord.msgs.message_count(),
-            events_processed: self.coord.processed - self.measured_base,
-            outcome,
-        }
+        let outcome = self.drive();
+        self.report(outcome)
     }
 
     fn drive_with_checkpoints(
@@ -1438,8 +1437,7 @@ impl<S: TraceSink> Network<S> {
         let mut next_cp = self.now() + every;
         let outcome = loop {
             let cap = next_cp.min(horizon);
-            let (outcome, _) = self.drive_until(cap);
-            match outcome {
+            match self.drive_until(cap) {
                 RunOutcome::HorizonReached if cap < horizon => {
                     if !checkpoint(self) {
                         break RunOutcome::HorizonReached;
@@ -1449,12 +1447,7 @@ impl<S: TraceSink> Network<S> {
                 other => break other,
             }
         };
-        RunReport {
-            convergence_time: self.coord.conv.convergence_time(),
-            message_count: self.coord.msgs.message_count(),
-            events_processed: self.coord.processed - self.measured_base,
-            outcome,
-        }
+        self.report(outcome)
     }
 
     /// Advances the simulation until quiescence or until every event at
@@ -1463,7 +1456,7 @@ impl<S: TraceSink> Network<S> {
     /// affect results (pop order is the pure `(time, key)` order and
     /// cross-shard messages always land beyond the lookahead), so
     /// splitting a run at `cap` is invisible in every output.
-    fn drive_until(&mut self, cap: SimTime) -> (RunOutcome, u64) {
+    fn drive_until(&mut self, cap: SimTime) -> RunOutcome {
         let saved = self.horizon;
         self.horizon = cap.min(saved);
         let out = self.drive();
@@ -1491,6 +1484,7 @@ impl<S: TraceSink> Network<S> {
             a.index() < self.coord.node_shard.len() && self.router(a).peers().contains(&b),
             "{a}–{b} is not a link of this network"
         );
+        self.measured_base = self.coord.processed;
         let start = self.now() + lead_in;
         for &(offset, status) in schedule.events() {
             let at = start + offset.since(SimTime::ZERO);
@@ -1519,13 +1513,8 @@ impl<S: TraceSink> Network<S> {
                 },
             );
         }
-        let (outcome, delta) = self.drive();
-        RunReport {
-            convergence_time: self.coord.conv.convergence_time(),
-            message_count: self.coord.msgs.message_count(),
-            events_processed: delta,
-            outcome,
-        }
+        let outcome = self.drive();
+        self.report(outcome)
     }
 
     /// Convenience: warm up and run the paper's default workload of
@@ -2025,6 +2014,42 @@ mod tests {
             .filter(|e| e.is_update_received())
             .count() as u64;
         assert_eq!(sent, received + net.dropped_messages());
+    }
+
+    /// A link-failure run cut at the horizon and finished with
+    /// `resume` reports the measured workload's events, exactly as the
+    /// uncut run does — never the warm-up's.
+    #[test]
+    fn link_schedule_resume_reports_measured_events_only() {
+        let g = mesh_torus(4, 4);
+        let (isp, a, b) = (NodeId::new(2), NodeId::new(5), NodeId::new(6));
+        let schedule = rfd_core::FlapSchedule::from(FlapPattern::paper_default(3));
+        let lead_in = SimDuration::from_secs(100);
+        for shards in [1, 2] {
+            let mut cfg = NetworkConfig::paper_full_damping(11);
+            cfg.sim_shards = shards;
+            let far = SimTime::ZERO + cfg.horizon;
+            let mut net = Network::new(&g, isp, cfg.clone());
+            net.warm_up();
+            let warm_end = net.now().since(SimTime::ZERO);
+            let uncut = net.run_link_schedule(a, b, &schedule, lead_in);
+            assert_eq!(uncut.outcome, RunOutcome::Quiescent);
+
+            cfg.horizon = warm_end + SimDuration::from_secs(160);
+            let mut net = Network::new(&g, isp, cfg);
+            net.warm_up();
+            let first = net.run_link_schedule(a, b, &schedule, lead_in);
+            assert_eq!(first.outcome, RunOutcome::HorizonReached);
+            assert!(first.events_processed < uncut.events_processed);
+            net.horizon = far;
+            let rest = net.resume();
+            assert_eq!(rest.outcome, RunOutcome::Quiescent);
+            assert_eq!(
+                (rest.events_processed, rest.message_count),
+                (uncut.events_processed, uncut.message_count),
+                "sim_shards = {shards}"
+            );
+        }
     }
 
     #[test]

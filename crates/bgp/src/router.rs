@@ -34,13 +34,11 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use rfd_core::{
-    DamperStore, DamperStoreState, DampingParams, LedgerEvent, LedgerFilter, LedgerRecord,
-    LinkStatus, RcnChargePolicy, RcnFilter, RelativePreference, ReuseCheck, RootCause,
-    SelectiveFilter, UpdateKind,
+    DamperStore, DampingParams, LedgerEvent, LedgerFilter, LedgerRecord, RelativePreference,
+    ReuseCheck, RootCause, UpdateKind,
 };
 use rfd_metrics::TraceEventKind;
 use rfd_sim::{DetRng, SimDuration, SimTime};
-use rfd_snap::{Decoder, Encoder, SnapError};
 use rfd_topology::NodeId;
 
 use crate::config::{PenaltyFilter, ProtocolOptions};
@@ -82,6 +80,19 @@ pub struct RouterOutput {
     pub ledger: Vec<LedgerRecord>,
 }
 
+impl RouterOutput {
+    /// Appends one ledger record for `node`'s `(peer, prefix)` entry.
+    fn record(&mut self, at: SimTime, node: u32, peer: NodeId, prefix: Prefix, event: LedgerEvent) {
+        self.ledger.push(LedgerRecord {
+            at,
+            node,
+            peer: peer.raw(),
+            prefix: prefix.id(),
+            event,
+        });
+    }
+}
+
 /// Rounds a deadline up to the next multiple of `granularity`
 /// (identity when `None`) — RFC 2439's reuse-list quantisation.
 fn quantize_up(at: SimTime, granularity: Option<SimDuration>) -> SimTime {
@@ -97,16 +108,16 @@ fn quantize_up(at: SimTime, granularity: Option<SimDuration>) -> SimTime {
 
 /// Per-(peer, prefix) advertisement pacing state.
 #[derive(Debug, Clone)]
-struct MraiPeer {
+pub(crate) struct MraiPeer {
     /// Earliest instant the next announcement may be sent.
-    ready_at: SimTime,
+    pub(crate) ready_at: SimTime,
     /// An advertisement is owed once the timer allows it.
-    dirty: bool,
+    pub(crate) dirty: bool,
     /// An expiry callback is already scheduled.
-    timer_pending: bool,
+    pub(crate) timer_pending: bool,
     /// Path length of the last announcement sent (drives the
     /// selective-damping `degraded` attribute).
-    last_announced_len: Option<usize>,
+    pub(crate) last_announced_len: Option<usize>,
 }
 
 impl MraiPeer {
@@ -123,25 +134,25 @@ impl MraiPeer {
 /// All per-prefix routing state, one slot per peer (slot order =
 /// ascending peer id).
 #[derive(Debug, Clone)]
-struct PrefixState {
+pub(crate) struct PrefixState {
     /// This router originates the prefix.
-    originated: bool,
+    pub(crate) originated: bool,
     /// Latest route per peer slot, with damping state (`None` until the
     /// peer first sends an update for this prefix).
-    rib_in: Vec<Option<RibInEntry>>,
+    pub(crate) rib_in: Vec<Option<RibInEntry>>,
     /// The selected best route.
-    best: Option<BestRoute>,
+    pub(crate) best: Option<BestRoute>,
     /// Last route advertised per peer slot (`None`: nothing advertised
     /// or withdrawn).
-    rib_out: Vec<Option<Route>>,
+    pub(crate) rib_out: Vec<Option<Route>>,
     /// MRAI pacing per peer slot.
-    mrai: Vec<MraiPeer>,
+    pub(crate) mrai: Vec<MraiPeer>,
     /// Root cause to stamp on outgoing updates for this prefix.
-    current_rc: Option<RootCause>,
+    pub(crate) current_rc: Option<RootCause>,
 }
 
 impl PrefixState {
-    fn new(n_peers: usize) -> Self {
+    pub(crate) fn new(n_peers: usize) -> Self {
         PrefixState {
             originated: false,
             rib_in: vec![None; n_peers],
@@ -156,18 +167,18 @@ impl PrefixState {
 /// A single BGP router.
 #[derive(Debug, Clone)]
 pub struct Router {
-    id: NodeId,
+    pub(crate) id: NodeId,
     /// Neighbour set in construction order (fan-out order).
     peers: Vec<NodeId>,
     /// The same peers sorted ascending: `slots[i]` is the peer of slot
     /// `i`, looked up by binary search.
-    slots: Vec<NodeId>,
-    prefixes: BTreeMap<Prefix, PrefixState>,
-    config: RouterConfig,
-    charging_enabled: bool,
+    pub(crate) slots: Vec<NodeId>,
+    pub(crate) prefixes: BTreeMap<Prefix, PrefixState>,
+    pub(crate) config: RouterConfig,
+    pub(crate) charging_enabled: bool,
     /// Per slot: session currently down (failure injection); no
     /// messages are sent to a down peer.
-    down: Vec<bool>,
+    pub(crate) down: Vec<bool>,
     /// This router's own single-hop route, interned once.
     self_route: Route,
     /// Central damping state for every (peer, prefix) entry: dense SoA
@@ -175,14 +186,14 @@ pub struct Router {
     /// router does not damp. Exact mode unless the reuse-granularity
     /// knob is set, in which case penalty decay is bucketed to the same
     /// tick.
-    damper_store: Option<DamperStore>,
+    pub(crate) damper_store: Option<DamperStore>,
     /// The damping-lifecycle ledger's watched key set; `None` (the
     /// default) keeps every emission site to a single branch.
     ledger: Option<Arc<LedgerFilter>>,
 }
 
 /// Packs a (peer, prefix) pair into the damper store's slot key.
-fn damper_key(peer: NodeId, prefix: Prefix) -> u64 {
+pub(crate) fn damper_key(peer: NodeId, prefix: Prefix) -> u64 {
     (u64::from(peer.raw()) << 32) | u64::from(prefix.id())
 }
 
@@ -436,17 +447,17 @@ impl Router {
                     let (anchor, stored) = store.stored_penalty(damper_slot);
                     let decayed = store.penalty_at(damper_slot, now);
                     if now > anchor && stored > 0.0 {
-                        out.ledger.push(LedgerRecord {
-                            at: now,
+                        out.record(
+                            now,
                             node,
-                            peer: from.raw(),
-                            prefix: prefix.id(),
-                            event: LedgerEvent::Decay {
+                            from,
+                            prefix,
+                            LedgerEvent::Decay {
                                 from: stored,
                                 to: decayed,
                                 idle: now.since(anchor),
                             },
-                        });
+                        );
                     }
                     decayed
                 });
@@ -454,19 +465,19 @@ impl Router {
                 entry.suppressed = store.is_suppressed(damper_slot);
                 entry.charges += 1;
                 if let Some(before) = before {
-                    out.ledger.push(LedgerRecord {
-                        at: now,
+                    out.record(
+                        now,
                         node,
-                        peer: from.raw(),
-                        prefix: prefix.id(),
-                        event: LedgerEvent::Charge {
+                        from,
+                        prefix,
+                        LedgerEvent::Charge {
                             kind,
                             before,
                             after: outcome.penalty,
                             flap: entry.charges,
                             crossed_cutoff: outcome.newly_suppressed,
                         },
-                    });
+                    );
                 }
                 out.traces.push(TraceEventKind::PenaltySample {
                     node: self.id.raw(),
@@ -487,23 +498,23 @@ impl Router {
                         .expect("newly suppressed entries have a deadline");
                     let armed = quantize_up(due, self.config.protocol.reuse_granularity);
                     if watched {
-                        out.ledger.push(LedgerRecord {
-                            at: now,
+                        out.record(
+                            now,
                             node,
-                            peer: from.raw(),
-                            prefix: prefix.id(),
-                            event: LedgerEvent::Suppressed {
+                            from,
+                            prefix,
+                            LedgerEvent::Suppressed {
                                 penalty: outcome.penalty,
                                 reuse_at: due,
                             },
-                        });
-                        out.ledger.push(LedgerRecord {
-                            at: now,
+                        );
+                        out.record(
+                            now,
                             node,
-                            peer: from.raw(),
-                            prefix: prefix.id(),
-                            event: LedgerEvent::ReuseArmed { due: armed },
-                        });
+                            from,
+                            prefix,
+                            LedgerEvent::ReuseArmed { due: armed },
+                        );
                     }
                     out.reuse_timers.push((from, prefix, armed));
                 }
@@ -616,15 +627,15 @@ impl Router {
             if watched {
                 if let Some((_, msg)) = out.sends[sends_before..].iter().find(|(to, _)| *to == peer)
                 {
-                    out.ledger.push(LedgerRecord {
-                        at: now,
-                        node: self.id.raw(),
-                        peer: peer.raw(),
-                        prefix: prefix.id(),
-                        event: LedgerEvent::MraiFlushed {
+                    out.record(
+                        now,
+                        self.id.raw(),
+                        peer,
+                        prefix,
+                        LedgerEvent::MraiFlushed {
                             withdrawal: msg.is_withdrawal(),
                         },
-                    });
+                    );
                 }
             }
         }
@@ -661,13 +672,7 @@ impl Router {
             // Stale timer (entry already released): cancelled by doing
             // nothing.
             if watched {
-                out.ledger.push(LedgerRecord {
-                    at: now,
-                    node,
-                    peer: peer.raw(),
-                    prefix: prefix.id(),
-                    event: LedgerEvent::ReuseStale,
-                });
+                out.record(now, node, peer, prefix, LedgerEvent::ReuseStale);
             }
             return;
         }
@@ -683,23 +688,23 @@ impl Router {
                 // timers).
                 let armed = quantize_up(retry_at, self.config.protocol.reuse_granularity);
                 if watched {
-                    out.ledger.push(LedgerRecord {
-                        at: now,
+                    out.record(
+                        now,
                         node,
-                        peer: peer.raw(),
-                        prefix: prefix.id(),
-                        event: LedgerEvent::ReuseDeferred {
+                        peer,
+                        prefix,
+                        LedgerEvent::ReuseDeferred {
                             penalty: penalty_at_check,
                             retry_at: armed,
                         },
-                    });
-                    out.ledger.push(LedgerRecord {
-                        at: now,
+                    );
+                    out.record(
+                        now,
                         node,
-                        peer: peer.raw(),
-                        prefix: prefix.id(),
-                        event: LedgerEvent::ReuseArmed { due: armed },
-                    });
+                        peer,
+                        prefix,
+                        LedgerEvent::ReuseArmed { due: armed },
+                    );
                 }
                 out.reuse_timers.push((peer, prefix, armed));
             }
@@ -712,16 +717,16 @@ impl Router {
                     Self::decide(self.id, self.self_route, &self.slots, state, table, policy);
                 let noisy = new_best != old_best;
                 if watched {
-                    out.ledger.push(LedgerRecord {
-                        at: now,
+                    out.record(
+                        now,
                         node,
-                        peer: peer.raw(),
-                        prefix: prefix.id(),
-                        event: LedgerEvent::Released {
+                        peer,
+                        prefix,
+                        LedgerEvent::Released {
                             penalty: penalty_at_check,
                             noisy,
                         },
-                    });
+                    );
                 }
                 out.traces.push(TraceEventKind::Reused {
                     node: self.id.raw(),
@@ -901,17 +906,17 @@ impl Router {
                 if self.config.protocol.withdrawal_pacing && now < m.ready_at {
                     m.dirty = true;
                     if watched {
-                        out.ledger.push(LedgerRecord {
-                            at: now,
+                        out.record(
+                            now,
                             node,
-                            peer: peer.raw(),
-                            prefix: prefix.id(),
-                            event: LedgerEvent::MraiDeferred {
+                            peer,
+                            prefix,
+                            LedgerEvent::MraiDeferred {
                                 ready_at: m.ready_at,
                                 held_for: m.ready_at.since(now),
                                 withdrawal: true,
                             },
-                        });
+                        );
                     }
                     if !m.timer_pending {
                         m.timer_pending = true;
@@ -946,17 +951,17 @@ impl Router {
                     // Owe an advertisement; coalesce behind the timer.
                     m.dirty = true;
                     if watched {
-                        out.ledger.push(LedgerRecord {
-                            at: now,
+                        out.record(
+                            now,
                             node,
-                            peer: peer.raw(),
-                            prefix: prefix.id(),
-                            event: LedgerEvent::MraiDeferred {
+                            peer,
+                            prefix,
+                            LedgerEvent::MraiDeferred {
                                 ready_at: m.ready_at,
                                 held_for: m.ready_at.since(now),
                                 withdrawal: false,
                             },
-                        });
+                        );
                     }
                     if !m.timer_pending {
                         m.timer_pending = true;
@@ -965,237 +970,6 @@ impl Router {
                 }
             }
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Snapshot capture and restore
-// ---------------------------------------------------------------------------
-//
-// The router serialises its own state because every field above is
-// module-private: the snapshot module (a child of `network`) drives
-// these entry points and owns the container format around them. Routes
-// are written as raw interned path ids and resolved against the
-// restored [`PathTable`]; everything derivable from configuration
-// (damping params, decay tables, the ledger filter) is rebuilt at
-// construction time and never serialised.
-
-/// Writes a root cause as (link a, link b, status, seq).
-pub(crate) fn encode_root_cause(enc: &mut Encoder, rc: &RootCause) {
-    enc.u32(rc.link.0);
-    enc.u32(rc.link.1);
-    enc.bool(rc.status == LinkStatus::Up);
-    enc.u64(rc.seq);
-}
-
-/// Reads a root cause written by [`encode_root_cause`].
-pub(crate) fn decode_root_cause(dec: &mut Decoder<'_>) -> Result<RootCause, SnapError> {
-    let a = dec.u32("root-cause link")?;
-    let b = dec.u32("root-cause link")?;
-    let up = dec.bool("root-cause status")?;
-    let seq = dec.u64("root-cause seq")?;
-    let status = if up { LinkStatus::Up } else { LinkStatus::Down };
-    Ok(RootCause::new((a, b), status, seq))
-}
-
-fn encode_store_state(enc: &mut Encoder, st: &DamperStoreState) {
-    enc.seq(&st.keys, |e, v| e.u64(*v));
-    enc.seq(&st.penalty, |e, v| e.u64(*v));
-    enc.seq(&st.anchor, |e, v| e.u64(*v));
-    enc.seq(&st.flags, |e, v| e.u8(*v));
-    enc.seq(&st.reuse_deadline, |e, v| e.u64(*v));
-    enc.seq(&st.free, |e, v| e.u32(*v));
-}
-
-fn decode_store_state(dec: &mut Decoder<'_>) -> Result<DamperStoreState, SnapError> {
-    Ok(DamperStoreState {
-        keys: dec.seq("store keys", |d| d.u64("store key"))?,
-        penalty: dec.seq("store penalty", |d| d.u64("store penalty"))?,
-        anchor: dec.seq("store anchor", |d| d.u64("store anchor"))?,
-        flags: dec.seq("store flags", |d| d.u8("store flag"))?,
-        reuse_deadline: dec.seq("store reuse deadlines", |d| d.u64("store reuse deadline"))?,
-        free: dec.seq("store free list", |d| d.u32("store free slot"))?,
-    })
-}
-
-fn encode_rib_in(enc: &mut Encoder, entry: &RibInEntry) {
-    enc.option(entry.route.as_ref(), |e, r| e.u32(r.id().raw()));
-    enc.option(entry.damper_slot.as_ref(), |e, s| e.u32(*s));
-    enc.bool(entry.suppressed);
-    enc.option(entry.rcn.as_ref(), |e, rcn| {
-        e.usize(rcn.history().capacity());
-        e.u8(match rcn.policy() {
-            RcnChargePolicy::ByRootCause => 0,
-            RcnChargePolicy::ByUpdateKind => 1,
-        });
-        let history: Vec<RootCause> = rcn.history().entries().copied().collect();
-        e.seq(&history, encode_root_cause);
-    });
-    enc.option(entry.selective.as_ref(), |e, s| e.u64(s.skipped()));
-    enc.option(entry.last_rc.as_ref(), encode_root_cause);
-    enc.u64(entry.charges);
-}
-
-fn decode_rib_in(dec: &mut Decoder<'_>, table: &PathTable) -> Result<RibInEntry, SnapError> {
-    let route = dec
-        .option("rib-in route", |d| d.u32("rib-in route id"))?
-        .map(|raw| table.route_by_id(raw));
-    let damper_slot = dec.option("rib-in damper slot", |d| d.u32("rib-in damper slot"))?;
-    let suppressed = dec.bool("rib-in suppressed")?;
-    let rcn = dec.option("rib-in rcn", |d| {
-        let capacity = d.usize("rcn capacity")?;
-        let policy = match d.u8("rcn policy")? {
-            0 => RcnChargePolicy::ByRootCause,
-            _ => RcnChargePolicy::ByUpdateKind,
-        };
-        let history = d.seq("rcn history", decode_root_cause)?;
-        Ok(RcnFilter::restore(capacity, policy, history))
-    })?;
-    let selective = dec.option("rib-in selective", |d| {
-        Ok(SelectiveFilter::from_skipped(d.u64("selective skipped")?))
-    })?;
-    let last_rc = dec.option("rib-in last rc", decode_root_cause)?;
-    let charges = dec.u64("rib-in charges")?;
-    Ok(RibInEntry {
-        route,
-        damper_slot,
-        suppressed,
-        rcn,
-        selective,
-        last_rc,
-        charges,
-    })
-}
-
-fn encode_mrai(enc: &mut Encoder, m: &MraiPeer) {
-    enc.u64(m.ready_at.as_micros());
-    enc.bool(m.dirty);
-    enc.bool(m.timer_pending);
-    enc.option(m.last_announced_len.as_ref(), |e, l| e.usize(*l));
-}
-
-fn decode_mrai(dec: &mut Decoder<'_>) -> Result<MraiPeer, SnapError> {
-    Ok(MraiPeer {
-        ready_at: SimTime::from_micros(dec.u64("mrai ready-at")?),
-        dirty: dec.bool("mrai dirty")?,
-        timer_pending: dec.bool("mrai timer-pending")?,
-        last_announced_len: dec.option("mrai last announced len", |d| {
-            d.usize("mrai last announced len")
-        })?,
-    })
-}
-
-impl Router {
-    /// Serialises all mutable router state into `enc`.
-    pub(crate) fn encode_snapshot(&self, enc: &mut Encoder) {
-        enc.bool(self.charging_enabled);
-        enc.seq(&self.down, |e, d| e.bool(*d));
-        let store_state = self.damper_store.as_ref().map(DamperStore::export_state);
-        enc.option(store_state.as_ref(), encode_store_state);
-        enc.usize(self.prefixes.len());
-        for (prefix, state) in &self.prefixes {
-            enc.u32(prefix.id());
-            enc.bool(state.originated);
-            enc.seq(&state.rib_in, |e, entry| {
-                e.option(entry.as_ref(), encode_rib_in);
-            });
-            enc.option(state.best.as_ref(), |e, b| {
-                e.option(b.learned_from.as_ref(), |e, n| e.u32(n.raw()));
-                e.u32(b.route.id().raw());
-            });
-            enc.seq(&state.rib_out, |e, r| {
-                e.option(r.as_ref(), |e, r| e.u32(r.id().raw()));
-            });
-            enc.seq(&state.mrai, encode_mrai);
-            enc.option(state.current_rc.as_ref(), encode_root_cause);
-        }
-    }
-
-    /// Restores state written by [`Router::encode_snapshot`] into a
-    /// freshly constructed router (same peer set; for `fork == false`,
-    /// same full configuration).
-    ///
-    /// With `fork == true` the damping-related state is *not* imported:
-    /// the router keeps the damper store its own (variant) configuration
-    /// built, and every restored RIB-IN entry gets a freshly allocated
-    /// damper slot and pristine filters — valid only for warm snapshots,
-    /// where penalties are zero and filters are untouched, so a forked
-    /// run is indistinguishable from a cold start of the variant.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the decoded shape disagrees with this router's peer
-    /// set or damping deployment — the config fingerprint check on the
-    /// snapshot file makes that unreachable short of an internal bug.
-    pub(crate) fn apply_snapshot(
-        &mut self,
-        dec: &mut Decoder<'_>,
-        table: &PathTable,
-        fork: bool,
-    ) -> Result<(), SnapError> {
-        let n = self.slots.len();
-        self.charging_enabled = dec.bool("router charging flag")?;
-        let down = dec.seq("router down flags", |d| d.bool("down flag"))?;
-        assert_eq!(down.len(), n, "snapshot peer count mismatch");
-        self.down = down;
-        let store_state = dec.option("router damper store", decode_store_state)?;
-        if !fork {
-            match (self.damper_store.as_mut(), store_state) {
-                (Some(store), Some(state)) => store
-                    .import_state(state)
-                    .expect("hash-valid snapshot holds a consistent damper store"),
-                (None, None) => {}
-                _ => panic!("snapshot damping deployment mismatch at router {}", self.id),
-            }
-        }
-        self.prefixes.clear();
-        let n_prefixes = dec.usize("router prefix count")?;
-        for _ in 0..n_prefixes {
-            let prefix = Prefix::new(dec.u32("prefix id")?);
-            let mut state = PrefixState::new(n);
-            state.originated = dec.bool("prefix originated")?;
-            let rib_in = dec.seq("prefix rib-in", |d| {
-                d.option("rib-in entry", |d| decode_rib_in(d, table))
-            })?;
-            assert_eq!(rib_in.len(), n, "snapshot rib-in width mismatch");
-            for (slot, entry) in rib_in.into_iter().enumerate() {
-                let Some(entry) = entry else { continue };
-                state.rib_in[slot] = Some(if fork {
-                    let damper_slot = self
-                        .damper_store
-                        .as_mut()
-                        .map(|s| s.insert(damper_key(self.slots[slot], prefix)));
-                    let mut fresh = RibInEntry::new(damper_slot, self.config.filter);
-                    fresh.route = entry.route;
-                    fresh.last_rc = entry.last_rc;
-                    fresh
-                } else {
-                    entry
-                });
-            }
-            state.best = dec.option("prefix best", |d| {
-                let learned_from = d
-                    .option("best learned-from", |d| d.u32("best learned-from"))?
-                    .map(NodeId::new);
-                let route = table.route_by_id(d.u32("best route id")?);
-                Ok(BestRoute {
-                    learned_from,
-                    route,
-                })
-            })?;
-            let rib_out = dec.seq("prefix rib-out", |d| {
-                Ok(d.option("rib-out route", |d| d.u32("rib-out route id"))?
-                    .map(|raw| table.route_by_id(raw)))
-            })?;
-            assert_eq!(rib_out.len(), n, "snapshot rib-out width mismatch");
-            state.rib_out = rib_out;
-            let mrai = dec.seq("prefix mrai", decode_mrai)?;
-            assert_eq!(mrai.len(), n, "snapshot mrai width mismatch");
-            state.mrai = mrai;
-            state.current_rc = dec.option("prefix current rc", decode_root_cause)?;
-            self.prefixes.insert(prefix, state);
-        }
-        Ok(())
     }
 }
 

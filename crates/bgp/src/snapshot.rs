@@ -38,7 +38,10 @@
 
 use std::path::Path;
 
-use rfd_core::LedgerSink;
+use rfd_core::{
+    DamperStore, DamperStoreState, LedgerSink, LinkStatus, RcnChargePolicy, RcnFilter, RootCause,
+    SelectiveFilter,
+};
 use rfd_metrics::TraceSink;
 use rfd_sim::{DetRng, SimTime};
 use rfd_snap::{ContainerInfo, Decoder, Encoder, Fingerprint, SnapError};
@@ -48,7 +51,8 @@ use super::{NetEvent, Network, Shard};
 use crate::config::{DampingDeployment, NetworkConfig, PenaltyFilter};
 use crate::intern::PathTable;
 use crate::message::{Prefix, UpdateMessage, UpdatePayload};
-use crate::router::{decode_root_cause, encode_root_cause};
+use crate::rib::{BestRoute, RibInEntry};
+use crate::router::{damper_key, MraiPeer, PrefixState, Router};
 
 /// The two fingerprints a snapshot is keyed by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -683,5 +687,233 @@ fn decode_event(dec: &mut Decoder<'_>, table: &PathTable) -> Result<NetEvent, Sn
         _ => Err(SnapError::PayloadExhausted {
             context: "unknown event tag",
         }),
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Router capture and restore
+// ---------------------------------------------------------------------------
+//
+// Routes are written as raw interned path ids and resolved against the
+// restored [`PathTable`]; everything derivable from configuration
+// (damping params, decay tables, the ledger filter) is rebuilt at
+// construction time and never serialised.
+
+/// Writes a root cause as (link a, link b, status, seq).
+fn encode_root_cause(enc: &mut Encoder, rc: &RootCause) {
+    enc.u32(rc.link.0);
+    enc.u32(rc.link.1);
+    enc.bool(rc.status == LinkStatus::Up);
+    enc.u64(rc.seq);
+}
+
+/// Reads a root cause written by [`encode_root_cause`].
+fn decode_root_cause(dec: &mut Decoder<'_>) -> Result<RootCause, SnapError> {
+    let a = dec.u32("root-cause link")?;
+    let b = dec.u32("root-cause link")?;
+    let up = dec.bool("root-cause status")?;
+    let seq = dec.u64("root-cause seq")?;
+    let status = if up { LinkStatus::Up } else { LinkStatus::Down };
+    Ok(RootCause::new((a, b), status, seq))
+}
+
+fn encode_store_state(enc: &mut Encoder, st: &DamperStoreState) {
+    enc.seq(&st.keys, |e, v| e.u64(*v));
+    enc.seq(&st.penalty, |e, v| e.u64(*v));
+    enc.seq(&st.anchor, |e, v| e.u64(*v));
+    enc.seq(&st.flags, |e, v| e.u8(*v));
+    enc.seq(&st.reuse_deadline, |e, v| e.u64(*v));
+    enc.seq(&st.free, |e, v| e.u32(*v));
+}
+
+fn decode_store_state(dec: &mut Decoder<'_>) -> Result<DamperStoreState, SnapError> {
+    Ok(DamperStoreState {
+        keys: dec.seq("store keys", |d| d.u64("store key"))?,
+        penalty: dec.seq("store penalty", |d| d.u64("store penalty"))?,
+        anchor: dec.seq("store anchor", |d| d.u64("store anchor"))?,
+        flags: dec.seq("store flags", |d| d.u8("store flag"))?,
+        reuse_deadline: dec.seq("store reuse deadlines", |d| d.u64("store reuse deadline"))?,
+        free: dec.seq("store free list", |d| d.u32("store free slot"))?,
+    })
+}
+
+fn encode_rib_in(enc: &mut Encoder, entry: &RibInEntry) {
+    enc.option(entry.route.as_ref(), |e, r| e.u32(r.id().raw()));
+    enc.option(entry.damper_slot.as_ref(), |e, s| e.u32(*s));
+    enc.bool(entry.suppressed);
+    enc.option(entry.rcn.as_ref(), |e, rcn| {
+        e.usize(rcn.history().capacity());
+        e.u8(match rcn.policy() {
+            RcnChargePolicy::ByRootCause => 0,
+            RcnChargePolicy::ByUpdateKind => 1,
+        });
+        let history: Vec<RootCause> = rcn.history().entries().copied().collect();
+        e.seq(&history, encode_root_cause);
+    });
+    enc.option(entry.selective.as_ref(), |e, s| e.u64(s.skipped()));
+    enc.option(entry.last_rc.as_ref(), encode_root_cause);
+    enc.u64(entry.charges);
+}
+
+fn decode_rib_in(dec: &mut Decoder<'_>, table: &PathTable) -> Result<RibInEntry, SnapError> {
+    let route = dec
+        .option("rib-in route", |d| d.u32("rib-in route id"))?
+        .map(|raw| table.route_by_id(raw));
+    let damper_slot = dec.option("rib-in damper slot", |d| d.u32("rib-in damper slot"))?;
+    let suppressed = dec.bool("rib-in suppressed")?;
+    let rcn = dec.option("rib-in rcn", |d| {
+        let capacity = d.usize("rcn capacity")?;
+        let policy = match d.u8("rcn policy")? {
+            0 => RcnChargePolicy::ByRootCause,
+            _ => RcnChargePolicy::ByUpdateKind,
+        };
+        let history = d.seq("rcn history", decode_root_cause)?;
+        Ok(RcnFilter::restore(capacity, policy, history))
+    })?;
+    let selective = dec.option("rib-in selective", |d| {
+        Ok(SelectiveFilter::from_skipped(d.u64("selective skipped")?))
+    })?;
+    let last_rc = dec.option("rib-in last rc", decode_root_cause)?;
+    let charges = dec.u64("rib-in charges")?;
+    Ok(RibInEntry {
+        route,
+        damper_slot,
+        suppressed,
+        rcn,
+        selective,
+        last_rc,
+        charges,
+    })
+}
+
+fn encode_mrai(enc: &mut Encoder, m: &MraiPeer) {
+    enc.u64(m.ready_at.as_micros());
+    enc.bool(m.dirty);
+    enc.bool(m.timer_pending);
+    enc.option(m.last_announced_len.as_ref(), |e, l| e.usize(*l));
+}
+
+fn decode_mrai(dec: &mut Decoder<'_>) -> Result<MraiPeer, SnapError> {
+    Ok(MraiPeer {
+        ready_at: SimTime::from_micros(dec.u64("mrai ready-at")?),
+        dirty: dec.bool("mrai dirty")?,
+        timer_pending: dec.bool("mrai timer-pending")?,
+        last_announced_len: dec.option("mrai last announced len", |d| {
+            d.usize("mrai last announced len")
+        })?,
+    })
+}
+
+impl Router {
+    /// Serialises all mutable router state into `enc`.
+    fn encode_snapshot(&self, enc: &mut Encoder) {
+        enc.bool(self.charging_enabled);
+        enc.seq(&self.down, |e, d| e.bool(*d));
+        let store_state = self.damper_store.as_ref().map(DamperStore::export_state);
+        enc.option(store_state.as_ref(), encode_store_state);
+        enc.usize(self.prefixes.len());
+        for (prefix, state) in &self.prefixes {
+            enc.u32(prefix.id());
+            enc.bool(state.originated);
+            enc.seq(&state.rib_in, |e, entry| {
+                e.option(entry.as_ref(), encode_rib_in);
+            });
+            enc.option(state.best.as_ref(), |e, b| {
+                e.option(b.learned_from.as_ref(), |e, n| e.u32(n.raw()));
+                e.u32(b.route.id().raw());
+            });
+            enc.seq(&state.rib_out, |e, r| {
+                e.option(r.as_ref(), |e, r| e.u32(r.id().raw()));
+            });
+            enc.seq(&state.mrai, encode_mrai);
+            enc.option(state.current_rc.as_ref(), encode_root_cause);
+        }
+    }
+
+    /// Restores state written by [`Router::encode_snapshot`] into a
+    /// freshly constructed router (same peer set; for `fork == false`,
+    /// same full configuration).
+    ///
+    /// With `fork == true` the damping-related state is *not* imported:
+    /// the router keeps the damper store its own (variant) configuration
+    /// built, and every restored RIB-IN entry gets a freshly allocated
+    /// damper slot and pristine filters — valid only for warm snapshots,
+    /// where penalties are zero and filters are untouched, so a forked
+    /// run is indistinguishable from a cold start of the variant.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the decoded shape disagrees with this router's peer
+    /// set or damping deployment — the config fingerprint check on the
+    /// snapshot file makes that unreachable short of an internal bug.
+    fn apply_snapshot(
+        &mut self,
+        dec: &mut Decoder<'_>,
+        table: &PathTable,
+        fork: bool,
+    ) -> Result<(), SnapError> {
+        let n = self.slots.len();
+        self.charging_enabled = dec.bool("router charging flag")?;
+        let down = dec.seq("router down flags", |d| d.bool("down flag"))?;
+        assert_eq!(down.len(), n, "snapshot peer count mismatch");
+        self.down = down;
+        let store_state = dec.option("router damper store", decode_store_state)?;
+        if !fork {
+            match (self.damper_store.as_mut(), store_state) {
+                (Some(store), Some(state)) => store
+                    .import_state(state)
+                    .expect("hash-valid snapshot holds a consistent damper store"),
+                (None, None) => {}
+                _ => panic!("snapshot damping deployment mismatch at router {}", self.id),
+            }
+        }
+        self.prefixes.clear();
+        let n_prefixes = dec.usize("router prefix count")?;
+        for _ in 0..n_prefixes {
+            let prefix = Prefix::new(dec.u32("prefix id")?);
+            let mut state = PrefixState::new(n);
+            state.originated = dec.bool("prefix originated")?;
+            let rib_in = dec.seq("prefix rib-in", |d| {
+                d.option("rib-in entry", |d| decode_rib_in(d, table))
+            })?;
+            assert_eq!(rib_in.len(), n, "snapshot rib-in width mismatch");
+            for (slot, entry) in rib_in.into_iter().enumerate() {
+                let Some(entry) = entry else { continue };
+                state.rib_in[slot] = Some(if fork {
+                    let damper_slot = self
+                        .damper_store
+                        .as_mut()
+                        .map(|s| s.insert(damper_key(self.slots[slot], prefix)));
+                    let mut fresh = RibInEntry::new(damper_slot, self.config.filter);
+                    fresh.route = entry.route;
+                    fresh.last_rc = entry.last_rc;
+                    fresh
+                } else {
+                    entry
+                });
+            }
+            state.best = dec.option("prefix best", |d| {
+                let learned_from = d
+                    .option("best learned-from", |d| d.u32("best learned-from"))?
+                    .map(NodeId::new);
+                let route = table.route_by_id(d.u32("best route id")?);
+                Ok(BestRoute {
+                    learned_from,
+                    route,
+                })
+            })?;
+            let rib_out = dec.seq("prefix rib-out", |d| {
+                Ok(d.option("rib-out route", |d| d.u32("rib-out route id"))?
+                    .map(|raw| table.route_by_id(raw)))
+            })?;
+            assert_eq!(rib_out.len(), n, "snapshot rib-out width mismatch");
+            state.rib_out = rib_out;
+            let mrai = dec.seq("prefix mrai", decode_mrai)?;
+            assert_eq!(mrai.len(), n, "snapshot mrai width mismatch");
+            state.mrai = mrai;
+            state.current_rc = dec.option("prefix current rc", decode_root_cause)?;
+            self.prefixes.insert(prefix, state);
+        }
+        Ok(())
     }
 }

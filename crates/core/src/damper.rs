@@ -8,6 +8,14 @@
 //! meantime the check at expiry simply reschedules — exactly the
 //! recharge/reschedule mechanism whose network-wide interaction
 //! (secondary charging) the paper analyses.
+//!
+//! `Damper` is the **reference model** and the analytic engine, not the
+//! routers' hot path: the routers and the firehose keep their entries
+//! in the SoA [`DamperStore`](crate::DamperStore), whose exact mode is
+//! pinned to this state machine bit for bit (`tests/store_model.rs`,
+//! `exact_store_matches_damper_bit_for_bit`, the firehose shard
+//! tests), and `analytic.rs`, `schedule.rs` and the Figure 3
+//! reproduction compute their curves by driving one `Damper`.
 
 use rfd_sim::{SimDuration, SimTime};
 

@@ -3,10 +3,13 @@
 //!
 //! Real routers avoid calling `exp()` on every update by quantising
 //! time into ticks and looking the decay factor up in a precomputed
-//! array. The simulation uses exact decay ([`crate::Penalty`]); this
-//! module exists for fidelity to the RFC, for the ablation bench, and
-//! so downstream users can reproduce vendor-quantised behaviour. The
-//! tests bound the quantisation error against the exact exponential.
+//! array. The paper-figure simulation uses exact decay
+//! ([`crate::Penalty`]); this table is what [`crate::DamperStore`]'s
+//! bucketed mode (the firehose's hot path) decays with, and lets
+//! downstream users reproduce vendor-quantised behaviour. The tests
+//! bound the quantisation error against the exact exponential; the
+//! ledger's `core.store.charge_exact_ns` / `charge_bucketed_ns` rows
+//! carry the exact-vs-table cost comparison.
 
 use rfd_sim::SimDuration;
 
@@ -92,7 +95,6 @@ impl TickDiv {
 /// ```
 #[derive(Debug, Clone)]
 pub struct DecayTable {
-    tick: SimDuration,
     tick_div: TickDiv,
     factors: Vec<f64>,
 }
@@ -113,7 +115,6 @@ impl DecayTable {
             factors.push(factors[i - 1] * per_tick);
         }
         DecayTable {
-            tick,
             tick_div: TickDiv::new(tick.as_micros()),
             factors,
         }
@@ -126,32 +127,15 @@ impl DecayTable {
         self.tick_div
     }
 
-    /// The tick granularity.
-    pub fn tick(&self) -> SimDuration {
-        self.tick
-    }
-
     /// Number of table entries (excluding the implicit factor 1.0).
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.factors.len() - 1
-    }
-
-    /// Tables are never empty.
-    pub fn is_empty(&self) -> bool {
-        false
     }
 
     /// Decay factor over `dt`, quantised to the nearest tick.
     pub fn decay_factor(&self, dt: SimDuration) -> f64 {
-        self.factor_at_ticks(self.ticks_for(dt))
-    }
-
-    /// Number of whole ticks covering `dt`, rounded to the nearest tick
-    /// — the index [`DecayTable::decay_factor`] would look up.
-    #[inline]
-    pub fn ticks_for(&self, dt: SimDuration) -> u64 {
-        self.tick_div
-            .div(dt.as_micros() + self.tick_div.divisor() / 2)
+        let div = &self.tick_div;
+        self.factor_at_ticks(div.div(dt.as_micros() + div.divisor() / 2))
     }
 
     /// Decay factor over a whole number of ticks.
@@ -161,7 +145,7 @@ impl DecayTable {
     /// whole-table chunks with `powi` instead of the old O(chunks)
     /// multiplication loop.
     #[inline]
-    pub fn factor_at_ticks(&self, ticks: u64) -> f64 {
+    fn factor_at_ticks(&self, ticks: u64) -> f64 {
         let max = self.len() as u64;
         if ticks <= max {
             return self.factors[ticks as usize];
@@ -172,11 +156,6 @@ impl DecayTable {
         let rem = ticks - chunks * max;
         let chunks = chunks.min(i32::MAX as u64) as i32;
         self.factors[max as usize].powi(chunks) * self.factors[rem as usize]
-    }
-
-    /// `value` decayed over `dt`.
-    pub fn decayed(&self, value: f64, dt: SimDuration) -> f64 {
-        value * self.decay_factor(dt)
     }
 
     /// Fixed-point decay: `milli` (milli-units of penalty) decayed over
@@ -199,52 +178,6 @@ impl DecayTable {
         } else {
             decayed.round() as u64
         }
-    }
-}
-
-/// A [`DecayTable`] with a one-entry memo of the last `(ticks, factor)`
-/// lookup.
-///
-/// Boundary-driven workloads decay whole populations by the same
-/// elapsed-tick count over and over; the memo turns the common repeated
-/// lookup (and any beyond-table `powi`) into a compare. Exists for the
-/// ablation bench comparing exact `exp()` vs table vs memoized table.
-#[derive(Debug, Clone)]
-pub struct MemoizedDecay {
-    table: DecayTable,
-    last: std::cell::Cell<(u64, f64)>,
-}
-
-impl MemoizedDecay {
-    /// Wraps a table with an empty memo.
-    pub fn new(table: DecayTable) -> Self {
-        MemoizedDecay {
-            table,
-            last: std::cell::Cell::new((0, 1.0)),
-        }
-    }
-
-    /// The underlying table.
-    pub fn table(&self) -> &DecayTable {
-        &self.table
-    }
-
-    /// Decay factor over `ticks`, served from the memo when the tick
-    /// count repeats.
-    #[inline]
-    pub fn factor_at_ticks(&self, ticks: u64) -> f64 {
-        let (memo_ticks, memo_factor) = self.last.get();
-        if ticks == memo_ticks {
-            return memo_factor;
-        }
-        let factor = self.table.factor_at_ticks(ticks);
-        self.last.set((ticks, factor));
-        factor
-    }
-
-    /// Decay factor over `dt`, quantised like the underlying table.
-    pub fn decay_factor(&self, dt: SimDuration) -> f64 {
-        self.factor_at_ticks(self.table.ticks_for(dt))
     }
 }
 
@@ -347,24 +280,6 @@ mod tests {
     }
 
     #[test]
-    fn memoized_table_serves_repeated_ticks() {
-        let params = cisco();
-        let memo = MemoizedDecay::new(DecayTable::new(&params, SimDuration::from_secs(10), 100));
-        for _ in 0..3 {
-            for ticks in [5u64, 5, 5, 90, 90, 5, 250] {
-                let direct = memo.table().factor_at_ticks(ticks);
-                assert_eq!(memo.factor_at_ticks(ticks), direct);
-            }
-        }
-        let dt = SimDuration::from_secs(73);
-        assert_eq!(
-            memo.decay_factor(dt),
-            memo.table().decay_factor(dt),
-            "duration path quantises like the table"
-        );
-    }
-
-    #[test]
     fn decay_milli_rounds_to_nearest_milliunit() {
         let params = cisco();
         let table = DecayTable::new(&params, SimDuration::from_secs(1), 4000);
@@ -390,7 +305,7 @@ mod tests {
             let at = SimTime::from_secs(secs);
             exact.charge(at, amount, &params);
             let dt = SimDuration::from_secs(secs) - last;
-            quant = table.decayed(quant, dt) + amount;
+            quant = quant * table.decay_factor(dt) + amount;
             last = SimDuration::from_secs(secs);
         }
         let e = exact.value_at(SimTime::from_secs(360), &params);

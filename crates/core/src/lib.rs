@@ -7,11 +7,15 @@
 //!   derived quantities (decay constant λ, RFC 2439 penalty ceiling);
 //! * [`Penalty`] — the figure-of-merit with exact exponential decay;
 //! * [`Damper`] — the per-(peer, prefix) suppression state machine with
-//!   lazy, recharge-aware reuse timers;
+//!   lazy, recharge-aware reuse timers: the reference model and the
+//!   analytic engine;
+//! * [`DamperStore`] — the same state machine for whole populations in
+//!   dense arrays, which the routers and the firehose run on;
 //! * [`RcnFilter`] / [`RootCauseHistory`] — the paper's §6 fix: charge
 //!   the penalty once per *root cause* instead of once per update;
 //! * [`SelectiveFilter`] — the simplified Mao et al. baseline;
-//! * [`ReuseList`] — RFC 2439's quantised reuse lists (ablation);
+//! * [`ReuseList`] — RFC 2439's quantised reuse lists, the firehose's
+//!   reuse scheduler;
 //! * [`intended_behavior`] / [`intended_curve`] — the §3 closed-form
 //!   model producing the paper's "calculation" lines;
 //! * [`PenaltyTrace`] — penalty-vs-time recording (Figures 3 and 7).
@@ -61,7 +65,7 @@ pub use analytic::{
     FlapPattern, IntendedBehavior,
 };
 pub use damper::{ChargeOutcome, Damper, ReuseCheck};
-pub use decay_table::{DecayTable, MemoizedDecay};
+pub use decay_table::DecayTable;
 pub use ledger::{
     CountingLedger, LedgerEvent, LedgerFilter, LedgerRecord, LedgerSink, NullLedger, SharedLedger,
     VecLedger,

@@ -4,10 +4,18 @@
 //! lists scanned at a fixed tick, rather than one timer per suppressed
 //! route. A route whose penalty will cross the reuse threshold at time
 //! `t` is appended to the list for the tick covering `t`; each tick, the
-//! due lists are drained and every entry re-checked. The headline
-//! experiments use exact timers; this module exists for fidelity and for
-//! the ablation bench comparing the two (reuse can be delayed by up to
-//! one granularity tick, slightly lengthening convergence).
+//! due lists are drained and every entry re-checked (reuse can be
+//! delayed by up to one granularity tick).
+//!
+//! This is the firehose's production reuse scheduler
+//! (`rfd-firehose`'s `ShardState` keeps one per shard); the simulated
+//! routers arm exact timers on the DES `TimerWheel` instead. The two
+//! stay separate by measurement, not by accident: the firehose moved
+//! onto the wheel reproduces every pinned aggregate, but an armed
+//! entry costs 36 bytes there against 4 here (a `u32` slot in a
+//! bucket), so the ledger's `firehose_poisson` `peak_rss_mb` went
+//! 26.9 → 34.1 MiB (+27 %, over the 0.25 bound). See DESIGN.md,
+//! "Settled by measurement".
 //!
 //! The storage is the RFC's actual shape: a fixed ring of per-tick
 //! buckets addressed modulo the ring length, so the common schedule and

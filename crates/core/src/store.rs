@@ -5,7 +5,9 @@
 //! reuse deadline — with free-list slot recycling, so that decay and
 //! eviction sweeps walk cache-linear memory instead of chasing
 //! per-entry heap boxes. It exposes the same operations as the
-//! per-entry [`Damper`](crate::Damper) state machine, keyed by slot.
+//! per-entry [`Damper`](crate::Damper) state machine, keyed by slot;
+//! `Damper` stays beside it as the reference model the store is tested
+//! against and as the engine of the analytic curves.
 //!
 //! The store runs in one of two decay modes:
 //!

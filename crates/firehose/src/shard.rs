@@ -3,7 +3,7 @@
 //!
 //! Each shard owns the keys that hash to it and nothing else — no locks
 //! on the hot path. Damping state lives in a dense
-//! [`DamperStore`](rfd_core::DamperStore) (struct-of-arrays, so charge
+//! [`DamperStore`] (struct-of-arrays, so charge
 //! and sweep loops walk flat `u64`/`f64` arrays instead of chasing a
 //! HashMap of per-key state machines); the shard keeps only the
 //! key → slot index beside it. Reuse timers and the forgotten-state

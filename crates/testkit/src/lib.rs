@@ -384,7 +384,7 @@ pub mod collection {
         VecStrategy { element, len }
     }
 
-    /// Strategy returned by [`vec`].
+    /// Strategy returned by [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,
