@@ -21,12 +21,11 @@
 //! with the same hash hang off it through [`PathMeta::next`], so a
 //! collision costs one slice comparison per link and no allocation.
 //! The table's maps are used strictly for point lookups — nothing ever
-//! iterates them — so neither the hash function ([`MixHasher`]) nor the
-//! chain order can reach simulator output.
+//! iterates them — so neither the hash function
+//! ([`rfd_snap::MixHasher`]) nor the chain order can reach simulator
+//! output.
 
-use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
-
+use rfd_snap::MixMap;
 use rfd_topology::NodeId;
 
 /// Handle to an interned AS path (index into the owning
@@ -84,52 +83,6 @@ impl Route {
         self.origin
     }
 }
-
-/// Multiply-mix hasher for the event path's point-lookup maps (the
-/// table's two, and the shard's delivery clamps and down-link set).
-/// Their keys are small integers the program made itself (node ids, path
-/// ids, FNV content hashes), so SipHash's resistance to crafted keys
-/// buys nothing and costs more than the lookup. No per-process seed;
-/// a map under it that is iterated for output must still be sorted.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct MixHasher(u64);
-
-impl MixHasher {
-    #[inline]
-    fn mix(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    }
-}
-
-impl Hasher for MixHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.mix(u64::from(b));
-        }
-    }
-
-    #[inline]
-    fn write_u32(&mut self, word: u32) {
-        self.mix(u64::from(word));
-    }
-
-    #[inline]
-    fn write_u64(&mut self, word: u64) {
-        self.mix(word);
-    }
-
-    /// The multiply leaves the entropy in the high bits; the table
-    /// indexes with the low ones, so fold the halves together.
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0 ^ (self.0 >> 32)
-    }
-}
-
-/// A `HashMap` under [`MixHasher`].
-pub(crate) type MixMap<K, V> = HashMap<K, V, BuildHasherDefault<MixHasher>>;
-/// A `HashSet` under [`MixHasher`].
-pub(crate) type MixSet<K> = HashSet<K, BuildHasherDefault<MixHasher>>;
 
 /// End of a collision chain ([`PathMeta::next`]).
 const NO_PATH: u32 = u32::MAX;

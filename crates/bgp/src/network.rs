@@ -52,10 +52,11 @@ use rfd_sim::{
     event_key, DetRng, EpochBarrier, RunOutcome, ShardEngine, SimDuration, SimTime, WindowPlan,
     INJECTOR_SRC,
 };
+use rfd_snap::{MixMap, MixSet};
 use rfd_topology::{Graph, NodeId};
 
 use crate::config::NetworkConfig;
-use crate::intern::{MixMap, MixSet, PathTable};
+use crate::intern::PathTable;
 use crate::message::{Prefix, UpdateMessage, UpdatePayload};
 use crate::policy::Policy;
 use crate::router::{Router, RouterConfig, RouterOutput};

@@ -98,7 +98,11 @@ pub struct FirehoseReport {
     /// (on a single-core box the distinction from "per core" is moot;
     /// see the BENCH caveats).
     pub updates_per_sec_per_shard: f64,
-    /// Decision-latency histogram (nanoseconds per damper decision).
+    /// Decision-latency histogram: nanoseconds from the end of a
+    /// worker's previous decision to the end of this one (one clock
+    /// read per update), so it covers the whole per-update worker loop
+    /// and its mean is the reciprocal of a busy shard's rate. Queue
+    /// waits and injected faults fall between samples, not in them.
     pub decision_ns: Histogram,
 }
 

@@ -20,10 +20,9 @@
 //!
 //! [`Damper`]: rfd_core::Damper
 
-use std::collections::HashMap;
-
 use rfd_core::{ChargeOutcome, DamperStore, DampingParams, DecayMode, ReuseCheck, ReuseList};
 use rfd_sim::{SimDuration, SimTime};
+use rfd_snap::MixMap;
 
 use crate::report::Aggregate;
 use crate::workload::Update;
@@ -66,8 +65,11 @@ impl ShardOptions {
 pub struct ShardState {
     /// Dense damping state; slots are recycled through its free list.
     store: DamperStore,
-    /// Packed key → store slot.
-    index: HashMap<u64, u32>,
+    /// Packed key → store slot, under the seedless
+    /// [`MixHasher`](rfd_snap::MixHasher): only ever point-probed
+    /// (`get`/`insert`/`remove`), never iterated, so neither the hash
+    /// function nor the table order can reach the aggregate.
+    index: MixMap<u64, u32>,
     /// Suppressed slots bucketed by their next reuse check.
     reuse: ReuseList<u32>,
     tick: SimDuration,
@@ -105,7 +107,7 @@ impl ShardState {
         };
         ShardState {
             store,
-            index: HashMap::new(),
+            index: MixMap::default(),
             reuse: ReuseList::new(options.reuse_tick),
             tick: options.reuse_tick,
             evict_every: options.evict_every,

@@ -33,7 +33,9 @@ pub struct ShardSnapshot {
     pub sim_us: u64,
     /// Which shard this row describes.
     pub shard: usize,
-    /// Updates processed so far (cumulative).
+    /// Updates processed so far (cumulative). Advances at the worker's
+    /// batch boundaries, together with `suppressions` and
+    /// `live_entries`; exact once the run has ended.
     pub processed: u64,
     /// Updates processed since the previous tick.
     pub processed_delta: u64,
@@ -42,7 +44,8 @@ pub struct ShardSnapshot {
     /// Entries pushed over the cut-off so far (cumulative).
     pub suppressions: u64,
     /// Fraction of this run's updates so far that caused a
-    /// suppression (`suppressions / processed`; 0 before any update).
+    /// suppression (`suppressions / processed`, two readings of the
+    /// same batch boundary; 0 before any update).
     pub suppression_ratio: f64,
     /// Current ingest-queue depth (backpressure signal).
     pub queue_depth: usize,

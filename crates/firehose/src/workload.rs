@@ -24,7 +24,7 @@
 //!   eviction.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 use rfd_core::UpdateKind;
 use rfd_sim::{DetRng, SimDuration, SimTime};
@@ -330,11 +330,16 @@ impl Iterator for Firehose {
     type Item = Update;
 
     fn next(&mut self) -> Option<Update> {
-        let Reverse((_, peer)) = self.heap.pop()?;
+        // Overwrite the top in place: one sift when the guard drops,
+        // where pop-then-push would pay two.
+        let mut top = self.heap.peek_mut()?;
+        let peer = top.0 .1;
         let session = &mut self.sessions[peer as usize];
         let update = session.emit();
         if session.next_at <= self.end {
-            self.heap.push(Reverse((session.next_at, session.peer)));
+            *top = Reverse((session.next_at, peer));
+        } else {
+            PeekMut::pop(top);
         }
         Some(update)
     }
@@ -379,6 +384,62 @@ mod tests {
             let a: Vec<Update> = Firehose::new(&spec(kind)).collect();
             let b: Vec<Update> = Firehose::new(&spec(kind)).collect();
             assert_eq!(a, b, "{kind:?}");
+        }
+    }
+
+    /// The merge as it was first written — pop the earliest session,
+    /// push it back — kept as the reference `Firehose::next`'s in-place
+    /// top replacement is pinned against.
+    fn pop_push_merge(spec: &WorkloadSpec) -> Vec<Update> {
+        let Firehose {
+            mut sessions,
+            mut heap,
+            end,
+        } = Firehose::new(spec);
+        let mut out = Vec::new();
+        while let Some(Reverse((_, peer))) = heap.pop() {
+            let session = &mut sessions[peer as usize];
+            out.push(session.emit());
+            if session.next_at <= end {
+                heap.push(Reverse((session.next_at, peer)));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn one_sift_merge_yields_the_pop_push_stream() {
+        for kind in [WorkloadKind::Poisson, WorkloadKind::FlapStorm] {
+            // The small spec, and one dense enough at µs resolution
+            // that different peers collide on the same instant.
+            let dense = match kind {
+                WorkloadKind::Poisson => WorkloadSpec {
+                    peers: 64,
+                    rate: 100_000.0,
+                    duration: SimDuration::from_millis(100),
+                    ..spec(kind)
+                },
+                WorkloadKind::FlapStorm => WorkloadSpec {
+                    peers: 1024,
+                    rate: 1000.0,
+                    duration: SimDuration::from_secs(400),
+                    ..spec(kind)
+                },
+            };
+            let mut ties = 0usize;
+            for s in [spec(kind), dense] {
+                let got: Vec<Update> = Firehose::new(&s).collect();
+                assert_eq!(got, pop_push_merge(&s), "{kind:?}");
+                ties += got
+                    .windows(2)
+                    .filter(|w| w[0].at == w[1].at && w[0].peer != w[1].peer)
+                    .inspect(|w| assert!(w[0].peer < w[1].peer, "tie broken by peer id"))
+                    .count();
+            }
+            assert!(
+                ties > 0,
+                "{kind:?}: the dense spec produced no equal-time tie"
+            );
         }
     }
 

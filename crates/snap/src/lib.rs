@@ -26,12 +26,18 @@
 //! The payload itself is built with [`Encoder`] and walked with
 //! [`Decoder`]: fixed-width little-endian integers, length-prefixed
 //! byte strings, and nothing platform-dependent.
+//!
+//! As the one crate everything hashing depends on, it also holds the
+//! workspace's two program-internal hash functions: byte-wise
+//! [`fnv1a`] and the seedless [`MixHasher`] behind [`MixMap`]/[`MixSet`].
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::fs;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -67,6 +73,54 @@ pub fn fnv1a_continue(mut state: u64, bytes: &[u8]) -> u64 {
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     fnv1a_continue(FNV_OFFSET, bytes)
 }
+
+/// Multiply-mix hasher for the hot paths' point-lookup maps (the path
+/// table's two, a DES shard's delivery clamps and down-link set, a
+/// firehose shard's key index). Their keys are small integers the
+/// program made itself (node ids, path ids, FNV content hashes, packed
+/// peer/prefix pairs), so SipHash's resistance to crafted keys buys
+/// nothing and costs more than the lookup. No per-process seed;
+/// a map under it that is iterated for output must still be sorted.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MixHasher(u64);
+
+impl MixHasher {
+    #[inline]
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
+impl Hasher for MixHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.mix(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, word: u32) {
+        self.mix(u64::from(word));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        self.mix(word);
+    }
+
+    /// The multiply leaves the entropy in the high bits; the table
+    /// indexes with the low ones, so fold the halves together.
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+/// A `HashMap` under [`MixHasher`].
+pub type MixMap<K, V> = HashMap<K, V, BuildHasherDefault<MixHasher>>;
+/// A `HashSet` under [`MixHasher`].
+pub type MixSet<K> = HashSet<K, BuildHasherDefault<MixHasher>>;
 
 /// A streaming fingerprint builder: feed it values, take the hash.
 /// Used for config/topology fingerprints so every caller hashes fields
