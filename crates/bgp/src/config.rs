@@ -149,9 +149,10 @@ pub struct NetworkConfig {
     /// Safety horizon for a run (simulated seconds after which the run
     /// is cut off).
     pub horizon: SimDuration,
-    /// Number of simulation shards. `1` (the default) runs the
-    /// single-threaded engine; larger values partition the routers
-    /// into conservative lock-step shards with identical results —
+    /// Number of simulation shards (default `1`, at most
+    /// [`rfd_topology::ShardId::MAX`]). Larger values partition the
+    /// routers' state into conservative lock-step shards, all stepped
+    /// on the caller's thread, with identical results —
     /// byte-determinism across shard counts is a tested contract.
     pub sim_shards: usize,
 }
@@ -225,6 +226,13 @@ impl NetworkConfig {
         }
         if self.sim_shards == 0 {
             return Err(ConfigError("sim_shards must be at least 1".into()));
+        }
+        let most = usize::from(rfd_topology::ShardId::MAX);
+        if self.sim_shards > most {
+            return Err(ConfigError(format!(
+                "sim_shards must be at most {most} (the shard id range), got {}",
+                self.sim_shards
+            )));
         }
         if let Some(g) = self.protocol.reuse_granularity {
             if g.is_zero() {
@@ -301,6 +309,18 @@ mod tests {
             ..NetworkConfig::default()
         };
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn shard_count_outside_the_id_range_rejected() {
+        let with = |sim_shards| NetworkConfig {
+            sim_shards,
+            ..NetworkConfig::default()
+        };
+        assert!(with(0).validate().is_err());
+        assert!(with(65_535).validate().is_ok());
+        let err = with(65_536).validate().unwrap_err();
+        assert!(err.to_string().contains("at most 65535"), "{err}");
     }
 
     #[test]

@@ -18,18 +18,18 @@
 //! shard it shares with whom. Shards advance in lock-step windows of
 //! `lookahead = min link delay` planned by an [`EpochBarrier`]; BGP
 //! messages crossing a shard boundary travel as resolved AS paths (hops
-//! in a per-mailbox arena, see [`Wire`]) and are re-interned and merged
+//! in a per-shard arena, see [`Wire`]) and are re-interned and merged
 //! at the window barrier in the canonical `(time, key)` order. The
 //! result is byte-identical at any shard count — a tested contract, the
 //! same way the sweep runner proves thread-count invariance.
 //!
-//! There is one window loop (`Coordinator::run`): plan a window, run it
-//! on every shard, merge traces and ledger records in `(time, key)`
-//! order, route cross-shard messages into per-shard inboxes. Only the
-//! "run it on every shard" step differs by shard count: one shard runs
-//! inline on the caller's thread, several run on scoped worker threads.
-//! A shard that panics takes the run down with its own panic payload
-//! either way.
+//! There is one window loop (`Coordinator::run`) and one thread of
+//! control: plan a window, run it on every shard in turn on the
+//! caller's thread, merge traces and ledger records in `(time, key)`
+//! order, route cross-shard messages into per-shard inboxes. Sharding
+//! partitions *state*, not work — parallelism comes from the sweep
+//! runner's cell pool one level up — so a shard that panics is an
+//! ordinary panic of the caller.
 //!
 //! A run has three phases:
 //!
@@ -214,36 +214,6 @@ impl Wire {
     }
 }
 
-/// One shard's side of the barrier exchange. The coordinator fills
-/// `inbox` before a window; [`Shard::run_window`] drains it and leaves
-/// the window's output in the other fields. The buffers are drained,
-/// never dropped, so a run allocates them once rather than per window.
-#[derive(Debug, Default)]
-struct Mailbox {
-    /// Cross-shard messages routed to this shard, in `(time, key)`
-    /// order, not yet on its queue.
-    inbox: Wire,
-    /// Cross-shard messages the shard sent this window.
-    outbox: Wire,
-    /// The window's trace events, in processing order (which is
-    /// `(time, key)` order — pops are monotone).
-    traces: Vec<(SimTime, u64, TraceEventKind)>,
-    /// The window's ledger records.
-    ledger: Vec<(SimTime, u64, LedgerRecord)>,
-    /// The shard's earliest queued event after the window.
-    next_time: Option<SimTime>,
-    /// Events the shard processed this window.
-    delta: u64,
-}
-
-impl Mailbox {
-    /// The shard's earliest pending event, queued or still in the inbox.
-    fn earliest(&self) -> Option<SimTime> {
-        let routed = self.inbox.msgs.iter().map(|m| m.at);
-        self.next_time.into_iter().chain(routed).min()
-    }
-}
-
 /// One simulation shard: the routers it owns, their event queue, path
 /// interner, and per-node RNG streams.
 struct Shard {
@@ -283,8 +253,14 @@ struct Shard {
     muted: bool,
     /// Trace events discarded while muted.
     discarded: u64,
-    /// Current window's trace, ledger-record and cross-shard message
-    /// buffers; swapped into the [`Mailbox`] when the window ends.
+    /// Cross-shard messages routed to this shard, in `(time, key)`
+    /// order, not yet on its queue.
+    inbox: Wire,
+    /// The current window's output, which the coordinator drains at
+    /// the barrier (the buffers are cleared, never dropped, so a run
+    /// allocates them once): trace events and ledger records in
+    /// processing order — which is `(time, key)` order, pops are
+    /// monotone — and the cross-shard messages sent.
     traces: Vec<(SimTime, u64, TraceEventKind)>,
     ledger: Vec<(SimTime, u64, LedgerRecord)>,
     outbox: Wire,
@@ -559,28 +535,31 @@ impl Shard {
         }
     }
 
+    /// The shard's earliest pending event, queued or still in the inbox.
+    fn earliest(&mut self) -> Option<SimTime> {
+        let routed = self.inbox.msgs.iter().map(|m| m.at);
+        self.engine.next_time().into_iter().chain(routed).min()
+    }
+
     /// Runs one window: queues the inbox, processes every event
-    /// strictly before `end`, and leaves the output in `mail`, whose
-    /// output buffers the coordinator has drained.
-    fn run_window(&mut self, end: SimTime, mail: &mut Mailbox) {
-        self.accept_inbox(mail);
+    /// strictly before `end`, and leaves the output in `traces`,
+    /// `ledger` and `outbox`, which the coordinator has drained.
+    /// Returns the number of events processed.
+    fn run_window(&mut self, end: SimTime) -> u64 {
+        self.accept_inbox();
         let before = self.engine.processed();
         while let Some((at, key, event)) = self.engine.pop_before(end) {
             self.handle(at, key, event);
         }
-        mail.delta = self.engine.processed() - before;
-        mail.next_time = self.engine.next_time();
-        std::mem::swap(&mut self.outbox, &mut mail.outbox);
-        std::mem::swap(&mut self.traces, &mut mail.traces);
-        std::mem::swap(&mut self.ledger, &mut mail.ledger);
+        self.engine.processed() - before
     }
 
     /// Schedules the messages routed here from other shards,
     /// re-interning their AS paths. The coordinator routes in global
     /// `(time, key)` order, which makes the intern order canonical.
-    fn accept_inbox(&mut self, mail: &mut Mailbox) {
-        for msg in &mail.inbox.msgs {
-            let update = match mail.inbox.path(msg) {
+    fn accept_inbox(&mut self) {
+        for msg in &self.inbox.msgs {
+            let update = match self.inbox.path(msg) {
                 Some(path) => UpdateMessage::announce(self.path_table.from_path(path)),
                 None => UpdateMessage::withdraw(),
             };
@@ -598,7 +577,7 @@ impl Shard {
                 },
             );
         }
-        mail.inbox.clear();
+        self.inbox.clear();
     }
 
     /// Runs the origin's kickoff announcement through this shard's
@@ -621,15 +600,13 @@ impl Shard {
 }
 
 /// The coordinator's half of a run: everything the window loop touches
-/// except the shards themselves, which the loop reaches only through
-/// the `run_window` step it is handed.
+/// except the shards themselves, which [`Coordinator::run`] is handed
+/// and steps one after another on the caller's thread.
 struct Coordinator<S> {
     /// Raw node id → owning shard.
     node_shard: Arc<Vec<u16>>,
-    /// One mailbox per shard.
-    mail: Vec<Mailbox>,
-    /// Per-window merge scratch, kept across windows like the
-    /// mailboxes' buffers.
+    /// Per-window merge scratch, kept across windows like the shards'
+    /// own buffers.
     traces: Vec<(SimTime, u64, TraceEventKind)>,
     records: Vec<(SimTime, u64, LedgerRecord)>,
     /// Every shard's outbox messages in `(time, key)` order; their
@@ -650,30 +627,22 @@ struct Coordinator<S> {
 
 impl<S: TraceSink> Coordinator<S> {
     /// The window loop. Each iteration plans a window from the earliest
-    /// pending event (queued or still in an inbox), has `run_window`
-    /// run it on every shard, feeds the shards' trace events and ledger
-    /// records to the consumers in canonical order, and routes the
-    /// cross-shard messages. Returns `None` if `run_window` reports
-    /// that a shard stopped answering.
-    fn run(
-        &mut self,
-        barrier: &mut EpochBarrier,
-        mut run_window: impl FnMut(SimTime, &mut [Mailbox]) -> bool,
-    ) -> Option<RunOutcome> {
+    /// pending event (queued or still in an inbox), runs it on every
+    /// shard in turn, feeds the shards' trace events and ledger records
+    /// to the consumers in canonical order, and routes the cross-shard
+    /// messages.
+    fn run(&mut self, barrier: &mut EpochBarrier, shards: &mut [Shard]) -> RunOutcome {
         let run_start = self.processed;
         loop {
-            let min_next = self.mail.iter().filter_map(Mailbox::earliest).min();
+            let min_next = shards.iter_mut().filter_map(Shard::earliest).min();
             let end = match barrier.plan(min_next, self.processed - run_start) {
                 WindowPlan::Run { end } => end,
-                WindowPlan::Done(outcome) => return Some(outcome),
+                WindowPlan::Done(outcome) => return outcome,
             };
-            if !run_window(end, &mut self.mail) {
-                return None;
-            }
-            for mail in &mut self.mail {
-                self.processed += mail.delta;
-                self.traces.append(&mut mail.traces);
-                self.records.append(&mut mail.ledger);
+            for shard in shards.iter_mut() {
+                self.processed += shard.run_window(end);
+                self.traces.append(&mut shard.traces);
+                self.records.append(&mut shard.ledger);
             }
             // The sorts are stable, so events of one processing step
             // keep their emission order; keys are unique per step, so
@@ -688,16 +657,16 @@ impl<S: TraceSink> Coordinator<S> {
             for (_, _, record) in self.records.drain(..) {
                 self.ledger.record(record);
             }
-            self.route();
+            self.route(shards);
         }
     }
 
     /// Moves every shard's outbox into the destination shards' inboxes
     /// in global `(time, key)` order, copying each announced path from
     /// the sender's hop arena into the receiver's.
-    fn route(&mut self) {
-        for mail in &mut self.mail {
-            self.outbox.append(&mut mail.outbox.msgs);
+    fn route(&mut self, shards: &mut [Shard]) {
+        for shard in shards.iter_mut() {
+            self.outbox.append(&mut shard.outbox.msgs);
         }
         // `(at, key)` pairs are globally unique, so the unstable sort
         // is a total order: the destination shards re-intern paths in
@@ -706,19 +675,19 @@ impl<S: TraceSink> Coordinator<S> {
         for msg in self.outbox.drain(..) {
             let src = self.node_shard[msg.from.index()] as usize;
             let dest = self.node_shard[msg.to.index()] as usize;
-            // Two mailboxes at once; a routed message always crosses
+            // Two shards at once; a routed message always crosses
             // shards, so `src != dest`.
             let (sender, receiver) = if src < dest {
-                let (lo, hi) = self.mail.split_at_mut(dest);
+                let (lo, hi) = shards.split_at_mut(dest);
                 (&lo[src], &mut hi[0])
             } else {
-                let (lo, hi) = self.mail.split_at_mut(src);
+                let (lo, hi) = shards.split_at_mut(src);
                 (&hi[0], &mut lo[dest])
             };
             receiver.inbox.push(msg, sender.outbox.path(&msg));
         }
-        for mail in &mut self.mail {
-            mail.outbox.clear();
+        for shard in shards {
+            shard.outbox.clear();
         }
     }
 }
@@ -745,9 +714,6 @@ pub struct Network<S: TraceSink = VecSink> {
     inj_seq: u64,
     /// Synchronization windows executed over the network's lifetime.
     windows: u64,
-    /// Wall-clock time shards spent waiting at window barriers
-    /// (threaded execution only; zero for `sim_shards = 1`).
-    stall: std::time::Duration,
     warmed_up: bool,
     /// True exactly between the end of [`Network::warm_up`] and the
     /// first workload injection: a snapshot taken here is *warm* —
@@ -837,10 +803,6 @@ impl<S: TraceSink> Network<S> {
             .validate()
             .unwrap_or_else(|e| panic!("invalid configuration: {e}"));
         assert!(!isps.is_empty(), "need at least one origin attachment");
-        assert!(
-            config.sim_shards <= usize::from(u16::MAX),
-            "sim_shards exceeds the shard id range"
-        );
         // The clone is necessary: origin nodes are appended below, and
         // the caller keeps `base` (the same graph is reused across sweep
         // cells). The policy, in contrast, is ours to keep — take it.
@@ -911,6 +873,7 @@ impl<S: TraceSink> Network<S> {
                 discarded: 0,
                 traces: Vec::new(),
                 ledger: Vec::new(),
+                inbox: Wire::default(),
                 outbox: Wire::default(),
                 out: RouterOutput::default(),
             })
@@ -945,7 +908,6 @@ impl<S: TraceSink> Network<S> {
         Network {
             coord: Coordinator {
                 node_shard,
-                mail: shards.iter().map(|_| Mailbox::default()).collect(),
                 traces: Vec::new(),
                 records: Vec::new(),
                 outbox: Vec::new(),
@@ -963,7 +925,6 @@ impl<S: TraceSink> Network<S> {
             rc_seq: 0,
             inj_seq: 0,
             windows: 0,
-            stall: std::time::Duration::ZERO,
             warmed_up: false,
             warm_boundary: false,
             measured_base: 0,
@@ -999,9 +960,9 @@ impl<S: TraceSink> Network<S> {
         self.shards.len()
     }
 
-    /// Synchronization windows executed so far (equals events processed
-    /// in meaning only for pathological workloads; a window usually
-    /// covers many events).
+    /// Synchronization windows executed so far. A window is one
+    /// lookahead (the minimum link delay) wide, so it covers few
+    /// events: 1.9–9.1 on the perf ledger's workloads.
     pub fn windows(&self) -> u64 {
         self.windows
     }
@@ -1012,13 +973,12 @@ impl<S: TraceSink> Network<S> {
         self.coord.processed
     }
 
-    /// Cumulative wall-clock time shards spent stalled at window
-    /// barriers (threaded execution only; always zero for
-    /// `sim_shards = 1`). On a single-core host this is dominated by
-    /// the serialization of the shards themselves, not by true
-    /// synchronization overhead.
+    /// Always zero: every shard's window runs on the caller's thread,
+    /// so nothing waits at a barrier. Kept because the perf ledger
+    /// calls it; its `bgp.network.stall_share` row reads 0 until a
+    /// `[benchmark]` PR (ROADMAP item 1) drops both.
     pub fn barrier_stall(&self) -> std::time::Duration {
-        self.stall
+        std::time::Duration::ZERO
     }
 
     /// Read access to the measured-phase sink.
@@ -1131,37 +1091,19 @@ impl<S: TraceSink> Network<S> {
     }
 
     /// Runs every shard to completion under the conservative barrier
-    /// protocol: [`Coordinator::run`] is the loop, and the shard count
-    /// picks how a window reaches the shards — one shard runs inline,
-    /// several run on scoped worker threads — with identical results
-    /// either way, by the canonical-merge construction.
+    /// protocol ([`Coordinator::run`] is the loop), at any shard count
+    /// on the caller's thread.
     fn drive(&mut self) -> RunOutcome {
         let obs_span = rfd_obs::is_enabled().then(|| rfd_obs::span("sim.run"));
         let budget = EpochBarrier::DEFAULT_EVENT_BUDGET;
         let mut barrier = EpochBarrier::new(self.lookahead, self.horizon, budget);
         let before = self.coord.processed;
-        for (shard, mail) in self.shards.iter_mut().zip(&mut self.coord.mail) {
-            mail.next_time = shard.engine.next_time();
-        }
-        let outcome = if let [shard] = self.shards.as_mut_slice() {
-            self.coord.run(&mut barrier, |end, mail| {
-                shard.run_window(end, &mut mail[0]);
-                true
-            })
-        } else {
-            Self::drive_on_workers(
-                &mut self.shards,
-                &mut self.coord,
-                &mut barrier,
-                &mut self.stall,
-            )
-        };
-        let outcome = outcome.expect("a shard worker only stops early by panicking");
+        let outcome = self.coord.run(&mut barrier, &mut self.shards);
         // A horizon/budget cutoff can leave routed-but-undelivered
         // messages; park them on their destination queues so a later
         // run (or a snapshot) still sees them.
-        for (shard, mail) in self.shards.iter_mut().zip(&mut self.coord.mail) {
-            shard.accept_inbox(mail);
+        for shard in &mut self.shards {
+            shard.accept_inbox();
         }
         self.windows += barrier.windows();
         rfd_obs::add("sim.events", self.coord.processed - before);
@@ -1179,72 +1121,6 @@ impl<S: TraceSink> Network<S> {
             events_processed: self.coord.processed - self.measured_base,
             outcome,
         }
-    }
-
-    /// [`Network::drive`]'s window step for several shards: one scoped
-    /// worker thread per shard, each with its own command and reply
-    /// channel. A window sends every worker its mailbox and waits for
-    /// all of them back; a worker that panicked has dropped its ends,
-    /// so the coordinator sees the failure instead of waiting forever,
-    /// stops, and re-raises that worker's panic.
-    fn drive_on_workers(
-        shards: &mut [Shard],
-        coord: &mut Coordinator<S>,
-        barrier: &mut EpochBarrier,
-        stall: &mut std::time::Duration,
-    ) -> Option<RunOutcome> {
-        use std::sync::mpsc;
-        use std::time::{Duration, Instant};
-
-        let n = shards.len() as u32;
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = shards
-                .iter_mut()
-                .map(|shard| {
-                    let (cmd_tx, cmd_rx) = mpsc::channel::<(SimTime, Mailbox)>();
-                    let (reply_tx, reply_rx) = mpsc::channel::<(Mailbox, Duration)>();
-                    let handle = scope.spawn(move || {
-                        while let Ok((end, mut mail)) = cmd_rx.recv() {
-                            let started = Instant::now();
-                            shard.run_window(end, &mut mail);
-                            if reply_tx.send((mail, started.elapsed())).is_err() {
-                                break;
-                            }
-                        }
-                    });
-                    (cmd_tx, reply_rx, handle)
-                })
-                .collect();
-            let outcome = coord.run(barrier, |end, mail| {
-                let dispatched = Instant::now();
-                for ((cmd_tx, _, _), slot) in workers.iter().zip(mail.iter_mut()) {
-                    if cmd_tx.send((end, std::mem::take(slot))).is_err() {
-                        return false;
-                    }
-                }
-                let mut busy = Duration::ZERO;
-                for ((_, reply_rx, _), slot) in workers.iter().zip(mail.iter_mut()) {
-                    let Ok((mail, worked)) = reply_rx.recv() else {
-                        return false;
-                    };
-                    *slot = mail;
-                    busy += worked;
-                }
-                // Stall = idle shard-time at this barrier: the window
-                // spans `wall` for everyone, each shard was busy for
-                // its own slice.
-                *stall += (dispatched.elapsed() * n).saturating_sub(busy);
-                true
-            });
-            // Hanging up the command channels ends the workers' loops.
-            for (cmd_tx, _, handle) in workers {
-                drop(cmd_tx);
-                if let Err(panic) = handle.join() {
-                    std::panic::resume_unwind(panic);
-                }
-            }
-            outcome
-        })
     }
 
     /// Phase 1: the origin announces its prefix and the network
@@ -1265,10 +1141,7 @@ impl<S: TraceSink> Network<S> {
             self.shards[s].kickoff_origin(origin);
         }
         // Route any cross-shard kickoff announcements before the run.
-        for (shard, mail) in self.shards.iter_mut().zip(&mut self.coord.mail) {
-            std::mem::swap(&mut shard.outbox, &mut mail.outbox);
-        }
-        self.coord.route();
+        self.coord.route(&mut self.shards);
         let outcome = self.drive();
         assert_eq!(outcome, RunOutcome::Quiescent, "warm-up failed to converge");
         for att in &self.origins {
@@ -1847,8 +1720,8 @@ mod tests {
     }
 
     /// A panic inside a shard must end the run with a panic at every
-    /// shard count — never leave the coordinator waiting on a worker
-    /// that is gone.
+    /// shard count, never a hang (the thread and timeout here are the
+    /// test's own: the run itself has one thread of control).
     #[test]
     fn shard_panic_propagates_instead_of_hanging() {
         for shards in [1, 2, 8] {
@@ -1950,6 +1823,31 @@ mod tests {
         assert_eq!(report.outcome, RunOutcome::Quiescent);
         assert!(report.message_count > 0);
         assert_eq!(net.shard_count(), 12);
+    }
+
+    /// A shard count no thread pool could serve (one thread per shard
+    /// aborted the process here): 20,000 shards, at most ten of them
+    /// holding a router, reproduce the one-shard run.
+    #[test]
+    fn twenty_thousand_shards_match_one() {
+        let g = mesh_torus(3, 3);
+        let run = |shards: usize| {
+            let mut cfg = NetworkConfig::paper_full_damping(5);
+            cfg.sim_shards = shards;
+            let mut net = Network::new(&g, NodeId::new(4), cfg);
+            let report = net.run_paper_workload(1);
+            assert_eq!(net.shard_count(), shards);
+            (
+                report.message_count,
+                report.convergence_time,
+                report.events_processed,
+                net.dropped_messages(),
+                net.trace().events().to_vec(),
+            )
+        };
+        let one = run(1);
+        assert!(one.0 > 0, "the reference run must send something");
+        assert_eq!(one, run(20_000));
     }
 
     #[test]

@@ -33,8 +33,8 @@
 //! **Not captured** (rebuilt or irrelevant on restore): decay tables
 //! and damping parameters (derived from config), the path interner's
 //! dedup/memo caches and hit counters (caches never influence which id
-//! a path interns to), wall-clock barrier-stall accounting, and the
-//! `EpochBarrier` (fresh per drive; the `windows` counter is carried).
+//! a path interns to), and the `EpochBarrier` (fresh per drive; the
+//! `windows` counter is carried).
 
 use std::path::Path;
 
@@ -448,7 +448,10 @@ pub fn inspect(path: &Path) -> Result<ContainerInfo, SnapshotError> {
 
 fn encode_shard(enc: &mut Encoder, shard: &mut Shard) {
     assert!(
-        shard.traces.is_empty() && shard.ledger.is_empty() && shard.outbox.msgs.is_empty(),
+        shard.traces.is_empty()
+            && shard.ledger.is_empty()
+            && shard.outbox.msgs.is_empty()
+            && shard.inbox.msgs.is_empty(),
         "snapshot capture outside a drive boundary (window buffers not flushed)"
     );
     enc.usize(shard.routers.len());

@@ -97,10 +97,15 @@ pub const CHAOS: Flag = Flag::value("--chaos", "SPEC", "deterministic fault inje
 pub const OBS: Flag =
     Flag::new("--obs", Takes::OptionalEq("PATH"), "record spans/counters to a Chrome-trace JSON");
 
-/// Reads [`SIM_SHARDS`]: absent means 1, zero is refused.
+/// Reads [`SIM_SHARDS`]: absent means 1; zero and counts beyond the
+/// shard id range are refused.
 pub fn sim_shards(p: &Parsed<'_>) -> Result<usize, CliError> {
+    let most = usize::from(rfd_topology::ShardId::MAX);
     match p.parse("--sim-shards")? {
         Some(0) => Err(CliError("--sim-shards must be at least 1".into())),
+        Some(n) if n > most => Err(CliError(format!(
+            "--sim-shards must be at most {most}, got {n}"
+        ))),
         n => Ok(n.unwrap_or(1)),
     }
 }

@@ -13,6 +13,7 @@ fn fig8_refuses_what_it_does_not_understand() {
         (&["--quik"][..], "unknown flag `--quik`"),
         (&["--quick", "--threads"], "--threads needs a value"),
         (&["--sim-shards=0"], "--sim-shards must be at least 1"),
+        (&["--sim-shards=65536"], "--sim-shards must be at most"),
         (&["--quick=yes"], "--quick takes no value"),
         (&["--cell-budget", "-1"], "--cell-budget must be a positive"),
         (&["--chaos", "explode@x"], "unknown fault `explode`"),

@@ -86,13 +86,14 @@ fn run_and_trace_stats_round_trip() {
 #[test]
 fn run_rejects_bad_flags() {
     // A command line the flag tables refuse exits 2 with one `error:`
-    // line naming the flag and the value (the last three died with a
-    // panic and a backtrace before ISSUE 14).
+    // line naming the flag and the value (all but the first once died
+    // with a panic and a backtrace).
     for args in [
         ["run", "--pulses", "banana"],
         ["sweep", "--cell-budget", "-1"],
         ["intended", "--interval", "-5"],
         ["run", "--interval", "1e300"],
+        ["run", "--sim-shards", "65536"],
     ] {
         let out = rfd().args(args).output().unwrap();
         let stderr = String::from_utf8_lossy(&out.stderr);

@@ -20,7 +20,7 @@ use route_flap_damping::experiments::output::{exec_flags, EXEC};
 const VALUES: &[&str] = &[
     // numbers: small, negative, sub-microsecond, overflowing every integer and duration
     "", " ", "0", "1", "3", "-1", "-5", "0.000001", "1e-9", "1e-400", "1e300", "-1e300", "NaN",
-    "inf", "-inf", "4294967296", "9223372036854775807", "18446744073709551616",
+    "inf", "-inf", "65535", "65536", "4294967296", "9223372036854775807", "18446744073709551616",
     // values some flag accepts, and near misses
     "mesh:3x3", "torus:0x0", "ba:20", "ba:", "ring:18446744073709551616", ":", "off", "cisco",
     "juniper", "rcn", "novalley", "poisson", "bucketed", "json", "fig15", "1,2", "1,x", ",", "4:1",
@@ -100,4 +100,12 @@ proptest! {
 fn no_command_line_panics_a_parser() {
     every_command_line_settles();
     assert!(ACCEPTED.load(Relaxed) > 1_000, "{ACCEPTED:?} accepted");
+    // Both ends of `--sim-shards`' range stop at the parser: a count
+    // the parser lets through is one `Network::new` must accept.
+    let shards = |n: &str| parse_run_options(&["--sim-shards".to_owned(), n.to_owned()]);
+    assert!(shards("65535").is_ok());
+    for n in ["0", "65536"] {
+        let e = shards(n).expect_err(n);
+        assert!(e.0.contains("--sim-shards"), "{e:?}");
+    }
 }
