@@ -151,9 +151,11 @@ pub struct NetworkConfig {
     pub horizon: SimDuration,
     /// Number of simulation shards (default `1`, at most
     /// [`rfd_topology::ShardId::MAX`]). Larger values partition the
-    /// routers' state into conservative lock-step shards, all stepped
-    /// on the caller's thread, with identical results —
-    /// byte-determinism across shard counts is a tested contract.
+    /// routers, their RNG streams and their event queues into
+    /// conservative lock-step shards, all stepped on the caller's
+    /// thread; the path table, policy and origins stay one per network.
+    /// Results are identical — byte-determinism across shard counts is
+    /// a tested contract.
     pub sim_shards: usize,
 }
 

@@ -11,25 +11,28 @@
 //! # Sharded execution
 //!
 //! Routers are assigned to shards by the deterministic FNV partition
-//! ([`rfd_topology::shard_of`]). Each shard owns its routers, its own
-//! [`ShardEngine`] event queue, its own [`PathTable`], and one pair of
-//! RNG streams *per node* (`delays/<id>`, `mrai/<id>`), so a node's
-//! random draws depend only on its own event order — never on which
-//! shard it shares with whom. Shards advance in lock-step windows of
-//! `lookahead = min link delay` planned by an [`EpochBarrier`]; BGP
-//! messages crossing a shard boundary travel as resolved AS paths (hops
-//! in a per-shard arena, see [`Wire`]) and are re-interned and merged
-//! at the window barrier in the canonical `(time, key)` order. The
-//! result is byte-identical at any shard count — a tested contract, the
-//! same way the sweep runner proves thread-count invariance.
+//! ([`rfd_topology::shard_of`]). A shard owns what is *partitioned*: its
+//! routers, one pair of RNG streams *per node* (`delays/<id>`,
+//! `mrai/<id>`) — so a node's random draws depend only on its own event
+//! order, never on which shard it shares with whom — the per-node
+//! sequence numbers, delivery clamps and window buffers. What the
+//! network has one of (the [`PathTable`], the [`Policy`], the origins,
+//! the node → shard maps and the shards' [`ShardEngine`] queues side by
+//! side) is held once and lent to whichever shard is running its
+//! window. A [`Route`](crate::intern::Route) handle is therefore valid
+//! at every router, and an update crossing a shard boundary is the same
+//! [`NetEvent::Deliver`] a local one is, scheduled on the receiver's
+//! queue. Shards advance in lock-step windows of `lookahead = min link
+//! delay` planned by an [`EpochBarrier`]; the result is byte-identical
+//! at any shard count — a tested contract, the same way the sweep
+//! runner proves thread-count invariance.
 //!
 //! There is one window loop (`Coordinator::run`) and one thread of
 //! control: plan a window, run it on every shard in turn on the
 //! caller's thread, merge traces and ledger records in `(time, key)`
-//! order, route cross-shard messages into per-shard inboxes. Sharding
-//! partitions *state*, not work — parallelism comes from the sweep
-//! runner's cell pool one level up — so a shard that panics is an
-//! ordinary panic of the caller.
+//! order. Sharding partitions *state*, not work — parallelism comes
+//! from the sweep runner's cell pool one level up — so a shard that
+//! panics is an ordinary panic of the caller.
 //!
 //! A run has three phases:
 //!
@@ -41,8 +44,6 @@
 //! 3. **drain** — the run continues to quiescence: every pending update,
 //!    MRAI and reuse timer fires (silent reuse timers do not affect the
 //!    metrics, matching the paper's footnote 3).
-
-use std::sync::Arc;
 
 use rfd_core::{
     FlapPattern, LedgerFilter, LedgerRecord, LedgerSink, LinkStatus, NullLedger, RootCause,
@@ -57,7 +58,7 @@ use rfd_topology::{Graph, NodeId};
 
 use crate::config::NetworkConfig;
 use crate::intern::PathTable;
-use crate::message::{Prefix, UpdateMessage, UpdatePayload};
+use crate::message::{Prefix, UpdateMessage};
 use crate::policy::Policy;
 use crate::router::{Router, RouterConfig, RouterOutput};
 
@@ -160,81 +161,44 @@ fn norm_link(a: NodeId, b: NodeId) -> (u32, u32) {
     }
 }
 
-/// A BGP update crossing a shard boundary. [`Route`] handles are
-/// per-shard, so the AS path travels resolved — as a span of the hop
-/// arena of the [`Wire`] holding the message — and is re-interned on
-/// the destination shard in canonical merge order.
-///
-/// [`Route`]: crate::intern::Route
-#[derive(Debug, Clone, Copy)]
-struct RemoteMsg {
-    at: SimTime,
-    /// Canonical event key ([`event_key`] of the sender).
-    key: u64,
-    from: NodeId,
-    to: NodeId,
-    prefix: Prefix,
-    /// `None` for a withdrawal; otherwise `(offset, len)` of the
-    /// resolved AS path in the owning [`Wire`]'s hop arena.
-    path: Option<(u32, u32)>,
-    root_cause: Option<RootCause>,
-    degraded: Option<bool>,
-}
-
-/// A batch of cross-shard messages and the hop arena their paths live
-/// in. Cleared, never dropped, so after the first windows a message
-/// crosses a shard boundary without touching the allocator.
-#[derive(Debug, Default)]
-struct Wire {
-    msgs: Vec<RemoteMsg>,
-    hops: Vec<NodeId>,
-}
-
-impl Wire {
-    /// Appends `msg`, copying `path` into this wire's arena (whatever
-    /// span `msg.path` held belonged to another wire).
-    fn push(&mut self, mut msg: RemoteMsg, path: Option<&[NodeId]>) {
-        msg.path = path.map(|hops| {
-            let off = u32::try_from(self.hops.len()).expect("hop arena exceeds u32 offsets");
-            self.hops.extend_from_slice(hops);
-            (off, hops.len() as u32)
-        });
-        self.msgs.push(msg);
-    }
-
-    /// The AS path `msg` (one of this wire's messages) announces.
-    fn path(&self, msg: &RemoteMsg) -> Option<&[NodeId]> {
-        msg.path
-            .map(|(off, len)| &self.hops[off as usize..(off + len) as usize])
-    }
-
-    fn clear(&mut self) {
-        self.msgs.clear();
-        self.hops.clear();
-    }
-}
-
-/// One simulation shard: the routers it owns, their event queue, path
-/// interner, and per-node RNG streams.
-struct Shard {
-    id: usize,
-    /// Raw node id → owning shard (shared, immutable).
-    node_shard: Arc<Vec<u16>>,
-    /// Raw node id → index into its shard's `routers`.
-    node_local: Arc<Vec<u32>>,
-    engine: ShardEngine<NetEvent>,
-    /// Local routers in ascending global id order.
-    routers: Vec<Router>,
+/// What the network has one of, lent to whichever shard is running
+/// its window.
+struct Shared {
+    /// Every distinct AS path, once: a [`Route`] handle is valid at
+    /// every router, whatever shard it is on.
+    ///
+    /// [`Route`]: crate::intern::Route
     path_table: PathTable,
     policy: Policy,
+    origins: Vec<OriginAttachment>,
+    delay_range: (SimDuration, SimDuration),
+    /// Raw node id → owning shard.
+    node_shard: Vec<u16>,
+    /// Raw node id → index into its shard's `routers`.
+    node_local: Vec<u32>,
+    /// One event queue per shard, by shard id. They sit side by side
+    /// here so that a send is a `schedule` on the receiver's queue
+    /// whichever shard the receiver is on: a wheel pops in pure
+    /// `(time, key)` order whatever the insertion order, and a delivery
+    /// lands at `now + delay ≥ now + lookahead`, at or after the end of
+    /// the window being run (`ShardEngine::schedule` debug-asserts it is
+    /// not behind the receiver's clock).
+    queues: Vec<ShardEngine<NetEvent>>,
+}
+
+/// One simulation shard: the routers it owns and their per-node RNG
+/// streams, sequence numbers and delivery clamps. Everything
+/// network-wide, its event queue included, comes in as a [`Shared`].
+struct Shard {
+    id: usize,
+    /// Local routers in ascending global id order.
+    routers: Vec<Router>,
     /// Per local node: message-delay stream (`delays/<id>`).
     delay_rngs: Vec<DetRng>,
     /// Per local node: MRAI-jitter stream (`mrai/<id>`).
     mrai_rngs: Vec<DetRng>,
     /// Per local node: next canonical event sequence number.
     seqs: Vec<u64>,
-    delay_range: (SimDuration, SimDuration),
-    origins: Vec<OriginAttachment>,
     /// Per directed link out of this shard's nodes: the latest delivery
     /// instant scheduled so far. BGP sessions run over TCP, so updates
     /// between two peers arrive in the order they were sent — later
@@ -253,17 +217,13 @@ struct Shard {
     muted: bool,
     /// Trace events discarded while muted.
     discarded: u64,
-    /// Cross-shard messages routed to this shard, in `(time, key)`
-    /// order, not yet on its queue.
-    inbox: Wire,
     /// The current window's output, which the coordinator drains at
     /// the barrier (the buffers are cleared, never dropped, so a run
     /// allocates them once): trace events and ledger records in
     /// processing order — which is `(time, key)` order, pops are
-    /// monotone — and the cross-shard messages sent.
+    /// monotone.
     traces: Vec<(SimTime, u64, TraceEventKind)>,
     ledger: Vec<(SimTime, u64, LedgerRecord)>,
-    outbox: Wire,
     /// The one [`RouterOutput`] every event of this shard is handled
     /// through: [`Shard::handle`] takes it, the router fills it,
     /// [`Shard::apply_output`] drains it and hands it back.
@@ -275,24 +235,19 @@ impl std::fmt::Debug for Shard {
         f.debug_struct("Shard")
             .field("id", &self.id)
             .field("routers", &self.routers.len())
-            .field("pending", &self.engine.len())
             .finish()
     }
 }
 
 impl Shard {
-    fn local(&self, node: NodeId) -> usize {
-        debug_assert_eq!(self.node_shard[node.index()] as usize, self.id);
-        self.node_local[node.index()] as usize
-    }
-
-    fn is_local(&self, node: NodeId) -> bool {
-        self.node_shard[node.index()] as usize == self.id
+    fn local(&self, net: &Shared, node: NodeId) -> usize {
+        debug_assert_eq!(net.node_shard[node.index()] as usize, self.id);
+        net.node_local[node.index()] as usize
     }
 
     /// Next canonical event key for an event created by local `node`.
-    fn next_key(&mut self, node: NodeId) -> u64 {
-        let l = self.local(node);
+    fn next_key(&mut self, net: &Shared, node: NodeId) -> u64 {
+        let l = self.local(net, node);
         let seq = self.seqs[l];
         self.seqs[l] += 1;
         event_key(node.raw(), seq)
@@ -313,9 +268,9 @@ impl Shard {
     /// on the same directed link (TCP ordering). The delay comes from
     /// the *sender's* stream, so the draw order is the sender's event
     /// order — shard-layout invariant.
-    fn delivery_at(&mut self, now: SimTime, from: NodeId, to: NodeId) -> SimTime {
-        let l = self.local(from);
-        let (lo, hi) = self.delay_range;
+    fn delivery_at(&mut self, net: &Shared, now: SimTime, from: NodeId, to: NodeId) -> SimTime {
+        let l = self.local(net, from);
+        let (lo, hi) = net.delay_range;
         let natural = now + self.delay_rngs[l].duration_between(lo, hi);
         let slot = self
             .last_delivery
@@ -332,7 +287,15 @@ impl Shard {
 
     /// Sends one update, tracing it under `emit_key`, the identity of
     /// the event being processed (for trace ordering).
-    fn send(&mut self, now: SimTime, emit_key: u64, from: NodeId, to: NodeId, msg: UpdateMessage) {
+    fn send(
+        &mut self,
+        net: &mut Shared,
+        now: SimTime,
+        emit_key: u64,
+        from: NodeId,
+        to: NodeId,
+        msg: UpdateMessage,
+    ) {
         self.emit(
             now,
             emit_key,
@@ -342,41 +305,36 @@ impl Shard {
                 withdrawal: msg.is_withdrawal(),
             },
         );
-        self.transmit(now, from, to, msg);
+        self.transmit(net, now, from, to, msg);
     }
 
-    /// Puts one update on the wire: local deliveries go straight onto
-    /// this shard's queue, cross-shard ones into the outbox with the
-    /// AS path resolved.
-    fn transmit(&mut self, now: SimTime, from: NodeId, to: NodeId, msg: UpdateMessage) {
-        let at = self.delivery_at(now, from, to);
-        let key = self.next_key(from);
-        if self.is_local(to) {
-            self.engine
-                .schedule(at, key, NetEvent::Deliver { from, to, msg });
-        } else {
-            let path = match msg.payload {
-                UpdatePayload::Announce(route) => Some(self.path_table.path(route)),
-                UpdatePayload::Withdraw => None,
-            };
-            let remote = RemoteMsg {
-                at,
-                key,
-                from,
-                to,
-                prefix: msg.prefix,
-                path: None,
-                root_cause: msg.root_cause,
-                degraded: msg.degraded,
-            };
-            self.outbox.push(remote, path);
-        }
+    /// Puts one update on the wire: a delivery event on the queue of
+    /// the receiver's shard, this one or another.
+    fn transmit(
+        &mut self,
+        net: &mut Shared,
+        now: SimTime,
+        from: NodeId,
+        to: NodeId,
+        msg: UpdateMessage,
+    ) {
+        let at = self.delivery_at(net, now, from, to);
+        let key = self.next_key(net, from);
+        let dest = net.node_shard[to.index()] as usize;
+        net.queues[dest].schedule(at, key, NetEvent::Deliver { from, to, msg });
     }
 
     /// Turns what a router produced into trace events, ledger records
     /// and scheduled events, leaving `out` empty in `self.out` for the
     /// next event.
-    fn apply_output(&mut self, now: SimTime, key: u64, node: NodeId, mut out: RouterOutput) {
+    fn apply_output(
+        &mut self,
+        net: &mut Shared,
+        now: SimTime,
+        key: u64,
+        node: NodeId,
+        mut out: RouterOutput,
+    ) {
         rfd_obs::add("bgp.updates_sent", out.sends.len() as u64);
         rfd_obs::add("bgp.mrai_scheduled", out.mrai_timers.len() as u64);
         for kind in out.traces.drain(..) {
@@ -388,22 +346,20 @@ impl Shard {
             }
         }
         for (to, msg) in out.sends.drain(..) {
-            self.send(now, key, node, to, msg);
+            self.send(net, now, key, node, to, msg);
         }
         for (peer, prefix, at) in out.mrai_timers.drain(..) {
-            let k = self.next_key(node);
-            self.engine
-                .schedule(at, k, NetEvent::MraiExpiry { node, peer, prefix });
+            let k = self.next_key(net, node);
+            net.queues[self.id].schedule(at, k, NetEvent::MraiExpiry { node, peer, prefix });
         }
         for (peer, prefix, at) in out.reuse_timers.drain(..) {
-            let k = self.next_key(node);
-            self.engine
-                .schedule(at, k, NetEvent::ReuseTimer { node, peer, prefix });
+            let k = self.next_key(net, node);
+            net.queues[self.id].schedule(at, k, NetEvent::ReuseTimer { node, peer, prefix });
         }
         self.out = out;
     }
 
-    fn handle(&mut self, at: SimTime, key: u64, event: NetEvent) {
+    fn handle(&mut self, net: &mut Shared, at: SimTime, key: u64, event: NetEvent) {
         match event {
             NetEvent::Deliver { from, to, msg } => {
                 if self.down_links.contains(&norm_link(from, to)) {
@@ -422,50 +378,50 @@ impl Shard {
                         withdrawal: msg.is_withdrawal(),
                     },
                 );
-                let l = self.local(to);
+                let l = self.local(net, to);
                 let mut out = std::mem::take(&mut self.out);
                 self.routers[l].handle_update(
                     at,
                     from,
                     &msg,
-                    &mut self.path_table,
+                    &mut net.path_table,
                     &mut self.mrai_rngs[l],
-                    &self.policy,
+                    &net.policy,
                     &mut out,
                 );
-                self.apply_output(at, key, to, out);
+                self.apply_output(net, at, key, to, out);
             }
             NetEvent::MraiExpiry { node, peer, prefix } => {
                 rfd_obs::inc("bgp.mrai_expiries");
-                let l = self.local(node);
+                let l = self.local(net, node);
                 let mut out = std::mem::take(&mut self.out);
                 self.routers[l].on_mrai_expiry(
                     at,
                     peer,
                     prefix,
-                    &mut self.path_table,
+                    &mut net.path_table,
                     &mut self.mrai_rngs[l],
-                    &self.policy,
+                    &net.policy,
                     &mut out,
                 );
-                self.apply_output(at, key, node, out);
+                self.apply_output(net, at, key, node, out);
             }
             NetEvent::ReuseTimer { node, peer, prefix } => {
-                let l = self.local(node);
+                let l = self.local(net, node);
                 let mut out = std::mem::take(&mut self.out);
                 self.routers[l].on_reuse_timer(
                     at,
                     peer,
                     prefix,
-                    &mut self.path_table,
+                    &mut net.path_table,
                     &mut self.mrai_rngs[l],
-                    &self.policy,
+                    &net.policy,
                     &mut out,
                 );
-                self.apply_output(at, key, node, out);
+                self.apply_output(net, at, key, node, out);
             }
             NetEvent::OriginLink { origin, up, rc } => {
-                let attachment = self.origins[origin];
+                let attachment = net.origins[origin];
                 self.emit(
                     at,
                     key,
@@ -475,13 +431,13 @@ impl Shard {
                     },
                 );
                 let mut msg = if up {
-                    UpdateMessage::announce(self.path_table.originate(attachment.node))
+                    UpdateMessage::announce(net.path_table.originate(attachment.node))
                         .with_root_cause(rc)
                 } else {
                     UpdateMessage::withdraw().with_root_cause(rc)
                 };
                 msg.prefix = attachment.prefix;
-                self.send(at, key, attachment.node, attachment.isp, msg);
+                self.send(net, at, key, attachment.node, attachment.isp, msg);
             }
             NetEvent::LinkSession {
                 node,
@@ -507,16 +463,16 @@ impl Shard {
                 } else {
                     self.down_links.insert(link);
                 }
-                let l = self.local(node);
+                let l = self.local(net, node);
                 let mut out = std::mem::take(&mut self.out);
                 if up {
                     self.routers[l].on_session_up(
                         at,
                         peer,
                         rc,
-                        &mut self.path_table,
+                        &mut net.path_table,
                         &mut self.mrai_rngs[l],
-                        &self.policy,
+                        &net.policy,
                         &mut out,
                     );
                 } else {
@@ -524,94 +480,57 @@ impl Shard {
                         at,
                         peer,
                         rc,
-                        &mut self.path_table,
+                        &mut net.path_table,
                         &mut self.mrai_rngs[l],
-                        &self.policy,
+                        &net.policy,
                         &mut out,
                     );
                 }
-                self.apply_output(at, key, node, out);
+                self.apply_output(net, at, key, node, out);
             }
         }
     }
 
-    /// The shard's earliest pending event, queued or still in the inbox.
-    fn earliest(&mut self) -> Option<SimTime> {
-        let routed = self.inbox.msgs.iter().map(|m| m.at);
-        self.engine.next_time().into_iter().chain(routed).min()
-    }
-
-    /// Runs one window: queues the inbox, processes every event
-    /// strictly before `end`, and leaves the output in `traces`,
-    /// `ledger` and `outbox`, which the coordinator has drained.
-    /// Returns the number of events processed.
-    fn run_window(&mut self, end: SimTime) -> u64 {
-        self.accept_inbox();
-        let before = self.engine.processed();
-        while let Some((at, key, event)) = self.engine.pop_before(end) {
-            self.handle(at, key, event);
+    /// Runs one window: processes every event of this shard's queue
+    /// strictly before `end`, leaving the output in `traces` and
+    /// `ledger`, which the coordinator has drained. Returns the number
+    /// of events processed.
+    fn run_window(&mut self, net: &mut Shared, end: SimTime) -> u64 {
+        let before = net.queues[self.id].processed();
+        while let Some((at, key, event)) = net.queues[self.id].pop_before(end) {
+            self.handle(net, at, key, event);
         }
-        self.engine.processed() - before
-    }
-
-    /// Schedules the messages routed here from other shards,
-    /// re-interning their AS paths. The coordinator routes in global
-    /// `(time, key)` order, which makes the intern order canonical.
-    fn accept_inbox(&mut self) {
-        for msg in &self.inbox.msgs {
-            let update = match self.inbox.path(msg) {
-                Some(path) => UpdateMessage::announce(self.path_table.from_path(path)),
-                None => UpdateMessage::withdraw(),
-            };
-            let mut update = update
-                .with_root_cause(msg.root_cause)
-                .with_degraded(msg.degraded);
-            update.prefix = msg.prefix;
-            self.engine.schedule(
-                msg.at,
-                msg.key,
-                NetEvent::Deliver {
-                    from: msg.from,
-                    to: msg.to,
-                    msg: update,
-                },
-            );
-        }
-        self.inbox.clear();
+        net.queues[self.id].processed() - before
     }
 
     /// Runs the origin's kickoff announcement through this shard's
     /// machinery (warm-up priming). Mirrors the workload injection
     /// path: only the resulting sends are scheduled.
-    fn kickoff_origin(&mut self, origin: NodeId) {
-        let l = self.local(origin);
+    fn kickoff_origin(&mut self, net: &mut Shared, origin: NodeId) {
+        let l = self.local(net, origin);
         let mut out = RouterOutput::default();
         self.routers[l].kickoff(
             SimTime::ZERO,
-            &mut self.path_table,
+            &mut net.path_table,
             &mut self.mrai_rngs[l],
-            &self.policy,
+            &net.policy,
             &mut out,
         );
         for (to, msg) in out.sends {
-            self.transmit(SimTime::ZERO, origin, to, msg);
+            self.transmit(net, SimTime::ZERO, origin, to, msg);
         }
     }
 }
 
 /// The coordinator's half of a run: everything the window loop touches
-/// except the shards themselves, which [`Coordinator::run`] is handed
-/// and steps one after another on the caller's thread.
+/// except the shards and the [`Shared`] state, which
+/// [`Coordinator::run`] is handed; it steps the shards one after
+/// another on the caller's thread.
 struct Coordinator<S> {
-    /// Raw node id → owning shard.
-    node_shard: Arc<Vec<u16>>,
     /// Per-window merge scratch, kept across windows like the shards'
     /// own buffers.
     traces: Vec<(SimTime, u64, TraceEventKind)>,
     records: Vec<(SimTime, u64, LedgerRecord)>,
-    /// Every shard's outbox messages in `(time, key)` order; their
-    /// hops stay in the sending shard's outbox arena until routed.
-    outbox: Vec<RemoteMsg>,
     /// The pluggable trace observer for the measured phase.
     sink: S,
     /// Always-on headline aggregators: [`RunReport`] fields come from
@@ -627,20 +546,28 @@ struct Coordinator<S> {
 
 impl<S: TraceSink> Coordinator<S> {
     /// The window loop. Each iteration plans a window from the earliest
-    /// pending event (queued or still in an inbox), runs it on every
-    /// shard in turn, feeds the shards' trace events and ledger records
-    /// to the consumers in canonical order, and routes the cross-shard
-    /// messages.
-    fn run(&mut self, barrier: &mut EpochBarrier, shards: &mut [Shard]) -> RunOutcome {
+    /// pending event on any queue, runs it on every shard in turn, and
+    /// feeds the shards' trace events and ledger records to the
+    /// consumers in canonical order.
+    fn run(
+        &mut self,
+        barrier: &mut EpochBarrier,
+        shards: &mut [Shard],
+        net: &mut Shared,
+    ) -> RunOutcome {
         let run_start = self.processed;
         loop {
-            let min_next = shards.iter_mut().filter_map(Shard::earliest).min();
+            let min_next = net
+                .queues
+                .iter_mut()
+                .filter_map(ShardEngine::next_time)
+                .min();
             let end = match barrier.plan(min_next, self.processed - run_start) {
                 WindowPlan::Run { end } => end,
                 WindowPlan::Done(outcome) => return outcome,
             };
             for shard in shards.iter_mut() {
-                self.processed += shard.run_window(end);
+                self.processed += shard.run_window(net, end);
                 self.traces.append(&mut shard.traces);
                 self.records.append(&mut shard.ledger);
             }
@@ -657,37 +584,6 @@ impl<S: TraceSink> Coordinator<S> {
             for (_, _, record) in self.records.drain(..) {
                 self.ledger.record(record);
             }
-            self.route(shards);
-        }
-    }
-
-    /// Moves every shard's outbox into the destination shards' inboxes
-    /// in global `(time, key)` order, copying each announced path from
-    /// the sender's hop arena into the receiver's.
-    fn route(&mut self, shards: &mut [Shard]) {
-        for shard in shards.iter_mut() {
-            self.outbox.append(&mut shard.outbox.msgs);
-        }
-        // `(at, key)` pairs are globally unique, so the unstable sort
-        // is a total order: the destination shards re-intern paths in
-        // canonical order.
-        self.outbox.sort_unstable_by_key(|m| (m.at, m.key));
-        for msg in self.outbox.drain(..) {
-            let src = self.node_shard[msg.from.index()] as usize;
-            let dest = self.node_shard[msg.to.index()] as usize;
-            // Two shards at once; a routed message always crosses
-            // shards, so `src != dest`.
-            let (sender, receiver) = if src < dest {
-                let (lo, hi) = shards.split_at_mut(dest);
-                (&lo[src], &mut hi[0])
-            } else {
-                let (lo, hi) = shards.split_at_mut(src);
-                (&hi[0], &mut lo[dest])
-            };
-            receiver.inbox.push(msg, sender.outbox.path(&msg));
-        }
-        for shard in shards {
-            shard.outbox.clear();
         }
     }
 }
@@ -702,11 +598,9 @@ impl<S: TraceSink> Coordinator<S> {
 /// come from built-in aggregators either way.
 pub struct Network<S: TraceSink = VecSink> {
     shards: Vec<Shard>,
+    shared: Shared,
     coord: Coordinator<S>,
-    /// The conservative window width: the minimum link delay.
-    lookahead: SimDuration,
     horizon: SimTime,
-    origins: Vec<OriginAttachment>,
     rcn_enabled: bool,
     /// Root-cause sequence numbers, stamped at injection time.
     rc_seq: u64,
@@ -731,7 +625,7 @@ impl<S: TraceSink> std::fmt::Debug for Network<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Network")
             .field("shards", &self.shards)
-            .field("origins", &self.origins)
+            .field("origins", &self.shared.origins)
             .field("retained_events", &self.coord.sink.retained_events())
             .field("warmed_up", &self.warmed_up)
             .finish()
@@ -847,23 +741,14 @@ impl<S: TraceSink> Network<S> {
             node_local[i] = shard_sizes[s as usize];
             shard_sizes[s as usize] += 1;
         }
-        let node_shard = Arc::new(node_shard);
-        let node_local = Arc::new(node_local);
 
         let mut shards: Vec<Shard> = (0..n_shards)
             .map(|id| Shard {
                 id,
-                node_shard: Arc::clone(&node_shard),
-                node_local: Arc::clone(&node_local),
-                engine: ShardEngine::new(),
                 routers: Vec::with_capacity(shard_sizes[id] as usize),
-                path_table: PathTable::new(),
-                policy: policy.clone(),
                 delay_rngs: Vec::with_capacity(shard_sizes[id] as usize),
                 mrai_rngs: Vec::with_capacity(shard_sizes[id] as usize),
                 seqs: vec![0; shard_sizes[id] as usize],
-                delay_range: config.delay_range,
-                origins: origins.clone(),
                 last_delivery: MixMap::default(),
                 down_links: MixSet::default(),
                 dropped: 0,
@@ -873,12 +758,11 @@ impl<S: TraceSink> Network<S> {
                 discarded: 0,
                 traces: Vec::new(),
                 ledger: Vec::new(),
-                inbox: Wire::default(),
-                outbox: Wire::default(),
                 out: RouterOutput::default(),
             })
             .collect();
 
+        let mut path_table = PathTable::new();
         for id in graph.nodes() {
             let shard = &mut shards[node_shard[id.index()] as usize];
             let peers: Vec<NodeId> = graph.neighbors(id).to_vec();
@@ -889,7 +773,7 @@ impl<S: TraceSink> Network<S> {
                 mrai_jitter: config.mrai_jitter,
                 protocol: config.protocol,
             };
-            let mut router = Router::new(id, peers, false, rc, &mut shard.path_table);
+            let mut router = Router::new(id, peers, false, rc, &mut path_table);
             if let Some(att) = origins.iter().find(|a| a.node == id) {
                 router.originate(att.prefix);
             }
@@ -906,11 +790,18 @@ impl<S: TraceSink> Network<S> {
         }
 
         Network {
-            coord: Coordinator {
+            shared: Shared {
+                path_table,
+                policy,
+                origins,
+                delay_range: config.delay_range,
                 node_shard,
+                node_local,
+                queues: (0..n_shards).map(|_| ShardEngine::new()).collect(),
+            },
+            coord: Coordinator {
                 traces: Vec::new(),
                 records: Vec::new(),
-                outbox: Vec::new(),
                 sink,
                 conv: ConvergenceTracker::new(),
                 msgs: MessageCounter::new(),
@@ -918,9 +809,7 @@ impl<S: TraceSink> Network<S> {
                 processed: 0,
             },
             shards,
-            lookahead: config.delay_range.0,
             horizon: SimTime::ZERO + config.horizon,
-            origins,
             rcn_enabled: config.filter == crate::config::PenaltyFilter::Rcn,
             rc_seq: 0,
             inj_seq: 0,
@@ -933,24 +822,25 @@ impl<S: TraceSink> Network<S> {
 
     /// The first origin AS id (the appended node).
     pub fn origin(&self) -> NodeId {
-        self.origins[0].node
+        self.shared.origins[0].node
     }
 
     /// The first origin's ISP AS id.
     pub fn isp(&self) -> NodeId {
-        self.origins[0].isp
+        self.shared.origins[0].isp
     }
 
     /// All origin attachments.
     pub fn origins(&self) -> &[OriginAttachment] {
-        &self.origins
+        &self.shared.origins
     }
 
     /// Current simulated time: the instant of the last processed event.
     pub fn now(&self) -> SimTime {
-        self.shards
+        self.shared
+            .queues
             .iter()
-            .map(|s| s.engine.now())
+            .map(ShardEngine::now)
             .max()
             .unwrap_or(SimTime::ZERO)
     }
@@ -984,11 +874,6 @@ impl<S: TraceSink> Network<S> {
     /// Read access to the measured-phase sink.
     pub fn sink(&self) -> &S {
         &self.coord.sink
-    }
-
-    /// Mutable access to the measured-phase sink.
-    pub fn sink_mut(&mut self) -> &mut S {
-        &mut self.coord.sink
     }
 
     /// Consumes the network, finishing and yielding the sink (pending
@@ -1030,24 +915,16 @@ impl<S: TraceSink> Network<S> {
     /// Read access to a router (for tests and inspection).
     pub fn router(&self, id: NodeId) -> &Router {
         let shard = &self.shards[self.shard_index(id)];
-        &shard.routers[shard.node_local[id.index()] as usize]
+        &shard.routers[self.shared.node_local[id.index()] as usize]
     }
 
-    /// Read access to the AS-path interner holding `id`'s routes
-    /// (resolve [`Route`] handles from that router, inspect
-    /// [`PathTable::stats`]). Each shard interns independently, so a
-    /// handle is only meaningful against its owner's table.
+    /// Read access to the network's AS-path interner, at any shard
+    /// count (resolve any router's [`Route`] handles, inspect
+    /// [`PathTable::stats`]).
     ///
     /// [`Route`]: crate::intern::Route
-    pub fn path_table_for(&self, id: NodeId) -> &PathTable {
-        &self.shards[self.shard_index(id)].path_table
-    }
-
-    /// Read access to the first shard's AS-path interner. With
-    /// `sim_shards = 1` (the default) this is the whole network's
-    /// table; with more shards, prefer [`Network::path_table_for`].
     pub fn path_table(&self) -> &PathTable {
-        &self.shards[0].path_table
+        &self.shared.path_table
     }
 
     /// Total suppressed RIB-IN entries across the network.
@@ -1065,7 +942,7 @@ impl<S: TraceSink> Network<S> {
     }
 
     fn shard_index(&self, node: NodeId) -> usize {
-        self.coord.node_shard[node.index()] as usize
+        self.shared.node_shard[node.index()] as usize
     }
 
     /// Injects one coordinator event onto the owning shard's queue
@@ -1075,7 +952,7 @@ impl<S: TraceSink> Network<S> {
         self.inj_seq += 1;
         self.warm_boundary = false;
         let s = self.shard_index(owner);
-        self.shards[s].engine.schedule(at, key, event);
+        self.shared.queues[s].schedule(at, key, event);
     }
 
     fn next_root_cause(&mut self, link: (u32, u32), up: bool) -> Option<RootCause> {
@@ -1096,15 +973,13 @@ impl<S: TraceSink> Network<S> {
     fn drive(&mut self) -> RunOutcome {
         let obs_span = rfd_obs::is_enabled().then(|| rfd_obs::span("sim.run"));
         let budget = EpochBarrier::DEFAULT_EVENT_BUDGET;
-        let mut barrier = EpochBarrier::new(self.lookahead, self.horizon, budget);
+        // The conservative window width is the minimum link delay.
+        let lookahead = self.shared.delay_range.0;
+        let mut barrier = EpochBarrier::new(lookahead, self.horizon, budget);
         let before = self.coord.processed;
-        let outcome = self.coord.run(&mut barrier, &mut self.shards);
-        // A horizon/budget cutoff can leave routed-but-undelivered
-        // messages; park them on their destination queues so a later
-        // run (or a snapshot) still sees them.
-        for shard in &mut self.shards {
-            shard.accept_inbox();
-        }
+        let outcome = self
+            .coord
+            .run(&mut barrier, &mut self.shards, &mut self.shared);
         self.windows += barrier.windows();
         rfd_obs::add("sim.events", self.coord.processed - before);
         if let Some(mut span) = obs_span {
@@ -1135,16 +1010,14 @@ impl<S: TraceSink> Network<S> {
     pub fn warm_up(&mut self) -> &mut Self {
         let _obs_span = rfd_obs::span("bgp.warmup");
         assert!(!self.warmed_up, "warm_up may only run once");
-        for i in 0..self.origins.len() {
-            let origin = self.origins[i].node;
+        for i in 0..self.shared.origins.len() {
+            let origin = self.shared.origins[i].node;
             let s = self.shard_index(origin);
-            self.shards[s].kickoff_origin(origin);
+            self.shards[s].kickoff_origin(&mut self.shared, origin);
         }
-        // Route any cross-shard kickoff announcements before the run.
-        self.coord.route(&mut self.shards);
         let outcome = self.drive();
         assert_eq!(outcome, RunOutcome::Quiescent, "warm-up failed to converge");
-        for att in &self.origins {
+        for att in &self.shared.origins {
             assert!(
                 self.shards
                     .iter()
@@ -1230,10 +1103,10 @@ impl<S: TraceSink> Network<S> {
         let start = self.now() + lead_in;
         for &(origin, schedule) in schedules {
             assert!(
-                origin < self.origins.len(),
+                origin < self.shared.origins.len(),
                 "origin index {origin} out of range"
             );
-            let att = self.origins[origin];
+            let att = self.shared.origins[origin];
             for &(offset, status) in schedule.events() {
                 let at = start + offset.since(SimTime::ZERO);
                 let up = status == rfd_core::LinkStatus::Up;
@@ -1355,7 +1228,7 @@ impl<S: TraceSink> Network<S> {
     ) -> RunReport {
         assert!(self.warmed_up, "call warm_up() before running a workload");
         assert!(
-            a.index() < self.coord.node_shard.len() && self.router(a).peers().contains(&b),
+            a.index() < self.shared.node_shard.len() && self.router(a).peers().contains(&b),
             "{a}–{b} is not a link of this network"
         );
         self.measured_base = self.coord.processed;
@@ -1444,7 +1317,7 @@ mod tests {
                 hops_via_path,
                 expect,
                 "node {id}: path {} vs bfs {expect}",
-                net.path_table_for(id).display(best.route)
+                net.path_table().display(best.route)
             );
         }
     }

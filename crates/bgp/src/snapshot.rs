@@ -1,10 +1,11 @@
 //! Crash-safe warm-state snapshots: checkpoint/restore for [`Network`].
 //!
 //! A snapshot serialises the **complete** mutable simulation state —
-//! per-shard routers (RIBs, MRAI pacing, damper stores, RCN/selective
-//! filters), interned path tables, pending timer-wheel events in
-//! canonical `(time, key)` order, per-node RNG streams, TCP-ordering
-//! clamps, and the coordinator's aggregator sinks — into a
+//! the network's interned path table (once), then per shard its routers
+//! (RIBs, MRAI pacing, damper stores, RCN/selective filters), pending
+//! timer-wheel events in canonical `(time, key)` order, per-node RNG
+//! streams and TCP-ordering clamps, and last the coordinator's
+//! aggregator sinks — into a
 //! fingerprinted binary container (see [`rfd_snap`]) written with a
 //! temp-file + atomic-rename protocol, so a process killed mid-write
 //! can never leave a half snapshot behind.
@@ -31,10 +32,12 @@
 //!   same variant.
 //!
 //! **Not captured** (rebuilt or irrelevant on restore): decay tables
-//! and damping parameters (derived from config), the path interner's
-//! dedup/memo caches and hit counters (caches never influence which id
-//! a path interns to), and the `EpochBarrier` (fresh per drive; the
-//! `windows` counter is carried).
+//! and damping parameters, the policy, origins and node → shard maps
+//! (all derived from config), the path interner's dedup/memo caches and
+//! hit counters (caches never influence which id a path interns to),
+//! and the `EpochBarrier` (fresh per drive; the `windows` counter is
+//! carried). Messages in flight between shards need no section of their
+//! own: they are pending events on the receiver's queue.
 
 use std::path::Path;
 
@@ -43,7 +46,7 @@ use rfd_core::{
     SelectiveFilter,
 };
 use rfd_metrics::TraceSink;
-use rfd_sim::{DetRng, SimTime};
+use rfd_sim::{DetRng, ShardEngine, SimTime};
 use rfd_snap::{ContainerInfo, Decoder, Encoder, Fingerprint, SnapError};
 use rfd_topology::{Graph, NodeId};
 
@@ -243,9 +246,17 @@ impl Snapshot {
         enc.u64(net.coord.processed);
         enc.u64(net.windows);
         enc.u64(net.measured_base);
+        let table = &net.shared.path_table;
+        enc.usize(table.distinct());
+        for path in table.paths() {
+            enc.usize(path.len());
+            for hop in path {
+                enc.u32(hop.raw());
+            }
+        }
         enc.usize(net.shards.len());
-        for shard in &mut net.shards {
-            encode_shard(&mut enc, shard);
+        for (shard, queue) in net.shards.iter().zip(&mut net.shared.queues) {
+            encode_shard(&mut enc, shard, queue);
         }
         let conv = net
             .coord
@@ -396,12 +407,24 @@ impl Snapshot {
         let processed = dec.u64("processed count")?;
         let windows = dec.u64("window count")?;
         let measured_base = dec.u64("measured base")?;
+        let n_paths = dec.usize("path count")?;
+        let mut paths: Vec<Vec<NodeId>> = Vec::with_capacity(n_paths.min(dec.remaining()));
+        for _ in 0..n_paths {
+            let hops = dec.usize("path length")?;
+            let mut path = Vec::with_capacity(hops.min(dec.remaining()));
+            for _ in 0..hops {
+                path.push(NodeId::new(dec.u32("path hop")?));
+            }
+            paths.push(path);
+        }
+        net.shared.path_table = PathTable::rebuild(paths);
         let n_shards = dec.usize("shard count")?;
         if n_shards != net.shards.len() {
             return Err(SnapshotError::Shape("shard count"));
         }
-        for shard in &mut net.shards {
-            restore_shard(shard, &mut dec, fork)?;
+        let table = &net.shared.path_table;
+        for (shard, queue) in net.shards.iter_mut().zip(&mut net.shared.queues) {
+            restore_shard(shard, queue, table, &mut dec, fork)?;
         }
         let conv = dec.bytes("convergence tracker snapshot")?;
         let msgs = dec.bytes("message counter snapshot")?;
@@ -446,22 +469,12 @@ pub fn inspect(path: &Path) -> Result<ContainerInfo, SnapshotError> {
     Ok(rfd_snap::inspect_file(path)?)
 }
 
-fn encode_shard(enc: &mut Encoder, shard: &mut Shard) {
+fn encode_shard(enc: &mut Encoder, shard: &Shard, queue: &mut ShardEngine<NetEvent>) {
     assert!(
-        shard.traces.is_empty()
-            && shard.ledger.is_empty()
-            && shard.outbox.msgs.is_empty()
-            && shard.inbox.msgs.is_empty(),
+        shard.traces.is_empty() && shard.ledger.is_empty(),
         "snapshot capture outside a drive boundary (window buffers not flushed)"
     );
     enc.usize(shard.routers.len());
-    enc.usize(shard.path_table.distinct());
-    for path in shard.path_table.paths() {
-        enc.usize(path.len());
-        for hop in path {
-            enc.u32(hop.raw());
-        }
-    }
     for router in &shard.routers {
         router.encode_snapshot(enc);
     }
@@ -488,22 +501,24 @@ fn encode_shard(enc: &mut Encoder, shard: &mut Shard) {
     enc.u64(shard.dropped);
     enc.bool(shard.muted);
     enc.u64(shard.discarded);
-    enc.u64(shard.engine.now().as_micros());
-    enc.u64(shard.engine.processed());
+    enc.u64(queue.now().as_micros());
+    enc.u64(queue.processed());
     // Drain-and-reschedule: pop order is the pure `(time, key)` order,
     // so re-inserting in that same order reproduces identical behaviour
     // (wheel-internal slot ids are never observable).
-    let events = shard.engine.drain_pending();
+    let events = queue.drain_pending();
     enc.usize(events.len());
     for (at, key, event) in &events {
         enc.u64(at.as_micros());
         enc.u64(*key);
-        encode_event(enc, event, &shard.path_table);
+        encode_event(enc, event);
     }
 }
 
 fn restore_shard(
     shard: &mut Shard,
+    queue: &mut ShardEngine<NetEvent>,
+    table: &PathTable,
     dec: &mut Decoder<'_>,
     fork: bool,
 ) -> Result<(), SnapshotError> {
@@ -511,18 +526,6 @@ fn restore_shard(
     if n_routers != shard.routers.len() {
         return Err(SnapshotError::Shape("router count"));
     }
-    let n_paths = dec.usize("path count")?;
-    let mut paths: Vec<Vec<NodeId>> = Vec::with_capacity(n_paths.min(dec.remaining()));
-    for _ in 0..n_paths {
-        let hops = dec.usize("path length")?;
-        let mut path = Vec::with_capacity(hops.min(dec.remaining()));
-        for _ in 0..hops {
-            path.push(NodeId::new(dec.u32("path hop")?));
-        }
-        paths.push(path);
-    }
-    shard.path_table = PathTable::rebuild(paths);
-    let table = &shard.path_table;
     for router in &mut shard.routers {
         router.apply_snapshot(dec, table, fork)?;
     }
@@ -566,11 +569,11 @@ fn restore_shard(
     for _ in 0..n_events {
         let at = SimTime::from_micros(dec.u64("event time")?);
         let key = dec.u64("event key")?;
-        let event = decode_event(dec, &shard.path_table)?;
+        let event = decode_event(dec, table)?;
         events.push((at, key, event));
     }
-    shard.engine.set_clock(now, engine_processed);
-    shard.engine.restore_pending(events);
+    queue.set_clock(now, engine_processed);
+    queue.restore_pending(events);
     Ok(())
 }
 
@@ -588,7 +591,7 @@ fn decode_rng(dec: &mut Decoder<'_>) -> Result<DetRng, SnapError> {
     Ok(DetRng::from_state(state))
 }
 
-fn encode_event(enc: &mut Encoder, event: &NetEvent, table: &PathTable) {
+fn encode_event(enc: &mut Encoder, event: &NetEvent) {
     match *event {
         NetEvent::Deliver { from, to, msg } => {
             enc.u8(0);
@@ -638,7 +641,6 @@ fn encode_event(enc: &mut Encoder, event: &NetEvent, table: &PathTable) {
             enc.bool(primary);
         }
     }
-    let _ = table; // routes are encoded as ids against this shard's table
 }
 
 fn decode_event(dec: &mut Decoder<'_>, table: &PathTable) -> Result<NetEvent, SnapError> {

@@ -1,30 +1,29 @@
-//! Building blocks for conservative parallel simulation.
+//! Building blocks for conservative windowed simulation.
 //!
 //! The sharded run loop splits one global agenda into N per-shard
 //! [`ShardEngine`]s and advances them in lock-step windows planned by
-//! an [`EpochBarrier`]. The protocol is classic conservative
-//! ("null-message-free barrier") synchronization:
+//! an [`EpochBarrier`], one shard after another on one thread. The
+//! protocol is classic conservative ("null-message-free barrier")
+//! synchronization:
 //!
 //! * Every cross-shard interaction has a **lookahead** `L`: an event a
 //!   shard processes at time `t` can only affect another shard at
 //!   `t + L` or later (for the BGP model, `L` is the minimum link
 //!   delay — see `NetworkConfig::delay_range`).
 //! * The barrier picks the global minimum next-event time `t0` and
-//!   lets every shard process its local events in `[t0, t0 + L)`
-//!   independently; messages destined for other shards are collected
-//!   in outboxes.
-//! * At the window boundary the coordinator merges all outboxes in the
-//!   canonical `(time, key)` order and delivers them; by the lookahead
-//!   guarantee every such message lands at `≥ t0 + L`, i.e. never
-//!   inside the window just processed.
+//!   lets every shard process its own events in `[t0, t0 + L)`; a
+//!   message for another shard is scheduled straight onto that shard's
+//!   engine.
+//! * By the lookahead guarantee every such message lands at `≥ t0 + L`,
+//!   i.e. never inside the window being processed, so it does not
+//!   matter whether the receiving shard has run the window yet.
 //!
 //! Determinism across shard counts comes from the **canonical event
 //! key**: a `u64` packing `(source node, per-source sequence)` (see
 //! [`event_key`]). Each shard's wheel pops in `(time, key)` order
-//! (`TimerWheel::schedule_keyed`), and the coordinator merges
-//! cross-shard streams by the same `(time, key)` tuple, so the total
-//! order of processed events is a pure function of the model — not of
-//! the partition.
+//! (`TimerWheel::schedule_keyed`) whatever order events were inserted
+//! in, so the total order of processed events is a pure function of the
+//! model — not of the partition.
 
 use crate::time::{SimDuration, SimTime};
 use crate::wheel::TimerWheel;
@@ -234,11 +233,6 @@ impl EpochBarrier {
             budget,
             windows: 0,
         }
-    }
-
-    /// The per-window lookahead.
-    pub fn lookahead(&self) -> SimDuration {
-        self.lookahead
     }
 
     /// Number of windows planned so far.
