@@ -2,7 +2,7 @@
 //! and 15 (convergence time and message count versus number of pulses).
 //!
 //! Measurement goes through [`rfd_runner`]: every (series × pulse-count
-//! × seed) cell becomes a grid job, executed on a work-stealing thread
+//! × seed) cell becomes a grid job, executed on a shared-counter thread
 //! pool and optionally journaled under `results/` for `--resume`.
 //! Output is byte-identical for any thread count (see the runner crate's
 //! determinism contract).

@@ -15,18 +15,18 @@
 //! one, so the invariance holds under chaos too.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use rfd_core::{DampingParams, DecayMode};
-use rfd_obs::Histogram;
+use rfd_obs::{Histogram, Sampler};
 use rfd_runner::{ChaosKind, ChaosPlan};
 use rfd_sim::{SimDuration, SimTime};
 
 use crate::queue::SpscQueue;
 use crate::report::{Aggregate, FirehoseReport, ShardPerf};
 use crate::shard::{ShardOptions, ShardState};
-use crate::telemetry::{DeltaTracker, ShardSnapshot, TelemetrySink};
+use crate::telemetry::{DeltaTracker, ShardSnapshot};
 use crate::workload::{shard_hash, Firehose, Update, WorkloadSpec};
 
 /// Updates per hand-off, in both directions: the generator pushes a
@@ -121,7 +121,7 @@ impl FirehoseConfig {
 }
 
 /// Per-shard gauges shared between a worker and the observers (the
-/// heartbeat monitor and the telemetry sampler). Workers write them
+/// heartbeat and the telemetry callback). Workers write them
 /// with relaxed operations at batch boundaries only — `processed`,
 /// `suppressions` and `live_entries` advance together, once per drained
 /// batch — so observation never perturbs the decision stream and the
@@ -148,10 +148,10 @@ pub fn run(config: &FirehoseConfig) -> Result<FirehoseReport, String> {
     run_with_telemetry(config, None)
 }
 
-/// Like [`run`], with an optional live-telemetry sampler: every
-/// `interval` of wall-clock time the sink receives one
-/// [`ShardSnapshot`] row per shard, plus one final tick when the run
-/// ends (so even a sub-interval run yields a complete snapshot set).
+/// Like [`run`], with an optional live-telemetry callback: every
+/// `interval` of wall-clock time it receives one [`ShardSnapshot`] row
+/// per shard, plus one final tick when the run ends (so even a
+/// sub-interval run yields a complete snapshot set).
 ///
 /// Telemetry is observation only — the aggregate report is identical
 /// with or without it (tested).
@@ -163,9 +163,10 @@ pub fn run(config: &FirehoseConfig) -> Result<FirehoseReport, String> {
 /// # Panics
 ///
 /// Propagates non-chaos panics from shard workers, as [`run`] does.
+#[allow(clippy::type_complexity)]
 pub fn run_with_telemetry(
     config: &FirehoseConfig,
-    telemetry: Option<(Duration, &mut dyn TelemetrySink)>,
+    telemetry: Option<(Duration, &mut (dyn FnMut(&[ShardSnapshot]) + Send))>,
 ) -> Result<FirehoseReport, String> {
     config.validate()?;
     let started = Instant::now();
@@ -185,73 +186,68 @@ pub fn run_with_telemetry(
     // heartbeat's progress signal (duration is simulated time, so wall
     // clock says nothing about how far along the run is).
     let sim_now_us = AtomicU64::new(0);
-    let stop = AtomicBool::new(false);
-
-    let aggregates: Vec<Aggregate> = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..config.shards)
-            .map(|i| {
-                let queue = &queues[i];
-                let gauge = &gauges[i];
-                let hist = shard_hists[i].clone();
-                let chaos = &config.chaos;
-                let options = config.shard_options();
-                scope.spawn(move || shard_worker(i, queue, options, chaos, &hist, end, gauge))
-            })
-            .collect();
-
-        let mut observers: Vec<std::thread::Thread> = Vec::new();
-        if let Some(period) = config.heartbeat {
-            let gauges = &gauges;
-            let queues = &queues;
-            let sim_now_us = &sim_now_us;
-            let stop = &stop;
-            let total_us = config.spec.duration.as_micros();
-            let handle = scope.spawn(move || {
-                heartbeat_loop(period, started, total_us, sim_now_us, gauges, queues, stop)
-            });
-            observers.push(handle.thread().clone());
-        }
-        if let Some((interval, sink)) = telemetry {
-            let gauges = &gauges;
-            let queues = &queues;
-            let hists = &shard_hists;
-            let sim_now_us = &sim_now_us;
-            let stop = &stop;
-            let handle = scope.spawn(move || {
-                telemetry_loop(
-                    interval, started, sim_now_us, gauges, queues, hists, stop, sink,
-                )
-            });
-            observers.push(handle.thread().clone());
-        }
-        // Stops the observers even if the generator or a join below
-        // unwinds — otherwise the scope would deadlock waiting for
-        // them.
-        let _stopper = MonitorStopper {
-            stop: &stop,
-            observers,
-        };
-
-        let mut pending: Vec<Vec<Update>> = (0..config.shards)
-            .map(|_| Vec::with_capacity(BATCH))
-            .collect();
-        for update in hose {
-            let shard = (shard_hash(update.key()) % config.shards as u64) as usize;
-            sim_now_us.store(update.at.as_micros(), Ordering::Relaxed);
-            let buffer = &mut pending[shard];
-            buffer.push(update);
-            if buffer.len() == BATCH {
-                queues[shard].push_batch(buffer);
+    let observed = Observed {
+        started,
+        sim_now_us: &sim_now_us,
+        gauges: &gauges,
+        queues: &queues,
+        hists: &shard_hists,
+    };
+    let mut sampler = Sampler::new();
+    if let Some(period) = config.heartbeat {
+        let (observed, total_us) = (&observed, config.spec.duration.as_micros());
+        let mut trackers = vec![DeltaTracker::new(); config.shards];
+        sampler.every(period, move |last| {
+            if !last {
+                let rows = observed.rows(0, &mut trackers);
+                eprintln!("{}", format_firehose_heartbeat(&rows, total_us));
             }
-        }
-        for (queue, rest) in queues.iter().zip(&mut pending) {
-            queue.push_batch(rest);
-            queue.close();
-        }
-        workers
-            .into_iter()
-            .map(|h| h.join().expect("shard worker died outside chaos"))
-            .collect()
+        });
+    }
+    if let Some((interval, sink)) = telemetry {
+        let observed = &observed;
+        let mut trackers = vec![DeltaTracker::new(); config.shards];
+        let mut seq = 0;
+        sampler.every(interval, move |_| {
+            sink(&observed.rows(seq, &mut trackers));
+            seq += 1;
+        });
+    }
+
+    let aggregates: Vec<Aggregate> = sampler.run(|| {
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..config.shards)
+                .map(|i| {
+                    let queue = &queues[i];
+                    let gauge = &gauges[i];
+                    let hist = shard_hists[i].clone();
+                    let chaos = &config.chaos;
+                    let options = config.shard_options();
+                    scope.spawn(move || shard_worker(i, queue, options, chaos, &hist, end, gauge))
+                })
+                .collect();
+
+            let mut pending: Vec<Vec<Update>> = (0..config.shards)
+                .map(|_| Vec::with_capacity(BATCH))
+                .collect();
+            for update in hose {
+                let shard = (shard_hash(update.key()) % config.shards as u64) as usize;
+                sim_now_us.store(update.at.as_micros(), Ordering::Relaxed);
+                let buffer = &mut pending[shard];
+                buffer.push(update);
+                if buffer.len() == BATCH {
+                    queues[shard].push_batch(buffer);
+                }
+            }
+            for (queue, rest) in queues.iter().zip(&mut pending) {
+                queue.push_batch(rest);
+                queue.close();
+            }
+            workers
+                .into_iter()
+                .map(|h| h.join().expect("shard worker died outside chaos"))
+                .collect()
+        })
     });
 
     let elapsed = started.elapsed().as_secs_f64();
@@ -396,91 +392,35 @@ fn shard_worker(
     state.finish(end)
 }
 
-/// Sets the observer stop flag (and wakes every observer thread —
-/// heartbeat monitor, telemetry sampler) when dropped.
-struct MonitorStopper<'a> {
-    stop: &'a AtomicBool,
-    observers: Vec<std::thread::Thread>,
-}
-
-impl Drop for MonitorStopper<'_> {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        for thread in &self.observers {
-            thread.unpark();
-        }
-    }
-}
-
-fn heartbeat_loop(
-    period: Duration,
+/// What the observers read while a run is in flight.
+struct Observed<'a> {
     started: Instant,
-    total_us: u64,
-    sim_now_us: &AtomicU64,
-    gauges: &[ShardGauges],
-    queues: &[SpscQueue<Update>],
-    stop: &AtomicBool,
-) {
-    while !stop.load(Ordering::Relaxed) {
-        std::thread::park_timeout(period);
-        if stop.load(Ordering::Relaxed) {
-            break;
-        }
-        let processed: u64 = gauges
-            .iter()
-            .map(|g| g.processed.load(Ordering::Relaxed))
-            .sum();
-        let recovered: u64 = gauges
-            .iter()
-            .map(|g| g.recovered_panics.load(Ordering::Relaxed))
-            .sum();
-        let depths: Vec<usize> = queues.iter().map(SpscQueue::depth).collect();
-        let line = format_firehose_heartbeat(
-            processed,
-            sim_now_us.load(Ordering::Relaxed),
-            total_us,
-            started.elapsed().as_secs_f64(),
-            &depths,
-            recovered,
-        );
-        eprintln!("{line}");
-    }
+    sim_now_us: &'a AtomicU64,
+    gauges: &'a [ShardGauges],
+    queues: &'a [SpscQueue<Update>],
+    hists: &'a [Histogram],
 }
 
-/// The telemetry sampler: wakes every `interval`, reads the shared
-/// gauges and per-shard histograms, and hands one row per shard to the
-/// sink. Emits exactly one final tick after the stop flag is raised,
-/// then finishes the sink.
-#[allow(clippy::too_many_arguments)]
-fn telemetry_loop(
-    interval: Duration,
-    started: Instant,
-    sim_now_us: &AtomicU64,
-    gauges: &[ShardGauges],
-    queues: &[SpscQueue<Update>],
-    hists: &[Histogram],
-    stop: &AtomicBool,
-    sink: &mut dyn TelemetrySink,
-) {
-    let mut trackers: Vec<DeltaTracker> = gauges.iter().map(|_| DeltaTracker::new()).collect();
-    let mut seq = 0u64;
-    let mut done = false;
-    while !done {
-        std::thread::park_timeout(interval);
-        done = stop.load(Ordering::Relaxed);
-        let elapsed_secs = started.elapsed().as_secs_f64();
-        let sim_us = sim_now_us.load(Ordering::Relaxed);
-        let rows: Vec<ShardSnapshot> = (0..gauges.len())
-            .map(|i| {
-                let processed = gauges[i].processed.load(Ordering::Relaxed);
-                let suppressions = gauges[i].suppressions.load(Ordering::Relaxed);
+impl Observed<'_> {
+    /// One [`ShardSnapshot`] row per shard, shard 0 first; `trackers`
+    /// (one per shard) turn the cumulative readings into this
+    /// interval's deltas.
+    fn rows(&self, seq: u64, trackers: &mut [DeltaTracker]) -> Vec<ShardSnapshot> {
+        let elapsed_secs = self.started.elapsed().as_secs_f64();
+        let sim_us = self.sim_now_us.load(Ordering::Relaxed);
+        (self.gauges.iter().zip(self.queues).zip(self.hists))
+            .zip(trackers)
+            .enumerate()
+            .map(|(shard, (((gauge, queue), hist), tracker))| {
+                let processed = gauge.processed.load(Ordering::Relaxed);
+                let suppressions = gauge.suppressions.load(Ordering::Relaxed);
                 let (processed_delta, rate_per_sec, p50_ns, p99_ns) =
-                    trackers[i].advance(processed, elapsed_secs, &hists[i].nonzero_buckets());
+                    tracker.advance(processed, elapsed_secs, &hist.nonzero_buckets());
                 ShardSnapshot {
                     seq,
                     elapsed_secs,
                     sim_us,
-                    shard: i,
+                    shard,
                     processed,
                     processed_delta,
                     rate_per_sec,
@@ -490,33 +430,26 @@ fn telemetry_loop(
                     } else {
                         0.0
                     },
-                    queue_depth: queues[i].depth(),
-                    max_queue_depth: queues[i].max_depth(),
-                    push_waits: queues[i].push_waits(),
-                    live_entries: gauges[i].live_entries.load(Ordering::Relaxed),
-                    recovered_panics: gauges[i].recovered_panics.load(Ordering::Relaxed),
+                    queue_depth: queue.depth(),
+                    max_queue_depth: queue.max_depth(),
+                    push_waits: queue.push_waits(),
+                    live_entries: gauge.live_entries.load(Ordering::Relaxed),
+                    recovered_panics: gauge.recovered_panics.load(Ordering::Relaxed),
                     p50_ns,
                     p99_ns,
                 }
             })
-            .collect();
-        sink.tick(&rows);
-        seq += 1;
+            .collect()
     }
-    sink.finish();
 }
 
-/// One heartbeat line: updates processed and rate, simulated-time
-/// progress with wall-clock ETA, per-shard queue depths, and recovered
-/// fault count (only when nonzero).
-pub fn format_firehose_heartbeat(
-    processed: u64,
-    sim_now_us: u64,
-    total_us: u64,
-    elapsed_secs: f64,
-    queue_depths: &[usize],
-    recovered_panics: u64,
-) -> String {
+/// One heartbeat line from one tick's rows: updates processed and
+/// rate, simulated-time progress with wall-clock ETA, per-shard queue
+/// depths, and recovered fault count (only when nonzero).
+fn format_firehose_heartbeat(rows: &[ShardSnapshot], total_us: u64) -> String {
+    let processed: u64 = rows.iter().map(|r| r.processed).sum();
+    let recovered_panics: u64 = rows.iter().map(|r| r.recovered_panics).sum();
+    let (sim_now_us, elapsed_secs) = (rows[0].sim_us, rows[0].elapsed_secs);
     let frac = if total_us == 0 {
         1.0
     } else {
@@ -528,9 +461,9 @@ pub fn format_firehose_heartbeat(
     } else {
         "?".to_owned()
     };
-    let depths = queue_depths
+    let depths = rows
         .iter()
-        .map(|d| d.to_string())
+        .map(|r| r.queue_depth.to_string())
         .collect::<Vec<_>>()
         .join("/");
     let mut line = format!(
@@ -762,26 +695,39 @@ mod tests {
 
     #[test]
     fn heartbeat_format_is_stable() {
-        let line = format_firehose_heartbeat(5000, 600_000_000, 1_200_000_000, 2.0, &[3, 0], 0);
-        assert!(line.contains("5000 updates (2500/s)"), "{line}");
-        assert!(line.contains("sim 50%"), "{line}");
-        assert!(line.contains("eta 2.0s"), "{line}");
-        assert!(line.contains("queues 3/0"), "{line}");
-        assert!(!line.contains("recovered"), "{line}");
-        let line = format_firehose_heartbeat(0, 0, 100, 1.0, &[1], 3);
+        let row = |shard, processed, queue_depth, recovered_panics| ShardSnapshot {
+            elapsed_secs: 2.0,
+            sim_us: 600_000_000,
+            shard,
+            processed,
+            queue_depth,
+            recovered_panics,
+            ..ShardSnapshot::default()
+        };
+        let line =
+            format_firehose_heartbeat(&[row(0, 3000, 3, 0), row(1, 2000, 0, 0)], 1_200_000_000);
+        assert_eq!(
+            line,
+            "firehose: 5000 updates (2500/s) sim 50% eta 2.0s queues 3/0"
+        );
+        let idle = ShardSnapshot {
+            sim_us: 0,
+            ..row(0, 0, 1, 3)
+        };
+        let line = format_firehose_heartbeat(&[idle], 100);
         assert!(line.contains("eta ?"), "{line}");
         assert!(line.contains("recovered-panics 3"), "{line}");
     }
 
     #[test]
     fn telemetry_ticks_cover_every_shard_and_reconcile_with_the_report() {
-        let mut sink = crate::telemetry::VecTelemetry::new();
+        let mut ticks: Vec<Vec<ShardSnapshot>> = Vec::new();
         let cfg = config(3, WorkloadKind::FlapStorm);
+        let mut sink = |rows: &[ShardSnapshot]| ticks.push(rows.to_vec());
         let report =
             run_with_telemetry(&cfg, Some((Duration::from_millis(1), &mut sink))).expect("runs");
-        let ticks = sink.ticks();
         assert!(!ticks.is_empty(), "at least the final tick must fire");
-        for rows in ticks {
+        for rows in &ticks {
             assert_eq!(rows.len(), 3, "one row per shard per tick");
             for (i, row) in rows.iter().enumerate() {
                 assert_eq!(row.shard, i);
@@ -816,10 +762,9 @@ mod tests {
     fn telemetry_does_not_perturb_the_aggregate() {
         for shards in [1, 2] {
             let plain = run(&config(shards, WorkloadKind::FlapStorm)).expect("runs");
-            let mut sink = crate::telemetry::VecTelemetry::new();
             let sampled = run_with_telemetry(
                 &config(shards, WorkloadKind::FlapStorm),
-                Some((Duration::from_millis(1), &mut sink)),
+                Some((Duration::from_millis(1), &mut |_: &[ShardSnapshot]| {})),
             )
             .expect("runs");
             assert_eq!(

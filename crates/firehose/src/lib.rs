@@ -37,10 +37,8 @@ pub mod shard;
 pub mod telemetry;
 pub mod workload;
 
-pub use engine::{format_firehose_heartbeat, run, run_with_telemetry, FirehoseConfig};
+pub use engine::{run, run_with_telemetry, FirehoseConfig};
 pub use report::{Aggregate, FirehoseReport, ShardPerf};
 pub use shard::{ShardOptions, ShardState};
-pub use telemetry::{
-    prometheus_exposition, JsonlTelemetry, ShardSnapshot, TelemetrySink, VecTelemetry,
-};
+pub use telemetry::{prometheus_exposition, ShardSnapshot};
 pub use workload::{pack_key, shard_hash, Firehose, Update, WorkloadKind, WorkloadSpec};

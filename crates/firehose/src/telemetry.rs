@@ -1,12 +1,12 @@
 //! Live per-shard telemetry: periodic JSONL snapshots and a final
 //! Prometheus-style text exposition.
 //!
-//! The sampler thread inside [`crate::engine::run_with_telemetry`]
-//! wakes at the configured wall-clock interval, reads the shared
-//! per-shard gauges and latency histograms, and hands one
-//! [`ShardSnapshot`] row per shard to a [`TelemetrySink`] (the same
-//! observer shape as the metrics `TraceSink` and the core
-//! `LedgerSink`). Workers never block on telemetry: everything the
+//! [`crate::engine::run_with_telemetry`] registers its telemetry
+//! callback, beside the heartbeat, on one [`rfd_obs::Sampler`]: at the
+//! configured wall-clock interval the observer thread reads the shared
+//! per-shard gauges and latency histograms and hands the callback one
+//! [`ShardSnapshot`] row per shard (the heartbeat renders its line from
+//! the same rows). Workers never block on telemetry: everything the
 //! sampler reads is a relaxed atomic or a lock-free histogram bucket,
 //! and the decision stream is untouched — the aggregate report is
 //! byte-identical with telemetry on or off (tested).
@@ -23,7 +23,7 @@ use rfd_obs::percentile_from_buckets;
 use crate::report::FirehoseReport;
 
 /// One shard's state at one sampling tick.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ShardSnapshot {
     /// Tick number (0-based; every shard shares the tick's `seq`).
     pub seq: u64,
@@ -90,64 +90,6 @@ impl ShardSnapshot {
             self.p50_ns,
             self.p99_ns,
         )
-    }
-}
-
-/// A streaming consumer of telemetry ticks.
-pub trait TelemetrySink: Send {
-    /// Consumes one tick: one row per shard, shard 0 first.
-    fn tick(&mut self, rows: &[ShardSnapshot]);
-    /// Called once after the final tick.
-    fn finish(&mut self) {}
-}
-
-/// Buffers every tick (tests and programmatic consumers).
-#[derive(Debug, Default)]
-pub struct VecTelemetry {
-    ticks: Vec<Vec<ShardSnapshot>>,
-}
-
-impl VecTelemetry {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        VecTelemetry::default()
-    }
-
-    /// The buffered ticks, oldest first.
-    pub fn ticks(&self) -> &[Vec<ShardSnapshot>] {
-        &self.ticks
-    }
-}
-
-impl TelemetrySink for VecTelemetry {
-    fn tick(&mut self, rows: &[ShardSnapshot]) {
-        self.ticks.push(rows.to_vec());
-    }
-}
-
-/// Streams each snapshot as one JSONL line to a writer.
-#[derive(Debug)]
-pub struct JsonlTelemetry<W: std::io::Write + Send> {
-    out: W,
-}
-
-impl<W: std::io::Write + Send> JsonlTelemetry<W> {
-    /// Wraps a writer.
-    pub fn new(out: W) -> Self {
-        JsonlTelemetry { out }
-    }
-}
-
-impl<W: std::io::Write + Send> TelemetrySink for JsonlTelemetry<W> {
-    fn tick(&mut self, rows: &[ShardSnapshot]) {
-        for row in rows {
-            // Telemetry is best-effort: a full disk must not take the
-            // run down with it.
-            let _ = writeln!(self.out, "{}", row.to_json_line());
-        }
-    }
-    fn finish(&mut self) {
-        let _ = self.out.flush();
     }
 }
 
@@ -416,31 +358,6 @@ mod tests {
             doc.get("elapsed_ms").and_then(rfd_obs::json::Value::as_u64),
             Some(1500)
         );
-    }
-
-    #[test]
-    fn jsonl_sink_writes_one_line_per_shard() {
-        let mut buf = Vec::new();
-        {
-            let mut sink = JsonlTelemetry::new(&mut buf);
-            sink.tick(&[snap(0, 0), snap(0, 1)]);
-            sink.tick(&[snap(1, 0), snap(1, 1)]);
-            sink.finish();
-        }
-        let text = String::from_utf8(buf).unwrap();
-        assert_eq!(text.lines().count(), 4);
-        for line in text.lines() {
-            assert!(rfd_obs::json::parse(line).is_ok(), "bad JSONL line {line}");
-        }
-    }
-
-    #[test]
-    fn vec_sink_buffers_ticks() {
-        let mut sink = VecTelemetry::new();
-        sink.tick(&[snap(0, 0)]);
-        sink.tick(&[snap(1, 0)]);
-        assert_eq!(sink.ticks().len(), 2);
-        assert_eq!(sink.ticks()[1][0].seq, 1);
     }
 
     #[test]

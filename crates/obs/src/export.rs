@@ -12,29 +12,9 @@ use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 
+use crate::json::quote;
 use crate::registry::{self, lock_unpoisoned};
 use crate::span::SpanRecord;
-
-/// JSON string literal with minimal escaping.
-pub(crate) fn encode_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
 
 fn push_span_args(out: &mut String, record: &SpanRecord) {
     if let Some(sim_us) = record.sim_us {
@@ -73,7 +53,7 @@ fn push_thread_events(out: &mut String, tid: usize, records: &[SpanRecord], firs
             let _ = write!(
                 out,
                 "{{\"name\":{},\"ph\":\"E\",\"ts\":{end},\"pid\":1,\"tid\":{tid}}}",
-                encode_str(name)
+                quote(name)
             );
         }
     };
@@ -85,7 +65,7 @@ fn push_thread_events(out: &mut String, tid: usize, records: &[SpanRecord], firs
                 let _ = write!(
                     out,
                     "{{\"name\":{},\"ph\":\"B\",\"ts\":{},\"pid\":1,\"tid\":{tid}",
-                    encode_str(r.name),
+                    quote(r.name),
                     r.start_us
                 );
                 push_span_args(out, r);
@@ -97,7 +77,7 @@ fn push_thread_events(out: &mut String, tid: usize, records: &[SpanRecord], firs
                 let _ = write!(
                     out,
                     "{{\"name\":{},\"ph\":\"i\",\"ts\":{},\"pid\":1,\"tid\":{tid},\"s\":\"t\"}}",
-                    encode_str(r.name),
+                    quote(r.name),
                     r.start_us
                 );
             }
@@ -136,7 +116,7 @@ fn summary_body() -> String {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "{}:{}", encode_str(name), c.get());
+        let _ = write!(out, "{}:{}", quote(name), c.get());
     }
     drop(counters);
     out.push_str("},\n\"gauges\":{");
@@ -145,7 +125,7 @@ fn summary_body() -> String {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "{}:{}", encode_str(name), g.get());
+        let _ = write!(out, "{}:{}", quote(name), g.get());
     }
     drop(gauges);
     out.push_str("},\n\"histograms\":{");
@@ -157,7 +137,7 @@ fn summary_body() -> String {
         let _ = write!(
             out,
             "{}:{{\"count\":{},\"sum\":{},\"buckets\":[",
-            encode_str(name),
+            quote(name),
             h.count(),
             h.sum()
         );
@@ -178,7 +158,7 @@ fn summary_body() -> String {
         let _ = write!(
             out,
             "{}:{{\"count\":{count},\"total_us\":{total_us},\"max_us\":{max_us}}}",
-            encode_str(name)
+            quote(name)
         );
     }
     out.push_str("},\n\"meta\":{");
@@ -222,7 +202,7 @@ pub fn render_trace() -> String {
         let _ = write!(
             out,
             "{{\"name\":{},\"ph\":\"C\",\"ts\":{now},\"pid\":1,\"tid\":0,\"args\":{{\"value\":{}}}}}",
-            encode_str(name),
+            quote(name),
             c.get()
         );
     }
@@ -359,11 +339,5 @@ mod tests {
             e.get("ph").and_then(Value::as_str) == Some("C")
                 && e.get("name").and_then(Value::as_str) == Some("export.counter")
         }));
-    }
-
-    #[test]
-    fn encode_str_escapes() {
-        assert_eq!(encode_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(encode_str("\u{1}"), "\"\\u0001\"");
     }
 }

@@ -12,7 +12,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Once;
 
-use crate::export::encode_str;
+use crate::json::quote;
 use crate::registry::{self, lock_unpoisoned};
 
 /// Configures where [`dump_flight`] (and the panic hook) writes.
@@ -34,7 +34,7 @@ fn render_flight() -> String {
                 out,
                 "{{\"tid\":{},\"name\":{},\"at_us\":{}",
                 buf.tid,
-                encode_str(r.name),
+                quote(r.name),
                 r.start_us
             );
             if let Some(dur) = r.dur_us {

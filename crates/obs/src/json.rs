@@ -1,4 +1,5 @@
-//! A minimal recursive-descent JSON parser.
+//! A minimal recursive-descent JSON parser, and the string escaper the
+//! writers share.
 //!
 //! Just enough JSON to read back the files this crate writes (and the
 //! runner's journal lines): objects, arrays, strings with the common
@@ -6,7 +7,29 @@
 //! streaming — inputs are the small-to-medium files we emit ourselves.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
+
+/// `s` as a JSON string literal: quotes, backslashes and every control
+/// character escaped, everything else verbatim.
+pub fn quote(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -313,6 +336,14 @@ mod tests {
         assert_eq!(v.get("b").unwrap().get("c").unwrap().as_str(), Some("x\ny"));
         assert_eq!(v.get("b").unwrap().get("d"), Some(&Value::Bool(true)));
         assert_eq!(v.get("b").unwrap().get("e"), Some(&Value::Null));
+    }
+
+    #[test]
+    fn quote_escapes_and_round_trips() {
+        assert_eq!(quote("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(quote("\u{1}"), "\"\\u0001\"");
+        let nasty = "tab\there\r\u{1f}\"\\é";
+        assert_eq!(parse(&quote(nasty)).unwrap().as_str(), Some(nasty));
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //!   ([`dump_flight`], [`install_panic_hook`]);
 //! * [`write_trace`] — a Chrome trace-event JSON exporter
 //!   (`traceEvents` with `ph:"B"/"E"/"C"` records) openable in
-//!   Perfetto / `chrome://tracing`.
+//!   Perfetto / `chrome://tracing`;
+//! * [`Sampler`] — one observer thread calling periodic consumers
+//!   (heartbeats, watchdogs, telemetry) while a piece of work runs.
 //!
 //! ## Non-perturbation contract
 //!
@@ -45,12 +47,14 @@ pub mod json;
 mod metrics;
 mod registry;
 mod report;
+mod sampler;
 mod span;
 
 pub use export::{render_trace, summary_json, write_trace};
 pub use flight::{dump_flight, install_panic_hook, set_flight_path};
 pub use metrics::{percentile_from_buckets, Counter, Gauge, Histogram};
 pub use report::{render_report, ReportError};
+pub use sampler::Sampler;
 pub use span::SpanGuard;
 
 use std::sync::atomic::Ordering;

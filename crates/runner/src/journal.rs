@@ -40,6 +40,8 @@ use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
+use rfd_obs::json::{self, quote, Value};
+
 use crate::grid::GridFingerprint;
 use crate::supervisor::FailKind;
 use crate::RunnerError;
@@ -141,8 +143,8 @@ pub struct Journal {
 fn encode_header(fingerprint: &GridFingerprint) -> String {
     format!(
         "{{\"journal\":{},\"grid\":{},\"series\":{},\"pulses\":{},\"seeds\":{},\"cells\":{},\"param_hash\":\"{:016x}\"}}\n",
-        encode_str(JOURNAL_FORMAT),
-        encode_str(&fingerprint.grid),
+        quote(JOURNAL_FORMAT),
+        quote(&fingerprint.grid),
         fingerprint.series,
         fingerprint.pulses,
         fingerprint.seeds,
@@ -283,9 +285,9 @@ impl Journal {
     ) -> io::Result<()> {
         let line = format!(
             "{{\"key\":{},\"failed\":{},\"error\":{},\"attempts\":{attempts}}}\n",
-            encode_str(key),
-            encode_str(&kind.to_string()),
-            encode_str(error),
+            quote(key),
+            quote(&kind.to_string()),
+            quote(error),
         );
         self.append(line.as_bytes())
     }
@@ -305,7 +307,7 @@ impl Journal {
 fn encode_run(key: &str, metrics: &RunMetrics, meta: Option<&RunMeta>) -> String {
     let mut line = format!(
         "{{\"key\":{},\"convergence_secs\":{},\"messages\":{},\"suppressed\":{}",
-        encode_str(key),
+        quote(key),
         encode_f64(metrics.convergence_secs),
         encode_f64(metrics.messages),
         encode_f64(metrics.suppressed),
@@ -322,22 +324,6 @@ fn encode_run(key: &str, metrics: &RunMetrics, meta: Option<&RunMeta>) -> String
     }
     line.push_str("}\n");
     line
-}
-
-/// JSON string literal with minimal escaping.
-fn encode_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Shortest-round-trip float; non-finite values as quoted strings.
@@ -374,154 +360,66 @@ pub fn parse_line_meta(line: &str) -> Option<(String, RunMetrics, Option<RunMeta
 /// makes the journal format forward- and backward-compatible across
 /// versions.
 pub fn parse_record(line: &str) -> Option<Record> {
-    let mut fields = HashMap::new();
-    let mut rest = line.trim();
-    rest = rest.strip_prefix('{')?;
-    loop {
-        rest = rest.trim_start();
-        let (name, after) = take_string(rest)?;
-        rest = after.trim_start().strip_prefix(':')?;
-        let (value, after) = take_value(rest.trim_start())?;
-        fields.insert(name, value);
-        rest = after.trim_start();
-        match rest.chars().next()? {
-            ',' => rest = &rest[1..],
-            '}' => break,
-            _ => return None,
-        }
-    }
+    let Ok(Value::Object(fields)) = json::parse(line) else {
+        return None;
+    };
+    let num = |name: &str| fields.get(name).and_then(number);
+    let text = |name: &str| fields.get(name).and_then(Value::as_str);
 
-    if let Some(format) = fields.remove("journal") {
-        match format {
-            Value::Str(s) if s == JOURNAL_FORMAT => {}
-            _ => return None,
+    if let Some(format) = fields.get("journal") {
+        if format.as_str() != Some(JOURNAL_FORMAT) {
+            return None;
         }
-        let grid = match fields.remove("grid")? {
-            Value::Str(s) => s,
-            Value::Num(_) => return None,
-        };
-        let dim = |v: Value| -> Option<usize> {
-            let n = v.as_f64()?;
-            (n.is_finite() && n >= 0.0).then_some(n as usize)
-        };
-        let param_hash = match fields.remove("param_hash")? {
-            Value::Str(s) => u64::from_str_radix(&s, 16).ok()?,
-            Value::Num(_) => return None,
+        let dim = |name| {
+            num(name)
+                .filter(|n| n.is_finite() && *n >= 0.0)
+                .map(|n| n as usize)
         };
         return Some(Record::Header(GridFingerprint {
-            grid,
-            series: dim(fields.remove("series")?)?,
-            pulses: dim(fields.remove("pulses")?)?,
-            seeds: dim(fields.remove("seeds")?)?,
-            cells: dim(fields.remove("cells")?)?,
-            param_hash,
+            grid: text("grid")?.to_owned(),
+            series: dim("series")?,
+            pulses: dim("pulses")?,
+            seeds: dim("seeds")?,
+            cells: dim("cells")?,
+            param_hash: u64::from_str_radix(text("param_hash")?, 16).ok()?,
         }));
     }
 
-    let key = match fields.remove("key")? {
-        Value::Str(s) => s,
-        Value::Num(_) => return None,
-    };
-
-    if let Some(failed) = fields.remove("failed") {
-        let kind = match failed {
-            Value::Str(s) => FailKind::parse(&s)?,
-            Value::Num(_) => return None,
-        };
-        let error = match fields.remove("error") {
-            Some(Value::Str(s)) => s,
-            _ => String::new(),
-        };
-        let attempts = fields
-            .remove("attempts")
-            .and_then(|v| v.as_f64())
-            .map_or(1, |n| n as u32);
+    let key = text("key")?.to_owned();
+    if let Some(failed) = fields.get("failed") {
         return Some(Record::Failure {
             key,
-            kind,
-            error,
-            attempts,
+            kind: FailKind::parse(failed.as_str()?)?,
+            error: text("error").unwrap_or_default().to_owned(),
+            attempts: num("attempts").map_or(1, |n| n as u32),
         });
     }
 
-    let convergence_secs = fields.remove("convergence_secs")?.as_f64()?;
-    let messages = fields.remove("messages")?.as_f64()?;
-    let suppressed = fields.remove("suppressed")?.as_f64()?;
-    let retries = fields
-        .remove("retries")
-        .and_then(|v| v.as_f64())
-        .map_or(0, |n| n as u32);
-    let meta = match (fields.remove("duration_secs"), fields.remove("thread")) {
+    let metrics = RunMetrics {
+        convergence_secs: num("convergence_secs")?,
+        messages: num("messages")?,
+        suppressed: num("suppressed")?,
+    };
+    let meta = match (fields.get("duration_secs"), fields.get("thread")) {
         (Some(duration), Some(thread)) => Some(RunMeta {
-            duration_secs: duration.as_f64()?,
-            thread: thread.as_f64()? as u64,
-            retries,
+            duration_secs: number(duration)?,
+            thread: number(thread)? as u64,
+            retries: num("retries").map_or(0, |n| n as u32),
         }),
         _ => None,
     };
-    Some(Record::Run {
-        key,
-        metrics: RunMetrics {
-            convergence_secs,
-            messages,
-            suppressed,
-        },
-        meta,
-    })
+    Some(Record::Run { key, metrics, meta })
 }
 
-enum Value {
-    Str(String),
-    Num(f64),
-}
-
-impl Value {
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Num(v) => Some(*v),
-            Value::Str(s) => match s.as_str() {
-                "NaN" => Some(f64::NAN),
-                "inf" => Some(f64::INFINITY),
-                "-inf" => Some(f64::NEG_INFINITY),
-                _ => None,
-            },
-        }
+/// A journaled float: a JSON number, or one of the strings the writer
+/// uses for non-finite values.
+fn number(value: &Value) -> Option<f64> {
+    match value.as_str() {
+        Some("NaN") => Some(f64::NAN),
+        Some("inf") => Some(f64::INFINITY),
+        Some("-inf") => Some(f64::NEG_INFINITY),
+        _ => value.as_f64(),
     }
-}
-
-/// Reads a leading JSON string literal; returns (content, remainder).
-fn take_string(input: &str) -> Option<(String, &str)> {
-    let mut chars = input.strip_prefix('"')?.char_indices();
-    let mut out = String::new();
-    while let Some((i, c)) = chars.next() {
-        match c {
-            '"' => return Some((out, &input[1 + i + 1..])),
-            '\\' => match chars.next()?.1 {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'n' => out.push('\n'),
-                _ => return None,
-            },
-            c => out.push(c),
-        }
-    }
-    None
-}
-
-/// Reads a leading string or number value; returns (value, remainder).
-fn take_value(input: &str) -> Option<(Value, &str)> {
-    if input.starts_with('"') {
-        let (s, rest) = take_string(input)?;
-        return Some((Value::Str(s), rest));
-    }
-    let end = input
-        .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
-        .unwrap_or(input.len());
-    if end == 0 {
-        return None;
-    }
-    let num: f64 = input[..end].parse().ok()?;
-    Some((Value::Num(num), &input[end..]))
 }
 
 #[cfg(test)]
@@ -577,7 +475,7 @@ mod tests {
         let key = "odd \"label\" with \\ backslash";
         let line = format!(
             "{{\"key\":{},\"convergence_secs\":1.0,\"messages\":2.0,\"suppressed\":0.0}}",
-            encode_str(key)
+            quote(key)
         );
         assert_eq!(parse_line(&line).unwrap().0, key);
     }
@@ -597,6 +495,31 @@ mod tests {
         ] {
             assert!(parse_record(bad).is_none(), "accepted: {bad}");
         }
+    }
+
+    /// Panic text is arbitrary: control characters in a failure
+    /// message are escaped on the way out and restored on the way in.
+    #[test]
+    fn control_characters_in_failure_messages_round_trip() {
+        let dir = tmp_dir("control");
+        let journal = Journal::create(&dir, &fp("grid")).unwrap();
+        let message = "boom\tat\r\u{1}";
+        journal
+            .record_failure("k", FailKind::Panic, message, 1)
+            .unwrap();
+        let path = journal.path().to_path_buf();
+        drop(journal);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let line = text.lines().nth(1).unwrap();
+        assert!(line.chars().all(|c| c >= ' '), "{line:?}");
+        let Some(Record::Failure { error, .. }) = parse_record(line) else {
+            panic!("not a failure record: {line:?}");
+        };
+        assert_eq!(error, message);
+        let (_, state) = Journal::resume(&dir, &fp("grid"), false).unwrap();
+        assert_eq!(state.skipped_lines, 0);
+        assert_eq!(state.failed["k"], FailKind::Panic);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

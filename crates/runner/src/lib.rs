@@ -11,9 +11,9 @@
 //!   counts × seeds*, enumerated in a fixed **grid order** that gives
 //!   every cell a stable index, journal key, and a
 //!   [`GridFingerprint`] identifying the grid as a whole;
-//! * [`pool`] — a std-only scoped thread pool with work stealing;
-//!   results come back indexed by job, hiding completion order, and a
-//!   panicking job never strands or poisons its siblings;
+//! * [`pool`] — a std-only scoped thread pool fed by one atomic job
+//!   counter; results come back indexed by job, hiding completion
+//!   order, and a panicking job never strands its siblings;
 //! * [`supervisor`] (supervisor.rs) — per-cell fault containment:
 //!   `catch_unwind`, bounded deterministic retries, wall-clock timeout
 //!   classification;
@@ -95,7 +95,7 @@ use std::collections::HashSet;
 use std::fmt;
 use std::io;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -442,99 +442,106 @@ where
     let journal = journal.as_ref();
     let threads = config.effective_threads();
     let total = pending.len();
-    let workers = pool::workers_for(threads, total);
-    let progress = pool::PoolProgress::new(workers);
     let counts = FaultCounts::default();
-    let active: Vec<Mutex<Option<ActiveCell>>> = (0..workers).map(|_| Mutex::new(None)).collect();
+    let completed = AtomicUsize::new(0);
+    let active: Vec<Mutex<Option<ActiveCell>>> = (0..threads).map(|_| Mutex::new(None)).collect();
     let started = Instant::now();
-    let stop = AtomicBool::new(false);
-    let fresh = std::thread::scope(|scope| {
-        let mut monitors = Vec::new();
-        if let Some(period) = config.heartbeat {
-            let (progress, counts, stop) = (&progress, &counts, &stop);
-            monitors.push(
-                scope.spawn(move || heartbeat_loop(period, total, started, progress, counts, stop)),
-            );
-        }
-        if let Some(budget) = config.cell_budget {
-            let (active, stop) = (&active, &stop);
-            monitors.push(scope.spawn(move || watchdog_loop(budget, active, stop)));
-        }
-        // Stops the monitors even when the closure unwinds through the
-        // scope (which joins all spawned threads before returning).
-        let _stopper = MonitorStopper {
-            stop: &stop,
-            monitors: monitors.iter().map(|h| h.thread().clone()).collect(),
-        };
-        pool::execute_with_progress(threads, total, Some(&progress), |ctx, i| {
-            let cell = &cells[pending[i]];
-            let key = cell.key();
-            let scenario = &grid.series_list()[cell.series].scenario;
-            set_active(
-                &active[ctx.worker],
-                Some(ActiveCell {
-                    key: key.clone(),
-                    started: Instant::now(),
-                }),
-            );
-            let obs_span = rfd_obs::span("runner.cell");
-            let supervised = supervisor::supervise(
-                cell.index,
-                &key,
-                config.retries,
-                config.cell_budget,
-                &config.chaos,
-                &counts,
-                || exec(scenario, cell),
-            );
-            drop(obs_span);
-            set_active(&active[ctx.worker], None);
-            let supervised = match supervised {
-                Ok(s) => s,
-                Err(failure) => {
-                    if let Some(journal) = journal {
-                        if let Err(e) = journal.record_failure(
-                            &failure.key,
-                            failure.kind,
-                            &failure.message,
-                            failure.attempts,
-                        ) {
-                            eprintln!("rfd-runner: could not journal failure for {key}: {e}");
-                        }
-                    }
-                    return Err(failure);
-                }
-            };
-            rfd_obs::inc("runner.cells_completed");
-            rfd_obs::observe("runner.cell_us", supervised.duration.as_micros() as u64);
-            if let Some(journal) = journal {
-                let meta = RunMeta {
-                    duration_secs: supervised.duration.as_secs_f64(),
-                    thread: ctx.worker as u64,
-                    retries: supervised.retries,
-                };
-                let written = if supervised.short_write {
-                    journal.record_short(&key, &supervised.value, Some(&meta))
-                } else {
-                    journal.record_with(&key, &supervised.value, Some(&meta))
-                };
-                if let Err(e) = written {
-                    // A cell whose result can't be journaled is a cell
-                    // failure, not a process panic: the sweep finishes
-                    // and resume re-runs it.
-                    return Err(supervisor::fail_cell(
-                        &counts,
-                        CellFailure {
-                            index: cell.index,
-                            key,
-                            kind: FailKind::JournalIo,
-                            message: e.to_string(),
-                            attempts: 1,
-                        },
-                    ));
-                }
+    let mut sampler = rfd_obs::Sampler::new();
+    if let Some(period) = config.heartbeat {
+        let (completed, counts) = (&completed, &counts);
+        sampler.every(period, move |last| {
+            if !last {
+                let done = completed.load(Ordering::Relaxed);
+                let elapsed = started.elapsed().as_secs_f64();
+                eprintln!(
+                    "{}",
+                    format_heartbeat(done, total, elapsed, counts.snapshot())
+                );
             }
-            Ok(supervised.value)
+        });
+    }
+    if let Some(budget) = config.cell_budget {
+        let (active, mut reported) = (&active, HashSet::new());
+        sampler.every(Duration::from_millis(50).min(budget), move |_| {
+            watchdog(budget, active, &mut reported)
+        });
+    }
+
+    let run_cell = |worker: usize, i: usize| {
+        let cell = &cells[pending[i]];
+        let key = cell.key();
+        let scenario = &grid.series_list()[cell.series].scenario;
+        set_active(
+            &active[worker],
+            Some(ActiveCell {
+                key: key.clone(),
+                started: Instant::now(),
+            }),
+        );
+        let obs_span = rfd_obs::span("runner.cell");
+        let supervised = supervisor::supervise(
+            cell.index,
+            &key,
+            config.retries,
+            config.cell_budget,
+            &config.chaos,
+            &counts,
+            || exec(scenario, cell),
+        );
+        drop(obs_span);
+        set_active(&active[worker], None);
+        let supervised = match supervised {
+            Ok(s) => s,
+            Err(failure) => {
+                if let Some(journal) = journal {
+                    if let Err(e) = journal.record_failure(
+                        &failure.key,
+                        failure.kind,
+                        &failure.message,
+                        failure.attempts,
+                    ) {
+                        eprintln!("rfd-runner: could not journal failure for {key}: {e}");
+                    }
+                }
+                return Err(failure);
+            }
+        };
+        rfd_obs::inc("runner.cells_completed");
+        rfd_obs::observe("runner.cell_us", supervised.duration.as_micros() as u64);
+        if let Some(journal) = journal {
+            let meta = RunMeta {
+                duration_secs: supervised.duration.as_secs_f64(),
+                thread: worker as u64,
+                retries: supervised.retries,
+            };
+            let written = if supervised.short_write {
+                journal.record_short(&key, &supervised.value, Some(&meta))
+            } else {
+                journal.record_with(&key, &supervised.value, Some(&meta))
+            };
+            if let Err(e) = written {
+                // A cell whose result can't be journaled is a cell
+                // failure, not a process panic: the sweep finishes
+                // and resume re-runs it.
+                return Err(supervisor::fail_cell(
+                    &counts,
+                    CellFailure {
+                        index: cell.index,
+                        key,
+                        kind: FailKind::JournalIo,
+                        message: e.to_string(),
+                        attempts: 1,
+                    },
+                ));
+            }
+        }
+        Ok(supervised.value)
+    };
+    let fresh = sampler.run(|| {
+        pool::execute(threads, total, |worker, i| {
+            let outcome = run_cell(worker, i);
+            completed.fetch_add(1, Ordering::Relaxed);
+            outcome
         })
     });
 
@@ -571,95 +578,45 @@ fn set_active(slot: &Mutex<Option<ActiveCell>>, value: Option<ActiveCell>) {
     *slot.lock().unwrap_or_else(|e| e.into_inner()) = value;
 }
 
-/// Sets the monitor stop flag (and wakes the monitor threads) when
-/// dropped, including during an unwind from a panicking closure.
-struct MonitorStopper<'a> {
-    stop: &'a AtomicBool,
-    monitors: Vec<std::thread::Thread>,
-}
-
-impl Drop for MonitorStopper<'_> {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        for thread in &self.monitors {
-            thread.unpark();
-        }
-    }
-}
-
-fn heartbeat_loop(
-    period: Duration,
-    total: usize,
-    started: Instant,
-    progress: &pool::PoolProgress,
-    counts: &FaultCounts,
-    stop: &AtomicBool,
+/// Reports (once per cell) any cell that is *still running* past the
+/// budget — catching hangs that the post-hoc timeout classification can
+/// only see after the cell finally returns — and dumps the flight
+/// recorder for diagnosis.
+fn watchdog(
+    budget: Duration,
+    active: &[Mutex<Option<ActiveCell>>],
+    reported: &mut HashSet<String>,
 ) {
-    let mut next = started + period;
-    while !stop.load(Ordering::SeqCst) {
-        let now = Instant::now();
-        if now >= next {
-            let done = progress.completed.load(Ordering::SeqCst);
-            eprintln!(
-                "{}",
-                format_heartbeat(
-                    done,
-                    total,
-                    started.elapsed().as_secs_f64(),
-                    &progress.steal_counts(),
-                    counts.snapshot(),
-                )
-            );
-            next = now + period;
-        }
-        let wait = next
-            .saturating_duration_since(Instant::now())
-            .min(Duration::from_millis(200));
-        std::thread::park_timeout(wait);
-    }
-}
-
-/// Polls the workers' active-cell slots and reports (once per cell) any
-/// cell that is *still running* past the budget — catching hangs that
-/// the post-hoc timeout classification can only see after the cell
-/// finally returns — and dumps the flight recorder for diagnosis.
-fn watchdog_loop(budget: Duration, active: &[Mutex<Option<ActiveCell>>], stop: &AtomicBool) {
-    let mut reported: HashSet<String> = HashSet::new();
-    while !stop.load(Ordering::SeqCst) {
-        for slot in active {
-            let snapshot = slot.lock().unwrap_or_else(|e| e.into_inner()).clone();
-            if let Some(cell) = snapshot {
-                let elapsed = cell.started.elapsed();
-                if elapsed > budget && reported.insert(cell.key.clone()) {
-                    eprintln!(
-                        "rfd-runner: watchdog: cell {} still running after {:.3}s (budget {:.3}s)",
-                        cell.key,
-                        elapsed.as_secs_f64(),
-                        budget.as_secs_f64()
-                    );
-                    match rfd_obs::dump_flight() {
-                        Ok(Some(path)) => {
-                            eprintln!("rfd-runner: flight recorder dumped to {}", path.display())
-                        }
-                        Ok(None) => {}
-                        Err(e) => eprintln!("rfd-runner: flight recorder dump failed: {e}"),
+    for slot in active {
+        let snapshot = slot.lock().unwrap_or_else(|e| e.into_inner()).clone();
+        if let Some(cell) = snapshot {
+            let elapsed = cell.started.elapsed();
+            if elapsed > budget && reported.insert(cell.key.clone()) {
+                eprintln!(
+                    "rfd-runner: watchdog: cell {} still running after {:.3}s (budget {:.3}s)",
+                    cell.key,
+                    elapsed.as_secs_f64(),
+                    budget.as_secs_f64()
+                );
+                match rfd_obs::dump_flight() {
+                    Ok(Some(path)) => {
+                        eprintln!("rfd-runner: flight recorder dumped to {}", path.display())
                     }
+                    Ok(None) => {}
+                    Err(e) => eprintln!("rfd-runner: flight recorder dump failed: {e}"),
                 }
             }
         }
-        std::thread::park_timeout(Duration::from_millis(50).min(budget));
     }
 }
 
 /// One heartbeat progress line: cells done/total, elapsed wall-clock,
-/// an ETA extrapolated from the per-cell running mean, per-worker steal
-/// counts, and — only when something went wrong — failed / retried /
-/// timed-out cell counts.
+/// an ETA extrapolated from the per-cell running mean, and — only when
+/// something went wrong — failed / retried / timed-out cell counts.
 pub fn format_heartbeat(
     done: usize,
     total: usize,
     elapsed_secs: f64,
-    steals: &[u64],
     faults: FaultTotals,
 ) -> String {
     let eta = if done > 0 && done < total {
@@ -671,9 +628,8 @@ pub fn format_heartbeat(
         "?".to_owned()
     };
     let pct = (done * 100).checked_div(total).unwrap_or(100);
-    let mut line = format!(
-        "rfd-runner: {done}/{total} cells ({pct}%), elapsed {elapsed_secs:.1}s, eta {eta}, steals {steals:?}"
-    );
+    let mut line =
+        format!("rfd-runner: {done}/{total} cells ({pct}%), elapsed {elapsed_secs:.1}s, eta {eta}");
     if faults.any() {
         line.push_str(&format!(
             ", failed {}, retried {}, timed out {}",
@@ -854,14 +810,14 @@ mod tests {
 
     #[test]
     fn format_heartbeat_reports_progress_and_eta() {
-        let line = format_heartbeat(10, 40, 5.0, &[2, 7], FaultTotals::default());
+        let line = format_heartbeat(10, 40, 5.0, FaultTotals::default());
         assert_eq!(
             line,
-            "rfd-runner: 10/40 cells (25%), elapsed 5.0s, eta 15.0s, steals [2, 7]"
+            "rfd-runner: 10/40 cells (25%), elapsed 5.0s, eta 15.0s"
         );
-        assert!(format_heartbeat(0, 40, 1.0, &[], FaultTotals::default()).contains("eta ?"));
-        assert!(format_heartbeat(40, 40, 9.0, &[], FaultTotals::default()).contains("eta 0.0s"));
-        assert!(format_heartbeat(0, 0, 0.0, &[], FaultTotals::default()).contains("(100%)"));
+        assert!(format_heartbeat(0, 40, 1.0, FaultTotals::default()).contains("eta ?"));
+        assert!(format_heartbeat(40, 40, 9.0, FaultTotals::default()).contains("eta 0.0s"));
+        assert!(format_heartbeat(0, 0, 0.0, FaultTotals::default()).contains("(100%)"));
     }
 
     #[test]
@@ -871,10 +827,10 @@ mod tests {
             retried: 3,
             timed_out: 2,
         };
-        let line = format_heartbeat(10, 40, 5.0, &[2, 7], faults);
+        let line = format_heartbeat(10, 40, 5.0, faults);
         assert_eq!(
             line,
-            "rfd-runner: 10/40 cells (25%), elapsed 5.0s, eta 15.0s, steals [2, 7], \
+            "rfd-runner: 10/40 cells (25%), elapsed 5.0s, eta 15.0s, \
              failed 1, retried 3, timed out 2"
         );
     }

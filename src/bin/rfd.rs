@@ -2,6 +2,7 @@
 //! reproduction: run workloads, evaluate the intended-behaviour model,
 //! generate topologies.
 
+use std::io::Write as _;
 use std::process::ExitCode;
 
 use route_flap_damping::bgp::{snapshot, Network, RunReport, Snapshot};
@@ -473,15 +474,23 @@ fn cmd_firehose(args: &[String]) -> CmdResult {
     let report = match &cmd.telemetry {
         None => route_flap_damping::firehose::run(&cmd.config)?,
         Some(path) => {
-            let file =
+            let mut file =
                 std::io::BufWriter::new(std::fs::File::create(path).map_err(|e| {
                     format!("cannot create telemetry file {}: {e}", path.display())
                 })?);
-            let mut sink = route_flap_damping::firehose::JsonlTelemetry::new(file);
+            // Telemetry is best-effort: a full disk must not take the run
+            // down with it.
+            let mut sink = |rows: &[route_flap_damping::firehose::ShardSnapshot]| {
+                for row in rows {
+                    let _ = writeln!(file, "{}", row.to_json_line());
+                }
+            };
             let report = route_flap_damping::firehose::run_with_telemetry(
                 &cmd.config,
                 Some((cmd.telemetry_interval, &mut sink)),
             )?;
+            file.flush()
+                .map_err(|e| format!("cannot write telemetry file {}: {e}", path.display()))?;
             eprintln!(
                 "firehose: telemetry snapshots written to {}",
                 path.display()
