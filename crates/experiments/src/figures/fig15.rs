@@ -46,7 +46,7 @@ pub fn figure15_on(opts: &SweepOptions, kind: TopologyKind) -> PulseSweep {
 }
 
 /// Mean convergence over `n = 1..=max` for one series (comparison
-/// metric used by the binary and tests).
+/// metric used by `rfd sweep --figure fig15` and tests).
 pub fn mean_convergence(sweep: &PulseSweep, label: &str) -> Option<f64> {
     let s = sweep.series(label)?;
     let pts: Vec<f64> = s

@@ -155,7 +155,7 @@ impl Fig7Result {
         t
     }
 
-    /// One-line summary for the binary's header.
+    /// One-line summary for `rfd figure fig7`'s header.
     pub fn summary(&self) -> String {
         format!(
             "entry AS{}<-AS{} at distance {}: peak {:.0}, {} recharges while suppressed, network peak {:.0}, convergence {:.0}s",

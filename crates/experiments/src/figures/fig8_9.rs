@@ -120,7 +120,7 @@ mod tests {
     use super::*;
 
     /// A reduced-size end-to-end check of the paper's shape claims.
-    /// (Full sizes run in the `fig8` binary; this keeps `cargo test`
+    /// (Full sizes run in `rfd sweep`; this keeps `cargo test`
     /// minutes-fast.)
     #[test]
     fn shape_matches_paper() {

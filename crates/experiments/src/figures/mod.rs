@@ -3,7 +3,7 @@
 //! One module per evaluation artefact of the paper; every module
 //! exposes a `figure*()` / `table*()` entry point returning a
 //! structured result with `render()` (plain text) and CSV accessors,
-//! which the `src/bin` binaries print and save.
+//! which `rfd figure` and `rfd sweep` print and save.
 
 pub mod extensions;
 pub mod fig10;

@@ -1,46 +1,45 @@
-//! Shared output plumbing for the experiment binaries.
+//! Shared output plumbing for the `rfd figure` and `rfd sweep` commands:
+//! the flags they share, where their CSVs go, and observability.
 //!
 //! ## stdout / stderr discipline
 //!
 //! Everything a script might parse — CSV tables — goes to **stdout**;
 //! every human-facing line (banners, pretty tables, ASCII charts,
-//! progress, "saved …" notes) goes to **stderr**. Piping any figure
-//! binary therefore yields clean machine-readable output:
+//! progress, "saved …" notes) goes to **stderr**. Piping any artefact
+//! command therefore yields clean machine-readable output:
 //!
 //! ```text
-//! fig8 --quick > fig8.csv        # CSV only; narrative on the terminal
+//! rfd figure fig3 --quick > fig3.csv   # CSV only; narrative on the terminal
 //! ```
 //!
 //! ## Observability
 //!
 //! `--obs[=PATH]` (or the `RFD_OBS` environment variable) turns the
-//! [`rfd_obs`] recording layer on. [`obs_init`] resolves the
+//! [`rfd_obs`] recording layer on. [`obs_begin`] resolves the
 //! destination, enables recording, installs the panic hook and points
 //! the flight recorder next to the trace; the [`ObsSession`] it returns
 //! writes the Chrome-trace/summary file when the run ends.
 
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::process::ExitCode;
-use std::sync::OnceLock;
 use std::time::Duration;
 
 use rfd_metrics::Table;
 use rfd_runner::ChaosPlan;
 
 use crate::args::{self, wall_clock, CliError, Flag, Parsed, Takes};
-use crate::sweep::{PulseSweep, SweepOptions};
+use crate::sweep::SweepOptions;
 
-/// Reports a fatal command-line or I/O problem on stderr and exits
-/// non-zero. The experiment binaries' "fail with a message, never
-/// panic" path for everything outside the supervised cells.
+/// Reports a fatal I/O problem on stderr and exits non-zero: the
+/// artefact commands' "fail with a message, never panic" path for
+/// everything outside the supervised cells.
 pub fn exit_with(msg: &str) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(2);
 }
 
-/// Where result CSVs go (`results/` under the working directory, or
-/// `$RFD_RESULTS_DIR`).
+/// Where result CSVs and sweep journals go (`results/` under the
+/// working directory, or `$RFD_RESULTS_DIR`).
 pub fn results_dir() -> PathBuf {
     std::env::var_os("RFD_RESULTS_DIR")
         .map(PathBuf::from)
@@ -59,21 +58,11 @@ pub fn save_csv(name: &str, table: &Table) -> PathBuf {
     path
 }
 
-/// Publishes a result table: pretty form on stderr, CSV on stdout,
-/// saved under `results/<name>.csv` (path reported on stderr). Exits
-/// with a message if the CSV cannot be written (see [`save_csv`]).
-pub fn publish_csv(name: &str, table: &Table) -> PathBuf {
-    eprintln!("{table}");
-    print!("{}", table.to_csv());
-    let path = save_csv(name, table);
-    eprintln!("\nsaved {}", path.display());
-    path
-}
-
-/// The execution flags `rfd sweep` and every experiment binary share.
+/// The execution flags: the whole table of `rfd figure NAME`, and the
+/// base of `rfd sweep`.
 #[rustfmt::skip]
-pub const EXEC: args::Table = args::Table { command: "<experiment binary>", base: None, flags: &[
-    Flag::switch("--quick", "small topologies, 5 pulses, 1 seed by default"),
+pub const EXEC: args::Table = args::Table { command: "rfd figure NAME", base: None, flags: &[
+    Flag::switch("--quick", "reduced sizes: 5 pulses, 1 seed by default"),
     Flag::value("--threads", "N", "grid worker threads (default 0: all cores)"),
     SIM_SHARDS,
     Flag::switch("--resume", "skip cells already journaled under results/"),
@@ -143,9 +132,13 @@ pub struct Exec {
     /// The `--obs` request (see [`obs`]).
     pub obs: Option<Option<PathBuf>>,
     /// [`SweepOptions::quick`] under `--quick`, else the default, with
-    /// every execution flag applied.
+    /// every execution flag applied, journaling under [`results_dir`]
+    /// and a progress heartbeat on stderr.
     pub opts: SweepOptions,
 }
+
+/// How often sweeps report progress on stderr.
+const HEARTBEAT_PERIOD: Duration = Duration::from_secs(10);
 
 /// Reads every [`EXEC`] flag; the [`CliError`] names the offending one.
 pub fn exec_flags(p: &Parsed<'_>) -> Result<Exec, CliError> {
@@ -162,6 +155,8 @@ pub fn exec_flags(p: &Parsed<'_>) -> Result<Exec, CliError> {
             retries: p.parse("--retries")?.unwrap_or(0),
             cell_budget: p.positive_secs("--cell-budget")?.map(wall_clock),
             chaos: chaos(p)?,
+            journal_dir: Some(results_dir()),
+            heartbeat: Some(HEARTBEAT_PERIOD),
             ..if quick {
                 SweepOptions::quick()
             } else {
@@ -169,27 +164,6 @@ pub fn exec_flags(p: &Parsed<'_>) -> Result<Exec, CliError> {
             }
         },
     })
-}
-
-/// The process's own [`EXEC`] flags, parsed once. A command line the
-/// table does not accept exits 2 naming the flag — an experiment
-/// binary never runs a sweep other than the one asked for.
-fn exec() -> &'static Exec {
-    static PARSED: OnceLock<Exec> = OnceLock::new();
-    PARSED.get_or_init(|| {
-        let args: Vec<String> = std::env::args_os()
-            .skip(1)
-            .map(|a| a.to_string_lossy().into_owned())
-            .collect();
-        args::parse(&EXEC, &args)
-            .and_then(|p| exec_flags(&p))
-            .unwrap_or_else(|e| exit_with(&e.0))
-    })
-}
-
-/// True when `--quick` was passed (reduced sizes for smoke runs).
-pub fn quick_flag() -> bool {
-    exec().quick
 }
 
 /// The `RFD_OBS` environment variable as an observability request:
@@ -216,11 +190,6 @@ pub fn flight_path_for(trace: &Path) -> PathBuf {
         .or_else(|| name.strip_suffix(".json"))
         .unwrap_or(name);
     trace.with_file_name(format!("{base}.flightrec.json"))
-}
-
-/// [`obs_begin`] for the process's own `--obs` flag.
-pub fn obs_init(default_name: &str) -> Option<ObsSession> {
-    obs_begin(&exec().obs, default_name)
 }
 
 /// Resolves an `--obs` request (`RFD_OBS` is the fallback, and
@@ -251,66 +220,6 @@ impl Drop for ObsSession {
             Err(e) => eprintln!("obs: failed to write {}: {e}", self.0.display()),
         }
     }
-}
-
-/// How often sweeps report progress on stderr.
-const HEARTBEAT_PERIOD: Duration = Duration::from_secs(10);
-
-/// The sweep options the process's [`EXEC`] flags resolve to, with
-/// `RFD_CHAOS` as the `--chaos` fallback. Runs journal under
-/// [`results_dir`] so interrupted sweeps can resume; progress
-/// heartbeats go to stderr.
-pub fn sweep_options() -> SweepOptions {
-    let opts = exec().opts.clone();
-    SweepOptions {
-        journal_dir: Some(results_dir()),
-        heartbeat: Some(HEARTBEAT_PERIOD),
-        chaos: chaos_or_env(opts.chaos).unwrap_or_else(|e| exit_with(&e.0)),
-        ..opts
-    }
-}
-
-/// Prints a sweep's failure report on stderr (if any cells failed) and
-/// reports whether there was one — the building block for binaries
-/// that run several sweeps and fold the outcomes together.
-pub fn report_sweep_failures(sweep: &PulseSweep) -> bool {
-    if sweep.failures.is_empty() {
-        false
-    } else {
-        eprint!("{}", rfd_runner::render_failure_report(&sweep.failures));
-        true
-    }
-}
-
-/// Converts a finished sweep into the process exit code: when cells
-/// failed, the failure report goes to stderr and the run exits
-/// non-zero so scripts notice — while stdout still carries every
-/// healthy cell's CSV (failed points are marked, never silently
-/// absent).
-pub fn sweep_exit_code(sweep: &PulseSweep) -> ExitCode {
-    if report_sweep_failures(sweep) {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
-/// The runner configuration the current command line resolves to
-/// (`--threads N`, `--resume`; journal under [`results_dir`]). For
-/// binaries whose sweeps are not pulse-count grids.
-pub fn runner_config() -> rfd_runner::RunnerConfig {
-    sweep_options().runner_config()
-}
-
-/// Prints a standard experiment header (stderr — narrative, not data).
-pub fn banner(figure: &str, description: &str) {
-    // Every binary prints its banner first: check the flags before it.
-    let quick = quick_flag();
-    eprintln!("== {figure} — {description} ==");
-    if quick {
-        eprintln!("(quick mode: reduced sizes)");
-    }
-    eprintln!();
 }
 
 #[cfg(test)]

@@ -184,7 +184,8 @@ impl Default for SweepOptions {
 }
 
 impl SweepOptions {
-    /// A cheap variant for unit tests and benches.
+    /// The defaults `--quick` lowers to (5 pulses, seed 1); also the
+    /// cheap variant unit tests use.
     pub fn quick() -> Self {
         SweepOptions {
             max_pulses: 5,
@@ -264,9 +265,8 @@ impl<'a> SeriesSpec<'a> {
 /// the [`rfd_runner`] pool and folds the results into a [`PulseSweep`].
 ///
 /// `name` names the journal file (`results/<name>.runs.jsonl`) when
-/// journaling is enabled; figure binaries sharing runs (Figures 8 and 9
-/// read the same grid) share a name, so a journaled sweep is reused
-/// across binaries with `--resume`.
+/// journaling is enabled; figures sharing runs (Figures 8 and 9 read
+/// the same grid) share a name, so one journal serves both.
 ///
 /// Individual cell failures do not abort the sweep — they surface in
 /// [`PulseSweep::failures`] with their points marked. Exits the process
@@ -280,7 +280,7 @@ pub fn measure_sweep(name: &str, specs: Vec<SeriesSpec<'_>>, opts: &SweepOptions
 }
 
 /// Reports a grid-level runner error on stderr and exits non-zero — the
-/// experiment binaries' "fail with a message, never panic" path for
+/// artefact commands' "fail with a message, never panic" path for
 /// journal setup problems (resume mismatch, unwritable `results/`, …).
 pub fn exit_runner_error(e: &RunnerError) -> ! {
     eprintln!("error: {e}");

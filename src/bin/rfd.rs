@@ -1,24 +1,24 @@
 //! `rfd` — command-line front end for the route-flap-damping
-//! reproduction: run workloads, evaluate the intended-behaviour model,
-//! generate topologies.
+//! reproduction: run workloads, regenerate the paper's tables and
+//! figures, evaluate the intended-behaviour model, generate topologies.
 
 use std::io::Write as _;
 use std::process::ExitCode;
 
 use route_flap_damping::bgp::{snapshot, Network, RunReport, Snapshot};
 use route_flap_damping::cli::{
-    network_config, parse_explain_command, parse_firehose_command, parse_intended_command,
-    parse_run_options, parse_snapshot_command, parse_sweep_command, parse_topology_command, usage,
-    CliError, ReportFormat, RunOptions, SnapshotCommand, SweepFigure,
+    network_config, parse_explain_command, parse_figure_command, parse_firehose_command,
+    parse_intended_command, parse_run_options, parse_snapshot_command, parse_sweep_command,
+    parse_topology_command, usage, CliError, ReportFormat, RunOptions, SnapshotCommand,
 };
 use route_flap_damping::damping::{intended_behavior, FlapPattern, FlapSchedule};
 use route_flap_damping::experiments::output::{chaos_or_env, obs_begin};
 use route_flap_damping::experiments::pick_isp;
-use route_flap_damping::explain;
 use route_flap_damping::metrics::{export_trace, StateClassifier, StateSpan, Trace};
 use route_flap_damping::runner::ChaosKind;
 use route_flap_damping::sim::SimDuration;
 use route_flap_damping::topology::{to_edge_list, Graph, NodeId};
+use route_flap_damping::{explain, figure};
 
 fn main() -> ExitCode {
     // Lossy, not `args()`: a non-UTF-8 argument must reach the flag
@@ -35,31 +35,25 @@ fn main() -> ExitCode {
         "run" => cmd_run(rest),
         "snapshot" => cmd_snapshot(rest),
         "explain" => cmd_explain(rest),
+        "figure" => cmd_figure(rest),
         "sweep" => cmd_sweep(rest),
         "firehose" => cmd_firehose(rest),
         "intended" => cmd_intended(rest),
         "topology" => cmd_topology(rest),
         "trace-stats" => cmd_trace_stats(rest),
         "obs-report" => cmd_obs_report(rest),
-        "table1" => {
-            print!(
-                "{}",
-                route_flap_damping::experiments::figures::table1::table1().render()
-            );
-            Ok(())
-        }
         "help" | "--help" | "-h" => {
             print!("{}", usage());
             Ok(())
         }
-        other => Err(format!("unknown command `{other}`\n\n{}", usage()).into()),
+        other => Err(CliError(format!("unknown command `{other}`\n\n{}", usage())).into()),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
-            // A command line the flag tables refuse exits 2, like the
-            // experiment binaries; a run that failed exits 1.
+            // A command line the flag tables refuse exits 2; a run that
+            // failed exits 1.
             if e.is::<CliError>() {
                 ExitCode::from(2)
             } else {
@@ -390,64 +384,30 @@ fn cmd_explain(args: &[String]) -> CmdResult {
     Ok(())
 }
 
-fn cmd_sweep(args: &[String]) -> CmdResult {
-    use route_flap_damping::experiments::figures::{fig13_14, fig15, fig8_9};
-    use route_flap_damping::experiments::TopologyKind;
+fn cmd_figure(args: &[String]) -> CmdResult {
+    let (name, mut exec) = parse_figure_command(args)?;
+    exec.opts.chaos = chaos_or_env(exec.opts.chaos)?;
+    let _obs = obs_begin(&exec.obs, name);
+    failed_cells(figure::regenerate(name, exec.quick, exec.opts))
+}
 
+fn cmd_sweep(args: &[String]) -> CmdResult {
     let mut cmd = parse_sweep_command(args)?;
     cmd.opts.chaos = chaos_or_env(cmd.opts.chaos)?;
     let _obs = obs_begin(&cmd.obs, "sweep");
-    let mesh = TopologyKind::experiment_mesh(cmd.quick);
-    let internet = if cmd.quick {
-        TopologyKind::Internet { nodes: 25, m: 2 }
-    } else {
-        TopologyKind::PAPER_INTERNET
-    };
-    let (label, sweep) = match cmd.figure {
-        SweepFigure::Fig8_9 => (
-            "Figures 8/9",
-            fig8_9::figure8_9_on(&cmd.opts, mesh, internet),
+    failed_cells(figure::sweep(cmd.figure, cmd.quick, cmd.opts))
+}
+
+/// Failed grid cells fail the command once every table is out: the CSVs
+/// mark them FAILED, and `--resume` re-runs only them.
+fn failed_cells(failed: usize) -> CmdResult {
+    match failed {
+        0 => Ok(()),
+        n => Err(
+            format!("{n} sweep cell(s) failed — CSV marks them FAILED; re-run with --resume")
+                .into(),
         ),
-        SweepFigure::Fig13_14 => (
-            "Figures 13/14",
-            fig13_14::figure13_14_on(&cmd.opts, mesh, internet),
-        ),
-        SweepFigure::Fig15 => {
-            let kind = if cmd.quick {
-                TopologyKind::Internet { nodes: 60, m: 2 }
-            } else {
-                TopologyKind::PAPER_INTERNET_208
-            };
-            ("Figure 15", fig15::figure15_on(&cmd.opts, kind))
-        }
-    };
-    // Narrative and pretty tables go to stderr; stdout carries the two
-    // CSV tables so `rfd sweep … > out.csv` stays machine-parseable.
-    eprintln!(
-        "{label} — {} thread(s), {} seed(s), pulses 0..={}{}",
-        match cmd.opts.threads {
-            0 => "all".to_owned(),
-            n => n.to_string(),
-        },
-        cmd.opts.seeds.len(),
-        cmd.opts.max_pulses,
-        if cmd.opts.resume { ", resuming" } else { "" },
-    );
-    let convergence = sweep.convergence_table();
-    let messages = sweep.message_table();
-    eprintln!("\nconvergence time (s):\n{convergence}");
-    eprintln!("updates:\n{messages}");
-    print!("{}", convergence.to_csv());
-    print!("{}", messages.to_csv());
-    if !sweep.failures.is_empty() {
-        eprint!("{}", rfd_runner::render_failure_report(&sweep.failures));
-        return Err(format!(
-            "{} sweep cell(s) failed — CSV marks them FAILED; re-run with --resume",
-            sweep.failures.len()
-        )
-        .into());
     }
-    Ok(())
 }
 
 fn cmd_firehose(args: &[String]) -> CmdResult {

@@ -12,13 +12,16 @@ use std::time::Duration;
 use rfd_bgp::{DampingDeployment, NetworkConfig, PenaltyFilter, Policy, ProtocolOptions};
 use rfd_core::DampingParams;
 use rfd_experiments::args::{self, render_usage, wall_clock, Flag, Parsed, Table};
-use rfd_experiments::output::{chaos, exec_flags, obs, sim_shards, CHAOS, EXEC, OBS, SIM_SHARDS};
+use rfd_experiments::output::{
+    chaos, exec_flags, obs, sim_shards, Exec, CHAOS, EXEC, OBS, SIM_SHARDS,
+};
 use rfd_experiments::scenarios::{infer_relationships, TopologyKind};
 use rfd_experiments::SweepOptions;
 use rfd_runner::ChaosPlan;
 use rfd_sim::SimDuration;
 use rfd_topology::Graph;
 
+use crate::figure::{self, SweepFigure};
 pub use rfd_experiments::args::CliError;
 
 /// A parsed topology specification, e.g. `mesh:10x10`, `internet:100`,
@@ -274,17 +277,6 @@ fn parse_ledger_key(spec: &str) -> Result<(u32, u32), CliError> {
     ))
 }
 
-/// Which figure `rfd sweep` regenerates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SweepFigure {
-    /// Figures 8 and 9 (convergence / messages vs pulses).
-    Fig8_9,
-    /// Figures 13 and 14 (the above plus RCN).
-    Fig13_14,
-    /// Figure 15 (routing policy).
-    Fig15,
-}
-
 /// A parsed `rfd sweep` invocation.
 #[derive(Debug, Clone)]
 pub struct SweepCommand {
@@ -292,7 +284,8 @@ pub struct SweepCommand {
     pub figure: SweepFigure,
     /// Grid axes and execution options (threads, journal, resume).
     pub opts: SweepOptions,
-    /// Reduced topology sizes for smoke runs.
+    /// `--quick`: lower defaults (5 pulses, seed 1); Figure 15 also runs
+    /// on a 60-node graph.
     pub quick: bool,
     /// Observability request: `None` off, `Some(None)` on at the
     /// default destination, `Some(Some(path))` on at `path`.
@@ -313,7 +306,7 @@ fn sweep_topology(spec: &TopologySpec) -> Result<TopologyKind, CliError> {
 }
 
 /// The flags of `rfd sweep`: the grid's axes plus the [`EXEC`] flags
-/// every experiment binary takes.
+/// of `rfd figure`.
 #[rustfmt::skip]
 pub const SWEEP: Table = Table { command: "rfd sweep", base: Some(&EXEC), flags: &[
     Flag::value("--figure", "fig8-9|fig13-14|fig15", "grid to run (default fig8-9)"),
@@ -330,14 +323,7 @@ pub const SWEEP: Table = Table { command: "rfd sweep", base: Some(&EXEC), flags:
 pub fn parse_sweep_command(args: &[String]) -> Result<SweepCommand, CliError> {
     let p = args::parse(&SWEEP, args)?;
     let exec = exec_flags(&p)?;
-    let figure = p.one_of(
-        "--figure",
-        &[
-            ("fig8-9", SweepFigure::Fig8_9),
-            ("fig13-14", SweepFigure::Fig13_14),
-            ("fig15", SweepFigure::Fig15),
-        ],
-    )?;
+    let figure = p.one_of("--figure", &SweepFigure::ALL.map(|f| (f.name(), f)))?;
     let seeds = match p.get("--seeds") {
         Some(list) => list
             .split(',')
@@ -356,7 +342,7 @@ pub fn parse_sweep_command(args: &[String]) -> Result<SweepCommand, CliError> {
         opts: SweepOptions {
             max_pulses: p.parse("--max-pulses")?.unwrap_or(exec.opts.max_pulses),
             seeds,
-            journal_dir: (!p.has("--no-journal")).then(|| PathBuf::from("results")),
+            journal_dir: exec.opts.journal_dir.filter(|_| !p.has("--no-journal")),
             topology: p
                 .get("--topology")
                 .map(|spec| sweep_topology(&TopologySpec::parse(spec)?))
@@ -369,6 +355,29 @@ pub fn parse_sweep_command(args: &[String]) -> Result<SweepCommand, CliError> {
             ..exec.opts
         },
     })
+}
+
+/// Parses `rfd figure NAME` plus its [`EXEC`] flags into the
+/// artefact's name (one of [`figure::names`]) and the flags; the
+/// [`CliError`] names an unknown figure, pointing a pulse-grid figure
+/// at `rfd sweep`, or the offending flag.
+pub fn parse_figure_command(args: &[String]) -> Result<(&'static str, Exec), CliError> {
+    let names = figure::names().collect::<Vec<_>>().join("|");
+    let (name, rest) = args
+        .split_first()
+        .ok_or_else(|| CliError(format!("figure needs a NAME ({names})")))?;
+    let grid = SweepFigure::ALL
+        .into_iter()
+        .find(|g| g.csv_names().contains(&name.as_str()));
+    let unknown = || match grid {
+        Some(grid) => CliError(format!(
+            "`{name}` is a pulse grid: run `rfd sweep --figure {}`",
+            grid.name()
+        )),
+        None => CliError(format!("unknown figure `{name}` ({names})")),
+    };
+    let name = figure::names().find(|n| n == name).ok_or_else(unknown)?;
+    Ok((name, exec_flags(&args::parse(&EXEC, rest)?)?))
 }
 
 /// Output format of the `rfd firehose` report.
@@ -604,10 +613,10 @@ const fn flagless(command: &'static str) -> Table {
 
 /// Every command line this workspace accepts, in `rfd help` order.
 #[rustfmt::skip]
-pub const TABLES: [&Table; 14] = [
+pub const TABLES: [&Table; 13] = [
     &RUN, &EXPLAIN, &SNAPSHOT_SAVE, &SNAPSHOT_RESTORE, &flagless("rfd snapshot inspect FILE"),
-    &SWEEP, &FIREHOSE, &INTENDED, &TOPOLOGY, &flagless("rfd trace-stats FILE"),
-    &flagless("rfd obs-report FILE"), &flagless("rfd table1"), &flagless("rfd help"), &EXEC,
+    &EXEC, &SWEEP, &FIREHOSE, &INTENDED, &TOPOLOGY, &flagless("rfd trace-stats FILE"),
+    &flagless("rfd obs-report FILE"), &flagless("rfd help"),
 ];
 
 /// The top-level usage text: [`TABLES`] rendered, then the notes.
@@ -619,8 +628,9 @@ pub fn usage() -> String {
 }
 
 const NOTES: &str = "\
-EXPERIMENT BINARIES (package rfd-experiments): table1 fig3 fig4 fig7 fig8
-  fig9 fig10 fig13 fig14 fig15 extensions knobs link_failure sweeps run_all
+FIGURES: NAME is table1 fig3 fig4 fig7 fig10 extensions sweeps link_failure
+  knobs, or all: every CSV, the three sweeps' included, none on stdout.
+  CSVs and journals go under results/ (or $RFD_RESULTS_DIR).
 TOPOLOGIES: mesh:10x10 (alias torus:10x10), internet:100 (alias ba:100),
   ring:8, line:5, clique:6
 SHARDING: --sim-shards N partitions the routers into N conservative

@@ -47,14 +47,15 @@
 //! assert!(report.convergence_time.as_secs_f64() > 600.0);
 //! ```
 //!
-//! See `examples/` for runnable scenarios and the `rfd-experiments`
-//! binaries (`fig3` … `fig15`, `table1`, `run_all`) for the paper's
-//! evaluation artefacts.
+//! See `examples/` for runnable scenarios, and `rfd figure NAME` and
+//! `rfd sweep --figure` ([`figure`]) for the paper's evaluation
+//! artefacts.
 
 #![warn(missing_docs)]
 
 pub mod cli;
 pub mod explain;
+pub mod figure;
 
 pub use rfd_bgp as bgp;
 pub use rfd_core as damping;

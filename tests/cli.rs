@@ -1,10 +1,19 @@
 //! End-to-end tests of the `rfd` CLI binary (spawned as a real
 //! process via the path Cargo provides in `CARGO_BIN_EXE_rfd`).
 
+use std::path::PathBuf;
 use std::process::Command;
 
 fn rfd() -> Command {
     Command::new(env!("CARGO_BIN_EXE_rfd"))
+}
+
+/// A fresh, empty scratch directory for one test.
+fn temp_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("rfd-cli-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
 }
 
 fn run_ok(args: &[&str]) -> String {
@@ -32,17 +41,34 @@ fn no_args_fails_with_usage() {
 
 #[test]
 fn unknown_command_fails() {
-    let out = rfd().arg("frobnicate").output().unwrap();
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command"));
+    // `table1` is `rfd figure table1` now.
+    for command in ["frobnicate", "table1"] {
+        let out = rfd().arg(command).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "rfd {command}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command"));
+    }
 }
 
 #[test]
 fn table1_matches_paper() {
-    let text = run_ok(&["table1"]);
+    let results = temp_dir("table1");
+    let out = rfd()
+        .args(["figure", "table1"])
+        .env("RFD_RESULTS_DIR", &results)
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success(), "{out:?}");
+    let text = String::from_utf8(out.stdout).expect("utf-8 output");
     for needle in ["Withdrawal Penalty", "1000", "2000", "3000", "750"] {
         assert!(text.contains(needle), "missing {needle}");
     }
+    // stdout is the CSV that was saved: a header and eight
+    // three-column rows, nothing else.
+    assert_eq!(text.lines().count(), 8, "{text}");
+    assert!(text.lines().all(|l| l.split(',').count() == 3), "{text}");
+    let saved = std::fs::read_to_string(results.join("table1.csv")).expect("table1.csv");
+    assert_eq!(saved, text);
+    let _ = std::fs::remove_dir_all(results);
 }
 
 #[test]
@@ -86,31 +112,87 @@ fn run_and_trace_stats_round_trip() {
 #[test]
 fn run_rejects_bad_flags() {
     // A command line the flag tables refuse exits 2 with one `error:`
-    // line naming the flag and the value (all but the first once died
-    // with a panic and a backtrace).
-    for args in [
-        ["run", "--pulses", "banana"],
-        ["sweep", "--cell-budget", "-1"],
-        ["intended", "--interval", "-5"],
-        ["run", "--interval", "1e300"],
-        ["run", "--sim-shards", "65536"],
+    // line naming the problem (several once died with a panic and a
+    // backtrace), before any cell runs: `rfd sweep` and `rfd figure`
+    // never run a sweep other than the one asked for.
+    let scratch = temp_dir("refused");
+    let results = scratch.join("results");
+    for (line, needle) in [
+        ("run --pulses banana", "bad --pulses value `banana`"),
+        (
+            "sweep --cell-budget -1",
+            "--cell-budget must be a positive number of seconds, got `-1`",
+        ),
+        (
+            "intended --interval -5",
+            "--interval must be a positive number of seconds, got `-5`",
+        ),
+        (
+            "run --interval 1e300",
+            "--interval must be a positive number of seconds, got `1e300`",
+        ),
+        (
+            "run --sim-shards 65536",
+            "--sim-shards must be at most 65535, got 65536",
+        ),
+        ("sweep --quik", "unknown flag `--quik`"),
+        ("sweep --quick --threads", "--threads needs a value"),
+        ("sweep --sim-shards=0", "--sim-shards must be at least 1"),
+        ("sweep --sim-shards=65536", "--sim-shards must be at most"),
+        ("sweep --quick=yes", "--quick takes no value"),
+        ("sweep --chaos explode@x", "unknown fault `explode`"),
+        ("figure fig3 --quik", "unknown flag `--quik`"),
+        ("figure fig99", "unknown figure `fig99` (table1|fig3|"),
+        ("figure", "|link_failure|knobs|all)"),
+        ("figure fig8", "run `rfd sweep --figure fig8-9`"),
+        ("figure fig14", "run `rfd sweep --figure fig13-14`"),
     ] {
-        let out = rfd().args(args).output().unwrap();
+        let out = rfd()
+            .args(line.split(' '))
+            .env("RFD_RESULTS_DIR", &results)
+            .output()
+            .unwrap();
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "rfd {args:?}: {stderr}");
-        assert_eq!(stderr.lines().count(), 1, "rfd {args:?}: {stderr}");
-        assert!(stderr.starts_with("error: "), "{stderr}");
+        assert_eq!(out.status.code(), Some(2), "rfd {line}: {stderr}");
+        assert!(out.stdout.is_empty(), "rfd {line} printed a CSV");
+        assert_eq!(stderr.lines().count(), 1, "rfd {line}: {stderr}");
         assert!(
-            stderr.contains(args[1]) && stderr.contains(args[2]),
+            stderr.starts_with("error: ") && stderr.contains(needle),
             "{stderr}"
         );
     }
+    let refused = "a refused command line must not run a cell";
+    assert!(!results.exists(), "{refused}");
+    let _ = std::fs::remove_dir_all(scratch);
     let out = rfd()
         .args(["run", "--damping", "off", "--filter", "rcn"])
         .output()
         .unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("requires damping"));
+}
+
+/// `rfd sweep` journals and saves under `$RFD_RESULTS_DIR`, like every
+/// other artefact command, and leaves the working directory alone.
+#[test]
+fn sweep_writes_under_the_results_dir() {
+    let (cwd, results) = (temp_dir("sweep-cwd"), temp_dir("sweep-results"));
+    let out = rfd()
+        .args("sweep --max-pulses 1 --seeds 1 --threads 1".split(' '))
+        .env("RFD_RESULTS_DIR", &results)
+        .current_dir(&cwd)
+        .output()
+        .expect("rfd runs");
+    assert!(out.status.success(), "{out:?}");
+    for file in ["fig8-9.runs.jsonl", "fig8.csv", "fig9.csv"] {
+        assert!(
+            results.join(file).is_file(),
+            "{file} not under the results dir"
+        );
+    }
+    assert!(!cwd.join("results").exists(), "rfd sweep wrote ./results");
+    let _ = std::fs::remove_dir_all(cwd);
+    let _ = std::fs::remove_dir_all(results);
 }
 
 #[test]

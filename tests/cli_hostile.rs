@@ -1,20 +1,21 @@
 //! Hostile command lines (ROADMAP 4(d), CLI flags): random token
 //! vectors — declared flags in both spellings, undeclared flags, empty
 //! strings, replacement characters and control bytes, huge, negative
-//! and NaN numbers — go to every `parse_*` entry point and to the
-//! experiment binaries' `EXEC` front end. Each must return `Ok` or a
-//! `CliError` with a message; none may panic.
+//! and NaN numbers — go to every `parse_*` entry point, `rfd figure`'s
+//! included. Each must return `Ok` or a `CliError` with a message; none
+//! may panic.
 
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 use proptest::prelude::*;
 use route_flap_damping::cli::{
-    parse_explain_command, parse_firehose_command, parse_intended_command, parse_run_options,
-    parse_snapshot_command, parse_sweep_command, parse_topology_command, CliError, EXPLAIN,
-    FIREHOSE, INTENDED, RUN, SNAPSHOT_RESTORE, SNAPSHOT_SAVE, SWEEP, TABLES, TOPOLOGY,
+    parse_explain_command, parse_figure_command, parse_firehose_command, parse_intended_command,
+    parse_run_options, parse_snapshot_command, parse_sweep_command, parse_topology_command,
+    CliError, EXPLAIN, FIREHOSE, INTENDED, RUN, SNAPSHOT_RESTORE, SNAPSHOT_SAVE, SWEEP, TABLES,
+    TOPOLOGY,
 };
-use route_flap_damping::experiments::args::{self, Table};
-use route_flap_damping::experiments::output::{exec_flags, EXEC};
+use route_flap_damping::experiments::args::Table;
+use route_flap_damping::experiments::output::EXEC;
 
 #[rustfmt::skip]
 const VALUES: &[&str] = &[
@@ -88,8 +89,8 @@ proptest! {
         settled(parse_firehose_command(&line(&FIREHOSE)))?;
         settled(parse_intended_command(&line(&INTENDED)))?;
         settled(parse_topology_command(&line(&TOPOLOGY)))?;
-        let exec = line(&EXEC);
-        settled(args::parse(&EXEC, &exec).and_then(|p| exec_flags(&p)))?;
+        settled(parse_figure_command(&after("fig3", &EXEC)))?;
+        settled(parse_figure_command(&line(&EXEC)))?;
     }
 }
 
