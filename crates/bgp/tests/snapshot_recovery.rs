@@ -315,15 +315,15 @@ fn mid_run_snapshot_cannot_fork() {
 
 /// The path interner's hasher and collision chain are invisible to the
 /// file format: the first checkpoint of a fixed run hashes to a pinned
-/// value (format version 2: the network's one path table ahead of the
-/// shards — at one shard the version-1 fields in a new order, 39,420
-/// bytes both; at two shards 39,509 bytes where two tables took 42,981).
+/// value (format version 3: the trace section is the `--trace` line
+/// format — 41,880 bytes at one shard and 41,969 at two, where version
+/// 2's binary trace codec took 39,420 and 39,509).
 #[test]
 fn checkpoint_bytes_are_pinned() {
     let graph = mesh_torus(6, 6);
     let isp = NodeId::new(0);
     let schedule = FlapSchedule::from(FlapPattern::paper_default(3));
-    for (shards, pinned) in [(1, 0x6210_9096_4f26_e210_u64), (2, 0xac84_c276_8575_3745)] {
+    for (shards, pinned) in [(1, 0x6c73_17c4_45b5_a415_u64), (2, 0xbf71_895a_db02_62f8)] {
         let mut cfg = NetworkConfig::paper_full_damping(5);
         cfg.sim_shards = shards;
         let key = snapshot::fingerprints(&graph, &[isp], &cfg);

@@ -17,8 +17,7 @@
 //! * [`ReuseList`] — RFC 2439's quantised reuse lists, the firehose's
 //!   reuse scheduler;
 //! * [`intended_behavior`] / [`intended_curve`] — the §3 closed-form
-//!   model producing the paper's "calculation" lines;
-//! * [`PenaltyTrace`] — penalty-vs-time recording (Figures 3 and 7).
+//!   model producing the paper's "calculation" lines.
 //!
 //! # Examples
 //!
@@ -57,7 +56,6 @@ mod reuse_list;
 mod schedule;
 mod selective;
 mod store;
-mod trace;
 mod update;
 
 pub use analytic::{
@@ -77,5 +75,4 @@ pub use reuse_list::ReuseList;
 pub use schedule::FlapSchedule;
 pub use selective::{RelativePreference, SelectiveFilter};
 pub use store::{DamperStore, DamperStoreState, DecayMode};
-pub use trace::{PenaltySample, PenaltyTrace};
 pub use update::UpdateKind;

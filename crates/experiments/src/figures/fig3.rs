@@ -2,9 +2,11 @@
 //! to a few route flaps (Cisco default parameters) — a pure
 //! single-damper trace, no network involved.
 
-use rfd_core::{Damper, DampingParams, PenaltyTrace, UpdateKind};
+use rfd_core::{Damper, DampingParams, ReuseCheck, UpdateKind};
 use rfd_metrics::Table;
 use rfd_sim::{SimDuration, SimTime};
+
+use super::decay_curve;
 
 /// The reproduced Figure 3 data.
 #[derive(Debug, Clone)]
@@ -29,49 +31,53 @@ pub fn figure3() -> Fig3Result {
 /// Parameterised variant (used by the ablation benches).
 pub fn figure3_with(params: DampingParams, pulses: u64, until: SimDuration) -> Fig3Result {
     let mut damper = Damper::new(params);
-    let mut trace = PenaltyTrace::new();
+    let mut points = Vec::new();
+    let mut spans = Vec::new();
+    let mut suppressed_since = None;
     for pulse in 0..pulses {
-        let w_at = SimTime::from_secs(pulse * 120);
-        let a_at = SimTime::from_secs(pulse * 120 + 60);
-        let w = damper.record_update(w_at, UpdateKind::Withdrawal);
-        trace.record(w_at, w.penalty, damper.is_suppressed());
-        let a = damper.record_update(a_at, UpdateKind::ReAnnouncement);
-        trace.record(a_at, a.penalty, damper.is_suppressed());
-    }
-    // Walk the reuse timer so the suppression span has an end.
-    let mut reuse_walker = damper.clone();
-    let mut end_of_suppression = None;
-    if reuse_walker.is_suppressed() {
-        let last_event = SimTime::from_secs((pulses - 1) * 120 + 60);
-        let mut due = reuse_walker.reuse_at(last_event).expect("suppressed");
-        loop {
-            match reuse_walker.on_reuse_due(due) {
-                rfd_core::ReuseCheck::Released => {
-                    end_of_suppression = Some(due);
-                    break;
+        for (secs, kind) in [
+            (pulse * 120, UpdateKind::Withdrawal),
+            (pulse * 120 + 60, UpdateKind::ReAnnouncement),
+        ] {
+            let at = SimTime::from_secs(secs);
+            points.push((at, damper.record_update(at, kind).penalty));
+            match (suppressed_since, damper.is_suppressed()) {
+                (None, true) => suppressed_since = Some(at),
+                (Some(from), false) => {
+                    spans.push((from, at));
+                    suppressed_since = None;
                 }
-                rfd_core::ReuseCheck::StillSuppressed { retry_at } => due = retry_at,
+                _ => {}
             }
         }
     }
-    let curve = trace
-        .decay_curve(&params, SimTime::ZERO + until, SimDuration::from_secs(10))
-        .into_iter()
-        .map(|(t, v)| (t.as_secs_f64(), v))
-        .collect();
-    let mut suppressed_spans: Vec<(f64, f64)> = trace
-        .suppressed_spans()
+    // Walk the reuse timer so the last suppression span has an end.
+    if let Some(from) = suppressed_since {
+        let last_event = points.last().expect("suppressed by a charge").0;
+        let mut due = damper.reuse_at(last_event).expect("suppressed");
+        while let ReuseCheck::StillSuppressed { retry_at } = damper.on_reuse_due(due) {
+            due = retry_at;
+        }
+        spans.push((from, due));
+    }
+    let curve = decay_curve(
+        &points,
+        &params,
+        SimTime::ZERO + until,
+        SimDuration::from_secs(10),
+    )
+    .into_iter()
+    .map(|(t, v)| (t.as_secs_f64(), v))
+    .collect();
+    let suppressed_spans = spans
         .into_iter()
         .map(|(a, b)| (a.as_secs_f64(), b.as_secs_f64()))
         .collect();
-    if let (Some(end), Some(last)) = (end_of_suppression, suppressed_spans.last_mut()) {
-        last.1 = end.as_secs_f64();
-    }
     Fig3Result {
         params,
         curve,
         suppressed_spans,
-        peak: trace.peak(),
+        peak: points.iter().map(|p| p.1).fold(0.0, f64::max),
     }
 }
 

@@ -10,10 +10,11 @@
 use std::collections::HashMap;
 
 use rfd_bgp::NetworkConfig;
-use rfd_core::{DampingParams, PenaltyTrace};
+use rfd_core::DampingParams;
 use rfd_metrics::{PenaltyPoint, Table, TraceEventKind};
 use rfd_sim::SimDuration;
 
+use super::decay_curve;
 use crate::scenarios::{pick_isp, run_workload, TopologyKind};
 
 /// The reproduced Figure 7 data.
@@ -113,16 +114,12 @@ pub fn figure7_with(kind: TopologyKind, seed: u64, target_distance: usize) -> Fi
         })
         .expect("non-empty samples");
 
-    let mut ptrace = PenaltyTrace::new();
-    for p in entry_samples {
-        ptrace.record(p.at, p.value, p.suppressed);
-    }
+    let points: Vec<_> = entry_samples.iter().map(|p| (p.at, p.value)).collect();
     let end = trace
         .last_update_at()
         .unwrap_or(first_flap)
         .saturating_add(SimDuration::from_secs(600));
-    let curve = ptrace
-        .decay_curve(&params, end, SimDuration::from_secs(10))
+    let curve = decay_curve(&points, &params, end, SimDuration::from_secs(10))
         .into_iter()
         .map(|(t, v)| (t.saturating_since(first_flap).as_secs_f64(), v))
         .collect();
@@ -137,7 +134,7 @@ pub fn figure7_with(kind: TopologyKind, seed: u64, target_distance: usize) -> Fi
         peer,
         distance: node_distance(node),
         curve,
-        peak: ptrace.peak(),
+        peak: points.iter().map(|p| p.1).fold(0.0, f64::max),
         network_peak: trace.peak_penalty(),
         recharges_while_suppressed,
         convergence_secs: report.convergence_time.as_secs_f64(),

@@ -15,8 +15,11 @@
 //!   [`MessageCounter`], [`UpdateBins`], [`SuppressionStats`]) — the
 //!   same metrics computed online in O(1) space, for sweeps that must
 //!   not buffer whole event histories;
+//! * [`export_trace`] / [`parse_trace`] — the `--trace` line format,
+//!   also the trace section of a checkpoint;
+//! * [`RunningStats`] — the Welford accumulator sweeps fold seeds with;
 //! * [`Table`] — plain-text and CSV reporting for the experiment
-//!   binaries.
+//!   commands.
 //!
 //! Nodes are raw `u32` indices here so the crate stays independent of
 //! the protocol and topology layers.
@@ -26,7 +29,6 @@
 
 mod events;
 mod export;
-mod merge;
 mod plot;
 mod report;
 mod series;
@@ -37,7 +39,6 @@ mod trace;
 
 pub use events::{TraceEvent, TraceEventKind};
 pub use export::{export_trace, parse_trace, ParseTraceError};
-pub use merge::{Merge, RunningStats};
 pub use plot::AsciiChart;
 pub use report::{fmt_f64, Table};
 pub use series::{bin_events, StepSeries};
@@ -45,5 +46,5 @@ pub use sink::{
     ConvergenceTracker, MessageCounter, NullSink, SuppressionStats, TraceSink, UpdateBins, VecSink,
 };
 pub use states::{DampingState, StateClassifier, StateSpan};
-pub use stats::Summary;
+pub use stats::RunningStats;
 pub use trace::{PenaltyPoint, Trace};

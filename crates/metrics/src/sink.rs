@@ -26,6 +26,7 @@ use std::collections::HashSet;
 use rfd_sim::{SimDuration, SimTime};
 
 use crate::events::TraceEventKind;
+use crate::export::{export_trace, parse_trace};
 use crate::trace::Trace;
 
 /// An observer of the simulation's time-ordered trace-event stream.
@@ -88,138 +89,6 @@ impl<T: TraceSink + ?Sized> TraceSink for Box<T> {
     }
 }
 
-fn encode_event_kind(enc: &mut rfd_snap::Encoder, kind: &TraceEventKind) {
-    match *kind {
-        TraceEventKind::OriginFlap { prefix, up } => {
-            enc.u8(0);
-            enc.u32(prefix);
-            enc.bool(up);
-        }
-        TraceEventKind::LinkFlap { a, b, up } => {
-            enc.u8(1);
-            enc.u32(a);
-            enc.u32(b);
-            enc.bool(up);
-        }
-        TraceEventKind::UpdateSent {
-            from,
-            to,
-            withdrawal,
-        } => {
-            enc.u8(2);
-            enc.u32(from);
-            enc.u32(to);
-            enc.bool(withdrawal);
-        }
-        TraceEventKind::UpdateReceived {
-            from,
-            to,
-            withdrawal,
-        } => {
-            enc.u8(3);
-            enc.u32(from);
-            enc.u32(to);
-            enc.bool(withdrawal);
-        }
-        TraceEventKind::BestRouteChanged {
-            node,
-            unreachable,
-            path_len,
-        } => {
-            enc.u8(4);
-            enc.u32(node);
-            enc.bool(unreachable);
-            enc.u32(path_len);
-        }
-        TraceEventKind::Suppressed { node, peer, prefix } => {
-            enc.u8(5);
-            enc.u32(node);
-            enc.u32(peer);
-            enc.u32(prefix);
-        }
-        TraceEventKind::Reused {
-            node,
-            peer,
-            prefix,
-            noisy,
-        } => {
-            enc.u8(6);
-            enc.u32(node);
-            enc.u32(peer);
-            enc.u32(prefix);
-            enc.bool(noisy);
-        }
-        TraceEventKind::PenaltySample {
-            node,
-            peer,
-            prefix,
-            value,
-            charge,
-            suppressed,
-        } => {
-            enc.u8(7);
-            enc.u32(node);
-            enc.u32(peer);
-            enc.u32(prefix);
-            enc.f64(value);
-            enc.f64(charge);
-            enc.bool(suppressed);
-        }
-    }
-}
-
-fn decode_event_kind(
-    dec: &mut rfd_snap::Decoder<'_>,
-) -> Result<TraceEventKind, rfd_snap::SnapError> {
-    const CTX: &str = "trace event";
-    Ok(match dec.u8(CTX)? {
-        0 => TraceEventKind::OriginFlap {
-            prefix: dec.u32(CTX)?,
-            up: dec.bool(CTX)?,
-        },
-        1 => TraceEventKind::LinkFlap {
-            a: dec.u32(CTX)?,
-            b: dec.u32(CTX)?,
-            up: dec.bool(CTX)?,
-        },
-        2 => TraceEventKind::UpdateSent {
-            from: dec.u32(CTX)?,
-            to: dec.u32(CTX)?,
-            withdrawal: dec.bool(CTX)?,
-        },
-        3 => TraceEventKind::UpdateReceived {
-            from: dec.u32(CTX)?,
-            to: dec.u32(CTX)?,
-            withdrawal: dec.bool(CTX)?,
-        },
-        4 => TraceEventKind::BestRouteChanged {
-            node: dec.u32(CTX)?,
-            unreachable: dec.bool(CTX)?,
-            path_len: dec.u32(CTX)?,
-        },
-        5 => TraceEventKind::Suppressed {
-            node: dec.u32(CTX)?,
-            peer: dec.u32(CTX)?,
-            prefix: dec.u32(CTX)?,
-        },
-        6 => TraceEventKind::Reused {
-            node: dec.u32(CTX)?,
-            peer: dec.u32(CTX)?,
-            prefix: dec.u32(CTX)?,
-            noisy: dec.bool(CTX)?,
-        },
-        7 => TraceEventKind::PenaltySample {
-            node: dec.u32(CTX)?,
-            peer: dec.u32(CTX)?,
-            prefix: dec.u32(CTX)?,
-            value: dec.f64(CTX)?,
-            charge: dec.f64(CTX)?,
-            suppressed: dec.bool(CTX)?,
-        },
-        _ => return Err(rfd_snap::SnapError::PayloadExhausted { context: CTX }),
-    })
-}
-
 fn encode_opt_time(enc: &mut rfd_snap::Encoder, t: Option<SimTime>) {
     enc.option(t.as_ref(), |e, t| e.u64(t.as_micros()));
 }
@@ -229,33 +98,6 @@ fn decode_opt_time(
     ctx: &'static str,
 ) -> Result<Option<SimTime>, rfd_snap::SnapError> {
     dec.option(ctx, |d| d.u64(ctx).map(SimTime::from_micros))
-}
-
-fn trace_snapshot(trace: &Trace) -> Vec<u8> {
-    let mut enc = rfd_snap::Encoder::new();
-    enc.seq(trace.events(), |e, ev| {
-        e.u64(ev.at.as_micros());
-        encode_event_kind(e, &ev.kind);
-    });
-    enc.into_bytes()
-}
-
-fn restore_trace(bytes: &[u8]) -> Option<Trace> {
-    let mut dec = rfd_snap::Decoder::new(bytes);
-    let events = dec
-        .seq("trace events", |d| {
-            let at = SimTime::from_micros(d.u64("trace event time")?);
-            Ok((at, decode_event_kind(d)?))
-        })
-        .ok()?;
-    if !dec.is_done() {
-        return None;
-    }
-    let mut trace = Trace::new();
-    for (at, kind) in events {
-        trace.record(at, kind);
-    }
-    Some(trace)
 }
 
 /// [`Trace`] itself is a sink: recording simply appends.
@@ -272,17 +114,19 @@ impl TraceSink for Trace {
         self.len()
     }
 
+    /// The `--trace` line format of [`export_trace`]: the one
+    /// serialisation of a trace event.
     fn export_snapshot(&self) -> Option<Vec<u8>> {
-        Some(trace_snapshot(self))
+        Some(export_trace(self).into_bytes())
     }
 
     fn import_snapshot(&mut self, bytes: &[u8]) -> bool {
-        match restore_trace(bytes) {
-            Some(trace) => {
+        match std::str::from_utf8(bytes).map(parse_trace) {
+            Ok(Ok(trace)) => {
                 *self = trace;
                 true
             }
-            None => false,
+            _ => false,
         }
     }
 }
@@ -1065,5 +909,34 @@ mod tests {
         let mut trace = Trace::new();
         TraceSink::record(&mut trace, t(1), received());
         assert_eq!(trace.retained_events(), 1);
+    }
+
+    #[test]
+    fn trace_snapshot_is_the_trace_line_format() {
+        let trace = feed(&pulse_stream(), &mut NullSink::new());
+        let bytes = trace.export_snapshot().expect("a trace exports");
+        assert_eq!(bytes, export_trace(&trace).into_bytes());
+        let mut restored = VecSink::new();
+        assert!(restored.import_snapshot(&bytes));
+        assert_eq!(restored.events(), trace.events());
+    }
+
+    #[test]
+    fn trace_import_refuses_bad_bytes_and_keeps_its_events() {
+        let mut sink = VecSink::new();
+        sink.record(t(7), flap(false));
+        for bad in [
+            &b"0 flap 0 down\n\xff\n"[..],
+            b"5000000 flap 0 down\n0 flap 0 up\n",
+            b"0 unknownkind 1 2\n",
+            b"0 suppress 1 2 0 extra\n",
+        ] {
+            assert!(
+                !sink.import_snapshot(bad),
+                "{:?}",
+                String::from_utf8_lossy(bad)
+            );
+            assert_eq!(sink.events(), &[crate::TraceEvent::new(t(7), flap(false))]);
+        }
     }
 }

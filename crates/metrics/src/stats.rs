@@ -1,99 +1,99 @@
-//! Sample statistics for multi-seed experiment summaries.
+//! Seed aggregation for multi-seed experiment summaries.
 
-/// Summary statistics of a sample set.
+/// Single-pass streaming statistics: count, mean, variance (via the
+/// centred second moment `m2`), min and max, updated with Welford's
+/// method. Sweeps push each cell's metric in grid order, so the bits
+/// do not depend on which thread finished first.
 ///
 /// # Examples
 ///
 /// ```
-/// use rfd_metrics::Summary;
+/// use rfd_metrics::RunningStats;
 ///
-/// let s = Summary::from_samples(&[1.0, 2.0, 3.0, 4.0]).unwrap();
-/// assert_eq!(s.mean, 2.5);
-/// assert_eq!(s.min, 1.0);
-/// assert_eq!(s.max, 4.0);
-/// assert_eq!(s.median, 2.5);
+/// let mut s = RunningStats::new();
+/// for v in [1.0, 2.0, 3.0, 4.0] {
+///     s.push(v);
+/// }
+/// assert_eq!(s.count(), 4);
+/// assert_eq!(s.mean(), 2.5);
+/// assert_eq!((s.min(), s.max()), (1.0, 4.0));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    /// Number of samples.
-    pub count: usize,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Sample standard deviation (n−1 denominator; 0 for one sample).
-    pub std_dev: f64,
-    /// Smallest sample.
-    pub min: f64,
-    /// Largest sample.
-    pub max: f64,
-    /// Median (midpoint average for even counts).
-    pub median: f64,
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct RunningStats {
+    count: u64,
+    mean: f64,
+    m2: f64,
+    min: f64,
+    max: f64,
 }
 
-impl Summary {
-    /// Computes statistics; `None` for an empty sample set.
+impl RunningStats {
+    /// An empty accumulator.
+    pub fn new() -> Self {
+        RunningStats::default()
+    }
+
+    /// Adds one observation (Welford's update).
     ///
     /// # Panics
     ///
-    /// Panics if any sample is NaN (comparisons would be meaningless).
-    pub fn from_samples(samples: &[f64]) -> Option<Summary> {
-        if samples.is_empty() {
-            return None;
+    /// Panics if `value` is NaN — NaN would silently poison every
+    /// downstream aggregate.
+    pub fn push(&mut self, value: f64) {
+        assert!(!value.is_nan(), "RunningStats::push: NaN observation");
+        if self.count == 0 {
+            self.min = value;
+            self.max = value;
+        } else {
+            self.min = self.min.min(value);
+            self.max = self.max.max(value);
         }
-        assert!(
-            samples.iter().all(|v| !v.is_nan()),
-            "samples must not contain NaN"
-        );
-        let count = samples.len();
-        let mean = samples.iter().sum::<f64>() / count as f64;
-        let var = if count > 1 {
-            samples.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / (count - 1) as f64
-        } else {
-            0.0
-        };
-        let mut sorted = samples.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
-        let median = if count % 2 == 1 {
-            sorted[count / 2]
-        } else {
-            (sorted[count / 2 - 1] + sorted[count / 2]) / 2.0
-        };
-        Some(Summary {
-            count,
-            mean,
-            std_dev: var.sqrt(),
-            min: sorted[0],
-            max: sorted[count - 1],
-            median,
-        })
+        self.count += 1;
+        let delta = value - self.mean;
+        self.mean += delta / self.count as f64;
+        self.m2 += delta * (value - self.mean);
     }
 
-    /// The given percentile (0–100), linear interpolation between
-    /// ranks. Requires the same samples the summary was built from.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `[0, 100]` or `samples` is empty.
-    pub fn percentile(samples: &[f64], p: f64) -> f64 {
-        assert!((0.0..=100.0).contains(&p), "percentile {p} out of range");
-        assert!(!samples.is_empty(), "need samples");
-        let mut sorted = samples.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
-        let rank = p / 100.0 * (sorted.len() - 1) as f64;
-        let lo = rank.floor() as usize;
-        let hi = rank.ceil() as usize;
-        let frac = rank - lo as f64;
-        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+    /// Number of observations.
+    pub fn count(&self) -> u64 {
+        self.count
     }
 
-    /// Renders as `mean ± std (n=count)`.
-    pub fn display_mean_std(&self, decimals: usize) -> String {
-        format!(
-            "{:.d$} ± {:.d$} (n={})",
-            self.mean,
-            self.std_dev,
-            self.count,
-            d = decimals
-        )
+    /// Arithmetic mean; `NaN` when empty.
+    pub fn mean(&self) -> f64 {
+        if self.count == 0 {
+            f64::NAN
+        } else {
+            self.mean
+        }
+    }
+
+    /// Sample standard deviation (n−1 denominator); 0 for fewer than two
+    /// observations, `NaN` when empty.
+    pub fn std_dev(&self) -> f64 {
+        match self.count {
+            0 => f64::NAN,
+            1 => 0.0,
+            n => (self.m2 / (n - 1) as f64).sqrt(),
+        }
+    }
+
+    /// Smallest observation; `NaN` when empty.
+    pub fn min(&self) -> f64 {
+        if self.count == 0 {
+            f64::NAN
+        } else {
+            self.min
+        }
+    }
+
+    /// Largest observation; `NaN` when empty.
+    pub fn max(&self) -> f64 {
+        if self.count == 0 {
+            f64::NAN
+        } else {
+            self.max
+        }
     }
 }
 
@@ -101,56 +101,44 @@ impl Summary {
 mod tests {
     use super::*;
 
-    #[test]
-    fn empty_is_none() {
-        assert_eq!(Summary::from_samples(&[]), None);
+    fn close(a: f64, b: f64) -> bool {
+        (a - b).abs() < 1e-9 * (1.0 + a.abs().max(b.abs()))
     }
 
     #[test]
-    fn single_sample() {
-        let s = Summary::from_samples(&[7.5]).unwrap();
-        assert_eq!(s.count, 1);
-        assert_eq!(s.mean, 7.5);
-        assert_eq!(s.std_dev, 0.0);
-        assert_eq!(s.median, 7.5);
-        assert_eq!((s.min, s.max), (7.5, 7.5));
-    }
-
-    #[test]
-    fn known_statistics() {
-        // 2, 4, 4, 4, 5, 5, 7, 9: mean 5, sample std √(32/7).
+    fn matches_two_pass_mean_and_std_dev() {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let s = Summary::from_samples(&xs).unwrap();
-        assert_eq!(s.mean, 5.0);
-        assert!((s.std_dev - (32.0f64 / 7.0).sqrt()).abs() < 1e-12);
-        assert_eq!(s.median, 4.5);
-        assert_eq!((s.min, s.max), (2.0, 9.0));
+        let mut s = RunningStats::new();
+        xs.iter().for_each(|&v| s.push(v));
+        let n = xs.len() as f64;
+        let mean = xs.iter().sum::<f64>() / n;
+        let var = xs.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / (n - 1.0);
+        assert_eq!(s.count(), 8);
+        assert!(close(s.mean(), mean) && close(s.std_dev(), var.sqrt()));
+        assert!(close(s.std_dev(), (32.0f64 / 7.0).sqrt()));
+        assert_eq!((s.min(), s.max()), (2.0, 9.0));
     }
 
     #[test]
-    fn odd_median() {
-        let s = Summary::from_samples(&[3.0, 1.0, 2.0]).unwrap();
-        assert_eq!(s.median, 2.0);
+    fn empty_reports_nan() {
+        let s = RunningStats::new();
+        assert!(s.mean().is_nan());
+        assert!(s.std_dev().is_nan());
     }
 
     #[test]
-    fn percentiles_interpolate() {
-        let xs = [10.0, 20.0, 30.0, 40.0];
-        assert_eq!(Summary::percentile(&xs, 0.0), 10.0);
-        assert_eq!(Summary::percentile(&xs, 100.0), 40.0);
-        assert_eq!(Summary::percentile(&xs, 50.0), 25.0);
-        assert!((Summary::percentile(&xs, 25.0) - 17.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn display_format() {
-        let s = Summary::from_samples(&[1.0, 3.0]).unwrap();
-        assert_eq!(s.display_mean_std(1), "2.0 ± 1.4 (n=2)");
+    fn single_observation() {
+        let mut s = RunningStats::new();
+        s.push(3.5);
+        assert_eq!(s.count(), 1);
+        assert_eq!(s.mean(), 3.5);
+        assert_eq!(s.std_dev(), 0.0);
+        assert_eq!((s.min(), s.max()), (3.5, 3.5));
     }
 
     #[test]
     #[should_panic(expected = "NaN")]
-    fn nan_rejected() {
-        Summary::from_samples(&[1.0, f64::NAN]);
+    fn nan_observation_rejected() {
+        RunningStats::new().push(f64::NAN);
     }
 }

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use rfd_metrics::{
-    bin_events, export_trace, parse_trace, StepSeries, Summary, Trace, TraceEventKind,
+    bin_events, export_trace, parse_trace, RunningStats, StepSeries, Trace, TraceEventKind,
 };
 use rfd_sim::{SimDuration, SimTime};
 
@@ -129,17 +129,14 @@ proptest! {
         prop_assert_eq!(s.final_value(), total);
     }
 
-    /// Summary statistics: mean lies within [min, max]; std is
-    /// non-negative; median within [min, max].
+    /// Seed aggregation: the mean lies within [min, max], the std is
+    /// non-negative and every sample is counted.
     #[test]
-    fn summary_bounds(samples in proptest::collection::vec(-1e6f64..1e6, 1..60)) {
-        let s = Summary::from_samples(&samples).unwrap();
-        prop_assert!(s.min <= s.mean + 1e-9 && s.mean <= s.max + 1e-9);
-        prop_assert!(s.min <= s.median && s.median <= s.max);
-        prop_assert!(s.std_dev >= 0.0);
-        prop_assert_eq!(s.count, samples.len());
-        // Percentile endpoints agree with min/max.
-        prop_assert_eq!(Summary::percentile(&samples, 0.0), s.min);
-        prop_assert_eq!(Summary::percentile(&samples, 100.0), s.max);
+    fn running_stats_bounds(samples in proptest::collection::vec(-1e6f64..1e6, 1..60)) {
+        let mut s = RunningStats::new();
+        samples.iter().for_each(|&v| s.push(v));
+        prop_assert!(s.min() <= s.mean() + 1e-9 && s.mean() <= s.max() + 1e-9);
+        prop_assert!(s.std_dev() >= 0.0);
+        prop_assert_eq!(s.count(), samples.len() as u64);
     }
 }

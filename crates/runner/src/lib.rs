@@ -26,8 +26,8 @@
 //!   instead of recomputing;
 //! * [`run_grid`] — the orchestrator: skips journaled cells, executes
 //!   the rest on the pool under supervision, commits results by grid
-//!   index, and returns [`GridResults`] whose aggregation folds seeds
-//!   in grid order through [`rfd_metrics::Merge`].
+//!   index, and returns [`GridResults`] whose aggregation pushes seeds
+//!   into one [`rfd_metrics::RunningStats`] each, in grid order.
 //!
 //! ## Determinism contract
 //!

@@ -45,7 +45,7 @@ use std::path::{Path, PathBuf};
 pub const MAGIC: [u8; 8] = *b"RFDSNAP1";
 
 /// Current container format version.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Size of everything before the payload.
 const HEADER_LEN: usize = 8 + 4 + 8 + 8 + 8;

@@ -218,3 +218,48 @@ fn rcn_run_converges_quickly() {
     ]);
     assert!(text.contains("0 entries suppressed"), "{text}");
 }
+
+/// A checkpoint written in an older container format is refused with
+/// the one-line "cannot resume" warning, and the run cold-starts to the
+/// same trace as a plain run.
+#[test]
+fn older_format_checkpoint_is_refused_and_the_run_starts_cold() {
+    let dir = temp_dir("snapshot-v2");
+    let (snap, clean, resumed) = (
+        dir.join("run.snap"),
+        dir.join("clean.trace"),
+        dir.join("resumed.trace"),
+    );
+    let run = |extra: &[&str], trace: &PathBuf| {
+        let mut args = vec!["run", "--topology", "torus:6x6", "--pulses", "2"];
+        args.extend_from_slice(&["--seed", "5", "--trace", trace.to_str().unwrap()]);
+        args.extend_from_slice(extra);
+        let out = rfd().args(&args).output().expect("rfd runs");
+        assert!(out.status.success(), "rfd {args:?}: {out:?}");
+        String::from_utf8(out.stderr).expect("utf-8 stderr")
+    };
+    let snap_arg = snap.to_str().unwrap();
+    run(&[], &clean);
+    run(
+        &["--snapshot", snap_arg, "--checkpoint-every", "120"],
+        &resumed,
+    );
+    // Header: 8-byte magic, then the LE u32 format version. The
+    // version is checked before the trailing hash.
+    let mut bytes = std::fs::read(&snap).expect("a checkpoint was written");
+    bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+    std::fs::write(&snap, bytes).unwrap();
+
+    let stderr = run(&["--snapshot", snap_arg, "--resume"], &resumed);
+    let warnings: Vec<_> = stderr
+        .lines()
+        .filter(|l| l.contains("cannot resume"))
+        .collect();
+    assert_eq!(warnings.len(), 1, "{stderr}");
+    assert!(warnings[0].contains("format version 2") && warnings[0].ends_with("starting cold"));
+    assert_eq!(
+        std::fs::read(&clean).unwrap(),
+        std::fs::read(&resumed).unwrap()
+    );
+    let _ = std::fs::remove_dir_all(dir);
+}
