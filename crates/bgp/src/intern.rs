@@ -46,7 +46,7 @@ impl PathId {
 /// router, `path.last()` the origin AS.
 ///
 /// `Route` is `Copy`: installing, exporting and fanning a route out to
-/// k peers moves 12 bytes instead of cloning a vector. Operations that
+/// k peers moves 16 bytes instead of cloning a vector. Operations that
 /// need the actual hops (`path`, `contains`, `prepend`, display) go
 /// through the [`PathTable`] that created the route.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -4,7 +4,7 @@
 //! received from that peer together with its damping state; a Local-RIB
 //! holding the selected best route; and a RIB-OUT per peer recording
 //! what was last advertised. Routes are interned [`Route`] handles
-//! (`Copy`), so RIB reads and writes move 12 bytes, not path vectors.
+//! (`Copy`), so RIB reads and writes move 16 bytes, not path vectors.
 //!
 //! Damping state itself lives in the router's central
 //! [`DamperStore`](rfd_core::DamperStore) (one SoA store per router, so
@@ -29,8 +29,9 @@ pub struct RibInEntry {
     /// Mirror of the store's suppression flag, maintained after every
     /// charge and reuse check.
     pub suppressed: bool,
-    /// RCN history/filter for this peer (RCN deployments).
-    pub rcn: Option<RcnFilter>,
+    /// RCN history/filter for this peer (RCN deployments); boxed, so
+    /// entries of other deployments stay 88 bytes.
+    pub rcn: Option<Box<RcnFilter>>,
     /// Selective-damping filter for this peer.
     pub selective: Option<SelectiveFilter>,
     /// Root cause attached to the most recent update from this peer;
@@ -48,7 +49,7 @@ impl RibInEntry {
     /// for the entry, and with it the filters).
     pub fn new(damper_slot: Option<u32>, filter: PenaltyFilter) -> Self {
         let (rcn, selective) = match (damper_slot.is_some(), filter) {
-            (true, PenaltyFilter::Rcn) => (Some(RcnFilter::default()), None),
+            (true, PenaltyFilter::Rcn) => (Some(Box::default()), None),
             (true, PenaltyFilter::Selective) => (None, Some(SelectiveFilter::new())),
             _ => (None, None),
         };

@@ -21,16 +21,17 @@
 //!
 //! ## Storage layout
 //!
-//! The peer set is fixed at construction, so all per-peer state
-//! (RIB-IN, RIB-OUT, MRAI pacing, session status) lives in dense slot
-//! arrays indexed by a once-built sorted peer index. Slot order is
-//! ascending `NodeId` — the same order the previous `BTreeMap`s
-//! iterated in, so the decision process visits candidates identically.
-//! Routes are interned [`Route`] handles (see [`crate::intern`]); the
-//! [`PathTable`] is threaded through every handler so the hot path
-//! never clones a path vector.
+//! Prefix ids are dense (`0..origins`), so a router's per-prefix state
+//! is a table indexed by prefix id; iterating it visits prefixes in
+//! ascending id order. The peer set is fixed at construction, so each
+//! prefix holds one boxed slice of per-peer slots — RIB-IN entry,
+//! RIB-OUT route and MRAI pacing side by side, one allocation per
+//! (router, prefix) — indexed by a once-built sorted peer index. Slot
+//! order is ascending `NodeId`, so the decision process visits
+//! candidates lowest peer first. Routes are interned [`Route`] handles
+//! (see [`crate::intern`]); the [`PathTable`] is threaded through every
+//! handler so the hot path never clones a path vector.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use rfd_core::{
@@ -107,7 +108,7 @@ fn quantize_up(at: SimTime, granularity: Option<SimDuration>) -> SimTime {
 }
 
 /// Per-(peer, prefix) advertisement pacing state.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct MraiPeer {
     /// Earliest instant the next announcement may be sent.
     pub(crate) ready_at: SimTime,
@@ -117,18 +118,20 @@ pub(crate) struct MraiPeer {
     pub(crate) timer_pending: bool,
     /// Path length of the last announcement sent (drives the
     /// selective-damping `degraded` attribute).
-    pub(crate) last_announced_len: Option<usize>,
+    pub(crate) last_announced_len: Option<u16>,
 }
 
-impl MraiPeer {
-    fn new() -> Self {
-        MraiPeer {
-            ready_at: SimTime::ZERO,
-            dirty: false,
-            timer_pending: false,
-            last_announced_len: None,
-        }
-    }
+/// One peer's share of a prefix's state.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PeerSlot {
+    /// Latest route from the peer, with damping state (`None` until the
+    /// peer first sends an update for this prefix).
+    pub(crate) rib_in: Option<RibInEntry>,
+    /// Last route advertised to the peer (`None`: nothing advertised or
+    /// withdrawn).
+    pub(crate) rib_out: Option<Route>,
+    /// MRAI pacing toward the peer.
+    pub(crate) mrai: MraiPeer,
 }
 
 /// All per-prefix routing state, one slot per peer (slot order =
@@ -137,31 +140,44 @@ impl MraiPeer {
 pub(crate) struct PrefixState {
     /// This router originates the prefix.
     pub(crate) originated: bool,
-    /// Latest route per peer slot, with damping state (`None` until the
-    /// peer first sends an update for this prefix).
-    pub(crate) rib_in: Vec<Option<RibInEntry>>,
     /// The selected best route.
     pub(crate) best: Option<BestRoute>,
-    /// Last route advertised per peer slot (`None`: nothing advertised
-    /// or withdrawn).
-    pub(crate) rib_out: Vec<Option<Route>>,
-    /// MRAI pacing per peer slot.
-    pub(crate) mrai: Vec<MraiPeer>,
     /// Root cause to stamp on outgoing updates for this prefix.
     pub(crate) current_rc: Option<RootCause>,
+    /// Per-peer RIB-IN, RIB-OUT and MRAI state, one allocation.
+    pub(crate) peers: Box<[PeerSlot]>,
 }
 
 impl PrefixState {
     pub(crate) fn new(n_peers: usize) -> Self {
         PrefixState {
             originated: false,
-            rib_in: vec![None; n_peers],
             best: None,
-            rib_out: vec![None; n_peers],
-            mrai: vec![MraiPeer::new(); n_peers],
             current_rc: None,
+            peers: vec![PeerSlot::default(); n_peers].into_boxed_slice(),
         }
     }
+}
+
+/// The entry of `prefix` in a table indexed by prefix id, growing the
+/// table to reach it.
+pub(crate) fn prefix_entry(
+    prefixes: &mut Vec<Option<PrefixState>>,
+    prefix: Prefix,
+) -> &mut Option<PrefixState> {
+    let i = prefix.id() as usize;
+    if i >= prefixes.len() {
+        prefixes.resize_with(i + 1, || None);
+    }
+    &mut prefixes[i]
+}
+
+/// The state of `prefix`, which the caller's event says exists.
+fn existing_state(prefixes: &mut [Option<PrefixState>], prefix: Prefix) -> &mut PrefixState {
+    let state = prefixes
+        .get_mut(prefix.id() as usize)
+        .and_then(Option::as_mut);
+    state.unwrap_or_else(|| panic!("no state for {prefix}"))
 }
 
 /// A single BGP router.
@@ -173,7 +189,8 @@ pub struct Router {
     /// The same peers sorted ascending: `slots[i]` is the peer of slot
     /// `i`, looked up by binary search.
     pub(crate) slots: Vec<NodeId>,
-    pub(crate) prefixes: BTreeMap<Prefix, PrefixState>,
+    /// Per-prefix state, indexed by prefix id (`None`: no state yet).
+    pub(crate) prefixes: Vec<Option<PrefixState>>,
     pub(crate) config: RouterConfig,
     pub(crate) charging_enabled: bool,
     /// Per slot: session currently down (failure injection); no
@@ -232,7 +249,7 @@ impl Router {
             id,
             peers,
             slots,
-            prefixes: BTreeMap::new(),
+            prefixes: Vec::new(),
             config,
             charging_enabled: true,
             down: vec![false; n],
@@ -251,13 +268,16 @@ impl Router {
         self.slots.binary_search(&peer).ok()
     }
 
+    /// The state of `prefix`, if this router has any.
+    fn state(&self, prefix: Prefix) -> Option<&PrefixState> {
+        self.prefixes.get(prefix.id() as usize)?.as_ref()
+    }
+
     /// Registers this router as the originator of `prefix`.
     pub fn originate(&mut self, prefix: Prefix) {
         let n = self.slots.len();
-        let state = self
-            .prefixes
-            .entry(prefix)
-            .or_insert_with(|| PrefixState::new(n));
+        let state =
+            prefix_entry(&mut self.prefixes, prefix).get_or_insert_with(|| PrefixState::new(n));
         state.originated = true;
         state.best = Some(BestRoute {
             learned_from: None,
@@ -277,9 +297,7 @@ impl Router {
 
     /// Whether this router originates the default experiment prefix.
     pub fn originates(&self) -> bool {
-        self.prefixes
-            .get(&Prefix::ORIGIN)
-            .is_some_and(|s| s.originated)
+        self.state(Prefix::ORIGIN).is_some_and(|s| s.originated)
     }
 
     /// The best route for the default experiment prefix.
@@ -289,12 +307,13 @@ impl Router {
 
     /// The best route for `prefix`, if any.
     pub fn best_for(&self, prefix: Prefix) -> Option<&BestRoute> {
-        self.prefixes.get(&prefix)?.best.as_ref()
+        self.state(prefix)?.best.as_ref()
     }
 
-    /// Prefixes this router has state for.
+    /// Prefixes this router has state for, in ascending id order.
     pub fn known_prefixes(&self) -> impl Iterator<Item = Prefix> + '_ {
-        self.prefixes.keys().copied()
+        let ids = self.prefixes.iter().enumerate();
+        ids.filter_map(|(i, s)| s.as_ref().map(|_| Prefix::new(i as u32)))
     }
 
     /// Enables or disables penalty charging (used to warm the network
@@ -327,21 +346,17 @@ impl Router {
 
     /// Read access to the RIB-IN entry for one (peer, prefix).
     pub fn rib_in_for(&self, prefix: Prefix, peer: NodeId) -> Option<&RibInEntry> {
-        self.prefixes
-            .get(&prefix)?
+        self.state(prefix)?.peers[self.slot_of(peer)?]
             .rib_in
-            .get(self.slot_of(peer)?)?
             .as_ref()
     }
 
     /// Number of currently suppressed RIB-IN entries across all
     /// prefixes.
     pub fn suppressed_entries(&self) -> usize {
-        self.prefixes
-            .values()
-            .flat_map(|s| s.rib_in.iter().flatten())
-            .filter(|e| e.is_suppressed())
-            .count()
+        let states = self.prefixes.iter().flatten();
+        let entries = states.flat_map(|s| s.peers.iter().filter_map(|p| p.rib_in.as_ref()));
+        entries.filter(|e| e.is_suppressed()).count()
     }
 
     /// Whether the session to `peer` is currently down.
@@ -359,8 +374,10 @@ impl Router {
         policy: &Policy,
         out: &mut RouterOutput,
     ) {
-        for prefix in self.prefixes.keys().copied().collect::<Vec<_>>() {
-            self.sync_all_peers(now, prefix, table, rng, policy, out);
+        for i in 0..self.prefixes.len() {
+            if self.prefixes[i].is_some() {
+                self.sync_all_peers(now, Prefix::new(i as u32), table, rng, policy, out);
+            }
         }
     }
 
@@ -382,21 +399,18 @@ impl Router {
         let watched = self.ledger_watches(from, prefix);
         let config_filter = self.config.filter;
         let node = self.id.raw();
-        let n = self.slots.len();
-        // Disjoint field borrows: the damper store and the prefix map
+        // Disjoint field borrows: the damper store and the prefix table
         // are mutated side by side below.
         let damper_store = &mut self.damper_store;
-        let state = self
-            .prefixes
-            .entry(prefix)
-            .or_insert_with(|| PrefixState::new(n));
-        if state.rib_in[slot].is_none() {
+        let n = self.slots.len();
+        let state =
+            prefix_entry(&mut self.prefixes, prefix).get_or_insert_with(|| PrefixState::new(n));
+        let entry = state.peers[slot].rib_in.get_or_insert_with(|| {
             let damper_slot = damper_store
                 .as_mut()
                 .map(|store| store.insert(damper_key(from, prefix)));
-            state.rib_in[slot] = Some(RibInEntry::new(damper_slot, config_filter));
-        }
-        let entry = state.rib_in[slot].as_mut().expect("just inserted");
+            RibInEntry::new(damper_slot, config_filter)
+        });
 
         // Classify relative to the currently held route. A route whose
         // path contains this AS is unusable (RFC 4271 treats it as a
@@ -552,12 +566,15 @@ impl Router {
             .slot_of(peer)
             .unwrap_or_else(|| panic!("session event for non-peer {peer}"));
         self.down[slot] = true;
-        let prefixes: Vec<Prefix> = self.prefixes.keys().copied().collect();
-        for prefix in prefixes {
+        for i in 0..self.prefixes.len() {
+            let Some(state) = &mut self.prefixes[i] else {
+                continue;
+            };
             // Nothing stays advertised over a dead session.
-            let state = self.prefixes.get_mut(&prefix).expect("listed prefix");
-            state.rib_out[slot] = None;
-            state.mrai[slot].dirty = false;
+            let p = &mut state.peers[slot];
+            p.rib_out = None;
+            p.mrai.dirty = false;
+            let prefix = Prefix::new(i as u32);
             // The peer's routes vanish: synthesize the implicit
             // withdrawal through the normal pipeline (damping charge +
             // reselection).
@@ -584,17 +601,16 @@ impl Router {
             .slot_of(peer)
             .unwrap_or_else(|| panic!("session event for non-peer {peer}"));
         self.down[slot] = false;
-        let prefixes: Vec<Prefix> = self.prefixes.keys().copied().collect();
-        for prefix in prefixes {
+        for i in 0..self.prefixes.len() {
+            let Some(state) = &mut self.prefixes[i] else {
+                continue;
+            };
             // Updates triggered by the restored session carry its root
             // cause.
             if rc.is_some() {
-                self.prefixes
-                    .get_mut(&prefix)
-                    .expect("listed prefix")
-                    .current_rc = rc;
+                state.current_rc = rc;
             }
-            self.sync_peer(now, prefix, peer, table, rng, policy, out);
+            self.sync_peer(now, Prefix::new(i as u32), peer, table, rng, policy, out);
         }
     }
 
@@ -613,11 +629,7 @@ impl Router {
         let slot = self
             .slot_of(peer)
             .expect("MRAI timer for unknown peer/prefix");
-        let state = self
-            .prefixes
-            .get_mut(&prefix)
-            .expect("MRAI timer for unknown peer/prefix");
-        let m = &mut state.mrai[slot];
+        let m = &mut existing_state(&mut self.prefixes, prefix).peers[slot].mrai;
         m.timer_pending = false;
         if m.dirty {
             let sends_before = out.sends.len();
@@ -657,11 +669,9 @@ impl Router {
         let node = self.id.raw();
         let slot = self.slot_of(peer).expect("reuse timer for unknown peer");
         let damper_store = &mut self.damper_store;
-        let state = self
-            .prefixes
-            .get_mut(&prefix)
-            .expect("reuse timer for unknown prefix");
-        let entry = state.rib_in[slot]
+        let state = existing_state(&mut self.prefixes, prefix);
+        let entry = state.peers[slot]
+            .rib_in
             .as_mut()
             .expect("reuse timer for unknown peer");
         let Some(damper_slot) = entry.damper_slot else {
@@ -764,7 +774,7 @@ impl Router {
         policy: &Policy,
         out: &mut RouterOutput,
     ) {
-        let state = self.prefixes.get_mut(&prefix).expect("prefix exists");
+        let state = existing_state(&mut self.prefixes, prefix);
         let new_best = Self::decide(self.id, self.self_route, &self.slots, state, table, policy);
         if new_best == state.best {
             return;
@@ -781,8 +791,7 @@ impl Router {
 
     /// The decision process: best usable route by (policy class, path
     /// length, lowest peer id). A self-originated route always wins.
-    /// Slots are visited in ascending peer order — exactly the order
-    /// the old `BTreeMap` RIB iterated in.
+    /// Slots are visited in ascending peer order.
     fn decide(
         id: NodeId,
         self_route: Route,
@@ -799,11 +808,8 @@ impl Router {
             });
         }
         let mut best: Option<((u8, usize, usize), BestRoute)> = None;
-        for (slot, entry) in state.rib_in.iter().enumerate() {
-            let Some(entry) = entry else {
-                continue;
-            };
-            let Some(route) = entry.usable_route() else {
+        for (slot, p) in state.peers.iter().enumerate() {
+            let Some(route) = p.rib_in.as_ref().and_then(RibInEntry::usable_route) else {
                 continue;
             };
             if table.contains(route, id) {
@@ -889,12 +895,12 @@ impl Router {
         if self.down[slot] {
             return; // dead session: nothing can be sent
         }
-        let state = self.prefixes.get_mut(&prefix).expect("prefix exists");
+        let state = existing_state(&mut self.prefixes, prefix);
         let desired =
             Self::export_route(self.id, state, peer, table, policy, &self.config.protocol);
-        let current = state.rib_out[slot];
-        let m = &mut state.mrai[slot];
-        if desired == current {
+        let p = &mut state.peers[slot];
+        let m = &mut p.mrai;
+        if desired == p.rib_out {
             m.dirty = false;
             return;
         }
@@ -929,19 +935,20 @@ impl Router {
                     let (jlo, jhi) = self.config.mrai_jitter;
                     m.ready_at = now + self.config.mrai.mul_f64(rng.uniform(jlo, jhi));
                 }
-                state.rib_out[slot] = None;
+                p.rib_out = None;
                 let mut msg = UpdateMessage::withdraw().with_root_cause(state.current_rc);
                 msg.prefix = prefix;
                 out.sends.push((peer, msg));
             }
             Some(route) => {
                 if now >= m.ready_at {
-                    let degraded = m.last_announced_len.map(|prev| route.len() > prev);
-                    m.last_announced_len = Some(route.len());
+                    let len = u16::try_from(route.len()).expect("route lengths are u16");
+                    let degraded = m.last_announced_len.map(|prev| len > prev);
+                    m.last_announced_len = Some(len);
                     let (jlo, jhi) = self.config.mrai_jitter;
                     m.ready_at = now + self.config.mrai.mul_f64(rng.uniform(jlo, jhi));
                     m.dirty = false;
-                    state.rib_out[slot] = Some(route);
+                    p.rib_out = Some(route);
                     let mut msg = UpdateMessage::announce(route)
                         .with_root_cause(state.current_rc)
                         .with_degraded(degraded);
@@ -1096,77 +1103,6 @@ mod tests {
     }
 
     #[test]
-    fn mrai_paces_consecutive_announcements() {
-        // Peer 0 announces, then improves the route — the second
-        // announcement to peer 2 must wait for the MRAI.
-        let mut tb = PathTable::new();
-        let mut r = Router::new(
-            n(1),
-            vec![n(0), n(2), n(3)],
-            false,
-            plain_config(false),
-            &mut tb,
-        );
-        let policy = Policy::ShortestPath;
-        let mut rng = rng();
-        let mut out = RouterOutput::default();
-        // Route via 0 with length 3.
-        let long = {
-            let base = tb.originate(n(9));
-            let via5 = tb.prepend(base, n(5));
-            tb.prepend(via5, n(0))
-        };
-        r.handle_update(
-            t(0),
-            n(0),
-            &UpdateMessage::announce(long),
-            &mut tb,
-            &mut rng,
-            &policy,
-            &mut out,
-        );
-        assert_eq!(out.sends.len(), 2, "announce to 2 and 3");
-        // Better route from 3 arrives within the MRAI window.
-        let short = {
-            let base = tb.originate(n(9));
-            tb.prepend(base, n(3))
-        };
-        let mut out = RouterOutput::default();
-        r.handle_update(
-            t(5),
-            n(3),
-            &UpdateMessage::announce(short),
-            &mut tb,
-            &mut rng,
-            &policy,
-            &mut out,
-        );
-        // To peer 2: deferred by MRAI (timer scheduled; the t=0 send
-        // armed it). To peer 0: never sent to before, so its MRAI is
-        // ready → announced immediately. To peer 3: loop avoidance
-        // stops the export; the earlier announcement is withdrawn now.
-        assert_eq!(out.sends.len(), 2);
-        assert!(out
-            .sends
-            .iter()
-            .any(|(to, m)| *to == n(0) && !m.is_withdrawal()));
-        assert!(out
-            .sends
-            .iter()
-            .any(|(to, m)| *to == n(3) && m.is_withdrawal()));
-        assert_eq!(out.mrai_timers.len(), 1);
-        let (peer, prefix, at) = out.mrai_timers[0];
-        assert_eq!(peer, n(2));
-        assert_eq!(prefix, Prefix::ORIGIN);
-        assert_eq!(at, t(30));
-        // Fire the timer: the deferred announcement goes out.
-        let mut out = RouterOutput::default();
-        r.on_mrai_expiry(t(30), peer, prefix, &mut tb, &mut rng, &policy, &mut out);
-        assert_eq!(out.sends.len(), 1);
-        assert!(!out.sends[0].1.is_withdrawal());
-    }
-
-    #[test]
     fn mrai_coalesces_flaps() {
         // Two best-route changes inside one MRAI window produce a
         // single deferred announcement with the latest route.
@@ -1207,186 +1143,6 @@ mod tests {
         );
         assert_eq!(out.sends.len(), 1);
         assert!(!out.sends[0].1.is_withdrawal());
-    }
-
-    #[test]
-    fn damping_suppresses_and_reuses() {
-        let mut tb = PathTable::new();
-        let mut r = Router::new(n(1), vec![n(0), n(2)], false, plain_config(true), &mut tb);
-        let policy = Policy::ShortestPath;
-        let mut rng = rng();
-        // Three withdrawals (with re-announcements) at 120 s spacing.
-        let mut reuse_at = None;
-        for pulse in 0..3u64 {
-            let mut out = RouterOutput::default();
-            let msg = announce_from(&mut tb, 0);
-            r.handle_update(
-                t(pulse * 120),
-                n(0),
-                &msg,
-                &mut tb,
-                &mut rng,
-                &policy,
-                &mut out,
-            );
-            let mut out = RouterOutput::default();
-            r.handle_update(
-                t(pulse * 120 + 60),
-                n(0),
-                &UpdateMessage::withdraw(),
-                &mut tb,
-                &mut rng,
-                &policy,
-                &mut out,
-            );
-            for (peer, prefix, at) in out.reuse_timers {
-                assert_eq!(peer, n(0));
-                assert_eq!(prefix, Prefix::ORIGIN);
-                reuse_at = Some(at);
-            }
-        }
-        let reuse_at = reuse_at.expect("third withdrawal suppresses");
-        assert!(r.rib_in(n(0)).unwrap().is_suppressed());
-        assert_eq!(r.suppressed_entries(), 1);
-
-        // Announcement arriving while suppressed is *not* used.
-        let mut out = RouterOutput::default();
-        let msg = announce_from(&mut tb, 0);
-        r.handle_update(t(400), n(0), &msg, &mut tb, &mut rng, &policy, &mut out);
-        assert!(r.best().is_none(), "suppressed route must not be selected");
-        assert!(out.sends.is_empty());
-
-        // The reuse timer fires: either it releases directly, or (if the
-        // penalty was recharged meanwhile) reschedules once and then
-        // releases.
-        let mut out = RouterOutput::default();
-        r.on_reuse_timer(
-            reuse_at,
-            n(0),
-            Prefix::ORIGIN,
-            &mut tb,
-            &mut rng,
-            &policy,
-            &mut out,
-        );
-        if let Some(&(_, _, retry)) = out.reuse_timers.first() {
-            out = RouterOutput::default();
-            r.on_reuse_timer(
-                retry,
-                n(0),
-                Prefix::ORIGIN,
-                &mut tb,
-                &mut rng,
-                &policy,
-                &mut out,
-            );
-        }
-        assert!(!r.rib_in(n(0)).unwrap().is_suppressed());
-        let noisy = out
-            .traces
-            .iter()
-            .any(|t| matches!(t, TraceEventKind::Reused { noisy: true, .. }));
-        assert!(noisy, "reuse with a held route must be noisy");
-        assert!(r.best().is_some());
-    }
-
-    #[test]
-    fn silent_reuse_when_not_best() {
-        // Figure 5: the suppressed route from C is worse than the one
-        // from B; its reuse changes nothing.
-        let mut tb = PathTable::new();
-        let mut r = Router::new(n(1), vec![n(2), n(3)], false, plain_config(true), &mut tb);
-        let policy = Policy::ShortestPath;
-        let mut rng = rng();
-        // Good short route from peer 2.
-        let mut out = RouterOutput::default();
-        let good = {
-            let base = tb.originate(n(9));
-            tb.prepend(base, n(2))
-        };
-        r.handle_update(
-            t(0),
-            n(2),
-            &UpdateMessage::announce(good),
-            &mut tb,
-            &mut rng,
-            &policy,
-            &mut out,
-        );
-        // Suppress peer 3's entry with rapid flaps of a longer route.
-        let long = {
-            let base = tb.originate(n(9));
-            let via5 = tb.prepend(base, n(5));
-            tb.prepend(via5, n(3))
-        };
-        let mut reuse_at = None;
-        for i in 0..4u64 {
-            let mut out = RouterOutput::default();
-            r.handle_update(
-                t(10 + i * 20),
-                n(3),
-                &UpdateMessage::announce(long),
-                &mut tb,
-                &mut rng,
-                &policy,
-                &mut out,
-            );
-            let mut out = RouterOutput::default();
-            r.handle_update(
-                t(20 + i * 20),
-                n(3),
-                &UpdateMessage::withdraw(),
-                &mut tb,
-                &mut rng,
-                &policy,
-                &mut out,
-            );
-            if let Some(&(_, _, at)) = out.reuse_timers.first() {
-                reuse_at = Some(at);
-            }
-        }
-        // Re-announce while suppressed so the entry holds a route.
-        let mut out = RouterOutput::default();
-        r.handle_update(
-            t(200),
-            n(3),
-            &UpdateMessage::announce(long),
-            &mut tb,
-            &mut rng,
-            &policy,
-            &mut out,
-        );
-        assert!(r.rib_in(n(3)).unwrap().is_suppressed());
-        // Walk reuse retries until released.
-        let mut due = reuse_at.expect("suppressed");
-        for _ in 0..5 {
-            let mut out = RouterOutput::default();
-            r.on_reuse_timer(
-                due,
-                n(3),
-                Prefix::ORIGIN,
-                &mut tb,
-                &mut rng,
-                &policy,
-                &mut out,
-            );
-            if let Some(&(_, _, at)) = out.reuse_timers.first() {
-                due = at;
-                continue;
-            }
-            let reused = out
-                .traces
-                .iter()
-                .find_map(|tr| match tr {
-                    TraceEventKind::Reused { noisy, .. } => Some(*noisy),
-                    _ => None,
-                })
-                .expect("reuse recorded");
-            assert!(!reused, "reuse must be silent: best is still via peer 2");
-            assert!(out.sends.is_empty());
-            break;
-        }
-        assert_eq!(r.best().unwrap().learned_from, Some(n(2)));
     }
 
     #[test]
@@ -1781,8 +1537,9 @@ mod tests {
 
     #[test]
     fn ledger_records_mrai_deferral_and_flush() {
-        // Same shape as mrai_paces_consecutive_announcements, watching
-        // the deferred-to peer 2.
+        // A better route inside peer 2's MRAI window is held for it,
+        // while peer 0 (never announced to) hears it at once and peer 3
+        // (now on the path) gets a withdrawal. The ledger watches 2.
         let mut tb = PathTable::new();
         let mut r = Router::new(
             n(1),
@@ -1840,6 +1597,12 @@ mod tests {
             vec![(2, t(30), SimDuration::from_secs(25), false)],
             "the t=5 change toward peer 2 is held until the t=30 MRAI"
         );
+        let sent: Vec<_> = out
+            .sends
+            .iter()
+            .map(|(to, m)| (to.raw(), m.is_withdrawal()))
+            .collect();
+        assert_eq!(sent, [(0, false), (3, true)]);
         let mut out = RouterOutput::default();
         r.on_mrai_expiry(
             t(30),
@@ -1857,6 +1620,7 @@ mod tests {
             "{:?}",
             out.ledger
         );
+        assert_eq!(out.sends.len(), 1, "the held announcement goes out");
     }
 
     // ---- protocol knobs ----
@@ -2199,6 +1963,33 @@ mod tests {
             .filter(|(to, m)| *to == n(2) && m.is_withdrawal())
             .count();
         assert_eq!(withdrawals, 2);
+    }
+
+    #[test]
+    fn known_prefixes_ascend_whatever_the_arrival_order() {
+        let mut tb = PathTable::new();
+        let mut r = Router::new(n(1), vec![n(0), n(2)], false, plain_config(false), &mut tb);
+        r.originate(Prefix::new(5));
+        let msg = announce_prefix(&mut tb, 0, Prefix::new(2));
+        let mut out = RouterOutput::default();
+        r.handle_update(
+            t(0),
+            n(0),
+            &msg,
+            &mut tb,
+            &mut rng(),
+            &Policy::ShortestPath,
+            &mut out,
+        );
+        r.originate(Prefix::ORIGIN);
+        let ids: Vec<u32> = r.known_prefixes().map(Prefix::id).collect();
+        assert_eq!(ids, [0, 2, 5]);
+    }
+
+    #[test]
+    fn per_peer_state_stays_compact() {
+        assert!(std::mem::size_of::<RibInEntry>() <= 88);
+        assert!(std::mem::size_of::<MraiPeer>() <= 16);
     }
 
     #[test]

@@ -55,7 +55,7 @@ use crate::config::{DampingDeployment, NetworkConfig, PenaltyFilter};
 use crate::intern::PathTable;
 use crate::message::{Prefix, UpdateMessage, UpdatePayload};
 use crate::rib::{BestRoute, RibInEntry};
-use crate::router::{damper_key, MraiPeer, PrefixState, Router};
+use crate::router::{damper_key, prefix_entry, MraiPeer, PrefixState, Router};
 
 /// The two fingerprints a snapshot is keyed by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -423,8 +423,9 @@ impl Snapshot {
             return Err(SnapshotError::Shape("shard count"));
         }
         let table = &net.shared.path_table;
+        let origins = net.shared.origins.len();
         for (shard, queue) in net.shards.iter_mut().zip(&mut net.shared.queues) {
-            restore_shard(shard, queue, table, &mut dec, fork)?;
+            restore_shard(shard, queue, table, origins, &mut dec, fork)?;
         }
         let conv = dec.bytes("convergence tracker snapshot")?;
         let msgs = dec.bytes("message counter snapshot")?;
@@ -519,6 +520,7 @@ fn restore_shard(
     shard: &mut Shard,
     queue: &mut ShardEngine<NetEvent>,
     table: &PathTable,
+    origins: usize,
     dec: &mut Decoder<'_>,
     fork: bool,
 ) -> Result<(), SnapshotError> {
@@ -527,7 +529,7 @@ fn restore_shard(
         return Err(SnapshotError::Shape("router count"));
     }
     for router in &mut shard.routers {
-        router.apply_snapshot(dec, table, fork)?;
+        router.apply_snapshot(dec, table, origins, fork)?;
     }
     let delay_states = dec.seq("delay rng states", decode_rng)?;
     if delay_states.len() != shard.delay_rngs.len() {
@@ -569,7 +571,7 @@ fn restore_shard(
     for _ in 0..n_events {
         let at = SimTime::from_micros(dec.u64("event time")?);
         let key = dec.u64("event key")?;
-        let event = decode_event(dec, table)?;
+        let event = decode_event(dec, table, origins)?;
         events.push((at, key, event));
     }
     queue.set_clock(now, engine_processed);
@@ -643,12 +645,32 @@ fn encode_event(enc: &mut Encoder, event: &NetEvent) {
     }
 }
 
-fn decode_event(dec: &mut Decoder<'_>, table: &PathTable) -> Result<NetEvent, SnapError> {
+/// Reads a prefix id, refusing one outside the network's `0..origins`
+/// (a router's prefix table is indexed by it).
+fn decode_prefix(
+    dec: &mut Decoder<'_>,
+    origins: usize,
+    context: &'static str,
+) -> Result<Prefix, SnapError> {
+    let id = dec.u32(context)?;
+    if id as usize >= origins {
+        return Err(SnapError::PayloadExhausted {
+            context: "prefix id out of range",
+        });
+    }
+    Ok(Prefix::new(id))
+}
+
+fn decode_event(
+    dec: &mut Decoder<'_>,
+    table: &PathTable,
+    origins: usize,
+) -> Result<NetEvent, SnapError> {
     match dec.u8("event tag")? {
         0 => {
             let from = NodeId::new(dec.u32("deliver from")?);
             let to = NodeId::new(dec.u32("deliver to")?);
-            let prefix = Prefix::new(dec.u32("deliver prefix")?);
+            let prefix = decode_prefix(dec, origins, "deliver prefix")?;
             let payload = if dec.u8("deliver payload tag")? == 1 {
                 UpdatePayload::Announce(table.route_by_id(dec.u32("deliver route id")?))
             } else {
@@ -670,12 +692,12 @@ fn decode_event(dec: &mut Decoder<'_>, table: &PathTable) -> Result<NetEvent, Sn
         1 => Ok(NetEvent::MraiExpiry {
             node: NodeId::new(dec.u32("mrai node")?),
             peer: NodeId::new(dec.u32("mrai peer")?),
-            prefix: Prefix::new(dec.u32("mrai prefix")?),
+            prefix: decode_prefix(dec, origins, "mrai prefix")?,
         }),
         2 => Ok(NetEvent::ReuseTimer {
             node: NodeId::new(dec.u32("reuse node")?),
             peer: NodeId::new(dec.u32("reuse peer")?),
-            prefix: Prefix::new(dec.u32("reuse prefix")?),
+            prefix: decode_prefix(dec, origins, "reuse prefix")?,
         }),
         3 => Ok(NetEvent::OriginLink {
             origin: dec.usize("origin index")?,
@@ -773,7 +795,7 @@ fn decode_rib_in(dec: &mut Decoder<'_>, table: &PathTable) -> Result<RibInEntry,
             _ => RcnChargePolicy::ByUpdateKind,
         };
         let history = d.seq("rcn history", decode_root_cause)?;
-        Ok(RcnFilter::restore(capacity, policy, history))
+        Ok(Box::new(RcnFilter::restore(capacity, policy, history)))
     })?;
     let selective = dec.option("rib-in selective", |d| {
         Ok(SelectiveFilter::from_skipped(d.u64("selective skipped")?))
@@ -795,7 +817,9 @@ fn encode_mrai(enc: &mut Encoder, m: &MraiPeer) {
     enc.u64(m.ready_at.as_micros());
     enc.bool(m.dirty);
     enc.bool(m.timer_pending);
-    enc.option(m.last_announced_len.as_ref(), |e, l| e.usize(*l));
+    enc.option(m.last_announced_len.as_ref(), |e, l| {
+        e.usize(usize::from(*l))
+    });
 }
 
 fn decode_mrai(dec: &mut Decoder<'_>) -> Result<MraiPeer, SnapError> {
@@ -804,7 +828,10 @@ fn decode_mrai(dec: &mut Decoder<'_>) -> Result<MraiPeer, SnapError> {
         dirty: dec.bool("mrai dirty")?,
         timer_pending: dec.bool("mrai timer-pending")?,
         last_announced_len: dec.option("mrai last announced len", |d| {
-            d.usize("mrai last announced len")
+            let len = d.usize("mrai last announced len")?;
+            u16::try_from(len).map_err(|_| SnapError::PayloadExhausted {
+                context: "mrai last announced len",
+            })
         })?,
     })
 }
@@ -816,21 +843,22 @@ impl Router {
         enc.seq(&self.down, |e, d| e.bool(*d));
         let store_state = self.damper_store.as_ref().map(DamperStore::export_state);
         enc.option(store_state.as_ref(), encode_store_state);
-        enc.usize(self.prefixes.len());
-        for (prefix, state) in &self.prefixes {
-            enc.u32(prefix.id());
+        enc.usize(self.known_prefixes().count());
+        for (id, state) in self.prefixes.iter().enumerate() {
+            let Some(state) = state else { continue };
+            enc.u32(id as u32);
             enc.bool(state.originated);
-            enc.seq(&state.rib_in, |e, entry| {
-                e.option(entry.as_ref(), encode_rib_in);
+            enc.seq(&state.peers, |e, p| {
+                e.option(p.rib_in.as_ref(), encode_rib_in)
             });
             enc.option(state.best.as_ref(), |e, b| {
                 e.option(b.learned_from.as_ref(), |e, n| e.u32(n.raw()));
                 e.u32(b.route.id().raw());
             });
-            enc.seq(&state.rib_out, |e, r| {
-                e.option(r.as_ref(), |e, r| e.u32(r.id().raw()));
+            enc.seq(&state.peers, |e, p| {
+                e.option(p.rib_out.as_ref(), |e, r| e.u32(r.id().raw()));
             });
-            enc.seq(&state.mrai, encode_mrai);
+            enc.seq(&state.peers, |e, p| encode_mrai(e, &p.mrai));
             enc.option(state.current_rc.as_ref(), encode_root_cause);
         }
     }
@@ -851,10 +879,13 @@ impl Router {
     /// Panics when the decoded shape disagrees with this router's peer
     /// set or damping deployment — the config fingerprint check on the
     /// snapshot file makes that unreachable short of an internal bug.
+    /// A prefix id outside the network's `0..origins` is an error: the
+    /// prefix table is indexed by it.
     fn apply_snapshot(
         &mut self,
         dec: &mut Decoder<'_>,
         table: &PathTable,
+        origins: usize,
         fork: bool,
     ) -> Result<(), SnapError> {
         let n = self.slots.len();
@@ -875,7 +906,7 @@ impl Router {
         self.prefixes.clear();
         let n_prefixes = dec.usize("router prefix count")?;
         for _ in 0..n_prefixes {
-            let prefix = Prefix::new(dec.u32("prefix id")?);
+            let prefix = decode_prefix(dec, origins, "prefix id")?;
             let mut state = PrefixState::new(n);
             state.originated = dec.bool("prefix originated")?;
             let rib_in = dec.seq("prefix rib-in", |d| {
@@ -884,7 +915,7 @@ impl Router {
             assert_eq!(rib_in.len(), n, "snapshot rib-in width mismatch");
             for (slot, entry) in rib_in.into_iter().enumerate() {
                 let Some(entry) = entry else { continue };
-                state.rib_in[slot] = Some(if fork {
+                state.peers[slot].rib_in = Some(if fork {
                     let damper_slot = self
                         .damper_store
                         .as_mut()
@@ -912,13 +943,44 @@ impl Router {
                     .map(|raw| table.route_by_id(raw)))
             })?;
             assert_eq!(rib_out.len(), n, "snapshot rib-out width mismatch");
-            state.rib_out = rib_out;
             let mrai = dec.seq("prefix mrai", decode_mrai)?;
             assert_eq!(mrai.len(), n, "snapshot mrai width mismatch");
-            state.mrai = mrai;
+            for (p, (rib_out, mrai)) in state.peers.iter_mut().zip(rib_out.into_iter().zip(mrai)) {
+                p.rib_out = rib_out;
+                p.mrai = mrai;
+            }
             state.current_rc = dec.option("prefix current rc", decode_root_cause)?;
-            self.prefixes.insert(prefix, state);
+            *prefix_entry(&mut self.prefixes, prefix) = Some(state);
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn events_naming_an_unknown_prefix_are_refused() {
+        // Deliver, MRAI expiry and reuse timer all carry two node ids,
+        // then the prefix id: prefix 3 of a three-origin network.
+        for tag in 0..3 {
+            let mut enc = Encoder::new();
+            enc.u8(tag);
+            for word in [0, 1, 3] {
+                enc.u32(word);
+            }
+            let bytes = enc.into_bytes();
+            let err = decode_event(&mut Decoder::new(&bytes), &PathTable::new(), 3);
+            assert!(
+                matches!(
+                    err,
+                    Err(SnapError::PayloadExhausted {
+                        context: "prefix id out of range"
+                    })
+                ),
+                "tag {tag}: {err:?}"
+            );
+        }
     }
 }

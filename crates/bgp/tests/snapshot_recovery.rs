@@ -313,46 +313,133 @@ fn mid_run_snapshot_cannot_fork() {
     );
 }
 
-/// The path interner's hasher and collision chain are invisible to the
-/// file format: the first checkpoint of a fixed run hashes to a pinned
-/// value (format version 3: the trace section is the `--trace` line
-/// format — 41,880 bytes at one shard and 41,969 at two, where version
-/// 2's binary trace codec took 39,420 and 39,509).
+/// The payload of the first checkpoint (at 120 s) of a fully damped
+/// run that flaps origin 0 three times.
+fn first_checkpoint_payload(
+    graph: &rfd_topology::Graph,
+    isps: &[NodeId],
+    shards: usize,
+) -> Vec<u8> {
+    let schedule = FlapSchedule::from(FlapPattern::paper_default(3));
+    let mut cfg = NetworkConfig::paper_full_damping(5);
+    cfg.sim_shards = shards;
+    let key = snapshot::fingerprints(graph, isps, &cfg);
+    let mut net = Network::new_multi(graph, isps, cfg);
+    net.warm_up();
+    let mut first = None;
+    net.run_schedules_with_checkpoints(
+        &[(0, &schedule)],
+        LEAD_IN,
+        SimDuration::from_secs(120),
+        |n| {
+            first = Some(Snapshot::capture(n, key).expect("capture"));
+            false
+        },
+    );
+    let path = scratch("pin");
+    first
+        .expect("a checkpoint at 120 s")
+        .write(&path)
+        .expect("write");
+    let payload = rfd_snap::read_file(&path).expect("read back").payload;
+    std::fs::remove_file(&path).ok();
+    payload
+}
+
+/// The path interner's hasher and collision chain, and the router's
+/// per-prefix storage, are invisible to the file format: the first
+/// checkpoint of a fixed run has a pinned length and hash. Format
+/// version 3: the trace section is the `--trace` line format — the
+/// torus takes 41,880 bytes at one shard and 41,969 at two, where
+/// version 2's binary trace codec took 39,420 and 39,509. The
+/// eight-origin case pins the multi-prefix encode order (ascending
+/// prefix id within each router); its length and hash were recorded
+/// while routers still kept their prefixes in a `BTreeMap`, before the
+/// dense per-prefix table replaced it.
 #[test]
 fn checkpoint_bytes_are_pinned() {
-    let graph = mesh_torus(6, 6);
-    let isp = NodeId::new(0);
-    let schedule = FlapSchedule::from(FlapPattern::paper_default(3));
-    for (shards, pinned) in [(1, 0x6c73_17c4_45b5_a415_u64), (2, 0xbf71_895a_db02_62f8)] {
-        let mut cfg = NetworkConfig::paper_full_damping(5);
-        cfg.sim_shards = shards;
-        let key = snapshot::fingerprints(&graph, &[isp], &cfg);
-        let mut net = Network::new(&graph, isp, cfg);
-        net.warm_up();
-        let mut first = None;
-        net.run_schedules_with_checkpoints(
-            &[(0, &schedule)],
-            LEAD_IN,
-            SimDuration::from_secs(120),
-            |n| {
-                first = Some(Snapshot::capture(n, key).expect("capture"));
-                false
-            },
-        );
-        let path = scratch("pin");
-        first
-            .expect("a checkpoint at 120 s")
-            .write(&path)
-            .expect("write");
-        let payload = rfd_snap::read_file(&path).expect("read back").payload;
-        std::fs::remove_file(&path).ok();
+    let torus = mesh_torus(6, 6);
+    let internet = internet_like(60, 2, 5);
+    let eight: Vec<NodeId> = (0..8).map(|i| NodeId::new(i * 7)).collect();
+    let cases: [(&rfd_topology::Graph, &[NodeId], usize, usize, u64); 3] = [
+        (&torus, &[NodeId::new(0)], 1, 41_880, 0x6c73_17c4_45b5_a415),
+        (&torus, &[NodeId::new(0)], 2, 41_969, 0xbf71_895a_db02_62f8),
+        (&internet, &eight, 1, 229_987, 0x9dde_5acf_5b23_655c),
+    ];
+    for (graph, isps, shards, len, pinned) in cases {
+        let payload = first_checkpoint_payload(graph, isps, shards);
         assert_eq!(
-            rfd_snap::fnv1a(&payload),
-            pinned,
-            "snapshot payload changed at sim_shards = {shards} ({} bytes)",
-            payload.len()
+            (payload.len(), rfd_snap::fnv1a(&payload)),
+            (len, pinned),
+            "snapshot payload changed: {} origins, sim_shards = {shards}",
+            isps.len()
         );
     }
+}
+
+/// Offset of the first router's first prefix id in the payload of a
+/// one-shard network without damping — the layout `Snapshot::capture`
+/// writes: header, path table, then per router its charging flag,
+/// down flags, damper store (absent) and prefix count.
+fn first_prefix_id_offset(payload: &[u8]) -> Result<usize, rfd_snap::SnapError> {
+    let mut d = rfd_snap::Decoder::new(payload);
+    d.bool("warm")?;
+    d.u64("now")?;
+    d.bool("warmed up")?;
+    for _ in 0..5 {
+        d.u64("counter")?;
+    }
+    for _ in 0..d.usize("paths")? {
+        for _ in 0..d.usize("hops")? {
+            d.u32("hop")?;
+        }
+    }
+    assert_eq!(d.usize("shards")?, 1);
+    d.usize("routers")?;
+    d.bool("charging")?;
+    d.seq("down", |d| d.bool("down"))?;
+    assert_eq!(d.u8("damper store")?, 0, "no damper store");
+    assert!(d.usize("prefixes")? > 0, "router 0 knows prefix 0");
+    Ok(payload.len() - d.remaining())
+}
+
+/// A router's prefix table is indexed by prefix id, so a crafted
+/// checkpoint naming prefix 2³² − 1 in a one-origin network must be
+/// refused as corrupt — not allocated, and not a panic.
+#[test]
+fn out_of_range_prefix_id_is_refused() {
+    let graph = mesh_torus(3, 3);
+    let isp = NodeId::new(4);
+    let cfg = NetworkConfig::paper_no_damping(7);
+    let key = snapshot::fingerprints(&graph, &[isp], &cfg);
+    let mut net = Network::new(&graph, isp, cfg.clone());
+    net.warm_up();
+    let path = scratch("hostile-prefix");
+    Snapshot::capture(&mut net, key)
+        .expect("capture")
+        .write(&path)
+        .expect("write");
+    let mut payload = rfd_snap::read_file(&path).expect("read back").payload;
+    let at = first_prefix_id_offset(&payload).expect("walk the payload");
+    assert_eq!(payload[at..at + 4], 0u32.to_le_bytes());
+    payload[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    rfd_snap::write_atomic(&path, key.config_fp, key.flow_fp, &payload).expect("rewrite");
+    let crafted = Snapshot::read(&path).expect("the container itself is valid");
+    std::fs::remove_file(&path).ok();
+
+    let mut target = Network::new(&graph, isp, cfg);
+    let err = crafted
+        .resume_into(&mut target, &key)
+        .expect_err("an out-of-range prefix id must be refused");
+    assert!(
+        matches!(
+            err,
+            SnapshotError::Snap(rfd_snap::SnapError::PayloadExhausted {
+                context: "prefix id out of range"
+            })
+        ),
+        "unexpected error: {err}"
+    );
 }
 
 #[test]
