@@ -149,13 +149,11 @@ pub struct NetworkConfig {
     /// Safety horizon for a run (simulated seconds after which the run
     /// is cut off).
     pub horizon: SimDuration,
-    /// Number of simulation shards (default `1`, at most
-    /// [`rfd_topology::ShardId::MAX`]). Larger values partition the
-    /// routers, their RNG streams and their event queues into
-    /// conservative lock-step shards, all stepped on the caller's
-    /// thread; the path table, policy and origins stay one per network.
-    /// Results are identical — byte-determinism across shard counts is
-    /// a tested contract.
+    /// Ignored: the simulator runs one event queue. Kept only because
+    /// the perf ledger still assigns it, until a `[benchmark]` PR
+    /// (ROADMAP item 1(b)) drops that line and then this field; keeping
+    /// it also keeps snapshot fingerprints, which hash this struct's
+    /// `Debug` rendering, unchanged.
     pub sim_shards: usize,
 }
 
@@ -225,16 +223,6 @@ impl NetworkConfig {
             return Err(ConfigError(
                 "minimum delay must be positive (zero-delay loops)".into(),
             ));
-        }
-        if self.sim_shards == 0 {
-            return Err(ConfigError("sim_shards must be at least 1".into()));
-        }
-        let most = usize::from(rfd_topology::ShardId::MAX);
-        if self.sim_shards > most {
-            return Err(ConfigError(format!(
-                "sim_shards must be at most {most} (the shard id range), got {}",
-                self.sim_shards
-            )));
         }
         if let Some(g) = self.protocol.reuse_granularity {
             if g.is_zero() {
@@ -311,18 +299,6 @@ mod tests {
             ..NetworkConfig::default()
         };
         assert!(cfg.validate().is_err());
-    }
-
-    #[test]
-    fn shard_count_outside_the_id_range_rejected() {
-        let with = |sim_shards| NetworkConfig {
-            sim_shards,
-            ..NetworkConfig::default()
-        };
-        assert!(with(0).validate().is_err());
-        assert!(with(65_535).validate().is_ok());
-        let err = with(65_536).validate().unwrap_err();
-        assert!(err.to_string().contains("at most 65535"), "{err}");
     }
 
     #[test]

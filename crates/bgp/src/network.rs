@@ -2,37 +2,24 @@
 //!
 //! [`Network`] builds one [`Router`] per topology node, appends the
 //! origin AS (Figure 1: `originAS` attached to a chosen `ispAS`),
-//! partitions the routers into [`NetworkConfig::sim_shards`]
-//! conservative simulation shards, injects the paper's pulse workload
-//! on the origin link, and streams every trace event into a pluggable
-//! [`TraceSink`] (default: [`VecSink`], the full [`rfd_metrics::Trace`];
-//! sweeps plug in O(1)-memory aggregators).
+//! injects the paper's pulse workload on the origin link, and streams
+//! every trace event into a pluggable [`TraceSink`] (default:
+//! [`VecSink`], the full [`rfd_metrics::Trace`]; sweeps plug in
+//! O(1)-memory aggregators).
 //!
-//! # Sharded execution
+//! # Execution
 //!
-//! Routers are assigned to shards by the deterministic FNV partition
-//! ([`rfd_topology::shard_of`]). A shard owns what is *partitioned*: its
-//! routers, one pair of RNG streams *per node* (`delays/<id>`,
-//! `mrai/<id>`) — so a node's random draws depend only on its own event
-//! order, never on which shard it shares with whom — the per-node
-//! sequence numbers, delivery clamps and window buffers. What the
-//! network has one of (the [`PathTable`], the [`Policy`], the origins,
-//! the node → shard maps and the shards' [`ShardEngine`] queues side by
-//! side) is held once and lent to whichever shard is running its
-//! window. A [`Route`](crate::intern::Route) handle is therefore valid
-//! at every router, and an update crossing a shard boundary is the same
-//! [`NetEvent::Deliver`] a local one is, scheduled on the receiver's
-//! queue. Shards advance in lock-step windows of `lookahead = min link
-//! delay` planned by an [`EpochBarrier`]; the result is byte-identical
-//! at any shard count — a tested contract, the same way the sweep
-//! runner proves thread-count invariance.
-//!
-//! There is one window loop (`Coordinator::run`) and one thread of
-//! control: plan a window, run it on every shard in turn on the
-//! caller's thread, merge traces and ledger records in `(time, key)`
-//! order. Sharding partitions *state*, not work — parallelism comes
-//! from the sweep runner's cell pool one level up — so a shard that
-//! panics is an ordinary panic of the caller.
+//! Every pending event of the network sits in one [`EventQueue`], which
+//! pops in `(time, key)` order. The key ([`event_key`]) packs the node
+//! that created the event with that node's own sequence number, so the
+//! order is a pure function of the model. Each node draws its message
+//! delays and MRAI jitter from its own RNG streams (`delays/<id>`,
+//! `mrai/<id>`), which keeps every draw tied to that node's event order.
+//! Because pops are already canonical, trace events and ledger records
+//! go straight to their consumers as the routers produce them. An
+//! [`EpochBarrier`] advances the queue in windows one minimum link delay
+//! wide and enforces the horizon and the event budget. Parallelism lives
+//! one level up, in the sweep runner's cell pool.
 //!
 //! A run has three phases:
 //!
@@ -45,12 +32,10 @@
 //!    MRAI and reuse timer fires (silent reuse timers do not affect the
 //!    metrics, matching the paper's footnote 3).
 
-use rfd_core::{
-    FlapPattern, LedgerFilter, LedgerRecord, LedgerSink, LinkStatus, NullLedger, RootCause,
-};
+use rfd_core::{FlapPattern, LedgerFilter, LedgerSink, LinkStatus, NullLedger, RootCause};
 use rfd_metrics::{ConvergenceTracker, MessageCounter, Trace, TraceEventKind, TraceSink, VecSink};
 use rfd_sim::{
-    event_key, DetRng, EpochBarrier, RunOutcome, ShardEngine, SimDuration, SimTime, WindowPlan,
+    event_key, DetRng, EpochBarrier, EventQueue, RunOutcome, SimDuration, SimTime, WindowPlan,
     INJECTOR_SRC,
 };
 use rfd_snap::{MixMap, MixSet};
@@ -65,7 +50,7 @@ use crate::router::{Router, RouterConfig, RouterOutput};
 #[path = "snapshot.rs"]
 pub mod snapshot;
 
-/// Events exchanged through the simulation shards.
+/// Events on the network's queue.
 #[derive(Debug, Clone, Copy)]
 pub enum NetEvent {
     /// Delivery of an update message to `to`.
@@ -97,8 +82,7 @@ pub enum NetEvent {
         prefix: Prefix,
     },
     /// Status change of an origin link (the flap workload). The root
-    /// cause is stamped when the event is injected so the handling
-    /// shard needs no global sequence state.
+    /// cause is stamped when the event is injected.
     OriginLink {
         /// Index into the network's origin list.
         origin: usize,
@@ -109,8 +93,7 @@ pub enum NetEvent {
     },
     /// One endpoint's view of an interior link status change (failure
     /// injection): the session to `peer` resets. A flap of link `a`–`b`
-    /// is injected as two of these — one per endpoint, on the
-    /// endpoint's own shard.
+    /// is injected as two of these, one per endpoint.
     LinkSession {
         /// The endpoint handling this event.
         node: NodeId,
@@ -161,55 +144,31 @@ fn norm_link(a: NodeId, b: NodeId) -> (u32, u32) {
     }
 }
 
-/// What the network has one of, lent to whichever shard is running
-/// its window.
-struct Shared {
-    /// Every distinct AS path, once: a [`Route`] handle is valid at
-    /// every router, whatever shard it is on.
-    ///
-    /// [`Route`]: crate::intern::Route
+/// Everything the event loop touches: the routers and their per-node
+/// state, what the network has one of, the event queue, and the
+/// consumers of what the routers produce.
+struct State<S> {
+    /// One router per node, indexed by node id.
+    routers: Vec<Router>,
+    /// Per node: message-delay stream (`delays/<id>`).
+    delay_rngs: Vec<DetRng>,
+    /// Per node: MRAI-jitter stream (`mrai/<id>`).
+    mrai_rngs: Vec<DetRng>,
+    /// Per node: next canonical event sequence number.
+    seqs: Vec<u64>,
+    /// Every distinct AS path, once.
     path_table: PathTable,
     policy: Policy,
     origins: Vec<OriginAttachment>,
     delay_range: (SimDuration, SimDuration),
-    /// Raw node id → owning shard.
-    node_shard: Vec<u16>,
-    /// Raw node id → index into its shard's `routers`.
-    node_local: Vec<u32>,
-    /// One event queue per shard, by shard id. They sit side by side
-    /// here so that a send is a `schedule` on the receiver's queue
-    /// whichever shard the receiver is on: a wheel pops in pure
-    /// `(time, key)` order whatever the insertion order, and a delivery
-    /// lands at `now + delay ≥ now + lookahead`, at or after the end of
-    /// the window being run (`ShardEngine::schedule` debug-asserts it is
-    /// not behind the receiver's clock).
-    queues: Vec<ShardEngine<NetEvent>>,
-}
-
-/// One simulation shard: the routers it owns and their per-node RNG
-/// streams, sequence numbers and delivery clamps. Everything
-/// network-wide, its event queue included, comes in as a [`Shared`].
-struct Shard {
-    id: usize,
-    /// Local routers in ascending global id order.
-    routers: Vec<Router>,
-    /// Per local node: message-delay stream (`delays/<id>`).
-    delay_rngs: Vec<DetRng>,
-    /// Per local node: MRAI-jitter stream (`mrai/<id>`).
-    mrai_rngs: Vec<DetRng>,
-    /// Per local node: next canonical event sequence number.
-    seqs: Vec<u64>,
-    /// Per directed link out of this shard's nodes: the latest delivery
-    /// instant scheduled so far. BGP sessions run over TCP, so updates
-    /// between two peers arrive in the order they were sent — later
-    /// messages are clamped to arrive strictly after earlier ones
-    /// (without this, a withdrawal can be overtaken by an older
-    /// announcement and install a permanently stale route). The sender
-    /// owns the slot, so cross-shard links need no shared state.
+    /// Per directed link: the latest delivery instant scheduled so far.
+    /// BGP sessions run over TCP, so updates between two peers arrive
+    /// in the order they were sent — later messages are clamped to
+    /// arrive strictly after earlier ones (without this, a withdrawal
+    /// can be overtaken by an older announcement and install a
+    /// permanently stale route).
     last_delivery: MixMap<(u32, u32), SimTime>,
-    /// This shard's view of interior links currently down. Both
-    /// endpoints process their own `LinkSession` event, so every shard
-    /// that can receive over the link knows its status.
+    /// Interior links currently down.
     down_links: MixSet<(u32, u32)>,
     /// Messages dropped on dead links.
     dropped: u64,
@@ -217,61 +176,63 @@ struct Shard {
     muted: bool,
     /// Trace events discarded while muted.
     discarded: u64,
-    /// The current window's output, which the coordinator drains at
-    /// the barrier (the buffers are cleared, never dropped, so a run
-    /// allocates them once): trace events and ledger records in
-    /// processing order — which is `(time, key)` order, pops are
-    /// monotone.
-    traces: Vec<(SimTime, u64, TraceEventKind)>,
-    ledger: Vec<(SimTime, u64, LedgerRecord)>,
-    /// The one [`RouterOutput`] every event of this shard is handled
-    /// through: [`Shard::handle`] takes it, the router fills it,
-    /// [`Shard::apply_output`] drains it and hands it back.
+    queue: EventQueue<NetEvent>,
+    /// The one [`RouterOutput`] every event is handled through:
+    /// [`State::handle`] takes it, the router fills it,
+    /// [`State::apply_output`] drains it and hands it back.
     out: RouterOutput,
+    /// The pluggable trace observer for the measured phase.
+    sink: S,
+    /// Always-on headline aggregators: [`RunReport`] fields come from
+    /// these, whatever sink is plugged in.
+    conv: ConvergenceTracker,
+    msgs: MessageCounter,
+    /// The damping-lifecycle ledger consumer ([`NullLedger`] until a
+    /// filter is installed with `Network::set_ledger`).
+    ledger: Box<dyn LedgerSink>,
 }
 
-impl std::fmt::Debug for Shard {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Shard")
-            .field("id", &self.id)
-            .field("routers", &self.routers.len())
-            .finish()
-    }
-}
-
-impl Shard {
-    fn local(&self, net: &Shared, node: NodeId) -> usize {
-        debug_assert_eq!(net.node_shard[node.index()] as usize, self.id);
-        net.node_local[node.index()] as usize
+impl<S: TraceSink> State<S> {
+    /// Schedules an event created by `src` under `src`'s next
+    /// canonical key.
+    fn schedule(&mut self, at: SimTime, src: NodeId, event: NetEvent) {
+        let seq = &mut self.seqs[src.index()];
+        let key = event_key(src.raw(), *seq);
+        *seq += 1;
+        self.queue.schedule(at, key, event);
     }
 
-    /// Next canonical event key for an event created by local `node`.
-    fn next_key(&mut self, net: &Shared, node: NodeId) -> u64 {
-        let l = self.local(net, node);
-        let seq = self.seqs[l];
-        self.seqs[l] += 1;
-        event_key(node.raw(), seq)
-    }
-
-    /// Buffers one trace event under the processing event's `(at, key)`
-    /// identity (discarded while muted).
-    fn emit(&mut self, at: SimTime, key: u64, kind: TraceEventKind) {
+    /// Feeds one trace event to the consumers (discarded while muted).
+    fn emit(&mut self, at: SimTime, kind: TraceEventKind) {
         if self.muted {
             self.discarded += 1;
         } else {
-            self.traces.push((at, key, kind));
+            self.conv.record(at, kind);
+            self.msgs.record(at, kind);
+            self.sink.record(at, kind);
         }
     }
 
-    /// Delivery instant for a message sent now on `from → to`:
-    /// `now + random delay`, pushed past any earlier in-flight message
-    /// on the same directed link (TCP ordering). The delay comes from
-    /// the *sender's* stream, so the draw order is the sender's event
-    /// order — shard-layout invariant.
-    fn delivery_at(&mut self, net: &Shared, now: SimTime, from: NodeId, to: NodeId) -> SimTime {
-        let l = self.local(net, from);
-        let (lo, hi) = net.delay_range;
-        let natural = now + self.delay_rngs[l].duration_between(lo, hi);
+    /// Traces one update and puts it on the wire.
+    fn send(&mut self, now: SimTime, from: NodeId, to: NodeId, msg: UpdateMessage) {
+        self.emit(
+            now,
+            TraceEventKind::UpdateSent {
+                from: from.raw(),
+                to: to.raw(),
+                withdrawal: msg.is_withdrawal(),
+            },
+        );
+        self.transmit(now, from, to, msg);
+    }
+
+    /// Puts one update on the wire: a delivery event at `now + random
+    /// delay`, pushed past any earlier in-flight message on the same
+    /// directed link (TCP ordering). The delay comes from the *sender's*
+    /// stream.
+    fn transmit(&mut self, now: SimTime, from: NodeId, to: NodeId, msg: UpdateMessage) {
+        let (lo, hi) = self.delay_range;
+        let natural = now + self.delay_rngs[from.index()].duration_between(lo, hi);
         let slot = self
             .last_delivery
             .entry((from.raw(), to.raw()))
@@ -282,84 +243,57 @@ impl Shard {
             *slot + SimDuration::from_micros(1)
         };
         *slot = at;
-        at
-    }
-
-    /// Sends one update, tracing it under `emit_key`, the identity of
-    /// the event being processed (for trace ordering).
-    fn send(
-        &mut self,
-        net: &mut Shared,
-        now: SimTime,
-        emit_key: u64,
-        from: NodeId,
-        to: NodeId,
-        msg: UpdateMessage,
-    ) {
-        self.emit(
-            now,
-            emit_key,
-            TraceEventKind::UpdateSent {
-                from: from.raw(),
-                to: to.raw(),
-                withdrawal: msg.is_withdrawal(),
-            },
-        );
-        self.transmit(net, now, from, to, msg);
-    }
-
-    /// Puts one update on the wire: a delivery event on the queue of
-    /// the receiver's shard, this one or another.
-    fn transmit(
-        &mut self,
-        net: &mut Shared,
-        now: SimTime,
-        from: NodeId,
-        to: NodeId,
-        msg: UpdateMessage,
-    ) {
-        let at = self.delivery_at(net, now, from, to);
-        let key = self.next_key(net, from);
-        let dest = net.node_shard[to.index()] as usize;
-        net.queues[dest].schedule(at, key, NetEvent::Deliver { from, to, msg });
+        self.schedule(at, from, NetEvent::Deliver { from, to, msg });
     }
 
     /// Turns what a router produced into trace events, ledger records
     /// and scheduled events, leaving `out` empty in `self.out` for the
     /// next event.
-    fn apply_output(
-        &mut self,
-        net: &mut Shared,
-        now: SimTime,
-        key: u64,
-        node: NodeId,
-        mut out: RouterOutput,
-    ) {
+    fn apply_output(&mut self, now: SimTime, node: NodeId, mut out: RouterOutput) {
         rfd_obs::add("bgp.updates_sent", out.sends.len() as u64);
         rfd_obs::add("bgp.mrai_scheduled", out.mrai_timers.len() as u64);
         for kind in out.traces.drain(..) {
-            self.emit(now, key, kind);
+            self.emit(now, kind);
         }
         for record in out.ledger.drain(..) {
             if !self.muted {
-                self.ledger.push((now, key, record));
+                self.ledger.record(record);
             }
         }
         for (to, msg) in out.sends.drain(..) {
-            self.send(net, now, key, node, to, msg);
+            self.send(now, node, to, msg);
         }
         for (peer, prefix, at) in out.mrai_timers.drain(..) {
-            let k = self.next_key(net, node);
-            net.queues[self.id].schedule(at, k, NetEvent::MraiExpiry { node, peer, prefix });
+            self.schedule(at, node, NetEvent::MraiExpiry { node, peer, prefix });
         }
         for (peer, prefix, at) in out.reuse_timers.drain(..) {
-            let k = self.next_key(net, node);
-            net.queues[self.id].schedule(at, k, NetEvent::ReuseTimer { node, peer, prefix });
+            self.schedule(at, node, NetEvent::ReuseTimer { node, peer, prefix });
         }
         self.out = out;
     }
 
-    fn handle(&mut self, net: &mut Shared, at: SimTime, key: u64, event: NetEvent) {
+    /// Lends `node`'s router, with its MRAI stream, the path table, the
+    /// policy and the reused output buffer, to `f`, then applies what
+    /// the router produced.
+    fn step(
+        &mut self,
+        at: SimTime,
+        node: NodeId,
+        f: impl FnOnce(&mut Router, &mut PathTable, &mut DetRng, &Policy, &mut RouterOutput),
+    ) {
+        let mut out = std::mem::take(&mut self.out);
+        let i = node.index();
+        f(
+            &mut self.routers[i],
+            &mut self.path_table,
+            &mut self.mrai_rngs[i],
+            &self.policy,
+            &mut out,
+        );
+        self.apply_output(at, node, out);
+    }
+
+    fn handle(&mut self, at: SimTime, event: NetEvent) {
         match event {
             NetEvent::Deliver { from, to, msg } => {
                 if self.down_links.contains(&norm_link(from, to)) {
@@ -371,73 +305,44 @@ impl Shard {
                 rfd_obs::inc("bgp.updates_received");
                 self.emit(
                     at,
-                    key,
                     TraceEventKind::UpdateReceived {
                         from: from.raw(),
                         to: to.raw(),
                         withdrawal: msg.is_withdrawal(),
                     },
                 );
-                let l = self.local(net, to);
-                let mut out = std::mem::take(&mut self.out);
-                self.routers[l].handle_update(
-                    at,
-                    from,
-                    &msg,
-                    &mut net.path_table,
-                    &mut self.mrai_rngs[l],
-                    &net.policy,
-                    &mut out,
-                );
-                self.apply_output(net, at, key, to, out);
+                self.step(at, to, |r, table, rng, policy, out| {
+                    r.handle_update(at, from, &msg, table, rng, policy, out);
+                });
             }
             NetEvent::MraiExpiry { node, peer, prefix } => {
                 rfd_obs::inc("bgp.mrai_expiries");
-                let l = self.local(net, node);
-                let mut out = std::mem::take(&mut self.out);
-                self.routers[l].on_mrai_expiry(
-                    at,
-                    peer,
-                    prefix,
-                    &mut net.path_table,
-                    &mut self.mrai_rngs[l],
-                    &net.policy,
-                    &mut out,
-                );
-                self.apply_output(net, at, key, node, out);
+                self.step(at, node, |r, table, rng, policy, out| {
+                    r.on_mrai_expiry(at, peer, prefix, table, rng, policy, out);
+                });
             }
             NetEvent::ReuseTimer { node, peer, prefix } => {
-                let l = self.local(net, node);
-                let mut out = std::mem::take(&mut self.out);
-                self.routers[l].on_reuse_timer(
-                    at,
-                    peer,
-                    prefix,
-                    &mut net.path_table,
-                    &mut self.mrai_rngs[l],
-                    &net.policy,
-                    &mut out,
-                );
-                self.apply_output(net, at, key, node, out);
+                self.step(at, node, |r, table, rng, policy, out| {
+                    r.on_reuse_timer(at, peer, prefix, table, rng, policy, out);
+                });
             }
             NetEvent::OriginLink { origin, up, rc } => {
-                let attachment = net.origins[origin];
+                let attachment = self.origins[origin];
                 self.emit(
                     at,
-                    key,
                     TraceEventKind::OriginFlap {
                         prefix: attachment.prefix.id(),
                         up,
                     },
                 );
                 let mut msg = if up {
-                    UpdateMessage::announce(net.path_table.originate(attachment.node))
+                    UpdateMessage::announce(self.path_table.originate(attachment.node))
                         .with_root_cause(rc)
                 } else {
                     UpdateMessage::withdraw().with_root_cause(rc)
                 };
                 msg.prefix = attachment.prefix;
-                self.send(net, at, key, attachment.node, attachment.isp, msg);
+                self.send(at, attachment.node, attachment.isp, msg);
             }
             NetEvent::LinkSession {
                 node,
@@ -449,7 +354,6 @@ impl Shard {
                 if primary {
                     self.emit(
                         at,
-                        key,
                         TraceEventKind::LinkFlap {
                             a: node.raw(),
                             b: peer.raw(),
@@ -463,127 +367,48 @@ impl Shard {
                 } else {
                     self.down_links.insert(link);
                 }
-                let l = self.local(net, node);
-                let mut out = std::mem::take(&mut self.out);
-                if up {
-                    self.routers[l].on_session_up(
-                        at,
-                        peer,
-                        rc,
-                        &mut net.path_table,
-                        &mut self.mrai_rngs[l],
-                        &net.policy,
-                        &mut out,
-                    );
-                } else {
-                    self.routers[l].on_session_down(
-                        at,
-                        peer,
-                        rc,
-                        &mut net.path_table,
-                        &mut self.mrai_rngs[l],
-                        &net.policy,
-                        &mut out,
-                    );
-                }
-                self.apply_output(net, at, key, node, out);
+                self.step(at, node, |r, table, rng, policy, out| {
+                    if up {
+                        r.on_session_up(at, peer, rc, table, rng, policy, out);
+                    } else {
+                        r.on_session_down(at, peer, rc, table, rng, policy, out);
+                    }
+                });
             }
         }
     }
 
-    /// Runs one window: processes every event of this shard's queue
-    /// strictly before `end`, leaving the output in `traces` and
-    /// `ledger`, which the coordinator has drained. Returns the number
-    /// of events processed.
-    fn run_window(&mut self, net: &mut Shared, end: SimTime) -> u64 {
-        let before = net.queues[self.id].processed();
-        while let Some((at, key, event)) = net.queues[self.id].pop_before(end) {
-            self.handle(net, at, key, event);
-        }
-        net.queues[self.id].processed() - before
-    }
-
-    /// Runs the origin's kickoff announcement through this shard's
-    /// machinery (warm-up priming). Mirrors the workload injection
-    /// path: only the resulting sends are scheduled.
-    fn kickoff_origin(&mut self, net: &mut Shared, origin: NodeId) {
-        let l = self.local(net, origin);
-        let mut out = RouterOutput::default();
-        self.routers[l].kickoff(
-            SimTime::ZERO,
-            &mut net.path_table,
-            &mut self.mrai_rngs[l],
-            &net.policy,
-            &mut out,
-        );
-        for (to, msg) in out.sends {
-            self.transmit(net, SimTime::ZERO, origin, to, msg);
-        }
-    }
-}
-
-/// The coordinator's half of a run: everything the window loop touches
-/// except the shards and the [`Shared`] state, which
-/// [`Coordinator::run`] is handed; it steps the shards one after
-/// another on the caller's thread.
-struct Coordinator<S> {
-    /// Per-window merge scratch, kept across windows like the shards'
-    /// own buffers.
-    traces: Vec<(SimTime, u64, TraceEventKind)>,
-    records: Vec<(SimTime, u64, LedgerRecord)>,
-    /// The pluggable trace observer for the measured phase.
-    sink: S,
-    /// Always-on headline aggregators: [`RunReport`] fields come from
-    /// these, whatever sink is plugged in.
-    conv: ConvergenceTracker,
-    msgs: MessageCounter,
-    /// The damping-lifecycle ledger consumer ([`NullLedger`] until a
-    /// filter is installed with `Network::set_ledger`).
-    ledger: Box<dyn LedgerSink>,
-    /// Total events processed over the network's lifetime.
-    processed: u64,
-}
-
-impl<S: TraceSink> Coordinator<S> {
-    /// The window loop. Each iteration plans a window from the earliest
-    /// pending event on any queue, runs it on every shard in turn, and
-    /// feeds the shards' trace events and ledger records to the
-    /// consumers in canonical order.
-    fn run(
-        &mut self,
-        barrier: &mut EpochBarrier,
-        shards: &mut [Shard],
-        net: &mut Shared,
-    ) -> RunOutcome {
-        let run_start = self.processed;
+    /// The window loop: plans a window from the earliest pending event
+    /// and processes every event before its end, until the barrier
+    /// reports why the run is over.
+    fn run(&mut self, barrier: &mut EpochBarrier) -> RunOutcome {
+        let run_start = self.queue.processed();
         loop {
-            let min_next = net
-                .queues
-                .iter_mut()
-                .filter_map(ShardEngine::next_time)
-                .min();
-            let end = match barrier.plan(min_next, self.processed - run_start) {
+            let min_next = self.queue.next_time();
+            let end = match barrier.plan(min_next, self.queue.processed() - run_start) {
                 WindowPlan::Run { end } => end,
                 WindowPlan::Done(outcome) => return outcome,
             };
-            for shard in shards.iter_mut() {
-                self.processed += shard.run_window(net, end);
-                self.traces.append(&mut shard.traces);
-                self.records.append(&mut shard.ledger);
+            while let Some((at, _, event)) = self.queue.pop_before(end) {
+                self.handle(at, event);
             }
-            // The sorts are stable, so events of one processing step
-            // keep their emission order; keys are unique per step, so
-            // cross-shard ties cannot occur.
-            self.traces.sort_by_key(|&(at, key, _)| (at, key));
-            for (at, _, kind) in self.traces.drain(..) {
-                self.conv.record(at, kind);
-                self.msgs.record(at, kind);
-                self.sink.record(at, kind);
-            }
-            self.records.sort_by_key(|&(at, key, _)| (at, key));
-            for (_, _, record) in self.records.drain(..) {
-                self.ledger.record(record);
-            }
+        }
+    }
+
+    /// Runs the origin's kickoff announcement (warm-up priming). Mirrors
+    /// the workload injection path: only the resulting sends are
+    /// scheduled.
+    fn kickoff_origin(&mut self, origin: NodeId) {
+        let mut out = RouterOutput::default();
+        self.routers[origin.index()].kickoff(
+            SimTime::ZERO,
+            &mut self.path_table,
+            &mut self.mrai_rngs[origin.index()],
+            &self.policy,
+            &mut out,
+        );
+        for (to, msg) in out.sends {
+            self.transmit(SimTime::ZERO, origin, to, msg);
         }
     }
 }
@@ -597,16 +422,14 @@ impl<S: TraceSink> Coordinator<S> {
 /// keep per-run memory O(1) in the event count. [`RunReport`] fields
 /// come from built-in aggregators either way.
 pub struct Network<S: TraceSink = VecSink> {
-    shards: Vec<Shard>,
-    shared: Shared,
-    coord: Coordinator<S>,
+    state: State<S>,
     horizon: SimTime,
     rcn_enabled: bool,
     /// Root-cause sequence numbers, stamped at injection time.
     rc_seq: u64,
     /// Canonical key sequence for injected (primed) events.
     inj_seq: u64,
-    /// Synchronization windows executed over the network's lifetime.
+    /// Windows executed over the network's lifetime.
     windows: u64,
     warmed_up: bool,
     /// True exactly between the end of [`Network::warm_up`] and the
@@ -624,9 +447,9 @@ pub struct Network<S: TraceSink = VecSink> {
 impl<S: TraceSink> std::fmt::Debug for Network<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Network")
-            .field("shards", &self.shards)
-            .field("origins", &self.shared.origins)
-            .field("retained_events", &self.coord.sink.retained_events())
+            .field("routers", &self.state.routers.len())
+            .field("origins", &self.state.origins)
+            .field("retained_events", &self.state.sink.retained_events())
             .field("warmed_up", &self.warmed_up)
             .finish()
     }
@@ -663,7 +486,7 @@ impl Network<VecSink> {
     /// The trace recorded so far (measured phase only; warm-up records
     /// nothing).
     pub fn trace(&self) -> &Trace {
-        &self.coord.sink
+        &self.state.sink
     }
 }
 
@@ -728,43 +551,12 @@ impl<S: TraceSink> Network<S> {
         let mut deploy_rng = DetRng::from_seed_and_label(config.seed, "damping-deployment");
         let damping = config.damping.resolve(graph.node_count(), &mut deploy_rng);
 
-        // Deterministic FNV partition over the full graph, appended
-        // origins included.
-        let n_shards = config.sim_shards;
-        let node_shard: Vec<u16> = graph
-            .nodes()
-            .map(|n| rfd_topology::shard_of(n, n_shards))
-            .collect();
-        let mut node_local = vec![0u32; graph.node_count()];
-        let mut shard_sizes = vec![0u32; n_shards];
-        for (i, &s) in node_shard.iter().enumerate() {
-            node_local[i] = shard_sizes[s as usize];
-            shard_sizes[s as usize] += 1;
-        }
-
-        let mut shards: Vec<Shard> = (0..n_shards)
-            .map(|id| Shard {
-                id,
-                routers: Vec::with_capacity(shard_sizes[id] as usize),
-                delay_rngs: Vec::with_capacity(shard_sizes[id] as usize),
-                mrai_rngs: Vec::with_capacity(shard_sizes[id] as usize),
-                seqs: vec![0; shard_sizes[id] as usize],
-                last_delivery: MixMap::default(),
-                down_links: MixSet::default(),
-                dropped: 0,
-                // Warm-up runs muted; `warm_up` lifts the mute once the
-                // network has converged.
-                muted: true,
-                discarded: 0,
-                traces: Vec::new(),
-                ledger: Vec::new(),
-                out: RouterOutput::default(),
-            })
-            .collect();
-
+        let nodes = graph.node_count();
+        let mut routers = Vec::with_capacity(nodes);
+        let mut delay_rngs = Vec::with_capacity(nodes);
+        let mut mrai_rngs = Vec::with_capacity(nodes);
         let mut path_table = PathTable::new();
         for id in graph.nodes() {
-            let shard = &mut shards[node_shard[id.index()] as usize];
             let peers: Vec<NodeId> = graph.neighbors(id).to_vec();
             let rc = RouterConfig {
                 damping: damping[id.index()],
@@ -778,37 +570,41 @@ impl<S: TraceSink> Network<S> {
                 router.originate(att.prefix);
             }
             router.set_charging(false); // warm-up first
-            shard.routers.push(router);
-            shard.delay_rngs.push(DetRng::from_seed_and_label(
+            routers.push(router);
+            delay_rngs.push(DetRng::from_seed_and_label(
                 config.seed,
                 &format!("delays/{}", id.raw()),
             ));
-            shard.mrai_rngs.push(DetRng::from_seed_and_label(
+            mrai_rngs.push(DetRng::from_seed_and_label(
                 config.seed,
                 &format!("mrai/{}", id.raw()),
             ));
         }
 
         Network {
-            shared: Shared {
+            state: State {
+                routers,
+                delay_rngs,
+                mrai_rngs,
+                seqs: vec![0; nodes],
                 path_table,
                 policy,
                 origins,
                 delay_range: config.delay_range,
-                node_shard,
-                node_local,
-                queues: (0..n_shards).map(|_| ShardEngine::new()).collect(),
-            },
-            coord: Coordinator {
-                traces: Vec::new(),
-                records: Vec::new(),
+                last_delivery: MixMap::default(),
+                down_links: MixSet::default(),
+                dropped: 0,
+                // Warm-up runs muted; `warm_up` lifts the mute once the
+                // network has converged.
+                muted: true,
+                discarded: 0,
+                queue: EventQueue::new(),
+                out: RouterOutput::default(),
                 sink,
                 conv: ConvergenceTracker::new(),
                 msgs: MessageCounter::new(),
                 ledger: Box::new(NullLedger),
-                processed: 0,
             },
-            shards,
             horizon: SimTime::ZERO + config.horizon,
             rcn_enabled: config.filter == crate::config::PenaltyFilter::Rcn,
             rc_seq: 0,
@@ -822,37 +618,34 @@ impl<S: TraceSink> Network<S> {
 
     /// The first origin AS id (the appended node).
     pub fn origin(&self) -> NodeId {
-        self.shared.origins[0].node
+        self.state.origins[0].node
     }
 
     /// The first origin's ISP AS id.
     pub fn isp(&self) -> NodeId {
-        self.shared.origins[0].isp
+        self.state.origins[0].isp
     }
 
     /// All origin attachments.
     pub fn origins(&self) -> &[OriginAttachment] {
-        &self.shared.origins
+        &self.state.origins
     }
 
     /// Current simulated time: the instant of the last processed event.
     pub fn now(&self) -> SimTime {
-        self.shared
-            .queues
-            .iter()
-            .map(ShardEngine::now)
-            .max()
-            .unwrap_or(SimTime::ZERO)
+        self.state.queue.now()
     }
 
-    /// Number of simulation shards.
+    /// Always 1. Kept only because the perf ledger still calls it; a
+    /// `[benchmark]` PR (ROADMAP item 1(b)) drops the call and then
+    /// this method.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        1
     }
 
-    /// Synchronization windows executed so far. A window is one
-    /// lookahead (the minimum link delay) wide, so it covers few
-    /// events: 1.9–9.1 on the perf ledger's workloads.
+    /// Windows executed so far. A window is one lookahead (the minimum
+    /// link delay) wide, so it covers few events: 1.9–9.1 on the perf
+    /// ledger's workloads.
     pub fn windows(&self) -> u64 {
         self.windows
     }
@@ -860,28 +653,28 @@ impl<S: TraceSink> Network<S> {
     /// Total events processed over the network's lifetime (warm-up
     /// included).
     pub fn events_processed(&self) -> u64 {
-        self.coord.processed
+        self.state.queue.processed()
     }
 
-    /// Always zero: every shard's window runs on the caller's thread,
-    /// so nothing waits at a barrier. Kept because the perf ledger
-    /// calls it; its `bgp.network.stall_share` row reads 0 until a
-    /// `[benchmark]` PR (ROADMAP item 1) drops both.
+    /// Always zero: the run has one thread of control, so nothing waits
+    /// at a barrier. Kept only because the perf ledger calls it; its
+    /// `bgp.network.stall_share` row reads 0 until a `[benchmark]` PR
+    /// (ROADMAP item 1(b)) drops both.
     pub fn barrier_stall(&self) -> std::time::Duration {
         std::time::Duration::ZERO
     }
 
     /// Read access to the measured-phase sink.
     pub fn sink(&self) -> &S {
-        &self.coord.sink
+        &self.state.sink
     }
 
     /// Consumes the network, finishing and yielding the sink (pending
     /// aggregator state flushes; `metrics.sink.*` obs counters fire).
     pub fn into_sink(mut self) -> S {
-        self.coord.ledger.finish();
-        self.coord.sink.finish();
-        self.coord.sink
+        self.state.ledger.finish();
+        self.state.sink.finish();
+        self.state.sink
     }
 
     /// Installs the damping-lifecycle ledger: every router starts
@@ -893,66 +686,54 @@ impl<S: TraceSink> Network<S> {
     /// after the run.
     pub fn set_ledger(&mut self, filter: LedgerFilter, sink: Box<dyn LedgerSink>) {
         let filter = std::sync::Arc::new(filter);
-        for shard in &mut self.shards {
-            for router in &mut shard.routers {
-                router.set_ledger_filter(Some(std::sync::Arc::clone(&filter)));
-            }
+        for router in &mut self.state.routers {
+            router.set_ledger_filter(Some(std::sync::Arc::clone(&filter)));
         }
-        self.coord.ledger = sink;
+        self.state.ledger = sink;
     }
 
     /// Finishes and detaches the ledger sink, restoring the off state.
     pub fn clear_ledger(&mut self) {
-        for shard in &mut self.shards {
-            for router in &mut shard.routers {
-                router.set_ledger_filter(None);
-            }
+        for router in &mut self.state.routers {
+            router.set_ledger_filter(None);
         }
-        self.coord.ledger.finish();
-        self.coord.ledger = Box::new(NullLedger);
+        self.state.ledger.finish();
+        self.state.ledger = Box::new(NullLedger);
     }
 
     /// Read access to a router (for tests and inspection).
     pub fn router(&self, id: NodeId) -> &Router {
-        let shard = &self.shards[self.shard_index(id)];
-        &shard.routers[self.shared.node_local[id.index()] as usize]
+        &self.state.routers[id.index()]
     }
 
-    /// Read access to the network's AS-path interner, at any shard
-    /// count (resolve any router's [`Route`] handles, inspect
-    /// [`PathTable::stats`]).
+    /// Read access to the network's AS-path interner (resolve any
+    /// router's [`Route`] handles, inspect [`PathTable::stats`]).
     ///
     /// [`Route`]: crate::intern::Route
     pub fn path_table(&self) -> &PathTable {
-        &self.shared.path_table
+        &self.state.path_table
     }
 
     /// Total suppressed RIB-IN entries across the network.
     pub fn suppressed_entries(&self) -> usize {
-        self.shards
+        self.state
+            .routers
             .iter()
-            .flat_map(|s| s.routers.iter())
             .map(Router::suppressed_entries)
             .sum()
     }
 
     /// Messages lost on links that went down while they were in flight.
     pub fn dropped_messages(&self) -> u64 {
-        self.shards.iter().map(|s| s.dropped).sum()
+        self.state.dropped
     }
 
-    fn shard_index(&self, node: NodeId) -> usize {
-        self.shared.node_shard[node.index()] as usize
-    }
-
-    /// Injects one coordinator event onto the owning shard's queue
-    /// under the next injector key.
-    fn prime(&mut self, at: SimTime, owner: NodeId, event: NetEvent) {
+    /// Injects one event onto the queue under the next injector key.
+    fn prime(&mut self, at: SimTime, event: NetEvent) {
         let key = event_key(INJECTOR_SRC, self.inj_seq);
         self.inj_seq += 1;
         self.warm_boundary = false;
-        let s = self.shard_index(owner);
-        self.shared.queues[s].schedule(at, key, event);
+        self.state.queue.schedule(at, key, event);
     }
 
     fn next_root_cause(&mut self, link: (u32, u32), up: bool) -> Option<RootCause> {
@@ -967,21 +748,18 @@ impl<S: TraceSink> Network<S> {
         ))
     }
 
-    /// Runs every shard to completion under the conservative barrier
-    /// protocol ([`Coordinator::run`] is the loop), at any shard count
-    /// on the caller's thread.
+    /// Runs the queue until it drains or the horizon or event budget
+    /// stops it.
     fn drive(&mut self) -> RunOutcome {
         let obs_span = rfd_obs::is_enabled().then(|| rfd_obs::span("sim.run"));
         let budget = EpochBarrier::DEFAULT_EVENT_BUDGET;
-        // The conservative window width is the minimum link delay.
-        let lookahead = self.shared.delay_range.0;
+        // The window width is the minimum link delay.
+        let lookahead = self.state.delay_range.0;
         let mut barrier = EpochBarrier::new(lookahead, self.horizon, budget);
-        let before = self.coord.processed;
-        let outcome = self
-            .coord
-            .run(&mut barrier, &mut self.shards, &mut self.shared);
+        let before = self.events_processed();
+        let outcome = self.state.run(&mut barrier);
         self.windows += barrier.windows();
-        rfd_obs::add("sim.events", self.coord.processed - before);
+        rfd_obs::add("sim.events", self.events_processed() - before);
         if let Some(mut span) = obs_span {
             span.sim_time_us(self.now().as_micros());
         }
@@ -991,17 +769,17 @@ impl<S: TraceSink> Network<S> {
     /// The report of the measured workload so far.
     fn report(&self, outcome: RunOutcome) -> RunReport {
         RunReport {
-            convergence_time: self.coord.conv.convergence_time(),
-            message_count: self.coord.msgs.message_count(),
-            events_processed: self.coord.processed - self.measured_base,
+            convergence_time: self.state.conv.convergence_time(),
+            message_count: self.state.msgs.message_count(),
+            events_processed: self.events_processed() - self.measured_base,
             outcome,
         }
     }
 
     /// Phase 1: the origin announces its prefix and the network
     /// converges with penalty charging disabled. Warm-up events are
-    /// discarded at the shards: nothing reaches the measured-phase sink
-    /// or the headline aggregators.
+    /// discarded as they are produced: nothing reaches the
+    /// measured-phase sink or the headline aggregators.
     ///
     /// # Panics
     ///
@@ -1010,43 +788,36 @@ impl<S: TraceSink> Network<S> {
     pub fn warm_up(&mut self) -> &mut Self {
         let _obs_span = rfd_obs::span("bgp.warmup");
         assert!(!self.warmed_up, "warm_up may only run once");
-        for i in 0..self.shared.origins.len() {
-            let origin = self.shared.origins[i].node;
-            let s = self.shard_index(origin);
-            self.shards[s].kickoff_origin(&mut self.shared, origin);
+        for i in 0..self.state.origins.len() {
+            let origin = self.state.origins[i].node;
+            self.state.kickoff_origin(origin);
         }
         let outcome = self.drive();
         assert_eq!(outcome, RunOutcome::Quiescent, "warm-up failed to converge");
-        for att in &self.shared.origins {
+        for att in &self.state.origins {
             assert!(
-                self.shards
+                self.state
+                    .routers
                     .iter()
-                    .flat_map(|s| s.routers.iter())
                     .all(|r| r.best_for(att.prefix).is_some()),
                 "warm-up left some router without a route to {}",
                 att.prefix
             );
         }
-        for shard in &mut self.shards {
-            for r in &mut shard.routers {
-                r.set_charging(true);
-            }
+        for r in &mut self.state.routers {
+            r.set_charging(true);
         }
         assert_eq!(
-            self.coord.sink.retained_events(),
+            self.state.sink.retained_events(),
             0,
             "warm-up must not retain trace events"
         );
-        let discarded: u64 = self.shards.iter().map(|s| s.discarded).sum();
-        rfd_obs::add("bgp.warmup_events_discarded", discarded);
-        for shard in &mut self.shards {
-            shard.muted = false;
-        }
+        rfd_obs::add("bgp.warmup_events_discarded", self.state.discarded);
+        self.state.muted = false;
         self.warmed_up = true;
         self.warm_boundary = true;
         self
     }
-
     /// Phase 2+3: injects `pattern` on the origin link starting
     /// `lead_in` after the current clock, then runs to quiescence.
     ///
@@ -1099,21 +870,21 @@ impl<S: TraceSink> Network<S> {
         lead_in: SimDuration,
     ) {
         assert!(self.warmed_up, "call warm_up() before running a workload");
-        self.measured_base = self.coord.processed;
+        self.measured_base = self.events_processed();
         let start = self.now() + lead_in;
         for &(origin, schedule) in schedules {
             assert!(
-                origin < self.shared.origins.len(),
+                origin < self.state.origins.len(),
                 "origin index {origin} out of range"
             );
-            let att = self.shared.origins[origin];
+            let att = self.state.origins[origin];
             for &(offset, status) in schedule.events() {
                 let at = start + offset.since(SimTime::ZERO);
                 let up = status == rfd_core::LinkStatus::Up;
                 // §6.1: the detecting endpoint stamps a fresh root
                 // cause {[ispAS originAS], status, seq}.
                 let rc = self.next_root_cause((att.isp.raw(), att.node.raw()), up);
-                self.prime(at, att.node, NetEvent::OriginLink { origin, up, rc });
+                self.prime(at, NetEvent::OriginLink { origin, up, rc });
             }
         }
     }
@@ -1121,7 +892,7 @@ impl<S: TraceSink> Network<S> {
     /// Like [`Network::run_schedules`], but pausing every `every` of
     /// simulated time to hand `&mut self` to `checkpoint` (typically
     /// [`snapshot::Snapshot::capture`] + a file write). The pauses land
-    /// on conservative window boundaries and are **byte-neutral**: the
+    /// on window boundaries and are **byte-neutral**: the
     /// traces, ledger records, and report are identical to an
     /// uninterrupted [`Network::run_schedules`] call. Return `false`
     /// from `checkpoint` to abandon the run early (the report then
@@ -1199,10 +970,9 @@ impl<S: TraceSink> Network<S> {
 
     /// Advances the simulation until quiescence or until every event at
     /// or before `cap` has been processed, whichever comes first, by
-    /// temporarily lowering the horizon. Window segmentation does not
-    /// affect results (pop order is the pure `(time, key)` order and
-    /// cross-shard messages always land beyond the lookahead), so
-    /// splitting a run at `cap` is invisible in every output.
+    /// temporarily lowering the horizon. Pop order is the pure
+    /// `(time, key)` order whatever the windows, so splitting a run at
+    /// `cap` is invisible in every output but the window count.
     fn drive_until(&mut self, cap: SimTime) -> RunOutcome {
         let saved = self.horizon;
         self.horizon = cap.min(saved);
@@ -1228,10 +998,10 @@ impl<S: TraceSink> Network<S> {
     ) -> RunReport {
         assert!(self.warmed_up, "call warm_up() before running a workload");
         assert!(
-            a.index() < self.shared.node_shard.len() && self.router(a).peers().contains(&b),
+            a.index() < self.state.routers.len() && self.router(a).peers().contains(&b),
             "{a}–{b} is not a link of this network"
         );
-        self.measured_base = self.coord.processed;
+        self.measured_base = self.events_processed();
         let start = self.now() + lead_in;
         for &(offset, status) in schedule.events() {
             let at = start + offset.since(SimTime::ZERO);
@@ -1239,7 +1009,6 @@ impl<S: TraceSink> Network<S> {
             let rc = self.next_root_cause(norm_link(a, b), up);
             self.prime(
                 at,
-                a,
                 NetEvent::LinkSession {
                     node: a,
                     peer: b,
@@ -1250,7 +1019,6 @@ impl<S: TraceSink> Network<S> {
             );
             self.prime(
                 at,
-                b,
                 NetEvent::LinkSession {
                     node: b,
                     peer: a,
@@ -1491,51 +1259,19 @@ mod tests {
         assert_ne!(run(100), run(200));
     }
 
-    /// The sharded-engine contract: identical results — report fields
-    /// and the complete trace event sequence — at any shard count.
-    #[test]
-    fn sharded_runs_are_identical_across_shard_counts() {
-        let g = mesh_torus(4, 4);
-        let run = |shards: usize| {
-            let mut cfg = NetworkConfig::paper_full_damping(11);
-            cfg.sim_shards = shards;
-            let mut net = Network::new(&g, NodeId::new(2), cfg);
-            let report = net.run_paper_workload(3);
-            let events: Vec<rfd_metrics::TraceEvent> = net.trace().events().to_vec();
-            (
-                report.message_count,
-                report.convergence_time,
-                report.events_processed,
-                net.windows(),
-                net.dropped_messages(),
-                net.suppressed_entries(),
-                events,
-            )
-        };
-        let one = run(1);
-        assert!(!one.6.is_empty(), "the reference run must trace something");
-        assert_eq!(one, run(2), "2 shards diverged from 1");
-        assert_eq!(one, run(8), "8 shards diverged from 1");
-    }
-
     /// A horizon that cuts the run between two pulses, with updates in
-    /// flight: every output is identical at any shard count, a second
-    /// `resume` under the same horizon is a no-op, and once the horizon
-    /// lifts the run finishes exactly like an uninterrupted one — the
-    /// messages routed but not yet delivered at the cutoff were parked,
-    /// not lost.
+    /// flight: a second `resume` under the same horizon is a no-op, and
+    /// once the horizon lifts the run finishes exactly like an
+    /// uninterrupted one — the messages routed but not yet delivered at
+    /// the cutoff were parked, not lost.
     #[test]
-    fn horizon_cutoff_parks_in_flight_messages_at_any_shard_count() {
+    fn horizon_cutoff_parks_in_flight_messages() {
         let g = mesh_torus(4, 4);
         let isp = NodeId::new(2);
-        let cfg = |shards: usize| {
-            let mut cfg = NetworkConfig::paper_full_damping(11);
-            cfg.sim_shards = shards;
-            cfg
-        };
-        let far = SimTime::ZERO + cfg(1).horizon;
+        let cfg = NetworkConfig::paper_full_damping(11);
+        let far = SimTime::ZERO + cfg.horizon;
         let (warm_end, uncut) = {
-            let mut net = Network::new(&g, isp, cfg(1));
+            let mut net = Network::new(&g, isp, cfg.clone());
             net.warm_up();
             let warm_end = net.now();
             let report = net.run_paper_workload(3);
@@ -1547,180 +1283,48 @@ mod tests {
         // 100 s lead-in, withdrawal, announcement 60 s later; cut 300 ms
         // after it, inside the 10–500 ms link-delay range.
         let cut = SimDuration::from_secs(160) + SimDuration::from_millis(300);
-        let run = |shards: usize| {
-            let mut cfg = cfg(shards);
-            cfg.horizon = warm_end.since(SimTime::ZERO) + cut;
-            let mut net = Network::new(&g, isp, cfg);
-            let first = net.run_paper_workload(3);
-            assert_eq!(first.outcome, RunOutcome::HorizonReached);
-            let at_cut = (
-                first.events_processed,
+        let mut net = Network::new(
+            &g,
+            isp,
+            NetworkConfig {
+                horizon: warm_end.since(SimTime::ZERO) + cut,
+                ..cfg
+            },
+        );
+        let first = net.run_paper_workload(3);
+        assert_eq!(first.outcome, RunOutcome::HorizonReached);
+        let at_cut = |net: &Network, report: &RunReport| {
+            (
+                report.events_processed,
                 net.events_processed(),
                 net.windows(),
                 net.dropped_messages(),
                 net.trace().events().to_vec(),
-            );
-            let again = net.resume();
-            assert_eq!(again.outcome, RunOutcome::HorizonReached);
-            assert_eq!(
-                at_cut,
-                (
-                    again.events_processed,
-                    net.events_processed(),
-                    net.windows(),
-                    net.dropped_messages(),
-                    net.trace().events().to_vec(),
-                ),
-                "a second resume under the same horizon must change nothing"
-            );
-            net.horizon = far;
-            let rest = net.resume();
-            assert_eq!(rest.outcome, RunOutcome::Quiescent);
-            let finished = (rest.message_count, net.trace().events().to_vec());
-            (at_cut, finished)
+            )
         };
-        let one = run(1);
-        let (_, _, _, dropped, events) = &one.0;
+        let cut_state = at_cut(&net, &first);
+        let (_, _, _, dropped, events) = &cut_state;
         let sent = events.iter().filter(|e| e.is_update_sent()).count() as u64;
         let received = events.iter().filter(|e| e.is_update_received()).count() as u64;
         assert!(
             sent > received + dropped,
             "the cut must catch updates in flight"
         );
-        assert_eq!(one.1, uncut, "the cut-and-resumed run diverged");
-        assert_eq!(one, run(2), "2 shards diverged from 1");
-        assert_eq!(one, run(8), "8 shards diverged from 1");
-    }
-
-    /// A panic inside a shard must end the run with a panic at every
-    /// shard count, never a hang (the thread and timeout here are the
-    /// test's own: the run itself has one thread of control).
-    #[test]
-    fn shard_panic_propagates_instead_of_hanging() {
-        for shards in [1, 2, 8] {
-            let (done_tx, done_rx) = std::sync::mpsc::channel();
-            std::thread::spawn(move || {
-                let mut cfg = small_cfg(3);
-                cfg.sim_shards = shards;
-                let mut net = Network::new(&mesh_torus(4, 4), NodeId::new(0), cfg);
-                net.warm_up();
-                let (at, owner) = (net.now() + SimDuration::from_secs(1), net.origin());
-                // There is no origin 99: the owning shard panics on it.
-                let event = NetEvent::OriginLink {
-                    origin: 99,
-                    up: false,
-                    rc: None,
-                };
-                net.prime(at, owner, event);
-                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| net.resume()));
-                let _ = done_tx.send(run.is_err());
-            });
-            assert_eq!(
-                done_rx.recv_timeout(std::time::Duration::from_secs(10)),
-                Ok(true),
-                "sim_shards = {shards}: the run must panic, not hang"
-            );
-        }
-    }
-
-    /// Same contract under RCN damping (root causes are stamped at
-    /// injection time; their dedup must not depend on the partition).
-    #[test]
-    fn sharded_rcn_runs_are_identical_across_shard_counts() {
-        let g = mesh_torus(3, 3);
-        let run = |shards: usize| {
-            let mut cfg = NetworkConfig::paper_rcn_damping(7);
-            cfg.sim_shards = shards;
-            let mut net = Network::new(&g, NodeId::new(4), cfg);
-            let report = net.run_paper_workload(3);
-            (
-                report.message_count,
-                report.convergence_time,
-                report.events_processed,
-                net.trace().events().to_vec(),
-            )
-        };
-        assert_eq!(run(1), run(3));
-    }
-
-    /// Interior link failure with in-flight loss, across shard counts:
-    /// exercises the split `LinkSession` events and per-shard
-    /// `down_links` views.
-    #[test]
-    fn sharded_link_schedule_is_identical_across_shard_counts() {
-        let g = mesh_torus(3, 3);
-        let run = |shards: usize| {
-            let mut cfg = NetworkConfig::paper_no_damping(9);
-            cfg.sim_shards = shards;
-            let mut net = Network::new(&g, NodeId::new(0), cfg);
-            net.warm_up();
-            let mut events = Vec::new();
-            for k in 0..12u64 {
-                events.push((
-                    SimTime::from_micros(k * 150_000),
-                    if k % 2 == 0 {
-                        rfd_core::LinkStatus::Down
-                    } else {
-                        rfd_core::LinkStatus::Up
-                    },
-                ));
-            }
-            let schedule = rfd_core::FlapSchedule::new(events);
-            let report = net.run_link_schedule(
-                NodeId::new(1),
-                NodeId::new(2),
-                &schedule,
-                SimDuration::from_secs(10),
-            );
-            (
-                report.message_count,
-                report.events_processed,
-                net.dropped_messages(),
-                net.trace().events().to_vec(),
-            )
-        };
-        let one = run(1);
-        assert!(one.2 > 0, "the workload must lose something in flight");
-        assert_eq!(one, run(2));
-        assert_eq!(one, run(5));
-    }
-
-    /// More shards than nodes: empty shards must be harmless.
-    #[test]
-    fn more_shards_than_meaningful_partitions_is_fine() {
-        let g = ring(4);
-        let mut cfg = small_cfg(6);
-        cfg.sim_shards = 12;
-        let mut net = Network::new(&g, NodeId::new(1), cfg);
-        let report = net.run_paper_workload(1);
-        assert_eq!(report.outcome, RunOutcome::Quiescent);
-        assert!(report.message_count > 0);
-        assert_eq!(net.shard_count(), 12);
-    }
-
-    /// A shard count no thread pool could serve (one thread per shard
-    /// aborted the process here): 20,000 shards, at most ten of them
-    /// holding a router, reproduce the one-shard run.
-    #[test]
-    fn twenty_thousand_shards_match_one() {
-        let g = mesh_torus(3, 3);
-        let run = |shards: usize| {
-            let mut cfg = NetworkConfig::paper_full_damping(5);
-            cfg.sim_shards = shards;
-            let mut net = Network::new(&g, NodeId::new(4), cfg);
-            let report = net.run_paper_workload(1);
-            assert_eq!(net.shard_count(), shards);
-            (
-                report.message_count,
-                report.convergence_time,
-                report.events_processed,
-                net.dropped_messages(),
-                net.trace().events().to_vec(),
-            )
-        };
-        let one = run(1);
-        assert!(one.0 > 0, "the reference run must send something");
-        assert_eq!(one, run(20_000));
+        let again = net.resume();
+        assert_eq!(again.outcome, RunOutcome::HorizonReached);
+        assert_eq!(
+            cut_state,
+            at_cut(&net, &again),
+            "a second resume under the same horizon must change nothing"
+        );
+        net.horizon = far;
+        let rest = net.resume();
+        assert_eq!(rest.outcome, RunOutcome::Quiescent);
+        assert_eq!(
+            (rest.message_count, net.trace().events().to_vec()),
+            uncut,
+            "the cut-and-resumed run diverged"
+        );
     }
 
     #[test]
@@ -1797,31 +1401,27 @@ mod tests {
         let (isp, a, b) = (NodeId::new(2), NodeId::new(5), NodeId::new(6));
         let schedule = rfd_core::FlapSchedule::from(FlapPattern::paper_default(3));
         let lead_in = SimDuration::from_secs(100);
-        for shards in [1, 2] {
-            let mut cfg = NetworkConfig::paper_full_damping(11);
-            cfg.sim_shards = shards;
-            let far = SimTime::ZERO + cfg.horizon;
-            let mut net = Network::new(&g, isp, cfg.clone());
-            net.warm_up();
-            let warm_end = net.now().since(SimTime::ZERO);
-            let uncut = net.run_link_schedule(a, b, &schedule, lead_in);
-            assert_eq!(uncut.outcome, RunOutcome::Quiescent);
+        let mut cfg = NetworkConfig::paper_full_damping(11);
+        let far = SimTime::ZERO + cfg.horizon;
+        let mut net = Network::new(&g, isp, cfg.clone());
+        net.warm_up();
+        let warm_end = net.now().since(SimTime::ZERO);
+        let uncut = net.run_link_schedule(a, b, &schedule, lead_in);
+        assert_eq!(uncut.outcome, RunOutcome::Quiescent);
 
-            cfg.horizon = warm_end + SimDuration::from_secs(160);
-            let mut net = Network::new(&g, isp, cfg);
-            net.warm_up();
-            let first = net.run_link_schedule(a, b, &schedule, lead_in);
-            assert_eq!(first.outcome, RunOutcome::HorizonReached);
-            assert!(first.events_processed < uncut.events_processed);
-            net.horizon = far;
-            let rest = net.resume();
-            assert_eq!(rest.outcome, RunOutcome::Quiescent);
-            assert_eq!(
-                (rest.events_processed, rest.message_count),
-                (uncut.events_processed, uncut.message_count),
-                "sim_shards = {shards}"
-            );
-        }
+        cfg.horizon = warm_end + SimDuration::from_secs(160);
+        let mut net = Network::new(&g, isp, cfg);
+        net.warm_up();
+        let first = net.run_link_schedule(a, b, &schedule, lead_in);
+        assert_eq!(first.outcome, RunOutcome::HorizonReached);
+        assert!(first.events_processed < uncut.events_processed);
+        net.horizon = far;
+        let rest = net.resume();
+        assert_eq!(rest.outcome, RunOutcome::Quiescent);
+        assert_eq!(
+            (rest.events_processed, rest.message_count),
+            (uncut.events_processed, uncut.message_count)
+        );
     }
 
     #[test]
@@ -1920,29 +1520,6 @@ mod tests {
         }
     }
 
-    /// Multi-origin workloads across shard counts: kickoffs and pulse
-    /// schedules on different origins must interleave identically.
-    #[test]
-    fn sharded_multi_origin_runs_are_identical_across_shard_counts() {
-        let g = mesh_torus(4, 4);
-        let run = |shards: usize| {
-            let mut cfg = NetworkConfig::paper_full_damping(8);
-            cfg.sim_shards = shards;
-            let mut net = Network::new_multi(&g, &[NodeId::new(2), NodeId::new(13)], cfg);
-            net.warm_up();
-            let s0 = rfd_core::FlapSchedule::from(FlapPattern::paper_default(2));
-            let s1 = rfd_core::FlapSchedule::from(FlapPattern::paper_default(4));
-            let report = net.run_schedules(&[(0, &s0), (1, &s1)], SimDuration::from_secs(100));
-            (
-                report.message_count,
-                report.convergence_time,
-                report.events_processed,
-                net.trace().events().to_vec(),
-            )
-        };
-        assert_eq!(run(1), run(4));
-    }
-
     #[test]
     fn ledger_streams_lifecycle_without_perturbing_the_run() {
         let g = line(4);
@@ -2005,33 +1582,6 @@ mod tests {
             !shared.lock().records().is_empty(),
             "the measured phase streams records"
         );
-    }
-
-    /// The ledger stream must also be partition-invariant (records
-    /// merge at barriers in canonical order).
-    #[test]
-    fn sharded_ledger_stream_is_identical_across_shard_counts() {
-        let g = line(4);
-        let isp = NodeId::new(3);
-        let run = |shards: usize| {
-            let mut cfg = NetworkConfig::paper_full_damping(5);
-            cfg.sim_shards = shards;
-            let mut net = Network::new(&g, isp, cfg);
-            net.warm_up();
-            let origin = net.origin();
-            let shared = rfd_core::SharedLedger::new(rfd_core::VecLedger::new());
-            net.set_ledger(
-                rfd_core::LedgerFilter::keys([(origin.raw(), Prefix::ORIGIN.id())]),
-                Box::new(shared.clone()),
-            );
-            net.run_pulses(FlapPattern::paper_default(3), SimDuration::from_secs(100));
-            let ledger = shared.lock();
-            let rendered: Vec<String> = ledger.records().iter().map(|r| format!("{r:?}")).collect();
-            rendered
-        };
-        let one = run(1);
-        assert!(!one.is_empty());
-        assert_eq!(one, run(2));
     }
 
     #[test]

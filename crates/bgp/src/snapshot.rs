@@ -1,14 +1,14 @@
 //! Crash-safe warm-state snapshots: checkpoint/restore for [`Network`].
 //!
 //! A snapshot serialises the **complete** mutable simulation state —
-//! the network's interned path table (once), then per shard its routers
-//! (RIBs, MRAI pacing, damper stores, RCN/selective filters), pending
-//! timer-wheel events in canonical `(time, key)` order, per-node RNG
-//! streams and TCP-ordering clamps, and last the coordinator's
-//! aggregator sinks — into a
-//! fingerprinted binary container (see [`rfd_snap`]) written with a
-//! temp-file + atomic-rename protocol, so a process killed mid-write
-//! can never leave a half snapshot behind.
+//! the run counters and the clock, the interned path table, every
+//! router (RIBs, MRAI pacing, damper stores, RCN/selective filters)
+//! with its RNG streams and sequence number, the TCP-ordering clamps
+//! and down links, the pending events in canonical `(time, key)` order,
+//! and last the aggregator sinks — into a fingerprinted binary
+//! container (see [`rfd_snap`]) written with a temp-file +
+//! atomic-rename protocol, so a process killed mid-write can never
+//! leave a half snapshot behind.
 //!
 //! Two restore modes exist, gated by two fingerprints:
 //!
@@ -16,11 +16,9 @@
 //!   fingerprint to match: the full topology + [`NetworkConfig`]. A run
 //!   that checkpoints at sim-time `T`, is killed, and resumes produces
 //!   CSV/trace/ledger output **byte-identical** to an uninterrupted
-//!   run, at any shard count (checkpoint pauses land on conservative
-//!   window boundaries, and window segmentation is invisible: event pop
-//!   order is the pure `(time, key)` order, per-node RNG draws follow
-//!   each node's own event order, and cross-shard messages always land
-//!   beyond the lookahead).
+//!   run: checkpoint pauses land on window boundaries, event pop order
+//!   is the pure `(time, key)` order, and per-node RNG draws follow
+//!   each node's own event order.
 //! * **Fork** ([`Snapshot::fork_into`]) requires only the *flow*
 //!   fingerprint — everything **except** the damping deployment,
 //!   penalty filter, and reuse-timer quantisation — plus the snapshot's
@@ -32,12 +30,12 @@
 //!   same variant.
 //!
 //! **Not captured** (rebuilt or irrelevant on restore): decay tables
-//! and damping parameters, the policy, origins and node → shard maps
-//! (all derived from config), the path interner's dedup/memo caches and
-//! hit counters (caches never influence which id a path interns to),
-//! and the `EpochBarrier` (fresh per drive; the `windows` counter is
-//! carried). Messages in flight between shards need no section of their
-//! own: they are pending events on the receiver's queue.
+//! and damping parameters, the policy and origins (all derived from
+//! config), the path interner's dedup/memo caches and hit counters
+//! (caches never influence which id a path interns to), and the
+//! `EpochBarrier` (fresh per drive; the `windows` counter is carried).
+//! Messages in flight need no section of their own: they are pending
+//! `Deliver` events.
 
 use std::path::Path;
 
@@ -46,11 +44,11 @@ use rfd_core::{
     SelectiveFilter,
 };
 use rfd_metrics::TraceSink;
-use rfd_sim::{DetRng, ShardEngine, SimTime};
+use rfd_sim::{DetRng, SimTime};
 use rfd_snap::{ContainerInfo, Decoder, Encoder, Fingerprint, SnapError};
 use rfd_topology::{Graph, NodeId};
 
-use super::{NetEvent, Network, Shard};
+use super::{NetEvent, Network, State};
 use crate::config::{DampingDeployment, NetworkConfig, PenaltyFilter};
 use crate::intern::PathTable;
 use crate::message::{Prefix, UpdateMessage, UpdatePayload};
@@ -156,7 +154,7 @@ pub enum SnapshotError {
     /// irrecoverable state).
     UnsupportedSink(&'static str),
     /// The payload decoded cleanly but its shape disagrees with the
-    /// target network (shard or router counts) — indicates an internal
+    /// target network (router counts) — indicates an internal
     /// bug, since the fingerprints matched.
     Shape(&'static str),
 }
@@ -243,45 +241,10 @@ impl Snapshot {
         enc.bool(net.warmed_up);
         enc.u64(net.rc_seq);
         enc.u64(net.inj_seq);
-        enc.u64(net.coord.processed);
+        enc.u64(net.events_processed());
         enc.u64(net.windows);
         enc.u64(net.measured_base);
-        let table = &net.shared.path_table;
-        enc.usize(table.distinct());
-        for path in table.paths() {
-            enc.usize(path.len());
-            for hop in path {
-                enc.u32(hop.raw());
-            }
-        }
-        enc.usize(net.shards.len());
-        for (shard, queue) in net.shards.iter().zip(&mut net.shared.queues) {
-            encode_shard(&mut enc, shard, queue);
-        }
-        let conv = net
-            .coord
-            .conv
-            .export_snapshot()
-            .ok_or(SnapshotError::UnsupportedSink("convergence tracker"))?;
-        enc.bytes(&conv);
-        let msgs = net
-            .coord
-            .msgs
-            .export_snapshot()
-            .ok_or(SnapshotError::UnsupportedSink("message counter"))?;
-        enc.bytes(&msgs);
-        let sink = net
-            .coord
-            .sink
-            .export_snapshot()
-            .ok_or_else(|| SnapshotError::UnsupportedSink(std::any::type_name::<S>()))?;
-        enc.bytes(&sink);
-        let ledger = net
-            .coord
-            .ledger
-            .export_snapshot()
-            .ok_or(SnapshotError::UnsupportedSink("ledger sink"))?;
-        enc.bytes(&ledger);
+        encode_state(&mut enc, &mut net.state)?;
         Ok(Snapshot {
             key,
             payload: enc.into_bytes(),
@@ -400,59 +363,22 @@ impl Snapshot {
     fn restore<S: TraceSink>(&self, net: &mut Network<S>, fork: bool) -> Result<(), SnapshotError> {
         let mut dec = Decoder::new(&self.payload);
         let warm = dec.bool("warm flag")?;
-        let _sim_time = dec.u64("sim time")?;
+        let now = SimTime::from_micros(dec.u64("sim time")?);
         let warmed_up = dec.bool("warmed-up flag")?;
         let rc_seq = dec.u64("rc seq")?;
         let inj_seq = dec.u64("injector seq")?;
         let processed = dec.u64("processed count")?;
         let windows = dec.u64("window count")?;
         let measured_base = dec.u64("measured base")?;
-        let n_paths = dec.usize("path count")?;
-        let mut paths: Vec<Vec<NodeId>> = Vec::with_capacity(n_paths.min(dec.remaining()));
-        for _ in 0..n_paths {
-            let hops = dec.usize("path length")?;
-            let mut path = Vec::with_capacity(hops.min(dec.remaining()));
-            for _ in 0..hops {
-                path.push(NodeId::new(dec.u32("path hop")?));
-            }
-            paths.push(path);
-        }
-        net.shared.path_table = PathTable::rebuild(paths);
-        let n_shards = dec.usize("shard count")?;
-        if n_shards != net.shards.len() {
-            return Err(SnapshotError::Shape("shard count"));
-        }
-        let table = &net.shared.path_table;
-        let origins = net.shared.origins.len();
-        for (shard, queue) in net.shards.iter_mut().zip(&mut net.shared.queues) {
-            restore_shard(shard, queue, table, origins, &mut dec, fork)?;
-        }
-        let conv = dec.bytes("convergence tracker snapshot")?;
-        let msgs = dec.bytes("message counter snapshot")?;
-        let sink = dec.bytes("trace sink snapshot")?;
-        let ledger = dec.bytes("ledger sink snapshot")?;
-        if !fork {
-            if !net.coord.conv.import_snapshot(conv) {
-                return Err(SnapshotError::UnsupportedSink("convergence tracker"));
-            }
-            if !net.coord.msgs.import_snapshot(msgs) {
-                return Err(SnapshotError::UnsupportedSink("message counter"));
-            }
-            if !net.coord.sink.import_snapshot(sink) {
-                return Err(SnapshotError::UnsupportedSink(std::any::type_name::<S>()));
-            }
-            if !net.coord.ledger.import_snapshot(ledger) {
-                return Err(SnapshotError::UnsupportedSink("ledger sink"));
-            }
-        }
+        restore_state(&mut net.state, &mut dec, fork)?;
         if !dec.is_done() {
             return Err(SnapshotError::Shape("trailing payload bytes"));
         }
+        net.state.queue.set_clock(now, processed);
         net.warm_boundary = warm;
         net.warmed_up = warmed_up;
         net.rc_seq = rc_seq;
         net.inj_seq = inj_seq;
-        net.coord.processed = processed;
         net.windows = windows;
         net.measured_base = measured_base;
         Ok(())
@@ -470,19 +396,28 @@ pub fn inspect(path: &Path) -> Result<ContainerInfo, SnapshotError> {
     Ok(rfd_snap::inspect_file(path)?)
 }
 
-fn encode_shard(enc: &mut Encoder, shard: &Shard, queue: &mut ShardEngine<NetEvent>) {
-    assert!(
-        shard.traces.is_empty() && shard.ledger.is_empty(),
-        "snapshot capture outside a drive boundary (window buffers not flushed)"
-    );
-    enc.usize(shard.routers.len());
-    for router in &shard.routers {
+/// Writes the one simulation state: path table, routers and their
+/// per-node streams, link state, pending events, then the sinks.
+fn encode_state<S: TraceSink>(
+    enc: &mut Encoder,
+    state: &mut State<S>,
+) -> Result<(), SnapshotError> {
+    let table = &state.path_table;
+    enc.usize(table.distinct());
+    for path in table.paths() {
+        enc.usize(path.len());
+        for hop in path {
+            enc.u32(hop.raw());
+        }
+    }
+    enc.usize(state.routers.len());
+    for router in &state.routers {
         router.encode_snapshot(enc);
     }
-    enc.seq(&shard.delay_rngs, encode_rng);
-    enc.seq(&shard.mrai_rngs, encode_rng);
-    enc.seq(&shard.seqs, |e, s| e.u64(*s));
-    let mut delivery: Vec<((u32, u32), SimTime)> = shard
+    enc.seq(&state.delay_rngs, encode_rng);
+    enc.seq(&state.mrai_rngs, encode_rng);
+    enc.seq(&state.seqs, |e, s| e.u64(*s));
+    let mut delivery: Vec<((u32, u32), SimTime)> = state
         .last_delivery
         .iter()
         .map(|(&link, &at)| (link, at))
@@ -493,60 +428,92 @@ fn encode_shard(enc: &mut Encoder, shard: &Shard, queue: &mut ShardEngine<NetEve
         e.u32(b);
         e.u64(at.as_micros());
     });
-    let mut down: Vec<(u32, u32)> = shard.down_links.iter().copied().collect();
+    let mut down: Vec<(u32, u32)> = state.down_links.iter().copied().collect();
     down.sort_unstable();
     enc.seq(&down, |e, &(a, b)| {
         e.u32(a);
         e.u32(b);
     });
-    enc.u64(shard.dropped);
-    enc.bool(shard.muted);
-    enc.u64(shard.discarded);
-    enc.u64(queue.now().as_micros());
-    enc.u64(queue.processed());
+    enc.u64(state.dropped);
+    enc.bool(state.muted);
+    enc.u64(state.discarded);
     // Drain-and-reschedule: pop order is the pure `(time, key)` order,
     // so re-inserting in that same order reproduces identical behaviour
     // (wheel-internal slot ids are never observable).
-    let events = queue.drain_pending();
+    let events = state.queue.drain_pending();
     enc.usize(events.len());
     for (at, key, event) in &events {
         enc.u64(at.as_micros());
         enc.u64(*key);
         encode_event(enc, event);
     }
+    let conv = state
+        .conv
+        .export_snapshot()
+        .ok_or(SnapshotError::UnsupportedSink("convergence tracker"))?;
+    enc.bytes(&conv);
+    let msgs = state
+        .msgs
+        .export_snapshot()
+        .ok_or(SnapshotError::UnsupportedSink("message counter"))?;
+    enc.bytes(&msgs);
+    let sink = state
+        .sink
+        .export_snapshot()
+        .ok_or_else(|| SnapshotError::UnsupportedSink(std::any::type_name::<S>()))?;
+    enc.bytes(&sink);
+    let ledger = state
+        .ledger
+        .export_snapshot()
+        .ok_or(SnapshotError::UnsupportedSink("ledger sink"))?;
+    enc.bytes(&ledger);
+    Ok(())
 }
 
-fn restore_shard(
-    shard: &mut Shard,
-    queue: &mut ShardEngine<NetEvent>,
-    table: &PathTable,
-    origins: usize,
+/// Reads what [`encode_state`] wrote into a freshly built state of the
+/// same shape. A fork keeps its own sinks (and, in the routers, its own
+/// damping state).
+fn restore_state<S: TraceSink>(
+    state: &mut State<S>,
     dec: &mut Decoder<'_>,
     fork: bool,
 ) -> Result<(), SnapshotError> {
+    let n_paths = dec.usize("path count")?;
+    let mut paths: Vec<Vec<NodeId>> = Vec::with_capacity(n_paths.min(dec.remaining()));
+    for _ in 0..n_paths {
+        let hops = dec.usize("path length")?;
+        let mut path = Vec::with_capacity(hops.min(dec.remaining()));
+        for _ in 0..hops {
+            path.push(NodeId::new(dec.u32("path hop")?));
+        }
+        paths.push(path);
+    }
+    state.path_table = PathTable::rebuild(paths);
+    let table = &state.path_table;
+    let origins = state.origins.len();
     let n_routers = dec.usize("router count")?;
-    if n_routers != shard.routers.len() {
+    if n_routers != state.routers.len() {
         return Err(SnapshotError::Shape("router count"));
     }
-    for router in &mut shard.routers {
+    for router in &mut state.routers {
         router.apply_snapshot(dec, table, origins, fork)?;
     }
     let delay_states = dec.seq("delay rng states", decode_rng)?;
-    if delay_states.len() != shard.delay_rngs.len() {
+    if delay_states.len() != state.delay_rngs.len() {
         return Err(SnapshotError::Shape("delay rng count"));
     }
-    shard.delay_rngs = delay_states;
+    state.delay_rngs = delay_states;
     let mrai_states = dec.seq("mrai rng states", decode_rng)?;
-    if mrai_states.len() != shard.mrai_rngs.len() {
+    if mrai_states.len() != state.mrai_rngs.len() {
         return Err(SnapshotError::Shape("mrai rng count"));
     }
-    shard.mrai_rngs = mrai_states;
+    state.mrai_rngs = mrai_states;
     let seqs = dec.seq("event seqs", |d| d.u64("event seq"))?;
-    if seqs.len() != shard.seqs.len() {
+    if seqs.len() != state.seqs.len() {
         return Err(SnapshotError::Shape("event seq count"));
     }
-    shard.seqs = seqs;
-    shard.last_delivery = dec
+    state.seqs = seqs;
+    state.last_delivery = dec
         .seq("delivery clamps", |d| {
             let a = d.u32("delivery link")?;
             let b = d.u32("delivery link")?;
@@ -555,17 +522,15 @@ fn restore_shard(
         })?
         .into_iter()
         .collect();
-    shard.down_links = dec
+    state.down_links = dec
         .seq("down links", |d| {
             Ok((d.u32("down link")?, d.u32("down link")?))
         })?
         .into_iter()
         .collect();
-    shard.dropped = dec.u64("dropped count")?;
-    shard.muted = dec.bool("muted flag")?;
-    shard.discarded = dec.u64("discarded count")?;
-    let now = SimTime::from_micros(dec.u64("engine clock")?);
-    let engine_processed = dec.u64("engine processed")?;
+    state.dropped = dec.u64("dropped count")?;
+    state.muted = dec.bool("muted flag")?;
+    state.discarded = dec.u64("discarded count")?;
     let n_events = dec.usize("pending event count")?;
     let mut events = Vec::with_capacity(n_events.min(dec.remaining()));
     for _ in 0..n_events {
@@ -574,8 +539,25 @@ fn restore_shard(
         let event = decode_event(dec, table, origins)?;
         events.push((at, key, event));
     }
-    queue.set_clock(now, engine_processed);
-    queue.restore_pending(events);
+    state.queue.restore_pending(events);
+    let conv = dec.bytes("convergence tracker snapshot")?;
+    let msgs = dec.bytes("message counter snapshot")?;
+    let sink = dec.bytes("trace sink snapshot")?;
+    let ledger = dec.bytes("ledger sink snapshot")?;
+    if !fork {
+        if !state.conv.import_snapshot(conv) {
+            return Err(SnapshotError::UnsupportedSink("convergence tracker"));
+        }
+        if !state.msgs.import_snapshot(msgs) {
+            return Err(SnapshotError::UnsupportedSink("message counter"));
+        }
+        if !state.sink.import_snapshot(sink) {
+            return Err(SnapshotError::UnsupportedSink(std::any::type_name::<S>()));
+        }
+        if !state.ledger.import_snapshot(ledger) {
+            return Err(SnapshotError::UnsupportedSink("ledger sink"));
+        }
+    }
     Ok(())
 }
 

@@ -330,10 +330,9 @@ proptest! {
 #[test]
 fn a_run_without_a_horizon_ends_quiescent() {
     let graph = mesh_torus(4, 4);
-    let run = |horizon, sim_shards| {
+    let run = |horizon| {
         let config = NetworkConfig {
             horizon,
-            sim_shards,
             ..NetworkConfig::paper_full_damping(3)
         };
         let mut net = Network::new(&graph, NodeId::new(5), config);
@@ -341,8 +340,6 @@ fn a_run_without_a_horizon_ends_quiescent() {
         assert_eq!(report.outcome, RunOutcome::Quiescent);
         (report.message_count, report.convergence_time, net.windows())
     };
-    let bounded = run(NetworkConfig::paper_full_damping(3).horizon, 1);
-    for sim_shards in [1, 2] {
-        assert_eq!(run(SimDuration::MAX, sim_shards), bounded);
-    }
+    let bounded = run(NetworkConfig::paper_full_damping(3).horizon);
+    assert_eq!(run(SimDuration::MAX), bounded);
 }

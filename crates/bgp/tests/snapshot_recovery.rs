@@ -3,7 +3,8 @@
 //! * **Kill-resume byte-identity** — a run that checkpoints
 //!   periodically, is killed at an arbitrary checkpoint, and resumes
 //!   from the snapshot file must produce the same trace, report, and
-//!   drop counters as the uninterrupted run, at shard counts 1 and 2.
+//!   drop counters as the uninterrupted run, over random topologies,
+//!   seeds, damping variants, policies and pulse counts.
 //! * **Warm-fork equality** — forking damping-parameter variants from
 //!   one warm snapshot must equal cold starts of those variants.
 //! * **Corruption refusal** — truncated files, bit flips, and
@@ -14,11 +15,11 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
-use rfd_bgp::{snapshot, Network, NetworkConfig, Snapshot, SnapshotError};
+use rfd_bgp::{snapshot, Network, NetworkConfig, Policy, Snapshot, SnapshotError};
 use rfd_core::{FlapPattern, FlapSchedule};
 use rfd_metrics::TraceEvent;
 use rfd_sim::SimDuration;
-use rfd_topology::{internet_like, mesh_torus, ring, NodeId};
+use rfd_topology::{internet_like, mesh_torus, ring, NodeId, Relationships};
 
 static FILE_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -59,14 +60,12 @@ fn topo_strategy() -> impl Strategy<Value = Topo> {
     ]
 }
 
-fn config_for(seed: u64, variant: usize, shards: usize) -> NetworkConfig {
-    let mut cfg = match variant % 3 {
+fn config_for(seed: u64, variant: usize) -> NetworkConfig {
+    match variant % 3 {
         0 => NetworkConfig::paper_full_damping(seed),
         1 => NetworkConfig::paper_no_damping(seed),
         _ => NetworkConfig::paper_rcn_damping(seed),
-    };
-    cfg.sim_shards = shards;
-    cfg
+    }
 }
 
 /// Everything observable that the recovery contract pins.
@@ -113,27 +112,36 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Checkpoint → kill → restore-from-file → run-to-end equals the
-    /// uninterrupted run, byte for byte, at shard counts 1 and 2.
+    /// uninterrupted run, byte for byte. The window count is pinned
+    /// too, against the same run resumed in memory: a checkpoint pause
+    /// ends a window early, so the count depends on where the run was
+    /// cut, but never on whether it continued in memory or from a file.
     #[test]
     fn kill_resume_is_byte_identical(
         topo in topo_strategy(),
         isp_pick in 0usize..64,
         seed in 1u64..10_000,
         variant in 0usize..3,
-        shards in 1usize..3,
+        no_valley in any::<bool>(),
+        pulses in 1usize..3,
         every_secs in 20u64..90,
         kill_pick in 0usize..16,
     ) {
         let graph = topo.build();
         let isp = NodeId::new((isp_pick % graph.node_count()) as u32);
-        let cfg = config_for(seed, variant, shards);
+        let mut cfg = config_for(seed, variant);
+        if no_valley {
+            cfg.policy = Policy::NoValley(Relationships::infer_by_degree(&graph, 0.25));
+        }
         let key = snapshot::fingerprints(&graph, &[isp], &cfg);
-        let schedule = FlapSchedule::from(FlapPattern::paper_default(2));
+        let schedule = FlapSchedule::from(FlapPattern::paper_default(pulses));
 
         let reference = run_straight(&graph, isp, &cfg, &schedule);
 
-        // The same run again, checkpointing every `every_secs`; the
-        // periodic pauses themselves must not perturb anything.
+        // The same run again, checkpointing every `every_secs` and
+        // "killed" after checkpoint `kill_pick` (or after the last one,
+        // if the run ends sooner); the pauses themselves and the
+        // in-memory continuation must not perturb anything.
         let mut net = Network::new(&graph, isp, cfg.clone());
         net.warm_up();
         let mut snaps = Vec::new();
@@ -143,17 +151,17 @@ proptest! {
             SimDuration::from_secs(every_secs),
             |n| {
                 snaps.push(Snapshot::capture(n, key).expect("capture"));
-                true
+                snaps.len() <= kill_pick
             },
         );
+        let report = if snaps.len() > kill_pick { net.resume() } else { report };
         assert_same(&reference, &observe(&net, &report), "checkpointed run");
         prop_assume!(!snaps.is_empty());
 
-        // "Kill" at an arbitrary checkpoint: all later state is gone;
-        // only the snapshot file survives.
-        let snap = &snaps[kill_pick % snaps.len()];
+        // The kill: all later state is gone; only the snapshot file
+        // survives.
         let path = scratch("resume");
-        snap.write(&path).expect("write snapshot");
+        snaps.last().expect("checked above").write(&path).expect("write snapshot");
         let loaded = Snapshot::read(&path).expect("read snapshot");
         std::fs::remove_file(&path).ok();
 
@@ -161,6 +169,7 @@ proptest! {
         loaded.resume_into(&mut resumed, &key).expect("resume");
         let report = resumed.resume();
         assert_same(&reference, &observe(&resumed, &report), "resumed run");
+        prop_assert_eq!(resumed.windows(), net.windows(), "windows");
     }
 
     /// Forking a damping-parameter variant from a warm flow-matched
@@ -172,20 +181,19 @@ proptest! {
         seed in 1u64..10_000,
         donor_variant in 0usize..3,
         fork_variant in 0usize..3,
-        shards in 1usize..3,
     ) {
         let graph = topo.build();
         let isp = NodeId::new((isp_pick % graph.node_count()) as u32);
         let schedule = FlapSchedule::from(FlapPattern::paper_default(2));
 
-        let donor_cfg = config_for(seed, donor_variant, shards);
+        let donor_cfg = config_for(seed, donor_variant);
         let donor_key = snapshot::fingerprints(&graph, &[isp], &donor_cfg);
         let mut donor = Network::new(&graph, isp, donor_cfg);
         donor.warm_up();
         let snap = Snapshot::capture(&mut donor, donor_key).expect("capture");
         prop_assert!(snap.is_warm());
 
-        let fork_cfg = config_for(seed, fork_variant, shards);
+        let fork_cfg = config_for(seed, fork_variant);
         let fork_key = snapshot::fingerprints(&graph, &[isp], &fork_cfg);
         let mut forked = Network::new(&graph, isp, fork_cfg.clone());
         snap.fork_into(&mut forked, &fork_key).expect("fork");
@@ -197,10 +205,11 @@ proptest! {
 }
 
 fn small_scenario() -> (rfd_topology::Graph, NodeId, NetworkConfig) {
-    let graph = mesh_torus(3, 3);
-    let mut cfg = NetworkConfig::paper_full_damping(7);
-    cfg.sim_shards = 2;
-    (graph, NodeId::new(4), cfg)
+    (
+        mesh_torus(3, 3),
+        NodeId::new(4),
+        NetworkConfig::paper_full_damping(7),
+    )
 }
 
 /// A warm snapshot written to disk for the corruption tests.
@@ -315,14 +324,9 @@ fn mid_run_snapshot_cannot_fork() {
 
 /// The payload of the first checkpoint (at 120 s) of a fully damped
 /// run that flaps origin 0 three times.
-fn first_checkpoint_payload(
-    graph: &rfd_topology::Graph,
-    isps: &[NodeId],
-    shards: usize,
-) -> Vec<u8> {
+fn first_checkpoint_payload(graph: &rfd_topology::Graph, isps: &[NodeId]) -> Vec<u8> {
     let schedule = FlapSchedule::from(FlapPattern::paper_default(3));
-    let mut cfg = NetworkConfig::paper_full_damping(5);
-    cfg.sim_shards = shards;
+    let cfg = NetworkConfig::paper_full_damping(5);
     let key = snapshot::fingerprints(graph, isps, &cfg);
     let mut net = Network::new_multi(graph, isps, cfg);
     net.warm_up();
@@ -349,36 +353,32 @@ fn first_checkpoint_payload(
 /// The path interner's hasher and collision chain, and the router's
 /// per-prefix storage, are invisible to the file format: the first
 /// checkpoint of a fixed run has a pinned length and hash. Format
-/// version 3: the trace section is the `--trace` line format — the
-/// torus takes 41,880 bytes at one shard and 41,969 at two, where
-/// version 2's binary trace codec took 39,420 and 39,509. The
-/// eight-origin case pins the multi-prefix encode order (ascending
-/// prefix id within each router); its length and hash were recorded
-/// while routers still kept their prefixes in a `BTreeMap`, before the
-/// dense per-prefix table replaced it.
+/// version 4 writes one simulation state, with no shard count and the
+/// clock and processed count only in the header (24 bytes fewer than
+/// version 3). The eight-origin case pins the multi-prefix encode order
+/// (ascending prefix id within each router).
 #[test]
 fn checkpoint_bytes_are_pinned() {
     let torus = mesh_torus(6, 6);
     let internet = internet_like(60, 2, 5);
     let eight: Vec<NodeId> = (0..8).map(|i| NodeId::new(i * 7)).collect();
-    let cases: [(&rfd_topology::Graph, &[NodeId], usize, usize, u64); 3] = [
-        (&torus, &[NodeId::new(0)], 1, 41_880, 0x6c73_17c4_45b5_a415),
-        (&torus, &[NodeId::new(0)], 2, 41_969, 0xbf71_895a_db02_62f8),
-        (&internet, &eight, 1, 229_987, 0x9dde_5acf_5b23_655c),
+    let cases: [(&rfd_topology::Graph, &[NodeId], usize, u64); 2] = [
+        (&torus, &[NodeId::new(0)], 41_856, 0xe739_e5c3_d726_b1a2),
+        (&internet, &eight, 229_963, 0xbe80_bd85_337c_5501),
     ];
-    for (graph, isps, shards, len, pinned) in cases {
-        let payload = first_checkpoint_payload(graph, isps, shards);
+    for (graph, isps, len, pinned) in cases {
+        let payload = first_checkpoint_payload(graph, isps);
         assert_eq!(
             (payload.len(), rfd_snap::fnv1a(&payload)),
             (len, pinned),
-            "snapshot payload changed: {} origins, sim_shards = {shards}",
+            "snapshot payload changed: {} origins",
             isps.len()
         );
     }
 }
 
 /// Offset of the first router's first prefix id in the payload of a
-/// one-shard network without damping — the layout `Snapshot::capture`
+/// network without damping — the layout `Snapshot::capture`
 /// writes: header, path table, then per router its charging flag,
 /// down flags, damper store (absent) and prefix count.
 fn first_prefix_id_offset(payload: &[u8]) -> Result<usize, rfd_snap::SnapError> {
@@ -394,7 +394,6 @@ fn first_prefix_id_offset(payload: &[u8]) -> Result<usize, rfd_snap::SnapError> 
             d.u32("hop")?;
         }
     }
-    assert_eq!(d.usize("shards")?, 1);
     d.usize("routers")?;
     d.bool("charging")?;
     d.seq("down", |d| d.bool("down"))?;

@@ -64,7 +64,6 @@ pub fn save_csv(name: &str, table: &Table) -> PathBuf {
 pub const EXEC: args::Table = args::Table { command: "rfd figure NAME", base: None, flags: &[
     Flag::switch("--quick", "reduced sizes: 5 pulses, 1 seed by default"),
     Flag::value("--threads", "N", "grid worker threads (default 0: all cores)"),
-    SIM_SHARDS,
     Flag::switch("--resume", "skip cells already journaled under results/"),
     Flag::switch("--resume-force", "resume despite a grid-fingerprint mismatch"),
     Flag::value("--retries", "N", "re-run a failed cell N times before quarantine"),
@@ -73,11 +72,6 @@ pub const EXEC: args::Table = args::Table { command: "rfd figure NAME", base: No
     OBS,
 ] };
 
-/// `--sim-shards N`, wherever a simulation is configured.
-#[rustfmt::skip]
-pub const SIM_SHARDS: Flag =
-    Flag::value("--sim-shards", "N", "lock-step simulation shards (default 1)");
-
 /// The hidden fault-injection knob (see [`ChaosPlan::parse`]).
 pub const CHAOS: Flag = Flag::value("--chaos", "SPEC", "deterministic fault injection").hidden();
 
@@ -85,19 +79,6 @@ pub const CHAOS: Flag = Flag::value("--chaos", "SPEC", "deterministic fault inje
 #[rustfmt::skip]
 pub const OBS: Flag =
     Flag::new("--obs", Takes::OptionalEq("PATH"), "record spans/counters to a Chrome-trace JSON");
-
-/// Reads [`SIM_SHARDS`]: absent means 1; zero and counts beyond the
-/// shard id range are refused.
-pub fn sim_shards(p: &Parsed<'_>) -> Result<usize, CliError> {
-    let most = usize::from(rfd_topology::ShardId::MAX);
-    match p.parse("--sim-shards")? {
-        Some(0) => Err(CliError("--sim-shards must be at least 1".into())),
-        Some(n) if n > most => Err(CliError(format!(
-            "--sim-shards must be at most {most}, got {n}"
-        ))),
-        n => Ok(n.unwrap_or(1)),
-    }
-}
 
 /// Reads [`CHAOS`]: absent means the empty plan.
 pub fn chaos(p: &Parsed<'_>) -> Result<ChaosPlan, CliError> {
@@ -149,7 +130,6 @@ pub fn exec_flags(p: &Parsed<'_>) -> Result<Exec, CliError> {
         obs: obs(p),
         opts: SweepOptions {
             threads: p.parse("--threads")?.unwrap_or(0),
-            sim_shards: sim_shards(p)?,
             resume: resume_force || p.has("--resume"),
             resume_force,
             retries: p.parse("--retries")?.unwrap_or(0),

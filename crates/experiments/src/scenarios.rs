@@ -282,7 +282,7 @@ impl WarmCache {
 }
 
 // The runner moves whole simulations across threads: the network (its
-// shard engines included) and the graphs it is built from must be `Send`.
+// event queue included) and the graphs it is built from must be `Send`.
 // Compile-time proof — if a future change adds an `Rc` or a raw pointer
 // to any of these, this stops building.
 const _: () = {

@@ -143,12 +143,6 @@ pub struct SweepOptions {
     /// into a counting sink and never reach the journals or tables —
     /// the sweep's CSVs are byte-identical either way (tested).
     pub ledger_keys: Vec<(u32, u32)>,
-    /// Simulation shards per cell (`--sim-shards N`). The sharded
-    /// engine is byte-deterministic across shard counts, so this knob
-    /// never changes the CSVs — it is excluded from the journal
-    /// fingerprint on purpose, and CI diffs a shard-1 sweep against a
-    /// shard-2 sweep to hold the contract.
-    pub sim_shards: usize,
     /// Run every series on this topology instead of its own
     /// (`--topology torus:RxC|ba:N` on `rfd sweep`). Folded into the
     /// journal fingerprint: an overridden sweep never resumes a
@@ -176,7 +170,6 @@ impl Default for SweepOptions {
             resume_force: false,
             chaos: ChaosPlan::none(),
             ledger_keys: Vec::new(),
-            sim_shards: 1,
             topology: None,
             warm_fork: false,
         }
@@ -318,8 +311,7 @@ pub fn try_measure_sweep(
     }
     // The fingerprint salt folds in what the axes can't see: which
     // topology each series runs on (the damping parameters live in the
-    // config closure; the label names the profile). `sim_shards` is
-    // deliberately absent: shard counts do not change results.
+    // config closure; the label names the profile).
     let mut salt_parts: Vec<String> = specs
         .iter()
         .flat_map(|s| [s.label.clone(), format!("{:?}", s.kind)])
@@ -338,18 +330,13 @@ pub fn try_measure_sweep(
         let label = spec.label.clone();
         grid = grid.series(label, spec);
     }
-    let shards = opts.sim_shards.max(1);
     let warm_cache = opts.warm_fork.then(WarmCache::new);
     let results = run_grid(&grid, &opts.runner_config(), |spec: &SeriesSpec, cell| {
         run_pattern_metrics(
             spec.kind,
             cell.seed,
             FlapPattern::paper_default(cell.pulses),
-            |g| {
-                let mut cfg = (spec.make)(g, cell.seed);
-                cfg.sim_shards = shards;
-                cfg
-            },
+            |g| (spec.make)(g, cell.seed),
             warm_cache.as_ref(),
             &opts.ledger_keys,
         )

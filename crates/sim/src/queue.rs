@@ -1,38 +1,29 @@
-//! Building blocks for conservative windowed simulation.
+//! The event queue and the window plan that drives it.
 //!
-//! The sharded run loop splits one global agenda into N per-shard
-//! [`ShardEngine`]s and advances them in lock-step windows planned by
-//! an [`EpochBarrier`], one shard after another on one thread. The
-//! protocol is classic conservative ("null-message-free barrier")
-//! synchronization:
+//! A simulation keeps every pending event in one [`EventQueue`] and
+//! advances it in windows planned by an [`EpochBarrier`]: the barrier
+//! takes the earliest pending event time `t0`, and the model pops and
+//! handles every event before `t0 + lookahead` (for the BGP model the
+//! lookahead is the minimum link delay — see
+//! `NetworkConfig::delay_range`). The barrier is where the horizon and
+//! the event budget are enforced; the window count it keeps is a
+//! statistic, not a synchronisation point.
 //!
-//! * Every cross-shard interaction has a **lookahead** `L`: an event a
-//!   shard processes at time `t` can only affect another shard at
-//!   `t + L` or later (for the BGP model, `L` is the minimum link
-//!   delay — see `NetworkConfig::delay_range`).
-//! * The barrier picks the global minimum next-event time `t0` and
-//!   lets every shard process its own events in `[t0, t0 + L)`; a
-//!   message for another shard is scheduled straight onto that shard's
-//!   engine.
-//! * By the lookahead guarantee every such message lands at `≥ t0 + L`,
-//!   i.e. never inside the window being processed, so it does not
-//!   matter whether the receiving shard has run the window yet.
-//!
-//! Determinism across shard counts comes from the **canonical event
-//! key**: a `u64` packing `(source node, per-source sequence)` (see
-//! [`event_key`]). Each shard's wheel pops in `(time, key)` order
-//! (`TimerWheel::schedule_keyed`) whatever order events were inserted
-//! in, so the total order of processed events is a pure function of the
-//! model — not of the partition.
+//! Determinism comes from the **canonical event key**: a `u64` packing
+//! `(source node, per-source sequence)` (see [`event_key`]). The queue
+//! pops in `(time, key)` order (`TimerWheel::schedule_keyed`) whatever
+//! order events were inserted in, so the order of processed events is a
+//! pure function of the model, and a snapshot that re-inserts the
+//! pending events reproduces it exactly.
 
 use crate::time::{SimDuration, SimTime};
 use crate::wheel::TimerWheel;
 
 /// Source id used in [`event_key`] for events injected by the
-/// coordinator rather than created by a node (workload priming, link
+/// driver rather than created by a node (workload priming, link
 /// schedules). `u32::MAX` sorts after every real node id, so at equal
 /// timestamps injected events are processed after model-generated
-/// ones — a fixed, partition-independent rule.
+/// ones.
 pub const INJECTOR_SRC: u32 = u32::MAX;
 
 /// Packs the canonical ordering key for one event: the creating node's
@@ -41,35 +32,34 @@ pub const INJECTOR_SRC: u32 = u32::MAX;
 ///
 /// Keys are globally unique as long as each source keeps its own
 /// monotone sequence (asserted here to stay below 2³²), and the order
-/// `(time, key)` is then a total order on events that does not depend
-/// on how nodes are partitioned into shards.
+/// `(time, key)` is then a total order on events.
 #[inline]
 pub fn event_key(src: u32, seq: u64) -> u64 {
     assert!(seq < (1 << 32), "per-source event sequence overflowed");
     (u64::from(src) << 32) | seq
 }
 
-/// One shard's event queue and clock, driven from outside by an
+/// The event queue and its clock, driven from outside by an
 /// [`EpochBarrier`] window plan: the owner pops events with
 /// [`pop_before`](Self::pop_before), handles them, and schedules what
 /// they cause.
 #[derive(Debug)]
-pub struct ShardEngine<E> {
+pub struct EventQueue<E> {
     wheel: TimerWheel<E>,
     now: SimTime,
     processed: u64,
 }
 
-impl<E> Default for ShardEngine<E> {
+impl<E> Default for EventQueue<E> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<E> ShardEngine<E> {
-    /// Creates an empty shard engine at time zero.
+impl<E> EventQueue<E> {
+    /// Creates an empty queue at time zero.
     pub fn new() -> Self {
-        ShardEngine {
+        EventQueue {
             wheel: TimerWheel::new(),
             now: SimTime::ZERO,
             processed: 0,
@@ -99,7 +89,7 @@ impl<E> ShardEngine<E> {
     }
 
     /// Pops the earliest event if it is strictly before `end`,
-    /// advancing the shard clock to it. Returns `(time, key, event)`.
+    /// advancing the clock to it. Returns `(time, key, event)`.
     pub fn pop_before(&mut self, end: SimTime) -> Option<(SimTime, u64, E)> {
         let (at, key, event) = self.wheel.pop_keyed_before(end)?;
         self.now = at;
@@ -107,7 +97,7 @@ impl<E> ShardEngine<E> {
         Some((at, key, event))
     }
 
-    /// The shard clock: the time of the last processed event.
+    /// The clock: the time of the last processed event.
     pub fn now(&self) -> SimTime {
         self.now
     }
@@ -145,7 +135,7 @@ impl<E> ShardEngine<E> {
         }
     }
 
-    /// Overwrites the shard clock and processed count, for snapshot
+    /// Overwrites the clock and processed count, for snapshot
     /// restore.
     pub fn set_clock(&mut self, now: SimTime, processed: u64) {
         self.now = now;
@@ -171,7 +161,7 @@ impl<E> ShardEngine<E> {
 /// Why a run returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RunOutcome {
-    /// Every queue drained: no events remain anywhere in the system.
+    /// The queue drained: no events remain.
     Quiescent,
     /// The earliest pending event lies beyond the horizon; it stays
     /// queued, so a later run with a later horizon continues from it.
@@ -180,11 +170,11 @@ pub enum RunOutcome {
     BudgetExhausted,
 }
 
-/// What the coordinator should do next, as decided by
+/// What the driver should do next, as decided by
 /// [`EpochBarrier::plan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WindowPlan {
-    /// Run every shard up to (exclusive) `end`.
+    /// Process every event before (exclusive) `end`.
     Run {
         /// Exclusive upper bound of the window.
         end: SimTime,
@@ -193,12 +183,11 @@ pub enum WindowPlan {
     Done(RunOutcome),
 }
 
-/// Plans lock-step synchronization windows for a set of
-/// [`ShardEngine`]s.
+/// Plans the windows an [`EventQueue`] is advanced in.
 ///
-/// The barrier owns the global run limits (horizon, event budget) and
-/// the lookahead; per window it takes the minimum next-event time
-/// across shards and returns the exclusive window end
+/// The barrier owns the run limits (horizon, event budget) and the
+/// lookahead; per window it takes the earliest pending event time and
+/// returns the exclusive window end
 /// `min(t0 + lookahead, horizon + 1µs)`. Capping at one past the
 /// horizon makes the horizon exact: no event with `time > horizon` is
 /// ever processed (the next plan reports
@@ -225,7 +214,7 @@ impl EpochBarrier {
     pub fn new(lookahead: SimDuration, horizon: SimTime, budget: u64) -> Self {
         assert!(
             lookahead > SimDuration::ZERO,
-            "conservative windows need a positive lookahead"
+            "windows need a positive lookahead"
         );
         EpochBarrier {
             lookahead,
@@ -240,9 +229,9 @@ impl EpochBarrier {
         self.windows
     }
 
-    /// Plans the next window given the minimum pending event time
-    /// across all shards (`None` when every shard is empty) and the
-    /// total events processed so far.
+    /// Plans the next window given the earliest pending event time
+    /// (`None` when the queue is empty) and the events processed so
+    /// far in this run.
     pub fn plan(&mut self, min_next: Option<SimTime>, processed: u64) -> WindowPlan {
         let Some(t0) = min_next else {
             return WindowPlan::Done(RunOutcome::Quiescent);
@@ -289,7 +278,7 @@ mod tests {
 
     #[test]
     fn pop_before_respects_window_and_key_order() {
-        let mut s = ShardEngine::new();
+        let mut s = EventQueue::new();
         s.schedule(t(10), event_key(2, 0), "b");
         s.schedule(t(10), event_key(1, 0), "a");
         s.schedule(t(30), event_key(0, 0), "later");

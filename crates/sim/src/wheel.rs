@@ -68,7 +68,7 @@ struct SlabEntry<E> {
 }
 
 /// The wheel. The simulator drives it through
-/// [`ShardEngine`](crate::ShardEngine); it is public so the property
+/// [`EventQueue`](crate::EventQueue); it is public so the property
 /// tests can pin it against a reference binary-heap model directly.
 #[derive(Debug)]
 pub struct TimerWheel<E> {
@@ -124,10 +124,12 @@ impl<E> TimerWheel<E> {
     ///
     /// The key takes the place of the internal sequence number in every
     /// ordering structure, so pop order is exactly `(at, key)` — the
-    /// contract the sharded engine builds its canonical cross-shard
-    /// order on. Callers must guarantee `(at, key)` pairs are unique
-    /// (the overflow map would silently coalesce duplicates); the
-    /// sharded engine's keys are globally unique by construction.
+    /// contract the simulator's canonical event order is built on.
+    /// Callers must guarantee `(at, key)` pairs are unique (the
+    /// overflow map would silently coalesce duplicates); [`event_key`]
+    /// keys are globally unique by construction.
+    ///
+    /// [`event_key`]: crate::event_key
     /// Mixing `schedule_keyed` with plain [`schedule`](Self::schedule)
     /// on one wheel forfeits the FIFO-at-same-time contract and should
     /// be avoided.

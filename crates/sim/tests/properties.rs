@@ -4,7 +4,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 
 use proptest::prelude::*;
-use rfd_sim::{event_key, DetRng, ShardEngine, SimDuration, SimTime, TimerWheel};
+use rfd_sim::{event_key, DetRng, EventQueue, SimDuration, SimTime, TimerWheel};
 
 /// Reference model of the agenda: a binary heap ordered by
 /// `(time, insertion sequence)` with a tombstone set for cancellation.
@@ -114,19 +114,19 @@ proptest! {
         prop_assert_eq!(popped, expect);
     }
 
-    /// A shard engine delivers every scheduled event exactly once, in
+    /// The event queue delivers every scheduled event exactly once, in
     /// time order, and counts them.
     #[test]
-    fn shard_engine_delivers_all_once(times in proptest::collection::vec(0u64..100_000, 1..100)) {
-        let mut shard = ShardEngine::new();
+    fn event_queue_delivers_all_once(times in proptest::collection::vec(0u64..100_000, 1..100)) {
+        let mut queue = EventQueue::new();
         for (i, &t) in times.iter().enumerate() {
-            shard.schedule(SimTime::from_micros(t), event_key(0, i as u64), ());
+            queue.schedule(SimTime::from_micros(t), event_key(0, i as u64), ());
         }
         let end = SimTime::from_micros(100_000);
         let seen: Vec<SimTime> =
-            std::iter::from_fn(|| shard.pop_before(end).map(|(at, _, ())| at)).collect();
-        prop_assert!(shard.is_empty());
-        prop_assert_eq!(shard.processed() as usize, times.len());
+            std::iter::from_fn(|| queue.pop_before(end).map(|(at, _, ())| at)).collect();
+        prop_assert!(queue.is_empty());
+        prop_assert_eq!(queue.processed() as usize, times.len());
         let mut sorted = times.clone();
         sorted.sort_unstable();
         prop_assert_eq!(

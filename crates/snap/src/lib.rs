@@ -45,7 +45,7 @@ use std::path::{Path, PathBuf};
 pub const MAGIC: [u8; 8] = *b"RFDSNAP1";
 
 /// Current container format version.
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Size of everything before the payload.
 const HEADER_LEN: usize = 8 + 4 + 8 + 8 + 8;
@@ -75,7 +75,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// Multiply-mix hasher for the hot paths' point-lookup maps (the path
-/// table's two, a DES shard's delivery clamps and down-link set, a
+/// table's two, the DES's delivery clamps and down-link set, a
 /// firehose shard's key index). Their keys are small integers the
 /// program made itself (node ids, path ids, FNV content hashes, packed
 /// peer/prefix pairs), so SipHash's resistance to crafted keys buys

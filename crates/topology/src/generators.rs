@@ -253,7 +253,7 @@ mod tests {
 
     #[test]
     fn internet_like_scales_to_ten_thousand_nodes() {
-        // Scale smoke test for the sharded-engine workloads: generation
+        // Scale smoke test for the ba:10000 workloads: generation
         // must stay O(n·m) and the long-tail shape must survive. Runs
         // in well under a second even on one debug-profile core.
         let g = internet_like(10_000, 2, 11);

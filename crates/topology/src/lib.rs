@@ -38,5 +38,5 @@ mod relationships;
 pub use generators::{clique, erdos_renyi_connected, internet_like, line, mesh_torus, ring, star};
 pub use graph::{Graph, Link, NodeId};
 pub use io::{parse_edge_list, to_edge_list, ParseGraphError};
-pub use partition::{partition, shard_of, Partition, ShardId};
+pub use partition::{partition, Partition};
 pub use relationships::{Relationship, Relationships};

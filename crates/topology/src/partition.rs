@@ -1,24 +1,16 @@
-//! Deterministic node-to-shard partitioning for the sharded simulation
-//! engine.
+//! Deterministic node-to-shard partitioning and its cut fraction.
 //!
-//! The partition is a pure function of the node id — FNV-1a over the
+//! The simulator runs one event queue and partitions nothing; this
+//! module is kept only because the perf ledger's
+//! `topology.partition.cut_fraction` row calls [`partition`]. A
+//! `[benchmark]` change that retires the row (ROADMAP item 1(b)) deletes
+//! it.
+//!
+//! The assignment is a pure function of the node id — FNV-1a over the
 //! raw `u32`, reduced modulo the shard count — so it does not depend on
-//! iteration order, topology generator internals, or the machine
-//! running it. That property is load-bearing: the sharded engine's
-//! byte-determinism contract says the same seed must produce the same
-//! run at any `--sim-shards`, which requires every process to agree on
-//! where each node lives.
-//!
-//! FNV blocks trade balance quality for stability: a graph-aware
-//! min-cut partitioner would cut fewer edges but would have to be
-//! re-derived (and re-verified deterministic) every time the topology
-//! changes. The [`Partition`] report carries the cut-edge count so the
-//! cost is visible instead of hidden.
+//! iteration order or on the topology.
 
 use crate::graph::{Graph, NodeId};
-
-/// Identifies one shard of a partitioned simulation.
-pub type ShardId = u16;
 
 /// Maps a node to its shard: FNV-1a over the little-endian bytes of the
 /// raw node id, modulo `n_shards`.
@@ -26,21 +18,20 @@ pub type ShardId = u16;
 /// # Panics
 ///
 /// Panics if `n_shards` is zero.
-pub fn shard_of(node: NodeId, n_shards: usize) -> ShardId {
+fn shard_of(node: NodeId, n_shards: usize) -> u16 {
     assert!(n_shards > 0, "partition needs at least one shard");
     let h = rfd_snap::fnv1a(&node.raw().to_le_bytes());
-    (h % n_shards as u64) as ShardId
+    (h % n_shards as u64) as u16
 }
 
 /// A node-to-shard assignment with its quality report.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partition {
     /// `shard_of[node.index()]` is the node's shard.
-    pub shard_of: Vec<ShardId>,
+    pub shard_of: Vec<u16>,
     /// Nodes per shard.
     pub sizes: Vec<usize>,
-    /// Number of links whose endpoints land on different shards —
-    /// every one of them is a cross-shard mailbox hop at runtime.
+    /// Number of links whose endpoints land on different shards.
     pub cut_edges: usize,
 }
 
@@ -68,7 +59,7 @@ impl Partition {
 /// Panics if `n_shards` is zero.
 pub fn partition(graph: &Graph, n_shards: usize) -> Partition {
     assert!(n_shards > 0, "partition needs at least one shard");
-    let shard_of_vec: Vec<ShardId> = graph.nodes().map(|n| shard_of(n, n_shards)).collect();
+    let shard_of_vec: Vec<u16> = graph.nodes().map(|n| shard_of(n, n_shards)).collect();
     let mut sizes = vec![0usize; n_shards];
     for &s in &shard_of_vec {
         sizes[s as usize] += 1;

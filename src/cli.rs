@@ -12,9 +12,7 @@ use std::time::Duration;
 use rfd_bgp::{DampingDeployment, NetworkConfig, PenaltyFilter, Policy, ProtocolOptions};
 use rfd_core::DampingParams;
 use rfd_experiments::args::{self, render_usage, wall_clock, Flag, Parsed, Table};
-use rfd_experiments::output::{
-    chaos, exec_flags, obs, sim_shards, Exec, CHAOS, EXEC, OBS, SIM_SHARDS,
-};
+use rfd_experiments::output::{chaos, exec_flags, obs, Exec, CHAOS, EXEC, OBS};
 use rfd_experiments::scenarios::{infer_relationships, TopologyKind};
 use rfd_experiments::SweepOptions;
 use rfd_runner::ChaosPlan;
@@ -113,9 +111,6 @@ pub struct RunOptions {
     /// Observability request: `None` off, `Some(None)` on at the
     /// default destination, `Some(Some(path))` on at `path`.
     pub obs: Option<Option<PathBuf>>,
-    /// Conservative simulation shards (`--sim-shards N`); results are
-    /// byte-identical at any count.
-    pub sim_shards: usize,
     /// Snapshot file for `--checkpoint-every` / `--resume`
     /// (`--snapshot FILE`).
     pub snapshot: Option<PathBuf>,
@@ -148,7 +143,6 @@ pub const RUN: Table = Table { command: "rfd run", base: None, flags: &[
     Flag::switch("--wrate", "pace withdrawals with MRAI too"),
     Flag::switch("--no-loop-avoidance", "turn sender-side loop avoidance off"),
     Flag::value("--reuse-granularity", "SECS", "quantise reuse timers to SECS ticks"),
-    SIM_SHARDS,
     OBS,
     Flag::value("--snapshot", "FILE", "checkpoint file for the two flags below"),
     Flag::value("--checkpoint-every", "SECS", "checkpoint every SECS simulated seconds"),
@@ -205,7 +199,6 @@ fn run_options(p: &Parsed<'_>) -> Result<RunOptions, CliError> {
             reuse_granularity: p.positive_secs("--reuse-granularity")?,
         },
         obs: obs(p),
-        sim_shards: sim_shards(p)?,
         snapshot: p.get("--snapshot").map(PathBuf::from),
         checkpoint_every: p.positive_secs("--checkpoint-every")?,
         resume: p.has("--resume"),
@@ -598,7 +591,6 @@ pub fn network_config(opts: &RunOptions, graph: &Graph) -> NetworkConfig {
         } else {
             Policy::ShortestPath
         },
-        sim_shards: opts.sim_shards,
         ..NetworkConfig::default()
     }
 }
@@ -633,8 +625,6 @@ FIGURES: NAME is table1 fig3 fig4 fig7 fig10 extensions sweeps link_failure
   CSVs and journals go under results/ (or $RFD_RESULTS_DIR).
 TOPOLOGIES: mesh:10x10 (alias torus:10x10), internet:100 (alias ba:100),
   ring:8, line:5, clique:6
-SHARDING: --sim-shards N partitions the routers into N conservative
-  lock-step simulation shards; results are byte-identical at any N.
 EXPLAIN: replays a run with the timer-interaction ledger focused on
   one (peer, prefix) entry and prints its damping lifecycle — charges,
   threshold crossings, reuse-timer arms/deferrals, MRAI holds.
@@ -647,7 +637,7 @@ SNAPSHOTS: `rfd run --snapshot FILE --checkpoint-every SECS` writes a
   simulated time; add --resume to continue from FILE after a crash —
   the finished run is byte-identical to an uninterrupted one. Files
   are fingerprinted: a snapshot from a different config, topology, or
-  shard count is refused. `rfd sweep --warm-fork` warms one donor per
+  seed is refused. `rfd sweep --warm-fork` warms one donor per
   (topology, seed) and forks every damping variant from its snapshot.
 ";
 
@@ -781,18 +771,6 @@ mod tests {
         assert_eq!(TopologySpec::parse("torus:6x7"), Ok(torus));
         assert_eq!(TopologySpec::parse("ba:2000"), Ok(ba));
         assert!(TopologySpec::parse("torus:6").is_err());
-    }
-
-    #[test]
-    fn sim_shards_flag_parses_on_run_and_sweep() {
-        let opts = parse_run_options(&args("--sim-shards 4")).unwrap();
-        assert_eq!(opts.sim_shards, 4);
-        assert_eq!(parse_run_options(&args("")).unwrap().sim_shards, 1);
-        all_rejected(parse_run_options, "--sim-shards 0 | --sim-shards x");
-
-        let cmd = parse_sweep_command(&args("--sim-shards 2")).unwrap();
-        assert_eq!(cmd.opts.sim_shards, 2);
-        assert!(parse_sweep_command(&args("--sim-shards 0")).is_err());
     }
 
     #[test]
