@@ -327,40 +327,35 @@ impl PathTable {
 
     /// The route handle for an already-interned path id (snapshot
     /// restore: routes are checkpointed as raw ids against the table's
-    /// path list).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `raw` is not an interned id.
-    pub fn route_by_id(&self, raw: u32) -> Route {
-        let m = self.meta[raw as usize];
-        let path = &self.arena[m.range()];
-        self.route(PathId(raw), path)
+    /// path list); `None` when `raw` is not an interned id.
+    pub fn route_by_id(&self, raw: u32) -> Option<Route> {
+        let m = *self.meta.get(raw as usize)?;
+        Some(self.route(PathId(raw), &self.arena[m.range()]))
     }
 
-    /// Rebuilds a table that assigns ids `0..n` to `paths` in order.
+    /// Rebuilds a table that assigns ids `0..n` to `paths` in order;
+    /// `None` when a path is empty, longer than a [`Route`] can carry,
+    /// or repeats an earlier one (a valid snapshot lists each interned
+    /// path exactly once, in intern order).
     ///
     /// The prepend memo and hit counters start empty — they are caches
     /// and never influence which id a path interns to.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the paths are not distinct (a valid snapshot lists
-    /// each interned path exactly once, in intern order).
-    pub fn rebuild<I, P>(paths: I) -> Self
+    pub fn rebuild<I, P>(paths: I) -> Option<Self>
     where
         I: IntoIterator<Item = P>,
         P: AsRef<[NodeId]>,
     {
         let mut table = PathTable::new();
         for (i, p) in paths.into_iter().enumerate() {
-            let id = table.intern(p.as_ref());
-            assert_eq!(
-                id.0 as usize, i,
-                "snapshot paths must be distinct and listed in intern order"
-            );
+            let path = p.as_ref();
+            if path.is_empty() || path.len() > usize::from(u16::MAX) {
+                return None;
+            }
+            if table.intern(path).0 as usize != i {
+                return None;
+            }
         }
-        table
+        Some(table)
     }
 
     /// The path rendered like the wire format ("AS2 AS1 AS0").

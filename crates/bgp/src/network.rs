@@ -432,14 +432,9 @@ pub struct Network<S: TraceSink = VecSink> {
     /// Windows executed over the network's lifetime.
     windows: u64,
     warmed_up: bool,
-    /// True exactly between the end of [`Network::warm_up`] and the
-    /// first workload injection: a snapshot taken here is *warm* —
-    /// penalties zero, filters pristine — and eligible for forking
-    /// into damping-parameter variants (see [`snapshot`]).
-    warm_boundary: bool,
     /// Lifetime processed count at the instant the current measured
     /// workload was primed; every [`RunReport`] counts
-    /// `processed - measured_base`, so a cut- or killed-and-resumed run
+    /// `processed - measured_base`, so a horizon-cut and resumed run
     /// reports the same as an uninterrupted one.
     measured_base: u64,
 }
@@ -611,7 +606,6 @@ impl<S: TraceSink> Network<S> {
             inj_seq: 0,
             windows: 0,
             warmed_up: false,
-            warm_boundary: false,
             measured_base: 0,
         }
     }
@@ -732,7 +726,6 @@ impl<S: TraceSink> Network<S> {
     fn prime(&mut self, at: SimTime, event: NetEvent) {
         let key = event_key(INJECTOR_SRC, self.inj_seq);
         self.inj_seq += 1;
-        self.warm_boundary = false;
         self.state.queue.schedule(at, key, event);
     }
 
@@ -815,9 +808,9 @@ impl<S: TraceSink> Network<S> {
         rfd_obs::add("bgp.warmup_events_discarded", self.state.discarded);
         self.state.muted = false;
         self.warmed_up = true;
-        self.warm_boundary = true;
         self
     }
+
     /// Phase 2+3: injects `pattern` on the origin link starting
     /// `lead_in` after the current clock, then runs to quiescence.
     ///
@@ -861,9 +854,8 @@ impl<S: TraceSink> Network<S> {
         self.report(outcome)
     }
 
-    /// Injects every flap event of `schedules` up-front (so a snapshot
-    /// taken mid-run carries the rest of the workload in its event
-    /// wheels) and marks the start of the measured phase.
+    /// Injects every flap event of `schedules` up-front and marks the
+    /// start of the measured phase.
     fn prime_schedules(
         &mut self,
         schedules: &[(usize, &rfd_core::FlapSchedule)],
@@ -889,52 +881,10 @@ impl<S: TraceSink> Network<S> {
         }
     }
 
-    /// Like [`Network::run_schedules`], but pausing every `every` of
-    /// simulated time to hand `&mut self` to `checkpoint` (typically
-    /// [`snapshot::Snapshot::capture`] + a file write). The pauses land
-    /// on window boundaries and are **byte-neutral**: the
-    /// traces, ledger records, and report are identical to an
-    /// uninterrupted [`Network::run_schedules`] call. Return `false`
-    /// from `checkpoint` to abandon the run early (the report then
-    /// carries [`RunOutcome::HorizonReached`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before [`Network::warm_up`] or `every` is zero.
-    pub fn run_schedules_with_checkpoints(
-        &mut self,
-        schedules: &[(usize, &rfd_core::FlapSchedule)],
-        lead_in: SimDuration,
-        every: SimDuration,
-        checkpoint: impl FnMut(&mut Network<S>) -> bool,
-    ) -> RunReport {
-        self.prime_schedules(schedules, lead_in);
-        self.drive_with_checkpoints(every, checkpoint)
-    }
-
-    /// Continues a restored run (see [`snapshot::Snapshot::resume_into`])
-    /// to quiescence, with the same periodic-checkpoint contract as
-    /// [`Network::run_schedules_with_checkpoints`]. The report covers
-    /// the *whole* measured workload — including the events processed
-    /// before the snapshot was taken — so a killed-and-resumed run
-    /// reports exactly what the uninterrupted run would have.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before [`Network::warm_up`] or `every` is zero.
-    pub fn resume_with_checkpoints(
-        &mut self,
-        every: SimDuration,
-        checkpoint: impl FnMut(&mut Network<S>) -> bool,
-    ) -> RunReport {
-        assert!(self.warmed_up, "resume requires a warmed-up network");
-        self.drive_with_checkpoints(every, checkpoint)
-    }
-
-    /// Continues a restored run (see [`snapshot::Snapshot::resume_into`])
-    /// straight to quiescence, with no further checkpoints. The report
-    /// covers the whole measured workload, as for
-    /// [`Network::resume_with_checkpoints`].
+    /// Continues the current workload after the horizon or the event
+    /// budget stopped it, to quiescence or the next stop. The report
+    /// covers the whole measured workload, including the events
+    /// processed before the stop.
     ///
     /// # Panics
     ///
@@ -943,42 +893,6 @@ impl<S: TraceSink> Network<S> {
         assert!(self.warmed_up, "resume requires a warmed-up network");
         let outcome = self.drive();
         self.report(outcome)
-    }
-
-    fn drive_with_checkpoints(
-        &mut self,
-        every: SimDuration,
-        mut checkpoint: impl FnMut(&mut Network<S>) -> bool,
-    ) -> RunReport {
-        assert!(!every.is_zero(), "checkpoint interval must be positive");
-        let horizon = self.horizon;
-        let mut next_cp = self.now() + every;
-        let outcome = loop {
-            let cap = next_cp.min(horizon);
-            match self.drive_until(cap) {
-                RunOutcome::HorizonReached if cap < horizon => {
-                    if !checkpoint(self) {
-                        break RunOutcome::HorizonReached;
-                    }
-                    next_cp += every;
-                }
-                other => break other,
-            }
-        };
-        self.report(outcome)
-    }
-
-    /// Advances the simulation until quiescence or until every event at
-    /// or before `cap` has been processed, whichever comes first, by
-    /// temporarily lowering the horizon. Pop order is the pure
-    /// `(time, key)` order whatever the windows, so splitting a run at
-    /// `cap` is invisible in every output but the window count.
-    fn drive_until(&mut self, cap: SimTime) -> RunOutcome {
-        let saved = self.horizon;
-        self.horizon = cap.min(saved);
-        let out = self.drive();
-        self.horizon = saved;
-        out
     }
 
     /// Flaps an **interior** link per `schedule` (failure injection):

@@ -183,7 +183,7 @@ fn existing_state(prefixes: &mut [Option<PrefixState>], prefix: Prefix) -> &mut 
 /// A single BGP router.
 #[derive(Debug, Clone)]
 pub struct Router {
-    pub(crate) id: NodeId,
+    id: NodeId,
     /// Neighbour set in construction order (fan-out order).
     peers: Vec<NodeId>,
     /// The same peers sorted ascending: `slots[i]` is the peer of slot
@@ -191,7 +191,7 @@ pub struct Router {
     pub(crate) slots: Vec<NodeId>,
     /// Per-prefix state, indexed by prefix id (`None`: no state yet).
     pub(crate) prefixes: Vec<Option<PrefixState>>,
-    pub(crate) config: RouterConfig,
+    config: RouterConfig,
     pub(crate) charging_enabled: bool,
     /// Per slot: session currently down (failure injection); no
     /// messages are sent to a down peer.
@@ -210,7 +210,7 @@ pub struct Router {
 }
 
 /// Packs a (peer, prefix) pair into the damper store's slot key.
-pub(crate) fn damper_key(peer: NodeId, prefix: Prefix) -> u64 {
+fn damper_key(peer: NodeId, prefix: Prefix) -> u64 {
     (u64::from(peer.raw()) << 32) | u64::from(prefix.id())
 }
 

@@ -1,70 +1,53 @@
-//! Crash-safe warm-state snapshots: checkpoint/restore for [`Network`].
+//! Snapshots of a quiescent [`Network`].
 //!
-//! A snapshot serialises the **complete** mutable simulation state —
-//! the run counters and the clock, the interned path table, every
-//! router (RIBs, MRAI pacing, damper stores, RCN/selective filters)
-//! with its RNG streams and sequence number, the TCP-ordering clamps
-//! and down links, the pending events in canonical `(time, key)` order,
-//! and last the aggregator sinks — into a fingerprinted binary
+//! A snapshot serialises the complete mutable state of a network whose
+//! event queue is empty — before a run, after [`Network::warm_up`], or
+//! after a workload ran to quiescence: the run counters and the clock,
+//! the interned path table, every router (RIBs, MRAI pacing, damper
+//! stores, RCN/selective filters) with its RNG streams and sequence
+//! number, the TCP-ordering clamps and down links, and last the
+//! aggregator sinks. The state goes into a fingerprinted binary
 //! container (see [`rfd_snap`]) written with a temp-file +
 //! atomic-rename protocol, so a process killed mid-write can never
 //! leave a half snapshot behind.
 //!
-//! Two restore modes exist, gated by two fingerprints:
-//!
-//! * **Resume** ([`Snapshot::resume_into`]) requires the *config*
-//!   fingerprint to match: the full topology + [`NetworkConfig`]. A run
-//!   that checkpoints at sim-time `T`, is killed, and resumes produces
-//!   CSV/trace/ledger output **byte-identical** to an uninterrupted
-//!   run: checkpoint pauses land on window boundaries, event pop order
-//!   is the pure `(time, key)` order, and per-node RNG draws follow
-//!   each node's own event order.
-//! * **Fork** ([`Snapshot::fork_into`]) requires only the *flow*
-//!   fingerprint — everything **except** the damping deployment,
-//!   penalty filter, and reuse-timer quantisation — plus the snapshot's
-//!   *warm* flag. Warm-up traffic is damping-invariant (charging is
-//!   disabled, penalties zero, filters pristine), so one warmed network
-//!   can be snapshotted once per `(topology, seed)` and forked into
-//!   every damping-parameter variant of a sweep, skipping the repeated
-//!   warm-up. Forked runs are byte-identical to cold starts of the
-//!   same variant.
+//! [`Snapshot::resume_into`] restores it into a freshly built network
+//! of the same configuration — the config fingerprint (full topology +
+//! [`NetworkConfig`]) must match — and the restored network then runs
+//! any workload exactly as the captured one would: identical traces,
+//! ledger records and report. A network with pending events (one the
+//! horizon or the event budget stopped) is refused at capture, so the
+//! format has no event codec.
 //!
 //! **Not captured** (rebuilt or irrelevant on restore): decay tables
 //! and damping parameters, the policy and origins (all derived from
-//! config), the path interner's dedup/memo caches and hit counters
-//! (caches never influence which id a path interns to), and the
-//! `EpochBarrier` (fresh per drive; the `windows` counter is carried).
-//! Messages in flight need no section of their own: they are pending
-//! `Deliver` events.
+//! config), and the path interner's dedup/memo caches and hit counters
+//! (caches never influence which id a path interns to).
 
 use std::path::Path;
 
 use rfd_core::{
     DamperStore, DamperStoreState, LedgerSink, LinkStatus, RcnChargePolicy, RcnFilter, RootCause,
-    SelectiveFilter,
+    RootCauseHistory, SelectiveFilter,
 };
 use rfd_metrics::TraceSink;
 use rfd_sim::{DetRng, SimTime};
-use rfd_snap::{ContainerInfo, Decoder, Encoder, Fingerprint, SnapError};
+use rfd_snap::{Decoder, Encoder, Fingerprint, SnapError};
 use rfd_topology::{Graph, NodeId};
 
-use super::{NetEvent, Network, State};
-use crate::config::{DampingDeployment, NetworkConfig, PenaltyFilter};
-use crate::intern::PathTable;
-use crate::message::{Prefix, UpdateMessage, UpdatePayload};
+use super::{Network, State};
+use crate::config::NetworkConfig;
+use crate::intern::{PathTable, Route};
+use crate::message::Prefix;
 use crate::rib::{BestRoute, RibInEntry};
-use crate::router::{damper_key, prefix_entry, MraiPeer, PrefixState, Router};
+use crate::router::{prefix_entry, MraiPeer, PrefixState, Router};
 
-/// The two fingerprints a snapshot is keyed by.
+/// The fingerprint a snapshot is keyed by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SnapshotKey {
     /// Full-configuration fingerprint: topology, attachments, and every
     /// [`NetworkConfig`] field. Gates [`Snapshot::resume_into`].
     pub config_fp: u64,
-    /// Flow fingerprint: like `config_fp` but with the damping
-    /// deployment, penalty filter, and reuse quantisation normalised
-    /// away. Gates [`Snapshot::fork_into`].
-    pub flow_fp: u64,
 }
 
 /// Computes the [`SnapshotKey`] for a network built over `base` with
@@ -72,16 +55,6 @@ pub struct SnapshotKey {
 /// inputs handed to [`Network::new_multi`] — the snapshot machinery
 /// never re-derives it.
 pub fn fingerprints(base: &Graph, isps: &[NodeId], config: &NetworkConfig) -> SnapshotKey {
-    let config_fp = fingerprint_of(base, isps, config);
-    let mut flow = config.clone();
-    flow.damping = DampingDeployment::Off;
-    flow.filter = PenaltyFilter::Plain;
-    flow.protocol.reuse_granularity = None;
-    let flow_fp = fingerprint_of(base, isps, &flow);
-    SnapshotKey { config_fp, flow_fp }
-}
-
-fn fingerprint_of(base: &Graph, isps: &[NodeId], config: &NetworkConfig) -> u64 {
     let mut fp = Fingerprint::new();
     fp.u64(base.node_count() as u64);
     for node in base.nodes() {
@@ -100,7 +73,7 @@ fn fingerprint_of(base: &Graph, isps: &[NodeId], config: &NetworkConfig) -> u64 
     // (changing any field, or adding one, changes the fingerprint).
     // The policy is hashed separately in canonical link order: its
     // relationship map is a `HashMap`, whose Debug order is not stable
-    // across processes — and a kill-resume fingerprint must be.
+    // across processes — and a fingerprint written to a file must be.
     let mut canon = config.clone();
     let policy = std::mem::take(&mut canon.policy);
     fp.str(&format!("{canon:?}"));
@@ -121,7 +94,9 @@ fn fingerprint_of(base: &Graph, isps: &[NodeId], config: &NetworkConfig) -> u64 
             }
         }
     }
-    fp.finish()
+    SnapshotKey {
+        config_fp: fp.finish(),
+    }
 }
 
 /// Why a snapshot could not be taken, written, read, or restored.
@@ -138,24 +113,19 @@ pub enum SnapshotError {
         /// Fingerprint recorded in the snapshot.
         found: u64,
     },
-    /// Fork refused: the snapshot's topology/seed/flow parameters
-    /// differ from the fork target's.
-    FlowMismatch {
-        /// Flow fingerprint of the fork target.
-        expected: u64,
-        /// Flow fingerprint recorded in the snapshot.
-        found: u64,
+    /// Capture refused: events are still pending (the horizon or the
+    /// event budget stopped the run before it quiesced).
+    NotQuiescent {
+        /// Events on the queue.
+        pending: usize,
     },
-    /// Fork refused: the snapshot was not taken at the warm boundary
-    /// (damping state is live, so it cannot seed a parameter variant).
-    NotWarm,
     /// The network's trace or ledger sink does not support
     /// checkpointing (e.g. streaming aggregators that fold into
     /// irrecoverable state).
     UnsupportedSink(&'static str),
-    /// The payload decoded cleanly but its shape disagrees with the
-    /// target network (router counts) — indicates an internal
-    /// bug, since the fingerprints matched.
+    /// The payload decoded cleanly but does not fit the target network:
+    /// a count, width or damping deployment that disagrees with it, or
+    /// a path table no run could have interned.
     Shape(&'static str),
 }
 
@@ -169,25 +139,17 @@ impl std::fmt::Display for SnapshotError {
                  run's {expected:#018x}: refusing to resume (different topology, \
                  seed, or parameters)"
             ),
-            SnapshotError::FlowMismatch { expected, found } => write!(
+            SnapshotError::NotQuiescent { pending } => write!(
                 f,
-                "snapshot flow fingerprint {found:#018x} does not match this \
-                 run's {expected:#018x}: refusing to fork (different topology, \
-                 seed, or non-damping parameters)"
-            ),
-            SnapshotError::NotWarm => write!(
-                f,
-                "snapshot was not taken at the warm boundary: refusing to fork \
-                 live damping state into a parameter variant"
+                "cannot snapshot a network with {pending} pending events: \
+                 capture before a run or after one reached quiescence"
             ),
             SnapshotError::UnsupportedSink(what) => {
                 write!(f, "the {what} does not support snapshotting")
             }
-            SnapshotError::Shape(what) => write!(
-                f,
-                "snapshot shape mismatch ({what}) despite matching fingerprints \
-                 — this is a bug"
-            ),
+            SnapshotError::Shape(what) => {
+                write!(f, "snapshot payload does not fit this network: {what}")
+            }
         }
     }
 }
@@ -211,32 +173,29 @@ impl From<SnapError> for SnapshotError {
 /// a freshly constructed [`Network`].
 #[derive(Debug, Clone)]
 pub struct Snapshot {
-    /// The fingerprints the snapshot is keyed by.
+    /// The fingerprint the snapshot is keyed by.
     pub key: SnapshotKey,
     /// The serialised state.
     payload: Vec<u8>,
 }
 
 impl Snapshot {
-    /// Serialises the network's complete mutable state. Takes `&mut`
-    /// because pending timer-wheel events are drained and re-scheduled
-    /// (the wheel has no iterator); the network is unchanged
-    /// afterwards. Call only at a drive boundary (after
-    /// [`Network::warm_up`], between workloads, or inside a
-    /// [`Network::run_schedules_with_checkpoints`] pause) — mid-window
-    /// capture is impossible by construction since no `&mut Network`
-    /// escapes a window.
+    /// Serialises the network's complete mutable state.
     ///
     /// # Errors
     ///
+    /// [`SnapshotError::NotQuiescent`] when events are pending;
     /// [`SnapshotError::UnsupportedSink`] when the trace or ledger sink
     /// cannot checkpoint its state.
     pub fn capture<S: TraceSink>(
-        net: &mut Network<S>,
+        net: &Network<S>,
         key: SnapshotKey,
     ) -> Result<Snapshot, SnapshotError> {
+        let pending = net.state.queue.len();
+        if pending > 0 {
+            return Err(SnapshotError::NotQuiescent { pending });
+        }
         let mut enc = Encoder::new();
-        enc.bool(net.warm_boundary);
         enc.u64(net.now().as_micros());
         enc.bool(net.warmed_up);
         enc.u64(net.rc_seq);
@@ -244,31 +203,11 @@ impl Snapshot {
         enc.u64(net.events_processed());
         enc.u64(net.windows);
         enc.u64(net.measured_base);
-        encode_state(&mut enc, &mut net.state)?;
+        encode_state(&mut enc, &net.state)?;
         Ok(Snapshot {
             key,
             payload: enc.into_bytes(),
         })
-    }
-
-    /// Whether the snapshot was taken at the warm boundary (eligible
-    /// for [`Snapshot::fork_into`]).
-    pub fn is_warm(&self) -> bool {
-        Decoder::new(&self.payload)
-            .bool("warm flag")
-            .unwrap_or(false)
-    }
-
-    /// The simulated instant the snapshot was taken at.
-    pub fn sim_time(&self) -> SimTime {
-        let mut dec = Decoder::new(&self.payload);
-        let _ = dec.bool("warm flag");
-        SimTime::from_micros(dec.u64("sim time").unwrap_or(0))
-    }
-
-    /// Serialised payload size in bytes (container overhead excluded).
-    pub fn payload_len(&self) -> usize {
-        self.payload.len()
     }
 
     /// Writes the snapshot to `path` via temp file + atomic rename;
@@ -280,8 +219,7 @@ impl Snapshot {
     ///
     /// [`SnapshotError::Snap`] on I/O failure.
     pub fn write(&self, path: &Path) -> Result<u64, SnapshotError> {
-        let len =
-            rfd_snap::write_atomic(path, self.key.config_fp, self.key.flow_fp, &self.payload)?;
+        let len = rfd_snap::write_atomic(path, self.key.config_fp, &self.payload)?;
         rfd_obs::inc("snapshot.saves");
         rfd_obs::add("snapshot.bytes", len);
         Ok(len)
@@ -299,7 +237,6 @@ impl Snapshot {
         Ok(Snapshot {
             key: SnapshotKey {
                 config_fp: c.config_fp,
-                flow_fp: c.flow_fp,
             },
             payload: c.payload,
         })
@@ -307,13 +244,15 @@ impl Snapshot {
 
     /// Restores the snapshot into a freshly constructed network of the
     /// **same full configuration** (same [`fingerprints`] inputs).
-    /// After this, the run continues exactly as the snapshotted one
-    /// would have: identical traces, ledger records, and report.
+    /// After this, the network runs exactly as the captured one would
+    /// have: identical traces, ledger records, and report.
     ///
     /// # Errors
     ///
     /// [`SnapshotError::ConfigMismatch`] when `key.config_fp` differs
-    /// from the snapshot's; decode/shape errors on corrupt payloads.
+    /// from the snapshot's; decode/shape errors on corrupt payloads (a
+    /// refused restore may leave the network half-restored: rebuild
+    /// it).
     pub fn resume_into<S: TraceSink>(
         &self,
         net: &mut Network<S>,
@@ -325,44 +264,7 @@ impl Snapshot {
                 found: self.key.config_fp,
             });
         }
-        self.restore(net, false)?;
-        rfd_obs::inc("snapshot.restores");
-        Ok(())
-    }
-
-    /// Seeds a freshly constructed **damping-parameter variant** from a
-    /// warm snapshot: flow state (RIBs, MRAI pacing, RNG streams, path
-    /// tables, clocks) is imported; damping state is rebuilt pristine
-    /// under the target's own configuration. The variant then behaves
-    /// byte-identically to a cold start that did its own warm-up.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::FlowMismatch`] when `key.flow_fp` differs from
-    /// the snapshot's; [`SnapshotError::NotWarm`] when the snapshot was
-    /// not taken at the warm boundary.
-    pub fn fork_into<S: TraceSink>(
-        &self,
-        net: &mut Network<S>,
-        key: &SnapshotKey,
-    ) -> Result<(), SnapshotError> {
-        if key.flow_fp != self.key.flow_fp {
-            return Err(SnapshotError::FlowMismatch {
-                expected: key.flow_fp,
-                found: self.key.flow_fp,
-            });
-        }
-        if !self.is_warm() {
-            return Err(SnapshotError::NotWarm);
-        }
-        self.restore(net, true)?;
-        rfd_obs::inc("snapshot.forks");
-        Ok(())
-    }
-
-    fn restore<S: TraceSink>(&self, net: &mut Network<S>, fork: bool) -> Result<(), SnapshotError> {
         let mut dec = Decoder::new(&self.payload);
-        let warm = dec.bool("warm flag")?;
         let now = SimTime::from_micros(dec.u64("sim time")?);
         let warmed_up = dec.bool("warmed-up flag")?;
         let rc_seq = dec.u64("rc seq")?;
@@ -370,38 +272,24 @@ impl Snapshot {
         let processed = dec.u64("processed count")?;
         let windows = dec.u64("window count")?;
         let measured_base = dec.u64("measured base")?;
-        restore_state(&mut net.state, &mut dec, fork)?;
+        restore_state(&mut net.state, &mut dec)?;
         if !dec.is_done() {
             return Err(SnapshotError::Shape("trailing payload bytes"));
         }
         net.state.queue.set_clock(now, processed);
-        net.warm_boundary = warm;
         net.warmed_up = warmed_up;
         net.rc_seq = rc_seq;
         net.inj_seq = inj_seq;
         net.windows = windows;
         net.measured_base = measured_base;
+        rfd_obs::inc("snapshot.restores");
         Ok(())
     }
 }
 
-/// Reads a snapshot file's header and integrity metadata without
-/// restoring it (the `rfd snapshot inspect` backend). The content hash
-/// is verified.
-///
-/// # Errors
-///
-/// [`SnapshotError::Snap`] on I/O failure or a corrupt container.
-pub fn inspect(path: &Path) -> Result<ContainerInfo, SnapshotError> {
-    Ok(rfd_snap::inspect_file(path)?)
-}
-
 /// Writes the one simulation state: path table, routers and their
-/// per-node streams, link state, pending events, then the sinks.
-fn encode_state<S: TraceSink>(
-    enc: &mut Encoder,
-    state: &mut State<S>,
-) -> Result<(), SnapshotError> {
+/// per-node streams, link state, then the sinks.
+fn encode_state<S: TraceSink>(enc: &mut Encoder, state: &State<S>) -> Result<(), SnapshotError> {
     let table = &state.path_table;
     enc.usize(table.distinct());
     for path in table.paths() {
@@ -437,16 +325,6 @@ fn encode_state<S: TraceSink>(
     enc.u64(state.dropped);
     enc.bool(state.muted);
     enc.u64(state.discarded);
-    // Drain-and-reschedule: pop order is the pure `(time, key)` order,
-    // so re-inserting in that same order reproduces identical behaviour
-    // (wheel-internal slot ids are never observable).
-    let events = state.queue.drain_pending();
-    enc.usize(events.len());
-    for (at, key, event) in &events {
-        enc.u64(at.as_micros());
-        enc.u64(*key);
-        encode_event(enc, event);
-    }
     let conv = state
         .conv
         .export_snapshot()
@@ -471,12 +349,10 @@ fn encode_state<S: TraceSink>(
 }
 
 /// Reads what [`encode_state`] wrote into a freshly built state of the
-/// same shape. A fork keeps its own sinks (and, in the routers, its own
-/// damping state).
+/// same shape.
 fn restore_state<S: TraceSink>(
     state: &mut State<S>,
     dec: &mut Decoder<'_>,
-    fork: bool,
 ) -> Result<(), SnapshotError> {
     let n_paths = dec.usize("path count")?;
     let mut paths: Vec<Vec<NodeId>> = Vec::with_capacity(n_paths.min(dec.remaining()));
@@ -488,7 +364,9 @@ fn restore_state<S: TraceSink>(
         }
         paths.push(path);
     }
-    state.path_table = PathTable::rebuild(paths);
+    state.path_table = PathTable::rebuild(paths).ok_or(SnapshotError::Shape(
+        "path table lists an empty, over-long or repeated path",
+    ))?;
     let table = &state.path_table;
     let origins = state.origins.len();
     let n_routers = dec.usize("router count")?;
@@ -496,7 +374,7 @@ fn restore_state<S: TraceSink>(
         return Err(SnapshotError::Shape("router count"));
     }
     for router in &mut state.routers {
-        router.apply_snapshot(dec, table, origins, fork)?;
+        router.apply_snapshot(dec, table, origins)?;
     }
     let delay_states = dec.seq("delay rng states", decode_rng)?;
     if delay_states.len() != state.delay_rngs.len() {
@@ -531,32 +409,29 @@ fn restore_state<S: TraceSink>(
     state.dropped = dec.u64("dropped count")?;
     state.muted = dec.bool("muted flag")?;
     state.discarded = dec.u64("discarded count")?;
-    let n_events = dec.usize("pending event count")?;
-    let mut events = Vec::with_capacity(n_events.min(dec.remaining()));
-    for _ in 0..n_events {
-        let at = SimTime::from_micros(dec.u64("event time")?);
-        let key = dec.u64("event key")?;
-        let event = decode_event(dec, table, origins)?;
-        events.push((at, key, event));
+    if !state
+        .conv
+        .import_snapshot(dec.bytes("convergence tracker snapshot")?)
+    {
+        return Err(SnapshotError::UnsupportedSink("convergence tracker"));
     }
-    state.queue.restore_pending(events);
-    let conv = dec.bytes("convergence tracker snapshot")?;
-    let msgs = dec.bytes("message counter snapshot")?;
-    let sink = dec.bytes("trace sink snapshot")?;
-    let ledger = dec.bytes("ledger sink snapshot")?;
-    if !fork {
-        if !state.conv.import_snapshot(conv) {
-            return Err(SnapshotError::UnsupportedSink("convergence tracker"));
-        }
-        if !state.msgs.import_snapshot(msgs) {
-            return Err(SnapshotError::UnsupportedSink("message counter"));
-        }
-        if !state.sink.import_snapshot(sink) {
-            return Err(SnapshotError::UnsupportedSink(std::any::type_name::<S>()));
-        }
-        if !state.ledger.import_snapshot(ledger) {
-            return Err(SnapshotError::UnsupportedSink("ledger sink"));
-        }
+    if !state
+        .msgs
+        .import_snapshot(dec.bytes("message counter snapshot")?)
+    {
+        return Err(SnapshotError::UnsupportedSink("message counter"));
+    }
+    if !state
+        .sink
+        .import_snapshot(dec.bytes("trace sink snapshot")?)
+    {
+        return Err(SnapshotError::UnsupportedSink(std::any::type_name::<S>()));
+    }
+    if !state
+        .ledger
+        .import_snapshot(dec.bytes("ledger sink snapshot")?)
+    {
+        return Err(SnapshotError::UnsupportedSink("ledger sink"));
     }
     Ok(())
 }
@@ -575,130 +450,6 @@ fn decode_rng(dec: &mut Decoder<'_>) -> Result<DetRng, SnapError> {
     Ok(DetRng::from_state(state))
 }
 
-fn encode_event(enc: &mut Encoder, event: &NetEvent) {
-    match *event {
-        NetEvent::Deliver { from, to, msg } => {
-            enc.u8(0);
-            enc.u32(from.raw());
-            enc.u32(to.raw());
-            enc.u32(msg.prefix.id());
-            match msg.payload {
-                UpdatePayload::Announce(route) => {
-                    enc.u8(1);
-                    enc.u32(route.id().raw());
-                }
-                UpdatePayload::Withdraw => enc.u8(0),
-            }
-            enc.option(msg.root_cause.as_ref(), encode_root_cause);
-            enc.option(msg.degraded.as_ref(), |e, d| e.bool(*d));
-        }
-        NetEvent::MraiExpiry { node, peer, prefix } => {
-            enc.u8(1);
-            enc.u32(node.raw());
-            enc.u32(peer.raw());
-            enc.u32(prefix.id());
-        }
-        NetEvent::ReuseTimer { node, peer, prefix } => {
-            enc.u8(2);
-            enc.u32(node.raw());
-            enc.u32(peer.raw());
-            enc.u32(prefix.id());
-        }
-        NetEvent::OriginLink { origin, up, rc } => {
-            enc.u8(3);
-            enc.usize(origin);
-            enc.bool(up);
-            enc.option(rc.as_ref(), encode_root_cause);
-        }
-        NetEvent::LinkSession {
-            node,
-            peer,
-            up,
-            rc,
-            primary,
-        } => {
-            enc.u8(4);
-            enc.u32(node.raw());
-            enc.u32(peer.raw());
-            enc.bool(up);
-            enc.option(rc.as_ref(), encode_root_cause);
-            enc.bool(primary);
-        }
-    }
-}
-
-/// Reads a prefix id, refusing one outside the network's `0..origins`
-/// (a router's prefix table is indexed by it).
-fn decode_prefix(
-    dec: &mut Decoder<'_>,
-    origins: usize,
-    context: &'static str,
-) -> Result<Prefix, SnapError> {
-    let id = dec.u32(context)?;
-    if id as usize >= origins {
-        return Err(SnapError::PayloadExhausted {
-            context: "prefix id out of range",
-        });
-    }
-    Ok(Prefix::new(id))
-}
-
-fn decode_event(
-    dec: &mut Decoder<'_>,
-    table: &PathTable,
-    origins: usize,
-) -> Result<NetEvent, SnapError> {
-    match dec.u8("event tag")? {
-        0 => {
-            let from = NodeId::new(dec.u32("deliver from")?);
-            let to = NodeId::new(dec.u32("deliver to")?);
-            let prefix = decode_prefix(dec, origins, "deliver prefix")?;
-            let payload = if dec.u8("deliver payload tag")? == 1 {
-                UpdatePayload::Announce(table.route_by_id(dec.u32("deliver route id")?))
-            } else {
-                UpdatePayload::Withdraw
-            };
-            let root_cause = dec.option("deliver root cause", decode_root_cause)?;
-            let degraded = dec.option("deliver degraded", |d| d.bool("deliver degraded"))?;
-            Ok(NetEvent::Deliver {
-                from,
-                to,
-                msg: UpdateMessage {
-                    prefix,
-                    payload,
-                    root_cause,
-                    degraded,
-                },
-            })
-        }
-        1 => Ok(NetEvent::MraiExpiry {
-            node: NodeId::new(dec.u32("mrai node")?),
-            peer: NodeId::new(dec.u32("mrai peer")?),
-            prefix: decode_prefix(dec, origins, "mrai prefix")?,
-        }),
-        2 => Ok(NetEvent::ReuseTimer {
-            node: NodeId::new(dec.u32("reuse node")?),
-            peer: NodeId::new(dec.u32("reuse peer")?),
-            prefix: decode_prefix(dec, origins, "reuse prefix")?,
-        }),
-        3 => Ok(NetEvent::OriginLink {
-            origin: dec.usize("origin index")?,
-            up: dec.bool("origin status")?,
-            rc: dec.option("origin root cause", decode_root_cause)?,
-        }),
-        4 => Ok(NetEvent::LinkSession {
-            node: NodeId::new(dec.u32("session node")?),
-            peer: NodeId::new(dec.u32("session peer")?),
-            up: dec.bool("session status")?,
-            rc: dec.option("session root cause", decode_root_cause)?,
-            primary: dec.bool("session primary")?,
-        }),
-        _ => Err(SnapError::PayloadExhausted {
-            context: "unknown event tag",
-        }),
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Router capture and restore
 // ---------------------------------------------------------------------------
@@ -707,6 +458,13 @@ fn decode_event(
 // restored [`PathTable`]; everything derivable from configuration
 // (damping params, decay tables, the ledger filter) is rebuilt at
 // construction time and never serialised.
+
+/// Resolves a raw path id against the restored table.
+fn route_of(table: &PathTable, raw: u32) -> Result<Route, SnapError> {
+    table.route_by_id(raw).ok_or(SnapError::Invalid {
+        context: "route id",
+    })
+}
 
 /// Writes a root cause as (link a, link b, status, seq).
 fn encode_root_cause(enc: &mut Encoder, rc: &RootCause) {
@@ -765,13 +523,20 @@ fn encode_rib_in(enc: &mut Encoder, entry: &RibInEntry) {
 }
 
 fn decode_rib_in(dec: &mut Decoder<'_>, table: &PathTable) -> Result<RibInEntry, SnapError> {
-    let route = dec
-        .option("rib-in route", |d| d.u32("rib-in route id"))?
-        .map(|raw| table.route_by_id(raw));
+    let route = dec.option("rib-in route", |d| {
+        route_of(table, d.u32("rib-in route id")?)
+    })?;
     let damper_slot = dec.option("rib-in damper slot", |d| d.u32("rib-in damper slot"))?;
     let suppressed = dec.bool("rib-in suppressed")?;
     let rcn = dec.option("rib-in rcn", |d| {
+        // Every RCN filter the network builds has the default
+        // capacity; anything else would be asserted on or allocated.
         let capacity = d.usize("rcn capacity")?;
+        if capacity == 0 || capacity > RootCauseHistory::DEFAULT_CAPACITY {
+            return Err(SnapError::Invalid {
+                context: "rcn capacity",
+            });
+        }
         let policy = match d.u8("rcn policy")? {
             0 => RcnChargePolicy::ByRootCause,
             _ => RcnChargePolicy::ByUpdateKind,
@@ -811,7 +576,7 @@ fn decode_mrai(dec: &mut Decoder<'_>) -> Result<MraiPeer, SnapError> {
         timer_pending: dec.bool("mrai timer-pending")?,
         last_announced_len: dec.option("mrai last announced len", |d| {
             let len = d.usize("mrai last announced len")?;
-            u16::try_from(len).map_err(|_| SnapError::PayloadExhausted {
+            u16::try_from(len).map_err(|_| SnapError::Invalid {
                 context: "mrai last announced len",
             })
         })?,
@@ -846,93 +611,80 @@ impl Router {
     }
 
     /// Restores state written by [`Router::encode_snapshot`] into a
-    /// freshly constructed router (same peer set; for `fork == false`,
-    /// same full configuration).
-    ///
-    /// With `fork == true` the damping-related state is *not* imported:
-    /// the router keeps the damper store its own (variant) configuration
-    /// built, and every restored RIB-IN entry gets a freshly allocated
-    /// damper slot and pristine filters — valid only for warm snapshots,
-    /// where penalties are zero and filters are untouched, so a forked
-    /// run is indistinguishable from a cold start of the variant.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the decoded shape disagrees with this router's peer
-    /// set or damping deployment — the config fingerprint check on the
-    /// snapshot file makes that unreachable short of an internal bug.
-    /// A prefix id outside the network's `0..origins` is an error: the
-    /// prefix table is indexed by it.
+    /// freshly constructed router of the same configuration. A payload
+    /// that disagrees with this router's peer set or damping
+    /// deployment, or names a prefix outside the network's `0..origins`
+    /// (the prefix table is indexed by it) or a path the table does not
+    /// hold, is refused.
     fn apply_snapshot(
         &mut self,
         dec: &mut Decoder<'_>,
         table: &PathTable,
         origins: usize,
-        fork: bool,
-    ) -> Result<(), SnapError> {
+    ) -> Result<(), SnapshotError> {
         let n = self.slots.len();
+        let width = |len: usize, what| {
+            if len == n {
+                Ok(())
+            } else {
+                Err(SnapshotError::Shape(what))
+            }
+        };
         self.charging_enabled = dec.bool("router charging flag")?;
         let down = dec.seq("router down flags", |d| d.bool("down flag"))?;
-        assert_eq!(down.len(), n, "snapshot peer count mismatch");
+        width(down.len(), "router peer count")?;
         self.down = down;
         let store_state = dec.option("router damper store", decode_store_state)?;
-        if !fork {
-            match (self.damper_store.as_mut(), store_state) {
-                (Some(store), Some(state)) => store
-                    .import_state(state)
-                    .expect("hash-valid snapshot holds a consistent damper store"),
-                (None, None) => {}
-                _ => panic!("snapshot damping deployment mismatch at router {}", self.id),
-            }
+        match (self.damper_store.as_mut(), store_state) {
+            (Some(store), Some(state)) => store
+                .import_state(state)
+                .map_err(|_| SnapshotError::Shape("inconsistent damper store"))?,
+            (None, None) => {}
+            _ => return Err(SnapshotError::Shape("router damping deployment")),
         }
         self.prefixes.clear();
         let n_prefixes = dec.usize("router prefix count")?;
         for _ in 0..n_prefixes {
-            let prefix = decode_prefix(dec, origins, "prefix id")?;
+            let id = dec.u32("prefix id")?;
+            if id as usize >= origins {
+                return Err(SnapError::Invalid {
+                    context: "prefix id",
+                }
+                .into());
+            }
             let mut state = PrefixState::new(n);
             state.originated = dec.bool("prefix originated")?;
             let rib_in = dec.seq("prefix rib-in", |d| {
                 d.option("rib-in entry", |d| decode_rib_in(d, table))
             })?;
-            assert_eq!(rib_in.len(), n, "snapshot rib-in width mismatch");
-            for (slot, entry) in rib_in.into_iter().enumerate() {
-                let Some(entry) = entry else { continue };
-                state.peers[slot].rib_in = Some(if fork {
-                    let damper_slot = self
-                        .damper_store
-                        .as_mut()
-                        .map(|s| s.insert(damper_key(self.slots[slot], prefix)));
-                    let mut fresh = RibInEntry::new(damper_slot, self.config.filter);
-                    fresh.route = entry.route;
-                    fresh.last_rc = entry.last_rc;
-                    fresh
-                } else {
-                    entry
-                });
+            width(rib_in.len(), "rib-in width")?;
+            for (p, entry) in state.peers.iter_mut().zip(rib_in) {
+                p.rib_in = entry;
             }
             state.best = dec.option("prefix best", |d| {
                 let learned_from = d
                     .option("best learned-from", |d| d.u32("best learned-from"))?
                     .map(NodeId::new);
-                let route = table.route_by_id(d.u32("best route id")?);
+                let route = route_of(table, d.u32("best route id")?)?;
                 Ok(BestRoute {
                     learned_from,
                     route,
                 })
             })?;
             let rib_out = dec.seq("prefix rib-out", |d| {
-                Ok(d.option("rib-out route", |d| d.u32("rib-out route id"))?
-                    .map(|raw| table.route_by_id(raw)))
+                d.option("rib-out route", |d| {
+                    route_of(table, d.u32("rib-out route id")?)
+                })
             })?;
-            assert_eq!(rib_out.len(), n, "snapshot rib-out width mismatch");
+            width(rib_out.len(), "rib-out width")?;
             let mrai = dec.seq("prefix mrai", decode_mrai)?;
-            assert_eq!(mrai.len(), n, "snapshot mrai width mismatch");
+            width(mrai.len(), "mrai width")?;
             for (p, (rib_out, mrai)) in state.peers.iter_mut().zip(rib_out.into_iter().zip(mrai)) {
                 p.rib_out = rib_out;
                 p.mrai = mrai;
             }
             state.current_rc = dec.option("prefix current rc", decode_root_cause)?;
-            *prefix_entry(&mut self.prefixes, prefix) = Some(state);
+            *prefix_entry(&mut self.prefixes, Prefix::new(id)) = Some(state);
         }
         Ok(())
     }
@@ -942,26 +694,29 @@ impl Router {
 mod tests {
     use super::*;
 
+    /// A crafted RCN history capacity is refused, neither asserted on
+    /// (zero) nor allocated (huge).
     #[test]
-    fn events_naming_an_unknown_prefix_are_refused() {
-        // Deliver, MRAI expiry and reuse timer all carry two node ids,
-        // then the prefix id: prefix 3 of a three-origin network.
-        for tag in 0..3 {
+    fn rib_in_refuses_a_crafted_rcn_capacity() {
+        for capacity in [0, usize::MAX] {
             let mut enc = Encoder::new();
-            enc.u8(tag);
-            for word in [0, 1, 3] {
-                enc.u32(word);
-            }
+            enc.u8(0); // no route
+            enc.u8(0); // no damper slot
+            enc.bool(false);
+            enc.u8(1); // an RCN filter
+            enc.usize(capacity);
+            enc.u8(0);
+            enc.usize(0);
             let bytes = enc.into_bytes();
-            let err = decode_event(&mut Decoder::new(&bytes), &PathTable::new(), 3);
+            let err = decode_rib_in(&mut Decoder::new(&bytes), &PathTable::new());
             assert!(
                 matches!(
                     err,
-                    Err(SnapError::PayloadExhausted {
-                        context: "prefix id out of range"
+                    Err(SnapError::Invalid {
+                        context: "rcn capacity"
                     })
                 ),
-                "tag {tag}: {err:?}"
+                "capacity {capacity}: {err:?}"
             );
         }
     }

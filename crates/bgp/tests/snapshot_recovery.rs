@@ -1,14 +1,14 @@
-//! Crash-recovery and warm-fork contracts for the snapshot subsystem:
+//! Contracts of the snapshot subsystem, which captures only quiescent
+//! networks:
 //!
-//! * **Kill-resume byte-identity** — a run that checkpoints
-//!   periodically, is killed at an arbitrary checkpoint, and resumes
-//!   from the snapshot file must produce the same trace, report, and
-//!   drop counters as the uninterrupted run, over random topologies,
-//!   seeds, damping variants, policies and pulse counts.
-//! * **Warm-fork equality** — forking damping-parameter variants from
-//!   one warm snapshot must equal cold starts of those variants.
-//! * **Corruption refusal** — truncated files, bit flips, and
-//!   fingerprint mismatches are refused with the right error, never a
+//! * **Warm-boundary round trip** — a network captured after warm-up,
+//!   written, read back and restored into a fresh network runs its
+//!   workload to the same trace, report, drop count and window count
+//!   as the straight run, over random topologies, seeds, damping
+//!   variants, policies and pulse counts.
+//! * **Refusal** — a network with pending events is refused at capture;
+//!   truncated files, bit flips, fingerprint mismatches and hash-valid
+//!   crafted payloads are refused with an error, never a panic or a
 //!   wrong answer.
 
 use std::path::PathBuf;
@@ -18,7 +18,8 @@ use proptest::prelude::*;
 use rfd_bgp::{snapshot, Network, NetworkConfig, Policy, Snapshot, SnapshotError};
 use rfd_core::{FlapPattern, FlapSchedule};
 use rfd_metrics::TraceEvent;
-use rfd_sim::SimDuration;
+use rfd_sim::{RunOutcome, SimDuration, SimTime};
+use rfd_snap::{Decoder, SnapError};
 use rfd_topology::{internet_like, mesh_torus, ring, NodeId, Relationships};
 
 static FILE_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -68,64 +69,55 @@ fn config_for(seed: u64, variant: usize) -> NetworkConfig {
     }
 }
 
-/// Everything observable that the recovery contract pins.
+/// Everything observable that the round-trip contract pins.
+#[derive(Debug, PartialEq)]
 struct Observed {
     messages: usize,
     convergence: SimDuration,
     events: u64,
+    outcome: RunOutcome,
     dropped: u64,
+    windows: u64,
     trace: Vec<TraceEvent>,
 }
 
-fn observe(net: &Network, report: &rfd_bgp::RunReport) -> Observed {
+/// Runs `schedule` on a warmed-up `net` and records what it observed.
+fn run_workload(mut net: Network, schedule: &FlapSchedule) -> Observed {
+    let report = net.run_schedules(&[(0, schedule)], LEAD_IN);
     Observed {
         messages: report.message_count,
         convergence: report.convergence_time,
         events: report.events_processed,
+        outcome: report.outcome,
         dropped: net.dropped_messages(),
+        windows: net.windows(),
         trace: net.trace().events().to_vec(),
     }
 }
 
-fn assert_same(a: &Observed, b: &Observed, what: &str) {
-    assert_eq!(a.trace, b.trace, "{what}: trace diverged");
-    assert_eq!(a.messages, b.messages, "{what}: message count");
-    assert_eq!(a.convergence, b.convergence, "{what}: convergence time");
-    assert_eq!(a.events, b.events, "{what}: events processed");
-    assert_eq!(a.dropped, b.dropped, "{what}: dropped messages");
-}
-
-/// The straight (uninterrupted) run.
-fn run_straight(
-    graph: &rfd_topology::Graph,
-    isp: NodeId,
-    cfg: &NetworkConfig,
-    schedule: &FlapSchedule,
-) -> Observed {
-    let mut net = Network::new(graph, isp, cfg.clone());
-    net.warm_up();
-    let report = net.run_schedules(&[(0, schedule)], LEAD_IN);
-    observe(&net, &report)
+/// Writes `snap` to a scratch file and reads it back.
+fn through_a_file(snap: &Snapshot, tag: &str) -> Snapshot {
+    let path = scratch(tag);
+    snap.write(&path).expect("write snapshot");
+    let loaded = Snapshot::read(&path).expect("read snapshot");
+    std::fs::remove_file(&path).ok();
+    loaded
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Checkpoint → kill → restore-from-file → run-to-end equals the
-    /// uninterrupted run, byte for byte. The window count is pinned
-    /// too, against the same run resumed in memory: a checkpoint pause
-    /// ends a window early, so the count depends on where the run was
-    /// cut, but never on whether it continued in memory or from a file.
+    /// Capture after warm-up → write → read → restore into a fresh
+    /// network → run the workload equals the straight run, byte for
+    /// byte, window count included.
     #[test]
-    fn kill_resume_is_byte_identical(
+    fn warm_snapshot_round_trip_is_byte_identical(
         topo in topo_strategy(),
         isp_pick in 0usize..64,
         seed in 1u64..10_000,
         variant in 0usize..3,
         no_valley in any::<bool>(),
         pulses in 1usize..3,
-        every_secs in 20u64..90,
-        kill_pick in 0usize..16,
     ) {
         let graph = topo.build();
         let isp = NodeId::new((isp_pick % graph.node_count()) as u32);
@@ -136,71 +128,16 @@ proptest! {
         let key = snapshot::fingerprints(&graph, &[isp], &cfg);
         let schedule = FlapSchedule::from(FlapPattern::paper_default(pulses));
 
-        let reference = run_straight(&graph, isp, &cfg, &schedule);
+        let mut warm = Network::new(&graph, isp, cfg.clone());
+        warm.warm_up();
+        let snap = Snapshot::capture(&warm, key).expect("a warm network is quiescent");
+        let straight = run_workload(warm, &schedule);
 
-        // The same run again, checkpointing every `every_secs` and
-        // "killed" after checkpoint `kill_pick` (or after the last one,
-        // if the run ends sooner); the pauses themselves and the
-        // in-memory continuation must not perturb anything.
-        let mut net = Network::new(&graph, isp, cfg.clone());
-        net.warm_up();
-        let mut snaps = Vec::new();
-        let report = net.run_schedules_with_checkpoints(
-            &[(0, &schedule)],
-            LEAD_IN,
-            SimDuration::from_secs(every_secs),
-            |n| {
-                snaps.push(Snapshot::capture(n, key).expect("capture"));
-                snaps.len() <= kill_pick
-            },
-        );
-        let report = if snaps.len() > kill_pick { net.resume() } else { report };
-        assert_same(&reference, &observe(&net, &report), "checkpointed run");
-        prop_assume!(!snaps.is_empty());
-
-        // The kill: all later state is gone; only the snapshot file
-        // survives.
-        let path = scratch("resume");
-        snaps.last().expect("checked above").write(&path).expect("write snapshot");
-        let loaded = Snapshot::read(&path).expect("read snapshot");
-        std::fs::remove_file(&path).ok();
-
-        let mut resumed = Network::new(&graph, isp, cfg.clone());
-        loaded.resume_into(&mut resumed, &key).expect("resume");
-        let report = resumed.resume();
-        assert_same(&reference, &observe(&resumed, &report), "resumed run");
-        prop_assert_eq!(resumed.windows(), net.windows(), "windows");
-    }
-
-    /// Forking a damping-parameter variant from a warm flow-matched
-    /// snapshot equals a cold start of that variant.
-    #[test]
-    fn warm_fork_equals_cold_start(
-        topo in topo_strategy(),
-        isp_pick in 0usize..64,
-        seed in 1u64..10_000,
-        donor_variant in 0usize..3,
-        fork_variant in 0usize..3,
-    ) {
-        let graph = topo.build();
-        let isp = NodeId::new((isp_pick % graph.node_count()) as u32);
-        let schedule = FlapSchedule::from(FlapPattern::paper_default(2));
-
-        let donor_cfg = config_for(seed, donor_variant);
-        let donor_key = snapshot::fingerprints(&graph, &[isp], &donor_cfg);
-        let mut donor = Network::new(&graph, isp, donor_cfg);
-        donor.warm_up();
-        let snap = Snapshot::capture(&mut donor, donor_key).expect("capture");
-        prop_assert!(snap.is_warm());
-
-        let fork_cfg = config_for(seed, fork_variant);
-        let fork_key = snapshot::fingerprints(&graph, &[isp], &fork_cfg);
-        let mut forked = Network::new(&graph, isp, fork_cfg.clone());
-        snap.fork_into(&mut forked, &fork_key).expect("fork");
-        let report = forked.run_schedules(&[(0, &schedule)], LEAD_IN);
-
-        let cold = run_straight(&graph, isp, &fork_cfg, &schedule);
-        assert_same(&cold, &observe(&forked, &report), "forked run");
+        let mut restored = Network::new(&graph, isp, cfg);
+        through_a_file(&snap, "round-trip")
+            .resume_into(&mut restored, &key)
+            .expect("resume");
+        prop_assert_eq!(straight, run_workload(restored, &schedule));
     }
 }
 
@@ -213,30 +150,51 @@ fn small_scenario() -> (rfd_topology::Graph, NodeId, NetworkConfig) {
 }
 
 /// A warm snapshot written to disk for the corruption tests.
-fn warm_snapshot_file(tag: &str) -> (PathBuf, snapshot::SnapshotKey) {
+fn warm_snapshot_file(tag: &str) -> PathBuf {
     let (graph, isp, cfg) = small_scenario();
     let key = snapshot::fingerprints(&graph, &[isp], &cfg);
     let mut net = Network::new(&graph, isp, cfg);
     net.warm_up();
-    let snap = Snapshot::capture(&mut net, key).expect("capture");
+    let snap = Snapshot::capture(&net, key).expect("capture");
     let path = scratch(tag);
     snap.write(&path).expect("write");
-    (path, key)
+    path
+}
+
+/// A run the horizon cut between two pulses still has events queued:
+/// capture refuses it and names how many.
+#[test]
+fn capture_refuses_a_horizon_cut_network() {
+    let (graph, isp, cfg) = small_scenario();
+    let mut net = Network::new(&graph, isp, cfg.clone());
+    net.warm_up();
+    let horizon = net.now().since(SimTime::ZERO) + SimDuration::from_secs(160);
+    let cfg = NetworkConfig { horizon, ..cfg };
+    let key = snapshot::fingerprints(&graph, &[isp], &cfg);
+    let mut net = Network::new(&graph, isp, cfg);
+    let report = net.run_paper_workload(3);
+    assert_eq!(report.outcome, RunOutcome::HorizonReached);
+    let err = Snapshot::capture(&net, key).expect_err("pending events must be refused");
+    let SnapshotError::NotQuiescent { pending } = err else {
+        panic!("unexpected error: {err}");
+    };
+    assert!(pending > 0);
+    assert!(err
+        .to_string()
+        .contains(&format!("{pending} pending events")));
 }
 
 #[test]
 fn truncated_snapshot_is_refused() {
-    let (path, _) = warm_snapshot_file("truncate");
+    let path = warm_snapshot_file("truncate");
     let bytes = std::fs::read(&path).expect("read back");
-    for keep in [0, 7, 36, bytes.len() / 2, bytes.len() - 1] {
+    for keep in [0, 7, 28, bytes.len() / 2, bytes.len() - 1] {
         std::fs::write(&path, &bytes[..keep]).expect("truncate");
         let err = Snapshot::read(&path).expect_err("truncated file must be refused");
         assert!(
             matches!(
                 err,
-                SnapshotError::Snap(
-                    rfd_snap::SnapError::Truncated { .. } | rfd_snap::SnapError::BadMagic { .. }
-                )
+                SnapshotError::Snap(SnapError::Truncated { .. } | SnapError::BadMagic { .. })
             ),
             "unexpected error for keep={keep}: {err}"
         );
@@ -246,7 +204,7 @@ fn truncated_snapshot_is_refused() {
 
 #[test]
 fn bit_flipped_snapshot_is_refused() {
-    let (path, _) = warm_snapshot_file("bitflip");
+    let path = warm_snapshot_file("bitflip");
     let bytes = std::fs::read(&path).expect("read back");
     // Flip one bit in the payload body and one in the trailing hash.
     for pos in [bytes.len() / 2, bytes.len() - 3] {
@@ -255,10 +213,7 @@ fn bit_flipped_snapshot_is_refused() {
         std::fs::write(&path, &corrupt).expect("corrupt");
         let err = Snapshot::read(&path).expect_err("bit-flipped file must be refused");
         assert!(
-            matches!(
-                err,
-                SnapshotError::Snap(rfd_snap::SnapError::HashMismatch { .. })
-            ),
+            matches!(err, SnapshotError::Snap(SnapError::HashMismatch { .. })),
             "unexpected error for pos={pos}: {err}"
         );
     }
@@ -267,7 +222,7 @@ fn bit_flipped_snapshot_is_refused() {
 
 #[test]
 fn config_mismatch_is_refused() {
-    let (path, _) = warm_snapshot_file("mismatch");
+    let path = warm_snapshot_file("mismatch");
     let snap = Snapshot::read(&path).expect("read");
     std::fs::remove_file(&path).ok();
 
@@ -291,58 +246,15 @@ fn config_mismatch_is_refused() {
     );
 }
 
-#[test]
-fn mid_run_snapshot_cannot_fork() {
-    let (graph, isp, cfg) = small_scenario();
-    let key = snapshot::fingerprints(&graph, &[isp], &cfg);
-    let schedule = FlapSchedule::from(FlapPattern::paper_default(1));
-
-    let mut net = Network::new(&graph, isp, cfg.clone());
-    net.warm_up();
-    let mut snaps = Vec::new();
-    net.run_schedules_with_checkpoints(
-        &[(0, &schedule)],
-        LEAD_IN,
-        SimDuration::from_secs(30),
-        |n| {
-            snaps.push(Snapshot::capture(n, key).expect("capture"));
-            true
-        },
-    );
-    let snap = snaps.first().expect("at least one checkpoint");
-    assert!(!snap.is_warm());
-
-    let mut target = Network::new(&graph, isp, cfg);
-    let err = snap
-        .fork_into(&mut target, &key)
-        .expect_err("mid-run snapshot must not seed a variant");
-    assert!(
-        matches!(err, SnapshotError::NotWarm),
-        "unexpected error: {err}"
-    );
-}
-
-/// The payload of the first checkpoint (at 120 s) of a fully damped
-/// run that flaps origin 0 three times.
-fn first_checkpoint_payload(graph: &rfd_topology::Graph, isps: &[NodeId]) -> Vec<u8> {
-    let schedule = FlapSchedule::from(FlapPattern::paper_default(3));
+/// The payload of a fully damped network captured right after warm-up.
+fn warm_payload(graph: &rfd_topology::Graph, isps: &[NodeId]) -> Vec<u8> {
     let cfg = NetworkConfig::paper_full_damping(5);
     let key = snapshot::fingerprints(graph, isps, &cfg);
     let mut net = Network::new_multi(graph, isps, cfg);
     net.warm_up();
-    let mut first = None;
-    net.run_schedules_with_checkpoints(
-        &[(0, &schedule)],
-        LEAD_IN,
-        SimDuration::from_secs(120),
-        |n| {
-            first = Some(Snapshot::capture(n, key).expect("capture"));
-            false
-        },
-    );
     let path = scratch("pin");
-    first
-        .expect("a checkpoint at 120 s")
+    Snapshot::capture(&net, key)
+        .expect("capture")
         .write(&path)
         .expect("write");
     let payload = rfd_snap::read_file(&path).expect("read back").payload;
@@ -351,23 +263,22 @@ fn first_checkpoint_payload(graph: &rfd_topology::Graph, isps: &[NodeId]) -> Vec
 }
 
 /// The path interner's hasher and collision chain, and the router's
-/// per-prefix storage, are invisible to the file format: the first
-/// checkpoint of a fixed run has a pinned length and hash. Format
-/// version 4 writes one simulation state, with no shard count and the
-/// clock and processed count only in the header (24 bytes fewer than
-/// version 3). The eight-origin case pins the multi-prefix encode order
-/// (ascending prefix id within each router).
+/// per-prefix storage, are invisible to the file format: the warm
+/// state of a fixed network has a pinned length and hash. Format
+/// version 5 has no pending-event section and no warm flag. The
+/// eight-origin case pins the multi-prefix encode order (ascending
+/// prefix id within each router).
 #[test]
 fn checkpoint_bytes_are_pinned() {
     let torus = mesh_torus(6, 6);
     let internet = internet_like(60, 2, 5);
     let eight: Vec<NodeId> = (0..8).map(|i| NodeId::new(i * 7)).collect();
     let cases: [(&rfd_topology::Graph, &[NodeId], usize, u64); 2] = [
-        (&torus, &[NodeId::new(0)], 41_856, 0xe739_e5c3_d726_b1a2),
-        (&internet, &eight, 229_963, 0xbe80_bd85_337c_5501),
+        (&torus, &[NodeId::new(0)], 21_758, 0x4eac_7975_66ec_68c7),
+        (&internet, &eight, 195_289, 0xefaf_ab17_546f_6001),
     ];
     for (graph, isps, len, pinned) in cases {
-        let payload = first_checkpoint_payload(graph, isps);
+        let payload = warm_payload(graph, isps);
         assert_eq!(
             (payload.len(), rfd_snap::fnv1a(&payload)),
             (len, pinned),
@@ -377,20 +288,47 @@ fn checkpoint_bytes_are_pinned() {
     }
 }
 
-/// Offset of the first router's first prefix id in the payload of a
-/// network without damping — the layout `Snapshot::capture`
-/// writes: header, path table, then per router its charging flag,
-/// down flags, damper store (absent) and prefix count.
-fn first_prefix_id_offset(payload: &[u8]) -> Result<usize, rfd_snap::SnapError> {
-    let mut d = rfd_snap::Decoder::new(payload);
-    d.bool("warm")?;
+/// Byte offsets of the fields the crafted payloads below overwrite,
+/// found by walking the layout `Snapshot::capture` writes for a
+/// network without damping: the header, the path table, then router
+/// 0's charging flag, down flags, (absent) damper store and first
+/// prefix.
+struct Landmarks {
+    /// Per interned path: the offset of its first hop.
+    path_hops: Vec<usize>,
+    prefix_id: usize,
+    rib_in_width: usize,
+    best_route_id: usize,
+}
+
+fn put(bytes: &mut [u8], at: usize, new: &[u8]) {
+    bytes[at..at + new.len()].copy_from_slice(new);
+}
+
+fn skip_rib_in(d: &mut Decoder<'_>) -> Result<(), SnapError> {
+    d.option("route", |d| d.u32("route id"))?;
+    d.option("damper slot", |d| d.u32("damper slot"))?;
+    d.bool("suppressed")?;
+    for filter in ["rcn", "selective", "last root cause"] {
+        assert_eq!(d.u8(filter)?, 0, "no {filter}");
+    }
+    d.u64("charges")?;
+    Ok(())
+}
+
+fn landmarks(payload: &[u8]) -> Result<Landmarks, SnapError> {
+    let mut d = Decoder::new(payload);
+    let at = |d: &Decoder<'_>| payload.len() - d.remaining();
     d.u64("now")?;
     d.bool("warmed up")?;
     for _ in 0..5 {
         d.u64("counter")?;
     }
+    let mut path_hops = Vec::new();
     for _ in 0..d.usize("paths")? {
-        for _ in 0..d.usize("hops")? {
+        let hops = d.usize("hops")?;
+        path_hops.push(at(&d));
+        for _ in 0..hops {
             d.u32("hop")?;
         }
     }
@@ -399,53 +337,83 @@ fn first_prefix_id_offset(payload: &[u8]) -> Result<usize, rfd_snap::SnapError> 
     d.seq("down", |d| d.bool("down"))?;
     assert_eq!(d.u8("damper store")?, 0, "no damper store");
     assert!(d.usize("prefixes")? > 0, "router 0 knows prefix 0");
-    Ok(payload.len() - d.remaining())
+    let prefix_id = at(&d);
+    d.u32("prefix id")?;
+    d.bool("originated")?;
+    let rib_in_width = at(&d);
+    d.seq("rib-in", |d| d.option("rib-in entry", skip_rib_in))?;
+    assert_eq!(d.u8("best")?, 1, "router 0 has a best route");
+    d.option("learned from", |d| d.u32("learned from"))?;
+    Ok(Landmarks {
+        path_hops,
+        prefix_id,
+        rib_in_width,
+        best_route_id: at(&d),
+    })
 }
 
-/// A router's prefix table is indexed by prefix id, so a crafted
-/// checkpoint naming prefix 2³² − 1 in a one-origin network must be
-/// refused as corrupt — not allocated, and not a panic.
+/// Hash-valid payloads a hostile file could carry: each must be refused
+/// with an error, not allocated, indexed or asserted on.
 #[test]
-fn out_of_range_prefix_id_is_refused() {
+fn crafted_payloads_are_refused() {
     let graph = mesh_torus(3, 3);
     let isp = NodeId::new(4);
     let cfg = NetworkConfig::paper_no_damping(7);
     let key = snapshot::fingerprints(&graph, &[isp], &cfg);
     let mut net = Network::new(&graph, isp, cfg.clone());
     net.warm_up();
-    let path = scratch("hostile-prefix");
-    Snapshot::capture(&mut net, key)
+    let path = scratch("hostile");
+    Snapshot::capture(&net, key)
         .expect("capture")
         .write(&path)
         .expect("write");
-    let mut payload = rfd_snap::read_file(&path).expect("read back").payload;
-    let at = first_prefix_id_offset(&payload).expect("walk the payload");
-    assert_eq!(payload[at..at + 4], 0u32.to_le_bytes());
-    payload[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-    rfd_snap::write_atomic(&path, key.config_fp, key.flow_fp, &payload).expect("rewrite");
-    let crafted = Snapshot::read(&path).expect("the container itself is valid");
-    std::fs::remove_file(&path).ok();
-
-    let mut target = Network::new(&graph, isp, cfg);
-    let err = crafted
-        .resume_into(&mut target, &key)
-        .expect_err("an out-of-range prefix id must be refused");
-    assert!(
-        matches!(
-            err,
-            SnapshotError::Snap(rfd_snap::SnapError::PayloadExhausted {
-                context: "prefix id out of range"
-            })
+    let payload = rfd_snap::read_file(&path).expect("read back").payload;
+    let marks = landmarks(&payload).expect("walk the payload");
+    // (what is crafted, how, what the refusal says)
+    type Craft = fn(&mut [u8], &Landmarks);
+    let cases: [(&str, Craft, &str); 4] = [
+        (
+            "prefix id 2^32 - 1",
+            |b, m| put(b, m.prefix_id, &u32::MAX.to_le_bytes()),
+            "invalid prefix id",
         ),
-        "unexpected error: {err}"
-    );
-}
-
-#[test]
-fn inspect_reports_fingerprints_without_restoring() {
-    let (path, key) = warm_snapshot_file("inspect");
-    let info = snapshot::inspect(&path).expect("inspect");
-    assert_eq!(info.config_fp, key.config_fp);
-    assert_eq!(info.flow_fp, key.flow_fp);
+        (
+            "route id 2^32 - 1",
+            |b, m| put(b, m.best_route_id, &u32::MAX.to_le_bytes()),
+            "invalid route id",
+        ),
+        (
+            "path 1 repeats path 0",
+            |b, m| {
+                let first = b[m.path_hops[0]..m.path_hops[0] + 4].to_vec();
+                put(b, m.path_hops[1], &first)
+            },
+            "repeated path",
+        ),
+        (
+            "rib-in one entry short",
+            |b, m| {
+                let at = m.rib_in_width;
+                let width = u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
+                put(b, at, &(width - 1).to_le_bytes())
+            },
+            "rib-in width",
+        ),
+    ];
+    for (what, craft, refusal) in cases {
+        let mut crafted = payload.clone();
+        craft(&mut crafted, &marks);
+        assert_ne!(crafted, payload, "{what}: nothing changed");
+        rfd_snap::write_atomic(&path, key.config_fp, &crafted).expect("rewrite");
+        let snap = Snapshot::read(&path).expect("the container itself is valid");
+        let mut target = Network::new(&graph, isp, cfg.clone());
+        let err = snap
+            .resume_into(&mut target, &key)
+            .expect_err("a crafted payload must be refused");
+        assert!(
+            err.to_string().contains(refusal),
+            "{what}: unexpected error: {err}"
+        );
+    }
     std::fs::remove_file(&path).ok();
 }

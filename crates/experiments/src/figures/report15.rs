@@ -60,7 +60,6 @@ pub fn interval_sweep(
             cell.seed,
             FlapPattern::new(cell.pulses, interval),
             |_| NetworkConfig::paper_full_damping(cell.seed),
-            None,
             &[],
         )
     });

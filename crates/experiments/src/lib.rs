@@ -29,7 +29,6 @@ pub mod sweep;
 
 pub use scenarios::{
     pick_isp, run_cell_metrics, run_pattern_metrics, run_workload, run_workload_on, TopologyKind,
-    WarmCache,
 };
 pub use sweep::{
     calculation_series, estimate_t_up, grid_slug, measure_series, measure_series_on, measure_sweep,

@@ -4,10 +4,7 @@
 //! Internet-derived topologies. … Given a network topology, we randomly
 //! select a node to be the ispAS and attach an originAS to it."
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
-
-use rfd_bgp::{DampingDeployment, Network, NetworkConfig, PenaltyFilter, RunReport, Snapshot};
+use rfd_bgp::{Network, NetworkConfig, RunReport};
 use rfd_metrics::{SuppressionStats, TraceSink};
 use rfd_sim::{DetRng, SimDuration};
 use rfd_topology::{internet_like, mesh_torus, Graph, NodeId, Relationships};
@@ -131,8 +128,8 @@ pub fn run_workload_pattern(
     (report, network)
 }
 
-/// [`run_pattern_metrics`] for the paper's default flap pattern, cold
-/// and unaudited.
+/// [`run_pattern_metrics`] for the paper's default flap pattern,
+/// unaudited.
 pub fn run_cell_metrics(
     kind: TopologyKind,
     seed: u64,
@@ -140,13 +137,13 @@ pub fn run_cell_metrics(
     make_config: impl FnOnce(&Graph) -> NetworkConfig,
 ) -> rfd_runner::RunMetrics {
     let pattern = rfd_core::FlapPattern::paper_default(pulses);
-    run_pattern_metrics(kind, seed, pattern, make_config, None, &[])
+    run_pattern_metrics(kind, seed, pattern, make_config, &[])
 }
 
 /// Runs one grid cell's workload and extracts the metrics the runner
-/// journals and aggregates: build the network, fork it from `warm`'s
-/// donor snapshot or warm it up, attach the timer-interaction ledger
-/// when `ledger_keys` names any (peer, prefix), run `pattern`.
+/// journals and aggregates: build the network, warm it up, attach the
+/// timer-interaction ledger when `ledger_keys` names any (peer,
+/// prefix), run `pattern`.
 ///
 /// Grid cells stream into an aggregate-only sink
 /// ([`rfd_metrics::SuppressionStats`]): per-cell memory stays O(1) in
@@ -154,30 +151,20 @@ pub fn run_cell_metrics(
 /// (asserted). Ledger records stream into a
 /// [`rfd_core::CountingLedger`] — O(1) memory, and deliberately *not*
 /// part of [`rfd_runner::RunMetrics`]: a sweep's CSVs are
-/// byte-identical with the ledger on or off, forked or cold (tested at
-/// the sweep layer).
+/// byte-identical with the ledger on or off (tested at the sweep
+/// layer).
 pub fn run_pattern_metrics(
     kind: TopologyKind,
     seed: u64,
     pattern: rfd_core::FlapPattern,
     make_config: impl FnOnce(&Graph) -> NetworkConfig,
-    warm: Option<&WarmCache>,
     ledger_keys: &[(u32, u32)],
 ) -> rfd_runner::RunMetrics {
     let graph = kind.build(seed);
     let isp = pick_isp(&graph, seed);
     let config = make_config(&graph);
-    let mut network = match warm.and_then(|cache| cache.fork(&graph, isp, &config)) {
-        Some(forked) => {
-            rfd_obs::inc("runner.cell.warm_forks");
-            forked
-        }
-        None => {
-            let mut cold = Network::new_with_sink(&graph, isp, config, SuppressionStats::new());
-            cold.warm_up();
-            cold
-        }
-    };
+    let mut network = Network::new_with_sink(&graph, isp, config, SuppressionStats::new());
+    network.warm_up();
     if !ledger_keys.is_empty() {
         network.set_ledger(
             rfd_core::LedgerFilter::keys(ledger_keys.iter().copied()),
@@ -195,89 +182,6 @@ pub fn run_pattern_metrics(
         convergence_secs: report.convergence_time.as_secs_f64(),
         messages: report.message_count as f64,
         suppressed: stats.ever_suppressed_entries() as f64,
-    }
-}
-
-/// Sweep-wide cache of warm snapshots for `--warm-fork`, keyed by the
-/// *flow* fingerprint (topology + seed + everything that shapes the
-/// warm-up flow; damping parameters excluded — see
-/// [`rfd_bgp::snapshot::fingerprints`]).
-///
-/// Grid cells that share a (topology, seed) pair also share a flow
-/// fingerprint, so the first cell to arrive warms one donor network and
-/// every damping-parameter variant forks from its snapshot instead of
-/// re-running the warm-up. Each slot is an `OnceLock`, so concurrent
-/// workers block on the single warmer rather than warming redundantly;
-/// a failed warm-up is cached as `None` and every cell on that slot
-/// falls back to a cold start.
-#[derive(Debug, Default)]
-pub struct WarmCache {
-    slots: Mutex<HashMap<u64, WarmSlot>>,
-}
-
-/// One flow-fingerprint slot: settled exactly once, to the donor
-/// snapshot on success or `None` when the warm-up failed.
-type WarmSlot = Arc<OnceLock<Option<Arc<Snapshot>>>>;
-
-impl WarmCache {
-    /// An empty cache; one per sweep.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of donor snapshots currently cached (warmed slots only).
-    pub fn len(&self) -> usize {
-        let slots = self.slots.lock().expect("warm cache poisoned");
-        slots.values().filter(|s| s.get().is_some()).count()
-    }
-
-    /// True when no donor has been warmed yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// A network for `config` seeded from the warm donor of its flow
-    /// fingerprint, warming the donor on first use; `None` when the
-    /// capture or the fork failed and the cell must start cold — the
-    /// answer is never wrong, only slower.
-    ///
-    /// The donor runs the cell's own configuration normalised exactly
-    /// the way the flow fingerprint is computed (damping off, plain
-    /// filter, no reuse granularity) — the warm-up flow never consults
-    /// any of those, so the fork is byte-equivalent to a cold start
-    /// (property-tested at the rfd-bgp layer, and the sweep CSVs are
-    /// diffed cold-vs-forked in CI).
-    fn fork(
-        &self,
-        graph: &Graph,
-        isp: NodeId,
-        config: &NetworkConfig,
-    ) -> Option<Network<SuppressionStats>> {
-        let key = rfd_bgp::snapshot::fingerprints(graph, &[isp], config);
-        let slot = {
-            let mut slots = self.slots.lock().expect("warm cache poisoned");
-            slots.entry(key.flow_fp).or_default().clone()
-        };
-        let donor = slot.get_or_init(|| {
-            let mut donor_cfg = config.clone();
-            donor_cfg.damping = DampingDeployment::Off;
-            donor_cfg.filter = PenaltyFilter::Plain;
-            donor_cfg.protocol.reuse_granularity = None;
-            let donor_key = rfd_bgp::snapshot::fingerprints(graph, &[isp], &donor_cfg);
-            debug_assert_eq!(
-                donor_key.flow_fp, key.flow_fp,
-                "flow normalisation must be idempotent"
-            );
-            let mut donor = Network::new_with_sink(graph, isp, donor_cfg, SuppressionStats::new());
-            donor.warm_up();
-            Snapshot::capture(&mut donor, donor_key).ok().map(Arc::new)
-        });
-        // A refused fork may leave partially-restored state behind, so
-        // the half-forked network is dropped, never reused.
-        let mut network =
-            Network::new_with_sink(graph, isp, config.clone(), SuppressionStats::new());
-        donor.as_deref()?.fork_into(&mut network, &key).ok()?;
-        Some(network)
     }
 }
 
@@ -336,31 +240,6 @@ mod tests {
         assert_eq!(report.message_count, network.trace().message_count());
     }
 
-    #[test]
-    fn forked_cells_match_cold_cells_and_share_one_donor() {
-        let kind = TopologyKind::Mesh {
-            width: 4,
-            height: 4,
-        };
-        let pattern = rfd_core::FlapPattern::paper_default(2);
-        let cache = WarmCache::new();
-        assert!(cache.is_empty());
-        let configs: [fn(u64) -> NetworkConfig; 3] = [
-            NetworkConfig::paper_full_damping,
-            NetworkConfig::paper_no_damping,
-            NetworkConfig::paper_rcn_damping,
-        ];
-        for make in configs {
-            let cold = run_pattern_metrics(kind, 5, pattern, |_| make(5), None, &[]);
-            let forked = run_pattern_metrics(kind, 5, pattern, |_| make(5), Some(&cache), &[]);
-            assert_eq!(cold.convergence_secs, forked.convergence_secs);
-            assert_eq!(cold.messages, forked.messages);
-            assert_eq!(cold.suppressed, forked.suppressed);
-        }
-        // All three variants share one (topology, seed) flow, hence one donor.
-        assert_eq!(cache.len(), 1);
-    }
-
     /// The pre-streaming pipeline: buffer the whole event history in a
     /// [`rfd_metrics::VecSink`] and derive every metric by post-hoc
     /// trace scans.
@@ -388,7 +267,7 @@ mod tests {
         for pulses in [1, 3] {
             let pattern = rfd_core::FlapPattern::paper_default(pulses);
             let full_damping = |_: &Graph| NetworkConfig::paper_full_damping(5);
-            let streaming = run_pattern_metrics(kind, 5, pattern, full_damping, None, &[]);
+            let streaming = run_pattern_metrics(kind, 5, pattern, full_damping, &[]);
             let full = run_pattern_metrics_full(kind, 5, pattern, full_damping);
             assert_eq!(streaming.convergence_secs, full.convergence_secs);
             assert_eq!(streaming.messages, full.messages);

@@ -18,7 +18,7 @@ use rfd_runner::{
 use rfd_sim::SimDuration;
 use rfd_topology::Graph;
 
-use crate::scenarios::{run_pattern_metrics, run_workload, TopologyKind, WarmCache};
+use crate::scenarios::{run_pattern_metrics, run_workload, TopologyKind};
 
 /// One measured point of a sweep (averaged over seeds).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -148,12 +148,6 @@ pub struct SweepOptions {
     /// journal fingerprint: an overridden sweep never resumes a
     /// default-topology journal.
     pub topology: Option<TopologyKind>,
-    /// Warm one donor network per (topology, seed) flow and fork every
-    /// damping-parameter variant from its snapshot instead of repeating
-    /// the warm-up (`--warm-fork`). Byte-identical CSVs either way
-    /// (tested, and diffed in CI); folded into the journal fingerprint
-    /// so forked and cold journals never resume each other.
-    pub warm_fork: bool,
 }
 
 impl Default for SweepOptions {
@@ -171,7 +165,6 @@ impl Default for SweepOptions {
             chaos: ChaosPlan::none(),
             ledger_keys: Vec::new(),
             topology: None,
-            warm_fork: false,
         }
     }
 }
@@ -312,16 +305,10 @@ pub fn try_measure_sweep(
     // The fingerprint salt folds in what the axes can't see: which
     // topology each series runs on (the damping parameters live in the
     // config closure; the label names the profile).
-    let mut salt_parts: Vec<String> = specs
+    let salt_parts: Vec<String> = specs
         .iter()
         .flat_map(|s| [s.label.clone(), format!("{:?}", s.kind)])
         .collect();
-    // Warm-forked sweeps produce the same bytes as cold ones, but the
-    // execution strategy is still part of the journal's identity: a
-    // resumed sweep must re-run cells the way the journal says they ran.
-    if opts.warm_fork {
-        salt_parts.push("warm-fork".to_owned());
-    }
     let mut grid = RunGrid::new(name)
         .pulses((0..=opts.max_pulses).collect())
         .seeds(opts.seeds.clone())
@@ -330,14 +317,12 @@ pub fn try_measure_sweep(
         let label = spec.label.clone();
         grid = grid.series(label, spec);
     }
-    let warm_cache = opts.warm_fork.then(WarmCache::new);
     let results = run_grid(&grid, &opts.runner_config(), |spec: &SeriesSpec, cell| {
         run_pattern_metrics(
             spec.kind,
             cell.seed,
             FlapPattern::paper_default(cell.pulses),
             |g| (spec.make)(g, cell.seed),
-            warm_cache.as_ref(),
             &opts.ledger_keys,
         )
     })?;
@@ -590,31 +575,9 @@ mod tests {
         assert_eq!(tiny_csvs("det-check", on(1)), tiny_csvs("det-check", on(4)));
     }
 
-    /// The snapshot subsystem's warm-fork contract at the sweep layer:
-    /// forking every damping variant from one warm donor per
-    /// (topology, seed) renders byte-identical CSVs to cold-starting
-    /// every cell, sequentially and under a parallel pool.
-    #[test]
-    fn sweep_is_byte_identical_with_and_without_warm_fork() {
-        for threads in [1, 2] {
-            let with = |warm_fork| SweepOptions {
-                seeds: vec![1, 2],
-                threads,
-                warm_fork,
-                ..SweepOptions::default()
-            };
-            assert_eq!(
-                tiny_csvs("fork-check", with(false)),
-                tiny_csvs("fork-check", with(true)),
-                "warm-fork perturbed a CSV at threads={threads}"
-            );
-        }
-    }
-
     /// The ledger's non-perturbation contract at the sweep layer:
     /// auditing every cell's (peer, prefix) keys must leave the CSVs
-    /// byte-identical, sequentially and under a parallel pool, on cold
-    /// cells and on warm-forked ones (the two compose).
+    /// byte-identical, sequentially and under a parallel pool.
     #[test]
     fn sweep_is_byte_identical_with_and_without_ledger() {
         // Watch every plausible peer of the origin entry plus one key
@@ -622,19 +585,18 @@ mod tests {
         // branch are both exercised.
         let keys: Vec<(u32, u32)> = (0..32).map(|peer| (peer, 0)).collect();
         for threads in [1, 2] {
-            let with = |ledger_keys, warm_fork| SweepOptions {
+            let with = |ledger_keys| SweepOptions {
                 seeds: vec![1, 2],
                 threads,
                 ledger_keys,
-                warm_fork,
                 ..SweepOptions::default()
             };
-            let plain = tiny_csvs("ledger-check", with(Vec::new(), false));
-            for warm_fork in [false, true] {
-                let audited = tiny_csvs("ledger-check", with(keys.clone(), warm_fork));
-                let what = format!("threads={threads}, warm_fork={warm_fork}");
-                assert_eq!(plain, audited, "ledger perturbed a CSV at {what}");
-            }
+            let plain = tiny_csvs("ledger-check", with(Vec::new()));
+            let audited = tiny_csvs("ledger-check", with(keys.clone()));
+            assert_eq!(
+                plain, audited,
+                "ledger perturbed a CSV at threads={threads}"
+            );
         }
     }
 

@@ -335,15 +335,9 @@ fn shard_worker(
                             std::thread::sleep(d);
                             stamp = Instant::now();
                         }
-                        // Write/snapshot-stage faults have no meaning
-                        // inside the apply loop.
-                        Some(
-                            ChaosKind::ShortWrite
-                            | ChaosKind::Kill
-                            | ChaosKind::SnapTruncate
-                            | ChaosKind::SnapBitFlip,
-                        )
-                        | None => {}
+                        // A journal short-write has no meaning inside
+                        // the apply loop.
+                        Some(ChaosKind::ShortWrite) | None => {}
                     }
                 }
                 until_check -= 1;

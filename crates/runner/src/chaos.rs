@@ -15,14 +15,7 @@
 //! panic*2@damped|n=1|seed=2               panic its first two attempts
 //! hang=0.25@undamped|n=3|seed=1           sleep 0.25 s before running
 //! shortwrite@damped|n=0|seed=1            truncate its journal record
-//! kill*2@checkpoint                       exit(137) after checkpoint 1 and 2
-//! snaptruncate@resume                     truncate the snapshot pre-read
-//! snapbitflip@resume                      flip a payload bit pre-read
 //! ```
-//!
-//! The last three target `rfd run`'s checkpoint/resume path rather
-//! than grid cells: there the key is a stage name (`checkpoint`,
-//! `resume`) and the attempt is the checkpoint index or read attempt.
 //!
 //! Several faults join with `;`. An attempt bound (`*N`) combined with
 //! `--retries` lets a test exercise the retry path: `panic*1` fails the
@@ -43,18 +36,6 @@ pub enum ChaosKind {
     /// its bytes (a torn write; resume must skip it and re-run the
     /// cell).
     ShortWrite,
-    /// Exit the whole process (status 137, like SIGKILL) right after
-    /// the keyed stage completes — `kill@checkpoint` dies after the
-    /// checkpoint file is written, which is what the kill-resume CI job
-    /// recovers from.
-    Kill,
-    /// Truncate a snapshot file to half its bytes before it is read
-    /// (`snaptruncate@resume`); the restore must refuse it and fall
-    /// back to a cold start, never resume garbage.
-    SnapTruncate,
-    /// Flip one payload bit in a snapshot file before it is read
-    /// (`snapbitflip@resume`); the hash check must catch it.
-    SnapBitFlip,
 }
 
 impl fmt::Display for ChaosKind {
@@ -63,9 +44,6 @@ impl fmt::Display for ChaosKind {
             ChaosKind::Panic => write!(f, "panic"),
             ChaosKind::Hang(d) => write!(f, "hang={}", d.as_secs_f64()),
             ChaosKind::ShortWrite => write!(f, "shortwrite"),
-            ChaosKind::Kill => write!(f, "kill"),
-            ChaosKind::SnapTruncate => write!(f, "snaptruncate"),
-            ChaosKind::SnapBitFlip => write!(f, "snapbitflip"),
         }
     }
 }
@@ -173,12 +151,6 @@ impl ChaosPlan {
                 ChaosKind::Panic
             } else if kind_spec == "shortwrite" {
                 ChaosKind::ShortWrite
-            } else if kind_spec == "kill" {
-                ChaosKind::Kill
-            } else if kind_spec == "snaptruncate" {
-                ChaosKind::SnapTruncate
-            } else if kind_spec == "snapbitflip" {
-                ChaosKind::SnapBitFlip
             } else if let Some(secs) = kind_spec.strip_prefix("hang=") {
                 let secs: f64 = secs.parse().map_err(|_| {
                     ChaosParseError(format!("`{secs}` is not a duration in `{part}`"))
@@ -190,7 +162,7 @@ impl ChaosPlan {
             } else {
                 return Err(ChaosParseError(format!(
                     "unknown fault `{kind_spec}` in `{part}` \
-                     (panic|hang=SECS|shortwrite|kill|snaptruncate|snapbitflip)"
+                     (panic|hang=SECS|shortwrite)"
                 )));
             };
             plan.faults.push(ChaosFault {
@@ -233,23 +205,6 @@ mod tests {
         );
         assert_eq!(plan.fault_for("c", 1), Some(ChaosKind::ShortWrite));
         assert_eq!(plan.fault_for("unlisted", 1), None);
-    }
-
-    #[test]
-    fn parses_snapshot_fault_kinds() {
-        let plan = ChaosPlan::parse("kill*2@checkpoint;snaptruncate@resume;snapbitflip@resume")
-            .expect("valid spec");
-        assert_eq!(plan.fault_for("checkpoint", 2), Some(ChaosKind::Kill));
-        assert_eq!(plan.fault_for("checkpoint", 3), None);
-        assert_eq!(plan.fault_for("resume", 1), Some(ChaosKind::SnapTruncate));
-        for kind in [
-            ChaosKind::Kill,
-            ChaosKind::SnapTruncate,
-            ChaosKind::SnapBitFlip,
-        ] {
-            let again = ChaosPlan::parse(&format!("{kind}@k")).expect("display round-trips");
-            assert_eq!(again.faults()[0].kind, kind);
-        }
     }
 
     #[test]

@@ -13,8 +13,7 @@
 //! `(source node, per-source sequence)` (see [`event_key`]). The queue
 //! pops in `(time, key)` order (`TimerWheel::schedule_keyed`) whatever
 //! order events were inserted in, so the order of processed events is a
-//! pure function of the model, and a snapshot that re-inserts the
-//! pending events reproduces it exactly.
+//! pure function of the model.
 
 use crate::time::{SimDuration, SimTime};
 use crate::wheel::TimerWheel;
@@ -100,39 +99,6 @@ impl<E> EventQueue<E> {
     /// The clock: the time of the last processed event.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Drains every pending event in canonical `(time, key)` order,
-    /// re-schedules a clone of each, and returns the drained list.
-    ///
-    /// This is the snapshot capture path: pop order `(time, key)` is a
-    /// pure function of the pending set, so re-inserting the events
-    /// leaves future behavior byte-identical even though wheel-internal
-    /// slot ids change. The clock and processed count are untouched.
-    pub fn drain_pending(&mut self) -> Vec<(SimTime, u64, E)>
-    where
-        E: Clone,
-    {
-        let mut events = Vec::with_capacity(self.wheel.len());
-        while let Some(entry) = self.wheel.pop_keyed() {
-            events.push(entry);
-        }
-        for (at, key, event) in &events {
-            self.wheel.schedule_keyed(*at, *key, event.clone());
-        }
-        events
-    }
-
-    /// Re-schedules events drained by
-    /// [`drain_pending`](Self::drain_pending) (or decoded from a
-    /// snapshot). Events may lie at or after arbitrary times —
-    /// unlike [`schedule`](Self::schedule) this path does not assert
-    /// against the clock, because a restored clock is set separately
-    /// via [`set_clock`](Self::set_clock).
-    pub fn restore_pending(&mut self, events: Vec<(SimTime, u64, E)>) {
-        for (at, key, event) in events {
-            self.wheel.schedule_keyed(at, key, event);
-        }
     }
 
     /// Overwrites the clock and processed count, for snapshot

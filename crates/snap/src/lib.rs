@@ -9,11 +9,10 @@
 //! offset  size  field
 //! 0       8     magic  b"RFDSNAP1"
 //! 8       4     format version (LE u32)
-//! 12      8     config fingerprint (LE u64) — exact-resume identity
-//! 20      8     flow fingerprint (LE u64) — warm-fork identity
-//! 28      8     payload length (LE u64)
-//! 36      n     payload (opaque to this crate)
-//! 36+n    8     FNV-1a over bytes [0, 36+n) (LE u64)
+//! 12      8     config fingerprint (LE u64) — restore identity
+//! 20      8     payload length (LE u64)
+//! 28      n     payload (opaque to this crate)
+//! 28+n    8     FNV-1a over bytes [0, 28+n) (LE u64)
 //! ```
 //!
 //! Writers go through [`write_atomic`]: the file is assembled in a
@@ -45,10 +44,10 @@ use std::path::{Path, PathBuf};
 pub const MAGIC: [u8; 8] = *b"RFDSNAP1";
 
 /// Current container format version.
-pub const FORMAT_VERSION: u32 = 4;
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Size of everything before the payload.
-const HEADER_LEN: usize = 8 + 4 + 8 + 8 + 8;
+const HEADER_LEN: usize = 8 + 4 + 8 + 8;
 
 /// FNV-1a offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -212,6 +211,12 @@ pub enum SnapError {
         /// What the decoder was reading.
         context: &'static str,
     },
+    /// The payload holds a value its reader refuses: an id outside the
+    /// table it indexes, a length past its type (hand-edited file).
+    Invalid {
+        /// What the decoder was reading.
+        context: &'static str,
+    },
 }
 
 impl fmt::Display for SnapError {
@@ -245,6 +250,9 @@ impl fmt::Display for SnapError {
             SnapError::PayloadExhausted { context } => {
                 write!(f, "snapshot payload ended early while reading {context}")
             }
+            SnapError::Invalid { context } => {
+                write!(f, "snapshot payload holds an invalid {context}")
+            }
         }
     }
 }
@@ -258,34 +266,14 @@ impl std::error::Error for SnapError {
     }
 }
 
-/// A decoded snapshot container: fingerprints plus the opaque payload.
+/// A decoded snapshot container: the fingerprint plus the opaque
+/// payload.
 #[derive(Debug, Clone)]
 pub struct Container {
-    /// Exact-resume identity: hash of the full config + topology.
+    /// Restore identity: hash of the full config + topology.
     pub config_fp: u64,
-    /// Warm-fork identity: hash of the damping-independent config +
-    /// topology.
-    pub flow_fp: u64,
     /// The payload bytes.
     pub payload: Vec<u8>,
-}
-
-/// Summary of a snapshot file without its payload (for `rfd snapshot
-/// inspect`).
-#[derive(Debug, Clone, Copy)]
-pub struct ContainerInfo {
-    /// Format version.
-    pub version: u32,
-    /// Exact-resume fingerprint.
-    pub config_fp: u64,
-    /// Warm-fork fingerprint.
-    pub flow_fp: u64,
-    /// Payload size in bytes.
-    pub payload_len: u64,
-    /// Whole-file size in bytes.
-    pub file_len: u64,
-    /// Content hash recorded in the trailer.
-    pub content_hash: u64,
 }
 
 fn io_err(path: &Path, source: std::io::Error) -> SnapError {
@@ -296,12 +284,11 @@ fn io_err(path: &Path, source: std::io::Error) -> SnapError {
 }
 
 /// Assembles the container bytes for a payload.
-pub fn container_bytes(config_fp: u64, flow_fp: u64, payload: &[u8]) -> Vec<u8> {
+pub fn container_bytes(config_fp: u64, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + 8);
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     out.extend_from_slice(&config_fp.to_le_bytes());
-    out.extend_from_slice(&flow_fp.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     out.extend_from_slice(payload);
     let hash = fnv1a(&out);
@@ -312,13 +299,8 @@ pub fn container_bytes(config_fp: u64, flow_fp: u64, payload: &[u8]) -> Vec<u8> 
 /// Writes a snapshot container to `path` via a sibling temp file and an
 /// atomic rename, so a kill mid-write never leaves a half snapshot
 /// under the final name.
-pub fn write_atomic(
-    path: &Path,
-    config_fp: u64,
-    flow_fp: u64,
-    payload: &[u8],
-) -> Result<u64, SnapError> {
-    let bytes = container_bytes(config_fp, flow_fp, payload);
+pub fn write_atomic(path: &Path, config_fp: u64, payload: &[u8]) -> Result<u64, SnapError> {
+    let bytes = container_bytes(config_fp, payload);
     let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
     if let Some(dir) = dir {
         fs::create_dir_all(dir).map_err(|e| io_err(path, e))?;
@@ -332,50 +314,45 @@ pub fn write_atomic(
     Ok(bytes.len() as u64)
 }
 
-fn parse_header(path: &Path, bytes: &[u8]) -> Result<(u32, u64, u64, u64), SnapError> {
+/// Reads and fully validates a snapshot container: magic, version,
+/// length (a header claiming more payload than the file holds, however
+/// large, is [`SnapError::Truncated`]) and the trailing hash.
+pub fn read_file(path: &Path) -> Result<Container, SnapError> {
+    let bytes = fs::read(path).map_err(|e| io_err(path, e))?;
+    let truncated = |need| SnapError::Truncated {
+        path: path.to_path_buf(),
+        len: bytes.len(),
+        need,
+    };
     if bytes.len() < HEADER_LEN + 8 {
-        return Err(SnapError::Truncated {
-            path: path.to_path_buf(),
-            len: bytes.len(),
-            need: HEADER_LEN + 8,
-        });
+        return Err(truncated(HEADER_LEN + 8));
     }
     if bytes[..8] != MAGIC {
         return Err(SnapError::BadMagic {
             path: path.to_path_buf(),
         });
     }
-    let u32_at = |off: usize| u32::from_le_bytes(bytes[off..off + 4].try_into().expect("4 bytes"));
     let u64_at = |off: usize| u64::from_le_bytes(bytes[off..off + 8].try_into().expect("8 bytes"));
-    let version = u32_at(8);
+    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
     if version != FORMAT_VERSION {
         return Err(SnapError::BadVersion {
             path: path.to_path_buf(),
             found: version,
         });
     }
-    Ok((version, u64_at(12), u64_at(20), u64_at(28)))
-}
-
-/// Reads and fully validates a snapshot container.
-pub fn read_file(path: &Path) -> Result<Container, SnapError> {
-    let bytes = fs::read(path).map_err(|e| io_err(path, e))?;
-    let (_, config_fp, flow_fp, payload_len) = parse_header(path, &bytes)?;
-    let need = HEADER_LEN + payload_len as usize + 8;
+    let config_fp = u64_at(12);
+    // A length no file can reach saturates: no `Vec` is `usize::MAX`
+    // bytes long.
+    let need = usize::try_from(u64_at(20))
+        .ok()
+        .and_then(|len| len.checked_add(HEADER_LEN + 8))
+        .unwrap_or(usize::MAX);
     if bytes.len() < need {
-        return Err(SnapError::Truncated {
-            path: path.to_path_buf(),
-            len: bytes.len(),
-            need,
-        });
+        return Err(truncated(need));
     }
-    let hashed = &bytes[..HEADER_LEN + payload_len as usize];
-    let recorded = u64::from_le_bytes(
-        bytes[HEADER_LEN + payload_len as usize..need]
-            .try_into()
-            .expect("8 bytes"),
-    );
-    let computed = fnv1a(hashed);
+    let end = need - 8;
+    let recorded = u64_at(end);
+    let computed = fnv1a(&bytes[..end]);
     if recorded != computed {
         return Err(SnapError::HashMismatch {
             path: path.to_path_buf(),
@@ -385,44 +362,7 @@ pub fn read_file(path: &Path) -> Result<Container, SnapError> {
     }
     Ok(Container {
         config_fp,
-        flow_fp,
-        payload: bytes[HEADER_LEN..HEADER_LEN + payload_len as usize].to_vec(),
-    })
-}
-
-/// Reads and validates a snapshot's header + integrity without
-/// returning the payload.
-pub fn inspect_file(path: &Path) -> Result<ContainerInfo, SnapError> {
-    let bytes = fs::read(path).map_err(|e| io_err(path, e))?;
-    let (version, config_fp, flow_fp, payload_len) = parse_header(path, &bytes)?;
-    let need = HEADER_LEN + payload_len as usize + 8;
-    if bytes.len() < need {
-        return Err(SnapError::Truncated {
-            path: path.to_path_buf(),
-            len: bytes.len(),
-            need,
-        });
-    }
-    let recorded = u64::from_le_bytes(
-        bytes[HEADER_LEN + payload_len as usize..need]
-            .try_into()
-            .expect("8 bytes"),
-    );
-    let computed = fnv1a(&bytes[..HEADER_LEN + payload_len as usize]);
-    if recorded != computed {
-        return Err(SnapError::HashMismatch {
-            path: path.to_path_buf(),
-            recorded,
-            computed,
-        });
-    }
-    Ok(ContainerInfo {
-        version,
-        config_fp,
-        flow_fp,
-        payload_len,
-        file_len: bytes.len() as u64,
-        content_hash: recorded,
+        payload: bytes[HEADER_LEN..end].to_vec(),
     })
 }
 
@@ -658,15 +598,11 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("rfd-snap-test-{}", std::process::id()));
         let path = dir.join("roundtrip.snap");
         let payload = b"the payload".to_vec();
-        let len = write_atomic(&path, 0x11, 0x22, &payload).unwrap();
+        let len = write_atomic(&path, 0x11, &payload).unwrap();
         assert_eq!(len, fs::read(&path).unwrap().len() as u64);
         let c = read_file(&path).unwrap();
         assert_eq!(c.config_fp, 0x11);
-        assert_eq!(c.flow_fp, 0x22);
         assert_eq!(c.payload, payload);
-        let info = inspect_file(&path).unwrap();
-        assert_eq!(info.version, FORMAT_VERSION);
-        assert_eq!(info.payload_len, payload.len() as u64);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -674,13 +610,24 @@ mod tests {
     fn truncated_file_is_refused() {
         let dir = std::env::temp_dir().join(format!("rfd-snap-trunc-{}", std::process::id()));
         let path = dir.join("t.snap");
-        write_atomic(&path, 1, 2, b"payload bytes here").unwrap();
+        write_atomic(&path, 1, b"payload bytes here").unwrap();
         let full = fs::read(&path).unwrap();
         for cut in [0, 5, HEADER_LEN, full.len() - 1] {
             fs::write(&path, &full[..cut]).unwrap();
             assert!(
                 matches!(read_file(&path), Err(SnapError::Truncated { .. })),
                 "cut at {cut} must be refused"
+            );
+        }
+        // A header claiming more payload than any file holds: the length
+        // arithmetic must not overflow.
+        for claimed in [u64::MAX, u64::MAX - HEADER_LEN as u64, 1 << 40] {
+            let mut hostile = full.clone();
+            hostile[20..28].copy_from_slice(&claimed.to_le_bytes());
+            fs::write(&path, &hostile).unwrap();
+            assert!(
+                matches!(read_file(&path), Err(SnapError::Truncated { .. })),
+                "a claimed payload of {claimed} bytes must be refused"
             );
         }
         fs::remove_dir_all(&dir).unwrap();
@@ -690,7 +637,7 @@ mod tests {
     fn bit_flip_is_refused() {
         let dir = std::env::temp_dir().join(format!("rfd-snap-flip-{}", std::process::id()));
         let path = dir.join("f.snap");
-        write_atomic(&path, 1, 2, b"sensitive state").unwrap();
+        write_atomic(&path, 1, b"sensitive state").unwrap();
         let mut bytes = fs::read(&path).unwrap();
         let mid = HEADER_LEN + 3;
         bytes[mid] ^= 0x10;
@@ -706,12 +653,12 @@ mod tests {
     fn bad_magic_and_version_are_refused() {
         let dir = std::env::temp_dir().join(format!("rfd-snap-magic-{}", std::process::id()));
         let path = dir.join("m.snap");
-        write_atomic(&path, 1, 2, b"x").unwrap();
+        write_atomic(&path, 1, b"x").unwrap();
         let mut bytes = fs::read(&path).unwrap();
         bytes[0] = b'X';
         fs::write(&path, &bytes).unwrap();
         assert!(matches!(read_file(&path), Err(SnapError::BadMagic { .. })));
-        let mut bytes = container_bytes(1, 2, b"x");
+        let mut bytes = container_bytes(1, b"x");
         bytes[8] = 99; // version
         fs::write(&path, &bytes).unwrap();
         assert!(matches!(

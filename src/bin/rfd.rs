@@ -5,17 +5,16 @@
 use std::io::Write as _;
 use std::process::ExitCode;
 
-use route_flap_damping::bgp::{snapshot, Network, RunReport, Snapshot};
+use route_flap_damping::bgp::{Network, RunReport};
 use route_flap_damping::cli::{
     network_config, parse_explain_command, parse_figure_command, parse_firehose_command,
-    parse_intended_command, parse_run_options, parse_snapshot_command, parse_sweep_command,
-    parse_topology_command, usage, CliError, ReportFormat, RunOptions, SnapshotCommand,
+    parse_intended_command, parse_run_options, parse_sweep_command, parse_topology_command, usage,
+    CliError, ReportFormat, RunOptions,
 };
-use route_flap_damping::damping::{intended_behavior, FlapPattern, FlapSchedule};
+use route_flap_damping::damping::{intended_behavior, FlapPattern};
 use route_flap_damping::experiments::output::{chaos_or_env, obs_begin};
 use route_flap_damping::experiments::pick_isp;
 use route_flap_damping::metrics::{export_trace, StateClassifier, StateSpan, Trace};
-use route_flap_damping::runner::ChaosKind;
 use route_flap_damping::sim::SimDuration;
 use route_flap_damping::topology::{to_edge_list, Graph, NodeId};
 use route_flap_damping::{explain, figure};
@@ -33,7 +32,6 @@ fn main() -> ExitCode {
     };
     let result = match command.as_str() {
         "run" => cmd_run(rest),
-        "snapshot" => cmd_snapshot(rest),
         "explain" => cmd_explain(rest),
         "figure" => cmd_figure(rest),
         "sweep" => cmd_sweep(rest),
@@ -101,7 +99,7 @@ fn cmd_run(args: &[String]) -> CmdResult {
     );
     let pattern = FlapPattern::new(opts.pulses, opts.interval);
     let quiet = SimDuration::from_secs(100);
-    let summary = |report: &route_flap_damping::bgp::RunReport,
+    let summary = |report: &RunReport,
                    suppressed: usize,
                    (noisy, silent): (usize, usize),
                    peak: f64| {
@@ -115,10 +113,9 @@ fn cmd_run(args: &[String]) -> CmdResult {
         );
     };
     // Only buffer the full event history when something downstream
-    // (state spans, `--trace`, a snapshot file that must carry it)
-    // actually scans it; a plain run streams into an O(1)-space
-    // aggregate sink.
-    if opts.trace_out.is_none() && !opts.states && opts.snapshot.is_none() {
+    // (state spans, `--trace`) actually scans it; a plain run streams
+    // into an O(1)-space aggregate sink.
+    if opts.trace_out.is_none() && !opts.states {
         let mut net = Network::new_with_sink(
             &graph,
             isp,
@@ -136,15 +133,9 @@ fn cmd_run(args: &[String]) -> CmdResult {
         );
         return Ok(());
     }
-    let (net, report) = match &opts.snapshot {
-        Some(path) => run_with_snapshots(&opts, &graph, isp, config, pattern, quiet, path)?,
-        None => {
-            let mut net = Network::new(&graph, isp, config);
-            net.warm_up();
-            let report = net.run_pulses(pattern, quiet);
-            (net, report)
-        }
-    };
+    let mut net = Network::new(&graph, isp, config);
+    net.warm_up();
+    let report = net.run_pulses(pattern, quiet);
     summary(
         &report,
         net.trace().ever_suppressed_entries(),
@@ -162,202 +153,6 @@ fn cmd_run(args: &[String]) -> CmdResult {
         std::fs::write(path, export_trace(net.trace()))
             .map_err(|e| format!("cannot write trace file {path}: {e}"))?;
         println!("trace written to {path} ({} events)", net.trace().len());
-    }
-    Ok(())
-}
-
-/// The checkpoint/resume path of `rfd run`: with `--resume`, tries to
-/// continue from the snapshot file (falling back to a cold start, with
-/// a warning, when the file is missing, corrupt, or from a different
-/// configuration — never a wrong answer); with `--checkpoint-every`,
-/// rewrites the snapshot file at every interval of simulated time.
-///
-/// Chaos faults (hidden `--chaos` / `RFD_CHAOS`) target the stages by
-/// name: `kill@checkpoint` exits the process right after the matching
-/// checkpoint write, `snaptruncate@resume` / `snapbitflip@resume`
-/// corrupt the file before it is read.
-#[allow(clippy::too_many_arguments)]
-fn run_with_snapshots(
-    opts: &RunOptions,
-    graph: &Graph,
-    isp: NodeId,
-    config: route_flap_damping::bgp::NetworkConfig,
-    pattern: FlapPattern,
-    quiet: SimDuration,
-    path: &std::path::Path,
-) -> Result<(Network, RunReport), Box<dyn std::error::Error>> {
-    let chaos = chaos_or_env(opts.chaos.clone())?;
-    let key = snapshot::fingerprints(graph, &[isp], &config);
-    let schedule = FlapSchedule::from(pattern);
-    let mut net = Network::new(graph, isp, config.clone());
-
-    let mut resumed = false;
-    if opts.resume {
-        match chaos.fault_for("resume", 1) {
-            Some(ChaosKind::SnapTruncate) => corrupt_snapshot(path, true),
-            Some(ChaosKind::SnapBitFlip) => corrupt_snapshot(path, false),
-            _ => {}
-        }
-        if path.exists() {
-            let loaded = Snapshot::read(path)
-                .and_then(|snap| snap.resume_into(&mut net, &key).map(|()| snap));
-            match loaded {
-                Ok(snap) => {
-                    eprintln!(
-                        "resumed from {} at sim-time {:.0} s",
-                        path.display(),
-                        snap.sim_time().as_secs_f64()
-                    );
-                    resumed = true;
-                }
-                Err(e) => {
-                    eprintln!(
-                        "warning: cannot resume from {}: {e}; starting cold",
-                        path.display()
-                    );
-                    // A refused restore may have touched the network;
-                    // rebuild before the cold start.
-                    net = Network::new(graph, isp, config);
-                }
-            }
-        } else {
-            eprintln!("warning: no snapshot at {}; starting cold", path.display());
-        }
-    }
-
-    let mut cp_index: u32 = 0;
-    let checkpoint = |n: &mut Network| -> bool {
-        cp_index += 1;
-        let snap = match Snapshot::capture(n, key) {
-            Ok(snap) => snap,
-            Err(e) => {
-                eprintln!("warning: checkpoint {cp_index} skipped: {e}");
-                return true;
-            }
-        };
-        match snap.write(path) {
-            Ok(len) => eprintln!(
-                "checkpoint {cp_index} written to {} ({len} bytes) at sim-time {:.0} s",
-                path.display(),
-                snap.sim_time().as_secs_f64()
-            ),
-            Err(e) => {
-                eprintln!(
-                    "warning: cannot write checkpoint {cp_index} to {}: {e}",
-                    path.display()
-                );
-                return true;
-            }
-        }
-        if chaos.fault_for("checkpoint", cp_index) == Some(ChaosKind::Kill) {
-            eprintln!("chaos: kill after checkpoint {cp_index}");
-            std::process::exit(137);
-        }
-        true
-    };
-
-    let report = match (resumed, opts.checkpoint_every) {
-        (true, Some(every)) => net.resume_with_checkpoints(every, checkpoint),
-        (true, None) => net.resume(),
-        (false, Some(every)) => {
-            net.warm_up();
-            net.run_schedules_with_checkpoints(&[(0, &schedule)], quiet, every, checkpoint)
-        }
-        (false, None) => {
-            net.warm_up();
-            net.run_schedules(&[(0, &schedule)], quiet)
-        }
-    };
-    Ok((net, report))
-}
-
-/// Chaos helper: damages the snapshot file in place (truncation or a
-/// single payload bit flip) so the resume path must refuse it.
-fn corrupt_snapshot(path: &std::path::Path, truncate: bool) {
-    let Ok(bytes) = std::fs::read(path) else {
-        return;
-    };
-    if truncate {
-        let keep = bytes.len() / 2;
-        if std::fs::write(path, &bytes[..keep]).is_ok() {
-            eprintln!(
-                "chaos: truncated snapshot {} to {keep} bytes",
-                path.display()
-            );
-        }
-    } else if !bytes.is_empty() {
-        let mut damaged = bytes;
-        let mid = damaged.len() / 2;
-        damaged[mid] ^= 0x10;
-        if std::fs::write(path, &damaged).is_ok() {
-            eprintln!("chaos: flipped a bit in snapshot {}", path.display());
-        }
-    }
-}
-
-fn cmd_snapshot(args: &[String]) -> CmdResult {
-    match parse_snapshot_command(args)? {
-        SnapshotCommand::Save { out, run } => {
-            let graph = run.topology.build(run.seed);
-            let isp = resolve_isp(&run, &graph)?;
-            let config = network_config(&run, &graph);
-            let key = snapshot::fingerprints(&graph, &[isp], &config);
-            let mut net = Network::new(&graph, isp, config);
-            net.warm_up();
-            let snap = Snapshot::capture(&mut net, key)?;
-            let len = snap
-                .write(&out)
-                .map_err(|e| format!("cannot write snapshot {}: {e}", out.display()))?;
-            println!(
-                "warm snapshot written to {} ({len} bytes; config {:#018x}, flow {:#018x})",
-                out.display(),
-                key.config_fp,
-                key.flow_fp
-            );
-        }
-        SnapshotCommand::Restore { input, run } => {
-            let graph = run.topology.build(run.seed);
-            let isp = resolve_isp(&run, &graph)?;
-            let config = network_config(&run, &graph);
-            let key = snapshot::fingerprints(&graph, &[isp], &config);
-            let snap = Snapshot::read(&input)
-                .map_err(|e| format!("cannot read snapshot {}: {e}", input.display()))?;
-            let mut net = Network::new(&graph, isp, config);
-            snap.resume_into(&mut net, &key)?;
-            let report = net.resume();
-            println!(
-                "restored {} from sim-time {:.0} s; converged {:.1} s after the final \
-                 announcement; {} updates observed; {} events processed",
-                input.display(),
-                snap.sim_time().as_secs_f64(),
-                report.convergence_time.as_secs_f64(),
-                report.message_count,
-                report.events_processed
-            );
-        }
-        SnapshotCommand::Inspect(path) => {
-            let info = snapshot::inspect(&path)
-                .map_err(|e| format!("cannot inspect snapshot {}: {e}", path.display()))?;
-            let snap = Snapshot::read(&path)
-                .map_err(|e| format!("cannot read snapshot {}: {e}", path.display()))?;
-            println!("snapshot {}", path.display());
-            println!("  format version {}", info.version);
-            println!("  config fingerprint {:#018x}", info.config_fp);
-            println!("  flow fingerprint   {:#018x}", info.flow_fp);
-            println!(
-                "  payload {} bytes ({} on disk), content hash {:#018x}",
-                info.payload_len, info.file_len, info.content_hash
-            );
-            println!(
-                "  taken at sim-time {:.0} s ({})",
-                snap.sim_time().as_secs_f64(),
-                if snap.is_warm() {
-                    "warm boundary: fork or resume"
-                } else {
-                    "mid-run: resume only"
-                }
-            );
-        }
     }
     Ok(())
 }

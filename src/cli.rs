@@ -15,7 +15,6 @@ use rfd_experiments::args::{self, render_usage, wall_clock, Flag, Parsed, Table}
 use rfd_experiments::output::{chaos, exec_flags, obs, Exec, CHAOS, EXEC, OBS};
 use rfd_experiments::scenarios::{infer_relationships, TopologyKind};
 use rfd_experiments::SweepOptions;
-use rfd_runner::ChaosPlan;
 use rfd_sim::SimDuration;
 use rfd_topology::Graph;
 
@@ -111,20 +110,6 @@ pub struct RunOptions {
     /// Observability request: `None` off, `Some(None)` on at the
     /// default destination, `Some(Some(path))` on at `path`.
     pub obs: Option<Option<PathBuf>>,
-    /// Snapshot file for `--checkpoint-every` / `--resume`
-    /// (`--snapshot FILE`).
-    pub snapshot: Option<PathBuf>,
-    /// Write a checkpoint to the snapshot file every this much
-    /// simulated time (`--checkpoint-every SECS`).
-    pub checkpoint_every: Option<SimDuration>,
-    /// Resume from the snapshot file when it holds a matching
-    /// checkpoint; cold-start (with a warning) when it is missing or
-    /// unusable (`--resume`).
-    pub resume: bool,
-    /// Deterministic fault injection for the checkpoint/resume path
-    /// (hidden `--chaos` / `RFD_CHAOS`; stage keys `checkpoint`,
-    /// `resume`).
-    pub chaos: ChaosPlan,
 }
 
 /// The flags of `rfd run` (and of every command that embeds a run).
@@ -144,10 +129,6 @@ pub const RUN: Table = Table { command: "rfd run", base: None, flags: &[
     Flag::switch("--no-loop-avoidance", "turn sender-side loop avoidance off"),
     Flag::value("--reuse-granularity", "SECS", "quantise reuse timers to SECS ticks"),
     OBS,
-    Flag::value("--snapshot", "FILE", "checkpoint file for the two flags below"),
-    Flag::value("--checkpoint-every", "SECS", "checkpoint every SECS simulated seconds"),
-    Flag::switch("--resume", "continue from the snapshot file if it is usable"),
-    CHAOS,
 ] };
 
 /// The Table 1 presets by CLI name (`rfd intended` takes the first two).
@@ -199,19 +180,10 @@ fn run_options(p: &Parsed<'_>) -> Result<RunOptions, CliError> {
             reuse_granularity: p.positive_secs("--reuse-granularity")?,
         },
         obs: obs(p),
-        snapshot: p.get("--snapshot").map(PathBuf::from),
-        checkpoint_every: p.positive_secs("--checkpoint-every")?,
-        resume: p.has("--resume"),
-        chaos: chaos(p)?,
     };
     if opts.filter != PenaltyFilter::Plain && opts.damping.is_none() {
         return Err(CliError(
             "--filter rcn|selective requires damping to be enabled".into(),
-        ));
-    }
-    if (opts.checkpoint_every.is_some() || opts.resume) && opts.snapshot.is_none() {
-        return Err(CliError(
-            "--checkpoint-every and --resume need --snapshot FILE".into(),
         ));
     }
     Ok(opts)
@@ -307,7 +279,6 @@ pub const SWEEP: Table = Table { command: "rfd sweep", base: Some(&EXEC), flags:
     Flag::value("--seeds", "A,B,C", "seeds averaged per point (default 1,2,3)"),
     Flag::switch("--no-journal", "do not journal cells under results/"),
     Flag::value("--topology", "torus:RxC|ba:N", "run every series on this topology"),
-    Flag::switch("--warm-fork", "fork damping variants from one warm donor"),
     Flag::value("--ledger", "PEER[:PREFIX]", "audit this damping entry in every cell").repeatable(),
 ] };
 
@@ -340,7 +311,6 @@ pub fn parse_sweep_command(args: &[String]) -> Result<SweepCommand, CliError> {
                 .get("--topology")
                 .map(|spec| sweep_topology(&TopologySpec::parse(spec)?))
                 .transpose()?,
-            warm_fork: p.has("--warm-fork"),
             ledger_keys: p
                 .all("--ledger")
                 .map(parse_ledger_key)
@@ -469,68 +439,6 @@ pub fn parse_firehose_command(args: &[String]) -> Result<FirehoseCommand, CliErr
     })
 }
 
-/// A parsed `rfd snapshot` invocation.
-#[derive(Debug, Clone)]
-pub enum SnapshotCommand {
-    /// `rfd snapshot save --out FILE [run flags]`: build the run's
-    /// network, warm it up, and write the warm state to FILE.
-    Save {
-        /// Where to write the snapshot.
-        out: PathBuf,
-        /// The run whose warm state to capture (same flags as
-        /// `rfd run`; pulse flags are ignored — nothing is injected).
-        run: RunOptions,
-    },
-    /// `rfd snapshot restore --in FILE [run flags]`: restore FILE into
-    /// the run's network and drive it to quiescence.
-    Restore {
-        /// The snapshot to restore.
-        input: PathBuf,
-        /// The run configuration the snapshot must match.
-        run: RunOptions,
-    },
-    /// `rfd snapshot inspect FILE`: print the container header
-    /// (version, fingerprints, payload size, warmth, sim time) without
-    /// restoring anything.
-    Inspect(PathBuf),
-}
-
-/// The flags of `rfd snapshot save`.
-#[rustfmt::skip]
-pub const SNAPSHOT_SAVE: Table = Table { command: "rfd snapshot save", base: Some(&RUN), flags: &[
-    Flag::value("--out", "FILE", "where to write the warm snapshot").required(),
-] };
-
-/// The flags of `rfd snapshot restore`.
-#[rustfmt::skip]
-pub const SNAPSHOT_RESTORE: Table = Table { command: "rfd snapshot restore", base: Some(&RUN), flags: &[
-    Flag::value("--in", "FILE", "the snapshot to restore").required(),
-] };
-
-/// Parses the arguments of `rfd snapshot save|restore|inspect`; the
-/// [`CliError`] names the missing or unknown verb, or the offending flag.
-pub fn parse_snapshot_command(args: &[String]) -> Result<SnapshotCommand, CliError> {
-    let no_verb = || CliError("snapshot needs a verb: save|restore|inspect".into());
-    let (verb, rest) = args.split_first().ok_or_else(no_verb)?;
-    let table = match (verb.as_str(), rest) {
-        ("save", _) => &SNAPSHOT_SAVE,
-        ("restore", _) => &SNAPSHOT_RESTORE,
-        ("inspect", [file]) => return Ok(SnapshotCommand::Inspect(PathBuf::from(file))),
-        ("inspect", _) => return Err(CliError("snapshot inspect needs exactly one FILE".into())),
-        (other, _) => {
-            let verbs = "(save|restore|inspect)";
-            return Err(CliError(format!("unknown snapshot verb `{other}` {verbs}")));
-        }
-    };
-    let p = args::parse(table, rest)?;
-    let file = PathBuf::from(p.get(table.flags[0].name).expect("required by the table"));
-    let run = run_options(&p)?;
-    Ok(match verb.as_str() {
-        "save" => SnapshotCommand::Save { out: file, run },
-        _ => SnapshotCommand::Restore { input: file, run },
-    })
-}
-
 /// The flags of `rfd intended`.
 #[rustfmt::skip]
 pub const INTENDED: Table = Table { command: "rfd intended", base: None, flags: &[
@@ -605,9 +513,8 @@ const fn flagless(command: &'static str) -> Table {
 
 /// Every command line this workspace accepts, in `rfd help` order.
 #[rustfmt::skip]
-pub const TABLES: [&Table; 13] = [
-    &RUN, &EXPLAIN, &SNAPSHOT_SAVE, &SNAPSHOT_RESTORE, &flagless("rfd snapshot inspect FILE"),
-    &EXEC, &SWEEP, &FIREHOSE, &INTENDED, &TOPOLOGY, &flagless("rfd trace-stats FILE"),
+pub const TABLES: [&Table; 10] = [
+    &RUN, &EXPLAIN, &EXEC, &SWEEP, &FIREHOSE, &INTENDED, &TOPOLOGY, &flagless("rfd trace-stats FILE"),
     &flagless("rfd obs-report FILE"), &flagless("rfd help"),
 ];
 
@@ -632,13 +539,6 @@ EXPLAIN: replays a run with the timer-interaction ledger focused on
 OBSERVABILITY: --obs (or RFD_OBS=1) records spans/counters to a
   Chrome-trace JSON under results/; inspect with `rfd obs-report` or
   load into Perfetto (ui.perfetto.dev).
-SNAPSHOTS: `rfd run --snapshot FILE --checkpoint-every SECS` writes a
-  crash-safe checkpoint of the whole simulation to FILE every SECS of
-  simulated time; add --resume to continue from FILE after a crash —
-  the finished run is byte-identical to an uninterrupted one. Files
-  are fingerprinted: a snapshot from a different config, topology, or
-  seed is refused. `rfd sweep --warm-fork` warms one donor per
-  (topology, seed) and forks every damping variant from its snapshot.
 ";
 
 #[cfg(test)]
@@ -715,8 +615,8 @@ mod tests {
                 let err = result.unwrap_err().0;
                 assert!(err.contains(flag) && err.contains(secs), "{err}");
             };
-            for flag in ["--interval", "--checkpoint-every", "--reuse-granularity"] {
-                let line = args(&format!("--snapshot s {flag} {secs}"));
+            for flag in ["--interval", "--reuse-granularity"] {
+                let line = args(&format!("{flag} {secs}"));
                 refused(parse_run_options(&line).map(drop), flag);
             }
             for flag in [
@@ -771,63 +671,6 @@ mod tests {
         assert_eq!(TopologySpec::parse("torus:6x7"), Ok(torus));
         assert_eq!(TopologySpec::parse("ba:2000"), Ok(ba));
         assert!(TopologySpec::parse("torus:6").is_err());
-    }
-
-    #[test]
-    fn checkpoint_flags_parse_and_require_snapshot() {
-        let opts =
-            parse_run_options(&args("--snapshot s.snap --checkpoint-every 30 --resume")).unwrap();
-        assert_eq!(opts.snapshot, Some(PathBuf::from("s.snap")));
-        assert_eq!(opts.checkpoint_every, Some(SimDuration::from_secs(30)));
-        assert!(opts.resume);
-        let lines = "--checkpoint-every 30 | --resume | --snapshot s --checkpoint-every 0 \
-                     | --snapshot s --checkpoint-every x";
-        all_rejected(parse_run_options, lines);
-    }
-
-    #[test]
-    fn run_chaos_flag_parses() {
-        let opts = parse_run_options(&args(
-            "--snapshot s.snap --checkpoint-every 30 --chaos kill*1@checkpoint",
-        ))
-        .unwrap();
-        assert_eq!(
-            opts.chaos.fault_for("checkpoint", 1),
-            Some(rfd_runner::ChaosKind::Kill)
-        );
-        assert!(parse_run_options(&args("--chaos explode@x")).is_err());
-    }
-
-    #[test]
-    fn snapshot_command_parses() {
-        match parse_snapshot_command(&args("save --out warm.snap --seed 9")).unwrap() {
-            SnapshotCommand::Save { out, run } => {
-                assert_eq!(out, PathBuf::from("warm.snap"));
-                assert_eq!(run.seed, 9);
-            }
-            other => panic!("wrong verb: {other:?}"),
-        }
-        match parse_snapshot_command(&args("restore --in warm.snap --topology ring:6")).unwrap() {
-            SnapshotCommand::Restore { input, run } => {
-                assert_eq!(input, PathBuf::from("warm.snap"));
-                assert_eq!(run.topology, TopologySpec::Ring(6));
-            }
-            other => panic!("wrong verb: {other:?}"),
-        }
-        match parse_snapshot_command(&args("inspect warm.snap")).unwrap() {
-            SnapshotCommand::Inspect(p) => assert_eq!(p, PathBuf::from("warm.snap")),
-            other => panic!("wrong verb: {other:?}"),
-        }
-        all_rejected(
-            parse_snapshot_command,
-            " | save | restore --out x | inspect a b | explode x | save --out f --bogus",
-        );
-    }
-
-    #[test]
-    fn warm_fork_flag_parses_on_sweep() {
-        let warm_fork = |line| parse_sweep_command(&args(line)).unwrap().opts.warm_fork;
-        assert!(warm_fork("--warm-fork") && !warm_fork(""));
     }
 
     #[test]

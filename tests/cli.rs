@@ -41,8 +41,8 @@ fn no_args_fails_with_usage() {
 
 #[test]
 fn unknown_command_fails() {
-    // `table1` is `rfd figure table1` now.
-    for command in ["frobnicate", "table1"] {
+    // `table1` is `rfd figure table1` now; `snapshot` is gone.
+    for command in ["frobnicate", "table1", "snapshot"] {
         let out = rfd().arg(command).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "rfd {command}");
         assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command"));
@@ -132,6 +132,10 @@ fn run_rejects_bad_flags() {
             "--interval must be a positive number of seconds, got `1e300`",
         ),
         ("run --sim-shards 2", "unknown flag `--sim-shards`"),
+        ("run --snapshot s", "unknown flag `--snapshot`"),
+        ("run --resume", "unknown flag `--resume`"),
+        ("run --chaos kill@checkpoint", "unknown flag `--chaos`"),
+        ("sweep --warm-fork", "unknown flag `--warm-fork`"),
         ("sweep --quik", "unknown flag `--quik`"),
         ("sweep --quick --threads", "--threads needs a value"),
         ("sweep --sim-shards 2", "unknown flag `--sim-shards`"),
@@ -213,57 +217,4 @@ fn rcn_run_converges_quickly() {
         "3",
     ]);
     assert!(text.contains("0 entries suppressed"), "{text}");
-}
-
-/// A checkpoint written in an older container format — version 2, or
-/// version 3 from before the simulator's state became one queue — is
-/// refused with the one-line "cannot resume" warning, and the run
-/// cold-starts to the same trace as a plain run.
-#[test]
-fn older_format_checkpoint_is_refused_and_the_run_starts_cold() {
-    let dir = temp_dir("snapshot-old");
-    let (snap, clean, resumed) = (
-        dir.join("run.snap"),
-        dir.join("clean.trace"),
-        dir.join("resumed.trace"),
-    );
-    let run = |extra: &[&str], trace: &PathBuf| {
-        let mut args = vec!["run", "--topology", "torus:6x6", "--pulses", "2"];
-        args.extend_from_slice(&["--seed", "5", "--trace", trace.to_str().unwrap()]);
-        args.extend_from_slice(extra);
-        let out = rfd().args(&args).output().expect("rfd runs");
-        assert!(out.status.success(), "rfd {args:?}: {out:?}");
-        String::from_utf8(out.stderr).expect("utf-8 stderr")
-    };
-    let snap_arg = snap.to_str().unwrap();
-    run(&[], &clean);
-    for version in [2u32, 3] {
-        run(
-            &["--snapshot", snap_arg, "--checkpoint-every", "120"],
-            &resumed,
-        );
-        // Header: 8-byte magic, then the LE u32 format version. The
-        // version is checked before the trailing hash.
-        let mut bytes = std::fs::read(&snap).expect("a checkpoint was written");
-        bytes[8..12].copy_from_slice(&version.to_le_bytes());
-        std::fs::write(&snap, bytes).unwrap();
-
-        let stderr = run(&["--snapshot", snap_arg, "--resume"], &resumed);
-        let warnings: Vec<_> = stderr
-            .lines()
-            .filter(|l| l.contains("cannot resume"))
-            .collect();
-        assert_eq!(warnings.len(), 1, "{stderr}");
-        assert!(
-            warnings[0].contains(&format!("format version {version}"))
-                && warnings[0].ends_with("starting cold"),
-            "{stderr}"
-        );
-        assert_eq!(
-            std::fs::read(&clean).unwrap(),
-            std::fs::read(&resumed).unwrap(),
-            "version {version}"
-        );
-    }
-    let _ = std::fs::remove_dir_all(dir);
 }

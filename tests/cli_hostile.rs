@@ -10,9 +10,8 @@ use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use proptest::prelude::*;
 use route_flap_damping::cli::{
     parse_explain_command, parse_figure_command, parse_firehose_command, parse_intended_command,
-    parse_run_options, parse_snapshot_command, parse_sweep_command, parse_topology_command,
-    CliError, EXPLAIN, FIREHOSE, INTENDED, RUN, SNAPSHOT_RESTORE, SNAPSHOT_SAVE, SWEEP, TABLES,
-    TOPOLOGY,
+    parse_run_options, parse_sweep_command, parse_topology_command, CliError, EXPLAIN, FIREHOSE,
+    INTENDED, RUN, SWEEP, TABLES, TOPOLOGY,
 };
 use route_flap_damping::experiments::args::Table;
 use route_flap_damping::experiments::output::EXEC;
@@ -25,7 +24,7 @@ const VALUES: &[&str] = &[
     // values some flag accepts, and near misses
     "mesh:3x3", "torus:0x0", "ba:20", "ba:", "ring:18446744073709551616", ":", "off", "cisco",
     "juniper", "rcn", "novalley", "poisson", "bucketed", "json", "fig15", "1,2", "1,x", ",", "4:1",
-    "4:", "f.snap", "panic@x", "hang=1e300@x", "kill*0@checkpoint", "save", "restore", "inspect",
+    "4:", "panic@x", "hang=1e300@x",
     // not flags, not values
     "-", "--", "-h", "=", "--=", "--quik", "--no-such-flag", "--seed\n1", "\0",
     "\u{fffd}\u{fffd}", "\u{202e}--seed", "ünï©ødé",
@@ -82,9 +81,6 @@ proptest! {
         };
         settled(parse_run_options(&line(&RUN)))?;
         settled(parse_explain_command(&line(&EXPLAIN)))?;
-        settled(parse_snapshot_command(&after("save", &SNAPSHOT_SAVE)))?;
-        settled(parse_snapshot_command(&after("restore", &SNAPSHOT_RESTORE)))?;
-        settled(parse_snapshot_command(&line(&SNAPSHOT_SAVE)))?;
         settled(parse_sweep_command(&line(&SWEEP)))?;
         settled(parse_firehose_command(&line(&FIREHOSE)))?;
         settled(parse_intended_command(&line(&INTENDED)))?;
