@@ -131,7 +131,7 @@ proptest! {
                         prop_assert!(retry_at > due);
                         due = retry_at;
                         hops += 1;
-                        prop_assert!(hops < 4, "no recharge ⇒ at most rounding retries");
+                        prop_assert!(hops < 4, "no recharge ⇒ at most rounding re-checks");
                     }
                 }
             }

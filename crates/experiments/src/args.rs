@@ -46,8 +46,6 @@ pub struct Flag {
     pub takes: Takes,
     /// One-line help.
     pub help: &'static str,
-    /// Accepted but left out of the usage text.
-    pub hidden: bool,
     /// May be given several times (read with [`Parsed::all`]); any
     /// other flag given twice keeps its last occurrence.
     pub repeatable: bool,
@@ -56,13 +54,12 @@ pub struct Flag {
 }
 
 impl Flag {
-    /// An optional, visible, non-repeatable flag.
+    /// An optional, non-repeatable flag.
     pub const fn new(name: &'static str, takes: Takes, help: &'static str) -> Flag {
         Flag {
             name,
             takes,
             help,
-            hidden: false,
             repeatable: false,
             required: false,
         }
@@ -76,12 +73,6 @@ impl Flag {
     /// A flag with a value, shown as `placeholder` in the usage text.
     pub const fn value(name: &'static str, placeholder: &'static str, help: &'static str) -> Flag {
         Flag::new(name, Takes::Value(placeholder), help)
-    }
-
-    /// The same flag, left out of the usage text.
-    pub const fn hidden(mut self) -> Flag {
-        self.hidden = true;
-        self
     }
 
     /// The same flag, allowed several times.
@@ -256,18 +247,19 @@ pub fn wall_clock(d: SimDuration) -> std::time::Duration {
 }
 
 /// Renders the tables as usage text: per command a synopsis wrapped at
-/// 78 columns, then one help line per flag of its own. Hidden flags are
-/// left out, optional ones are bracketed, and a base table shows as
-/// "any `<base>` flag".
+/// 78 columns, then one help line per flag of its own. Optional flags
+/// are bracketed, and a base table shows as "any `<base>` flag".
 pub fn render_usage(tables: &[&Table]) -> String {
     let mut out = String::new();
     for table in tables {
-        let visible = || table.flags.iter().filter(|f| !f.hidden);
-        let words = visible().map(|f| match (f.required, f.repeatable) {
-            (true, _) => f.spelled(),
-            (false, false) => format!("[{}]", f.spelled()),
-            (false, true) => format!("[{}]...", f.spelled()),
-        });
+        let words = table
+            .flags
+            .iter()
+            .map(|f| match (f.required, f.repeatable) {
+                (true, _) => f.spelled(),
+                (false, false) => format!("[{}]", f.spelled()),
+                (false, true) => format!("[{}]...", f.spelled()),
+            });
         let base = table.base.map(|b| format!("[any `{}` flag]", b.command));
         let mut line = format!("  {}", table.command);
         for word in words.chain(base) {
@@ -280,7 +272,7 @@ pub fn render_usage(tables: &[&Table]) -> String {
         }
         out.push_str(&line);
         out.push('\n');
-        for f in visible() {
+        for f in table.flags {
             out.push_str(&format!("      {:<26} {}\n", f.spelled(), f.help));
         }
     }
@@ -302,7 +294,6 @@ mod tests {
             Flag::switch("--fast", "go fast"),
             Flag::value("--key", "K", "a key").repeatable(),
             Flag::new("--obs", Takes::OptionalEq("PATH"), "record"),
-            Flag::value("--secret", "S", "not shown").hidden(),
             Flag::value("--mode", "a|b", "a choice"),
         ],
         base: Some(&BASE),
@@ -318,7 +309,7 @@ mod tests {
         let p = parse(&DEMO, &a).unwrap();
         assert_eq!(p.parse::<u32>("--n"), Ok(Some(2)));
         assert_eq!(p.all("--key").collect::<Vec<_>>(), ["a", "b"]);
-        assert!(p.has("--fast") && p.has("--obs") && !p.has("--secret"));
+        assert!(p.has("--fast") && p.has("--obs") && !p.has("--mode"));
         assert_eq!(p.get("--obs"), None, "the bare --obs came last");
         for (line, message) in [
             ("--nope", "unknown flag `--nope`"),

@@ -27,7 +27,7 @@ use std::time::Duration;
 use rfd_metrics::Table;
 use rfd_runner::ChaosPlan;
 
-use crate::args::{self, wall_clock, CliError, Flag, Parsed, Takes};
+use crate::args::{self, CliError, Flag, Parsed, Takes};
 use crate::sweep::SweepOptions;
 
 /// Reports a fatal I/O problem on stderr and exits non-zero: the
@@ -66,37 +66,19 @@ pub const EXEC: args::Table = args::Table { command: "rfd figure NAME", base: No
     Flag::value("--threads", "N", "grid worker threads (default 0: all cores)"),
     Flag::switch("--resume", "skip cells already journaled under results/"),
     Flag::switch("--resume-force", "resume despite a grid-fingerprint mismatch"),
-    Flag::value("--retries", "N", "re-run a failed cell N times before quarantine"),
-    Flag::value("--cell-budget", "SECS", "wall-clock budget per cell"),
-    CHAOS,
     OBS,
 ] };
-
-/// The hidden fault-injection knob (see [`ChaosPlan::parse`]).
-pub const CHAOS: Flag = Flag::value("--chaos", "SPEC", "deterministic fault injection").hidden();
 
 /// `--obs[=PATH]`, wherever a run can be observed.
 #[rustfmt::skip]
 pub const OBS: Flag =
     Flag::new("--obs", Takes::OptionalEq("PATH"), "record spans/counters to a Chrome-trace JSON");
 
-/// Reads [`CHAOS`]: absent means the empty plan.
-pub fn chaos(p: &Parsed<'_>) -> Result<ChaosPlan, CliError> {
-    p.get("--chaos").map_or(Ok(ChaosPlan::none()), |spec| {
-        ChaosPlan::parse(spec).map_err(|e| CliError(format!("--chaos: {e}")))
-    })
-}
-
-/// The plan in force: the `--chaos` flag's, else `RFD_CHAOS`'s — an
+/// The fault plan `RFD_CHAOS` asks for (see [`ChaosPlan::parse`]) — an
 /// injection plan must never silently no-op, so a malformed variable
 /// is an error.
-pub fn chaos_or_env(flag: ChaosPlan) -> Result<ChaosPlan, CliError> {
-    if !flag.is_empty() {
-        return Ok(flag);
-    }
-    ChaosPlan::from_env()
-        .map(Option::unwrap_or_default)
-        .map_err(|e| CliError(format!("RFD_CHAOS: {e}")))
+pub fn chaos_from_env() -> Result<ChaosPlan, CliError> {
+    ChaosPlan::from_env().map_err(|e| CliError(format!("RFD_CHAOS: {e}")))
 }
 
 /// Reads [`OBS`]: `None` off, `Some(None)` on at the default
@@ -132,9 +114,6 @@ pub fn exec_flags(p: &Parsed<'_>) -> Result<Exec, CliError> {
             threads: p.parse("--threads")?.unwrap_or(0),
             resume: resume_force || p.has("--resume"),
             resume_force,
-            retries: p.parse("--retries")?.unwrap_or(0),
-            cell_budget: p.positive_secs("--cell-budget")?.map(wall_clock),
-            chaos: chaos(p)?,
             journal_dir: Some(results_dir()),
             heartbeat: Some(HEARTBEAT_PERIOD),
             ..if quick {

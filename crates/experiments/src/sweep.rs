@@ -32,8 +32,8 @@ pub struct SweepPoint {
     pub convergence_std: f64,
     /// Mean message count.
     pub messages: f64,
-    /// Seeds at this point whose cells failed (panic / timeout /
-    /// journal error). The means above cover the surviving seeds only,
+    /// Seeds at this point whose cells failed (panic / journal
+    /// error). The means above cover the surviving seeds only,
     /// and tables mark the point instead of printing a silent number.
     pub failed_seeds: usize,
 }
@@ -127,16 +127,11 @@ pub struct SweepOptions {
     /// Period between progress heartbeat lines on stderr; `None` (the
     /// default, and what tests use) keeps the sweep silent.
     pub heartbeat: Option<std::time::Duration>,
-    /// Per-cell wall-clock budget; exceeding it flags the cell and
-    /// dumps the observability flight recorder.
-    pub cell_budget: Option<std::time::Duration>,
-    /// Extra attempts for panicked / timed-out cells (`--retries N`).
-    pub retries: u32,
     /// Resume a journal even when its grid fingerprint doesn't match
     /// (`--resume-force`).
     pub resume_force: bool,
-    /// Deterministic fault injection (hidden `--chaos` / `RFD_CHAOS`
-    /// knob; empty in normal operation).
+    /// Deterministic fault injection (`RFD_CHAOS`; empty in normal
+    /// operation).
     pub chaos: ChaosPlan,
     /// (peer, prefix) keys to audit with the timer-interaction ledger
     /// in every cell (`--ledger P:X`); empty means off. Records stream
@@ -159,8 +154,6 @@ impl Default for SweepOptions {
             journal_dir: None,
             resume: false,
             heartbeat: None,
-            cell_budget: None,
-            retries: 0,
             resume_force: false,
             chaos: ChaosPlan::none(),
             ledger_keys: Vec::new(),
@@ -188,8 +181,6 @@ impl SweepOptions {
             resume: self.resume,
             resume_force: self.resume_force,
             heartbeat: self.heartbeat,
-            cell_budget: self.cell_budget,
-            retries: self.retries,
             chaos: self.chaos.clone(),
         }
     }

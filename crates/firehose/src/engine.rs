@@ -10,17 +10,13 @@
 //! globally time-ordered and routing is a pure function of the key,
 //! every worker sees its keys' updates in the same order regardless of
 //! the shard count — the aggregate decision report is identical for
-//! `--shards 1`, `2` or `8` on the same seed. Fault injection (panics,
-//! hangs) happens at *check boundaries* between updates, never inside
-//! one, so the invariance holds under chaos too.
+//! `--shards 1`, `2` or `8` on the same seed.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use rfd_core::{DampingParams, DecayMode};
 use rfd_obs::{Histogram, Sampler};
-use rfd_runner::{ChaosKind, ChaosPlan};
 use rfd_sim::{SimDuration, SimTime};
 
 use crate::queue::SpscQueue;
@@ -33,11 +29,6 @@ use crate::workload::{shard_hash, Firehose, Update, WorkloadSpec};
 /// shard's pending buffer when it holds this many, and a worker drains
 /// at most this many per lock acquisition.
 const BATCH: usize = 256;
-/// Updates between chaos checkpoints. An unbounded `panic@shardN`
-/// fault panics at every checkpoint, but the attempt counter advances
-/// per *check*, so at least this many updates are processed between
-/// recoveries — the run always finishes.
-const CHAOS_STRIDE: u32 = 1000;
 
 /// Everything one engine run needs.
 #[derive(Debug, Clone)]
@@ -57,10 +48,6 @@ pub struct FirehoseConfig {
     /// to per-key [`Damper`](rfd_core::Damper)s) or bucketed
     /// fixed-point table lookup.
     pub decay: DecayMode,
-    /// Deterministic fault plan; keys are `shard0`, `shard1`, …
-    /// (`hang` faults model slow consumers and surface as
-    /// backpressure; `shortwrite` has no journal here and is a no-op).
-    pub chaos: ChaosPlan,
     /// Stderr heartbeat period; `None` disables the monitor.
     pub heartbeat: Option<Duration>,
     /// Capacity of each shard's ingest queue.
@@ -69,8 +56,8 @@ pub struct FirehoseConfig {
 
 impl FirehoseConfig {
     /// A config with engine defaults (1 shard, Cisco parameters, 10 s
-    /// reuse tick, eviction every 30 ticks, exact decay, no chaos, no
-    /// heartbeat, 1024-slot queues).
+    /// reuse tick, eviction every 30 ticks, exact decay, no heartbeat,
+    /// 1024-slot queues).
     pub fn new(spec: WorkloadSpec) -> Self {
         FirehoseConfig {
             spec,
@@ -79,7 +66,6 @@ impl FirehoseConfig {
             reuse_tick: ShardState::TICK,
             evict_every: ShardState::EVICT_EVERY,
             decay: DecayMode::Exact,
-            chaos: ChaosPlan::none(),
             heartbeat: None,
             queue_capacity: 1024,
         }
@@ -129,7 +115,6 @@ impl FirehoseConfig {
 #[derive(Debug, Default)]
 struct ShardGauges {
     processed: AtomicU64,
-    recovered_panics: AtomicU64,
     suppressions: AtomicU64,
     live_entries: AtomicU64,
 }
@@ -142,8 +127,8 @@ struct ShardGauges {
 ///
 /// # Panics
 ///
-/// Propagates non-chaos panics from shard workers (a worker dying for
-/// any reason other than an injected fault is a bug, not a result).
+/// Propagates panics from shard workers (a worker dying is a bug, not a
+/// result).
 pub fn run(config: &FirehoseConfig) -> Result<FirehoseReport, String> {
     run_with_telemetry(config, None)
 }
@@ -162,7 +147,7 @@ pub fn run(config: &FirehoseConfig) -> Result<FirehoseReport, String> {
 ///
 /// # Panics
 ///
-/// Propagates non-chaos panics from shard workers, as [`run`] does.
+/// Propagates panics from shard workers, as [`run`] does.
 #[allow(clippy::type_complexity)]
 pub fn run_with_telemetry(
     config: &FirehoseConfig,
@@ -221,9 +206,8 @@ pub fn run_with_telemetry(
                     let queue = &queues[i];
                     let gauge = &gauges[i];
                     let hist = shard_hists[i].clone();
-                    let chaos = &config.chaos;
                     let options = config.shard_options();
-                    scope.spawn(move || shard_worker(i, queue, options, chaos, &hist, end, gauge))
+                    scope.spawn(move || shard_worker(queue, options, &hist, end, gauge))
                 })
                 .collect();
 
@@ -245,7 +229,7 @@ pub fn run_with_telemetry(
             }
             workers
                 .into_iter()
-                .map(|h| h.join().expect("shard worker died outside chaos"))
+                .map(|h| h.join().expect("shard worker died"))
                 .collect()
         })
     });
@@ -264,7 +248,7 @@ pub fn run_with_telemetry(
             processed: gauges[i].processed.load(Ordering::Relaxed),
             max_queue_depth: queues[i].max_depth(),
             push_waits: queues[i].push_waits(),
-            recovered_panics: gauges[i].recovered_panics.load(Ordering::Relaxed),
+            ..ShardPerf::default()
         })
         .collect();
     // The hand-off stays amortised: a shard's queue is locked for a
@@ -293,95 +277,40 @@ pub fn run_with_telemetry(
     })
 }
 
-/// One shard worker: drain, checkpoint, apply, repeat — wrapped in a
-/// recovery loop so injected panics lose no updates.
+/// One shard worker: drain a batch, apply it, repeat.
 fn shard_worker(
-    index: usize,
     queue: &SpscQueue<Update>,
     options: ShardOptions,
-    chaos: &ChaosPlan,
     decision_ns: &Histogram,
     end: SimTime,
     gauge: &ShardGauges,
 ) -> Aggregate {
-    let chaos_key = format!("shard{index}");
     let mut state = ShardState::with_options(options);
     let mut batch: Vec<Update> = Vec::with_capacity(BATCH);
-    // Next unapplied index into `batch`: survives a recovery, so the
-    // retry resumes exactly where the fault hit.
-    let mut pos = 0usize;
-    let mut until_check = 0u32;
-    let mut attempt = 0u32;
-    loop {
-        let outcome = catch_unwind(AssertUnwindSafe(|| loop {
-            // One clock read per decision: each is timed from the end
-            // of the one before. The stamp is taken afresh here — after
-            // `pop_batch` returns and after a recovery re-enters — and
-            // after an injected hang, so neither an empty-queue wait
-            // nor a fault is ever recorded as decision latency.
-            let mut stamp = Instant::now();
-            while pos < batch.len() {
-                if until_check == 0 {
-                    // Re-arm *before* injecting: after a recovery the
-                    // next CHAOS_STRIDE updates run unchecked, so even
-                    // an every-attempt panic plan makes progress.
-                    until_check = CHAOS_STRIDE;
-                    attempt += 1;
-                    match chaos.fault_for(&chaos_key, attempt) {
-                        Some(ChaosKind::Panic) => {
-                            panic!("chaos: injected panic in {chaos_key} (attempt {attempt})")
-                        }
-                        Some(ChaosKind::Hang(d)) => {
-                            std::thread::sleep(d);
-                            stamp = Instant::now();
-                        }
-                        // A journal short-write has no meaning inside
-                        // the apply loop.
-                        Some(ChaosKind::ShortWrite) | None => {}
-                    }
-                }
-                until_check -= 1;
-                state.apply(batch[pos]);
-                let now = Instant::now();
-                decision_ns.observe((now - stamp).as_nanos() as u64);
-                stamp = now;
-                pos += 1;
-            }
-            // Batch-boundary gauge refresh for the observers: cheap
-            // relaxed writes once per drained batch, never per update.
-            // `pos` survives an unwind, so a batch a fault interrupted
-            // is still counted exactly once, here.
-            gauge
-                .processed
-                .fetch_add(batch.len() as u64, Ordering::Relaxed);
-            batch.clear();
-            pos = 0;
-            gauge
-                .suppressions
-                .store(state.aggregate().suppressions, Ordering::Relaxed);
-            gauge
-                .live_entries
-                .store(state.live_entries() as u64, Ordering::Relaxed);
-            if !queue.pop_batch(&mut batch, BATCH) {
-                return;
-            }
-        }));
-        match outcome {
-            Ok(()) => break,
-            Err(payload) => {
-                // Only injected panics are recoverable; anything else
-                // is a real bug and must fail the run loudly.
-                let msg = payload
-                    .downcast_ref::<String>()
-                    .map(String::as_str)
-                    .unwrap_or("");
-                assert!(
-                    msg.starts_with("chaos:"),
-                    "shard worker {index} panicked outside chaos: {msg:?}"
-                );
-                gauge.recovered_panics.fetch_add(1, Ordering::Relaxed);
-            }
+    while queue.pop_batch(&mut batch, BATCH) {
+        // One clock read per decision: each is timed from the end of
+        // the one before. The stamp is taken afresh after `pop_batch`
+        // returns, so an empty-queue wait is never recorded as decision
+        // latency.
+        let mut stamp = Instant::now();
+        for &update in &batch {
+            state.apply(update);
+            let now = Instant::now();
+            decision_ns.observe((now - stamp).as_nanos() as u64);
+            stamp = now;
         }
+        // Batch-boundary gauge refresh for the observers: cheap relaxed
+        // writes once per drained batch, never per update.
+        gauge
+            .processed
+            .fetch_add(batch.len() as u64, Ordering::Relaxed);
+        batch.clear();
+        gauge
+            .suppressions
+            .store(state.aggregate().suppressions, Ordering::Relaxed);
+        gauge
+            .live_entries
+            .store(state.live_entries() as u64, Ordering::Relaxed);
     }
     state.finish(end)
 }
@@ -428,7 +357,6 @@ impl Observed<'_> {
                     max_queue_depth: queue.max_depth(),
                     push_waits: queue.push_waits(),
                     live_entries: gauge.live_entries.load(Ordering::Relaxed),
-                    recovered_panics: gauge.recovered_panics.load(Ordering::Relaxed),
                     p50_ns,
                     p99_ns,
                 }
@@ -438,11 +366,10 @@ impl Observed<'_> {
 }
 
 /// One heartbeat line from one tick's rows: updates processed and
-/// rate, simulated-time progress with wall-clock ETA, per-shard queue
-/// depths, and recovered fault count (only when nonzero).
+/// rate, simulated-time progress with wall-clock ETA, and per-shard
+/// queue depths.
 fn format_firehose_heartbeat(rows: &[ShardSnapshot], total_us: u64) -> String {
     let processed: u64 = rows.iter().map(|r| r.processed).sum();
-    let recovered_panics: u64 = rows.iter().map(|r| r.recovered_panics).sum();
     let (sim_now_us, elapsed_secs) = (rows[0].sim_us, rows[0].elapsed_secs);
     let frac = if total_us == 0 {
         1.0
@@ -460,14 +387,10 @@ fn format_firehose_heartbeat(rows: &[ShardSnapshot], total_us: u64) -> String {
         .map(|r| r.queue_depth.to_string())
         .collect::<Vec<_>>()
         .join("/");
-    let mut line = format!(
+    format!(
         "firehose: {processed} updates ({rate:.0}/s) sim {:.0}% eta {eta} queues {depths}",
         frac * 100.0
-    );
-    if recovered_panics > 0 {
-        line.push_str(&format!(" recovered-panics {recovered_panics}"));
-    }
-    line
+    )
 }
 
 #[cfg(test)]
@@ -521,69 +444,16 @@ mod tests {
         );
     }
 
-    #[test]
-    fn chaos_panics_recover_without_changing_decisions() {
-        let clean = run(&config(2, WorkloadKind::FlapStorm)).expect("runs");
-        let mut chaotic_config = config(2, WorkloadKind::FlapStorm);
-        chaotic_config.chaos = ChaosPlan::none().with("shard0", ChaosKind::Panic, 2);
-        let chaotic = run(&chaotic_config).expect("runs");
-        assert_eq!(clean.aggregate, chaotic.aggregate);
-        assert_eq!(chaotic.shard_perf[0].recovered_panics, 2);
-        assert_eq!(chaotic.shard_perf[1].recovered_panics, 0);
-    }
-
-    #[test]
-    fn unbounded_panic_plan_still_finishes() {
-        let mut cfg = config(1, WorkloadKind::Poisson);
-        cfg.chaos = ChaosPlan::none().with("shard0", ChaosKind::Panic, u32::MAX);
-        let clean = run(&config(1, WorkloadKind::Poisson)).expect("runs");
-        let chaotic = run(&cfg).expect("runs");
-        assert_eq!(clean.aggregate, chaotic.aggregate);
-        assert!(chaotic.shard_perf[0].recovered_panics > 0);
-    }
-
-    #[test]
-    fn hang_fault_shows_up_as_backpressure() {
-        let mut cfg = config(1, WorkloadKind::Poisson);
-        cfg.queue_capacity = 8;
-        cfg.chaos = ChaosPlan::none().with("shard0", ChaosKind::Hang(Duration::from_millis(40)), 1);
-        let report = run(&cfg).expect("runs");
-        assert!(
-            report.shard_perf[0].push_waits > 0,
-            "generator never blocked on the hung shard"
-        );
-    }
-
-    /// The hang is a fault, not a decision: the worker re-stamps after
-    /// it, so the latency histogram never sees the 40 ms.
-    #[test]
-    fn hang_fault_is_not_recorded_as_decision_latency() {
-        let hang = Duration::from_millis(40);
-        let mut cfg = config(1, WorkloadKind::Poisson);
-        cfg.spec.duration = SimDuration::from_secs(100);
-        cfg.chaos = ChaosPlan::none().with("shard0", ChaosKind::Hang(hang), 1);
-        let report = run(&cfg).expect("runs");
-        assert_eq!(report.decision_ns.count(), report.aggregate.updates);
-        let &(slowest_floor, _) = report.decision_ns.nonzero_buckets().last().unwrap();
-        let hang_floor = Histogram::bucket_floor(Histogram::bucket_of(hang.as_nanos() as u64));
-        assert!(
-            slowest_floor < hang_floor,
-            "a decision in the [{slowest_floor} ns, ..) bucket: the hang was timed"
-        );
-    }
-
     /// Batched hand-off loses and double-counts nothing: whatever the
     /// shard count and however small the queue (1 and 7 neither reach
     /// nor divide `BATCH`), every generated update is decided, counted
-    /// and timed exactly once — clean, and with two panics on shard 0,
-    /// the second of which (update 1000 of its stream) lands inside a
-    /// batch. Every run also passes `run`'s debug assertion that queue
-    /// moves stay within `updates / BATCH + push_waits + 1` per shard.
+    /// and timed exactly once. Every run also passes `run`'s debug
+    /// assertion that queue moves stay within
+    /// `updates / BATCH + push_waits + 1` per shard.
     #[test]
     fn batched_hand_off_accounts_for_every_update() {
         let base = |shards, queue_capacity| {
-            // ~24k updates: enough that shard 0 of 8 passes its second
-            // chaos checkpoint.
+            // ~24k updates: several batches for every shard of 8.
             let mut cfg = config(shards, WorkloadKind::Poisson);
             cfg.spec.duration = SimDuration::from_secs(600);
             cfg.queue_capacity = queue_capacity;
@@ -594,29 +464,18 @@ mod tests {
         assert_eq!(reference.updates, generated);
         for shards in [1, 2, 8] {
             for queue_capacity in [1, 7, 1024] {
-                for panics in [0, 2] {
-                    let mut cfg = base(shards, queue_capacity);
-                    cfg.chaos = ChaosPlan::none().with("shard0", ChaosKind::Panic, panics);
-                    let report = run(&cfg).expect("runs");
-                    let label =
-                        format!("shards {shards} capacity {queue_capacity} panics {panics}");
-                    assert_eq!(report.aggregate, reference, "{label}");
-                    let processed: Vec<u64> =
-                        report.shard_perf.iter().map(|p| p.processed).collect();
-                    assert_eq!(processed.iter().sum::<u64>(), generated, "{label}");
-                    assert_eq!(report.decision_ns.count(), generated, "{label}");
-                    assert!(
-                        processed.iter().any(|n| n % BATCH as u64 != 0),
-                        "{label}: every shard ended on a full batch, the tail flush went untested"
-                    );
-                    assert_eq!(
-                        report.shard_perf[0].recovered_panics,
-                        u64::from(panics),
-                        "{label}"
-                    );
-                    for perf in &report.shard_perf {
-                        assert!(perf.max_queue_depth <= queue_capacity, "{label}");
-                    }
+                let report = run(&base(shards, queue_capacity)).expect("runs");
+                let label = format!("shards {shards} capacity {queue_capacity}");
+                assert_eq!(report.aggregate, reference, "{label}");
+                let processed: Vec<u64> = report.shard_perf.iter().map(|p| p.processed).collect();
+                assert_eq!(processed.iter().sum::<u64>(), generated, "{label}");
+                assert_eq!(report.decision_ns.count(), generated, "{label}");
+                assert!(
+                    processed.iter().any(|n| n % BATCH as u64 != 0),
+                    "{label}: every shard ended on a full batch, the tail flush went untested"
+                );
+                for perf in &report.shard_perf {
+                    assert!(perf.max_queue_depth <= queue_capacity, "{label}");
                 }
             }
         }
@@ -689,28 +548,25 @@ mod tests {
 
     #[test]
     fn heartbeat_format_is_stable() {
-        let row = |shard, processed, queue_depth, recovered_panics| ShardSnapshot {
+        let row = |shard, processed, queue_depth| ShardSnapshot {
             elapsed_secs: 2.0,
             sim_us: 600_000_000,
             shard,
             processed,
             queue_depth,
-            recovered_panics,
             ..ShardSnapshot::default()
         };
-        let line =
-            format_firehose_heartbeat(&[row(0, 3000, 3, 0), row(1, 2000, 0, 0)], 1_200_000_000);
+        let line = format_firehose_heartbeat(&[row(0, 3000, 3), row(1, 2000, 0)], 1_200_000_000);
         assert_eq!(
             line,
             "firehose: 5000 updates (2500/s) sim 50% eta 2.0s queues 3/0"
         );
         let idle = ShardSnapshot {
             sim_us: 0,
-            ..row(0, 0, 1, 3)
+            ..row(0, 0, 1)
         };
         let line = format_firehose_heartbeat(&[idle], 100);
         assert!(line.contains("eta ?"), "{line}");
-        assert!(line.contains("recovered-panics 3"), "{line}");
     }
 
     #[test]

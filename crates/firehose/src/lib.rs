@@ -9,8 +9,7 @@
 //! per-decision latency while asserting a strong contract: the
 //! aggregate decision report — suppressions, reuses, deferrals,
 //! evictions, total nominal penalty — is *identical* for every shard
-//! count on the same seed, even while injected faults (worker panics,
-//! hangs) are being recovered ([`engine`]).
+//! count on the same seed ([`engine`]).
 //!
 //! ```no_run
 //! use rfd_firehose::{run, FirehoseConfig, WorkloadKind, WorkloadSpec};

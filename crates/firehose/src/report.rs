@@ -3,7 +3,7 @@
 //!
 //! The report is split deliberately. The [`Aggregate`] section is a
 //! pure function of (seed, workload, damping parameters) — identical
-//! for every shard count and under injected faults — and is what the
+//! for every shard count — and is what the
 //! determinism e2e test and the CI smoke job diff. The perf section
 //! (throughput, decision-latency percentiles, queue gauges) measures
 //! the machine and is *expected* to vary run to run.
@@ -73,7 +73,9 @@ pub struct ShardPerf {
     /// Times the generator blocked pushing to this shard
     /// (backpressure events).
     pub push_waits: u64,
-    /// Chaos panics caught and recovered inside the worker.
+    /// Always 0: workers no longer recover from panics. Kept only
+    /// because the perf ledger still reads it; remove it with that
+    /// reader.
     pub recovered_panics: u64,
 }
 
@@ -102,7 +104,7 @@ pub struct FirehoseReport {
     /// worker's previous decision to the end of this one (one clock
     /// read per update), so it covers the whole per-update worker loop
     /// and its mean is the reciprocal of a busy shard's rate. Queue
-    /// waits and injected faults fall between samples, not in them.
+    /// waits fall between samples, not in them.
     pub decision_ns: Histogram,
 }
 
@@ -148,7 +150,6 @@ impl FirehoseReport {
             let _ = writeln!(out, "shard{i},processed,{}", p.processed);
             let _ = writeln!(out, "shard{i},max_queue_depth,{}", p.max_queue_depth);
             let _ = writeln!(out, "shard{i},push_waits,{}", p.push_waits);
-            let _ = writeln!(out, "shard{i},recovered_panics,{}", p.recovered_panics);
         }
         out
     }
@@ -187,9 +188,8 @@ impl FirehoseReport {
             }
             let _ = write!(
                 out,
-                "{{\"processed\": {}, \"max_queue_depth\": {}, \"push_waits\": {}, \
-                 \"recovered_panics\": {}}}",
-                p.processed, p.max_queue_depth, p.push_waits, p.recovered_panics
+                "{{\"processed\": {}, \"max_queue_depth\": {}, \"push_waits\": {}}}",
+                p.processed, p.max_queue_depth, p.push_waits
             );
         }
         out.push_str("]\n}\n");
@@ -224,13 +224,13 @@ pub(crate) fn test_demo_report() -> FirehoseReport {
                 processed: 600,
                 max_queue_depth: 12,
                 push_waits: 1,
-                recovered_panics: 0,
+                ..ShardPerf::default()
             },
             ShardPerf {
                 processed: 400,
                 max_queue_depth: 3,
                 push_waits: 0,
-                recovered_panics: 2,
+                ..ShardPerf::default()
             },
         ],
         elapsed_secs: 0.5,
@@ -283,7 +283,7 @@ mod tests {
             "aggregate,suppressions,10",
             "perf,updates_per_sec,2000",
             "shard0,max_queue_depth,12",
-            "shard1,recovered_panics,2",
+            "shard1,push_waits,0",
         ] {
             assert!(csv.contains(needle), "missing {needle} in:\n{csv}");
         }

@@ -55,8 +55,6 @@ pub struct ShardSnapshot {
     pub push_waits: u64,
     /// Damper slots currently live in the shard's state table.
     pub live_entries: u64,
-    /// Injected panics recovered so far.
-    pub recovered_panics: u64,
     /// Median decision latency over this interval, nanoseconds.
     pub p50_ns: f64,
     /// 99th-percentile decision latency over this interval, ns.
@@ -71,8 +69,7 @@ impl ShardSnapshot {
              \"processed\": {}, \"processed_delta\": {}, \"rate_per_sec\": {:.0}, \
              \"suppressions\": {}, \"suppression_ratio\": {:.6}, \
              \"queue_depth\": {}, \"max_queue_depth\": {}, \"push_waits\": {}, \
-             \"live_entries\": {}, \"recovered_panics\": {}, \
-             \"p50_ns\": {:.0}, \"p99_ns\": {:.0}}}",
+             \"live_entries\": {}, \"p50_ns\": {:.0}, \"p99_ns\": {:.0}}}",
             self.seq,
             (self.elapsed_secs * 1000.0) as u64,
             self.sim_us,
@@ -86,7 +83,6 @@ impl ShardSnapshot {
             self.max_queue_depth,
             self.push_waits,
             self.live_entries,
-            self.recovered_panics,
             self.p50_ns,
             self.p99_ns,
         )
@@ -258,21 +254,6 @@ pub fn prometheus_exposition(report: &FirehoseReport) -> String {
     }
     let _ = writeln!(
         out,
-        "# HELP rfd_firehose_shard_recovered_panics_total Injected panics recovered per shard."
-    );
-    let _ = writeln!(
-        out,
-        "# TYPE rfd_firehose_shard_recovered_panics_total counter"
-    );
-    for (i, p) in report.shard_perf.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "rfd_firehose_shard_recovered_panics_total{{shard=\"{i}\"}} {}",
-            p.recovered_panics
-        );
-    }
-    let _ = writeln!(
-        out,
         "# HELP rfd_firehose_decision_latency_ns Per-decision latency, nanoseconds."
     );
     let _ = writeln!(out, "# TYPE rfd_firehose_decision_latency_ns summary");
@@ -316,7 +297,6 @@ mod tests {
             max_queue_depth: 9,
             push_waits: 1,
             live_entries: 17,
-            recovered_panics: 0,
             p50_ns: 120.0,
             p99_ns: 900.0,
         }
@@ -340,7 +320,6 @@ mod tests {
             "max_queue_depth",
             "push_waits",
             "live_entries",
-            "recovered_panics",
             "p50_ns",
             "p99_ns",
         ] {

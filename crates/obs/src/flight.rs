@@ -2,8 +2,8 @@
 //!
 //! Every span/mark a thread records also lands in its bounded ring
 //! buffer (newest [`crate::registry::RING_CAP`] records). When a run
-//! panics or trips an anomaly hook (e.g. a cell exceeding its
-//! wall-clock budget), [`dump_flight`] snapshots every ring to the path
+//! panics or trips an anomaly hook (e.g. a sweep cell failing),
+//! [`dump_flight`] snapshots every ring to the path
 //! configured via [`set_flight_path`] — a black-box readout of what the
 //! process was doing just before things went wrong.
 
@@ -69,7 +69,7 @@ fn write_flight(path: &Path) -> io::Result<()> {
 /// Any I/O error from creating directories or writing the file.
 pub fn dump_flight() -> io::Result<Option<PathBuf>> {
     // Hold the path lock across the write: concurrent dumps (two cells
-    // overrunning their budget at once) must serialize, or their
+    // failing at once) must serialize, or their
     // truncate-and-write sequences interleave into invalid JSON. The
     // lock is poison-tolerant because this also runs in the panic hook.
     let guard = lock_unpoisoned(&registry::global().flight_path);

@@ -5,6 +5,9 @@
 //! runner's journal lines): objects, arrays, strings with the common
 //! escapes, numbers, booleans and null. No external dependencies, no
 //! streaming — inputs are the small-to-medium files we emit ourselves.
+//! Inputs can still be damaged or hostile, so nesting is bounded by
+//! [`MAX_DEPTH`]: a deeper document is a [`ParseError`], never a stack
+//! overflow.
 
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
@@ -122,16 +125,20 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// The deepest nesting of arrays and objects [`parse`] accepts.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses one complete JSON value; trailing non-whitespace is an error.
 ///
 /// # Errors
 ///
-/// [`ParseError`] on malformed input, with the byte offset of the
-/// failure.
+/// [`ParseError`] on malformed input or nesting deeper than
+/// [`MAX_DEPTH`], with the byte offset of the failure.
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -145,6 +152,8 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -185,8 +194,19 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => {
+                Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")))
+            }
+            Some(open @ (b'{' | b'[')) => {
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -376,6 +396,25 @@ mod tests {
         let v = parse(&doc).unwrap();
         assert_eq!(v.get("a").unwrap().as_str().map(str::len), Some(500_000));
         assert_eq!(v.get("b").unwrap().as_array().unwrap().len(), 100_001);
+    }
+
+    /// Nesting is bounded: `MAX_DEPTH` levels parse, one more is an
+    /// error at the offending bracket, and a 200,000-deep line is an
+    /// error too — not a stack overflow.
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(err.message.contains("nesting"), "{err}");
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(parse(&objects).is_err());
+        assert!(parse(&"[".repeat(200_000)).is_err());
     }
 
     #[test]

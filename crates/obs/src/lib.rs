@@ -14,7 +14,7 @@
 //!   (`traceEvents` with `ph:"B"/"E"/"C"` records) openable in
 //!   Perfetto / `chrome://tracing`;
 //! * [`Sampler`] — one observer thread calling periodic consumers
-//!   (heartbeats, watchdogs, telemetry) while a piece of work runs.
+//!   (heartbeats, telemetry) while a piece of work runs.
 //!
 //! ## Non-perturbation contract
 //!

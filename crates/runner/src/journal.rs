@@ -7,7 +7,7 @@
 //! ```json
 //! {"journal":"rfd-runs/v2","grid":"fig8-9","series":3,"pulses":5,"seeds":3,"cells":45,"param_hash":"00c5a1e0213fbb1e"}
 //! {"key":"mesh|n=4|seed=2","convergence_secs":171.5,"messages":5240.0,"suppressed":12.0}
-//! {"key":"mesh|n=4|seed=3","failed":"panic","error":"index out of bounds","attempts":3}
+//! {"key":"mesh|n=4|seed=3","failed":"panic","error":"index out of bounds"}
 //! ```
 //!
 //! A sweep killed mid-run leaves a journal with whatever cells finished
@@ -28,8 +28,10 @@
 //!   are skipped and *counted*, intact lines before and after them
 //!   still load.
 //! - **failure records** mark a cell as attempted-and-failed, not
-//!   completed — resume re-runs exactly those cells. When a key appears
-//!   more than once, the last record wins.
+//!   completed — resume re-runs exactly those cells, whatever failure
+//!   kind the line names (journals may carry kinds this version no
+//!   longer writes). When a key appears more than once, the last record
+//!   wins.
 //!
 //! Non-finite floats (JSON has no literal for them) are encoded as the
 //! strings `"NaN"`, `"inf"` and `"-inf"`.
@@ -73,17 +75,15 @@ impl RunMetrics {
 }
 
 /// Execution metadata journaled alongside a cell's metrics: how long the
-/// cell took, which pool worker ran it, and how many supervised retries
-/// it needed. Purely diagnostic — resume and aggregation ignore it, and
-/// journals written before these fields existed load unchanged.
+/// cell took and which pool worker ran it. Purely diagnostic — resume
+/// and aggregation ignore it, and journals written before these fields
+/// existed load unchanged.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunMeta {
     /// Wall-clock execution time of the cell, in seconds.
     pub duration_secs: f64,
     /// Pool worker index that executed the cell.
     pub thread: u64,
-    /// Supervised retries before the cell succeeded (0 = first try).
-    pub retries: u32,
 }
 
 /// One parsed journal line.
@@ -100,17 +100,15 @@ pub enum Record {
         /// Optional execution metadata.
         meta: Option<RunMeta>,
     },
-    /// A cell that exhausted its attempts. Not a completion: resume
-    /// re-runs it.
+    /// A cell that failed. Not a completion: resume re-runs it.
     Failure {
         /// Journal key of the cell.
         key: String,
-        /// Failure classification.
-        kind: FailKind,
+        /// The failure kind as journaled (a [`FailKind`] rendering, or
+        /// a kind an older version wrote).
+        kind: String,
         /// Human-readable detail.
         error: String,
-        /// Attempts made before giving up.
-        attempts: u32,
     },
 }
 
@@ -119,8 +117,9 @@ pub enum Record {
 pub struct ResumeState {
     /// Intact completed cells, by journal key (last record wins).
     pub completed: HashMap<String, RunMetrics>,
-    /// Cells whose final record is a failure (resume re-runs these).
-    pub failed: HashMap<String, FailKind>,
+    /// Cells whose final record is a failure, with the journaled kind
+    /// (resume re-runs these).
+    pub failed: HashMap<String, String>,
     /// Damaged lines that were skipped during the scan.
     pub skipped_lines: usize,
     /// Whether the journal carried a header line (pre-v2 journals
@@ -256,40 +255,10 @@ impl Journal {
         self.append(line.as_bytes())
     }
 
-    /// Chaos hook: appends the run record *short-written* — only the
-    /// first half of its bytes, then a newline. Deterministically
-    /// simulates a torn write: the damaged record occupies one line
-    /// that resume will skip (and count), so exactly this cell re-runs.
-    pub fn record_short(
-        &self,
-        key: &str,
-        metrics: &RunMetrics,
-        meta: Option<&RunMeta>,
-    ) -> io::Result<()> {
-        let line = encode_run(key, metrics, meta);
-        let half = &line.as_bytes()[..line.len() / 2];
-        let mut torn = half.to_vec();
-        torn.push(b'\n');
-        self.append(&torn)
-    }
-
-    /// Appends a failure record for a cell that exhausted its attempts.
-    /// Failure records do **not** mark the cell completed — resume
-    /// re-runs it.
-    pub fn record_failure(
-        &self,
-        key: &str,
-        kind: FailKind,
-        error: &str,
-        attempts: u32,
-    ) -> io::Result<()> {
-        let line = format!(
-            "{{\"key\":{},\"failed\":{},\"error\":{},\"attempts\":{attempts}}}\n",
-            quote(key),
-            quote(&kind.to_string()),
-            quote(error),
-        );
-        self.append(line.as_bytes())
+    /// Appends a failure record for a failed cell. Failure records do
+    /// **not** mark the cell completed — resume re-runs it.
+    pub fn record_failure(&self, key: &str, kind: FailKind, error: &str) -> io::Result<()> {
+        self.append(encode_failure(key, &kind.to_string(), error).as_bytes())
     }
 
     fn append(&self, bytes: &[u8]) -> io::Result<()> {
@@ -318,12 +287,18 @@ fn encode_run(key: &str, metrics: &RunMetrics, meta: Option<&RunMeta>) -> String
             encode_f64(meta.duration_secs),
             meta.thread
         ));
-        if meta.retries > 0 {
-            line.push_str(&format!(",\"retries\":{}", meta.retries));
-        }
     }
     line.push_str("}\n");
     line
+}
+
+fn encode_failure(key: &str, kind: &str, error: &str) -> String {
+    format!(
+        "{{\"key\":{},\"failed\":{},\"error\":{}}}\n",
+        quote(key),
+        quote(kind),
+        quote(error),
+    )
 }
 
 /// Shortest-round-trip float; non-finite values as quoted strings.
@@ -389,9 +364,8 @@ pub fn parse_record(line: &str) -> Option<Record> {
     if let Some(failed) = fields.get("failed") {
         return Some(Record::Failure {
             key,
-            kind: FailKind::parse(failed.as_str()?)?,
+            kind: failed.as_str()?.to_owned(),
             error: text("error").unwrap_or_default().to_owned(),
-            attempts: num("attempts").map_or(1, |n| n as u32),
         });
     }
 
@@ -404,7 +378,6 @@ pub fn parse_record(line: &str) -> Option<Record> {
         (Some(duration), Some(thread)) => Some(RunMeta {
             duration_secs: number(duration)?,
             thread: number(thread)? as u64,
-            retries: num("retries").map_or(0, |n| n as u32),
         }),
         _ => None,
     };
@@ -490,7 +463,7 @@ mod tests {
             "{\"key\":\"a\",\"convergence_secs\":1.0,\"messages\":2.0}", // missing field
             "not json at all",
             "{\"key\":7,\"convergence_secs\":1.0,\"messages\":2.0,\"suppressed\":0.0}",
-            "{\"key\":\"a\",\"failed\":\"no-such-kind\",\"error\":\"x\",\"attempts\":1}",
+            "{\"key\":\"a\",\"failed\":7,\"error\":\"x\"}", // kind is not text
             "{\"journal\":\"rfd-runs/v1\",\"grid\":\"g\"}", // unknown format
         ] {
             assert!(parse_record(bad).is_none(), "accepted: {bad}");
@@ -505,7 +478,7 @@ mod tests {
         let journal = Journal::create(&dir, &fp("grid")).unwrap();
         let message = "boom\tat\r\u{1}";
         journal
-            .record_failure("k", FailKind::Panic, message, 1)
+            .record_failure("k", FailKind::Panic, message)
             .unwrap();
         let path = journal.path().to_path_buf();
         drop(journal);
@@ -518,7 +491,7 @@ mod tests {
         assert_eq!(error, message);
         let (_, state) = Journal::resume(&dir, &fp("grid"), false).unwrap();
         assert_eq!(state.skipped_lines, 0);
-        assert_eq!(state.failed["k"], FailKind::Panic);
+        assert_eq!(state.failed["k"], "panic");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -534,7 +507,7 @@ mod tests {
         let dir = tmp_dir("failrec");
         let journal = Journal::create(&dir, &fp("grid")).unwrap();
         journal
-            .record_failure("a|n=1|seed=1", FailKind::Panic, "boom \"quoted\"", 3)
+            .record_failure("a|n=1|seed=1", FailKind::Panic, "boom \"quoted\"")
             .unwrap();
         let path = journal.path().to_path_buf();
         drop(journal);
@@ -544,9 +517,8 @@ mod tests {
             record,
             Record::Failure {
                 key: "a|n=1|seed=1".into(),
-                kind: FailKind::Panic,
+                kind: "panic".into(),
                 error: "boom \"quoted\"".into(),
-                attempts: 3,
             }
         );
         let _ = std::fs::remove_dir_all(&dir);
@@ -564,7 +536,6 @@ mod tests {
         let meta = RunMeta {
             duration_secs: 0.125,
             thread: 3,
-            retries: 2,
         };
         journal.record_with("with-meta", &m, Some(&meta)).unwrap();
         journal.record("without-meta", &m).unwrap();
@@ -745,11 +716,11 @@ mod tests {
         // Run then failure: the cell is *not* completed.
         journal.record("regressed", &m1).unwrap();
         journal
-            .record_failure("regressed", FailKind::Timeout, "slow", 1)
+            .record_failure("regressed", FailKind::JournalIo, "disk full")
             .unwrap();
-        // Failure then run: a successful retry supersedes the failure.
+        // Failure then run: a successful re-run supersedes the failure.
         journal
-            .record_failure("recovered", FailKind::Panic, "boom", 2)
+            .record_failure("recovered", FailKind::Panic, "boom")
             .unwrap();
         journal.record("recovered", &m1).unwrap();
         drop(journal);
@@ -757,15 +728,17 @@ mod tests {
         let (_, state) = Journal::resume(&dir, &fp("grid"), false).unwrap();
         assert_eq!(state.completed["twice"], m2);
         assert!(!state.completed.contains_key("regressed"));
-        assert_eq!(state.failed["regressed"], FailKind::Timeout);
+        assert_eq!(state.failed["regressed"], "journal-io");
         assert_eq!(state.completed["recovered"], m1);
         assert!(!state.failed.contains_key("recovered"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A torn write — the first half of a record, then the newline the
+    /// next append starts after — damages exactly its own line.
     #[test]
-    fn short_write_damages_exactly_one_line() {
-        let dir = tmp_dir("short");
+    fn torn_write_damages_exactly_one_line() {
+        let dir = tmp_dir("torn");
         let journal = Journal::create(&dir, &fp("grid")).unwrap();
         let m = RunMetrics {
             convergence_secs: 5.0,
@@ -773,7 +746,14 @@ mod tests {
             suppressed: 0.0,
         };
         journal.record("ok-1", &m).unwrap();
-        journal.record_short("torn", &m, None).unwrap();
+        let path = journal.path().to_path_buf();
+        drop(journal);
+        let line = encode_run("torn", &m, None);
+        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+        f.write_all(&line.as_bytes()[..line.len() / 2]).unwrap();
+        f.write_all(b"\n").unwrap();
+        drop(f);
+        let (journal, _) = Journal::resume(&dir, &fp("grid"), false).unwrap();
         journal.record("ok-2", &m).unwrap();
         drop(journal);
 
@@ -781,6 +761,40 @@ mod tests {
         assert_eq!(state.completed.len(), 2);
         assert!(!state.completed.contains_key("torn"));
         assert_eq!(state.skipped_lines, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Lines in the format of the version that still retried cells and
+    /// timed them out: a `timeout` failure still re-runs its cell and
+    /// is not damage, and the `attempts` and `retries` fields are
+    /// ignored.
+    #[test]
+    fn resume_reads_lines_from_the_retrying_format() {
+        let dir = tmp_dir("retry-era");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = journal_path(&dir, "grid");
+        let header = encode_header(&fp("grid"));
+        std::fs::write(
+            &path,
+            format!(
+                "{header}\
+                 {{\"key\":\"slow\",\"failed\":\"timeout\",\"error\":\"took 2.000s, over its 1.000s budget\",\"attempts\":3}}\n\
+                 {{\"key\":\"healed\",\"convergence_secs\":7.5,\"messages\":12.0,\"suppressed\":1.0,\"duration_secs\":0.25,\"thread\":1,\"retries\":2}}\n"
+            ),
+        )
+        .unwrap();
+        let (_, state) = Journal::resume(&dir, &fp("grid"), false).unwrap();
+        assert_eq!(state.skipped_lines, 0);
+        assert_eq!(state.failed["slow"], "timeout");
+        assert!(!state.completed.contains_key("slow"));
+        assert_eq!(state.completed["healed"].convergence_secs, 7.5);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let (_, _, meta) = parse_line_meta(text.lines().nth(2).unwrap()).unwrap();
+        let expected = RunMeta {
+            duration_secs: 0.25,
+            thread: 1,
+        };
+        assert_eq!(meta, Some(expected));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -802,5 +816,123 @@ mod tests {
         let (_, state) = Journal::resume(&dir, &fp("grid"), false).unwrap();
         assert!(state.completed.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Hostile input for the line parser: whatever bytes a damaged journal
+/// holds, [`parse_record`] returns, and every line the writer emits
+/// reads back to a record that re-encodes to the same bytes.
+#[cfg(test)]
+mod properties {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Text that leans on what the writer must escape.
+    fn text() -> impl Strategy<Value = String> {
+        let ch = prop_oneof![
+            (0x20u32..0x7f).prop_map(|c| char::from_u32(c).unwrap()),
+            (0u32..0x20).prop_map(|c| char::from_u32(c).unwrap()),
+            Just('"'),
+            Just('\\'),
+            Just('é'),
+            Just('\u{1f600}'),
+        ];
+        collection::vec(ch, 0..24).prop_map(|chars| chars.into_iter().collect())
+    }
+
+    /// Any `f64`, NaN and infinities included.
+    fn float() -> impl Strategy<Value = f64> {
+        any::<u64>().prop_map(f64::from_bits)
+    }
+
+    /// One line of each kind the writer emits, newline included.
+    fn written() -> impl Strategy<Value = String> {
+        let header =
+            (text(), 0usize..1 << 20, any::<u64>()).prop_map(|(grid, cells, param_hash)| {
+                let (series, pulses, seeds) = (cells % 5, cells % 11, cells % 7);
+                encode_header(&GridFingerprint {
+                    grid,
+                    series,
+                    pulses,
+                    seeds,
+                    cells,
+                    param_hash,
+                })
+            });
+        let metrics =
+            (float(), float(), float()).prop_map(|(convergence_secs, messages, suppressed)| {
+                RunMetrics {
+                    convergence_secs,
+                    messages,
+                    suppressed,
+                }
+            });
+        let meta =
+            (any::<bool>(), float(), 0u64..1024).prop_map(|(some, duration_secs, thread)| {
+                some.then_some(RunMeta {
+                    duration_secs,
+                    thread,
+                })
+            });
+        let run = (text(), metrics, meta)
+            .prop_map(|(key, metrics, meta)| encode_run(&key, &metrics, meta.as_ref()));
+        let failure = (text(), text(), text())
+            .prop_map(|(key, kind, error)| encode_failure(&key, &kind, &error));
+        prop_oneof![header, run, failure]
+    }
+
+    /// The line `record` was read from, as the writer spells it.
+    fn encode(record: &Record) -> String {
+        match record {
+            Record::Header(fingerprint) => encode_header(fingerprint),
+            Record::Run { key, metrics, meta } => encode_run(key, metrics, meta.as_ref()),
+            Record::Failure { key, kind, error } => encode_failure(key, kind, error),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+        #[test]
+        fn written_lines_round_trip(line in written()) {
+            let record = parse_record(line.trim_end_matches('\n'));
+            prop_assert_eq!(record.as_ref().map(encode), Some(line));
+        }
+
+        #[test]
+        fn truncated_lines_are_refused(line in written(), cut in any::<usize>()) {
+            let line = line.trim_end_matches('\n');
+            let mut cut = cut % line.len();
+            while !line.is_char_boundary(cut) {
+                cut -= 1;
+            }
+            prop_assert_eq!(parse_record(&line[..cut]), None);
+        }
+
+        #[test]
+        fn arbitrary_bytes_never_panic(bytes in collection::vec(any::<u8>(), 0..256)) {
+            let _ = parse_record(&String::from_utf8_lossy(&bytes));
+        }
+
+        /// A run record carrying one extra field nested `openers.len()`
+        /// containers deep inside the record's own object.
+        #[test]
+        fn nesting_parses_up_to_the_limit_and_no_further(
+            openers in collection::vec(any::<bool>(), 0..300),
+        ) {
+            let mut line = String::from(
+                "{\"key\":\"k\",\"convergence_secs\":1.0,\"messages\":2.0,\"suppressed\":0.0,\"x\":",
+            );
+            for &object in &openers {
+                line.push_str(if object { "{\"a\":" } else { "[" });
+            }
+            line.push('0');
+            for &object in openers.iter().rev() {
+                line.push(if object { '}' } else { ']' });
+            }
+            line.push('}');
+            let depth = openers.len() + 1;
+            prop_assert_eq!(parse_record(&line).is_some(), depth <= json::MAX_DEPTH, "depth {}", depth);
+        }
     }
 }

@@ -14,12 +14,11 @@
 //! * [`pool`] — a std-only scoped thread pool fed by one atomic job
 //!   counter; results come back indexed by job, hiding completion
 //!   order, and a panicking job never strands its siblings;
-//! * [`supervisor`] (supervisor.rs) — per-cell fault containment:
-//!   `catch_unwind`, bounded deterministic retries, wall-clock timeout
-//!   classification;
-//! * [`chaos`] (chaos.rs) — deterministic fault *injection* (panics,
-//!   hangs, journal short-writes) that the e2e tests and CI use to
-//!   prove the supervisor's behaviour;
+//! * [`supervisor`] (supervisor.rs) — per-cell panic containment
+//!   (`catch_unwind`);
+//! * [`chaos`] (chaos.rs) — deterministic panic *injection*
+//!   (`RFD_CHAOS=panic@KEY`) that the e2e tests and CI use to prove
+//!   containment and resume;
 //! * [`Journal`] (journal.rs) — a JSON-lines record of completed runs
 //!   under `results/`, flushed per line and integrity-checked on
 //!   resume, so an interrupted or partially failed sweep resumes
@@ -45,8 +44,8 @@
 //!
 //! ## Fault tolerance contract
 //!
-//! A sweep **finishes** even when individual cells fail. A panicking,
-//! timed-out, or journal-I/O-failed cell is quarantined as a
+//! A sweep **finishes** even when individual cells fail. A panicking or
+//! journal-I/O-failed cell is quarantined as a
 //! [`CellFailure`]: its metrics slot holds the all-NaN
 //! [`RunMetrics::FAILED`] sentinel (aggregation skips NaN, so failures
 //! leave holes, not poison), the journal carries a failure record, and
@@ -54,7 +53,8 @@
 //! a report and exit non-zero. Re-running with resume executes exactly
 //! the failed/missing cells; because cells are pure functions of their
 //! grid position, the healed output is byte-identical to a run that
-//! never failed.
+//! never failed. For the same reason a failed cell is never retried in
+//! the same run — a deterministic panic would only recur.
 //!
 //! ```
 //! use rfd_runner::{run_grid, RunGrid, RunMetrics, RunnerConfig};
@@ -83,24 +83,21 @@ mod journal;
 pub mod pool;
 pub mod supervisor;
 
-pub use chaos::{ChaosKind, ChaosParseError, ChaosPlan};
+pub use chaos::ChaosPlan;
 pub use grid::{hash_params, Cell, GridFingerprint, GridSeries, RunGrid};
 pub use journal::{
     journal_path, parse_line, parse_line_meta, parse_record, Journal, Record, ResumeState, RunMeta,
     RunMetrics,
 };
-pub use supervisor::{render_failure_report, CellFailure, FailKind, FaultTotals};
+pub use supervisor::{render_failure_report, CellFailure, FailKind};
 
-use std::collections::HashSet;
 use std::fmt;
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use rfd_metrics::RunningStats;
-use supervisor::FaultCounts;
 
 /// An error that aborts a whole grid run (as opposed to a
 /// [`CellFailure`], which quarantines one cell and lets the sweep
@@ -173,18 +170,8 @@ pub struct RunnerConfig {
     /// Period between progress heartbeat lines on stderr; `None` (the
     /// default) keeps the runner silent.
     pub heartbeat: Option<Duration>,
-    /// Per-cell wall-clock budget. A cell exceeding it is classified as
-    /// timed out (a [`CellFailure`] after retries are exhausted), and a
-    /// watchdog reports cells *while* they overrun, dumping the flight
-    /// recorder.
-    pub cell_budget: Option<Duration>,
-    /// Extra attempts for a panicked or timed-out cell before it is
-    /// declared failed. Retries re-run the same seed: cells are pure
-    /// functions of their grid position, so a successful retry yields
-    /// byte-identical metrics.
-    pub retries: u32,
-    /// Deterministic fault-injection plan (tests and the hidden
-    /// `--chaos` knob; empty in normal operation).
+    /// Deterministic fault-injection plan (tests and `RFD_CHAOS`; empty
+    /// in normal operation).
     pub chaos: ChaosPlan,
 }
 
@@ -227,18 +214,6 @@ impl RunnerConfig {
     /// Emits a progress line on stderr every `period` while a grid runs.
     pub fn heartbeat(mut self, period: Duration) -> Self {
         self.heartbeat = Some(period);
-        self
-    }
-
-    /// Classifies any cell running longer than `budget` as timed out.
-    pub fn cell_budget(mut self, budget: Duration) -> Self {
-        self.cell_budget = Some(budget);
-        self
-    }
-
-    /// Allows `n` extra attempts for panicked or timed-out cells.
-    pub fn retries(mut self, n: u32) -> Self {
-        self.retries = n;
         self
     }
 
@@ -367,13 +342,6 @@ impl GridResults {
     }
 }
 
-/// What a worker is currently executing (watchdog bookkeeping).
-#[derive(Debug, Clone)]
-struct ActiveCell {
-    key: String,
-    started: Instant,
-}
-
 /// Executes every cell of `grid` and returns the results in grid order.
 ///
 /// Cells already present in the journal (when `config.resume`) are not
@@ -382,10 +350,9 @@ struct ActiveCell {
 /// are journaled in shortest-round-trip form. Cells whose last journal
 /// record is a *failure* are re-run.
 ///
-/// Individual cell faults — panics, timeouts, journal-write errors —
-/// do **not** abort the run: the cell is retried up to
-/// `config.retries` times and then quarantined (see
-/// [`GridResults::failures`]); every other cell still executes.
+/// Individual cell faults — panics, journal-write errors — do **not**
+/// abort the run: the cell is quarantined (see
+/// [`GridResults::failures`]) and every other cell still executes.
 ///
 /// # Errors
 ///
@@ -442,28 +409,19 @@ where
     let journal = journal.as_ref();
     let threads = config.effective_threads();
     let total = pending.len();
-    let counts = FaultCounts::default();
+    let failed = AtomicUsize::new(0);
     let completed = AtomicUsize::new(0);
-    let active: Vec<Mutex<Option<ActiveCell>>> = (0..threads).map(|_| Mutex::new(None)).collect();
     let started = Instant::now();
     let mut sampler = rfd_obs::Sampler::new();
     if let Some(period) = config.heartbeat {
-        let (completed, counts) = (&completed, &counts);
+        let (completed, failed) = (&completed, &failed);
         sampler.every(period, move |last| {
             if !last {
                 let done = completed.load(Ordering::Relaxed);
                 let elapsed = started.elapsed().as_secs_f64();
-                eprintln!(
-                    "{}",
-                    format_heartbeat(done, total, elapsed, counts.snapshot())
-                );
+                let failed = failed.load(Ordering::Relaxed);
+                eprintln!("{}", format_heartbeat(done, total, elapsed, failed));
             }
-        });
-    }
-    if let Some(budget) = config.cell_budget {
-        let (active, mut reported) = (&active, HashSet::new());
-        sampler.every(Duration::from_millis(50).min(budget), move |_| {
-            watchdog(budget, active, &mut reported)
         });
     }
 
@@ -471,35 +429,18 @@ where
         let cell = &cells[pending[i]];
         let key = cell.key();
         let scenario = &grid.series_list()[cell.series].scenario;
-        set_active(
-            &active[worker],
-            Some(ActiveCell {
-                key: key.clone(),
-                started: Instant::now(),
-            }),
-        );
         let obs_span = rfd_obs::span("runner.cell");
-        let supervised = supervisor::supervise(
-            cell.index,
-            &key,
-            config.retries,
-            config.cell_budget,
-            &config.chaos,
-            &counts,
-            || exec(scenario, cell),
-        );
+        let supervised = supervisor::supervise(cell.index, &key, &config.chaos, &failed, || {
+            exec(scenario, cell)
+        });
         drop(obs_span);
-        set_active(&active[worker], None);
         let supervised = match supervised {
             Ok(s) => s,
             Err(failure) => {
                 if let Some(journal) = journal {
-                    if let Err(e) = journal.record_failure(
-                        &failure.key,
-                        failure.kind,
-                        &failure.message,
-                        failure.attempts,
-                    ) {
+                    if let Err(e) =
+                        journal.record_failure(&failure.key, failure.kind, &failure.message)
+                    {
                         eprintln!("rfd-runner: could not journal failure for {key}: {e}");
                     }
                 }
@@ -512,25 +453,18 @@ where
             let meta = RunMeta {
                 duration_secs: supervised.duration.as_secs_f64(),
                 thread: worker as u64,
-                retries: supervised.retries,
             };
-            let written = if supervised.short_write {
-                journal.record_short(&key, &supervised.value, Some(&meta))
-            } else {
-                journal.record_with(&key, &supervised.value, Some(&meta))
-            };
-            if let Err(e) = written {
+            if let Err(e) = journal.record_with(&key, &supervised.value, Some(&meta)) {
                 // A cell whose result can't be journaled is a cell
                 // failure, not a process panic: the sweep finishes
                 // and resume re-runs it.
                 return Err(supervisor::fail_cell(
-                    &counts,
+                    &failed,
                     CellFailure {
                         index: cell.index,
                         key,
                         kind: FailKind::JournalIo,
                         message: e.to_string(),
-                        attempts: 1,
                     },
                 ));
             }
@@ -574,51 +508,10 @@ where
     })
 }
 
-fn set_active(slot: &Mutex<Option<ActiveCell>>, value: Option<ActiveCell>) {
-    *slot.lock().unwrap_or_else(|e| e.into_inner()) = value;
-}
-
-/// Reports (once per cell) any cell that is *still running* past the
-/// budget — catching hangs that the post-hoc timeout classification can
-/// only see after the cell finally returns — and dumps the flight
-/// recorder for diagnosis.
-fn watchdog(
-    budget: Duration,
-    active: &[Mutex<Option<ActiveCell>>],
-    reported: &mut HashSet<String>,
-) {
-    for slot in active {
-        let snapshot = slot.lock().unwrap_or_else(|e| e.into_inner()).clone();
-        if let Some(cell) = snapshot {
-            let elapsed = cell.started.elapsed();
-            if elapsed > budget && reported.insert(cell.key.clone()) {
-                eprintln!(
-                    "rfd-runner: watchdog: cell {} still running after {:.3}s (budget {:.3}s)",
-                    cell.key,
-                    elapsed.as_secs_f64(),
-                    budget.as_secs_f64()
-                );
-                match rfd_obs::dump_flight() {
-                    Ok(Some(path)) => {
-                        eprintln!("rfd-runner: flight recorder dumped to {}", path.display())
-                    }
-                    Ok(None) => {}
-                    Err(e) => eprintln!("rfd-runner: flight recorder dump failed: {e}"),
-                }
-            }
-        }
-    }
-}
-
 /// One heartbeat progress line: cells done/total, elapsed wall-clock,
 /// an ETA extrapolated from the per-cell running mean, and — only when
-/// something went wrong — failed / retried / timed-out cell counts.
-pub fn format_heartbeat(
-    done: usize,
-    total: usize,
-    elapsed_secs: f64,
-    faults: FaultTotals,
-) -> String {
+/// something went wrong — the failed cell count.
+pub fn format_heartbeat(done: usize, total: usize, elapsed_secs: f64, failed: usize) -> String {
     let eta = if done > 0 && done < total {
         let per_cell = elapsed_secs / done as f64;
         format!("{:.1}s", per_cell * (total - done) as f64)
@@ -630,11 +523,8 @@ pub fn format_heartbeat(
     let pct = (done * 100).checked_div(total).unwrap_or(100);
     let mut line =
         format!("rfd-runner: {done}/{total} cells ({pct}%), elapsed {elapsed_secs:.1}s, eta {eta}");
-    if faults.any() {
-        line.push_str(&format!(
-            ", failed {}, retried {}, timed out {}",
-            faults.failed, faults.retried, faults.timed_out
-        ));
+    if failed > 0 {
+        line.push_str(&format!(", failed {failed}"));
     }
     line
 }
@@ -786,19 +676,16 @@ mod tests {
             let meta = meta.expect("meta recorded");
             assert!(meta.duration_secs >= 0.0);
             assert!((meta.thread as usize) < 2);
-            assert_eq!(meta.retries, 0);
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn heartbeat_run_completes_and_reproduces_reference() {
-        // Heartbeat and cell budget are observational: output unchanged.
+        // The heartbeat is observational: output unchanged.
         let grid = demo_grid();
         let reference = run_grid(&grid, &RunnerConfig::sequential(), demo_exec).unwrap();
-        let config = RunnerConfig::with_threads(2)
-            .heartbeat(Duration::from_millis(5))
-            .cell_budget(Duration::from_secs(3600));
+        let config = RunnerConfig::with_threads(2).heartbeat(Duration::from_millis(5));
         let observed = run_grid(&grid, &config, |scale: &f64, cell: &Cell| {
             std::thread::sleep(Duration::from_millis(1));
             demo_exec(scale, cell)
@@ -810,46 +697,22 @@ mod tests {
 
     #[test]
     fn format_heartbeat_reports_progress_and_eta() {
-        let line = format_heartbeat(10, 40, 5.0, FaultTotals::default());
+        let line = format_heartbeat(10, 40, 5.0, 0);
         assert_eq!(
             line,
             "rfd-runner: 10/40 cells (25%), elapsed 5.0s, eta 15.0s"
         );
-        assert!(format_heartbeat(0, 40, 1.0, FaultTotals::default()).contains("eta ?"));
-        assert!(format_heartbeat(40, 40, 9.0, FaultTotals::default()).contains("eta 0.0s"));
-        assert!(format_heartbeat(0, 0, 0.0, FaultTotals::default()).contains("(100%)"));
+        assert!(format_heartbeat(0, 40, 1.0, 0).contains("eta ?"));
+        assert!(format_heartbeat(40, 40, 9.0, 0).contains("eta 0.0s"));
+        assert!(format_heartbeat(0, 0, 0.0, 0).contains("(100%)"));
     }
 
     #[test]
-    fn format_heartbeat_appends_fault_counts_only_when_nonzero() {
-        let faults = FaultTotals {
-            failed: 1,
-            retried: 3,
-            timed_out: 2,
-        };
-        let line = format_heartbeat(10, 40, 5.0, faults);
+    fn format_heartbeat_appends_the_failed_count_only_when_nonzero() {
         assert_eq!(
-            line,
-            "rfd-runner: 10/40 cells (25%), elapsed 5.0s, eta 15.0s, \
-             failed 1, retried 3, timed out 2"
+            format_heartbeat(10, 40, 5.0, 1),
+            "rfd-runner: 10/40 cells (25%), elapsed 5.0s, eta 15.0s, failed 1"
         );
-    }
-
-    #[test]
-    fn cell_budget_overrun_is_quarantined_not_fatal() {
-        let grid = RunGrid::new("budget-test")
-            .series("only", 1.0)
-            .pulses(vec![1])
-            .seeds(vec![1, 2]);
-        let config = RunnerConfig::sequential().cell_budget(Duration::from_nanos(1));
-        let out = run_grid(&grid, &config, demo_exec).unwrap();
-        assert_eq!(out.metrics().len(), 2);
-        assert_eq!(out.failures().len(), 2);
-        assert!(out.failures().iter().all(|f| f.kind == FailKind::Timeout));
-        assert!(out.metrics().iter().all(|m| m.convergence_secs.is_nan()));
-        assert_eq!(out.point_failed(0, 0), 2);
-        // Failed points aggregate to empty stats, not NaN poison.
-        assert_eq!(out.point_stats(0, 0).convergence.count(), 0);
     }
 
     #[test]
@@ -873,7 +736,6 @@ mod tests {
             let failure = &out.failures()[0];
             assert_eq!(failure.key, bad_key);
             assert_eq!(failure.kind, FailKind::Panic);
-            assert_eq!(failure.attempts, 1);
             for (i, (got, want)) in out.metrics().iter().zip(reference.metrics()).enumerate() {
                 if i == failure.index {
                     assert!(got.convergence_secs.is_nan());
@@ -884,31 +746,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn chaos_retry_heals_and_journals_the_retry_count() {
-        let dir = tmp_dir("retry");
-        let grid = demo_grid();
-        let reference = run_grid(&grid, &RunnerConfig::sequential(), demo_exec).unwrap();
-        let key = "alpha|n=1|seed=10";
-        let config = RunnerConfig::sequential()
-            .journal_to(&dir)
-            .retries(2)
-            .chaos(ChaosPlan::parse(&format!("panic*1@{key}")).unwrap());
-        let out = run_grid(&grid, &config, demo_exec).unwrap();
-        assert!(out.failures().is_empty());
-        assert_eq!(out.metrics(), reference.metrics());
-
-        // The healed cell's journal line carries its retry count.
-        let text = std::fs::read_to_string(journal_path(&dir, grid.name())).unwrap();
-        let retried = text
-            .lines()
-            .filter_map(parse_line_meta)
-            .find(|(k, _, _)| k == key)
-            .expect("healed cell journaled");
-        assert_eq!(retried.2.unwrap().retries, 1);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -923,6 +760,10 @@ mod tests {
             .chaos(ChaosPlan::parse(&format!("panic@{key}")).unwrap());
         let broken = run_grid(&grid, &chaotic, demo_exec).unwrap();
         assert_eq!(broken.failures().len(), 1);
+        assert_eq!(broken.point_failed(1, 2), 1);
+        // Failed points aggregate over the surviving seeds, not NaN
+        // poison.
+        assert_eq!(broken.point_stats(1, 2).convergence.count(), 2);
 
         // Resume without chaos: only the failed cell re-executes, and
         // the healed results equal an uninterrupted run's exactly.

@@ -1,23 +1,14 @@
-//! Supervised cell execution: panic containment, deterministic
-//! retries, and wall-clock timeout classification.
+//! Supervised cell execution: panic containment.
 //!
-//! Every grid cell runs inside [`supervise`], which
-//!
-//! 1. wraps the executor in [`std::panic::catch_unwind`] behind a
-//!    panic-quietening hook boundary, so a panicking cell is *recorded*
-//!    (kind, message, attempt count) instead of tearing down the sweep;
-//! 2. retries panicked and timed-out cells up to a configured bound,
-//!    re-running the **same seed** — cells are pure functions of their
-//!    grid position, so a retry either reproduces the panic (a
-//!    deterministic bug) or succeeds (an injected or environmental
-//!    fault) with byte-identical metrics;
-//! 3. classifies cells that exceed the wall-clock budget as timed out
-//!    (the run-time watchdog in `lib.rs` additionally reports cells
-//!    *while* they overrun and dumps the flight recorder).
-//!
-//! The outcome is a [`CellFailure`] carried in the grid results — the
-//! sweep finishes every other cell, the journal records the failure,
-//! and the caller decides how loudly to exit.
+//! Every grid cell runs inside [`supervise`], which wraps the executor
+//! in [`std::panic::catch_unwind`] behind a panic-quietening hook
+//! boundary, so a panicking cell is *recorded* (kind and message)
+//! instead of tearing down the sweep. A cell is a pure function of its
+//! grid position, so a panic is not retried here: run again, it would
+//! panic again. The outcome is a [`CellFailure`] carried in the grid
+//! results — the sweep finishes every other cell, the journal records
+//! the failure, `--resume` re-runs exactly the failed cells once the
+//! cause is fixed, and the caller decides how loudly to exit.
 
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
@@ -25,15 +16,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Once;
 use std::time::{Duration, Instant};
 
-use crate::chaos::{ChaosKind, ChaosPlan};
+use crate::chaos::ChaosPlan;
 
 /// Why a cell was declared failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailKind {
-    /// Every attempt panicked.
+    /// The cell panicked.
     Panic,
-    /// Every attempt exceeded the wall-clock cell budget.
-    Timeout,
     /// The cell executed but its journal record could not be written.
     JournalIo,
 }
@@ -42,21 +31,8 @@ impl fmt::Display for FailKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             FailKind::Panic => "panic",
-            FailKind::Timeout => "timeout",
             FailKind::JournalIo => "journal-io",
         })
-    }
-}
-
-impl FailKind {
-    /// Parses the journal encoding written by `Journal::record_failure`.
-    pub fn parse(s: &str) -> Option<FailKind> {
-        match s {
-            "panic" => Some(FailKind::Panic),
-            "timeout" => Some(FailKind::Timeout),
-            "journal-io" => Some(FailKind::JournalIo),
-            _ => None,
-        }
     }
 }
 
@@ -70,20 +46,13 @@ pub struct CellFailure {
     pub key: String,
     /// Failure classification.
     pub kind: FailKind,
-    /// Human-readable detail (panic message, elapsed vs budget, I/O
-    /// error).
+    /// Human-readable detail (panic message or I/O error).
     pub message: String,
-    /// Total attempts made (1 + retries).
-    pub attempts: u32,
 }
 
 impl fmt::Display for CellFailure {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}: {} after {} attempt(s): {}",
-            self.key, self.kind, self.attempts, self.message
-        )
+        write!(f, "{}: {}: {}", self.key, self.kind, self.message)
     }
 }
 
@@ -101,65 +70,19 @@ pub fn render_failure_report(failures: &[CellFailure]) -> String {
     out
 }
 
-/// Live fault counters shared between the supervised workers and the
-/// heartbeat monitor. Purely observational.
-#[derive(Debug, Default)]
-pub struct FaultCounts {
-    /// Cells declared failed (all retries exhausted).
-    pub failed: AtomicUsize,
-    /// Retry attempts performed.
-    pub retried: AtomicUsize,
-    /// Timed-out attempts observed.
-    pub timed_out: AtomicUsize,
-}
-
-impl FaultCounts {
-    /// A point-in-time snapshot for rendering.
-    pub fn snapshot(&self) -> FaultTotals {
-        FaultTotals {
-            failed: self.failed.load(Ordering::Relaxed),
-            retried: self.retried.load(Ordering::Relaxed),
-            timed_out: self.timed_out.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A snapshot of [`FaultCounts`] (what the heartbeat line renders).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultTotals {
-    /// Cells declared failed so far.
-    pub failed: usize,
-    /// Retry attempts performed so far.
-    pub retried: usize,
-    /// Timed-out attempts observed so far.
-    pub timed_out: usize,
-}
-
-impl FaultTotals {
-    /// Whether anything at all went wrong.
-    pub fn any(&self) -> bool {
-        self.failed > 0 || self.retried > 0 || self.timed_out > 0
-    }
-}
-
 /// A successfully supervised cell.
 #[derive(Debug)]
 pub struct Supervised<T> {
     /// The executor's result.
     pub value: T,
-    /// Wall-clock duration of the final (successful) attempt.
+    /// Wall-clock duration of the cell.
     pub duration: Duration,
-    /// Retries that were needed before success (0 = first try).
-    pub retries: u32,
-    /// A chaos short-write fault is armed for this cell's journal
-    /// record.
-    pub short_write: bool,
 }
 
 thread_local! {
     /// While set, the process panic hook stays silent for this thread:
     /// supervised cells report panics through the failure path, not as
-    /// raw hook spew per attempt.
+    /// raw hook spew.
     static QUIET_PANICS: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
@@ -192,114 +115,56 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Runs one cell under supervision: chaos injection, panic containment,
-/// timeout classification and bounded deterministic retries.
-///
-/// `retries` is the number of *extra* attempts after the first. The
-/// executor must be a pure function of the cell (the runner's
-/// determinism contract), so re-running it with the same inputs is
-/// sound.
+/// Runs one cell under supervision: chaos injection and panic
+/// containment. `failed` counts the cells declared failed (the
+/// heartbeat reads it).
 ///
 /// # Errors
 ///
-/// Returns the [`CellFailure`] describing the final failed attempt once
-/// every allowed attempt has panicked or timed out.
+/// Returns the [`CellFailure`] describing the panic.
 pub fn supervise<T>(
     index: usize,
     key: &str,
-    retries: u32,
-    budget: Option<Duration>,
     chaos: &ChaosPlan,
-    counts: &FaultCounts,
-    exec: impl Fn() -> T,
+    failed: &AtomicUsize,
+    exec: impl FnOnce() -> T,
 ) -> Result<Supervised<T>, CellFailure> {
     install_quiet_hook();
-    let mut short_write = false;
-    let mut attempt: u32 = 0;
-    loop {
-        attempt += 1;
-        let fault = chaos.fault_for(key, attempt);
-        if matches!(fault, Some(ChaosKind::ShortWrite)) {
-            short_write = true;
+    let started = Instant::now();
+    let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+        QUIET_PANICS.with(|q| q.set(true));
+        if chaos.panics(key) {
+            panic!("chaos: injected panic in cell {key}");
         }
-        let started = Instant::now();
-        let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-            QUIET_PANICS.with(|q| q.set(true));
-            let value = match fault {
-                Some(ChaosKind::Panic) => {
-                    panic!("chaos: injected panic in cell {key} (attempt {attempt})")
-                }
-                Some(ChaosKind::Hang(pause)) => {
-                    std::thread::sleep(pause);
-                    exec()
-                }
-                _ => exec(),
-            };
-            QUIET_PANICS.with(|q| q.set(false));
-            value
-        }));
-        QUIET_PANICS.with(|q| q.set(false));
-        let duration = started.elapsed();
-
-        let failure = match outcome {
-            Ok(value) => match budget {
-                Some(budget) if duration > budget => {
-                    rfd_obs::inc("runner.cell.timeouts");
-                    counts.timed_out.fetch_add(1, Ordering::Relaxed);
-                    (
-                        FailKind::Timeout,
-                        format!(
-                            "took {:.3}s, over its {:.3}s budget",
-                            duration.as_secs_f64(),
-                            budget.as_secs_f64()
-                        ),
-                    )
-                }
-                _ => {
-                    return Ok(Supervised {
-                        value,
-                        duration,
-                        retries: attempt - 1,
-                        short_write,
-                    })
-                }
-            },
-            Err(payload) => {
-                rfd_obs::inc("runner.cell.panics");
-                (FailKind::Panic, panic_message(payload.as_ref()))
-            }
-        };
-
-        let (kind, message) = failure;
-        if attempt <= retries {
-            rfd_obs::inc("runner.cell.retries");
-            counts.retried.fetch_add(1, Ordering::Relaxed);
-            eprintln!(
-                "rfd-runner: cell {key} {kind} on attempt {attempt}/{}: {message}; retrying",
-                retries + 1
-            );
-            continue;
+        exec()
+    }));
+    QUIET_PANICS.with(|q| q.set(false));
+    match outcome {
+        Ok(value) => Ok(Supervised {
+            value,
+            duration: started.elapsed(),
+        }),
+        Err(payload) => {
+            rfd_obs::inc("runner.cell.panics");
+            Err(fail_cell(
+                failed,
+                CellFailure {
+                    index,
+                    key: key.to_owned(),
+                    kind: FailKind::Panic,
+                    message: panic_message(payload.as_ref()),
+                },
+            ))
         }
-        return Err(fail_cell(
-            counts,
-            CellFailure {
-                index,
-                key: key.to_owned(),
-                kind,
-                message,
-                attempts: attempt,
-            },
-        ));
     }
 }
 
 /// Marks a cell as definitively failed: bumps the counters, reports on
 /// stderr, and dumps the flight recorder (when the observability layer
-/// has a dump path configured). Also used for journal-I/O failures,
-/// which bypass the attempt loop.
-pub fn fail_cell(counts: &FaultCounts, failure: CellFailure) -> CellFailure {
+/// has a dump path configured). Also used for journal-I/O failures.
+pub fn fail_cell(failed: &AtomicUsize, failure: CellFailure) -> CellFailure {
     rfd_obs::inc("runner.cell.failures");
-    counts.failed.fetch_add(1, Ordering::Relaxed);
+    failed.fetch_add(1, Ordering::Relaxed);
     eprintln!("rfd-runner: cell failed — {failure}");
     match rfd_obs::dump_flight() {
         Ok(Some(path)) => {
@@ -317,93 +182,37 @@ mod tests {
 
     #[test]
     fn clean_cells_pass_through() {
-        let counts = FaultCounts::default();
-        let out = supervise(3, "k", 0, None, &ChaosPlan::none(), &counts, || 42).unwrap();
+        let failed = AtomicUsize::new(0);
+        let out = supervise(3, "k", &ChaosPlan::none(), &failed, || 42).unwrap();
         assert_eq!(out.value, 42);
-        assert_eq!(out.retries, 0);
-        assert!(!out.short_write);
-        assert!(!counts.snapshot().any());
+        assert_eq!(failed.load(Ordering::Relaxed), 0);
     }
 
     #[test]
     fn panics_are_contained_and_described() {
-        let counts = FaultCounts::default();
-        let err = supervise(0, "k", 0, None, &ChaosPlan::none(), &counts, || -> u32 {
+        let failed = AtomicUsize::new(0);
+        let err = supervise(0, "k", &ChaosPlan::none(), &failed, || -> u32 {
             panic!("boom {}", 7)
         })
         .unwrap_err();
         assert_eq!(err.kind, FailKind::Panic);
-        assert_eq!(err.attempts, 1);
         assert!(err.message.contains("boom 7"), "{}", err.message);
-        assert_eq!(counts.snapshot().failed, 1);
+        assert_eq!(failed.load(Ordering::Relaxed), 1);
     }
 
     #[test]
-    fn retries_rerun_until_the_fault_expires() {
-        // Chaos panics the first two attempts; the third succeeds.
-        let plan = ChaosPlan::parse("panic*2@k").unwrap();
-        let counts = FaultCounts::default();
-        let out = supervise(0, "k", 2, None, &plan, &counts, || 9).unwrap();
-        assert_eq!(out.value, 9);
-        assert_eq!(out.retries, 2);
-        assert_eq!(counts.snapshot().retried, 2);
-        assert_eq!(counts.snapshot().failed, 0);
-    }
-
-    #[test]
-    fn retries_exhaust_into_failure() {
+    fn chaos_panics_the_named_cell_without_running_it() {
         let plan = ChaosPlan::parse("panic@k").unwrap();
-        let counts = FaultCounts::default();
-        let err = supervise(0, "k", 2, None, &plan, &counts, || 9).unwrap_err();
-        assert_eq!(err.kind, FailKind::Panic);
-        assert_eq!(err.attempts, 3);
-        assert_eq!(counts.snapshot().retried, 2);
-        assert_eq!(counts.snapshot().failed, 1);
-    }
-
-    #[test]
-    fn budget_overrun_is_a_timeout_failure() {
-        let counts = FaultCounts::default();
-        let err = supervise(
-            0,
-            "k",
-            0,
-            Some(Duration::from_nanos(1)),
-            &ChaosPlan::none(),
-            &counts,
-            || std::thread::sleep(Duration::from_millis(2)),
-        )
+        let failed = AtomicUsize::new(0);
+        let err = supervise(0, "k", &plan, &failed, || -> u32 {
+            unreachable!("a chaos cell never runs")
+        })
         .unwrap_err();
-        assert_eq!(err.kind, FailKind::Timeout);
-        assert!(err.message.contains("budget"), "{}", err.message);
-        assert_eq!(counts.snapshot().timed_out, 1);
-    }
-
-    #[test]
-    fn hang_fault_delays_but_still_succeeds_within_budget() {
-        let plan = ChaosPlan::parse("hang=0.01@k").unwrap();
-        let counts = FaultCounts::default();
-        let out = supervise(
-            0,
-            "k",
-            0,
-            Some(Duration::from_secs(60)),
-            &plan,
-            &counts,
-            || 1,
-        )
-        .unwrap();
-        assert_eq!(out.value, 1);
-        assert!(out.duration >= Duration::from_millis(10));
-    }
-
-    #[test]
-    fn short_write_fault_flags_the_journal_record() {
-        let plan = ChaosPlan::parse("shortwrite@k").unwrap();
-        let counts = FaultCounts::default();
-        let out = supervise(0, "k", 0, None, &plan, &counts, || 5).unwrap();
-        assert_eq!(out.value, 5);
-        assert!(out.short_write);
+        assert_eq!(err.kind, FailKind::Panic);
+        assert!(err.message.starts_with("chaos:"), "{}", err.message);
+        let other = supervise(1, "other", &plan, &failed, || 9).unwrap();
+        assert_eq!(other.value, 9);
+        assert_eq!(failed.load(Ordering::Relaxed), 1);
     }
 
     #[test]
@@ -414,28 +223,18 @@ mod tests {
                 key: "a|n=1|seed=1".into(),
                 kind: FailKind::Panic,
                 message: "boom".into(),
-                attempts: 3,
             },
             CellFailure {
                 index: 4,
                 key: "b|n=2|seed=1".into(),
-                kind: FailKind::Timeout,
-                message: "took 9.000s".into(),
-                attempts: 1,
+                kind: FailKind::JournalIo,
+                message: "disk full".into(),
             },
         ];
         let report = render_failure_report(&failures);
         assert!(report.contains("2 cell(s) failed"));
-        assert!(report.contains("a|n=1|seed=1: panic after 3 attempt(s): boom"));
-        assert!(report.contains("b|n=2|seed=1: timeout"));
+        assert!(report.contains("a|n=1|seed=1: panic: boom"));
+        assert!(report.contains("b|n=2|seed=1: journal-io: disk full"));
         assert!(report.contains("--resume"));
-    }
-
-    #[test]
-    fn fail_kind_round_trips() {
-        for kind in [FailKind::Panic, FailKind::Timeout, FailKind::JournalIo] {
-            assert_eq!(FailKind::parse(&kind.to_string()), Some(kind));
-        }
-        assert_eq!(FailKind::parse("weird"), None);
     }
 }

@@ -12,7 +12,7 @@ use route_flap_damping::cli::{
     CliError, ReportFormat, RunOptions,
 };
 use route_flap_damping::damping::{intended_behavior, FlapPattern};
-use route_flap_damping::experiments::output::{chaos_or_env, obs_begin};
+use route_flap_damping::experiments::output::{chaos_from_env, obs_begin};
 use route_flap_damping::experiments::pick_isp;
 use route_flap_damping::metrics::{export_trace, StateClassifier, StateSpan, Trace};
 use route_flap_damping::sim::SimDuration;
@@ -181,14 +181,14 @@ fn cmd_explain(args: &[String]) -> CmdResult {
 
 fn cmd_figure(args: &[String]) -> CmdResult {
     let (name, mut exec) = parse_figure_command(args)?;
-    exec.opts.chaos = chaos_or_env(exec.opts.chaos)?;
+    exec.opts.chaos = chaos_from_env()?;
     let _obs = obs_begin(&exec.obs, name);
     failed_cells(figure::regenerate(name, exec.quick, exec.opts))
 }
 
 fn cmd_sweep(args: &[String]) -> CmdResult {
     let mut cmd = parse_sweep_command(args)?;
-    cmd.opts.chaos = chaos_or_env(cmd.opts.chaos)?;
+    cmd.opts.chaos = chaos_from_env()?;
     let _obs = obs_begin(&cmd.obs, "sweep");
     failed_cells(figure::sweep(cmd.figure, cmd.quick, cmd.opts))
 }
@@ -206,13 +206,12 @@ fn failed_cells(failed: usize) -> CmdResult {
 }
 
 fn cmd_firehose(args: &[String]) -> CmdResult {
-    let mut cmd = parse_firehose_command(args)?;
-    cmd.config.chaos = chaos_or_env(cmd.config.chaos)?;
+    let cmd = parse_firehose_command(args)?;
     // Narrative on stderr; stdout carries only the report so
     // `rfd firehose … > report.csv` stays machine-parseable.
     eprintln!(
         "firehose: {} workload, {} peers × {} prefixes, {:.0} updates/sim-s \
-         for {:.0} sim-s, {} shard(s), seed {}{}",
+         for {:.0} sim-s, {} shard(s), seed {}",
         cmd.config.spec.kind.name(),
         cmd.config.spec.peers,
         cmd.config.spec.prefixes,
@@ -220,11 +219,6 @@ fn cmd_firehose(args: &[String]) -> CmdResult {
         cmd.config.spec.duration.as_secs_f64(),
         cmd.config.shards,
         cmd.config.spec.seed,
-        if cmd.config.chaos.is_empty() {
-            String::new()
-        } else {
-            format!(", {} chaos fault(s)", cmd.config.chaos.faults().len())
-        },
     );
     let report = match &cmd.telemetry {
         None => route_flap_damping::firehose::run(&cmd.config)?,

@@ -12,7 +12,7 @@ use std::time::Duration;
 use rfd_bgp::{DampingDeployment, NetworkConfig, PenaltyFilter, Policy, ProtocolOptions};
 use rfd_core::DampingParams;
 use rfd_experiments::args::{self, render_usage, wall_clock, Flag, Parsed, Table};
-use rfd_experiments::output::{chaos, exec_flags, obs, Exec, CHAOS, EXEC, OBS};
+use rfd_experiments::output::{exec_flags, obs, Exec, EXEC, OBS};
 use rfd_experiments::scenarios::{infer_relationships, TopologyKind};
 use rfd_experiments::SweepOptions;
 use rfd_sim::SimDuration;
@@ -355,7 +355,7 @@ pub enum ReportFormat {
 /// A parsed `rfd firehose` invocation.
 #[derive(Debug, Clone)]
 pub struct FirehoseCommand {
-    /// Engine configuration (workload, shards, params, chaos).
+    /// Engine configuration (workload, shards, params).
     pub config: rfd_firehose::FirehoseConfig,
     /// How the report is printed on stdout.
     pub format: ReportFormat,
@@ -367,8 +367,7 @@ pub struct FirehoseCommand {
     pub prom: Option<PathBuf>,
 }
 
-/// The flags of `rfd firehose`; `--chaos` shard keys are `shard0`,
-/// `shard1`, ….
+/// The flags of `rfd firehose`.
 #[rustfmt::skip]
 pub const FIREHOSE: Table = Table { command: "rfd firehose", base: None, flags: &[
     Flag::value("--peers", "N", "peers in the key space (default 16)"),
@@ -388,7 +387,6 @@ pub const FIREHOSE: Table = Table { command: "rfd firehose", base: None, flags: 
     Flag::value("--telemetry", "FILE", "write per-shard telemetry snapshots (JSONL)"),
     Flag::value("--telemetry-interval", "SECS", "wall-clock sampling period (default 1)"),
     Flag::value("--prom", "FILE", "write the final Prometheus exposition"),
-    CHAOS,
 ] };
 
 /// Parses the arguments of `rfd firehose` against [`FIREHOSE`]; the
@@ -425,7 +423,6 @@ pub fn parse_firehose_command(args: &[String]) -> Result<FirehoseCommand, CliErr
     ];
     config.decay = p.one_of("--decay", &decay)?.unwrap_or(config.decay);
     config.heartbeat = p.positive_secs("--heartbeat")?.map(wall_clock);
-    config.chaos = chaos(&p)?;
     config.validate().map_err(CliError)?;
     let format = [("csv", ReportFormat::Csv), ("json", ReportFormat::Json)];
     Ok(FirehoseCommand {
@@ -556,9 +553,9 @@ mod tests {
         }
     }
 
-    /// Every flag of every table: shown in `rfd help` unless hidden
-    /// (and nothing else is), accepted as `--flag value` and as
-    /// `--flag=value`, and named by its own missing-value error.
+    /// Every flag of every table: shown in `rfd help` (and nothing else
+    /// is), accepted as `--flag value` and as `--flag=value`, and named
+    /// by its own missing-value error.
     #[test]
     fn every_flag_of_every_table_renders_and_parses_in_both_spellings() {
         use rfd_experiments::args::Takes;
@@ -571,7 +568,7 @@ mod tests {
             let rows = table.all_flags().filter(|f| f.name == name).count();
             assert_eq!(rows, 1, "{name} in `{}`", table.command);
             let shown = help.lines().any(|l| l.trim_start().starts_with(name));
-            assert_eq!(shown, !flag.hidden, "{name} in the rendered usage");
+            assert!(shown, "{name} in the rendered usage");
             // Each line also carries the table's other required flags.
             let got = |tokens: &[&str]| {
                 let needed = table.all_flags().filter(|f| f.required && f.name != name);
@@ -628,8 +625,6 @@ mod tests {
                 let line = args(&format!("{flag} {secs}"));
                 refused(parse_firehose_command(&line).map(drop), flag);
             }
-            let line = args(&format!("--cell-budget {secs}"));
-            refused(parse_sweep_command(&line).map(drop), "--cell-budget");
             let line = args(&format!("--interval {secs}"));
             refused(parse_intended_command(&line).map(drop), "--interval");
         }
@@ -824,22 +819,18 @@ mod tests {
     #[test]
     fn sweep_command_rejects_bad_input() {
         let lines = "--figure fig99 | --threads many | --seeds 1,x | --seeds | --bogus \
-                     | --retries many | --cell-budget soon | --chaos panic | --full-traces";
+                     | --full-traces";
         all_rejected(parse_sweep_command, lines);
     }
 
+    /// `--resume-force` implies `--resume`; chaos comes only from
+    /// `RFD_CHAOS`, never from a flag.
     #[test]
     fn sweep_command_parses_fault_tolerance_flags() {
-        let cmd = parse_sweep_command(&args(
-            "--quick --retries 2 --resume-force --cell-budget 1.5 --chaos panic@a|n=1|seed=1",
-        ))
-        .unwrap();
-        assert_eq!(cmd.opts.retries, 2);
+        let cmd = parse_sweep_command(&args("--quick --resume-force")).unwrap();
         assert!(cmd.opts.resume, "--resume-force implies --resume");
         assert!(cmd.opts.resume_force);
-        assert_eq!(cmd.opts.cell_budget, Some(Duration::from_secs_f64(1.5)));
-        assert!(!cmd.opts.chaos.is_empty());
-        assert!(cmd.opts.chaos.fault_for("a|n=1|seed=1", 1).is_some());
+        assert!(parse_sweep_command(&args("--chaos panic@a|n=1|seed=1")).is_err());
     }
 
     #[test]
@@ -849,7 +840,6 @@ mod tests {
         assert_eq!(cmd.config.shards, 1);
         assert_eq!(cmd.config.spec.kind, WorkloadKind::FlapStorm);
         assert_eq!(cmd.format, ReportFormat::Csv);
-        assert!(cmd.config.chaos.is_empty());
         assert_eq!(cmd.config.heartbeat, None);
         assert_eq!(cmd.config.reuse_tick, SimDuration::from_secs(10));
         assert_eq!(cmd.config.evict_every, 30);
@@ -859,7 +849,7 @@ mod tests {
             "--peers 8 --prefixes 64 --rate 50 --duration 600 --workload poisson \
              --seed 9 --shards 4 --params juniper --queue-capacity 32 \
              --reuse-tick 5 --evict-every 12 --decay bucketed \
-             --heartbeat 2 --format json --chaos panic*1@shard0",
+             --heartbeat 2 --format json",
         ))
         .unwrap();
         assert_eq!(cmd.config.reuse_tick, SimDuration::from_secs(5));
@@ -876,7 +866,6 @@ mod tests {
         assert_eq!(cmd.config.queue_capacity, 32);
         assert_eq!(cmd.config.heartbeat, Some(Duration::from_secs(2)));
         assert_eq!(cmd.format, ReportFormat::Json);
-        assert!(cmd.config.chaos.fault_for("shard0", 1).is_some());
     }
 
     #[test]
@@ -905,7 +894,7 @@ mod tests {
         // `--peers 0` parses and then fails engine validation.
         let lines = "--bogus | --peers | --peers many | --peers 0 | --peers 4294967297 \
                      | --workload tsunami | --duration -3 | --shards 0 | --params never \
-                     | --format yaml | --chaos panic | --heartbeat 0 | --reuse-tick 0 \
+                     | --format yaml | --chaos panic@shard0 | --heartbeat 0 | --reuse-tick 0 \
                      | --reuse-tick soon | --evict-every 0 | --decay fuzzy";
         all_rejected(parse_firehose_command, lines);
     }

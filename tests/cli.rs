@@ -120,10 +120,6 @@ fn run_rejects_bad_flags() {
     for (line, needle) in [
         ("run --pulses banana", "bad --pulses value `banana`"),
         (
-            "sweep --cell-budget -1",
-            "--cell-budget must be a positive number of seconds, got `-1`",
-        ),
-        (
             "intended --interval -5",
             "--interval must be a positive number of seconds, got `-5`",
         ),
@@ -140,7 +136,10 @@ fn run_rejects_bad_flags() {
         ("sweep --quick --threads", "--threads needs a value"),
         ("sweep --sim-shards 2", "unknown flag `--sim-shards`"),
         ("sweep --quick=yes", "--quick takes no value"),
-        ("sweep --chaos explode@x", "unknown fault `explode`"),
+        ("sweep --chaos panic@x", "unknown flag `--chaos`"),
+        ("sweep --retries 1", "unknown flag `--retries`"),
+        ("sweep --cell-budget 1", "unknown flag `--cell-budget`"),
+        ("firehose --chaos panic@shard0", "unknown flag `--chaos`"),
         ("figure fig3 --quik", "unknown flag `--quik`"),
         ("figure fig99", "unknown figure `fig99` (table1|fig3|"),
         ("figure", "|link_failure|knobs|all)"),
@@ -161,6 +160,19 @@ fn run_rejects_bad_flags() {
             "{stderr}"
         );
     }
+    // A fault plan other than `panic@KEY` is refused the same way.
+    let out = rfd()
+        .args(["sweep", "--quick"])
+        .env("RFD_CHAOS", "hang=1@x")
+        .env("RFD_RESULTS_DIR", &results)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.starts_with("error: RFD_CHAOS: bad chaos spec: `hang=1@x` is not panic@CELL-KEY"),
+        "{stderr}"
+    );
     let refused = "a refused command line must not run a cell";
     assert!(!results.exists(), "{refused}");
     let _ = std::fs::remove_dir_all(scratch);
@@ -192,6 +204,37 @@ fn sweep_writes_under_the_results_dir() {
     }
     assert!(!cwd.join("results").exists(), "rfd sweep wrote ./results");
     let _ = std::fs::remove_dir_all(cwd);
+    let _ = std::fs::remove_dir_all(results);
+}
+
+/// A damaged journal line is skipped and counted, never fatal — even
+/// one nested 200,000 brackets deep, which once overflowed the stack.
+#[test]
+fn resume_skips_a_deeply_nested_journal_line() {
+    let results = temp_dir("deep-journal");
+    let sweep = |extra: &[&str]| {
+        let out = rfd()
+            .args(["sweep", "--quick", "--threads", "1"])
+            .args(extra)
+            .env("RFD_RESULTS_DIR", &results)
+            .output()
+            .expect("rfd runs");
+        assert!(out.status.success(), "{out:?}");
+        out
+    };
+    let clean = sweep(&[]);
+    let journal = results.join("fig8-9.runs.jsonl");
+    let mut text = std::fs::read_to_string(&journal).expect("journal written");
+    text.push_str(&"[".repeat(200_000));
+    text.push('\n');
+    std::fs::write(&journal, text).unwrap();
+    let resumed = sweep(&["--resume"]);
+    assert_eq!(resumed.stdout, clean.stdout, "resume moved the CSV");
+    let stderr = String::from_utf8_lossy(&resumed.stderr);
+    assert!(
+        stderr.contains("journal carried 1 damaged line(s)"),
+        "{stderr}"
+    );
     let _ = std::fs::remove_dir_all(results);
 }
 

@@ -24,7 +24,7 @@ const VALUES: &[&str] = &[
     // values some flag accepts, and near misses
     "mesh:3x3", "torus:0x0", "ba:20", "ba:", "ring:18446744073709551616", ":", "off", "cisco",
     "juniper", "rcn", "novalley", "poisson", "bucketed", "json", "fig15", "1,2", "1,x", ",", "4:1",
-    "4:", "panic@x", "hang=1e300@x",
+    "4:",
     // not flags, not values
     "-", "--", "-h", "=", "--=", "--quik", "--no-such-flag", "--seed\n1", "\0",
     "\u{fffd}\u{fffd}", "\u{202e}--seed", "ünï©ødé",

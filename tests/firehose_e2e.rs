@@ -1,7 +1,7 @@
 //! End-to-end tests of `rfd firehose`: the shard-count determinism
 //! contract, checked through the real binary exactly the way the CI
 //! smoke job checks it — by diffing the `aggregate,` rows of the CSV
-//! report across shard counts, clean and under injected faults.
+//! report across shard counts.
 
 use std::process::Command;
 
@@ -22,7 +22,6 @@ fn firehose_csv(extra: &[&str]) -> String {
     args.extend_from_slice(extra);
     let out = Command::new(env!("CARGO_BIN_EXE_rfd"))
         .args(&args)
-        .env_remove("RFD_CHAOS")
         .output()
         .expect("binary runs");
     assert!(
@@ -71,24 +70,6 @@ fn aggregates_identical_across_shard_counts() {
 }
 
 #[test]
-fn aggregates_survive_chaos_panics_unchanged() {
-    let clean = firehose_csv(&["--workload", "flap-storm", "--shards", "2"]);
-    let chaotic = firehose_csv(&[
-        "--workload",
-        "flap-storm",
-        "--shards",
-        "2",
-        "--chaos",
-        "panic*2@shard0",
-    ]);
-    assert_eq!(aggregate_rows(&clean), aggregate_rows(&chaotic));
-    assert!(
-        chaotic.contains("shard0,recovered_panics,2"),
-        "faults were not actually injected:\n{chaotic}"
-    );
-}
-
-#[test]
 fn json_report_parses_and_matches_csv_aggregate() {
     let csv = firehose_csv(&["--workload", "poisson", "--shards", "2"]);
     let json = firehose_csv(&["--workload", "poisson", "--shards", "2", "--format", "json"]);
@@ -114,7 +95,7 @@ fn json_report_parses_and_matches_csv_aggregate() {
 }
 
 #[test]
-fn heartbeat_and_env_chaos_reach_the_engine() {
+fn heartbeat_run_succeeds_with_narrative_on_stderr() {
     let out = Command::new(env!("CARGO_BIN_EXE_rfd"))
         .args([
             "firehose",
@@ -133,16 +114,10 @@ fn heartbeat_and_env_chaos_reach_the_engine() {
             "--heartbeat",
             "0.001",
         ])
-        .env("RFD_CHAOS", "panic*1@shard1")
         .output()
         .expect("binary runs");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "{stderr}");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        stdout.contains("shard1,recovered_panics,1"),
-        "RFD_CHAOS fallback ignored:\n{stdout}"
-    );
     assert!(
         stderr.contains("firehose:"),
         "no narrative on stderr:\n{stderr}"
@@ -205,7 +180,6 @@ fn telemetry_files_are_written_and_do_not_perturb_the_report() {
                 "max_queue_depth",
                 "push_waits",
                 "live_entries",
-                "recovered_panics",
                 "p50_ns",
                 "p99_ns",
             ] {

@@ -91,9 +91,8 @@ fn obs_and_threads_do_not_perturb_results_and_trace_is_valid() {
     assert!(report.contains("counters:"));
 
     // Chaos section: supervised-cell fault counters and the flight
-    // recorder. A panic*2 plan with one retry yields exactly two
-    // panics, one retry and one failure; a 1 ns cell budget times every
-    // cell out. Each failure dumps the flight recorder to the
+    // recorder. A panic plan on one cell yields exactly one panic and
+    // one failure, and the failure dumps the flight recorder to the
     // configured path.
     obs::reset();
     obs::enable();
@@ -104,23 +103,13 @@ fn obs_and_threads_do_not_perturb_results_and_trace_is_valid() {
     let victim = "Full Damping (simulation, mesh)|n=2|seed=1";
     let chaotic = fig8_9::figure8_9_on(
         &SweepOptions {
-            chaos: runner::ChaosPlan::parse(&format!("panic*2@{victim}")).unwrap(),
-            retries: 1,
+            chaos: runner::ChaosPlan::parse(&format!("panic@{victim}")).unwrap(),
             ..opts(2)
         },
         mesh,
         internet,
     );
     assert_eq!(chaotic.failures.len(), 1);
-    let timed_out = fig8_9::figure8_9_on(
-        &SweepOptions {
-            cell_budget: Some(std::time::Duration::from_nanos(1)),
-            ..opts(1)
-        },
-        mesh,
-        internet,
-    );
-    assert!(!timed_out.failures.is_empty());
     let trace = obs::render_trace();
     obs::disable();
     obs::reset();
@@ -135,13 +124,8 @@ fn obs_and_threads_do_not_perturb_results_and_trace_is_valid() {
             .and_then(|v| v.as_f64())
             .unwrap_or_else(|| panic!("counter {name} missing; saw {:?}", counters.keys()))
     };
-    assert_eq!(counter("runner.cell.panics"), 2.0);
-    assert_eq!(counter("runner.cell.retries"), 1.0);
-    assert_eq!(
-        counter("runner.cell.failures"),
-        1.0 + timed_out.failures.len() as f64
-    );
-    assert!(counter("runner.cell.timeouts") >= 1.0);
+    assert_eq!(counter("runner.cell.panics"), 1.0);
+    assert_eq!(counter("runner.cell.failures"), 1.0);
     assert!(
         flight.exists() && std::fs::metadata(&flight).unwrap().len() > 0,
         "cell failure must dump the flight recorder to {}",
