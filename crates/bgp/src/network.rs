@@ -561,6 +561,7 @@ impl<S: TraceSink> Network<S> {
                 protocol: config.protocol,
             };
             let mut router = Router::new(id, peers, false, rc, &mut path_table);
+            router.reserve_prefixes(origins.len());
             if let Some(att) = origins.iter().find(|a| a.node == id) {
                 router.originate(att.prefix);
             }

@@ -6,9 +6,9 @@
 //!
 //! 1. an incoming update charges the (peer, prefix) damping penalty
 //!    (through the RCN or selective filter when deployed) and updates
-//!    the RIB-IN;
+//!    the RIB-IN (a looped path enters it as a withdrawal);
 //! 2. the decision process picks the best usable route (suppressed
-//!    entries and looped paths are ineligible);
+//!    entries are ineligible);
 //! 3. if the best route changed, the RIB-OUT is synchronised with every
 //!    peer: withdrawals go out immediately, announcements are paced by
 //!    the per-(peer, prefix) MRAI timer and coalesced while it runs.
@@ -21,16 +21,20 @@
 //!
 //! ## Storage layout
 //!
-//! Prefix ids are dense (`0..origins`), so a router's per-prefix state
-//! is a table indexed by prefix id; iterating it visits prefixes in
-//! ascending id order. The peer set is fixed at construction, so each
-//! prefix holds one boxed slice of per-peer slots — RIB-IN entry,
-//! RIB-OUT route and MRAI pacing side by side, one allocation per
-//! (router, prefix) — indexed by a once-built sorted peer index. Slot
-//! order is ascending `NodeId`, so the decision process visits
-//! candidates lowest peer first. Routes are interned [`Route`] handles
-//! (see [`crate::intern`]); the [`PathTable`] is threaded through every
-//! handler so the hot path never clones a path vector.
+//! Prefix ids are dense (`0..origins`) and the peer set is fixed at
+//! construction, so a router keeps two flat tables and no per-prefix
+//! allocation. The per-(prefix, peer) slots — RIB-IN entry, RIB-OUT
+//! route and MRAI pacing side by side — sit in one table indexed
+//! `prefix × peers + slot`; the per-prefix heads (originated flag, best
+//! route, root cause to stamp) sit in a dense table beside it, so a
+//! handler reads the head and the slot as two independent loads rather
+//! than a pointer chase. `Network` sizes both once from its origin
+//! count; a standalone router grows them on the first update for a new
+//! prefix. Slot order is ascending `NodeId` (a once-built sorted peer
+//! index), so the decision process visits candidates lowest peer first,
+//! and head order is ascending prefix id. Routes are interned [`Route`]
+//! handles (see [`crate::intern`]); the [`PathTable`] is threaded
+//! through every handler so the hot path never clones a path vector.
 
 use std::sync::Arc;
 
@@ -134,50 +138,19 @@ pub(crate) struct PeerSlot {
     pub(crate) mrai: MraiPeer,
 }
 
-/// All per-prefix routing state, one slot per peer (slot order =
-/// ascending peer id).
-#[derive(Debug, Clone)]
-pub(crate) struct PrefixState {
-    /// This router originates the prefix.
-    pub(crate) originated: bool,
+/// The per-prefix head: what the decision process selected and how to
+/// stamp it.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PrefixHead {
     /// The selected best route.
     pub(crate) best: Option<BestRoute>,
     /// Root cause to stamp on outgoing updates for this prefix.
     pub(crate) current_rc: Option<RootCause>,
-    /// Per-peer RIB-IN, RIB-OUT and MRAI state, one allocation.
-    pub(crate) peers: Box<[PeerSlot]>,
-}
-
-impl PrefixState {
-    pub(crate) fn new(n_peers: usize) -> Self {
-        PrefixState {
-            originated: false,
-            best: None,
-            current_rc: None,
-            peers: vec![PeerSlot::default(); n_peers].into_boxed_slice(),
-        }
-    }
-}
-
-/// The entry of `prefix` in a table indexed by prefix id, growing the
-/// table to reach it.
-pub(crate) fn prefix_entry(
-    prefixes: &mut Vec<Option<PrefixState>>,
-    prefix: Prefix,
-) -> &mut Option<PrefixState> {
-    let i = prefix.id() as usize;
-    if i >= prefixes.len() {
-        prefixes.resize_with(i + 1, || None);
-    }
-    &mut prefixes[i]
-}
-
-/// The state of `prefix`, which the caller's event says exists.
-fn existing_state(prefixes: &mut [Option<PrefixState>], prefix: Prefix) -> &mut PrefixState {
-    let state = prefixes
-        .get_mut(prefix.id() as usize)
-        .and_then(Option::as_mut);
-    state.unwrap_or_else(|| panic!("no state for {prefix}"))
+    /// This router originates the prefix.
+    pub(crate) originated: bool,
+    /// The router has state for the prefix: it originates it or has
+    /// received an update for it.
+    pub(crate) known: bool,
 }
 
 /// A single BGP router.
@@ -189,8 +162,10 @@ pub struct Router {
     /// The same peers sorted ascending: `slots[i]` is the peer of slot
     /// `i`, looked up by binary search.
     pub(crate) slots: Vec<NodeId>,
-    /// Per-prefix state, indexed by prefix id (`None`: no state yet).
-    pub(crate) prefixes: Vec<Option<PrefixState>>,
+    /// Per-prefix heads, indexed by prefix id.
+    pub(crate) heads: Vec<PrefixHead>,
+    /// Per-(prefix, peer) slots, indexed `prefix × slots.len() + slot`.
+    pub(crate) rib: Vec<PeerSlot>,
     config: RouterConfig,
     pub(crate) charging_enabled: bool,
     /// Per slot: session currently down (failure injection); no
@@ -249,7 +224,8 @@ impl Router {
             id,
             peers,
             slots,
-            prefixes: Vec::new(),
+            heads: Vec::new(),
+            rib: Vec::new(),
             config,
             charging_enabled: true,
             down: vec![false; n],
@@ -268,18 +244,49 @@ impl Router {
         self.slots.binary_search(&peer).ok()
     }
 
-    /// The state of `prefix`, if this router has any.
-    fn state(&self, prefix: Prefix) -> Option<&PrefixState> {
-        self.prefixes.get(prefix.id() as usize)?.as_ref()
+    /// The head of `prefix`, if this router has state for it.
+    fn head(&self, prefix: Prefix) -> Option<&PrefixHead> {
+        self.heads.get(prefix.id() as usize).filter(|h| h.known)
+    }
+
+    /// Sizes both tables exactly for prefix ids `0..prefixes`, so they
+    /// never grow (nor round up) mid-run.
+    pub(crate) fn reserve_prefixes(&mut self, prefixes: usize) {
+        let more = prefixes.saturating_sub(self.heads.len());
+        self.heads.reserve_exact(more);
+        self.rib.reserve_exact(more * self.slots.len());
+        self.grow_to(prefixes);
+    }
+
+    /// Grows both tables (amortised) to hold prefix ids `0..prefixes`.
+    fn grow_to(&mut self, prefixes: usize) {
+        if prefixes > self.heads.len() {
+            self.heads.resize_with(prefixes, PrefixHead::default);
+            let slots = prefixes * self.slots.len();
+            self.rib.resize_with(slots, PeerSlot::default);
+        }
+    }
+
+    /// The table index of `prefix`, creating its (empty) state.
+    fn touch(&mut self, prefix: Prefix) -> usize {
+        let i = prefix.id() as usize;
+        self.grow_to(i + 1);
+        self.heads[i].known = true;
+        i
+    }
+
+    /// The table index of `prefix`, which the caller's event says this
+    /// router has state for.
+    fn known(&self, prefix: Prefix) -> usize {
+        assert!(self.head(prefix).is_some(), "no state for {prefix}");
+        prefix.id() as usize
     }
 
     /// Registers this router as the originator of `prefix`.
     pub fn originate(&mut self, prefix: Prefix) {
-        let n = self.slots.len();
-        let state =
-            prefix_entry(&mut self.prefixes, prefix).get_or_insert_with(|| PrefixState::new(n));
-        state.originated = true;
-        state.best = Some(BestRoute {
+        let i = self.touch(prefix);
+        self.heads[i].originated = true;
+        self.heads[i].best = Some(BestRoute {
             learned_from: None,
             route: self.self_route,
         });
@@ -297,7 +304,7 @@ impl Router {
 
     /// Whether this router originates the default experiment prefix.
     pub fn originates(&self) -> bool {
-        self.state(Prefix::ORIGIN).is_some_and(|s| s.originated)
+        self.head(Prefix::ORIGIN).is_some_and(|h| h.originated)
     }
 
     /// The best route for the default experiment prefix.
@@ -307,13 +314,13 @@ impl Router {
 
     /// The best route for `prefix`, if any.
     pub fn best_for(&self, prefix: Prefix) -> Option<&BestRoute> {
-        self.state(prefix)?.best.as_ref()
+        self.head(prefix)?.best.as_ref()
     }
 
     /// Prefixes this router has state for, in ascending id order.
     pub fn known_prefixes(&self) -> impl Iterator<Item = Prefix> + '_ {
-        let ids = self.prefixes.iter().enumerate();
-        ids.filter_map(|(i, s)| s.as_ref().map(|_| Prefix::new(i as u32)))
+        let known = self.heads.iter().enumerate().filter(|(_, h)| h.known);
+        known.map(|(i, _)| Prefix::new(i as u32))
     }
 
     /// Enables or disables penalty charging (used to warm the network
@@ -346,7 +353,8 @@ impl Router {
 
     /// Read access to the RIB-IN entry for one (peer, prefix).
     pub fn rib_in_for(&self, prefix: Prefix, peer: NodeId) -> Option<&RibInEntry> {
-        self.state(prefix)?.peers[self.slot_of(peer)?]
+        let i = self.head(prefix).map(|_| prefix.id() as usize)?;
+        self.rib[i * self.slots.len() + self.slot_of(peer)?]
             .rib_in
             .as_ref()
     }
@@ -354,8 +362,7 @@ impl Router {
     /// Number of currently suppressed RIB-IN entries across all
     /// prefixes.
     pub fn suppressed_entries(&self) -> usize {
-        let states = self.prefixes.iter().flatten();
-        let entries = states.flat_map(|s| s.peers.iter().filter_map(|p| p.rib_in.as_ref()));
+        let entries = self.rib.iter().filter_map(|p| p.rib_in.as_ref());
         entries.filter(|e| e.is_suppressed()).count()
     }
 
@@ -374,8 +381,8 @@ impl Router {
         policy: &Policy,
         out: &mut RouterOutput,
     ) {
-        for i in 0..self.prefixes.len() {
-            if self.prefixes[i].is_some() {
+        for i in 0..self.heads.len() {
+            if self.heads[i].known {
                 self.sync_all_peers(now, Prefix::new(i as u32), table, rng, policy, out);
             }
         }
@@ -399,13 +406,11 @@ impl Router {
         let watched = self.ledger_watches(from, prefix);
         let config_filter = self.config.filter;
         let node = self.id.raw();
-        // Disjoint field borrows: the damper store and the prefix table
+        let at = self.touch(prefix) * self.slots.len() + slot;
+        // Disjoint field borrows: the damper store and the slot table
         // are mutated side by side below.
         let damper_store = &mut self.damper_store;
-        let n = self.slots.len();
-        let state =
-            prefix_entry(&mut self.prefixes, prefix).get_or_insert_with(|| PrefixState::new(n));
-        let entry = state.peers[slot].rib_in.get_or_insert_with(|| {
+        let entry = self.rib[at].rib_in.get_or_insert_with(|| {
             let damper_slot = damper_store
                 .as_mut()
                 .map(|store| store.insert(damper_key(from, prefix)));
@@ -566,12 +571,12 @@ impl Router {
             .slot_of(peer)
             .unwrap_or_else(|| panic!("session event for non-peer {peer}"));
         self.down[slot] = true;
-        for i in 0..self.prefixes.len() {
-            let Some(state) = &mut self.prefixes[i] else {
+        for i in 0..self.heads.len() {
+            if !self.heads[i].known {
                 continue;
-            };
+            }
             // Nothing stays advertised over a dead session.
-            let p = &mut state.peers[slot];
+            let p = &mut self.rib[i * self.slots.len() + slot];
             p.rib_out = None;
             p.mrai.dirty = false;
             let prefix = Prefix::new(i as u32);
@@ -601,14 +606,14 @@ impl Router {
             .slot_of(peer)
             .unwrap_or_else(|| panic!("session event for non-peer {peer}"));
         self.down[slot] = false;
-        for i in 0..self.prefixes.len() {
-            let Some(state) = &mut self.prefixes[i] else {
+        for i in 0..self.heads.len() {
+            if !self.heads[i].known {
                 continue;
-            };
+            }
             // Updates triggered by the restored session carry its root
             // cause.
             if rc.is_some() {
-                state.current_rc = rc;
+                self.heads[i].current_rc = rc;
             }
             self.sync_peer(now, Prefix::new(i as u32), peer, table, rng, policy, out);
         }
@@ -629,7 +634,8 @@ impl Router {
         let slot = self
             .slot_of(peer)
             .expect("MRAI timer for unknown peer/prefix");
-        let m = &mut existing_state(&mut self.prefixes, prefix).peers[slot].mrai;
+        let at = self.known(prefix) * self.slots.len() + slot;
+        let m = &mut self.rib[at].mrai;
         m.timer_pending = false;
         if m.dirty {
             let sends_before = out.sends.len();
@@ -668,9 +674,9 @@ impl Router {
         let watched = self.ledger_watches(peer, prefix);
         let node = self.id.raw();
         let slot = self.slot_of(peer).expect("reuse timer for unknown peer");
+        let i = self.known(prefix);
         let damper_store = &mut self.damper_store;
-        let state = existing_state(&mut self.prefixes, prefix);
-        let entry = state.peers[slot]
+        let entry = self.rib[i * self.slots.len() + slot]
             .rib_in
             .as_mut()
             .expect("reuse timer for unknown peer");
@@ -722,10 +728,8 @@ impl Router {
                 let reuse_rc = entry.last_rc;
                 // Sync the mirror before the decision process reads it.
                 entry.suppressed = false;
-                let old_best = state.best;
-                let new_best =
-                    Self::decide(self.id, self.self_route, &self.slots, state, table, policy);
-                let noisy = new_best != old_best;
+                let new_best = self.decide(i, table, policy);
+                let noisy = new_best != self.heads[i].best;
                 if watched {
                     out.record(
                         now,
@@ -747,13 +751,7 @@ impl Router {
                 if noisy {
                     // The released route wins (Figure 6): announce it,
                     // carrying the root cause it arrived with.
-                    state.best = new_best;
-                    state.current_rc = reuse_rc;
-                    out.traces.push(TraceEventKind::BestRouteChanged {
-                        node: self.id.raw(),
-                        unreachable: state.best.is_none(),
-                        path_len: state.best.as_ref().map_or(0, |b| b.route.len() as u32),
-                    });
+                    self.adopt(new_best, reuse_rc, i, out);
                     self.sync_all_peers(now, prefix, table, rng, policy, out);
                 }
                 // Silent expiry (Figure 5): nothing to do.
@@ -774,61 +772,65 @@ impl Router {
         policy: &Policy,
         out: &mut RouterOutput,
     ) {
-        let state = existing_state(&mut self.prefixes, prefix);
-        let new_best = Self::decide(self.id, self.self_route, &self.slots, state, table, policy);
-        if new_best == state.best {
+        let i = prefix.id() as usize;
+        let new_best = self.decide(i, table, policy);
+        if new_best == self.heads[i].best {
             return;
         }
-        state.best = new_best;
-        state.current_rc = trigger_rc;
-        out.traces.push(TraceEventKind::BestRouteChanged {
-            node: self.id.raw(),
-            unreachable: state.best.is_none(),
-            path_len: state.best.as_ref().map_or(0, |b| b.route.len() as u32),
-        });
+        self.adopt(new_best, trigger_rc, i, out);
         self.sync_all_peers(now, prefix, table, rng, policy, out);
     }
 
-    /// The decision process: best usable route by (policy class, path
-    /// length, lowest peer id). A self-originated route always wins.
-    /// Slots are visited in ascending peer order.
-    fn decide(
-        id: NodeId,
-        self_route: Route,
-        slots: &[NodeId],
-        state: &PrefixState,
-        table: &PathTable,
-        policy: &Policy,
-    ) -> Option<BestRoute> {
+    /// Installs a changed best route for prefix `i` and records the
+    /// change.
+    fn adopt(
+        &mut self,
+        best: Option<BestRoute>,
+        rc: Option<RootCause>,
+        i: usize,
+        out: &mut RouterOutput,
+    ) {
+        self.heads[i].best = best;
+        self.heads[i].current_rc = rc;
+        out.traces.push(TraceEventKind::BestRouteChanged {
+            node: self.id.raw(),
+            unreachable: best.is_none(),
+            path_len: best.map_or(0, |b| b.route.len() as u32),
+        });
+    }
+
+    /// The decision process for prefix `i`: the best usable route by
+    /// (policy class, path length, lowest peer id). A self-originated
+    /// route always wins. Slots are visited in ascending peer order. No
+    /// candidate is loop-checked: `handle_update` turns an announcement
+    /// containing this router into a withdrawal and the snapshot decoder
+    /// refuses one, so RIB-IN never holds a loop.
+    fn decide(&self, i: usize, table: &PathTable, policy: &Policy) -> Option<BestRoute> {
         rfd_obs::inc("bgp.decisions");
-        if state.originated {
+        if self.heads[i].originated {
             return Some(BestRoute {
                 learned_from: None,
-                route: self_route,
+                route: self.self_route,
             });
         }
+        let row = &self.rib[i * self.slots.len()..][..self.slots.len()];
         let mut best: Option<((u8, usize, usize), BestRoute)> = None;
-        for (slot, p) in state.peers.iter().enumerate() {
+        for (p, &peer) in row.iter().zip(&self.slots) {
             let Some(route) = p.rib_in.as_ref().and_then(RibInEntry::usable_route) else {
                 continue;
             };
-            if table.contains(route, id) {
-                continue; // loop
-            }
-            let peer = slots[slot];
-            let rank = (policy.preference_class(id, peer), route.len(), peer.index());
-            let better = match &best {
-                None => true,
-                Some((best_rank, _)) => rank < *best_rank,
-            };
-            if better {
-                best = Some((
-                    rank,
-                    BestRoute {
-                        learned_from: Some(peer),
-                        route,
-                    },
-                ));
+            debug_assert!(
+                !table.contains(route, self.id),
+                "RIB-IN holds a looped route"
+            );
+            let class = policy.preference_class(self.id, peer);
+            let rank = (class, route.len(), peer.index());
+            if best.is_none_or(|(best_rank, _)| rank < best_rank) {
+                let candidate = BestRoute {
+                    learned_from: Some(peer),
+                    route,
+                };
+                best = Some((rank, candidate));
             }
         }
         best.map(|(_, b)| b)
@@ -840,13 +842,13 @@ impl Router {
     /// before).
     fn export_route(
         id: NodeId,
-        state: &PrefixState,
+        head: &PrefixHead,
         to: NodeId,
         table: &mut PathTable,
         policy: &Policy,
         protocol: &ProtocolOptions,
     ) -> Option<Route> {
-        let best = state.best.as_ref()?;
+        let best = head.best.as_ref()?;
         if protocol.sender_side_loop_avoidance && table.contains(best.route, to) {
             return None; // receiver is on the path; it would reject
         }
@@ -895,10 +897,10 @@ impl Router {
         if self.down[slot] {
             return; // dead session: nothing can be sent
         }
-        let state = existing_state(&mut self.prefixes, prefix);
-        let desired =
-            Self::export_route(self.id, state, peer, table, policy, &self.config.protocol);
-        let p = &mut state.peers[slot];
+        let i = self.known(prefix);
+        let head = &self.heads[i];
+        let desired = Self::export_route(self.id, head, peer, table, policy, &self.config.protocol);
+        let p = &mut self.rib[i * self.slots.len() + slot];
         let m = &mut p.mrai;
         if desired == p.rib_out {
             m.dirty = false;
@@ -936,7 +938,7 @@ impl Router {
                     m.ready_at = now + self.config.mrai.mul_f64(rng.uniform(jlo, jhi));
                 }
                 p.rib_out = None;
-                let mut msg = UpdateMessage::withdraw().with_root_cause(state.current_rc);
+                let mut msg = UpdateMessage::withdraw().with_root_cause(head.current_rc);
                 msg.prefix = prefix;
                 out.sends.push((peer, msg));
             }
@@ -950,7 +952,7 @@ impl Router {
                     m.dirty = false;
                     p.rib_out = Some(route);
                     let mut msg = UpdateMessage::announce(route)
-                        .with_root_cause(state.current_rc)
+                        .with_root_cause(head.current_rc)
                         .with_degraded(degraded);
                     msg.prefix = prefix;
                     out.sends.push((peer, msg));
@@ -1026,61 +1028,6 @@ mod tests {
     }
 
     #[test]
-    fn update_installs_and_propagates() {
-        let mut tb = PathTable::new();
-        let mut r = Router::new(n(1), vec![n(0), n(2)], false, plain_config(false), &mut tb);
-        let mut out = RouterOutput::default();
-        let msg = announce_from(&mut tb, 0);
-        r.handle_update(
-            t(0),
-            n(0),
-            &msg,
-            &mut tb,
-            &mut rng(),
-            &Policy::ShortestPath,
-            &mut out,
-        );
-        assert_eq!(r.best().unwrap().learned_from, Some(n(0)));
-        // Propagated to peer 2 only: peer 0 is on the path.
-        assert_eq!(out.sends.len(), 1);
-        let (to, msg) = &out.sends[0];
-        assert_eq!(*to, n(2));
-        match msg.payload {
-            UpdatePayload::Announce(route) => {
-                assert_eq!(tb.path(route), &[n(1), n(0)]);
-            }
-            UpdatePayload::Withdraw => panic!("expected announcement"),
-        }
-    }
-
-    #[test]
-    fn withdrawal_propagates_immediately() {
-        let mut tb = PathTable::new();
-        let mut r = Router::new(n(1), vec![n(0), n(2)], false, plain_config(false), &mut tb);
-        let mut out = RouterOutput::default();
-        let policy = Policy::ShortestPath;
-        let mut rng = rng();
-        let msg = announce_from(&mut tb, 0);
-        r.handle_update(t(0), n(0), &msg, &mut tb, &mut rng, &policy, &mut out);
-        let mut out = RouterOutput::default();
-        r.handle_update(
-            t(10),
-            n(0),
-            &UpdateMessage::withdraw(),
-            &mut tb,
-            &mut rng,
-            &policy,
-            &mut out,
-        );
-        assert!(r.best().is_none());
-        assert_eq!(out.sends.len(), 1);
-        assert!(out.sends[0].1.is_withdrawal());
-        assert_eq!(out.sends[0].0, n(2));
-        // No MRAI timer needed for withdrawals.
-        assert!(out.mrai_timers.is_empty());
-    }
-
-    #[test]
     fn spurious_withdrawal_ignored() {
         let mut tb = PathTable::new();
         let mut r = Router::new(n(1), vec![n(0)], false, plain_config(true), &mut tb);
@@ -1100,74 +1047,6 @@ mod tests {
             Some(None),
             "entry exists but holds no route"
         );
-    }
-
-    #[test]
-    fn mrai_coalesces_flaps() {
-        // Two best-route changes inside one MRAI window produce a
-        // single deferred announcement with the latest route.
-        let mut tb = PathTable::new();
-        let mut r = Router::new(n(1), vec![n(0), n(2)], false, plain_config(false), &mut tb);
-        let policy = Policy::ShortestPath;
-        let mut rng = rng();
-        let mut out = RouterOutput::default();
-        let msg = announce_from(&mut tb, 0);
-        r.handle_update(t(0), n(0), &msg, &mut tb, &mut rng, &policy, &mut out);
-        // Withdraw and re-announce rapidly.
-        let mut out = RouterOutput::default();
-        r.handle_update(
-            t(1),
-            n(0),
-            &UpdateMessage::withdraw(),
-            &mut tb,
-            &mut rng,
-            &policy,
-            &mut out,
-        );
-        assert_eq!(out.sends.len(), 1, "withdrawal to 2 immediate");
-        let mut out = RouterOutput::default();
-        let msg = announce_from(&mut tb, 0);
-        r.handle_update(t(2), n(0), &msg, &mut tb, &mut rng, &policy, &mut out);
-        // Announcement to 2 deferred (MRAI from the t=0 send).
-        assert!(out.sends.is_empty());
-        assert_eq!(out.mrai_timers.len(), 1);
-        let mut out = RouterOutput::default();
-        r.on_mrai_expiry(
-            t(30),
-            n(2),
-            Prefix::ORIGIN,
-            &mut tb,
-            &mut rng,
-            &policy,
-            &mut out,
-        );
-        assert_eq!(out.sends.len(), 1);
-        assert!(!out.sends[0].1.is_withdrawal());
-    }
-
-    #[test]
-    fn charging_disabled_never_suppresses() {
-        let mut tb = PathTable::new();
-        let mut r = Router::new(n(1), vec![n(0)], false, plain_config(true), &mut tb);
-        r.set_charging(false);
-        let policy = Policy::ShortestPath;
-        let mut rng = rng();
-        for i in 0..20u64 {
-            let mut out = RouterOutput::default();
-            let msg = announce_from(&mut tb, 0);
-            r.handle_update(t(i * 2), n(0), &msg, &mut tb, &mut rng, &policy, &mut out);
-            let mut out = RouterOutput::default();
-            r.handle_update(
-                t(i * 2 + 1),
-                n(0),
-                &UpdateMessage::withdraw(),
-                &mut tb,
-                &mut rng,
-                &policy,
-                &mut out,
-            );
-        }
-        assert_eq!(r.suppressed_entries(), 0);
     }
 
     #[test]
@@ -1355,32 +1234,6 @@ mod tests {
         }
         assert!(suppressed, "repeated session loss must trip the cut-off");
         assert!(r.rib_in(n(0)).unwrap().is_suppressed());
-    }
-
-    #[test]
-    fn loop_containing_announcement_acts_as_withdrawal() {
-        let mut tb = PathTable::new();
-        let mut r = Router::new(n(1), vec![n(0), n(2)], false, plain_config(false), &mut tb);
-        let policy = Policy::ShortestPath;
-        let mut rng = rng();
-        let mut out = RouterOutput::default();
-        let msg = announce_from(&mut tb, 0);
-        r.handle_update(t(0), n(0), &msg, &mut tb, &mut rng, &policy, &mut out);
-        assert!(r.best().is_some());
-        // Announcement whose path contains router 1 itself.
-        let looped = tb.from_path(&[n(0), n(5), n(1), n(9)]);
-        let mut out = RouterOutput::default();
-        r.handle_update(
-            t(1),
-            n(0),
-            &UpdateMessage::announce(looped),
-            &mut tb,
-            &mut rng,
-            &policy,
-            &mut out,
-        );
-        assert!(r.best().is_none());
-        assert_eq!(r.rib_in(n(0)).unwrap().route, None);
     }
 
     // ---- damping-lifecycle ledger ----
@@ -1840,34 +1693,6 @@ mod tests {
     }
 
     #[test]
-    fn prefixes_route_independently() {
-        let mut tb = PathTable::new();
-        let mut r = Router::new(n(1), vec![n(0), n(2)], false, plain_config(false), &mut tb);
-        let policy = Policy::ShortestPath;
-        let mut rng = rng();
-        let pfx_a = Prefix::new(10);
-        let pfx_b = Prefix::new(11);
-        let mut out = RouterOutput::default();
-        let msg = announce_prefix(&mut tb, 0, pfx_a);
-        r.handle_update(t(0), n(0), &msg, &mut tb, &mut rng, &policy, &mut out);
-        let mut out = RouterOutput::default();
-        let msg = announce_prefix(&mut tb, 2, pfx_b);
-        r.handle_update(t(1), n(2), &msg, &mut tb, &mut rng, &policy, &mut out);
-        assert_eq!(r.best_for(pfx_a).unwrap().learned_from, Some(n(0)));
-        assert_eq!(r.best_for(pfx_b).unwrap().learned_from, Some(n(2)));
-        assert!(r.best_for(Prefix::new(99)).is_none());
-        assert_eq!(r.known_prefixes().count(), 2);
-
-        // Withdrawing one prefix leaves the other untouched.
-        let mut w = UpdateMessage::withdraw();
-        w.prefix = pfx_a;
-        let mut out = RouterOutput::default();
-        r.handle_update(t(2), n(0), &w, &mut tb, &mut rng, &policy, &mut out);
-        assert!(r.best_for(pfx_a).is_none());
-        assert!(r.best_for(pfx_b).is_some());
-    }
-
-    #[test]
     fn damping_state_is_per_prefix() {
         // Flapping prefix A from peer 0 must not suppress prefix B from
         // the same peer.
@@ -1966,30 +1791,12 @@ mod tests {
     }
 
     #[test]
-    fn known_prefixes_ascend_whatever_the_arrival_order() {
-        let mut tb = PathTable::new();
-        let mut r = Router::new(n(1), vec![n(0), n(2)], false, plain_config(false), &mut tb);
-        r.originate(Prefix::new(5));
-        let msg = announce_prefix(&mut tb, 0, Prefix::new(2));
-        let mut out = RouterOutput::default();
-        r.handle_update(
-            t(0),
-            n(0),
-            &msg,
-            &mut tb,
-            &mut rng(),
-            &Policy::ShortestPath,
-            &mut out,
-        );
-        r.originate(Prefix::ORIGIN);
-        let ids: Vec<u32> = r.known_prefixes().map(Prefix::id).collect();
-        assert_eq!(ids, [0, 2, 5]);
-    }
-
-    #[test]
     fn per_peer_state_stays_compact() {
         assert!(std::mem::size_of::<RibInEntry>() <= 88);
         assert!(std::mem::size_of::<MraiPeer>() <= 16);
+        // The flat table holds PeerSlot × peers × prefixes.
+        assert!(std::mem::size_of::<PeerSlot>() <= 128);
+        assert!(std::mem::size_of::<PrefixHead>() <= 56);
     }
 
     #[test]
@@ -1997,12 +1804,23 @@ mod tests {
         let mut tb = PathTable::new();
         let mut r = Router::new(n(0), vec![n(1)], true, plain_config(false), &mut tb);
         r.originate(Prefix::new(5));
+        let (policy, mut rng) = (Policy::ShortestPath, rng());
         let mut out = RouterOutput::default();
-        r.kickoff(t(0), &mut tb, &mut rng(), &Policy::ShortestPath, &mut out);
+        r.kickoff(t(0), &mut tb, &mut rng, &policy, &mut out);
         assert_eq!(out.sends.len(), 2, "one announcement per originated prefix");
         let prefixes: std::collections::BTreeSet<_> =
             out.sends.iter().map(|(_, m)| m.prefix).collect();
         assert!(prefixes.contains(&Prefix::ORIGIN));
         assert!(prefixes.contains(&Prefix::new(5)));
+        // Prefix 2 arrives after 5: known ids still ascend, and the ids
+        // the router has no state for (1, 3, 4, 99) stay unknown.
+        let msg = announce_prefix(&mut tb, 1, Prefix::new(2));
+        r.handle_update(t(1), n(1), &msg, &mut tb, &mut rng, &policy, &mut out);
+        let ids: Vec<u32> = r.known_prefixes().map(Prefix::id).collect();
+        assert_eq!(ids, [0, 2, 5]);
+        for unknown in [1, 3, 99].map(Prefix::new) {
+            assert!(r.best_for(unknown).is_none() && r.rib_in_for(unknown, n(1)).is_none());
+        }
+        assert!(r.best_for(Prefix::new(2)).is_some());
     }
 }

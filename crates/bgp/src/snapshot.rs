@@ -38,9 +38,8 @@ use rfd_topology::{Graph, NodeId};
 use super::{Network, State};
 use crate::config::NetworkConfig;
 use crate::intern::{PathTable, Route};
-use crate::message::Prefix;
 use crate::rib::{BestRoute, RibInEntry};
-use crate::router::{prefix_entry, MraiPeer, PrefixState, Router};
+use crate::router::{MraiPeer, PeerSlot, PrefixHead, Router};
 
 /// The fingerprint a snapshot is keyed by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -591,31 +590,32 @@ impl Router {
         let store_state = self.damper_store.as_ref().map(DamperStore::export_state);
         enc.option(store_state.as_ref(), encode_store_state);
         enc.usize(self.known_prefixes().count());
-        for (id, state) in self.prefixes.iter().enumerate() {
-            let Some(state) = state else { continue };
-            enc.u32(id as u32);
-            enc.bool(state.originated);
-            enc.seq(&state.peers, |e, p| {
-                e.option(p.rib_in.as_ref(), encode_rib_in)
-            });
-            enc.option(state.best.as_ref(), |e, b| {
+        for prefix in self.known_prefixes() {
+            let id = prefix.id() as usize;
+            let head = &self.heads[id];
+            let row = &self.rib[id * self.slots.len()..][..self.slots.len()];
+            enc.u32(prefix.id());
+            enc.bool(head.originated);
+            enc.seq(row, |e, p| e.option(p.rib_in.as_ref(), encode_rib_in));
+            enc.option(head.best.as_ref(), |e, b| {
                 e.option(b.learned_from.as_ref(), |e, n| e.u32(n.raw()));
                 e.u32(b.route.id().raw());
             });
-            enc.seq(&state.peers, |e, p| {
+            enc.seq(row, |e, p| {
                 e.option(p.rib_out.as_ref(), |e, r| e.u32(r.id().raw()));
             });
-            enc.seq(&state.peers, |e, p| encode_mrai(e, &p.mrai));
-            enc.option(state.current_rc.as_ref(), encode_root_cause);
+            enc.seq(row, |e, p| encode_mrai(e, &p.mrai));
+            enc.option(head.current_rc.as_ref(), encode_root_cause);
         }
     }
 
     /// Restores state written by [`Router::encode_snapshot`] into a
     /// freshly constructed router of the same configuration. A payload
     /// that disagrees with this router's peer set or damping
-    /// deployment, or names a prefix outside the network's `0..origins`
-    /// (the prefix table is indexed by it) or a path the table does not
-    /// hold, is refused.
+    /// deployment, names a prefix outside the network's `0..origins`
+    /// (the prefix tables are indexed by it) or a path the table does not
+    /// hold, or puts a route containing this router in RIB-IN (the
+    /// decision process does not loop-check), is refused.
     fn apply_snapshot(
         &mut self,
         dec: &mut Decoder<'_>,
@@ -642,7 +642,9 @@ impl Router {
             (None, None) => {}
             _ => return Err(SnapshotError::Shape("router damping deployment")),
         }
-        self.prefixes.clear();
+        self.heads.clear();
+        self.rib.clear();
+        self.reserve_prefixes(origins);
         let n_prefixes = dec.usize("router prefix count")?;
         for _ in 0..n_prefixes {
             let id = dec.u32("prefix id")?;
@@ -652,16 +654,20 @@ impl Router {
                 }
                 .into());
             }
-            let mut state = PrefixState::new(n);
-            state.originated = dec.bool("prefix originated")?;
+            let id = id as usize;
+            let originated = dec.bool("prefix originated")?;
             let rib_in = dec.seq("prefix rib-in", |d| {
                 d.option("rib-in entry", |d| decode_rib_in(d, table))
             })?;
             width(rib_in.len(), "rib-in width")?;
-            for (p, entry) in state.peers.iter_mut().zip(rib_in) {
-                p.rib_in = entry;
+            let mut routes = rib_in.iter().flatten().filter_map(|e| e.route);
+            if routes.any(|r| table.contains(r, self.id())) {
+                return Err(SnapError::Invalid {
+                    context: "rib-in route through the router",
+                }
+                .into());
             }
-            state.best = dec.option("prefix best", |d| {
+            let best = dec.option("prefix best", |d| {
                 let learned_from = d
                     .option("best learned-from", |d| d.u32("best learned-from"))?
                     .map(NodeId::new);
@@ -679,12 +685,23 @@ impl Router {
             width(rib_out.len(), "rib-out width")?;
             let mrai = dec.seq("prefix mrai", decode_mrai)?;
             width(mrai.len(), "mrai width")?;
-            for (p, (rib_out, mrai)) in state.peers.iter_mut().zip(rib_out.into_iter().zip(mrai)) {
-                p.rib_out = rib_out;
-                p.mrai = mrai;
+            let row = &mut self.rib[id * n..][..n];
+            for (p, ((rib_in, rib_out), mrai)) in row
+                .iter_mut()
+                .zip(rib_in.into_iter().zip(rib_out).zip(mrai))
+            {
+                *p = PeerSlot {
+                    rib_in,
+                    rib_out,
+                    mrai,
+                };
             }
-            state.current_rc = dec.option("prefix current rc", decode_root_cause)?;
-            *prefix_entry(&mut self.prefixes, Prefix::new(id)) = Some(state);
+            self.heads[id] = PrefixHead {
+                best,
+                current_rc: dec.option("prefix current rc", decode_root_cause)?,
+                originated,
+                known: true,
+            };
         }
         Ok(())
     }

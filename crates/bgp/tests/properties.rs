@@ -8,28 +8,34 @@ use rfd_bgp::{
 };
 use rfd_core::DampingParams;
 use rfd_sim::{DetRng, RunOutcome, SimDuration, SimTime};
-use rfd_topology::{mesh_torus, NodeId};
+use rfd_topology::{mesh_torus, Link, NodeId, Relationships};
 
 const ORIGIN: u32 = 100;
+/// The router under test.
+const ROUTER: u32 = 50;
 
 /// One scripted stimulus to a router.
 #[derive(Debug, Clone)]
 enum Stimulus {
     /// Announcement from peer `p` with a path of the given shape.
-    Announce { peer: u32, via: u32 },
+    Announce { peer: u32, via: u32, prefix: u32 },
     /// Withdrawal from peer `p`.
-    Withdraw { peer: u32 },
+    Withdraw { peer: u32, prefix: u32 },
     /// Session of peer `p` goes down.
     SessionDown { peer: u32 },
     /// Session of peer `p` comes back.
     SessionUp { peer: u32 },
 }
 
-fn stimulus_strategy(peers: u32) -> impl Strategy<Value = Stimulus> {
+fn stimulus_strategy(peers: u32, prefixes: u32) -> impl Strategy<Value = Stimulus> {
     let peer = 0..peers;
     prop_oneof![
-        (peer.clone(), 0u32..4).prop_map(|(peer, via)| Stimulus::Announce { peer, via }),
-        peer.clone().prop_map(|peer| Stimulus::Withdraw { peer }),
+        (peer.clone(), 0u32..5, 0..prefixes).prop_map(|(peer, via, prefix)| Stimulus::Announce {
+            peer,
+            via,
+            prefix
+        }),
+        (peer.clone(), 0..prefixes).prop_map(|(peer, prefix)| Stimulus::Withdraw { peer, prefix }),
         peer.clone().prop_map(|peer| Stimulus::SessionDown { peer }),
         peer.prop_map(|peer| Stimulus::SessionUp { peer }),
     ]
@@ -37,10 +43,13 @@ fn stimulus_strategy(peers: u32) -> impl Strategy<Value = Stimulus> {
 
 fn route_via(table: &mut PathTable, peer: u32, via: u32) -> Route {
     // Distinct intermediate hops per `via` make attribute changes; all
-    // end at ORIGIN and start at the announcing peer.
+    // end at ORIGIN and start at the announcing peer. `via == 4` runs
+    // through the router under test (a loop it must treat as a
+    // withdrawal).
     let mut r = table.originate(NodeId::new(ORIGIN));
     if via > 0 {
-        r = table.prepend(r, NodeId::new(ORIGIN + via));
+        let hop = if via == 4 { ROUTER } else { ORIGIN + via };
+        r = table.prepend(r, NodeId::new(hop));
     }
     table.prepend(r, NodeId::new(peer))
 }
@@ -54,7 +63,7 @@ fn build_router(table: &mut PathTable, damping: bool, peers: u32) -> Router {
         protocol: rfd_bgp::ProtocolOptions::default(),
     };
     Router::new(
-        NodeId::new(50),
+        NodeId::new(ROUTER),
         (0..peers).map(NodeId::new).collect(),
         false,
         config,
@@ -63,9 +72,10 @@ fn build_router(table: &mut PathTable, damping: bool, peers: u32) -> Router {
 }
 
 /// Drives the script through the router, delivering timer callbacks by
-/// always firing the earliest pending timer before the next stimulus.
-/// A visible effect of the drive: a sent message or a session bounce
-/// marker (session resets legitimately repeat advertisements).
+/// always firing the earliest pending timer before the next stimulus,
+/// and calls `check` after every handler call. A visible effect of the
+/// drive: a sent message or a session bounce marker (session resets
+/// legitimately repeat advertisements).
 #[derive(Debug, Clone)]
 enum Effect {
     Send(SimTime, NodeId, UpdateMessage),
@@ -77,11 +87,11 @@ fn drive(
     table: &mut PathTable,
     script: &[(u64, Stimulus)],
     policy: &Policy,
-) -> (Vec<Effect>, usize) {
+    check: &mut dyn FnMut(&Router, &PathTable),
+) -> Vec<Effect> {
     let mut rng = DetRng::from_seed(11);
     let mut sends = Vec::new();
     let mut timers: Vec<(SimTime, bool, NodeId, Prefix)> = Vec::new(); // (at, is_reuse, peer, prefix)
-    let mut reuses = 0;
     let mut now = SimTime::ZERO;
     let handle_out = |out: RouterOutput,
                       timers: &mut Vec<(SimTime, bool, NodeId, Prefix)>,
@@ -108,19 +118,20 @@ fn drive(
             timers.remove(0);
             let mut out = RouterOutput::default();
             if is_reuse {
-                reuses += 1;
                 router.on_reuse_timer(t, peer, prefix, table, &mut rng, policy, &mut out);
             } else {
                 router.on_mrai_expiry(t, peer, prefix, table, &mut rng, policy, &mut out);
             }
             handle_out(out, &mut timers, &mut sends, t);
+            check(router, table);
             timers.sort_by_key(|&(t, ..)| t);
         }
         let mut out = RouterOutput::default();
         match *stim {
-            Stimulus::Announce { peer, via } => {
+            Stimulus::Announce { peer, via, prefix } => {
                 if !router.session_is_down(NodeId::new(peer)) {
-                    let msg = UpdateMessage::announce(route_via(table, peer, via));
+                    let mut msg = UpdateMessage::announce(route_via(table, peer, via));
+                    msg.prefix = Prefix::new(prefix);
                     router.handle_update(
                         now,
                         NodeId::new(peer),
@@ -132,12 +143,14 @@ fn drive(
                     );
                 }
             }
-            Stimulus::Withdraw { peer } => {
+            Stimulus::Withdraw { peer, prefix } => {
                 if !router.session_is_down(NodeId::new(peer)) {
+                    let mut msg = UpdateMessage::withdraw();
+                    msg.prefix = Prefix::new(prefix);
                     router.handle_update(
                         now,
                         NodeId::new(peer),
-                        &UpdateMessage::withdraw(),
+                        &msg,
                         table,
                         &mut rng,
                         policy,
@@ -175,12 +188,54 @@ fn drive(
             }
         }
         handle_out(out, &mut timers, &mut sends, now);
+        check(router, table);
     }
-    (sends, reuses)
+    sends
 }
 
-fn script_strategy() -> impl Strategy<Value = Vec<(u64, Stimulus)>> {
-    proptest::collection::vec((0u64..200, stimulus_strategy(3)), 1..60)
+/// Stimuli, each after a gap in seconds.
+type Script = Vec<(u64, Stimulus)>;
+
+/// Scripts of up to 240 stimuli, `0..max_gap` seconds apart.
+fn script_strategy(peers: u32, prefixes: u32, max_gap: u64) -> impl Strategy<Value = Script> {
+    proptest::collection::vec((0..max_gap, stimulus_strategy(peers, prefixes)), 1..240)
+}
+
+/// Asserts that each prefix's best route is the argmin of its usable
+/// RIB-IN entries by (preference class, path length, peer id), ranked
+/// naively here rather than by the router's own scan.
+fn best_is_the_naive_argmin(
+    router: &Router,
+    table: &PathTable,
+    policy: &Policy,
+    peers: u32,
+    prefixes: u32,
+) {
+    let me = router.id();
+    for prefix in (0..prefixes).map(Prefix::new) {
+        let usable = (0..peers).map(NodeId::new).filter_map(|peer| {
+            let route = router.rib_in_for(prefix, peer)?.usable_route()?;
+            assert!(!table.contains(route, me), "RIB-IN holds a loop");
+            let rank = (policy.preference_class(me, peer), route.len(), peer.raw());
+            Some((rank, peer, route))
+        });
+        let naive = usable
+            .min_by_key(|&(rank, ..)| rank)
+            .map(|(_, p, r)| (Some(p), r));
+        let best = router.best_for(prefix).map(|b| (b.learned_from, b.route));
+        assert_eq!(best, naive, "best route for {prefix}");
+    }
+}
+
+/// Peers 0 and 3 are customers of the router, peer 1 its provider and
+/// peer 2 a settlement-free peer: all three preference classes.
+fn mixed_relationships() -> Policy {
+    let mut rel = Relationships::all_peers();
+    let me = NodeId::new(ROUTER);
+    for (peer, provider) in [(0, me), (1, NodeId::new(1)), (3, me)] {
+        rel.set_provider(Link::new(me, NodeId::new(peer)), provider);
+    }
+    Policy::NoValley(rel)
 }
 
 proptest! {
@@ -190,11 +245,11 @@ proptest! {
     /// announces a route containing the receiver, and never announces a
     /// route containing itself twice.
     #[test]
-    fn sends_are_well_formed(script in script_strategy()) {
+    fn sends_are_well_formed(script in script_strategy(3, 1, 200)) {
         let mut table = PathTable::new();
         let mut router = build_router(&mut table, true, 3);
         let policy = Policy::ShortestPath;
-        let (effects, _) = drive(&mut router, &mut table, &script, &policy);
+        let effects = drive(&mut router, &mut table, &script, &policy, &mut |_, _| {});
         for e in &effects {
             let Effect::Send(_, to, msg) = e else { continue };
             if let UpdatePayload::Announce(route) = msg.payload {
@@ -212,11 +267,11 @@ proptest! {
     /// the minimum jittered interval (0.75 × 30 s); withdrawals are
     /// exempt.
     #[test]
-    fn announcements_respect_mrai(script in script_strategy()) {
+    fn announcements_respect_mrai(script in script_strategy(3, 1, 200)) {
         let mut table = PathTable::new();
         let mut router = build_router(&mut table, false, 3);
         let policy = Policy::ShortestPath;
-        let (effects, _) = drive(&mut router, &mut table, &script, &policy);
+        let effects = drive(&mut router, &mut table, &script, &policy, &mut |_, _| {});
         let min_gap = SimDuration::from_secs_f64(30.0 * 0.75);
         let mut last: std::collections::HashMap<(u32, u32), SimTime> =
             std::collections::HashMap::new();
@@ -240,11 +295,11 @@ proptest! {
     /// No two consecutive identical messages to the same peer (RIB-OUT
     /// diffing prevents duplicates).
     #[test]
-    fn no_duplicate_adjacent_sends(script in script_strategy()) {
+    fn no_duplicate_adjacent_sends(script in script_strategy(3, 1, 200)) {
         let mut table = PathTable::new();
         let mut router = build_router(&mut table, true, 3);
         let policy = Policy::ShortestPath;
-        let (effects, _) = drive(&mut router, &mut table, &script, &policy);
+        let effects = drive(&mut router, &mut table, &script, &policy, &mut |_, _| {});
         let mut last: std::collections::HashMap<u32, UpdateMessage> =
             std::collections::HashMap::new();
         for e in &effects {
@@ -273,11 +328,11 @@ proptest! {
     /// the router has a best route via peer p, then p's entry holds
     /// exactly that route and is not suppressed.
     #[test]
-    fn best_is_consistent_with_rib(script in script_strategy()) {
+    fn best_is_consistent_with_rib(script in script_strategy(3, 1, 200)) {
         let mut table = PathTable::new();
         let mut router = build_router(&mut table, true, 3);
         let policy = Policy::ShortestPath;
-        let _ = drive(&mut router, &mut table, &script, &policy);
+        drive(&mut router, &mut table, &script, &policy, &mut |_, _| {});
         if let Some(best) = router.best() {
             let peer = best.learned_from.expect("router 50 originates nothing");
             let entry = router.rib_in(peer).expect("entry exists");
@@ -286,14 +341,30 @@ proptest! {
         }
     }
 
+    /// The decision process against a naive model: a damped router over
+    /// four peers and two prefixes, under shortest path and under a
+    /// no-valley relationship set, checked after every handler call
+    /// (reuse timers included). Flaps come fast enough to suppress, and
+    /// a last stimulus a day later fires every pending timer first.
+    #[test]
+    fn best_route_matches_a_naive_decision_model(mut script in script_strategy(4, 2, 20)) {
+        script.push((86_400, Stimulus::SessionUp { peer: 0 }));
+        for policy in [Policy::ShortestPath, mixed_relationships()] {
+            let mut table = PathTable::new();
+            let mut router = build_router(&mut table, true, 4);
+            let mut check = |r: &Router, t: &PathTable| best_is_the_naive_argmin(r, t, &policy, 4, 2);
+            drive(&mut router, &mut table, &script, &policy, &mut check);
+        }
+    }
+
     /// Suppressed entries always release eventually: after firing every
     /// pending reuse timer far in the future, nothing stays suppressed.
     #[test]
-    fn suppression_always_ends(script in script_strategy()) {
+    fn suppression_always_ends(script in script_strategy(3, 1, 200)) {
         let mut table = PathTable::new();
         let mut router = build_router(&mut table, true, 3);
         let policy = Policy::ShortestPath;
-        let _ = drive(&mut router, &mut table, &script, &policy);
+        drive(&mut router, &mut table, &script, &policy, &mut |_, _| {});
         // Fast-forward: fire reuse timers until no entry is suppressed.
         // The RFC ceiling bounds suppression to the max hold-down, so
         // two hours from "now" everything must be releasable.

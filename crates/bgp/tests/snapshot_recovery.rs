@@ -297,8 +297,11 @@ struct Landmarks {
     /// Per interned path: the offset of its first hop.
     path_hops: Vec<usize>,
     prefix_id: usize,
+    /// The first rib-in entry's route id sits 10 bytes past this.
     rib_in_width: usize,
     best_route_id: usize,
+    /// The id of a path through router 0.
+    looped_path: u32,
 }
 
 fn put(bytes: &mut [u8], at: usize, new: &[u8]) {
@@ -324,12 +327,14 @@ fn landmarks(payload: &[u8]) -> Result<Landmarks, SnapError> {
     for _ in 0..5 {
         d.u64("counter")?;
     }
-    let mut path_hops = Vec::new();
-    for _ in 0..d.usize("paths")? {
+    let (mut path_hops, mut looped_path) = (Vec::new(), None);
+    for id in 0..d.usize("paths")? {
         let hops = d.usize("hops")?;
         path_hops.push(at(&d));
         for _ in 0..hops {
-            d.u32("hop")?;
+            if d.u32("hop")? == 0 {
+                looped_path.get_or_insert(id as u32);
+            }
         }
     }
     d.usize("routers")?;
@@ -341,6 +346,8 @@ fn landmarks(payload: &[u8]) -> Result<Landmarks, SnapError> {
     d.u32("prefix id")?;
     d.bool("originated")?;
     let rib_in_width = at(&d);
+    let tags = &payload[rib_in_width + 8..rib_in_width + 10];
+    assert_eq!(tags, [1, 1], "router 0 holds a route from its first peer");
     d.seq("rib-in", |d| d.option("rib-in entry", skip_rib_in))?;
     assert_eq!(d.u8("best")?, 1, "router 0 has a best route");
     d.option("learned from", |d| d.u32("learned from"))?;
@@ -349,6 +356,7 @@ fn landmarks(payload: &[u8]) -> Result<Landmarks, SnapError> {
         prefix_id,
         rib_in_width,
         best_route_id: at(&d),
+        looped_path: looped_path.expect("router 0 advertised a path"),
     })
 }
 
@@ -371,7 +379,7 @@ fn crafted_payloads_are_refused() {
     let marks = landmarks(&payload).expect("walk the payload");
     // (what is crafted, how, what the refusal says)
     type Craft = fn(&mut [u8], &Landmarks);
-    let cases: [(&str, Craft, &str); 4] = [
+    let cases: [(&str, Craft, &str); 5] = [
         (
             "prefix id 2^32 - 1",
             |b, m| put(b, m.prefix_id, &u32::MAX.to_le_bytes()),
@@ -398,6 +406,11 @@ fn crafted_payloads_are_refused() {
                 put(b, at, &(width - 1).to_le_bytes())
             },
             "rib-in width",
+        ),
+        (
+            "rib-in route through router 0",
+            |b, m| put(b, m.rib_in_width + 10, &m.looped_path.to_le_bytes()),
+            "rib-in route through the router",
         ),
     ];
     for (what, craft, refusal) in cases {
