@@ -32,7 +32,7 @@
 //!    MRAI and reuse timer fires (silent reuse timers do not affect the
 //!    metrics, matching the paper's footnote 3).
 
-use rfd_core::{FlapPattern, LedgerFilter, LedgerSink, LinkStatus, NullLedger, RootCause};
+use rfd_core::{FlapPattern, LedgerFilter, LedgerRecord, LinkStatus, RootCause};
 use rfd_metrics::{ConvergenceTracker, MessageCounter, Trace, TraceEventKind, TraceSink, VecSink};
 use rfd_sim::{
     event_key, DetRng, EpochBarrier, EventQueue, RunOutcome, SimDuration, SimTime, WindowPlan,
@@ -110,7 +110,7 @@ pub enum NetEvent {
 }
 
 /// Summary of one simulation run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// The paper's convergence-time metric.
     pub convergence_time: SimDuration,
@@ -187,9 +187,9 @@ struct State<S> {
     /// these, whatever sink is plugged in.
     conv: ConvergenceTracker,
     msgs: MessageCounter,
-    /// The damping-lifecycle ledger consumer ([`NullLedger`] until a
+    /// Damping-lifecycle records of the measured phase (empty unless a
     /// filter is installed with `Network::set_ledger`).
-    ledger: Box<dyn LedgerSink>,
+    ledger: Vec<LedgerRecord>,
 }
 
 impl<S: TraceSink> State<S> {
@@ -255,10 +255,10 @@ impl<S: TraceSink> State<S> {
         for kind in out.traces.drain(..) {
             self.emit(now, kind);
         }
-        for record in out.ledger.drain(..) {
-            if !self.muted {
-                self.ledger.record(record);
-            }
+        if self.muted {
+            out.ledger.clear();
+        } else {
+            self.ledger.append(&mut out.ledger);
         }
         for (to, msg) in out.sends.drain(..) {
             self.send(now, node, to, msg);
@@ -599,7 +599,7 @@ impl<S: TraceSink> Network<S> {
                 sink,
                 conv: ConvergenceTracker::new(),
                 msgs: MessageCounter::new(),
-                ledger: Box::new(NullLedger),
+                ledger: Vec::new(),
             },
             horizon: SimTime::ZERO + config.horizon,
             rcn_enabled: config.filter == crate::config::PenaltyFilter::Rcn,
@@ -667,33 +667,28 @@ impl<S: TraceSink> Network<S> {
     /// Consumes the network, finishing and yielding the sink (pending
     /// aggregator state flushes; `metrics.sink.*` obs counters fire).
     pub fn into_sink(mut self) -> S {
-        self.state.ledger.finish();
         self.state.sink.finish();
         self.state.sink
     }
 
     /// Installs the damping-lifecycle ledger: every router starts
-    /// checking `filter` at its emission sites, and matching records
-    /// stream into `sink` during the measured phase (warm-up records
-    /// are dropped, like trace events).
-    ///
-    /// Keep a [`rfd_core::SharedLedger`] clone to read the records back
-    /// after the run.
-    pub fn set_ledger(&mut self, filter: LedgerFilter, sink: Box<dyn LedgerSink>) {
+    /// checking `filter` at its emission sites, and the network buffers
+    /// matching records of the measured phase (warm-up records are
+    /// dropped, like trace events) until [`take_ledger`](Self::take_ledger).
+    pub fn set_ledger(&mut self, filter: LedgerFilter) {
         let filter = std::sync::Arc::new(filter);
         for router in &mut self.state.routers {
             router.set_ledger_filter(Some(std::sync::Arc::clone(&filter)));
         }
-        self.state.ledger = sink;
     }
 
-    /// Finishes and detaches the ledger sink, restoring the off state.
-    pub fn clear_ledger(&mut self) {
+    /// Removes the ledger filter, restoring the off state, and returns
+    /// the buffered records in emission order.
+    pub fn take_ledger(&mut self) -> Vec<LedgerRecord> {
         for router in &mut self.state.routers {
             router.set_ledger_filter(None);
         }
-        self.state.ledger.finish();
-        self.state.ledger = Box::new(NullLedger);
+        std::mem::take(&mut self.state.ledger)
     }
 
     /// Read access to a router (for tests and inspection).
@@ -1447,18 +1442,14 @@ mod tests {
         let mut net = Network::new(&g, isp, NetworkConfig::paper_full_damping(5));
         net.warm_up();
         let origin = net.origin();
-        let shared = rfd_core::SharedLedger::new(rfd_core::VecLedger::new());
-        net.set_ledger(
-            rfd_core::LedgerFilter::keys([(origin.raw(), Prefix::ORIGIN.id())]),
-            Box::new(shared.clone()),
-        );
+        net.set_ledger(rfd_core::LedgerFilter::keys([(
+            origin.raw(),
+            Prefix::ORIGIN.id(),
+        )]));
         let report = net.run_pulses(FlapPattern::paper_default(3), SimDuration::from_secs(100));
-        assert_eq!(report.message_count, plain_report.message_count);
-        assert_eq!(report.convergence_time, plain_report.convergence_time);
-        assert_eq!(report.events_processed, plain_report.events_processed);
+        assert_eq!(report, plain_report);
 
-        let ledger = shared.lock();
-        let records = ledger.records();
+        let records = net.take_ledger();
         assert!(!records.is_empty());
         // Only the ISP holds that (peer, prefix) entry.
         assert!(records
@@ -1484,19 +1475,63 @@ mod tests {
     fn ledger_drops_warm_up_records() {
         let g = mesh_torus(3, 3);
         let mut net = Network::new(&g, NodeId::new(2), NetworkConfig::paper_full_damping(11));
-        let shared = rfd_core::SharedLedger::new(rfd_core::VecLedger::new());
-        net.set_ledger(rfd_core::LedgerFilter::all(), Box::new(shared.clone()));
+        net.set_ledger(rfd_core::LedgerFilter::all());
         net.warm_up();
-        assert_eq!(
-            shared.lock().records().len(),
-            0,
-            "warm-up must not reach the ledger sink"
+        assert!(
+            net.state.ledger.is_empty(),
+            "warm-up must not reach the ledger"
         );
         net.run_pulses(FlapPattern::paper_default(1), SimDuration::from_secs(100));
         assert!(
-            !shared.lock().records().is_empty(),
-            "the measured phase streams records"
+            !net.take_ledger().is_empty(),
+            "the measured phase buffers records"
         );
+        assert!(
+            net.take_ledger().is_empty(),
+            "take_ledger drains the buffer"
+        );
+    }
+
+    /// Watching every key emits on every damping decision of a dense
+    /// full-damping run; the report and the full trace must still equal
+    /// the ledger-off run's.
+    #[test]
+    fn ledger_on_every_key_leaves_report_and_trace_unchanged() {
+        let g = mesh_torus(4, 4);
+        let isp = NodeId::new(5);
+        let run = |audit: bool| {
+            let mut net = Network::new(&g, isp, NetworkConfig::paper_full_damping(3));
+            net.warm_up();
+            if audit {
+                net.set_ledger(rfd_core::LedgerFilter::all());
+            }
+            let report = net.run_pulses(FlapPattern::paper_default(4), SimDuration::from_secs(100));
+            let records = net.take_ledger().len();
+            (report, net.trace().events().to_vec(), records)
+        };
+        let (plain_report, plain_trace, none) = run(false);
+        let (report, trace, records) = run(true);
+        assert_eq!(none, 0);
+        assert!(records > 0, "the audited run emitted nothing");
+        assert_eq!(report, plain_report);
+        assert_eq!(trace, plain_trace);
+    }
+
+    #[test]
+    fn snapshot_refuses_a_network_holding_ledger_records() {
+        let g = mesh_torus(3, 3);
+        let cfg = NetworkConfig::paper_full_damping(11);
+        let key = crate::snapshot::fingerprints(&g, &[NodeId::new(2)], &cfg);
+        let mut net = Network::new(&g, NodeId::new(2), cfg);
+        net.warm_up();
+        net.set_ledger(rfd_core::LedgerFilter::all());
+        net.run_pulses(FlapPattern::paper_default(1), SimDuration::from_secs(100));
+        assert!(matches!(
+            crate::Snapshot::capture(&net, key),
+            Err(crate::SnapshotError::UnsupportedSink(_))
+        ));
+        assert!(!net.take_ledger().is_empty());
+        crate::Snapshot::capture(&net, key).expect("an emptied ledger captures");
     }
 
     #[test]

@@ -27,7 +27,7 @@
 use std::path::Path;
 
 use rfd_core::{
-    DamperStore, DamperStoreState, LedgerSink, LinkStatus, RcnChargePolicy, RcnFilter, RootCause,
+    DamperStore, DamperStoreState, LinkStatus, RcnChargePolicy, RcnFilter, RootCause,
     RootCauseHistory, SelectiveFilter,
 };
 use rfd_metrics::TraceSink;
@@ -118,9 +118,9 @@ pub enum SnapshotError {
         /// Events on the queue.
         pending: usize,
     },
-    /// The network's trace or ledger sink does not support
-    /// checkpointing (e.g. streaming aggregators that fold into
-    /// irrecoverable state).
+    /// The network's trace sink does not support checkpointing (e.g.
+    /// streaming aggregators that fold into irrecoverable state), or
+    /// its ledger holds records (they are never checkpointed).
     UnsupportedSink(&'static str),
     /// The payload decoded cleanly but does not fit the target network:
     /// a count, width or damping deployment that disagrees with it, or
@@ -184,8 +184,9 @@ impl Snapshot {
     /// # Errors
     ///
     /// [`SnapshotError::NotQuiescent`] when events are pending;
-    /// [`SnapshotError::UnsupportedSink`] when the trace or ledger sink
-    /// cannot checkpoint its state.
+    /// [`SnapshotError::UnsupportedSink`] when the trace sink cannot
+    /// checkpoint its state or the ledger holds records (drain it with
+    /// [`Network::take_ledger`] first).
     pub fn capture<S: TraceSink>(
         net: &Network<S>,
         key: SnapshotKey,
@@ -339,11 +340,11 @@ fn encode_state<S: TraceSink>(enc: &mut Encoder, state: &State<S>) -> Result<(),
         .export_snapshot()
         .ok_or_else(|| SnapshotError::UnsupportedSink(std::any::type_name::<S>()))?;
     enc.bytes(&sink);
-    let ledger = state
-        .ledger
-        .export_snapshot()
-        .ok_or(SnapshotError::UnsupportedSink("ledger sink"))?;
-    enc.bytes(&ledger);
+    // Ledger records are not checkpointed: the section stays empty.
+    if !state.ledger.is_empty() {
+        return Err(SnapshotError::UnsupportedSink("non-empty ledger"));
+    }
+    enc.bytes(&[]);
     Ok(())
 }
 
@@ -426,11 +427,8 @@ fn restore_state<S: TraceSink>(
     {
         return Err(SnapshotError::UnsupportedSink(std::any::type_name::<S>()));
     }
-    if !state
-        .ledger
-        .import_snapshot(dec.bytes("ledger sink snapshot")?)
-    {
-        return Err(SnapshotError::UnsupportedSink("ledger sink"));
+    if !dec.bytes("ledger snapshot")?.is_empty() {
+        return Err(SnapshotError::UnsupportedSink("non-empty ledger"));
     }
     Ok(())
 }

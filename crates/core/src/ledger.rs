@@ -3,22 +3,17 @@
 //!
 //! Aggregate metrics say *how many* routes ended up suppressed; they
 //! cannot say *which* timer deferred *which* update and why. The ledger
-//! answers that: an opt-in, key-filtered stream of
-//! [`LedgerRecord`]s — penalty charges with before/after values,
-//! cut-off threshold crossings, suppress/reuse timer arm/fire/cancel,
-//! MRAI deferrals and decay recomputations — emitted by the router at
-//! the exact decision points the paper's timer-interaction analysis is
-//! about.
+//! answers that: an opt-in, key-filtered list of [`LedgerRecord`]s —
+//! penalty charges with before/after values, cut-off threshold
+//! crossings, suppress/reuse timer arm/fire/cancel, MRAI deferrals and
+//! decay recomputations — emitted by the router at the exact decision
+//! points the paper's timer-interaction analysis is about.
 //!
-//! The shape mirrors the metrics crate's `TraceSink`: a streaming
-//! observer trait ([`LedgerSink`]), a [`NullLedger`] for the off state,
-//! a buffering [`VecLedger`], and a counting sink for non-perturbation
-//! contracts. The hot path pays exactly one branch when the ledger is
-//! off: emission sites check a preselected key set
-//! ([`LedgerFilter::matches`]) before building any event.
-
-use std::fmt;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+//! The network buffers matching records in a plain `Vec` during the
+//! measured phase (`Network::set_ledger` / `Network::take_ledger`);
+//! `rfd explain` is the one reader. The hot path pays exactly one
+//! branch when the ledger is off: emission sites check a preselected
+//! key set ([`LedgerFilter::matches`]) before building any event.
 
 use rfd_sim::{SimDuration, SimTime};
 
@@ -119,309 +114,6 @@ pub struct LedgerRecord {
     pub event: LedgerEvent,
 }
 
-/// A streaming consumer of ledger records (same observer shape as the
-/// metrics `TraceSink`).
-pub trait LedgerSink: fmt::Debug + Send {
-    /// Consumes one record.
-    fn record(&mut self, record: LedgerRecord);
-    /// Called once when the run ends.
-    fn finish(&mut self) {}
-    /// Serializes the sink's accumulated state for a checkpoint, or
-    /// `None` when this sink kind does not support snapshots (a
-    /// checkpointed run must then refuse rather than resume with a
-    /// silently wrong ledger).
-    fn export_snapshot(&self) -> Option<Vec<u8>> {
-        None
-    }
-    /// Restores state exported by
-    /// [`export_snapshot`](Self::export_snapshot). Returns `false` when
-    /// unsupported or the bytes do not parse.
-    fn import_snapshot(&mut self, _bytes: &[u8]) -> bool {
-        false
-    }
-}
-
-impl LedgerSink for Box<dyn LedgerSink> {
-    fn record(&mut self, record: LedgerRecord) {
-        (**self).record(record);
-    }
-    fn finish(&mut self) {
-        (**self).finish();
-    }
-    fn export_snapshot(&self) -> Option<Vec<u8>> {
-        (**self).export_snapshot()
-    }
-    fn import_snapshot(&mut self, bytes: &[u8]) -> bool {
-        (**self).import_snapshot(bytes)
-    }
-}
-
-/// The off state: drops every record.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullLedger;
-
-impl LedgerSink for NullLedger {
-    fn record(&mut self, _record: LedgerRecord) {}
-    fn export_snapshot(&self) -> Option<Vec<u8>> {
-        Some(Vec::new())
-    }
-    fn import_snapshot(&mut self, bytes: &[u8]) -> bool {
-        bytes.is_empty()
-    }
-}
-
-fn encode_record(enc: &mut rfd_snap::Encoder, r: &LedgerRecord) {
-    enc.u64(r.at.as_micros());
-    enc.u32(r.node);
-    enc.u32(r.peer);
-    enc.u32(r.prefix);
-    match r.event {
-        LedgerEvent::Decay { from, to, idle } => {
-            enc.u8(0);
-            enc.f64(from);
-            enc.f64(to);
-            enc.u64(idle.as_micros());
-        }
-        LedgerEvent::Charge {
-            kind,
-            before,
-            after,
-            flap,
-            crossed_cutoff,
-        } => {
-            enc.u8(1);
-            enc.u8(kind as u8);
-            enc.f64(before);
-            enc.f64(after);
-            enc.u64(flap);
-            enc.bool(crossed_cutoff);
-        }
-        LedgerEvent::Suppressed { penalty, reuse_at } => {
-            enc.u8(2);
-            enc.f64(penalty);
-            enc.u64(reuse_at.as_micros());
-        }
-        LedgerEvent::ReuseArmed { due } => {
-            enc.u8(3);
-            enc.u64(due.as_micros());
-        }
-        LedgerEvent::ReuseDeferred { penalty, retry_at } => {
-            enc.u8(4);
-            enc.f64(penalty);
-            enc.u64(retry_at.as_micros());
-        }
-        LedgerEvent::Released { penalty, noisy } => {
-            enc.u8(5);
-            enc.f64(penalty);
-            enc.bool(noisy);
-        }
-        LedgerEvent::ReuseStale => enc.u8(6),
-        LedgerEvent::MraiDeferred {
-            ready_at,
-            held_for,
-            withdrawal,
-        } => {
-            enc.u8(7);
-            enc.u64(ready_at.as_micros());
-            enc.u64(held_for.as_micros());
-            enc.bool(withdrawal);
-        }
-        LedgerEvent::MraiFlushed { withdrawal } => {
-            enc.u8(8);
-            enc.bool(withdrawal);
-        }
-    }
-}
-
-fn decode_record(dec: &mut rfd_snap::Decoder<'_>) -> Result<LedgerRecord, rfd_snap::SnapError> {
-    const CTX: &str = "ledger record";
-    let at = SimTime::from_micros(dec.u64(CTX)?);
-    let node = dec.u32(CTX)?;
-    let peer = dec.u32(CTX)?;
-    let prefix = dec.u32(CTX)?;
-    let kind_of = |tag: u8| match tag {
-        0 => Ok(UpdateKind::Withdrawal),
-        1 => Ok(UpdateKind::ReAnnouncement),
-        2 => Ok(UpdateKind::AttributeChange),
-        3 => Ok(UpdateKind::Duplicate),
-        _ => Err(rfd_snap::SnapError::PayloadExhausted { context: CTX }),
-    };
-    let event = match dec.u8(CTX)? {
-        0 => LedgerEvent::Decay {
-            from: dec.f64(CTX)?,
-            to: dec.f64(CTX)?,
-            idle: SimDuration::from_micros(dec.u64(CTX)?),
-        },
-        1 => LedgerEvent::Charge {
-            kind: kind_of(dec.u8(CTX)?)?,
-            before: dec.f64(CTX)?,
-            after: dec.f64(CTX)?,
-            flap: dec.u64(CTX)?,
-            crossed_cutoff: dec.bool(CTX)?,
-        },
-        2 => LedgerEvent::Suppressed {
-            penalty: dec.f64(CTX)?,
-            reuse_at: SimTime::from_micros(dec.u64(CTX)?),
-        },
-        3 => LedgerEvent::ReuseArmed {
-            due: SimTime::from_micros(dec.u64(CTX)?),
-        },
-        4 => LedgerEvent::ReuseDeferred {
-            penalty: dec.f64(CTX)?,
-            retry_at: SimTime::from_micros(dec.u64(CTX)?),
-        },
-        5 => LedgerEvent::Released {
-            penalty: dec.f64(CTX)?,
-            noisy: dec.bool(CTX)?,
-        },
-        6 => LedgerEvent::ReuseStale,
-        7 => LedgerEvent::MraiDeferred {
-            ready_at: SimTime::from_micros(dec.u64(CTX)?),
-            held_for: SimDuration::from_micros(dec.u64(CTX)?),
-            withdrawal: dec.bool(CTX)?,
-        },
-        8 => LedgerEvent::MraiFlushed {
-            withdrawal: dec.bool(CTX)?,
-        },
-        _ => return Err(rfd_snap::SnapError::PayloadExhausted { context: CTX }),
-    };
-    Ok(LedgerRecord {
-        at,
-        node,
-        peer,
-        prefix,
-        event,
-    })
-}
-
-/// Buffers every record (the `rfd explain` replay sink).
-#[derive(Debug, Default)]
-pub struct VecLedger {
-    records: Vec<LedgerRecord>,
-}
-
-impl VecLedger {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        VecLedger::default()
-    }
-
-    /// The buffered records in emission order.
-    pub fn records(&self) -> &[LedgerRecord] {
-        &self.records
-    }
-
-    /// Consumes the buffer.
-    pub fn into_records(self) -> Vec<LedgerRecord> {
-        self.records
-    }
-}
-
-impl LedgerSink for VecLedger {
-    fn record(&mut self, record: LedgerRecord) {
-        self.records.push(record);
-    }
-    fn export_snapshot(&self) -> Option<Vec<u8>> {
-        let mut enc = rfd_snap::Encoder::new();
-        enc.seq(&self.records, encode_record);
-        Some(enc.into_bytes())
-    }
-    fn import_snapshot(&mut self, bytes: &[u8]) -> bool {
-        let mut dec = rfd_snap::Decoder::new(bytes);
-        match dec.seq("ledger records", decode_record) {
-            Ok(records) if dec.is_done() => {
-                self.records = records;
-                true
-            }
-            _ => false,
-        }
-    }
-}
-
-/// Counts records without retaining them — the sink the
-/// non-perturbation contract runs with (proof that emission happened,
-/// O(1) memory).
-#[derive(Debug, Default)]
-pub struct CountingLedger {
-    records: u64,
-}
-
-impl CountingLedger {
-    /// A zeroed counter.
-    pub fn new() -> Self {
-        CountingLedger::default()
-    }
-
-    /// How many records were emitted.
-    pub fn records(&self) -> u64 {
-        self.records
-    }
-}
-
-impl LedgerSink for CountingLedger {
-    fn record(&mut self, _record: LedgerRecord) {
-        self.records += 1;
-    }
-    fn export_snapshot(&self) -> Option<Vec<u8>> {
-        Some(self.records.to_le_bytes().to_vec())
-    }
-    fn import_snapshot(&mut self, bytes: &[u8]) -> bool {
-        match <[u8; 8]>::try_from(bytes) {
-            Ok(raw) => {
-                self.records = u64::from_le_bytes(raw);
-                true
-            }
-            Err(_) => false,
-        }
-    }
-}
-
-/// A cloneable handle around any sink, so a caller can hand a
-/// `Box<dyn LedgerSink>` to a run and keep a second handle to read the
-/// records back afterwards (trait objects cannot be downcast).
-#[derive(Debug, Default)]
-pub struct SharedLedger<L> {
-    inner: Arc<Mutex<L>>,
-}
-
-impl<L> Clone for SharedLedger<L> {
-    fn clone(&self) -> Self {
-        SharedLedger {
-            inner: Arc::clone(&self.inner),
-        }
-    }
-}
-
-impl<L: LedgerSink> SharedLedger<L> {
-    /// Wraps `inner` in a shared, lockable handle.
-    pub fn new(inner: L) -> Self {
-        SharedLedger {
-            inner: Arc::new(Mutex::new(inner)),
-        }
-    }
-
-    /// Locks the wrapped sink (poison-tolerant: records are plain data,
-    /// never left half-written).
-    pub fn lock(&self) -> MutexGuard<'_, L> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl<L: LedgerSink> LedgerSink for SharedLedger<L> {
-    fn record(&mut self, record: LedgerRecord) {
-        self.lock().record(record);
-    }
-    fn finish(&mut self) {
-        self.lock().finish();
-    }
-    fn export_snapshot(&self) -> Option<Vec<u8>> {
-        self.lock().export_snapshot()
-    }
-    fn import_snapshot(&mut self, bytes: &[u8]) -> bool {
-        self.lock().import_snapshot(bytes)
-    }
-}
-
 fn pack_key(peer: u32, prefix: u32) -> u64 {
     (u64::from(peer) << 32) | u64::from(prefix)
 }
@@ -469,36 +161,6 @@ impl LedgerFilter {
 mod tests {
     use super::*;
 
-    fn rec(at_secs: u64) -> LedgerRecord {
-        LedgerRecord {
-            at: SimTime::from_secs(at_secs),
-            node: 1,
-            peer: 2,
-            prefix: 3,
-            event: LedgerEvent::ReuseStale,
-        }
-    }
-
-    #[test]
-    fn vec_ledger_buffers_in_order() {
-        let mut sink = VecLedger::new();
-        sink.record(rec(1));
-        sink.record(rec(2));
-        assert_eq!(sink.records().len(), 2);
-        assert_eq!(sink.records()[0].at, SimTime::from_secs(1));
-        let records = sink.into_records();
-        assert_eq!(records[1].at, SimTime::from_secs(2));
-    }
-
-    #[test]
-    fn counting_ledger_counts_without_retaining() {
-        let mut sink = CountingLedger::new();
-        for i in 0..5 {
-            sink.record(rec(i));
-        }
-        assert_eq!(sink.records(), 5);
-    }
-
     #[test]
     fn filter_matches_exact_keys_only() {
         let f = LedgerFilter::keys([(7, 0), (3, 9)]);
@@ -511,22 +173,5 @@ mod tests {
         assert!(all.matches(123, 456));
         let empty = LedgerFilter::keys([]);
         assert!(!empty.matches(0, 0));
-    }
-
-    #[test]
-    fn boxed_sink_forwards() {
-        let mut boxed: Box<dyn LedgerSink> = Box::new(CountingLedger::new());
-        boxed.record(rec(0));
-        boxed.finish();
-    }
-
-    #[test]
-    fn shared_ledger_reads_back_through_a_clone() {
-        let shared = SharedLedger::new(VecLedger::new());
-        let mut boxed: Box<dyn LedgerSink> = Box::new(shared.clone());
-        boxed.record(rec(1));
-        boxed.record(rec(2));
-        boxed.finish();
-        assert_eq!(shared.lock().records().len(), 2);
     }
 }

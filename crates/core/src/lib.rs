@@ -64,10 +64,7 @@ pub use analytic::{
 };
 pub use damper::{ChargeOutcome, Damper, ReuseCheck};
 pub use decay_table::DecayTable;
-pub use ledger::{
-    CountingLedger, LedgerEvent, LedgerFilter, LedgerRecord, LedgerSink, NullLedger, SharedLedger,
-    VecLedger,
-};
+pub use ledger::{LedgerEvent, LedgerFilter, LedgerRecord};
 pub use params::{DampingParams, DampingParamsBuilder, ValidateParamsError};
 pub use penalty::Penalty;
 pub use rcn::{LinkStatus, RcnChargePolicy, RcnFilter, RootCause, RootCauseHistory};

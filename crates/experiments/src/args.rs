@@ -46,21 +46,17 @@ pub struct Flag {
     pub takes: Takes,
     /// One-line help.
     pub help: &'static str,
-    /// May be given several times (read with [`Parsed::all`]); any
-    /// other flag given twice keeps its last occurrence.
-    pub repeatable: bool,
     /// [`parse`] refuses a command line without it.
     pub required: bool,
 }
 
 impl Flag {
-    /// An optional, non-repeatable flag.
+    /// An optional flag; given twice, its last occurrence wins.
     pub const fn new(name: &'static str, takes: Takes, help: &'static str) -> Flag {
         Flag {
             name,
             takes,
             help,
-            repeatable: false,
             required: false,
         }
     }
@@ -73,12 +69,6 @@ impl Flag {
     /// A flag with a value, shown as `placeholder` in the usage text.
     pub const fn value(name: &'static str, placeholder: &'static str, help: &'static str) -> Flag {
         Flag::new(name, Takes::Value(placeholder), help)
-    }
-
-    /// The same flag, allowed several times.
-    pub const fn repeatable(mut self) -> Flag {
-        self.repeatable = true;
-        self
     }
 
     /// The same flag, mandatory.
@@ -187,11 +177,6 @@ impl<'a> Parsed<'a> {
         self.hits(name).last().flatten()
     }
 
-    /// The values of every occurrence of a repeatable flag, in order.
-    pub fn all(&self, name: &str) -> impl Iterator<Item = &'a str> + '_ {
-        self.hits(name).flatten()
-    }
-
     /// The flag's value parsed as `T`; the [`CliError`] names the flag,
     /// the value and `T`'s own parse error.
     pub fn parse<T: FromStr<Err: fmt::Display>>(&self, name: &str) -> Result<Option<T>, CliError> {
@@ -247,14 +232,13 @@ impl<'a> Parsed<'a> {
 pub fn render_usage(tables: &[&Table]) -> String {
     let mut out = String::new();
     for table in tables {
-        let words = table
-            .flags
-            .iter()
-            .map(|f| match (f.required, f.repeatable) {
-                (true, _) => f.spelled(),
-                (false, false) => format!("[{}]", f.spelled()),
-                (false, true) => format!("[{}]...", f.spelled()),
-            });
+        let words = table.flags.iter().map(|f| {
+            if f.required {
+                f.spelled()
+            } else {
+                format!("[{}]", f.spelled())
+            }
+        });
         let base = table.base.map(|b| format!("[any `{}` flag]", b.command));
         let mut line = format!("  {}", table.command);
         for word in words.chain(base) {
@@ -287,7 +271,6 @@ mod tests {
         command: "demo",
         flags: &[
             Flag::switch("--fast", "go fast"),
-            Flag::value("--key", "K", "a key").repeatable(),
             Flag::new("--obs", Takes::OptionalEq("PATH"), "record"),
             Flag::value("--mode", "a|b", "a choice"),
         ],
@@ -299,11 +282,10 @@ mod tests {
     }
 
     #[test]
-    fn last_occurrence_wins_repeats_accumulate_and_errors_name_the_flag() {
-        let a = args("--n 1 --key a --fast --key=b --n=2 --obs=x.json --obs");
+    fn last_occurrence_wins_and_errors_name_the_flag() {
+        let a = args("--n 1 --fast --n=2 --obs=x.json --obs");
         let p = parse(&DEMO, &a).unwrap();
         assert_eq!(p.parse::<u32>("--n"), Ok(Some(2)));
-        assert_eq!(p.all("--key").collect::<Vec<_>>(), ["a", "b"]);
         assert!(p.has("--fast") && p.has("--obs") && !p.has("--mode"));
         assert_eq!(p.get("--obs"), None, "the bare --obs came last");
         for (line, message) in [

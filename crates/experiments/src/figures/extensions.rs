@@ -15,7 +15,7 @@ use rfd_runner::{run_grid, RunGrid, RunnerConfig};
 use rfd_sim::SimDuration;
 use rfd_topology::{line, NodeId};
 
-use crate::scenarios::{run_cell_metrics, TopologyKind};
+use crate::scenarios::{run_pattern_metrics, TopologyKind};
 
 /// Outcome of the heterogeneous-parameter demonstration.
 #[derive(Debug, Clone)]
@@ -180,14 +180,19 @@ pub fn partial_deployment_sweep(
         grid = grid.series(format!("deployed={:.0}%", fraction * 100.0), fraction);
     }
     let results = run_grid(&grid, exec, |&fraction, cell| {
-        run_cell_metrics(kind, cell.seed, cell.pulses, |_| NetworkConfig {
-            seed: cell.seed,
-            damping: DampingDeployment::Partial {
-                params: DampingParams::cisco(),
-                fraction,
+        run_pattern_metrics(
+            kind,
+            cell.seed,
+            FlapPattern::paper_default(cell.pulses),
+            |_| NetworkConfig {
+                seed: cell.seed,
+                damping: DampingDeployment::Partial {
+                    params: DampingParams::cisco(),
+                    fraction,
+                },
+                ..NetworkConfig::default()
             },
-            ..NetworkConfig::default()
-        })
+        )
     });
     let results = crate::sweep::grid_results_or_exit(results);
     fractions

@@ -102,7 +102,6 @@ pub fn knob_comparison_with(
                     };
                     NetworkConfig { protocol, ..base }
                 },
-                &[],
             )
         },
     );

@@ -21,7 +21,7 @@ use rfd_metrics::{fmt_f64, Table};
 use rfd_runner::{run_grid, RunGrid, RunnerConfig};
 use rfd_sim::SimDuration;
 
-use crate::scenarios::{run_cell_metrics, run_pattern_metrics, TopologyKind};
+use crate::scenarios::{run_pattern_metrics, TopologyKind};
 
 /// One row of the flapping-interval sweep.
 #[derive(Debug, Clone, Copy)]
@@ -60,7 +60,6 @@ pub fn interval_sweep(
             cell.seed,
             FlapPattern::new(cell.pulses, interval),
             |_| NetworkConfig::paper_full_damping(cell.seed),
-            &[],
         )
     });
     let results = crate::sweep::grid_results_or_exit(results);
@@ -140,9 +139,12 @@ pub fn size_sweep(
         );
     }
     let results = run_grid(&grid, exec, |&kind, cell| {
-        run_cell_metrics(kind, cell.seed, cell.pulses, |_| {
-            NetworkConfig::paper_full_damping(cell.seed)
-        })
+        run_pattern_metrics(
+            kind,
+            cell.seed,
+            FlapPattern::paper_default(cell.pulses),
+            |_| NetworkConfig::paper_full_damping(cell.seed),
+        )
     });
     let results = crate::sweep::grid_results_or_exit(results);
     sizes
@@ -208,11 +210,16 @@ pub fn parameter_sweep(
         grid = grid.series(*label, *params);
     }
     let results = run_grid(&grid, exec, |params: &DampingParams, cell| {
-        run_cell_metrics(kind, cell.seed, cell.pulses, |_| NetworkConfig {
-            seed: cell.seed,
-            damping: DampingDeployment::Full(*params),
-            ..NetworkConfig::default()
-        })
+        run_pattern_metrics(
+            kind,
+            cell.seed,
+            FlapPattern::paper_default(cell.pulses),
+            |_| NetworkConfig {
+                seed: cell.seed,
+                damping: DampingDeployment::Full(*params),
+                ..NetworkConfig::default()
+            },
+        )
     });
     let results = crate::sweep::grid_results_or_exit(results);
     presets

@@ -27,9 +27,7 @@ pub mod output;
 pub mod scenarios;
 pub mod sweep;
 
-pub use scenarios::{
-    pick_isp, run_cell_metrics, run_pattern_metrics, run_workload, run_workload_on, TopologyKind,
-};
+pub use scenarios::{pick_isp, run_pattern_metrics, run_workload, run_workload_on, TopologyKind};
 pub use sweep::{
     calculation_series, estimate_t_up, grid_slug, measure_series, measure_series_on, measure_sweep,
     PulseSweep, SeriesSpec, SweepOptions, SweepPoint, SweepSeries,

@@ -128,49 +128,25 @@ pub fn run_workload_pattern(
     (report, network)
 }
 
-/// [`run_pattern_metrics`] for the paper's default flap pattern,
-/// unaudited.
-pub fn run_cell_metrics(
-    kind: TopologyKind,
-    seed: u64,
-    pulses: usize,
-    make_config: impl FnOnce(&Graph) -> NetworkConfig,
-) -> rfd_runner::RunMetrics {
-    let pattern = rfd_core::FlapPattern::paper_default(pulses);
-    run_pattern_metrics(kind, seed, pattern, make_config, &[])
-}
-
 /// Runs one grid cell's workload and extracts the metrics the runner
-/// journals and aggregates: build the network, warm it up, attach the
-/// timer-interaction ledger when `ledger_keys` names any (peer,
-/// prefix), run `pattern`.
+/// journals and aggregates: build the network, warm it up, run
+/// `pattern`.
 ///
 /// Grid cells stream into an aggregate-only sink
 /// ([`rfd_metrics::SuppressionStats`]): per-cell memory stays O(1) in
 /// the event count and no `Vec<TraceEvent>` is ever retained
-/// (asserted). Ledger records stream into a
-/// [`rfd_core::CountingLedger`] — O(1) memory, and deliberately *not*
-/// part of [`rfd_runner::RunMetrics`]: a sweep's CSVs are
-/// byte-identical with the ledger on or off (tested at the sweep
-/// layer).
+/// (asserted).
 pub fn run_pattern_metrics(
     kind: TopologyKind,
     seed: u64,
     pattern: rfd_core::FlapPattern,
     make_config: impl FnOnce(&Graph) -> NetworkConfig,
-    ledger_keys: &[(u32, u32)],
 ) -> rfd_runner::RunMetrics {
     let graph = kind.build(seed);
     let isp = pick_isp(&graph, seed);
     let config = make_config(&graph);
     let mut network = Network::new_with_sink(&graph, isp, config, SuppressionStats::new());
     network.warm_up();
-    if !ledger_keys.is_empty() {
-        network.set_ledger(
-            rfd_core::LedgerFilter::keys(ledger_keys.iter().copied()),
-            Box::new(rfd_core::CountingLedger::new()),
-        );
-    }
     let report = network.run_pulses(pattern, SimDuration::from_secs(100));
     let stats = network.into_sink();
     assert_eq!(
@@ -267,7 +243,7 @@ mod tests {
         for pulses in [1, 3] {
             let pattern = rfd_core::FlapPattern::paper_default(pulses);
             let full_damping = |_: &Graph| NetworkConfig::paper_full_damping(5);
-            let streaming = run_pattern_metrics(kind, 5, pattern, full_damping, &[]);
+            let streaming = run_pattern_metrics(kind, 5, pattern, full_damping);
             let full = run_pattern_metrics_full(kind, 5, pattern, full_damping);
             assert_eq!(streaming.convergence_secs, full.convergence_secs);
             assert_eq!(streaming.messages, full.messages);

@@ -130,11 +130,6 @@ pub struct SweepOptions {
     /// Deterministic fault injection (`RFD_CHAOS`; empty in normal
     /// operation).
     pub chaos: ChaosPlan,
-    /// (peer, prefix) keys to audit with the timer-interaction ledger
-    /// in every cell (`--ledger P:X`); empty means off. Records stream
-    /// into a counting sink and never reach the journals or tables —
-    /// the sweep's CSVs are byte-identical either way (tested).
-    pub ledger_keys: Vec<(u32, u32)>,
     /// Run every series on this topology instead of its own
     /// (`--topology torus:RxC|ba:N` on `rfd sweep`). Folded into the
     /// journal fingerprint: an overridden sweep never resumes a
@@ -152,7 +147,6 @@ impl Default for SweepOptions {
             resume: false,
             resume_force: false,
             chaos: ChaosPlan::none(),
-            ledger_keys: Vec::new(),
             topology: None,
         }
     }
@@ -309,7 +303,6 @@ pub fn try_measure_sweep(
             cell.seed,
             FlapPattern::paper_default(cell.pulses),
             |g| (spec.make)(g, cell.seed),
-            &opts.ledger_keys,
         )
     })?;
 
@@ -559,31 +552,6 @@ mod tests {
             ..SweepOptions::default()
         };
         assert_eq!(tiny_csvs("det-check", on(1)), tiny_csvs("det-check", on(4)));
-    }
-
-    /// The ledger's non-perturbation contract at the sweep layer:
-    /// auditing every cell's (peer, prefix) keys must leave the CSVs
-    /// byte-identical, sequentially and under a parallel pool.
-    #[test]
-    fn sweep_is_byte_identical_with_and_without_ledger() {
-        // Watch every plausible peer of the origin entry plus one key
-        // that never matches — emission on hit and the filter miss
-        // branch are both exercised.
-        let keys: Vec<(u32, u32)> = (0..32).map(|peer| (peer, 0)).collect();
-        for threads in [1, 2] {
-            let with = |ledger_keys| SweepOptions {
-                seeds: vec![1, 2],
-                threads,
-                ledger_keys,
-                ..SweepOptions::default()
-            };
-            let plain = tiny_csvs("ledger-check", with(Vec::new()));
-            let audited = tiny_csvs("ledger-check", with(keys.clone()));
-            assert_eq!(
-                plain, audited,
-                "ledger perturbed a CSV at threads={threads}"
-            );
-        }
     }
 
     #[test]

@@ -228,19 +228,6 @@ pub fn parse_explain_command(args: &[String]) -> Result<ExplainCommand, CliError
     })
 }
 
-/// Parses a `--ledger` key: `PEER:PREFIX`, or bare `PEER` (prefix 0).
-fn parse_ledger_key(spec: &str) -> Result<(u32, u32), CliError> {
-    let bad = || CliError(format!("--ledger needs PEER[:PREFIX], got `{spec}`"));
-    let (peer, prefix) = match spec.split_once(':') {
-        Some((p, x)) => (p, x),
-        None => (spec, "0"),
-    };
-    Ok((
-        peer.trim().parse().map_err(|_| bad())?,
-        prefix.trim().parse().map_err(|_| bad())?,
-    ))
-}
-
 /// A parsed `rfd sweep` invocation.
 #[derive(Debug, Clone)]
 pub struct SweepCommand {
@@ -278,7 +265,6 @@ pub const SWEEP: Table = Table { command: "rfd sweep", base: Some(&EXEC), flags:
     Flag::value("--seeds", "A,B,C", "seeds averaged per point (default 1,2,3)"),
     Flag::switch("--no-journal", "do not journal cells under results/"),
     Flag::value("--topology", "torus:RxC|ba:N", "run every series on this topology"),
-    Flag::value("--ledger", "PEER[:PREFIX]", "audit this damping entry in every cell").repeatable(),
 ] };
 
 /// Parses the arguments of `rfd sweep` against [`SWEEP`]; the
@@ -310,10 +296,6 @@ pub fn parse_sweep_command(args: &[String]) -> Result<SweepCommand, CliError> {
                 .get("--topology")
                 .map(|spec| sweep_topology(&TopologySpec::parse(spec)?))
                 .transpose()?,
-            ledger_keys: p
-                .all("--ledger")
-                .map(parse_ledger_key)
-                .collect::<Result<_, _>>()?,
             ..exec.opts
         },
     })
@@ -757,18 +739,6 @@ mod tests {
     }
 
     #[test]
-    fn sweep_command_parses_ledger_keys() {
-        assert!(parse_sweep_command(&[])
-            .unwrap()
-            .opts
-            .ledger_keys
-            .is_empty());
-        let cmd = parse_sweep_command(&args("--ledger 4:1 --ledger 7")).unwrap();
-        assert_eq!(cmd.opts.ledger_keys, vec![(4, 1), (7, 0)]);
-        all_rejected(parse_sweep_command, "--ledger | --ledger x:y | --ledger 4:");
-    }
-
-    #[test]
     fn sweep_command_defaults_and_quick() {
         let cmd = parse_sweep_command(&[]).unwrap();
         assert_eq!(cmd.figure, SweepFigure::Fig8_9);
@@ -797,7 +767,7 @@ mod tests {
     #[test]
     fn sweep_command_rejects_bad_input() {
         let lines = "--figure fig99 | --threads many | --seeds 1,x | --seeds | --bogus \
-                     | --full-traces";
+                     | --full-traces | --ledger 24:0";
         all_rejected(parse_sweep_command, lines);
     }
 

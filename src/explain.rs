@@ -21,9 +21,7 @@
 use std::fmt::Write as _;
 
 use rfd_bgp::Network;
-use rfd_core::{
-    FlapPattern, LedgerEvent, LedgerFilter, LedgerRecord, SharedLedger, UpdateKind, VecLedger,
-};
+use rfd_core::{FlapPattern, LedgerEvent, LedgerFilter, LedgerRecord, UpdateKind};
 use rfd_experiments::pick_isp;
 use rfd_metrics::NullSink;
 use rfd_sim::{SimDuration, SimTime};
@@ -106,17 +104,12 @@ pub fn replay(cmd: &ExplainCommand) -> Result<ExplainReport, CliError> {
             )));
         }
     }
-    let shared = SharedLedger::new(VecLedger::new());
-    net.set_ledger(
-        LedgerFilter::keys([(peer, cmd.prefix)]),
-        Box::new(shared.clone()),
-    );
+    net.set_ledger(LedgerFilter::keys([(peer, cmd.prefix)]));
     net.run_pulses(
         FlapPattern::new(opts.pulses, opts.interval),
         SimDuration::from_secs(100),
     );
-    net.clear_ledger();
-    let mut records = shared.lock().records().to_vec();
+    let mut records = net.take_ledger();
     if let Some(node) = cmd.node {
         records.retain(|r| r.node == node);
     }
