@@ -10,12 +10,12 @@
 
 use rfd_bgp::{DampingDeployment, Network, NetworkConfig, PenaltyFilter};
 use rfd_core::{DampingParams, FlapPattern};
-use rfd_metrics::{fmt_f64, Table, TraceEventKind};
-use rfd_runner::{run_grid, RunGrid, RunnerConfig};
+use rfd_metrics::TraceEventKind;
 use rfd_sim::SimDuration;
 use rfd_topology::{line, NodeId};
 
-use crate::scenarios::{run_pattern_metrics, TopologyKind};
+use crate::scenarios::TopologyKind;
+use crate::sweep::{measure_sweep, PulseSweep, SeriesSpec, SweepOptions};
 
 /// Outcome of the heterogeneous-parameter demonstration.
 #[derive(Debug, Clone)]
@@ -150,83 +150,29 @@ pub fn prefix_interference(kind: TopologyKind, pulses: usize, seed: u64) -> Inte
     }
 }
 
-/// One row of the partial-deployment sweep.
-#[derive(Debug, Clone, Copy)]
-pub struct DeploymentPoint {
-    /// Fraction of routers with damping enabled.
-    pub fraction: f64,
-    /// Mean convergence time, seconds.
-    pub convergence_secs: f64,
-    /// Mean message count.
-    pub messages: f64,
-    /// Mean count of entries ever suppressed.
-    pub suppressed_entries: f64,
-}
-
 /// Sweeps the damping deployment fraction on the given topology with
-/// `pulses` pulses, averaged over `seeds`. One grid series per fraction
-/// ("deployment" journal).
+/// `pulses` pulses: one series per fraction ("deployment" journal).
 pub fn partial_deployment_sweep(
     kind: TopologyKind,
     fractions: &[f64],
     pulses: usize,
-    seeds: &[u64],
-    exec: &RunnerConfig,
-) -> Vec<DeploymentPoint> {
-    let mut grid = RunGrid::new("deployment")
-        .pulses(vec![pulses])
-        .seeds(seeds.to_vec());
-    for &fraction in fractions {
-        grid = grid.series(format!("deployed={:.0}%", fraction * 100.0), fraction);
-    }
-    let results = run_grid(&grid, exec, |&fraction, cell| {
-        run_pattern_metrics(
-            kind,
-            cell.seed,
-            FlapPattern::paper_default(cell.pulses),
-            |_| NetworkConfig {
-                seed: cell.seed,
+    opts: &SweepOptions,
+) -> PulseSweep {
+    let specs = fractions
+        .iter()
+        .map(|&fraction| {
+            let label = format!("deployed={:.0}%", fraction * 100.0);
+            SeriesSpec::by_seed(&label, kind, move |seed| NetworkConfig {
+                seed,
                 damping: DampingDeployment::Partial {
                     params: DampingParams::cisco(),
                     fraction,
                 },
                 ..NetworkConfig::default()
-            },
-        )
-    });
-    let results = crate::sweep::grid_results_or_exit(results);
-    fractions
-        .iter()
-        .enumerate()
-        .map(|(si, &fraction)| {
-            let stats = results.point_stats(si, 0);
-            DeploymentPoint {
-                fraction,
-                convergence_secs: stats.convergence.mean(),
-                messages: stats.messages.mean(),
-                suppressed_entries: stats.suppressed.mean(),
-            }
+            })
         })
-        .collect()
-}
-
-/// Renders a deployment sweep.
-pub fn deployment_table(points: &[DeploymentPoint]) -> Table {
-    let mut t = Table::new(vec![
-        "deployed %",
-        "convergence (s)",
-        "updates",
-        "entries suppressed",
-    ]);
-    for p in points {
-        t.add_row(vec![
-            format!("{:.0}", p.fraction * 100.0),
-            fmt_f64(p.convergence_secs, 1),
-            fmt_f64(p.messages, 1),
-            fmt_f64(p.suppressed_entries, 1),
-        ]);
-    }
-    t
+        .collect();
+    measure_sweep("deployment", specs, &[pulses], opts)
 }
 
 #[cfg(test)]
@@ -265,22 +211,23 @@ mod tests {
     fn deployment_fraction_zero_behaves_like_no_damping() {
         // Averaged over seeds: whether false suppression lands on
         // last-resort paths (and so stalls convergence) varies per seed.
-        let pts = partial_deployment_sweep(
-            TopologyKind::Mesh {
-                width: 4,
-                height: 4,
-            },
-            &[0.0, 1.0],
-            1,
-            &[1, 2, 4],
-            &RunnerConfig::sequential(),
-        );
-        assert_eq!(pts[0].suppressed_entries, 0.0);
-        assert!(pts[0].convergence_secs < 300.0);
+        let opts = SweepOptions {
+            seeds: vec![1, 2, 4],
+            threads: 1,
+            ..SweepOptions::default()
+        };
+        let mesh = TopologyKind::Mesh {
+            width: 4,
+            height: 4,
+        };
+        let sweep = partial_deployment_sweep(mesh, &[0.0, 1.0], 1, &opts);
+        let [none, full] = [0, 1].map(|i| sweep.series[i].points[0]);
+        assert_eq!(none.suppressed, 0.0);
+        assert!(none.convergence_secs < 300.0);
         // Full deployment after one pulse: false suppression appears
         // and convergence grows by an order of magnitude.
-        assert!(pts[1].suppressed_entries > 0.0);
-        assert!(pts[1].convergence_secs > pts[0].convergence_secs * 3.0);
+        assert!(full.suppressed > 0.0);
+        assert!(full.convergence_secs > none.convergence_secs * 3.0);
     }
 
     #[test]
@@ -296,17 +243,5 @@ mod tests {
         assert!(r.flapping_suppressed > 0, "{r:?}");
         assert_eq!(r.stable_suppressed, 0, "{r:?}");
         assert!(r.stable_always_routable);
-    }
-
-    #[test]
-    fn deployment_table_renders() {
-        let table = deployment_table(&[DeploymentPoint {
-            fraction: 0.5,
-            convergence_secs: 10.0,
-            messages: 100.0,
-            suppressed_entries: 2.0,
-        }]);
-        let s = table.to_string();
-        assert!(s.contains("50") && s.contains("100.0"));
     }
 }

@@ -37,7 +37,7 @@ pub fn figure13_14_on(
         mesh,
         NetworkConfig::paper_rcn_damping,
     ));
-    let mut sweep = measure_sweep("fig13-14", specs, opts);
+    let mut sweep = measure_sweep("fig13-14", specs, &opts.pulse_counts(), opts);
     sweep.series.push(calculation_series(
         &DampingParams::cisco(),
         opts.max_pulses,

@@ -78,6 +78,7 @@ pub fn figure8_9_bucketed_on(
     measure_sweep(
         "fig8-9-bucketed",
         bucketed_specs(mesh, internet, granularity),
+        &opts.pulse_counts(),
         opts,
     )
 }
@@ -87,7 +88,12 @@ pub fn figure8_9_bucketed_on(
 /// spans series, pulse counts and seeds at once.
 pub fn figure8_9_on(opts: &SweepOptions, mesh: TopologyKind, internet: TopologyKind) -> PulseSweep {
     let t_up = estimate_t_up(mesh, opts);
-    let mut sweep = measure_sweep("fig8-9", measured_specs(mesh, internet), opts);
+    let mut sweep = measure_sweep(
+        "fig8-9",
+        measured_specs(mesh, internet),
+        &opts.pulse_counts(),
+        opts,
+    );
     sweep.series.push(calculation_series(
         &DampingParams::cisco(),
         opts.max_pulses,
@@ -181,6 +187,7 @@ mod tests {
                     convergence_secs: v,
                     convergence_std: 0.0,
                     messages: 0.0,
+                    suppressed: 0.0,
                     failed_seeds: 0,
                 })
                 .collect(),

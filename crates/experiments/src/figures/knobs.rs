@@ -5,25 +5,10 @@
 //! timers); they are the knobs a deployment would actually turn.
 
 use rfd_bgp::{NetworkConfig, ProtocolOptions};
-use rfd_core::FlapPattern;
-use rfd_metrics::{fmt_f64, Table};
-use rfd_runner::{run_grid, RunGrid, RunnerConfig};
 use rfd_sim::SimDuration;
 
-use crate::scenarios::{run_pattern_metrics, TopologyKind};
-
-/// One knob configuration's outcome.
-#[derive(Debug, Clone)]
-pub struct KnobPoint {
-    /// Configuration label.
-    pub label: String,
-    /// Convergence time, seconds.
-    pub convergence_secs: f64,
-    /// Updates observed.
-    pub messages: usize,
-    /// Entries ever suppressed.
-    pub suppressed: usize,
-}
+use crate::scenarios::TopologyKind;
+use crate::sweep::{measure_sweep, PulseSweep, SeriesSpec, SweepOptions};
 
 /// The compared configurations.
 pub fn knob_configs() -> Vec<(&'static str, ProtocolOptions)> {
@@ -54,14 +39,14 @@ pub fn knob_configs() -> Vec<(&'static str, ProtocolOptions)> {
 }
 
 /// Runs the comparison: `pulses` pulses at `interval` under full
-/// Cisco-default damping, one row per knob configuration.
+/// Cisco-default damping, one series per knob configuration.
 pub fn knob_comparison(
     kind: TopologyKind,
     pulses: usize,
     interval: SimDuration,
-    seed: u64,
-) -> Vec<KnobPoint> {
-    knob_comparison_with(kind, pulses, interval, seed, true)
+    opts: &SweepOptions,
+) -> PulseSweep {
+    knob_comparison_with(kind, pulses, interval, opts, true)
 }
 
 /// Like [`knob_comparison`] with damping switchable — WRATE's pure
@@ -72,88 +57,54 @@ pub fn knob_comparison_with(
     kind: TopologyKind,
     pulses: usize,
     interval: SimDuration,
-    seed: u64,
+    opts: &SweepOptions,
     damped: bool,
-) -> Vec<KnobPoint> {
-    // One grid series per knob configuration. The grid name encodes the
-    // workload so different invocations never share a journal file.
+) -> PulseSweep {
+    let base = match damped {
+        true => NetworkConfig::paper_full_damping,
+        false => NetworkConfig::paper_no_damping,
+    };
+    let specs = knob_configs()
+        .into_iter()
+        .map(|(label, protocol)| {
+            SeriesSpec::by_seed(label, kind, move |seed| NetworkConfig {
+                protocol,
+                ..base(seed)
+            })
+            .every(interval)
+        })
+        .collect();
+    // The grid name encodes the workload so different invocations never
+    // share a journal file.
     let name = format!(
         "knobs-n{pulses}-i{}-{}",
         interval.as_secs_f64(),
         if damped { "damped" } else { "undamped" }
     );
-    let mut grid = RunGrid::new(name).pulses(vec![pulses]).seeds(vec![seed]);
-    for (label, protocol) in knob_configs() {
-        grid = grid.series(label, protocol);
-    }
-    let results = run_grid(
-        &grid,
-        &RunnerConfig::sequential(),
-        |&protocol: &ProtocolOptions, cell| {
-            run_pattern_metrics(
-                kind,
-                cell.seed,
-                FlapPattern::new(cell.pulses, interval),
-                |_| {
-                    let base = if damped {
-                        NetworkConfig::paper_full_damping(cell.seed)
-                    } else {
-                        NetworkConfig::paper_no_damping(cell.seed)
-                    };
-                    NetworkConfig { protocol, ..base }
-                },
-            )
-        },
-    );
-    let results = crate::sweep::grid_results_or_exit(results);
-    knob_configs()
-        .into_iter()
-        .enumerate()
-        .map(|(si, (label, _))| {
-            let m = &results.point_metrics(si, 0)[0];
-            KnobPoint {
-                label: label.to_owned(),
-                convergence_secs: m.convergence_secs,
-                messages: m.messages as usize,
-                suppressed: m.suppressed as usize,
-            }
-        })
-        .collect()
-}
-
-/// Renders the comparison.
-pub fn knob_table(points: &[KnobPoint]) -> Table {
-    let mut t = Table::new(vec![
-        "configuration",
-        "convergence (s)",
-        "updates",
-        "suppressed entries",
-    ]);
-    for p in points {
-        t.add_row(vec![
-            p.label.clone(),
-            fmt_f64(p.convergence_secs, 1),
-            p.messages.to_string(),
-            p.suppressed.to_string(),
-        ]);
-    }
-    t
+    measure_sweep(&name, specs, &[pulses], opts)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::SweepPoint;
 
     const SMALL: TopologyKind = TopologyKind::Mesh {
         width: 4,
         height: 4,
     };
 
-    fn by_label<'a>(points: &'a [KnobPoint], needle: &str) -> &'a KnobPoint {
-        points
-            .iter()
-            .find(|p| p.label.contains(needle))
-            .expect("config present")
+    fn seed(seed: u64) -> SweepOptions {
+        SweepOptions {
+            seeds: vec![seed],
+            threads: 1,
+            ..SweepOptions::default()
+        }
+    }
+
+    fn by_label<'a>(sweep: &'a PulseSweep, needle: &str) -> &'a SweepPoint {
+        let series = sweep.series.iter().find(|s| s.label.contains(needle));
+        &series.expect("config present").points[0]
     }
 
     #[test]
@@ -163,9 +114,9 @@ mod tests {
         // fewer updates cross the network. Measured undamped — under
         // damping the message-count effect is confounded by false
         // suppression (see knob_comparison_with docs).
-        let points = knob_comparison_with(SMALL, 4, SimDuration::from_secs(10), 3, false);
-        let base = by_label(&points, "paper defaults");
-        let wrate = by_label(&points, "WRATE");
+        let sweep = knob_comparison_with(SMALL, 4, SimDuration::from_secs(10), &seed(3), false);
+        let base = by_label(&sweep, "paper defaults");
+        let wrate = by_label(&sweep, "WRATE");
         assert!(
             wrate.messages < base.messages,
             "WRATE {} vs default {}",
@@ -176,9 +127,9 @@ mod tests {
 
     #[test]
     fn disabling_loop_avoidance_costs_messages() {
-        let points = knob_comparison(SMALL, 1, SimDuration::from_secs(60), 3);
-        let base = by_label(&points, "paper defaults");
-        let noloop = by_label(&points, "no sender-side");
+        let sweep = knob_comparison(SMALL, 1, SimDuration::from_secs(60), &seed(3));
+        let base = by_label(&sweep, "paper defaults");
+        let noloop = by_label(&sweep, "no sender-side");
         assert!(
             noloop.messages > base.messages,
             "no-avoidance {} vs default {}",
@@ -189,22 +140,14 @@ mod tests {
 
     #[test]
     fn quantised_reuse_still_converges() {
-        let points = knob_comparison(SMALL, 3, SimDuration::from_secs(60), 3);
-        let base = by_label(&points, "paper defaults");
-        let quant = by_label(&points, "quantised");
+        let sweep = knob_comparison(SMALL, 3, SimDuration::from_secs(60), &seed(3));
+        let base = by_label(&sweep, "paper defaults");
+        let quant = by_label(&sweep, "quantised");
         // Same suppression structure; convergence within the same
         // order (quantisation delays each release by < 1 tick, but the
         // butterfly effect on the network forbids an exact bound).
-        assert!(quant.suppressed > 0);
+        assert!(quant.suppressed > 0.0);
         assert!(quant.convergence_secs > 0.5 * base.convergence_secs);
         assert!(quant.convergence_secs < 3.0 * base.convergence_secs + 300.0);
-    }
-
-    #[test]
-    fn table_renders_all_rows() {
-        let points = knob_comparison(SMALL, 1, SimDuration::from_secs(60), 1);
-        let table = knob_table(&points);
-        assert_eq!(table.row_count(), 4);
-        assert!(table.to_string().contains("WRATE"));
     }
 }

@@ -1,9 +1,11 @@
 //! Per-figure and per-table reproductions.
 //!
-//! One module per evaluation artefact of the paper; every module
-//! exposes a `figure*()` / `table*()` entry point returning a
-//! structured result with `render()` (plain text) and CSV accessors,
-//! which `rfd figure` and `rfd sweep` print and save.
+//! One module per evaluation artefact of the paper. The single-run
+//! figures return a structured result with `render()`; every grid —
+//! the pulse figures and the one-pulse-count studies (`report15`,
+//! `extensions`' partial deployment, `knobs`) — returns a
+//! [`crate::PulseSweep`] from [`crate::measure_sweep`]. `rfd figure`
+//! and `rfd sweep` print and save them.
 
 pub mod extensions;
 pub mod fig10;

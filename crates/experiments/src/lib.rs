@@ -29,6 +29,6 @@ pub mod sweep;
 
 pub use scenarios::{pick_isp, run_pattern_metrics, run_workload, run_workload_on, TopologyKind};
 pub use sweep::{
-    calculation_series, estimate_t_up, grid_slug, measure_series, measure_series_on, measure_sweep,
-    PulseSweep, SeriesSpec, SweepOptions, SweepPoint, SweepSeries,
+    calculation_series, estimate_t_up, measure_sweep, study_table, Column, PulseSweep, SeriesSpec,
+    SweepOptions, SweepPoint, SweepSeries,
 };

@@ -14,8 +14,7 @@
 //!
 //! ## Observability
 //!
-//! `--obs[=PATH]` (or the `RFD_OBS` environment variable) turns the
-//! [`rfd_obs`] recording layer on. [`obs_begin`] resolves the
+//! `--obs[=PATH]` turns the [`rfd_obs`] recording layer on. [`obs_begin`] resolves the
 //! destination and enables recording; the [`ObsSession`] it returns
 //! writes the Chrome-trace/summary file when the run ends.
 
@@ -63,7 +62,6 @@ pub const EXEC: args::Table = args::Table { command: "rfd figure NAME", base: No
     Flag::switch("--quick", "reduced sizes: 5 pulses, 1 seed by default"),
     Flag::value("--threads", "N", "grid worker threads (default 0: all cores)"),
     Flag::switch("--resume", "skip cells already journaled under results/"),
-    Flag::switch("--resume-force", "resume despite a grid-fingerprint mismatch"),
     OBS,
 ] };
 
@@ -100,14 +98,12 @@ pub struct Exec {
 /// Reads every [`EXEC`] flag; the [`CliError`] names the offending one.
 pub fn exec_flags(p: &Parsed<'_>) -> Result<Exec, CliError> {
     let quick = p.has("--quick");
-    let resume_force = p.has("--resume-force");
     Ok(Exec {
         quick,
         obs: obs(p),
         opts: SweepOptions {
             threads: p.parse("--threads")?.unwrap_or(0),
-            resume: resume_force || p.has("--resume"),
-            resume_force,
+            resume: p.has("--resume"),
             journal_dir: Some(results_dir()),
             ..if quick {
                 SweepOptions::quick()
@@ -118,24 +114,11 @@ pub fn exec_flags(p: &Parsed<'_>) -> Result<Exec, CliError> {
     })
 }
 
-/// The `RFD_OBS` environment variable as an observability request:
-/// unset / empty / `0` → off, `1` → on at the default destination,
-/// anything else → on at that path.
-fn obs_env() -> Option<Option<PathBuf>> {
-    match std::env::var("RFD_OBS") {
-        Ok(v) if v.is_empty() || v == "0" => None,
-        Ok(v) if v == "1" => Some(None),
-        Ok(v) => Some(Some(PathBuf::from(v))),
-        Err(_) => None,
-    }
-}
-
-/// Resolves an `--obs` request (`RFD_OBS` is the fallback, and
-/// `results/<default_name>.trace.json` the default destination). When
-/// observability is on: enables recording and returns the session whose
-/// end writes the trace.
+/// Resolves an `--obs` request (`results/<default_name>.trace.json` is
+/// the default destination). When observability is on: enables
+/// recording and returns the session whose end writes the trace.
 pub fn obs_begin(request: &Option<Option<PathBuf>>, default_name: &str) -> Option<ObsSession> {
-    let request = request.clone().or_else(obs_env)?;
+    let request = request.clone()?;
     let path = request.unwrap_or_else(|| results_dir().join(format!("{default_name}.trace.json")));
     rfd_obs::enable();
     eprintln!("obs: recording to {}", path.display());

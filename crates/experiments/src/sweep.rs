@@ -1,20 +1,24 @@
-//! Pulse-count sweeps: the machinery behind Figures 8, 9, 13, 14
-//! and 15 (convergence time and message count versus number of pulses).
+//! Series × pulse-count × seed grids: the one measurement path behind
+//! Figures 8, 9, 13, 14 and 15 (convergence time and message count
+//! versus number of pulses) and every one-pulse-count study (the tech
+//! report's interval, size and parameter sweeps, partial deployment,
+//! the protocol knobs).
 //!
 //! Measurement goes through [`rfd_runner`]: every (series × pulse-count
 //! × seed) cell becomes a grid job, executed on a shared-counter thread
 //! pool and optionally journaled under `results/` for `--resume`.
 //! Output is byte-identical for any thread count (see the runner crate's
-//! determinism contract).
+//! determinism contract). The pulse figures render with
+//! [`PulseSweep::convergence_table`]/[`PulseSweep::message_table`], the
+//! studies with [`study_table`]; both mark a point whose seeds failed
+//! `FAILED:k` instead of printing the survivors' mean.
 
 use std::path::PathBuf;
 
 use rfd_bgp::NetworkConfig;
 use rfd_core::{intended_behavior, DampingParams, FlapPattern};
 use rfd_metrics::{fmt_f64, Table};
-use rfd_runner::{
-    hash_params, run_grid, CellFailure, ChaosPlan, GridResults, RunGrid, RunnerConfig, RunnerError,
-};
+use rfd_runner::{hash_params, run_grid, CellFailure, ChaosPlan, RunGrid, RunnerConfig};
 use rfd_sim::SimDuration;
 use rfd_topology::Graph;
 
@@ -32,6 +36,9 @@ pub struct SweepPoint {
     pub convergence_std: f64,
     /// Mean message count.
     pub messages: f64,
+    /// Mean count of entries ever suppressed (NaN for calculated
+    /// series).
+    pub suppressed: f64,
     /// Seeds at this point whose cells failed (panic / journal
     /// error). The means above cover the surviving seeds only,
     /// and tables mark the point instead of printing a silent number.
@@ -43,7 +50,7 @@ pub struct SweepPoint {
 pub struct SweepSeries {
     /// Legend label (matches the paper's).
     pub label: String,
-    /// Points for `n = 0..=max`.
+    /// One point per pulse count of the grid, in grid order.
     pub points: Vec<SweepPoint>,
 }
 
@@ -74,15 +81,15 @@ impl PulseSweep {
     /// Renders convergence times as a table (one column per series) —
     /// the data of Figures 8/13/15.
     pub fn convergence_table(&self) -> Table {
-        self.metric_table(|p| p.convergence_secs, "convergence time (s)")
+        self.metric_table(|p| p.convergence_secs)
     }
 
     /// Renders message counts as a table — the data of Figures 9/14.
     pub fn message_table(&self) -> Table {
-        self.metric_table(|p| p.messages, "updates")
+        self.metric_table(|p| p.messages)
     }
 
-    fn metric_table(&self, metric: impl Fn(&SweepPoint) -> f64, _unit: &str) -> Table {
+    fn metric_table(&self, metric: impl Fn(&SweepPoint) -> f64) -> Table {
         let mut headers = vec!["pulses".to_owned()];
         headers.extend(self.series.iter().map(|s| s.label.clone()));
         let mut table = Table::new(headers);
@@ -96,10 +103,7 @@ impl PulseSweep {
             let mut row = vec![n.to_string()];
             for s in &self.series {
                 row.push(match s.at(n) {
-                    // Failed cells are marked, never silently absent:
-                    // the suffix counts the seeds that failed there.
-                    Some(p) if p.failed_seeds > 0 => format!("FAILED:{}", p.failed_seeds),
-                    Some(p) => fmt_f64(metric(p), 1),
+                    Some(p) => marked(p, || fmt_f64(metric(p), 1)),
                     None => "-".to_owned(),
                 });
             }
@@ -109,10 +113,58 @@ impl PulseSweep {
     }
 }
 
+/// A measured cell as printed: `FAILED:k` where `k` seeds of the point
+/// failed, never a silent mean of the survivors; otherwise `clean()`.
+fn marked(point: &SweepPoint, clean: impl FnOnce() -> String) -> String {
+    if point.failed_seeds > 0 {
+        format!("FAILED:{}", point.failed_seeds)
+    } else {
+        clean()
+    }
+}
+
+/// One column of a [`study_table`]: its header and how row `i` (series
+/// `i`) renders.
+pub enum Column<'a> {
+    /// A value the study gives — the row's axis value or a model
+    /// prediction — printed even where the row's cells failed.
+    Given(&'a str, &'a dyn Fn(usize) -> String),
+    /// A value read from the row's measured point: `FAILED:k` where `k`
+    /// of its seeds failed.
+    Measured(&'a str, &'a dyn Fn(usize, &SweepPoint) -> String),
+}
+
+impl std::fmt::Debug for Column<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (Column::Given(header, _) | Column::Measured(header, _)) = self;
+        write!(f, "Column({header:?})")
+    }
+}
+
+/// Renders a study — series measured at one pulse count — as one row
+/// per series, one cell per column.
+pub fn study_table(sweep: &PulseSweep, columns: &[Column<'_>]) -> Table {
+    let headers = columns.iter().map(|c| match c {
+        Column::Given(header, _) | Column::Measured(header, _) => *header,
+    });
+    let mut table = Table::new(headers.collect());
+    for (i, series) in sweep.series.iter().enumerate() {
+        for point in &series.points {
+            let cells = columns.iter().map(|c| match c {
+                Column::Given(_, cell) => cell(i),
+                Column::Measured(_, cell) => marked(point, || cell(i, point)),
+            });
+            table.add_row(cells.collect());
+        }
+    }
+    table
+}
+
 /// Sweep configuration: the grid axes plus how to execute it.
 #[derive(Debug, Clone)]
 pub struct SweepOptions {
-    /// Largest pulse count (the paper plots `0..=10`).
+    /// Largest pulse count of the pulse figures (the paper plots
+    /// `0..=10`; see [`SweepOptions::pulse_counts`]).
     pub max_pulses: usize,
     /// Seeds averaged per point.
     pub seeds: Vec<u64>,
@@ -124,9 +176,6 @@ pub struct SweepOptions {
     /// With a journal: skip cells already journaled instead of starting
     /// over (`--resume`).
     pub resume: bool,
-    /// Resume a journal even when its grid fingerprint doesn't match
-    /// (`--resume-force`).
-    pub resume_force: bool,
     /// Deterministic fault injection (`RFD_CHAOS`; empty in normal
     /// operation).
     pub chaos: ChaosPlan,
@@ -145,7 +194,6 @@ impl Default for SweepOptions {
             threads: 0,
             journal_dir: None,
             resume: false,
-            resume_force: false,
             chaos: ChaosPlan::none(),
             topology: None,
         }
@@ -163,15 +211,9 @@ impl SweepOptions {
         }
     }
 
-    /// The runner configuration these options resolve to.
-    pub fn runner_config(&self) -> RunnerConfig {
-        RunnerConfig {
-            threads: self.threads,
-            journal_dir: self.journal_dir.clone(),
-            resume: self.resume,
-            resume_force: self.resume_force,
-            chaos: self.chaos.clone(),
-        }
+    /// The pulse axis of the pulse figures: `0..=max_pulses`.
+    pub fn pulse_counts(&self) -> Vec<usize> {
+        (0..=self.max_pulses).collect()
     }
 }
 
@@ -179,14 +221,17 @@ impl SweepOptions {
 /// cell's seed, produce the network configuration.
 type ConfigFn<'a> = Box<dyn Fn(&Graph, u64) -> NetworkConfig + Send + Sync + 'a>;
 
-/// One series of a sweep grid: a label, a topology, and a configuration
+/// One series of a sweep grid: a label, a topology, a configuration
 /// builder (which may inspect the built graph, for relationship-carrying
-/// policies, §7).
+/// policies, §7) and the gap between flap events.
 pub struct SeriesSpec<'a> {
     /// Legend label (matches the paper's).
     pub label: String,
     /// Topology family this series runs on.
     pub kind: TopologyKind,
+    /// Gap between consecutive flap events (the paper's 60 s unless
+    /// [`SeriesSpec::every`] sets it).
+    pub interval: SimDuration,
     make: ConfigFn<'a>,
 }
 
@@ -195,6 +240,7 @@ impl std::fmt::Debug for SeriesSpec<'_> {
         f.debug_struct("SeriesSpec")
             .field("label", &self.label)
             .field("kind", &self.kind)
+            .field("interval", &self.interval)
             .finish_non_exhaustive()
     }
 }
@@ -206,11 +252,7 @@ impl<'a> SeriesSpec<'a> {
         kind: TopologyKind,
         make: impl Fn(u64) -> NetworkConfig + Send + Sync + 'a,
     ) -> Self {
-        SeriesSpec {
-            label: label.to_owned(),
-            kind,
-            make: Box::new(move |_, seed| make(seed)),
-        }
+        Self::on_graph(label, kind, move |_, seed| make(seed))
     }
 
     /// A series whose configuration may also inspect the built graph.
@@ -222,13 +264,23 @@ impl<'a> SeriesSpec<'a> {
         SeriesSpec {
             label: label.to_owned(),
             kind,
+            interval: FlapPattern::DEFAULT_INTERVAL,
             make: Box::new(make),
         }
+    }
+
+    /// Flaps every `interval` instead of the paper's 60 s. Like the
+    /// configuration, the interval is not in the journal fingerprint:
+    /// the label or grid name must tell intervals apart.
+    pub fn every(self, interval: SimDuration) -> Self {
+        SeriesSpec { interval, ..self }
     }
 }
 
 /// Runs a whole sweep grid — every series × pulse count × seed — through
 /// the [`rfd_runner`] pool and folds the results into a [`PulseSweep`].
+/// The pulse figures pass [`SweepOptions::pulse_counts`]; a study passes
+/// its one count. Seeds and execution come from `opts`.
 ///
 /// `name` names the journal file (`results/<name>.runs.jsonl`) when
 /// journaling is enabled; figures sharing runs (Figures 8 and 9 read
@@ -236,75 +288,49 @@ impl<'a> SeriesSpec<'a> {
 ///
 /// Individual cell failures do not abort the sweep — they surface in
 /// [`PulseSweep::failures`] with their points marked. Exits the process
-/// with a message on journal setup errors ([`RunnerError`]); use
-/// [`try_measure_sweep`] to handle those yourself.
-pub fn measure_sweep(name: &str, specs: Vec<SeriesSpec<'_>>, opts: &SweepOptions) -> PulseSweep {
-    match try_measure_sweep(name, specs, opts) {
-        Ok(sweep) => sweep,
-        Err(e) => exit_runner_error(&e),
-    }
-}
-
-/// Reports a grid-level runner error on stderr and exits non-zero — the
-/// artefact commands' "fail with a message, never panic" path for
-/// journal setup problems (resume mismatch, unwritable `results/`, …).
-pub fn exit_runner_error(e: &RunnerError) -> ! {
-    eprintln!("error: {e}");
-    std::process::exit(2);
-}
-
-/// Unwraps a [`run_grid`] outcome for the non-pulse-sweep experiment
-/// grids (tech-report tables): exits with a message on grid-level
-/// errors, and prints a failure report when any cell was quarantined so
-/// holes in the tables are never silent.
-pub fn grid_results_or_exit(outcome: Result<GridResults, RunnerError>) -> GridResults {
-    let results = outcome.unwrap_or_else(|e| exit_runner_error(&e));
-    if !results.failures().is_empty() {
-        eprint!("{}", rfd_runner::render_failure_report(results.failures()));
-    }
-    results
-}
-
-/// Like [`measure_sweep`], but surfaces grid-level errors (journal I/O,
-/// resume fingerprint mismatch) instead of exiting.
-///
-/// # Errors
-///
-/// Returns the [`RunnerError`] from [`run_grid`]; cell-level failures
-/// are *not* errors (see [`PulseSweep::failures`]).
-pub fn try_measure_sweep(
+/// with a message on journal setup errors (resume fingerprint mismatch,
+/// unwritable `results/`, …).
+pub fn measure_sweep(
     name: &str,
     mut specs: Vec<SeriesSpec<'_>>,
+    pulses: &[usize],
     opts: &SweepOptions,
-) -> Result<PulseSweep, RunnerError> {
+) -> PulseSweep {
     if let Some(kind) = opts.topology {
         for spec in &mut specs {
             spec.kind = kind;
         }
     }
     // The fingerprint salt folds in what the axes can't see: which
-    // topology each series runs on (the damping parameters live in the
-    // config closure; the label names the profile).
+    // topology each series runs on (the damping parameters and the flap
+    // interval live in the spec; the label names the profile).
     let salt_parts: Vec<String> = specs
         .iter()
         .flat_map(|s| [s.label.clone(), format!("{:?}", s.kind)])
         .collect();
     let mut grid = RunGrid::new(name)
-        .pulses((0..=opts.max_pulses).collect())
+        .pulses(pulses.to_vec())
         .seeds(opts.seeds.clone())
         .param_salt(hash_params(salt_parts.iter().map(String::as_str)));
     for spec in specs {
         let label = spec.label.clone();
         grid = grid.series(label, spec);
     }
-    let results = run_grid(&grid, &opts.runner_config(), |spec: &SeriesSpec, cell| {
+    let exec = RunnerConfig {
+        threads: opts.threads,
+        journal_dir: opts.journal_dir.clone(),
+        resume: opts.resume,
+        chaos: opts.chaos.clone(),
+    };
+    let results = run_grid(&grid, &exec, |spec: &SeriesSpec, cell| {
         run_pattern_metrics(
             spec.kind,
             cell.seed,
-            FlapPattern::paper_default(cell.pulses),
+            FlapPattern::new(cell.pulses, spec.interval),
             |g| (spec.make)(g, cell.seed),
         )
-    })?;
+    })
+    .unwrap_or_else(|e| crate::output::exit_with(&e.to_string()));
 
     let series = results
         .series_labels()
@@ -323,57 +349,17 @@ pub fn try_measure_sweep(
                         convergence_secs: stats.convergence.mean(),
                         convergence_std: stats.convergence.std_dev(),
                         messages: stats.messages.mean(),
+                        suppressed: stats.suppressed.mean(),
                         failed_seeds: results.point_failed(si, pi),
                     }
                 })
                 .collect(),
         })
         .collect();
-    Ok(PulseSweep {
+    PulseSweep {
         series,
         failures: results.failures().to_vec(),
-    })
-}
-
-/// Journal-friendly grid name derived from a label: lowercase, with
-/// runs of non-alphanumerics collapsed to single dashes.
-pub fn grid_slug(label: &str) -> String {
-    let mut out = String::with_capacity(label.len());
-    for c in label.chars() {
-        if c.is_ascii_alphanumeric() {
-            out.push(c.to_ascii_lowercase());
-        } else if !out.ends_with('-') && !out.is_empty() {
-            out.push('-');
-        }
     }
-    out.trim_end_matches('-').to_owned()
-}
-
-/// Runs one series: the workload for every pulse count, averaged over
-/// seeds. `make_config` receives the seed.
-pub fn measure_series(
-    label: &str,
-    kind: TopologyKind,
-    opts: &SweepOptions,
-    make_config: impl Fn(u64) -> NetworkConfig + Send + Sync,
-) -> SweepSeries {
-    measure_series_on(label, kind, opts, move |_, seed| make_config(seed))
-}
-
-/// Like [`measure_series`], but the configuration may depend on the
-/// built graph (for relationship-carrying policies, §7).
-pub fn measure_series_on(
-    label: &str,
-    kind: TopologyKind,
-    opts: &SweepOptions,
-    make_config: impl Fn(&Graph, u64) -> NetworkConfig + Send + Sync,
-) -> SweepSeries {
-    let specs = vec![SeriesSpec::on_graph(label, kind, make_config)];
-    measure_sweep(&grid_slug(label), specs, opts)
-        .series
-        .into_iter()
-        .next()
-        .expect("one spec yields one series")
 }
 
 /// The §3 "Full Damping (calculation)" series: intended convergence
@@ -392,9 +378,10 @@ pub fn calculation_series(
                 pulses: n,
                 convergence_secs: b.convergence_time.as_secs_f64(),
                 convergence_std: 0.0,
-                // Message count has no closed form (§3); mark as NaN so
-                // tables render "-".
+                // Message and suppression counts have no closed form
+                // (§3); mark as NaN so tables render "-".
                 messages: f64::NAN,
+                suppressed: f64::NAN,
                 failed_seeds: 0,
             }
         })
@@ -425,18 +412,15 @@ mod tests {
         height: 3,
     };
 
-    #[test]
-    fn measure_series_covers_all_pulse_counts() {
-        let opts = SweepOptions {
-            max_pulses: 2,
-            seeds: vec![1],
-            ..SweepOptions::default()
-        };
-        let s = measure_series("No Damping", TINY, &opts, NetworkConfig::paper_no_damping);
-        assert_eq!(s.points.len(), 3);
-        assert_eq!(s.at(0).unwrap().messages, 0.0);
-        assert!(s.at(1).unwrap().messages > 0.0);
-        assert!(s.at(2).unwrap().messages > s.at(1).unwrap().messages);
+    fn point(pulses: usize, convergence_secs: f64, failed_seeds: usize) -> SweepPoint {
+        SweepPoint {
+            pulses,
+            convergence_secs,
+            convergence_std: 0.0,
+            messages: 2.0 * convergence_secs,
+            suppressed: 3.0,
+            failed_seeds,
+        }
     }
 
     #[test]
@@ -456,13 +440,7 @@ mod tests {
             series: vec![
                 SweepSeries {
                     label: "A".into(),
-                    points: vec![SweepPoint {
-                        pulses: 0,
-                        convergence_secs: 1.0,
-                        convergence_std: 0.0,
-                        messages: 2.0,
-                        failed_seeds: 0,
-                    }],
+                    points: vec![point(0, 1.0, 0)],
                 },
                 calculation_series(&DampingParams::cisco(), 0, SimDuration::ZERO),
             ],
@@ -481,22 +459,7 @@ mod tests {
         let sweep = PulseSweep {
             series: vec![SweepSeries {
                 label: "A".into(),
-                points: vec![
-                    SweepPoint {
-                        pulses: 0,
-                        convergence_secs: 1.0,
-                        convergence_std: 0.0,
-                        messages: 2.0,
-                        failed_seeds: 0,
-                    },
-                    SweepPoint {
-                        pulses: 1,
-                        convergence_secs: 5.0,
-                        convergence_std: 0.0,
-                        messages: 9.0,
-                        failed_seeds: 2,
-                    },
-                ],
+                points: vec![point(0, 1.0, 0), point(1, 5.0, 2)],
             }],
             failures: Vec::new(),
         };
@@ -506,6 +469,41 @@ mod tests {
         assert!(sweep.message_table().to_csv().contains("FAILED:2"));
     }
 
+    /// A study row whose seeds failed keeps its given values and marks
+    /// every measured one.
+    #[test]
+    fn study_table_marks_failed_rows_and_keeps_given_columns() {
+        let sweep = PulseSweep {
+            series: ["a", "b"]
+                .into_iter()
+                .zip([0, 1])
+                .map(|(label, failed)| SweepSeries {
+                    label: label.into(),
+                    points: vec![point(3, 7.0, failed)],
+                })
+                .collect(),
+            failures: Vec::new(),
+        };
+        let keys = ["15", "60"];
+        let table = study_table(
+            &sweep,
+            &[
+                Column::Given("interval (s)", &|i| keys[i].to_owned()),
+                Column::Measured("convergence (s)", &|_, p| fmt_f64(p.convergence_secs, 1)),
+                Column::Measured("per node", &|i, p| {
+                    fmt_f64(p.suppressed / (i + 1) as f64, 2)
+                }),
+                Column::Given("model", &|i| format!("m{i}")),
+            ],
+        );
+        assert_eq!(
+            table.to_csv(),
+            "interval (s),convergence (s),per node,model\n\
+             15,7.0,3.00,m0\n\
+             60,FAILED:1,FAILED:1,m1\n"
+        );
+    }
+
     #[test]
     fn estimate_t_up_is_positive_and_small() {
         let t_up = estimate_t_up(TINY, &SweepOptions::quick());
@@ -513,14 +511,28 @@ mod tests {
         assert!(t_up < SimDuration::from_secs(300));
     }
 
+    /// The salt is the series' labels and topologies, as it always
+    /// was, so an existing pulse-grid journal still resumes.
     #[test]
-    fn grid_slug_normalises_labels() {
-        assert_eq!(
-            grid_slug("Full Damping (simulation, mesh)"),
-            "full-damping-simulation-mesh"
-        );
-        assert_eq!(grid_slug("No policy"), "no-policy");
-        assert_eq!(grid_slug("--x--"), "x");
+    fn pulse_grid_journal_header_is_unchanged() {
+        let dir = std::env::temp_dir().join(format!("rfd-sweep-hdr-{}", std::process::id()));
+        let opts = SweepOptions {
+            seeds: vec![1],
+            journal_dir: Some(dir.clone()),
+            ..SweepOptions::default()
+        };
+        let spec = SeriesSpec::by_seed("damped", TINY, NetworkConfig::paper_full_damping);
+        measure_sweep("hdr", vec![spec], &[0], &opts);
+        let expected = RunGrid::<()>::new("hdr")
+            .series("damped", ())
+            .pulses(vec![0])
+            .seeds(vec![1])
+            .param_salt(hash_params(["damped", &format!("{TINY:?}")]))
+            .fingerprint();
+        let text = std::fs::read_to_string(rfd_runner::journal_path(&dir, "hdr")).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        let header = rfd_runner::parse_record(text.lines().next().unwrap());
+        assert_eq!(header, Some(rfd_runner::Record::Header(expected)));
     }
 
     /// Both CSVs of a three-series, 0..=2-pulse sweep over [`TINY`] —
@@ -535,7 +547,7 @@ mod tests {
             max_pulses: 2,
             ..opts
         };
-        let sweep = measure_sweep(name, specs, &opts);
+        let sweep = measure_sweep(name, specs, &opts.pulse_counts(), &opts);
         (
             sweep.convergence_table().to_csv(),
             sweep.message_table().to_csv(),
@@ -557,7 +569,7 @@ mod tests {
     #[test]
     fn measure_sweep_batches_multiple_series_in_one_grid() {
         let opts = SweepOptions {
-            max_pulses: 1,
+            max_pulses: 2,
             seeds: vec![1, 2],
             ..SweepOptions::default()
         };
@@ -567,12 +579,21 @@ mod tests {
                 SeriesSpec::by_seed("a", TINY, NetworkConfig::paper_no_damping),
                 SeriesSpec::by_seed("b", TINY, NetworkConfig::paper_full_damping),
             ],
+            &opts.pulse_counts(),
             &opts,
         );
         assert_eq!(sweep.series.len(), 2);
-        assert_eq!(sweep.series[0].label, "a");
-        assert_eq!(sweep.series[1].points.len(), 2);
+        assert_eq!(sweep.series[1].label, "b");
+        let a = &sweep.series[0];
+        assert_eq!(a.points.len(), 3, "one point per pulse count");
+        assert_eq!(a.at(0).unwrap().messages, 0.0);
+        assert!(a.at(2).unwrap().messages > a.at(1).unwrap().messages);
+        assert_eq!(
+            a.at(2).unwrap().suppressed,
+            0.0,
+            "undamped never suppresses"
+        );
         // Multi-seed points carry a spread.
-        assert!(sweep.series[0].at(1).unwrap().convergence_std >= 0.0);
+        assert!(a.at(1).unwrap().convergence_std >= 0.0);
     }
 }

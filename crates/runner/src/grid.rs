@@ -28,8 +28,7 @@ pub fn hash_params<'a>(parts: impl IntoIterator<Item = &'a str>) -> u64 {
 
 /// The identity of a grid, written as the journal's header line and
 /// checked on `--resume`: a journal may only resume the grid that wrote
-/// it (same name, same axis shapes, same parameter hash) unless the
-/// caller forces it.
+/// it (same name, same axis shapes, same parameter hash).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GridFingerprint {
     /// Grid name (also the journal file stem).

@@ -21,7 +21,7 @@
 //!
 //! - the header's [`GridFingerprint`] must match the grid being
 //!   resumed (name, axis shapes, cell count, parameter hash); a
-//!   mismatch is refused unless the caller forces it. Headerless
+//!   mismatch is refused. Headerless
 //!   journals from older versions are accepted as-is.
 //! - arbitrary byte corruption is tolerated: lines are decoded
 //!   individually and lossily (invalid UTF-8 included), damaged lines
@@ -176,12 +176,11 @@ impl Journal {
     /// # Errors
     ///
     /// [`RunnerError::JournalMismatch`] when the on-disk header
-    /// identifies a different grid than `fingerprint` and `force` is
-    /// false; [`RunnerError::Io`] on filesystem errors.
+    /// identifies a different grid than `fingerprint`;
+    /// [`RunnerError::Io`] on filesystem errors.
     pub fn resume(
         dir: &Path,
         fingerprint: &GridFingerprint,
-        force: bool,
     ) -> Result<(Journal, ResumeState), RunnerError> {
         std::fs::create_dir_all(dir)?;
         let path = journal_path(dir, &fingerprint.grid);
@@ -199,7 +198,7 @@ impl Journal {
                 Some(Record::Header(found)) => {
                     if !state.had_header {
                         state.had_header = true;
-                        if found != *fingerprint && !force {
+                        if found != *fingerprint {
                             return Err(RunnerError::JournalMismatch(Box::new(
                                 crate::JournalMismatch {
                                     path,
@@ -489,7 +488,7 @@ mod tests {
             panic!("not a failure record: {line:?}");
         };
         assert_eq!(error, message);
-        let (_, state) = Journal::resume(&dir, &fp("grid"), false).unwrap();
+        let (_, state) = Journal::resume(&dir, &fp("grid")).unwrap();
         assert_eq!(state.skipped_lines, 0);
         assert_eq!(state.failed["k"], "panic");
         let _ = std::fs::remove_dir_all(&dir);
@@ -566,7 +565,7 @@ mod tests {
              {\"key\":\"new-style\",\"convergence_secs\":8.5,\"messages\":13.0,\"suppressed\":0.0,\"duration_secs\":0.25,\"thread\":1}\n",
         )
         .unwrap();
-        let (_, state) = Journal::resume(&dir, &fp("grid"), false).unwrap();
+        let (_, state) = Journal::resume(&dir, &fp("grid")).unwrap();
         assert_eq!(state.completed.len(), 2);
         assert_eq!(state.completed["old-style"].convergence_secs, 7.5);
         assert_eq!(state.completed["new-style"].messages, 13.0);
@@ -593,7 +592,7 @@ mod tests {
         journal.record("a|n=1|seed=2", &m2).unwrap();
         drop(journal);
 
-        let (journal, state) = Journal::resume(&dir, &fp("grid"), false).unwrap();
+        let (journal, state) = Journal::resume(&dir, &fp("grid")).unwrap();
         assert!(state.had_header);
         assert_eq!(state.completed.len(), 2);
         assert_eq!(state.completed["a|n=1|seed=1"], m1);
@@ -602,19 +601,19 @@ mod tests {
         // Appending after resume keeps earlier records.
         journal.record("a|n=1|seed=3", &m1).unwrap();
         drop(journal);
-        let (_, state) = Journal::resume(&dir, &fp("grid"), false).unwrap();
+        let (_, state) = Journal::resume(&dir, &fp("grid")).unwrap();
         assert_eq!(state.completed.len(), 3);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn resume_refuses_mismatched_grid_unless_forced() {
+    fn resume_refuses_a_mismatched_grid() {
         let dir = tmp_dir("mismatch");
         drop(Journal::create(&dir, &fp("grid")).unwrap());
 
         let mut other = fp("grid");
         other.param_hash ^= 1;
-        let err = Journal::resume(&dir, &other, false).unwrap_err();
+        let err = Journal::resume(&dir, &other).unwrap_err();
         match err {
             RunnerError::JournalMismatch(m) => {
                 assert_eq!(m.expected, other);
@@ -627,11 +626,7 @@ mod tests {
         let mut reshaped = fp("grid");
         reshaped.seeds += 1;
         reshaped.cells += 2;
-        assert!(Journal::resume(&dir, &reshaped, false).is_err());
-
-        // --resume-force overrides.
-        let (_, state) = Journal::resume(&dir, &other, true).unwrap();
-        assert!(state.had_header);
+        assert!(Journal::resume(&dir, &reshaped).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -656,7 +651,7 @@ mod tests {
         f.write_all(b"{\"key\":\"k2\",\"converg").unwrap();
         drop(f);
 
-        let (_, state) = Journal::resume(&dir, &fp("grid"), false).unwrap();
+        let (_, state) = Journal::resume(&dir, &fp("grid")).unwrap();
         assert_eq!(state.completed.len(), 1);
         assert!(state.completed.contains_key("k1"));
         assert_eq!(state.skipped_lines, 1);
@@ -688,7 +683,7 @@ mod tests {
         .unwrap();
         drop(f);
 
-        let (_, state) = Journal::resume(&dir, &fp("grid"), false).unwrap();
+        let (_, state) = Journal::resume(&dir, &fp("grid")).unwrap();
         assert_eq!(state.completed.len(), 2);
         assert!(state.completed.contains_key("before"));
         assert!(state.completed.contains_key("after"));
@@ -725,7 +720,7 @@ mod tests {
         journal.record("recovered", &m1).unwrap();
         drop(journal);
 
-        let (_, state) = Journal::resume(&dir, &fp("grid"), false).unwrap();
+        let (_, state) = Journal::resume(&dir, &fp("grid")).unwrap();
         assert_eq!(state.completed["twice"], m2);
         assert!(!state.completed.contains_key("regressed"));
         assert_eq!(state.failed["regressed"], "journal-io");
@@ -753,11 +748,11 @@ mod tests {
         f.write_all(&line.as_bytes()[..line.len() / 2]).unwrap();
         f.write_all(b"\n").unwrap();
         drop(f);
-        let (journal, _) = Journal::resume(&dir, &fp("grid"), false).unwrap();
+        let (journal, _) = Journal::resume(&dir, &fp("grid")).unwrap();
         journal.record("ok-2", &m).unwrap();
         drop(journal);
 
-        let (_, state) = Journal::resume(&dir, &fp("grid"), false).unwrap();
+        let (_, state) = Journal::resume(&dir, &fp("grid")).unwrap();
         assert_eq!(state.completed.len(), 2);
         assert!(!state.completed.contains_key("torn"));
         assert_eq!(state.skipped_lines, 1);
@@ -783,7 +778,7 @@ mod tests {
             ),
         )
         .unwrap();
-        let (_, state) = Journal::resume(&dir, &fp("grid"), false).unwrap();
+        let (_, state) = Journal::resume(&dir, &fp("grid")).unwrap();
         assert_eq!(state.skipped_lines, 0);
         assert_eq!(state.failed["slow"], "timeout");
         assert!(!state.completed.contains_key("slow"));
@@ -813,7 +808,7 @@ mod tests {
         .unwrap();
         drop(j);
         let _ = Journal::create(&dir, &fp("grid")).unwrap();
-        let (_, state) = Journal::resume(&dir, &fp("grid"), false).unwrap();
+        let (_, state) = Journal::resume(&dir, &fp("grid")).unwrap();
         assert!(state.completed.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -127,7 +127,7 @@ impl fmt::Display for RunnerError {
             RunnerError::JournalMismatch(m) => write!(
                 f,
                 "journal {} was written by {}, but this sweep is {}; \
-                 re-run without --resume to start fresh, or pass --resume-force to splice anyway",
+                 re-run without --resume to start fresh",
                 m.path.display(),
                 m.found,
                 m.expected,
@@ -161,10 +161,6 @@ pub struct RunnerConfig {
     /// When journaling: load the existing journal and skip completed
     /// cells instead of truncating and starting over.
     pub resume: bool,
-    /// Resume even when the journal's grid fingerprint doesn't match
-    /// this grid (normally refused with
-    /// [`RunnerError::JournalMismatch`]).
-    pub resume_force: bool,
     /// Deterministic fault-injection plan (tests and `RFD_CHAOS`; empty
     /// in normal operation).
     pub chaos: ChaosPlan,
@@ -196,13 +192,6 @@ impl RunnerConfig {
     /// Sets resume mode (only meaningful with a journal directory).
     pub fn resume(mut self, resume: bool) -> Self {
         self.resume = resume;
-        self
-    }
-
-    /// Overrides the resume fingerprint check (see
-    /// [`RunnerConfig::resume_force`]).
-    pub fn resume_force(mut self, force: bool) -> Self {
-        self.resume_force = force;
         self
     }
 
@@ -239,24 +228,17 @@ pub struct PointStats {
 /// quarantined cell failures.
 #[derive(Debug, Clone)]
 pub struct GridResults {
-    cells: Vec<Cell>,
     metrics: Vec<RunMetrics>,
     failed: Vec<bool>,
     failures: Vec<CellFailure>,
-    skipped_journal_lines: usize,
     series_labels: Vec<String>,
     pulse_list: Vec<usize>,
     seeds_len: usize,
 }
 
 impl GridResults {
-    /// All cells, in grid order.
-    pub fn cells(&self) -> &[Cell] {
-        &self.cells
-    }
-
-    /// Per-cell metrics, parallel to [`GridResults::cells`]. Failed
-    /// cells hold [`RunMetrics::FAILED`].
+    /// Per-cell metrics, in grid order. Failed cells hold
+    /// [`RunMetrics::FAILED`].
     pub fn metrics(&self) -> &[RunMetrics] {
         &self.metrics
     }
@@ -270,12 +252,6 @@ impl GridResults {
     /// Whether the cell at `index` (grid order) failed.
     pub fn is_failed(&self, index: usize) -> bool {
         self.failed[index]
-    }
-
-    /// Damaged journal lines skipped while resuming (0 for a fresh or
-    /// intact journal).
-    pub fn skipped_journal_lines(&self) -> usize {
-        self.skipped_journal_lines
     }
 
     /// Series labels, in grid order.
@@ -347,7 +323,7 @@ impl GridResults {
 ///
 /// [`RunnerError::Io`] on filesystem errors setting up the journal,
 /// and [`RunnerError::JournalMismatch`] when resuming a journal that
-/// was written by a different grid (unless `config.resume_force`).
+/// was written by a different grid.
 pub fn run_grid<S, F>(
     grid: &RunGrid<S>,
     config: &RunnerConfig,
@@ -362,7 +338,7 @@ where
 
     let (journal, resume_state) = match &config.journal_dir {
         Some(dir) if config.resume => {
-            let (journal, state) = Journal::resume(dir, &fingerprint, config.resume_force)?;
+            let (journal, state) = Journal::resume(dir, &fingerprint)?;
             (Some(journal), state)
         }
         Some(dir) => (
@@ -459,10 +435,8 @@ where
             .into_iter()
             .map(|m| m.expect("cell executed"))
             .collect(),
-        cells,
         failed,
         failures,
-        skipped_journal_lines: resume_state.skipped_lines,
         series_labels: grid.series_list().iter().map(|s| s.label.clone()).collect(),
         pulse_list: grid.pulse_list().to_vec(),
         seeds_len: grid.seed_list().len(),
@@ -689,7 +663,7 @@ mod tests {
     }
 
     #[test]
-    fn resume_refuses_a_foreign_journal_unless_forced() {
+    fn resume_refuses_a_foreign_journal() {
         let dir = tmp_dir("foreign");
         let grid = demo_grid();
         run_grid(
@@ -699,32 +673,27 @@ mod tests {
         )
         .unwrap();
 
-        // Same name, different parameters: refused.
+        // Same name, different parameters: refused before any cell
+        // runs, and the journal is left as it was.
+        let before = std::fs::read(journal_path(&dir, grid.name())).unwrap();
         let salted = demo_grid().param_salt(99);
+        let executed = AtomicUsize::new(0);
         let err = run_grid(
             &salted,
             &RunnerConfig::sequential().journal_to(&dir).resume(true),
-            demo_exec,
-        )
-        .unwrap_err();
-        assert!(matches!(err, RunnerError::JournalMismatch(_)));
-        assert!(err.to_string().contains("--resume-force"), "{err}");
-
-        // Forced: resumes anyway (keys match, so nothing re-runs).
-        let executed = AtomicUsize::new(0);
-        run_grid(
-            &salted,
-            &RunnerConfig::sequential()
-                .journal_to(&dir)
-                .resume(true)
-                .resume_force(true),
             |scale: &f64, cell: &Cell| {
                 executed.fetch_add(1, Ordering::SeqCst);
                 demo_exec(scale, cell)
             },
         )
-        .unwrap();
+        .unwrap_err();
+        assert!(matches!(err, RunnerError::JournalMismatch(_)));
+        assert!(err.to_string().contains("re-run without --resume"), "{err}");
         assert_eq!(executed.load(Ordering::SeqCst), 0);
+        assert_eq!(
+            std::fs::read(journal_path(&dir, grid.name())).unwrap(),
+            before
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

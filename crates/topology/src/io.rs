@@ -2,8 +2,8 @@
 //!
 //! Format: first line `nodes <n>`, then one `a b` pair per line
 //! (whitespace-separated node indices). Lines starting with `#` are
-//! comments. This lets experiment configurations pin exact topologies
-//! and lets users import AS graphs they derive elsewhere.
+//! comments. `rfd topology` writes this format. No command reads one:
+//! [`parse_edge_list`] serves round-trip tests and library callers.
 
 use std::fmt::Write as _;
 use std::num::ParseIntError;

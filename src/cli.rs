@@ -498,7 +498,7 @@ EXPLAIN: replays a run with the timer-interaction ledger focused on
   one (peer, prefix) entry and prints its damping lifecycle — charges,
   threshold crossings, reuse-timer arms/deferrals, MRAI holds.
   `--peer` defaults to the origin AS; `--json` for machine output.
-OBSERVABILITY: --obs (or RFD_OBS=1) records spans/counters to a
+OBSERVABILITY: --obs records spans/counters to a
   Chrome-trace JSON under results/; inspect with `rfd obs-report` or
   load into Perfetto (ui.perfetto.dev).
 ";
@@ -771,13 +771,12 @@ mod tests {
         all_rejected(parse_sweep_command, lines);
     }
 
-    /// `--resume-force` implies `--resume`; chaos comes only from
-    /// `RFD_CHAOS`, never from a flag.
+    /// `--resume` is the one fault-tolerance flag; chaos comes only
+    /// from `RFD_CHAOS`, never from a flag.
     #[test]
     fn sweep_command_parses_fault_tolerance_flags() {
-        let cmd = parse_sweep_command(&args("--quick --resume-force")).unwrap();
-        assert!(cmd.opts.resume, "--resume-force implies --resume");
-        assert!(cmd.opts.resume_force);
+        let cmd = parse_sweep_command(&args("--quick --resume")).unwrap();
+        assert!(cmd.opts.resume);
         assert!(parse_sweep_command(&args("--chaos panic@a|n=1|seed=1")).is_err());
     }
 

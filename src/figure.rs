@@ -6,14 +6,20 @@
 //! charts, summaries. Its tables go to stdout as CSV and are saved
 //! under [`results_dir`]. `rfd figure all` calls the very same
 //! functions, the three pulse grids included, and only saves. The
-//! measurement itself lives in [`rfd_experiments::figures`].
+//! measurement itself lives in [`rfd_experiments::figures`]. Every
+//! grid — pulse figure or study — runs under the command's
+//! [`SweepOptions`], and `Context` adds up its failed cells, so the
+//! command exits 1 after one.
+
+use std::cell::Cell;
 
 use rfd_bgp::{Network, NetworkConfig};
 use rfd_core::{DampingParams, FlapPattern, FlapSchedule};
-use rfd_experiments::figures::{self, fig15, fig8_9, report15};
+use rfd_experiments::figures::{self, extensions, fig15, fig8_9, knobs, report15};
 use rfd_experiments::output::{results_dir, save_csv};
 use rfd_experiments::{
-    pick_isp, run_workload, PulseSweep, SweepOptions, SweepSeries, TopologyKind,
+    pick_isp, run_workload, study_table, Column, PulseSweep, SweepOptions, SweepPoint, SweepSeries,
+    TopologyKind,
 };
 use rfd_metrics::{fmt_f64, AsciiChart, DampingState, StateClassifier, Table};
 use rfd_sim::SimDuration;
@@ -61,6 +67,8 @@ struct Context {
     opts: SweepOptions,
     /// Print each table's CSV on stdout too (every command but `all`).
     stdout: bool,
+    /// Grid cells that failed so far (their points read `FAILED:k`).
+    failed: Cell<usize>,
 }
 
 impl Context {
@@ -79,20 +87,33 @@ impl Context {
         eprintln!("\nsaved {}", save_csv(name, table).display());
     }
 
+    /// Publishes a study as `<name>.csv`, rendered with `columns`, and
+    /// counts its failed cells.
+    fn publish_study(&self, name: &str, sweep: &PulseSweep, columns: &[Column<'_>]) {
+        self.publish(name, &study_table(sweep, columns));
+        self.count_failures(sweep);
+    }
+
+    /// Reports a grid's failed cells on stderr and adds them to
+    /// [`Self::failed`].
+    fn count_failures(&self, sweep: &PulseSweep) {
+        if !sweep.failures.is_empty() {
+            eprint!("{}", rfd_runner::render_failure_report(&sweep.failures));
+        }
+        self.failed.set(self.failed.get() + sweep.failures.len());
+    }
+
     /// The mesh the single-run artefacts use at this size.
     fn mesh(&self) -> TopologyKind {
         TopologyKind::experiment_mesh(self.quick)
     }
-
-    /// Seeds averaged by the tech-report grids at this size.
-    fn seeds(&self) -> &'static [u64] {
-        if self.quick {
-            &[1]
-        } else {
-            &[1, 2, 3]
-        }
-    }
 }
+
+/// Measured columns the study tables share: means to one decimal.
+const CONVERGENCE: Column =
+    Column::Measured("convergence (s)", &|_, p| fmt_f64(p.convergence_secs, 1));
+const UPDATES: Column = Column::Measured("updates", &|_, p| fmt_f64(p.messages, 1));
+const SUPPRESSED: Column = Column::Measured("suppressed entries", &|_, p| fmt_f64(p.suppressed, 1));
 
 /// A `side × side` torus.
 fn square(side: usize) -> TopologyKind {
@@ -159,6 +180,7 @@ pub fn regenerate(name: &str, quick: bool, opts: SweepOptions) -> usize {
         quick,
         opts,
         stdout: !all,
+        failed: Cell::new(0),
     };
     for (_, heading, run) in FIGURES.iter().filter(|f| all || f.0 == name) {
         eprintln!("== {heading} ==");
@@ -168,18 +190,16 @@ pub fn regenerate(name: &str, quick: bool, opts: SweepOptions) -> usize {
         eprintln!();
         run(&cx);
     }
-    if !all {
-        return 0;
+    if all {
+        for grid in SweepFigure::ALL {
+            sweep_grid(grid, &cx);
+        }
+        eprintln!(
+            "\nall artefacts regenerated under {}",
+            results_dir().display()
+        );
     }
-    let failed = SweepFigure::ALL
-        .into_iter()
-        .map(|grid| sweep_grid(grid, &cx))
-        .sum();
-    eprintln!(
-        "\nall artefacts regenerated under {}",
-        results_dir().display()
-    );
-    failed
+    cx.failed.get()
 }
 
 /// Runs `rfd sweep --figure`; returns how many grid cells failed.
@@ -188,14 +208,16 @@ pub fn sweep(figure: SweepFigure, quick: bool, opts: SweepOptions) -> usize {
         quick,
         opts,
         stdout: true,
+        failed: Cell::new(0),
     };
-    sweep_grid(figure, &cx)
+    sweep_grid(figure, &cx);
+    cx.failed.get()
 }
 
 /// One pulse grid: the paper topologies (Figure 15 shrinks to a 60-node
 /// graph under `--quick`), a convergence chart and the figure's own
 /// summary on stderr, both tables on stdout, the figure's CSVs saved.
-fn sweep_grid(figure: SweepFigure, cx: &Context) -> usize {
+fn sweep_grid(figure: SweepFigure, cx: &Context) {
     let opts = &cx.opts;
     eprintln!(
         "{} — {} thread(s), {} seed(s), pulses 0..={}{}",
@@ -239,10 +261,7 @@ fn sweep_grid(figure: SweepFigure, cx: &Context) -> usize {
             None => cx.show(table),
         }
     }
-    if !sweep.failures.is_empty() {
-        eprint!("{}", rfd_runner::render_failure_report(&sweep.failures));
-    }
-    sweep.failures.len()
+    cx.count_failures(&sweep);
 }
 
 fn table1(cx: &Context) {
@@ -354,7 +373,7 @@ fn fig10(cx: &Context) {
 fn extensions(cx: &Context) {
     eprintln!("-- §6 heterogeneous parameters (4-node line, zero path exploration) --");
     for (label, rcn) in [("plain damping", false), ("RCN-enhanced", true)] {
-        let demo = figures::extensions::heterogeneous_params_demo(4, rcn);
+        let demo = extensions::heterogeneous_params_demo(4, rcn);
         eprintln!(
             "{label}: Y recharged {} time(s) after flapping stopped; X reused at {:.0}s, Y at {:.0}s; convergence {:.0}s",
             demo.recharges_at_y, demo.x_reused_at, demo.y_reused_at, demo.convergence_secs
@@ -363,7 +382,7 @@ fn extensions(cx: &Context) {
 
     eprintln!("\n-- multi-prefix interference (storm on one of two prefixes) --");
     let side = if cx.quick { 4 } else { 8 };
-    let r = figures::extensions::prefix_interference(square(side), 5, 2);
+    let r = extensions::prefix_interference(square(side), 5, 2);
     eprintln!(
         "flapping prefix: {} entries suppressed; stable prefix: {} suppressed, routable throughout: {}; {} updates",
         r.flapping_suppressed, r.stable_suppressed, r.stable_always_routable, r.messages
@@ -371,24 +390,36 @@ fn extensions(cx: &Context) {
 
     eprintln!("\n-- partial deployment (1 pulse) --");
     let fractions = [0.0, 0.25, 0.5, 0.75, 1.0];
-    let exec = cx.opts.runner_config();
-    let points =
-        figures::extensions::partial_deployment_sweep(cx.mesh(), &fractions, 1, cx.seeds(), &exec);
-    cx.publish(
-        "extensions_partial_deployment",
-        &figures::extensions::deployment_table(&points),
-    );
+    let sweep = extensions::partial_deployment_sweep(cx.mesh(), &fractions, 1, &cx.opts);
+    let deployed = |i: usize| format!("{:.0}", fractions[i] * 100.0);
+    let suppressed = |_, p: &SweepPoint| fmt_f64(p.suppressed, 1);
+    let columns = [
+        Column::Given("deployed %", &deployed),
+        CONVERGENCE,
+        UPDATES,
+        Column::Measured("entries suppressed", &suppressed),
+    ];
+    cx.publish_study("extensions_partial_deployment", &sweep, &columns);
 }
 
 /// The technical-report \[15\] parameter studies: flapping interval,
 /// topology size, and damping-parameter presets.
 fn sweeps(cx: &Context) {
-    let (kind, seeds, exec) = (cx.mesh(), cx.seeds(), cx.opts.runner_config());
+    let kind = cx.mesh();
 
     eprintln!("-- flapping interval (3 pulses, full Cisco damping) --");
     let intervals = [15, 30, 60, 120, 300, 1500].map(SimDuration::from_secs);
-    let points = report15::interval_sweep(kind, 3, &intervals, seeds, &exec);
-    cx.publish("sweep_interval", &report15::interval_table(&points));
+    let sweep = report15::interval_sweep(kind, 3, &intervals, &cx.opts);
+    let interval = |i: usize| fmt_f64(intervals[i].as_secs_f64(), 0);
+    let intended = |i: usize| fmt_f64(report15::intended_secs(3, intervals[i]), 1);
+    let columns = [
+        Column::Given("interval (s)", &interval),
+        CONVERGENCE,
+        UPDATES,
+        SUPPRESSED,
+        Column::Given("intended (s)", &intended),
+    ];
+    cx.publish_study("sweep_interval", &sweep, &columns);
 
     eprintln!("\n-- topology size (1 pulse) --");
     let sizes: &[(usize, usize)] = if cx.quick {
@@ -396,8 +427,16 @@ fn sweeps(cx: &Context) {
     } else {
         &[(4, 4), (6, 6), (8, 8), (10, 10), (12, 12)]
     };
-    let points = report15::size_sweep(sizes, 1, seeds, &exec);
-    cx.publish("sweep_size", &report15::size_table(&points));
+    let sweep = report15::size_sweep(sizes, 1, &cx.opts);
+    let nodes = |i: usize| sizes[i].0 * sizes[i].1;
+    let per_node = |i, p: &SweepPoint| fmt_f64(p.suppressed / nodes(i) as f64, 2);
+    let columns = [
+        Column::Given("nodes", &|i| nodes(i).to_string()),
+        CONVERGENCE,
+        UPDATES,
+        Column::Measured("suppressed / node", &per_node),
+    ];
+    cx.publish_study("sweep_size", &sweep, &columns);
 
     eprintln!("\n-- damping parameter presets (3 pulses) --");
     let presets = [
@@ -405,8 +444,15 @@ fn sweeps(cx: &Context) {
         ("juniper", DampingParams::juniper()),
         ("ripe229-aggressive", DampingParams::ripe229_aggressive()),
     ];
-    let points = report15::parameter_sweep(kind, &presets, 3, seeds, &exec);
-    cx.publish("sweep_params", &report15::parameter_table(&points));
+    let sweep = report15::parameter_sweep(kind, &presets, 3, &cx.opts);
+    let preset = |i: usize| presets[i].0.to_owned();
+    let columns = [
+        Column::Given("preset", &preset),
+        CONVERGENCE,
+        UPDATES,
+        SUPPRESSED,
+    ];
+    cx.publish_study("sweep_params", &sweep, &columns);
 }
 
 /// Failure injection beyond the paper: flap an **interior** link
@@ -453,16 +499,28 @@ fn link_failure(cx: &Context) {
 }
 
 /// WRATE, sender-side loop avoidance and reuse-timer quantisation
-/// against the paper defaults.
+/// against the paper defaults, on seed 1.
 fn knobs(cx: &Context) {
+    let opts = SweepOptions {
+        seeds: vec![1],
+        ..cx.opts.clone()
+    };
     for (pulses, interval) in [(1usize, 60u64), (4, 10)] {
         eprintln!("-- {pulses} pulse(s), {interval} s interval --");
         let interval_d = SimDuration::from_secs(interval);
-        let points = figures::knobs::knob_comparison(cx.mesh(), pulses, interval_d, 1);
-        cx.publish(
-            &format!("knobs_p{pulses}_i{interval}"),
-            &figures::knobs::knob_table(&points),
-        );
+        let sweep = knobs::knob_comparison(cx.mesh(), pulses, interval_d, &opts);
+        // One seed: the counts print as the integers they are.
+        let label = |i: usize| sweep.series[i].label.clone();
+        let updates = |_, p: &SweepPoint| fmt_f64(p.messages, 0);
+        let suppressed = |_, p: &SweepPoint| fmt_f64(p.suppressed, 0);
+        let columns = [
+            Column::Given("configuration", &label),
+            CONVERGENCE,
+            Column::Measured("updates", &updates),
+            Column::Measured("suppressed entries", &suppressed),
+        ];
+        let name = format!("knobs_p{pulses}_i{interval}");
+        cx.publish_study(&name, &sweep, &columns);
         eprintln!();
     }
 }
