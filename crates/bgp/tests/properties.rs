@@ -8,7 +8,7 @@ use rfd_bgp::{
 };
 use rfd_core::DampingParams;
 use rfd_sim::{DetRng, RunOutcome, SimDuration, SimTime};
-use rfd_topology::{mesh_torus, Link, NodeId, Relationships};
+use rfd_topology::{internet_like, mesh_torus, Graph, Link, NodeId, Relationships};
 
 const ORIGIN: u32 = 100;
 /// The router under test.
@@ -390,6 +390,62 @@ proptest! {
                     !router.rib_in(peer).unwrap().is_suppressed(),
                     "entry for {peer} still suppressed at t=1e6"
                 );
+            }
+        }
+    }
+}
+
+/// A base graph: an Internet-like graph of 10–80 nodes or a torus from
+/// 3×3 to 8×8.
+fn base_graph() -> impl Strategy<Value = Graph> {
+    prop_oneof![
+        (10usize..81, any::<u64>()).prop_map(|(n, seed)| internet_like(n, 2, seed)),
+        (3usize..9, 3usize..9).prop_map(|(w, h)| mesh_torus(w, h)),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// Warm-up against its closed form under shortest-path routing
+    /// (ROADMAP 3(a)): with 1–8 origins on random ISPs and no damping,
+    /// every base-graph router r ends warm-up with, for each origin's
+    /// prefix, a best route one hop longer than its BFS distance d to
+    /// that origin's ISP, learned from its lowest-id neighbour at
+    /// distance d − 1 (the ISP learns it from the origin). Every
+    /// neighbour q of r then holds r's route with r prepended — or no
+    /// route from r when q is on r's path.
+    #[test]
+    fn warm_up_converges_to_shortest_paths(
+        graph in base_graph(),
+        picks in collection::vec(any::<u32>(), 1..9),
+        seed in any::<u64>(),
+    ) {
+        let n = graph.node_count() as u32;
+        let isps: Vec<NodeId> = picks.iter().map(|&p| NodeId::new(p % n)).collect();
+        let mut net = Network::new_multi(&graph, &isps, NetworkConfig::paper_no_damping(seed));
+        net.warm_up();
+        let table = net.path_table();
+        for origin in net.origins() {
+            let p = origin.prefix;
+            let dist = graph.bfs_distances(origin.isp);
+            for r in graph.nodes() {
+                let d = dist[r.index()].expect("base graphs are connected");
+                let best = net.router(r).best_for(p).expect("warm-up routes every router");
+                prop_assert_eq!(best.route.len(), d + 1, "{} to {}", r, p);
+                let closer = graph.neighbors(r).iter().filter(|q| dist[q.index()] == d.checked_sub(1));
+                let from = if d == 0 { origin.node } else { *closer.min().unwrap() };
+                prop_assert_eq!(best.learned_from, Some(from), "{} to {}", r, p);
+                for &q in net.router(r).peers() {
+                    let held = net.router(q).rib_in_for(p, r).and_then(|e| e.route);
+                    if table.contains(best.route, q) {
+                        prop_assert_eq!(held, None, "{} holds {}'s route to {}", q, r, p);
+                    } else {
+                        let held = held.expect("the neighbour holds r's route");
+                        prop_assert_eq!(held.head(), r);
+                        prop_assert_eq!(&table.path(held)[1..], table.path(best.route));
+                    }
+                }
             }
         }
     }

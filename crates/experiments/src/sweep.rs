@@ -4,9 +4,10 @@
 //! report's interval, size and parameter sweeps, partial deployment,
 //! the protocol knobs).
 //!
-//! Measurement goes through [`rfd_runner`]: every (series × pulse-count
-//! × seed) cell becomes a grid job, executed on a shared-counter thread
-//! pool and optionally journaled under `results/` for `--resume`.
+//! The sweep owns the grid: [`measure_sweep`] enumerates every (series ×
+//! pulse-count × seed) cell, keys it and folds the results, and
+//! [`rfd_runner`] only runs the keyed cells, on a shared-counter thread
+//! pool, optionally journaled under `results/` for `--resume`.
 //! Output is byte-identical for any thread count (see the runner crate's
 //! determinism contract). The pulse figures render with
 //! [`PulseSweep::convergence_table`]/[`PulseSweep::message_table`], the
@@ -17,8 +18,10 @@ use std::path::PathBuf;
 
 use rfd_bgp::NetworkConfig;
 use rfd_core::{intended_behavior, DampingParams, FlapPattern};
-use rfd_metrics::{fmt_f64, Table};
-use rfd_runner::{hash_params, run_grid, CellFailure, ChaosPlan, RunGrid, RunnerConfig};
+use rfd_metrics::{fmt_f64, RunningStats, Table};
+use rfd_runner::{
+    hash_params, run_cells, CellFailure, ChaosPlan, GridFingerprint, RunMetrics, RunnerConfig,
+};
 use rfd_sim::SimDuration;
 use rfd_topology::Graph;
 
@@ -282,6 +285,11 @@ impl<'a> SeriesSpec<'a> {
 /// The pulse figures pass [`SweepOptions::pulse_counts`]; a study passes
 /// its one count. Seeds and execution come from `opts`.
 ///
+/// The grid is enumerated here, in grid order: series-major, then pulse
+/// count, then seed. Cell `i` is journaled under
+/// `<label>|n=<pulses>|seed=<seed>`, and each point folds its seeds in
+/// that order, so the means are bit-identical for any thread count.
+///
 /// `name` names the journal file (`results/<name>.runs.jsonl`) when
 /// journaling is enabled; figures sharing runs (Figures 8 and 9 read
 /// the same grid) share a name, so one journal serves both.
@@ -301,64 +309,89 @@ pub fn measure_sweep(
             spec.kind = kind;
         }
     }
+    let seeds = &opts.seeds;
+    let cells: Vec<(&SeriesSpec, usize, u64)> = specs
+        .iter()
+        .flat_map(|spec| {
+            pulses
+                .iter()
+                .flat_map(move |&n| seeds.iter().map(move |&seed| (spec, n, seed)))
+        })
+        .collect();
+    let keys: Vec<String> = cells
+        .iter()
+        .map(|(spec, n, seed)| format!("{}|n={n}|seed={seed}", spec.label))
+        .collect();
     // The fingerprint salt folds in what the axes can't see: which
     // topology each series runs on (the damping parameters and the flap
     // interval live in the spec; the label names the profile).
+    let labels: Vec<&str> = specs.iter().map(|s| s.label.as_str()).collect();
     let salt_parts: Vec<String> = specs
         .iter()
         .flat_map(|s| [s.label.clone(), format!("{:?}", s.kind)])
         .collect();
-    let mut grid = RunGrid::new(name)
-        .pulses(pulses.to_vec())
-        .seeds(opts.seeds.clone())
-        .param_salt(hash_params(salt_parts.iter().map(String::as_str)));
-    for spec in specs {
-        let label = spec.label.clone();
-        grid = grid.series(label, spec);
-    }
-    let exec = RunnerConfig {
+    let salt = hash_params(salt_parts.iter().map(String::as_str));
+    let fingerprint = GridFingerprint::new(name, &labels, pulses, seeds, salt);
+    let config = RunnerConfig {
         threads: opts.threads,
         journal_dir: opts.journal_dir.clone(),
         resume: opts.resume,
         chaos: opts.chaos.clone(),
     };
-    let results = run_grid(&grid, &exec, |spec: &SeriesSpec, cell| {
-        run_pattern_metrics(
-            spec.kind,
-            cell.seed,
-            FlapPattern::new(cell.pulses, spec.interval),
-            |g| (spec.make)(g, cell.seed),
-        )
+    let (metrics, failures) = run_cells(&fingerprint, &keys, &config, |i| {
+        let (spec, n, seed) = cells[i];
+        run_pattern_metrics(spec.kind, seed, FlapPattern::new(n, spec.interval), |g| {
+            (spec.make)(g, seed)
+        })
     })
     .unwrap_or_else(|e| crate::output::exit_with(&e.to_string()));
 
-    let series = results
-        .series_labels()
+    // Cell `i` belongs to point `i / seeds.len()`: series-major, then
+    // pulse count.
+    let k = seeds.len();
+    let mut failed = vec![0; specs.len() * pulses.len()];
+    for failure in &failures {
+        failed[failure.index / k] += 1;
+    }
+    let series = specs
         .iter()
         .enumerate()
-        .map(|(si, label)| SweepSeries {
-            label: label.clone(),
-            points: results
-                .pulse_list()
-                .iter()
-                .enumerate()
-                .map(|(pi, &n)| {
-                    let stats = results.point_stats(si, pi);
-                    SweepPoint {
-                        pulses: n,
-                        convergence_secs: stats.convergence.mean(),
-                        convergence_std: stats.convergence.std_dev(),
-                        messages: stats.messages.mean(),
-                        suppressed: stats.suppressed.mean(),
-                        failed_seeds: results.point_failed(si, pi),
-                    }
+        .map(|(si, spec)| SweepSeries {
+            label: spec.label.clone(),
+            points: (0..pulses.len())
+                .map(|pi| {
+                    let point = si * pulses.len() + pi;
+                    let runs = &metrics[point * k..(point + 1) * k];
+                    fold_seeds(pulses[pi], runs, failed[point])
                 })
                 .collect(),
         })
         .collect();
-    PulseSweep {
-        series,
-        failures: results.failures().to_vec(),
+    PulseSweep { series, failures }
+}
+
+/// One point's seeds, folded in seed order. NaN metrics — including the
+/// [`RunMetrics::FAILED`] sentinel of a failed cell — are skipped, so
+/// failed seeds leave holes instead of poisoning the means.
+fn fold_seeds(pulses: usize, runs: &[RunMetrics], failed_seeds: usize) -> SweepPoint {
+    let (mut convergence, mut messages, mut suppressed) = Default::default();
+    let push = |stats: &mut RunningStats, value: f64| {
+        if !value.is_nan() {
+            stats.push(value);
+        }
+    };
+    for m in runs {
+        push(&mut convergence, m.convergence_secs);
+        push(&mut messages, m.messages);
+        push(&mut suppressed, m.suppressed);
+    }
+    SweepPoint {
+        pulses,
+        convergence_secs: convergence.mean(),
+        convergence_std: convergence.std_dev(),
+        messages: messages.mean(),
+        suppressed: suppressed.mean(),
+        failed_seeds,
     }
 }
 
@@ -406,6 +439,7 @@ pub fn estimate_t_up(kind: TopologyKind, opts: &SweepOptions) -> SimDuration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rfd_runner::Record;
 
     const TINY: TopologyKind = TopologyKind::Mesh {
         width: 3,
@@ -511,28 +545,96 @@ mod tests {
         assert!(t_up < SimDuration::from_secs(300));
     }
 
+    /// A sweep's journal lives in a fresh directory under the system
+    /// temp dir; returns the sweep and the journal's lines.
+    fn journaled(
+        name: &str,
+        specs: Vec<SeriesSpec<'_>>,
+        pulses: &[usize],
+        opts: SweepOptions,
+    ) -> (PulseSweep, Vec<String>) {
+        let dir = std::env::temp_dir().join(format!("rfd-sweep-{name}-{}", std::process::id()));
+        let opts = SweepOptions {
+            threads: 1,
+            journal_dir: Some(dir.clone()),
+            ..opts
+        };
+        let sweep = measure_sweep(name, specs, pulses, &opts);
+        let text = std::fs::read_to_string(rfd_runner::journal_path(&dir, name)).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        (sweep, text.lines().map(str::to_owned).collect())
+    }
+
     /// The salt is the series' labels and topologies, as it always
-    /// was, so an existing pulse-grid journal still resumes.
+    /// was, so an existing pulse-grid journal still resumes: the header
+    /// is the line earlier versions wrote for this grid.
     #[test]
     fn pulse_grid_journal_header_is_unchanged() {
-        let dir = std::env::temp_dir().join(format!("rfd-sweep-hdr-{}", std::process::id()));
         let opts = SweepOptions {
             seeds: vec![1],
-            journal_dir: Some(dir.clone()),
             ..SweepOptions::default()
         };
         let spec = SeriesSpec::by_seed("damped", TINY, NetworkConfig::paper_full_damping);
-        measure_sweep("hdr", vec![spec], &[0], &opts);
-        let expected = RunGrid::<()>::new("hdr")
-            .series("damped", ())
-            .pulses(vec![0])
-            .seeds(vec![1])
-            .param_salt(hash_params(["damped", &format!("{TINY:?}")]))
-            .fingerprint();
-        let text = std::fs::read_to_string(rfd_runner::journal_path(&dir, "hdr")).unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
-        let header = rfd_runner::parse_record(text.lines().next().unwrap());
-        assert_eq!(header, Some(rfd_runner::Record::Header(expected)));
+        let (_, lines) = journaled("hdr", vec![spec], &[0], opts);
+        assert_eq!(
+            lines[0],
+            r#"{"journal":"rfd-runs/v2","grid":"hdr","series":1,"pulses":1,"seeds":1,"cells":1,"param_hash":"9046e71507873d3b"}"#
+        );
+    }
+
+    /// Cells run and journal in grid order — series-major, then pulse
+    /// count, then seed — under `<label>|n=<pulses>|seed=<seed>` keys,
+    /// and a failed seed leaves a hole in its point, not a NaN mean.
+    #[test]
+    fn cells_follow_grid_order_and_failed_seeds_are_skipped() {
+        let failed_key = "b|n=2|seed=1";
+        let opts = SweepOptions {
+            seeds: vec![1, 2],
+            chaos: ChaosPlan::parse(&format!("panic@{failed_key}")).unwrap(),
+            ..SweepOptions::default()
+        };
+        let specs = vec![
+            SeriesSpec::by_seed("a", TINY, NetworkConfig::paper_no_damping),
+            SeriesSpec::by_seed("b", TINY, NetworkConfig::paper_full_damping),
+        ];
+        let (sweep, lines) = journaled("order", specs, &[1, 2], opts);
+        let records: Vec<_> = lines[1..]
+            .iter()
+            .map(|line| rfd_runner::parse_record(line).unwrap())
+            .collect();
+        let keys: Vec<&str> = records
+            .iter()
+            .map(|r| match r {
+                Record::Run { key, .. } | Record::Failure { key, .. } => key.as_str(),
+                Record::Header(_) => panic!("a second header"),
+            })
+            .collect();
+        let mut expected = Vec::new();
+        for label in ["a", "b"] {
+            for n in [1, 2] {
+                for seed in [1, 2] {
+                    expected.push(format!("{label}|n={n}|seed={seed}"));
+                }
+            }
+        }
+        assert_eq!(keys, expected);
+
+        assert_eq!(sweep.failures.len(), 1);
+        assert_eq!(
+            (sweep.failures[0].index, sweep.failures[0].key.as_str()),
+            (6, failed_key)
+        );
+        let point = sweep.series("b").unwrap().at(2).unwrap();
+        assert_eq!(point.failed_seeds, 1);
+        let Record::Run {
+            metrics: survivor, ..
+        } = records[7]
+        else {
+            panic!("b|n=2|seed=2 did not complete");
+        };
+        assert_eq!(point.convergence_secs, survivor.convergence_secs);
+        assert_eq!(point.messages, survivor.messages);
+        assert_eq!(sweep.series("b").unwrap().at(1).unwrap().failed_seeds, 0);
     }
 
     /// Both CSVs of a three-series, 0..=2-pulse sweep over [`TINY`] —

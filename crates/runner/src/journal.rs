@@ -313,22 +313,6 @@ fn encode_f64(v: f64) -> String {
     }
 }
 
-/// Parses one completed-run journal line; `None` for headers, failure
-/// records, or malformed (e.g. truncated) input.
-pub fn parse_line(line: &str) -> Option<(String, RunMetrics)> {
-    parse_line_meta(line).map(|(key, metrics, _)| (key, metrics))
-}
-
-/// Parses one completed-run journal line including the optional
-/// [`RunMeta`] fields. Lines written before metadata existed parse with
-/// `None` meta.
-pub fn parse_line_meta(line: &str) -> Option<(String, RunMetrics, Option<RunMeta>)> {
-    match parse_record(line)? {
-        Record::Run { key, metrics, meta } => Some((key, metrics, meta)),
-        _ => None,
-    }
-}
-
 /// Parses any journal line — header, run, or failure. `None` for
 /// malformed input. Unknown extra fields are tolerated, which is what
 /// makes the journal format forward- and backward-compatible across
@@ -405,6 +389,14 @@ mod tests {
         dir
     }
 
+    /// The fields of a completed-run line.
+    fn run_record(line: &str) -> (String, RunMetrics, Option<RunMeta>) {
+        match parse_record(line) {
+            Some(Record::Run { key, metrics, meta }) => (key, metrics, meta),
+            other => panic!("not a run record: {line:?} -> {other:?}"),
+        }
+    }
+
     fn fp(name: &str) -> GridFingerprint {
         GridFingerprint {
             grid: name.to_owned(),
@@ -425,7 +417,7 @@ mod tests {
                 encode_f64(-v),
                 encode_f64(v * 0.5),
             );
-            let (key, m) = parse_line(&line).unwrap();
+            let (key, m, _) = run_record(&line);
             assert_eq!(key, "k");
             assert_eq!(m.convergence_secs.to_bits(), v.to_bits());
             assert_eq!(m.messages.to_bits(), (-v).to_bits());
@@ -437,7 +429,7 @@ mod tests {
     fn round_trips_non_finite() {
         let line =
             "{\"key\":\"k\",\"convergence_secs\":\"NaN\",\"messages\":\"-inf\",\"suppressed\":0.0}";
-        let (_, m) = parse_line(line).unwrap();
+        let (_, m, _) = run_record(line);
         assert!(m.convergence_secs.is_nan());
         assert_eq!(m.messages, f64::NEG_INFINITY);
     }
@@ -449,7 +441,7 @@ mod tests {
             "{{\"key\":{},\"convergence_secs\":1.0,\"messages\":2.0,\"suppressed\":0.0}}",
             quote(key)
         );
-        assert_eq!(parse_line(&line).unwrap().0, key);
+        assert_eq!(run_record(&line).0, key);
     }
 
     #[test]
@@ -543,10 +535,10 @@ mod tests {
 
         let text = std::fs::read_to_string(&path).unwrap();
         let mut lines = text.lines().skip(1); // header
-        let (k1, m1, meta1) = parse_line_meta(lines.next().unwrap()).unwrap();
+        let (k1, m1, meta1) = run_record(lines.next().unwrap());
         assert_eq!((k1.as_str(), m1), ("with-meta", m));
         assert_eq!(meta1, Some(meta));
-        let (k2, m2, meta2) = parse_line_meta(lines.next().unwrap()).unwrap();
+        let (k2, m2, meta2) = run_record(lines.next().unwrap());
         assert_eq!((k2.as_str(), m2), ("without-meta", m));
         assert_eq!(meta2, None);
         let _ = std::fs::remove_dir_all(&dir);
@@ -784,7 +776,7 @@ mod tests {
         assert!(!state.completed.contains_key("slow"));
         assert_eq!(state.completed["healed"].convergence_secs, 7.5);
         let text = std::fs::read_to_string(&path).unwrap();
-        let (_, _, meta) = parse_line_meta(text.lines().nth(2).unwrap()).unwrap();
+        let (_, _, meta) = run_record(text.lines().nth(2).unwrap());
         let expected = RunMeta {
             duration_secs: 0.25,
             thread: 1,

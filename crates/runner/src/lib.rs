@@ -3,14 +3,18 @@
 //! Every figure in the paper is a mean over many independent simulation
 //! runs (scenario × pulse count × seed). Those runs are embarrassingly
 //! parallel; this crate fans them out without giving up the repo's
-//! reproducibility guarantees.
+//! reproducibility guarantees. It runs keyed cells; the sweep owns the
+//! grid: the caller enumerates the cells, keys them and folds their
+//! results (`rfd-experiments`' `measure_sweep` does all three), and
+//! the runner only executes them.
 //!
 //! ## Architecture
 //!
-//! * [`RunGrid`] (grid.rs) — a declarative grid of *series × pulse
-//!   counts × seeds*, enumerated in a fixed **grid order** that gives
-//!   every cell a stable index, journal key, and a
-//!   [`GridFingerprint`] identifying the grid as a whole;
+//! * [`run_cells`] — the one entry point: given the grid's
+//!   [`GridFingerprint`] (grid.rs), the cell keys in grid order and an
+//!   `exec(index)` closure, it skips journaled cells, executes the
+//!   rest on the pool under supervision and returns every cell's
+//!   metrics by index;
 //! * [`pool`] — a std-only scoped thread pool fed by one atomic job
 //!   counter; results come back indexed by job, hiding completion
 //!   order, and a panicking job never strands its siblings;
@@ -22,56 +26,51 @@
 //! * [`Journal`] (journal.rs) — a JSON-lines record of completed runs
 //!   under `results/`, flushed per line and integrity-checked on
 //!   resume, so an interrupted or partially failed sweep resumes
-//!   instead of recomputing;
-//! * [`run_grid`] — the orchestrator: skips journaled cells, executes
-//!   the rest on the pool under supervision, commits results by grid
-//!   index, and returns [`GridResults`] whose aggregation pushes seeds
-//!   into one [`rfd_metrics::RunningStats`] each, in grid order.
+//!   instead of recomputing.
 //!
 //! ## Determinism contract
 //!
 //! Output must be **byte-identical across thread counts**. Three
 //! mechanisms combine to guarantee it:
 //!
-//! 1. each cell's seed comes from its grid position (either an explicit
-//!    per-position seed list or [`RunGrid::seed_range`] deriving seeds
-//!    via `DetRng::from_seed_and_label`), never from execution order;
-//! 2. the pool returns results indexed by cell, and [`GridResults`]
-//!    stores them in grid order;
-//! 3. aggregation ([`GridResults::point_stats`]) folds per-seed metrics
-//!    in grid order, so even floating-point rounding is identical run
-//!    to run.
+//! 1. a cell is a pure function of its index — the caller derives its
+//!    seed and scenario from its grid position, never from execution
+//!    order;
+//! 2. the pool returns results indexed by job, and [`run_cells`]
+//!    returns them in cell order;
+//! 3. the caller folds per-seed metrics in cell order, so even
+//!    floating-point rounding is identical run to run.
 //!
 //! ## Fault tolerance contract
 //!
 //! A sweep **finishes** even when individual cells fail. A panicking or
-//! journal-I/O-failed cell is quarantined as a
-//! [`CellFailure`]: its metrics slot holds the all-NaN
-//! [`RunMetrics::FAILED`] sentinel (aggregation skips NaN, so failures
-//! leave holes, not poison), the journal carries a failure record, and
-//! [`GridResults::failures`] reports every one so the caller can print
-//! a report and exit non-zero. Re-running with resume executes exactly
-//! the failed/missing cells; because cells are pure functions of their
-//! grid position, the healed output is byte-identical to a run that
-//! never failed. For the same reason a failed cell is never retried in
-//! the same run — a deterministic panic would only recur.
+//! journal-I/O-failed cell is quarantined as a [`CellFailure`]: its
+//! metrics slot holds the all-NaN [`RunMetrics::FAILED`] sentinel, the
+//! journal carries a failure record, and [`run_cells`] returns every
+//! failure so the caller can mark its points, print a report and exit
+//! non-zero. Re-running with resume executes exactly the
+//! failed/missing cells; because cells are pure functions of their
+//! index, the healed output is byte-identical to a run that never
+//! failed. For the same reason a failed cell is never retried in the
+//! same run — a deterministic panic would only recur.
 //!
 //! ```
-//! use rfd_runner::{run_grid, RunGrid, RunMetrics, RunnerConfig};
+//! use rfd_runner::{run_cells, GridFingerprint, RunMetrics, RunnerConfig};
 //!
-//! let grid = RunGrid::new("doc")
-//!     .series("mesh", 4u64)
-//!     .pulses(vec![1, 2])
-//!     .seed_range(7, 3);
-//! let exec = |scale: &u64, cell: &rfd_runner::Cell| RunMetrics {
-//!     convergence_secs: (cell.pulses as f64) * (*scale as f64),
-//!     messages: cell.seed as f64,
+//! let pulses = [1, 2];
+//! let grid = GridFingerprint::new("doc", &["mesh"], &pulses, &[7], 0);
+//! let keys: Vec<String> = pulses.iter().map(|n| format!("mesh|n={n}|seed=7")).collect();
+//! let exec = |i: usize| RunMetrics {
+//!     convergence_secs: pulses[i] as f64 * 4.0,
+//!     messages: 7.0,
 //!     suppressed: 0.0,
 //! };
-//! let seq = run_grid(&grid, &RunnerConfig::sequential(), exec).unwrap();
-//! let par = run_grid(&grid, &RunnerConfig::with_threads(4), exec).unwrap();
-//! assert_eq!(seq.metrics(), par.metrics());
-//! assert!(seq.failures().is_empty());
+//! let on = |threads| RunnerConfig { threads, ..RunnerConfig::default() };
+//! let (seq, failures) = run_cells(&grid, &keys, &on(1), exec).unwrap();
+//! let (par, _) = run_cells(&grid, &keys, &on(4), exec).unwrap();
+//! assert_eq!(seq, par);
+//! assert_eq!(seq[1].convergence_secs, 8.0);
+//! assert!(failures.is_empty());
 //! ```
 
 #![warn(missing_docs)]
@@ -84,18 +83,13 @@ pub mod pool;
 pub mod supervisor;
 
 pub use chaos::ChaosPlan;
-pub use grid::{hash_params, Cell, GridFingerprint, GridSeries, RunGrid};
-pub use journal::{
-    journal_path, parse_line, parse_line_meta, parse_record, Journal, Record, ResumeState, RunMeta,
-    RunMetrics,
-};
+pub use grid::{hash_params, GridFingerprint};
+pub use journal::{journal_path, parse_record, Journal, Record, ResumeState, RunMeta, RunMetrics};
 pub use supervisor::{render_failure_report, CellFailure, FailKind};
 
 use std::fmt;
 use std::io;
 use std::path::PathBuf;
-
-use rfd_metrics::RunningStats;
 
 /// An error that aborts a whole grid run (as opposed to a
 /// [`CellFailure`], which quarantines one cell and lets the sweep
@@ -167,40 +161,6 @@ pub struct RunnerConfig {
 }
 
 impl RunnerConfig {
-    /// Single-threaded, no journal — bit-reference configuration.
-    pub fn sequential() -> Self {
-        RunnerConfig {
-            threads: 1,
-            ..Default::default()
-        }
-    }
-
-    /// `n` worker threads (0 = all cores), no journal.
-    pub fn with_threads(n: usize) -> Self {
-        RunnerConfig {
-            threads: n,
-            ..Default::default()
-        }
-    }
-
-    /// Enables journaling under `dir`.
-    pub fn journal_to(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.journal_dir = Some(dir.into());
-        self
-    }
-
-    /// Sets resume mode (only meaningful with a journal directory).
-    pub fn resume(mut self, resume: bool) -> Self {
-        self.resume = resume;
-        self
-    }
-
-    /// Installs a deterministic fault-injection plan.
-    pub fn chaos(mut self, plan: ChaosPlan) -> Self {
-        self.chaos = plan;
-        self
-    }
-
     /// The concrete thread count this config resolves to.
     pub fn effective_threads(&self) -> usize {
         if self.threads > 0 {
@@ -213,101 +173,10 @@ impl RunnerConfig {
     }
 }
 
-/// Per-(series, pulse-count) aggregates over the seed axis.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PointStats {
-    /// Convergence-time statistics across seeds.
-    pub convergence: RunningStats,
-    /// Message-count statistics across seeds.
-    pub messages: RunningStats,
-    /// Suppressed-entry statistics across seeds.
-    pub suppressed: RunningStats,
-}
-
-/// Completed grid: every cell's metrics, in grid order, plus any
-/// quarantined cell failures.
-#[derive(Debug, Clone)]
-pub struct GridResults {
-    metrics: Vec<RunMetrics>,
-    failed: Vec<bool>,
-    failures: Vec<CellFailure>,
-    series_labels: Vec<String>,
-    pulse_list: Vec<usize>,
-    seeds_len: usize,
-}
-
-impl GridResults {
-    /// Per-cell metrics, in grid order. Failed cells hold
-    /// [`RunMetrics::FAILED`].
-    pub fn metrics(&self) -> &[RunMetrics] {
-        &self.metrics
-    }
-
-    /// Every quarantined cell failure, in grid order. Empty for a clean
-    /// run.
-    pub fn failures(&self) -> &[CellFailure] {
-        &self.failures
-    }
-
-    /// Whether the cell at `index` (grid order) failed.
-    pub fn is_failed(&self, index: usize) -> bool {
-        self.failed[index]
-    }
-
-    /// Series labels, in grid order.
-    pub fn series_labels(&self) -> &[String] {
-        &self.series_labels
-    }
-
-    /// The pulse-count axis.
-    pub fn pulse_list(&self) -> &[usize] {
-        &self.pulse_list
-    }
-
-    /// Metrics for one (series, pulse-count) point, in seed order.
-    pub fn point_metrics(&self, series: usize, pulse_index: usize) -> &[RunMetrics] {
-        let start = (series * self.pulse_list.len() + pulse_index) * self.seeds_len;
-        &self.metrics[start..start + self.seeds_len]
-    }
-
-    /// How many seeds failed at one (series, pulse-count) point.
-    pub fn point_failed(&self, series: usize, pulse_index: usize) -> usize {
-        let start = (series * self.pulse_list.len() + pulse_index) * self.seeds_len;
-        self.failed[start..start + self.seeds_len]
-            .iter()
-            .filter(|&&f| f)
-            .count()
-    }
-
-    /// Aggregates one (series, pulse-count) point over its seeds,
-    /// folding in grid order for bit-reproducible statistics. NaN
-    /// metrics — including the [`RunMetrics::FAILED`] sentinel — are
-    /// skipped, so failed cells leave holes instead of poisoning the
-    /// aggregates.
-    pub fn point_stats(&self, series: usize, pulse_index: usize) -> PointStats {
-        let mut convergence = RunningStats::new();
-        let mut messages = RunningStats::new();
-        let mut suppressed = RunningStats::new();
-        for m in self.point_metrics(series, pulse_index) {
-            if !m.convergence_secs.is_nan() {
-                convergence.push(m.convergence_secs);
-            }
-            if !m.messages.is_nan() {
-                messages.push(m.messages);
-            }
-            if !m.suppressed.is_nan() {
-                suppressed.push(m.suppressed);
-            }
-        }
-        PointStats {
-            convergence,
-            messages,
-            suppressed,
-        }
-    }
-}
-
-/// Executes every cell of `grid` and returns the results in grid order.
+/// Executes the cells `keys` of the grid `fingerprint` and returns each
+/// cell's metrics in index order, plus the quarantined failures sorted
+/// by index. Cell `i` runs as `exec(i)` and is journaled under
+/// `keys[i]`.
 ///
 /// Cells already present in the journal (when `config.resume`) are not
 /// re-executed; their journaled metrics are spliced into place, which
@@ -316,33 +185,30 @@ impl GridResults {
 /// record is a *failure* are re-run.
 ///
 /// Individual cell faults — panics, journal-write errors — do **not**
-/// abort the run: the cell is quarantined (see
-/// [`GridResults::failures`]) and every other cell still executes.
+/// abort the run: the cell's slot holds [`RunMetrics::FAILED`], its
+/// [`CellFailure`] is returned, and every other cell still executes.
 ///
 /// # Errors
 ///
 /// [`RunnerError::Io`] on filesystem errors setting up the journal,
 /// and [`RunnerError::JournalMismatch`] when resuming a journal that
 /// was written by a different grid.
-pub fn run_grid<S, F>(
-    grid: &RunGrid<S>,
+pub fn run_cells<F>(
+    fingerprint: &GridFingerprint,
+    keys: &[String],
     config: &RunnerConfig,
     exec: F,
-) -> Result<GridResults, RunnerError>
+) -> Result<(Vec<RunMetrics>, Vec<CellFailure>), RunnerError>
 where
-    S: Sync,
-    F: Fn(&S, &Cell) -> RunMetrics + Sync,
+    F: Fn(usize) -> RunMetrics + Sync,
 {
-    let cells = grid.cells();
-    let fingerprint = grid.fingerprint();
-
     let (journal, resume_state) = match &config.journal_dir {
         Some(dir) if config.resume => {
-            let (journal, state) = Journal::resume(dir, &fingerprint)?;
+            let (journal, state) = Journal::resume(dir, fingerprint)?;
             (Some(journal), state)
         }
         Some(dir) => (
-            Some(Journal::create(dir, &fingerprint)?),
+            Some(Journal::create(dir, fingerprint)?),
             ResumeState::default(),
         ),
         None => (None, ResumeState::default()),
@@ -360,26 +226,24 @@ where
         );
     }
 
-    // Splice journaled results in by grid position; queue the rest
-    // (including previously failed cells, which are *not* completed).
-    let mut metrics: Vec<Option<RunMetrics>> = vec![None; cells.len()];
+    // Splice journaled results in by index; queue the rest (including
+    // previously failed cells, which are *not* completed).
+    let mut metrics = vec![RunMetrics::FAILED; keys.len()];
     let mut pending: Vec<usize> = Vec::new();
-    for cell in &cells {
-        match resume_state.completed.get(&cell.key()) {
-            Some(m) => metrics[cell.index] = Some(*m),
-            None => pending.push(cell.index),
+    for (index, key) in keys.iter().enumerate() {
+        match resume_state.completed.get(key) {
+            Some(m) => metrics[index] = *m,
+            None => pending.push(index),
         }
     }
 
     let journal = journal.as_ref();
     let threads = config.effective_threads();
     let fresh = pool::execute(threads, pending.len(), |worker, i| {
-        let cell = &cells[pending[i]];
-        let key = cell.key();
-        let scenario = &grid.series_list()[cell.series].scenario;
+        let index = pending[i];
+        let key = &keys[index];
         let obs_span = rfd_obs::span("runner.cell");
-        let supervised =
-            supervisor::supervise(cell.index, &key, &config.chaos, || exec(scenario, cell));
+        let supervised = supervisor::supervise(index, key, &config.chaos, || exec(index));
         drop(obs_span);
         let supervised = match supervised {
             Ok(s) => s,
@@ -401,13 +265,13 @@ where
                 duration_secs: supervised.duration.as_secs_f64(),
                 thread: worker as u64,
             };
-            if let Err(e) = journal.record_with(&key, &supervised.value, Some(&meta)) {
+            if let Err(e) = journal.record_with(key, &supervised.value, Some(&meta)) {
                 // A cell whose result can't be journaled is a cell
                 // failure, not a process panic: the sweep finishes
                 // and resume re-runs it.
                 return Err(supervisor::fail_cell(CellFailure {
-                    index: cell.index,
-                    key,
+                    index,
+                    key: key.clone(),
                     kind: FailKind::JournalIo,
                     message: e.to_string(),
                 }));
@@ -416,53 +280,79 @@ where
         Ok(supervised.value)
     });
 
-    let mut failed = vec![false; cells.len()];
     let mut failures = Vec::new();
-    for (&slot, outcome) in pending.iter().zip(fresh) {
+    for (&index, outcome) in pending.iter().zip(fresh) {
         match outcome {
-            Ok(m) => metrics[slot] = Some(m),
-            Err(failure) => {
-                metrics[slot] = Some(RunMetrics::FAILED);
-                failed[slot] = true;
-                failures.push(failure);
-            }
+            Ok(m) => metrics[index] = m,
+            Err(failure) => failures.push(failure),
         }
     }
     failures.sort_by_key(|f| f.index);
-
-    Ok(GridResults {
-        metrics: metrics
-            .into_iter()
-            .map(|m| m.expect("cell executed"))
-            .collect(),
-        failed,
-        failures,
-        series_labels: grid.series_list().iter().map(|s| s.label.clone()).collect(),
-        pulse_list: grid.pulse_list().to_vec(),
-        seeds_len: grid.seed_list().len(),
-    })
+    Ok((metrics, failures))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
+    use std::path::Path;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    fn demo_grid() -> RunGrid<f64> {
-        RunGrid::new("lib-test")
-            .series("alpha", 2.0)
-            .series("beta", 3.0)
-            .pulses(vec![1, 4, 9])
-            .seeds(vec![10, 20, 30])
+    /// The test grid: two series (each a scale factor) × three pulse
+    /// counts × three seeds = 18 cells.
+    const SERIES: [(&str, f64); 2] = [("alpha", 2.0), ("beta", 3.0)];
+    const PULSES: [usize; 3] = [1, 4, 9];
+    const SEEDS: [u64; 3] = [10, 20, 30];
+    const CELLS: usize = 18;
+
+    /// Cell `i`'s series, pulse count and seed, in grid order.
+    fn cell(i: usize) -> ((&'static str, f64), usize, u64) {
+        (SERIES[i / 9], PULSES[i / 3 % 3], SEEDS[i % 3])
     }
 
-    fn demo_exec(scale: &f64, cell: &Cell) -> RunMetrics {
-        // Deterministic function of (scenario, cell) only.
+    fn keys() -> Vec<String> {
+        (0..CELLS)
+            .map(|i| {
+                let ((label, _), n, seed) = cell(i);
+                format!("{label}|n={n}|seed={seed}")
+            })
+            .collect()
+    }
+
+    fn fingerprint(salt: u64) -> GridFingerprint {
+        GridFingerprint::new("lib-test", &SERIES.map(|s| s.0), &PULSES, &SEEDS, salt)
+    }
+
+    /// A fake executor: a deterministic function of the cell index only.
+    fn demo_exec(i: usize) -> RunMetrics {
+        let ((_, scale), n, seed) = cell(i);
         RunMetrics {
-            convergence_secs: scale * cell.pulses as f64 + (cell.seed as f64).sqrt(),
-            messages: (cell.seed * cell.pulses as u64) as f64,
-            suppressed: (cell.seed % 7) as f64,
+            convergence_secs: scale * n as f64 + (seed as f64).sqrt(),
+            messages: (seed * n as u64) as f64,
+            suppressed: (seed % 7) as f64,
+        }
+    }
+
+    fn config(threads: usize, journal: Option<&Path>, resume: bool) -> RunnerConfig {
+        RunnerConfig {
+            threads,
+            journal_dir: journal.map(Path::to_path_buf),
+            resume,
+            chaos: ChaosPlan::none(),
+        }
+    }
+
+    fn run(
+        config: &RunnerConfig,
+        exec: impl Fn(usize) -> RunMetrics + Sync,
+    ) -> (Vec<RunMetrics>, Vec<CellFailure>) {
+        run_cells(&fingerprint(0), &keys(), config, exec).unwrap()
+    }
+
+    /// `demo_exec`, counting its calls in `executed`.
+    fn counting(executed: &AtomicUsize) -> impl Fn(usize) -> RunMetrics + Sync + '_ {
+        move |i| {
+            executed.fetch_add(1, Ordering::SeqCst);
+            demo_exec(i)
         }
     }
 
@@ -474,154 +364,97 @@ mod tests {
 
     #[test]
     fn results_identical_across_thread_counts() {
-        let grid = demo_grid();
-        let reference = run_grid(&grid, &RunnerConfig::sequential(), demo_exec).unwrap();
+        let (reference, failures) = run(&config(1, None, false), demo_exec);
+        assert!(failures.is_empty());
+        assert_eq!(reference.len(), CELLS);
+        assert_eq!(reference[17], demo_exec(17), "metrics come back by index");
         for threads in [2, 4, 8] {
-            let parallel =
-                run_grid(&grid, &RunnerConfig::with_threads(threads), demo_exec).unwrap();
-            assert_eq!(reference.metrics(), parallel.metrics(), "threads={threads}");
-            // Aggregates must match bit-for-bit, not just approximately.
-            for s in 0..2 {
-                for p in 0..3 {
-                    assert_eq!(
-                        format!("{:?}", reference.point_stats(s, p)),
-                        format!("{:?}", parallel.point_stats(s, p)),
-                    );
-                }
-            }
+            let (parallel, _) = run(&config(threads, None, false), demo_exec);
+            assert_eq!(reference, parallel, "threads={threads}");
         }
-    }
-
-    #[test]
-    fn point_metrics_slice_by_grid_position() {
-        let grid = demo_grid();
-        let r = run_grid(&grid, &RunnerConfig::sequential(), demo_exec).unwrap();
-        // Series 1 ("beta"), pulses index 2 (9 pulses), all three seeds.
-        let pts = r.point_metrics(1, 2);
-        assert_eq!(pts.len(), 3);
-        assert_eq!(pts[0].messages, (10 * 9) as f64);
-        assert_eq!(pts[2].messages, (30 * 9) as f64);
-        let stats = r.point_stats(1, 2);
-        assert_eq!(stats.convergence.count(), 3);
     }
 
     #[test]
     fn resume_skips_journaled_cells_and_reproduces_output() {
         let dir = tmp_dir("resume");
-        let grid = demo_grid();
-        let full = run_grid(
-            &grid,
-            &RunnerConfig::sequential().journal_to(&dir),
-            demo_exec,
-        )
-        .unwrap();
+        let (full, _) = run(&config(1, Some(&dir), false), demo_exec);
 
         // Truncate the journal to simulate a sweep killed partway:
         // keep the header plus six records.
-        let path = journal_path(&dir, grid.name());
+        let path = journal_path(&dir, "lib-test");
         let text = std::fs::read_to_string(&path).unwrap();
         let kept: Vec<&str> = text.lines().take(7).collect();
         std::fs::write(&path, format!("{}\n", kept.join("\n"))).unwrap();
 
         // Resume: journaled cells must not re-execute.
         let executed = AtomicUsize::new(0);
-        let resumed = run_grid(
-            &grid,
-            &RunnerConfig::with_threads(4).journal_to(&dir).resume(true),
-            |scale: &f64, cell: &Cell| {
-                executed.fetch_add(1, Ordering::SeqCst);
-                demo_exec(scale, cell)
-            },
-        )
-        .unwrap();
-        assert_eq!(executed.load(Ordering::SeqCst), grid.cell_count() - 6);
-        assert_eq!(resumed.metrics(), full.metrics());
+        let (resumed, _) = run(&config(4, Some(&dir), true), counting(&executed));
+        assert_eq!(executed.load(Ordering::SeqCst), CELLS - 6);
+        assert_eq!(resumed, full);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn without_resume_journal_is_truncated_and_all_cells_run() {
         let dir = tmp_dir("fresh");
-        let grid = demo_grid();
-        run_grid(
-            &grid,
-            &RunnerConfig::sequential().journal_to(&dir),
-            demo_exec,
-        )
-        .unwrap();
+        run(&config(1, Some(&dir), false), demo_exec);
         let executed = AtomicUsize::new(0);
-        run_grid(
-            &grid,
-            &RunnerConfig::sequential().journal_to(&dir),
-            |scale: &f64, cell: &Cell| {
-                executed.fetch_add(1, Ordering::SeqCst);
-                demo_exec(scale, cell)
-            },
-        )
-        .unwrap();
-        assert_eq!(executed.load(Ordering::SeqCst), grid.cell_count());
+        run(&config(1, Some(&dir), false), counting(&executed));
+        assert_eq!(executed.load(Ordering::SeqCst), CELLS);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn effective_threads_resolves_zero_to_cores() {
         assert!(RunnerConfig::default().effective_threads() >= 1);
-        assert_eq!(RunnerConfig::with_threads(3).effective_threads(), 3);
+        assert_eq!(config(3, None, false).effective_threads(), 3);
     }
 
     #[test]
     fn journal_starts_with_header_and_lines_carry_meta() {
         let dir = tmp_dir("meta-wiring");
-        let grid = demo_grid();
-        run_grid(
-            &grid,
-            &RunnerConfig::with_threads(2).journal_to(&dir),
-            demo_exec,
-        )
-        .unwrap();
-        let text = std::fs::read_to_string(journal_path(&dir, grid.name())).unwrap();
+        run(&config(2, Some(&dir), false), demo_exec);
+        let text = std::fs::read_to_string(journal_path(&dir, "lib-test")).unwrap();
         let mut lines = text.lines();
         assert_eq!(
             parse_record(lines.next().unwrap()),
-            Some(Record::Header(grid.fingerprint()))
+            Some(Record::Header(fingerprint(0)))
         );
+        let mut runs = 0;
         for line in lines {
-            let (_, _, meta) = parse_line_meta(line).expect("line parses");
+            let Some(Record::Run { meta, .. }) = parse_record(line) else {
+                panic!("not a run record: {line}");
+            };
             let meta = meta.expect("meta recorded");
             assert!(meta.duration_secs >= 0.0);
             assert!((meta.thread as usize) < 2);
+            runs += 1;
         }
+        assert_eq!(runs, CELLS);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn panicking_cell_is_quarantined_and_the_rest_complete() {
-        let grid = demo_grid();
-        let reference = run_grid(&grid, &RunnerConfig::sequential(), demo_exec).unwrap();
+        let (reference, _) = run(&config(1, None, false), demo_exec);
         let bad_key = "beta|n=4|seed=20";
+        let all = keys();
         for threads in [1, 2] {
-            let out = run_grid(
-                &grid,
-                &RunnerConfig::with_threads(threads),
-                |scale: &f64, cell: &Cell| {
-                    if cell.key() == bad_key {
-                        panic!("injected failure");
-                    }
-                    demo_exec(scale, cell)
-                },
-            )
-            .unwrap();
-            assert_eq!(out.failures().len(), 1, "threads={threads}");
-            let failure = &out.failures()[0];
+            let (metrics, failures) = run(&config(threads, None, false), |i| {
+                if all[i] == bad_key {
+                    panic!("injected failure");
+                }
+                demo_exec(i)
+            });
+            assert_eq!(failures.len(), 1, "threads={threads}");
+            let failure = &failures[0];
             assert_eq!(failure.key, bad_key);
             assert_eq!(failure.kind, FailKind::Panic);
-            for (i, (got, want)) in out.metrics().iter().zip(reference.metrics()).enumerate() {
+            for (i, (got, want)) in metrics.iter().zip(&reference).enumerate() {
                 if i == failure.index {
                     assert!(got.convergence_secs.is_nan());
-                    assert!(out.is_failed(i));
                 } else {
                     assert_eq!(got, want, "threads={threads} cell={i}");
-                    assert!(!out.is_failed(i));
                 }
             }
         }
@@ -630,68 +463,48 @@ mod tests {
     #[test]
     fn resume_reruns_exactly_the_failed_cells() {
         let dir = tmp_dir("rerun-failed");
-        let grid = demo_grid();
-        let reference = run_grid(&grid, &RunnerConfig::sequential(), demo_exec).unwrap();
+        let (reference, _) = run(&config(1, None, false), demo_exec);
         let key = "beta|n=9|seed=30";
 
-        let chaotic = RunnerConfig::sequential()
-            .journal_to(&dir)
-            .chaos(ChaosPlan::parse(&format!("panic@{key}")).unwrap());
-        let broken = run_grid(&grid, &chaotic, demo_exec).unwrap();
-        assert_eq!(broken.failures().len(), 1);
-        assert_eq!(broken.point_failed(1, 2), 1);
-        // Failed points aggregate over the surviving seeds, not NaN
-        // poison.
-        assert_eq!(broken.point_stats(1, 2).convergence.count(), 2);
+        let chaotic = RunnerConfig {
+            chaos: ChaosPlan::parse(&format!("panic@{key}")).unwrap(),
+            ..config(1, Some(&dir), false)
+        };
+        let (_, failures) = run(&chaotic, demo_exec);
+        assert_eq!(failures.len(), 1);
+        assert_eq!(failures[0].index, CELLS - 1);
 
         // Resume without chaos: only the failed cell re-executes, and
         // the healed results equal an uninterrupted run's exactly.
         let executed = AtomicUsize::new(0);
-        let healed = run_grid(
-            &grid,
-            &RunnerConfig::sequential().journal_to(&dir).resume(true),
-            |scale: &f64, cell: &Cell| {
-                executed.fetch_add(1, Ordering::SeqCst);
-                demo_exec(scale, cell)
-            },
-        )
-        .unwrap();
+        let (healed, failures) = run(&config(1, Some(&dir), true), counting(&executed));
         assert_eq!(executed.load(Ordering::SeqCst), 1);
-        assert!(healed.failures().is_empty());
-        assert_eq!(healed.metrics(), reference.metrics());
+        assert!(failures.is_empty());
+        assert_eq!(healed, reference);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn resume_refuses_a_foreign_journal() {
         let dir = tmp_dir("foreign");
-        let grid = demo_grid();
-        run_grid(
-            &grid,
-            &RunnerConfig::sequential().journal_to(&dir),
-            demo_exec,
-        )
-        .unwrap();
+        run(&config(1, Some(&dir), false), demo_exec);
 
         // Same name, different parameters: refused before any cell
         // runs, and the journal is left as it was.
-        let before = std::fs::read(journal_path(&dir, grid.name())).unwrap();
-        let salted = demo_grid().param_salt(99);
+        let before = std::fs::read(journal_path(&dir, "lib-test")).unwrap();
         let executed = AtomicUsize::new(0);
-        let err = run_grid(
-            &salted,
-            &RunnerConfig::sequential().journal_to(&dir).resume(true),
-            |scale: &f64, cell: &Cell| {
-                executed.fetch_add(1, Ordering::SeqCst);
-                demo_exec(scale, cell)
-            },
+        let err = run_cells(
+            &fingerprint(99),
+            &keys(),
+            &config(1, Some(&dir), true),
+            counting(&executed),
         )
         .unwrap_err();
         assert!(matches!(err, RunnerError::JournalMismatch(_)));
         assert!(err.to_string().contains("re-run without --resume"), "{err}");
         assert_eq!(executed.load(Ordering::SeqCst), 0);
         assert_eq!(
-            std::fs::read(journal_path(&dir, grid.name())).unwrap(),
+            std::fs::read(journal_path(&dir, "lib-test")).unwrap(),
             before
         );
         let _ = std::fs::remove_dir_all(&dir);

@@ -8,7 +8,8 @@
 //!
 //! Results return as a `Vec` indexed by job — callers never observe
 //! completion order, which is the first half of the runner's
-//! determinism story (the second half is grid-order aggregation).
+//! determinism story (the second half is the caller folding in grid
+//! order).
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -5,8 +5,8 @@
 //! boundary, so a panicking cell is *recorded* (kind and message)
 //! instead of tearing down the sweep. A cell is a pure function of its
 //! grid position, so a panic is not retried here: run again, it would
-//! panic again. The outcome is a [`CellFailure`] carried in the grid
-//! results — the sweep finishes every other cell, the journal records
+//! panic again. The outcome is a [`CellFailure`] that `run_cells`
+//! returns — the sweep finishes every other cell, the journal records
 //! the failure, `--resume` re-runs exactly the failed cells once the
 //! cause is fixed, and the caller decides how loudly to exit.
 
@@ -39,7 +39,7 @@ impl fmt::Display for FailKind {
 /// CSV marking need.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellFailure {
-    /// Grid index of the cell.
+    /// Index of the cell in grid order.
     pub index: usize,
     /// Journal key of the cell.
     pub key: String,

@@ -41,7 +41,10 @@ impl TopologySpec {
     ///
     /// # Errors
     ///
-    /// Returns a human-readable message on malformed specs.
+    /// Returns a human-readable message on malformed specs and on sizes
+    /// the generator cannot build: a mesh needs W, H >= 1, an Internet
+    /// graph N >= 3 (it attaches each new node to 2 earlier ones), a
+    /// ring N >= 3, a line or clique N >= 1.
     pub fn parse(spec: &str) -> Result<Self, CliError> {
         let (kind, size) = spec
             .split_once(':')
@@ -50,23 +53,36 @@ impl TopologySpec {
             s.parse::<usize>()
                 .map_err(|_| CliError(format!("bad size `{s}` in `{spec}`")))
         };
-        match kind {
+        let parsed = match kind {
             // `torus` is an alias for `mesh` (the paper's mesh *is* a
             // torus), `ba` for `internet` (Barabási–Albert).
             "mesh" | "torus" => {
                 let (w, h) = size
                     .split_once('x')
                     .ok_or_else(|| CliError(format!("{kind} needs WxH, got `{size}`")))?;
-                Ok(TopologySpec::Mesh(parse_n(w)?, parse_n(h)?))
+                TopologySpec::Mesh(parse_n(w)?, parse_n(h)?)
             }
-            "internet" | "ba" => Ok(TopologySpec::Internet(parse_n(size)?)),
-            "ring" => Ok(TopologySpec::Ring(parse_n(size)?)),
-            "line" => Ok(TopologySpec::Line(parse_n(size)?)),
-            "clique" => Ok(TopologySpec::Clique(parse_n(size)?)),
-            other => Err(CliError(format!(
-                "unknown topology kind `{other}` (mesh|torus|internet|ba|ring|line|clique)"
-            ))),
+            "internet" | "ba" => TopologySpec::Internet(parse_n(size)?),
+            "ring" => TopologySpec::Ring(parse_n(size)?),
+            "line" => TopologySpec::Line(parse_n(size)?),
+            "clique" => TopologySpec::Clique(parse_n(size)?),
+            other => {
+                return Err(CliError(format!(
+                    "unknown topology kind `{other}` (mesh|torus|internet|ba|ring|line|clique)"
+                )))
+            }
+        };
+        let (buildable, least) = match parsed {
+            TopologySpec::Mesh(w, h) => (w >= 1 && h >= 1, "W, H >= 1"),
+            TopologySpec::Internet(n) | TopologySpec::Ring(n) => (n >= 3, "N >= 3"),
+            TopologySpec::Line(n) | TopologySpec::Clique(n) => (n >= 1, "N >= 1"),
+        };
+        if !buildable {
+            return Err(CliError(format!(
+                "topology `{spec}` is too small: {kind} needs {least}"
+            )));
         }
+        Ok(parsed)
     }
 
     /// Builds the graph (Internet graphs use `seed`).

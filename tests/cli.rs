@@ -152,6 +152,19 @@ fn run_rejects_bad_flags() {
         ("figure", "|link_failure|knobs|all)"),
         ("figure fig8", "run `rfd sweep --figure fig8-9`"),
         ("figure fig14", "run `rfd sweep --figure fig13-14`"),
+        // Sizes the generators cannot build, refused before a cell runs.
+        (
+            "run --topology ring:2",
+            "`ring:2` is too small: ring needs N >= 3",
+        ),
+        (
+            "topology --kind ba:2",
+            "`ba:2` is too small: ba needs N >= 3",
+        ),
+        (
+            "sweep --quick --no-journal --topology ba:2",
+            "`ba:2` is too small: ba needs N >= 3",
+        ),
     ] {
         let out = rfd()
             .args(line.split(' '))

@@ -3,15 +3,15 @@
 //! strings, replacement characters and control bytes, huge, negative
 //! and NaN numbers — go to every `parse_*` entry point, `rfd figure`'s
 //! included. Each must return `Ok` or a `CliError` with a message; none
-//! may panic.
+//! may panic. And every topology spec the parser accepts builds.
 
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 use proptest::prelude::*;
 use route_flap_damping::cli::{
     parse_explain_command, parse_figure_command, parse_firehose_command, parse_intended_command,
-    parse_run_options, parse_sweep_command, parse_topology_command, CliError, EXPLAIN, FIREHOSE,
-    INTENDED, RUN, SWEEP, TABLES, TOPOLOGY,
+    parse_run_options, parse_sweep_command, parse_topology_command, CliError, TopologySpec,
+    EXPLAIN, FIREHOSE, INTENDED, RUN, SWEEP, TABLES, TOPOLOGY,
 };
 use route_flap_damping::experiments::args::Table;
 use route_flap_damping::experiments::output::EXEC;
@@ -97,4 +97,44 @@ proptest! {
 fn no_command_line_panics_a_parser() {
     every_command_line_settles();
     assert!(ACCEPTED.load(Relaxed) > 1_000, "{ACCEPTED:?} accepted");
+}
+
+/// Every kind × every size in `0..=16`: a spec parses exactly when its
+/// sizes reach the kind's minimum, the refusal names that minimum, and
+/// a spec that parses builds without panicking.
+#[test]
+fn a_topology_spec_that_parses_builds() {
+    for (kind, least) in [
+        ("mesh", 1),
+        ("torus", 1),
+        ("internet", 3),
+        ("ba", 3),
+        ("ring", 3),
+        ("line", 1),
+        ("clique", 1),
+    ] {
+        let mesh = kind == "mesh" || kind == "torus";
+        for a in 0..=16usize {
+            for b in if mesh { 0..=16 } else { 0..=0 } {
+                let spec = if mesh {
+                    format!("{kind}:{a}x{b}")
+                } else {
+                    format!("{kind}:{a}")
+                };
+                let smallest = if mesh { a.min(b) } else { a };
+                match TopologySpec::parse(&spec) {
+                    Ok(parsed) => {
+                        assert!(smallest >= least, "{spec} accepted");
+                        for seed in [1, 7] {
+                            parsed.build(seed);
+                        }
+                    }
+                    Err(e) => {
+                        assert!(smallest < least, "{spec} refused: {}", e.0);
+                        assert!(e.0.contains(&format!(">= {least}")), "{}", e.0);
+                    }
+                }
+            }
+        }
+    }
 }

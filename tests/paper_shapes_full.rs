@@ -1,16 +1,20 @@
 //! Full paper-scale shape assertions (100-node mesh, the exact sizes
-//! the paper evaluates). All three run in the default suite: together
-//! they take about 1.5 s under the debug profile on a 2-vCPU machine.
+//! the paper evaluates). All five run in the default suite: together
+//! they take about 9 s under the debug profile on a 2-vCPU machine.
 //!
 //! The reduced-size versions of the same claims also run (see
 //! `rfd-experiments` unit tests and `tests/end_to_end.rs`).
 
 use route_flap_damping::bgp::NetworkConfig;
 use route_flap_damping::damping::{intended_behavior, DampingParams, FlapPattern};
+use route_flap_damping::experiments::figures::fig13_14::{figure13_14, DAMPING_AND_RCN};
+use route_flap_damping::experiments::figures::fig15::{figure15, NO_POLICY, WITH_POLICY};
 use route_flap_damping::experiments::figures::fig8_9::{
     figure8_9, CALCULATION, FULL_DAMPING_MESH, NO_DAMPING_MESH,
 };
-use route_flap_damping::experiments::{run_workload, SweepOptions, TopologyKind};
+use route_flap_damping::experiments::{
+    run_workload, SweepOptions, SweepPoint, SweepSeries, TopologyKind,
+};
 use route_flap_damping::sim::SimDuration;
 
 #[test]
@@ -95,5 +99,73 @@ fn rcn_full_scale_tracks_calculation() {
         if pulses < 3 {
             assert_eq!(network.trace().ever_suppressed_entries(), 0);
         }
+    }
+}
+
+/// One metric of a series at pulse count `n`.
+fn at(series: &SweepSeries, n: usize, metric: fn(&SweepPoint) -> f64) -> f64 {
+    metric(series.at(n).unwrap())
+}
+
+/// Figures 9, 13 and 14 at paper scale (the default seeds 1, 2, 3 and
+/// n = 0..=10): damping caps the mesh's messages from n = 5 on, below
+/// the undamped count from n = 2; RCN converges as calculated from
+/// n = 3 on but sends more than plain damping.
+#[test]
+fn figures9_13_14_full_scale_shape() {
+    let opts = SweepOptions::default();
+    let sweep = figure13_14(&opts);
+    let no_damp = sweep.series(NO_DAMPING_MESH).unwrap();
+    let damp = sweep.series(FULL_DAMPING_MESH).unwrap();
+    let rcn = sweep.series(DAMPING_AND_RCN).unwrap();
+    let calc = sweep.series(CALCULATION).unwrap();
+    let messages = |p: &SweepPoint| p.messages;
+    let convergence = |p: &SweepPoint| p.convergence_secs;
+
+    let cap = at(damp, 5, messages);
+    for n in 2..=opts.max_pulses {
+        let (undamped, damped) = (at(no_damp, n, messages), at(damp, n, messages));
+        // Fig. 9: damping saves messages from the second pulse on.
+        assert!(undamped > damped, "n={n}: {undamped} vs {damped} messages");
+        // Fig. 9: from n = 5 the damped count sits at its cap.
+        if n >= 5 {
+            assert!(
+                (damped - cap).abs() <= 0.02 * cap,
+                "n={n}: {damped} vs cap {cap}"
+            );
+        }
+        // Fig. 14: RCN sends more than plain damping.
+        let with_rcn = at(rcn, n, messages);
+        assert!(
+            with_rcn > damped,
+            "n={n}: RCN {with_rcn} vs {damped} messages"
+        );
+        // Fig. 13: from n = 3 RCN converges within one MRAI (30 s) of
+        // the calculation.
+        if n >= 3 {
+            let (r, c) = (at(rcn, n, convergence), at(calc, n, convergence));
+            assert!(
+                (r - c).abs() <= 30.0,
+                "n={n}: RCN {r} s vs calculated {c} s"
+            );
+        }
+    }
+}
+
+/// Figure 15 at paper scale: on the 208-node Internet graph, the
+/// no-valley policy converges faster than shortest-path routing at
+/// every pulse count.
+#[test]
+fn figure15_full_scale_shape() {
+    let opts = SweepOptions::default();
+    let sweep = figure15(&opts);
+    let (policy, none) = (
+        sweep.series(WITH_POLICY).unwrap(),
+        sweep.series(NO_POLICY).unwrap(),
+    );
+    let convergence = |p: &SweepPoint| p.convergence_secs;
+    for n in 1..=opts.max_pulses {
+        let (with, without) = (at(policy, n, convergence), at(none, n, convergence));
+        assert!(with < without, "n={n}: with policy {with} s vs {without} s");
     }
 }
