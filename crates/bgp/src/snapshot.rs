@@ -5,11 +5,12 @@
 //! after a workload ran to quiescence: the run counters and the clock,
 //! the interned path table, every router (RIBs, MRAI pacing, damper
 //! stores, RCN/selective filters) with its RNG streams and sequence
-//! number, the TCP-ordering clamps and down links, and last the
-//! aggregator sinks. The state goes into a fingerprinted binary
-//! container (see [`rfd_snap`]) written with a temp-file +
-//! atomic-rename protocol, so a process killed mid-write can never
-//! leave a half snapshot behind.
+//! number, the TCP-ordering clamps and down links, and last the two
+//! metric aggregators and the trace, in [`export_trace`]'s line format
+//! (a snapshot holds a default `Network`, whose sink is a [`VecSink`]).
+//! The state goes into a fingerprinted binary container (see
+//! [`rfd_snap`]) written with a temp-file + atomic-rename protocol, so
+//! a process killed mid-write can never leave a half snapshot behind.
 //!
 //! [`Snapshot::resume_into`] restores it into a freshly built network
 //! of the same configuration — the config fingerprint (full topology +
@@ -30,7 +31,7 @@ use rfd_core::{
     DamperStore, DamperStoreState, LinkStatus, RcnChargePolicy, RcnFilter, RootCause,
     RootCauseHistory, SelectiveFilter,
 };
-use rfd_metrics::TraceSink;
+use rfd_metrics::{export_trace, parse_trace, ConvergenceTracker, MessageCounter, VecSink};
 use rfd_sim::{DetRng, SimTime};
 use rfd_snap::{Decoder, Encoder, Fingerprint, SnapError};
 use rfd_topology::{Graph, NodeId};
@@ -118,9 +119,8 @@ pub enum SnapshotError {
         /// Events on the queue.
         pending: usize,
     },
-    /// The network's trace sink does not support checkpointing (e.g.
-    /// streaming aggregators that fold into irrecoverable state), or
-    /// its ledger holds records (they are never checkpointed).
+    /// The network's ledger holds records (they are never
+    /// checkpointed).
     UnsupportedSink(&'static str),
     /// The payload decoded cleanly but does not fit the target network:
     /// a count, width or damping deployment that disagrees with it, or
@@ -184,13 +184,9 @@ impl Snapshot {
     /// # Errors
     ///
     /// [`SnapshotError::NotQuiescent`] when events are pending;
-    /// [`SnapshotError::UnsupportedSink`] when the trace sink cannot
-    /// checkpoint its state or the ledger holds records (drain it with
-    /// [`Network::take_ledger`] first).
-    pub fn capture<S: TraceSink>(
-        net: &Network<S>,
-        key: SnapshotKey,
-    ) -> Result<Snapshot, SnapshotError> {
+    /// [`SnapshotError::UnsupportedSink`] when the ledger holds records
+    /// (drain it with [`Network::take_ledger`] first).
+    pub fn capture(net: &Network, key: SnapshotKey) -> Result<Snapshot, SnapshotError> {
         let pending = net.state.queue.len();
         if pending > 0 {
             return Err(SnapshotError::NotQuiescent { pending });
@@ -253,11 +249,7 @@ impl Snapshot {
     /// from the snapshot's; decode/shape errors on corrupt payloads (a
     /// refused restore may leave the network half-restored: rebuild
     /// it).
-    pub fn resume_into<S: TraceSink>(
-        &self,
-        net: &mut Network<S>,
-        key: &SnapshotKey,
-    ) -> Result<(), SnapshotError> {
+    pub fn resume_into(&self, net: &mut Network, key: &SnapshotKey) -> Result<(), SnapshotError> {
         if key.config_fp != self.key.config_fp {
             return Err(SnapshotError::ConfigMismatch {
                 expected: key.config_fp,
@@ -288,8 +280,8 @@ impl Snapshot {
 }
 
 /// Writes the one simulation state: path table, routers and their
-/// per-node streams, link state, then the sinks.
-fn encode_state<S: TraceSink>(enc: &mut Encoder, state: &State<S>) -> Result<(), SnapshotError> {
+/// per-node streams, link state, then the aggregators and the trace.
+fn encode_state(enc: &mut Encoder, state: &State<VecSink>) -> Result<(), SnapshotError> {
     let table = &state.path_table;
     enc.usize(table.distinct());
     for path in table.paths() {
@@ -325,21 +317,9 @@ fn encode_state<S: TraceSink>(enc: &mut Encoder, state: &State<S>) -> Result<(),
     enc.u64(state.dropped);
     enc.bool(state.muted);
     enc.u64(state.discarded);
-    let conv = state
-        .conv
-        .export_snapshot()
-        .ok_or(SnapshotError::UnsupportedSink("convergence tracker"))?;
-    enc.bytes(&conv);
-    let msgs = state
-        .msgs
-        .export_snapshot()
-        .ok_or(SnapshotError::UnsupportedSink("message counter"))?;
-    enc.bytes(&msgs);
-    let sink = state
-        .sink
-        .export_snapshot()
-        .ok_or_else(|| SnapshotError::UnsupportedSink(std::any::type_name::<S>()))?;
-    enc.bytes(&sink);
+    enc.bytes(&state.conv.export_state());
+    enc.bytes(&state.msgs.export_state());
+    enc.bytes(export_trace(&state.sink).as_bytes());
     // Ledger records are not checkpointed: the section stays empty.
     if !state.ledger.is_empty() {
         return Err(SnapshotError::UnsupportedSink("non-empty ledger"));
@@ -350,10 +330,7 @@ fn encode_state<S: TraceSink>(enc: &mut Encoder, state: &State<S>) -> Result<(),
 
 /// Reads what [`encode_state`] wrote into a freshly built state of the
 /// same shape.
-fn restore_state<S: TraceSink>(
-    state: &mut State<S>,
-    dec: &mut Decoder<'_>,
-) -> Result<(), SnapshotError> {
+fn restore_state(state: &mut State<VecSink>, dec: &mut Decoder<'_>) -> Result<(), SnapshotError> {
     let n_paths = dec.usize("path count")?;
     let mut paths: Vec<Vec<NodeId>> = Vec::with_capacity(n_paths.min(dec.remaining()));
     for _ in 0..n_paths {
@@ -409,28 +386,23 @@ fn restore_state<S: TraceSink>(
     state.dropped = dec.u64("dropped count")?;
     state.muted = dec.bool("muted flag")?;
     state.discarded = dec.u64("discarded count")?;
-    if !state
-        .conv
-        .import_snapshot(dec.bytes("convergence tracker snapshot")?)
-    {
-        return Err(SnapshotError::UnsupportedSink("convergence tracker"));
-    }
-    if !state
-        .msgs
-        .import_snapshot(dec.bytes("message counter snapshot")?)
-    {
-        return Err(SnapshotError::UnsupportedSink("message counter"));
-    }
-    if !state
-        .sink
-        .import_snapshot(dec.bytes("trace sink snapshot")?)
-    {
-        return Err(SnapshotError::UnsupportedSink(std::any::type_name::<S>()));
-    }
+    state.conv = ConvergenceTracker::import_state(dec.bytes("convergence tracker snapshot")?)?;
+    state.msgs = MessageCounter::import_state(dec.bytes("message counter snapshot")?)?;
+    state.sink = decode_trace(dec.bytes("trace sink snapshot")?)?;
     if !dec.bytes("ledger snapshot")?.is_empty() {
         return Err(SnapshotError::UnsupportedSink("non-empty ledger"));
     }
     Ok(())
+}
+
+/// Reads the trace section: [`export_trace`]'s line format.
+fn decode_trace(bytes: &[u8]) -> Result<VecSink, SnapError> {
+    std::str::from_utf8(bytes)
+        .ok()
+        .and_then(|text| parse_trace(text).ok())
+        .ok_or(SnapError::Invalid {
+            context: "trace sink snapshot",
+        })
 }
 
 fn encode_rng(enc: &mut Encoder, rng: &DetRng) {
@@ -708,6 +680,20 @@ impl Router {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A trace section that is not UTF-8 or not the line format is a
+    /// decode error.
+    #[test]
+    fn a_bad_trace_section_is_a_decode_error() {
+        for bad in [&b"0 flap 0 down\n\xff\n"[..], b"0 unknownkind 1 2\n"] {
+            assert!(matches!(
+                decode_trace(bad),
+                Err(SnapError::Invalid {
+                    context: "trace sink snapshot"
+                })
+            ));
+        }
+    }
 
     /// A crafted RCN history capacity is refused, neither asserted on
     /// (zero) nor allocated (huge).

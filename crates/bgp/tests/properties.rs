@@ -8,7 +8,7 @@ use rfd_bgp::{
 };
 use rfd_core::DampingParams;
 use rfd_sim::{DetRng, RunOutcome, SimDuration, SimTime};
-use rfd_topology::{internet_like, mesh_torus, Graph, Link, NodeId, Relationships};
+use rfd_topology::{internet_like, mesh_torus, Graph, Link, NodeId, Relationship, Relationships};
 
 const ORIGIN: u32 = 100;
 /// The router under test.
@@ -446,6 +446,139 @@ proptest! {
                         prop_assert_eq!(&table.path(held)[1..], table.path(best.route));
                     }
                 }
+            }
+        }
+    }
+}
+
+/// The stable no-valley (Gao–Rexford) assignment of the route `origin`
+/// announces over `graph` labelled by `rel`: for every node, the best
+/// route's length and the neighbour it is learned from, or `None` for
+/// the origin itself and for nodes no valley-free path reaches. A
+/// router ranks routes by preference class (customer, peer, provider),
+/// then length, then the lowest neighbour id, and exports peer- and
+/// provider-learned routes to its customers only. Three phases:
+///
+/// 1. customer routes climb customer→provider links from the origin
+///    (a BFS);
+/// 2. a router without one takes one peer hop from a neighbour that
+///    holds one;
+/// 3. every remaining router takes its provider's length + 1, computed
+///    down provider→customer links (a Dijkstra over the mixed starting
+///    lengths of phases 1 and 2).
+fn no_valley_oracle(
+    graph: &Graph,
+    rel: &Relationships,
+    origin: NodeId,
+) -> Vec<Option<(usize, NodeId)>> {
+    use std::cmp::Reverse;
+    use std::collections::{BinaryHeap, VecDeque};
+    use Relationship::{Customer, Peer, Provider};
+
+    // Each node's route as (preference class, length); the origin's own
+    // is a customer route of length 0.
+    let mut route: Vec<Option<(u8, usize)>> = vec![None; graph.node_count()];
+    route[origin.index()] = Some((0, 0));
+    // The length of the route `q` offers `r` in preference class
+    // `class`, if no-valley export lets it offer one.
+    let offer = |route: &[Option<(u8, usize)>], r: NodeId, q: NodeId, class: u8| {
+        let (q_class, len) = route[q.index()]?;
+        let exported = match class {
+            0 => rel.classify(r, q) == Customer && q_class == 0,
+            1 => rel.classify(r, q) == Peer && q_class == 0,
+            _ => rel.classify(r, q) == Provider,
+        };
+        exported.then_some(len + 1)
+    };
+
+    let mut queue = VecDeque::from([origin]);
+    while let Some(u) = queue.pop_front() {
+        for &v in graph.neighbors(u) {
+            if route[v.index()].is_none() {
+                if let Some(len) = offer(&route, v, u, 0) {
+                    route[v.index()] = Some((0, len));
+                    queue.push_back(v);
+                }
+            }
+        }
+    }
+    for r in graph.nodes() {
+        if route[r.index()].is_none() {
+            let peer_len = graph.neighbors(r).iter();
+            let peer_len = peer_len.filter_map(|&q| offer(&route, r, q, 1)).min();
+            route[r.index()] = peer_len.map(|len| (1, len));
+        }
+    }
+    let mut heap: BinaryHeap<_> = graph
+        .nodes()
+        .filter_map(|u| Some(Reverse((route[u.index()]?.1, u))))
+        .collect();
+    while let Some(Reverse((len, u))) = heap.pop() {
+        if route[u.index()].map(|(_, l)| l) != Some(len) {
+            continue;
+        }
+        for &v in graph.neighbors(u) {
+            let settled = route[v.index()].is_some_and(|(c, l)| c < 2 || l <= len + 1);
+            if !settled && offer(&route, v, u, 2).is_some() {
+                route[v.index()] = Some((2, len + 1));
+                heap.push(Reverse((len + 1, v)));
+            }
+        }
+    }
+    graph
+        .nodes()
+        .map(|r| {
+            let (class, len) = route[r.index()].filter(|_| r != origin)?;
+            let from = graph.neighbors(r).iter().copied();
+            let from = from
+                .filter(|&q| offer(&route, r, q, class) == Some(len))
+                .min();
+            Some((len, from.expect("a best route is learned from a neighbour")))
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(60))]
+
+    /// Warm-up against its closed form under no-valley routing
+    /// (ROADMAP 3(a)): with 1–64 origins on random ISPs of an
+    /// Internet-like graph labelled as `infer_relationships` labels it,
+    /// and no damping, every base-graph router ends warm-up on the
+    /// stable Gao–Rexford assignment: its best route to each origin's
+    /// prefix has the oracle's length and is learned from the oracle's
+    /// neighbour.
+    #[test]
+    fn warm_up_converges_to_the_no_valley_assignment(
+        n in 10usize..81,
+        graph_seed in any::<u64>(),
+        picks in collection::vec(any::<u32>(), 1..65),
+        seed in any::<u64>(),
+    ) {
+        let graph = internet_like(n, 2, graph_seed);
+        let rel = Relationships::infer_by_degree(&graph, 0.25);
+        let isps: Vec<NodeId> = picks.iter().map(|&p| NodeId::new(p % n as u32)).collect();
+        let config = NetworkConfig {
+            policy: Policy::NoValley(rel.clone()),
+            ..NetworkConfig::paper_no_damping(seed)
+        };
+        let mut net = Network::new_multi(&graph, &isps, config);
+        net.warm_up();
+        // The graph as `Network::new_multi` extends it: each origin is
+        // appended as a customer of its ISP.
+        let (mut full, mut rel) = (graph.clone(), rel);
+        for origin in net.origins() {
+            prop_assert_eq!(full.add_node(), origin.node);
+            full.add_link(origin.node, origin.isp);
+            rel.set_provider(Link::new(origin.node, origin.isp), origin.isp);
+        }
+        for origin in net.origins() {
+            let p = origin.prefix;
+            let oracle = no_valley_oracle(&full, &rel, origin.node);
+            for r in graph.nodes() {
+                let best = net.router(r).best_for(p).map(|b| (b.route.len(), b.learned_from));
+                let expect = oracle[r.index()].map(|(len, from)| (len, Some(from)));
+                prop_assert_eq!(best, expect, "{} to {}", r, p);
             }
         }
     }

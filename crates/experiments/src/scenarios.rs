@@ -82,48 +82,19 @@ pub fn infer_relationships(graph: &Graph) -> Relationships {
     Relationships::infer_by_degree(graph, 0.25)
 }
 
-/// Builds, warms up and runs one workload; returns the report and the
-/// network (whose trace holds the detailed series).
+/// Builds, warms up and runs the paper's `pulses`-pulse workload on
+/// the graph `kind` builds from `config.seed`; returns the report and
+/// the network (whose trace holds the detailed series).
 pub fn run_workload(
     kind: TopologyKind,
     config: NetworkConfig,
     pulses: usize,
 ) -> (RunReport, Network) {
-    let seed = config.seed;
-    run_workload_on(kind, seed, pulses, move |_| config)
-}
-
-/// Like [`run_workload`], but the configuration may depend on the built
-/// graph — needed for policies that carry a relationship labelling of
-/// that specific graph (§7).
-pub fn run_workload_on(
-    kind: TopologyKind,
-    seed: u64,
-    pulses: usize,
-    make_config: impl FnOnce(&Graph) -> NetworkConfig,
-) -> (RunReport, Network) {
-    run_workload_pattern(
-        kind,
-        seed,
-        rfd_core::FlapPattern::paper_default(pulses),
-        make_config,
-    )
-}
-
-/// The most general workload runner: any flap pattern, graph-dependent
-/// configuration. (The interval studies of technical report \[15\] vary
-/// the pattern itself.)
-pub fn run_workload_pattern(
-    kind: TopologyKind,
-    seed: u64,
-    pattern: rfd_core::FlapPattern,
-    make_config: impl FnOnce(&Graph) -> NetworkConfig,
-) -> (RunReport, Network) {
-    let graph = kind.build(seed);
-    let isp = pick_isp(&graph, seed);
-    let config = make_config(&graph);
+    let graph = kind.build(config.seed);
+    let isp = pick_isp(&graph, config.seed);
     let mut network = Network::new(&graph, isp, config);
     network.warm_up();
+    let pattern = rfd_core::FlapPattern::paper_default(pulses);
     let report = network.run_pulses(pattern, SimDuration::from_secs(100));
     (report, network)
 }
@@ -216,24 +187,6 @@ mod tests {
         assert_eq!(report.message_count, network.trace().message_count());
     }
 
-    /// The pre-streaming pipeline: buffer the whole event history in a
-    /// [`rfd_metrics::VecSink`] and derive every metric by post-hoc
-    /// trace scans.
-    fn run_pattern_metrics_full(
-        kind: TopologyKind,
-        seed: u64,
-        pattern: rfd_core::FlapPattern,
-        make_config: impl FnOnce(&Graph) -> NetworkConfig,
-    ) -> rfd_runner::RunMetrics {
-        let (_report, network) = run_workload_pattern(kind, seed, pattern, make_config);
-        let trace = network.trace();
-        rfd_runner::RunMetrics {
-            convergence_secs: trace.convergence_time().as_secs_f64(),
-            messages: trace.message_count() as f64,
-            suppressed: trace.ever_suppressed_entries() as f64,
-        }
-    }
-
     #[test]
     fn streaming_and_full_trace_cell_metrics_agree() {
         let kind = TopologyKind::Mesh {
@@ -244,10 +197,16 @@ mod tests {
             let pattern = rfd_core::FlapPattern::paper_default(pulses);
             let full_damping = |_: &Graph| NetworkConfig::paper_full_damping(5);
             let streaming = run_pattern_metrics(kind, 5, pattern, full_damping);
-            let full = run_pattern_metrics_full(kind, 5, pattern, full_damping);
-            assert_eq!(streaming.convergence_secs, full.convergence_secs);
-            assert_eq!(streaming.messages, full.messages);
-            assert_eq!(streaming.suppressed, full.suppressed);
+            // The pre-streaming pipeline: buffer the whole event history
+            // and derive every metric by post-hoc trace scans.
+            let (_, network) = run_workload(kind, NetworkConfig::paper_full_damping(5), pulses);
+            let trace = network.trace();
+            assert_eq!(
+                streaming.convergence_secs,
+                trace.convergence_time().as_secs_f64()
+            );
+            assert_eq!(streaming.messages, trace.message_count() as f64);
+            assert_eq!(streaming.suppressed, trace.ever_suppressed_entries() as f64);
         }
     }
 }

@@ -396,6 +396,9 @@ mod tests {
             ("0 reuse 1 2 0 noisy extra", "trailing"),
             ("5000000 flap 0 down\n0 flap 0 up", "non-decreasing"),
             ("0 penalty 1 2 0 3.0 bad 0", "bad charge"),
+            ("0 flap 0 down\n\u{fffd}\n", "bad timestamp"),
+            ("0 unknownkind 1 2\n", "unknown kind"),
+            ("0 suppress 1 2 0 extra\n", "trailing"),
         ] {
             let e = parse_trace(text).unwrap_err();
             assert!(e.reason.contains(needle), "{text:?} gave {e}");

@@ -24,9 +24,9 @@
 use std::collections::HashSet;
 
 use rfd_sim::{SimDuration, SimTime};
+use rfd_snap::{Decoder, Encoder, SnapError};
 
 use crate::events::TraceEventKind;
-use crate::export::{export_trace, parse_trace};
 use crate::trace::Trace;
 
 /// An observer of the simulation's time-ordered trace-event stream.
@@ -50,54 +50,6 @@ pub trait TraceSink: std::fmt::Debug + Send {
     fn retained_events(&self) -> usize {
         0
     }
-
-    /// Serializes the sink's accumulated state for a checkpoint, or
-    /// `None` when this sink kind does not support snapshots (a
-    /// checkpointed run must then refuse rather than resume with
-    /// silently wrong metrics).
-    fn export_snapshot(&self) -> Option<Vec<u8>> {
-        None
-    }
-
-    /// Restores state exported by
-    /// [`export_snapshot`](Self::export_snapshot). Returns `false` when
-    /// unsupported or the bytes do not parse.
-    fn import_snapshot(&mut self, _bytes: &[u8]) -> bool {
-        false
-    }
-}
-
-impl<T: TraceSink + ?Sized> TraceSink for Box<T> {
-    fn record(&mut self, at: SimTime, kind: TraceEventKind) {
-        (**self).record(at, kind);
-    }
-
-    fn finish(&mut self) {
-        (**self).finish();
-    }
-
-    fn retained_events(&self) -> usize {
-        (**self).retained_events()
-    }
-
-    fn export_snapshot(&self) -> Option<Vec<u8>> {
-        (**self).export_snapshot()
-    }
-
-    fn import_snapshot(&mut self, bytes: &[u8]) -> bool {
-        (**self).import_snapshot(bytes)
-    }
-}
-
-fn encode_opt_time(enc: &mut rfd_snap::Encoder, t: Option<SimTime>) {
-    enc.option(t.as_ref(), |e, t| e.u64(t.as_micros()));
-}
-
-fn decode_opt_time(
-    dec: &mut rfd_snap::Decoder<'_>,
-    ctx: &'static str,
-) -> Result<Option<SimTime>, rfd_snap::SnapError> {
-    dec.option(ctx, |d| d.u64(ctx).map(SimTime::from_micros))
 }
 
 /// [`Trace`] itself is a sink: recording simply appends.
@@ -112,22 +64,6 @@ impl TraceSink for Trace {
 
     fn retained_events(&self) -> usize {
         self.len()
-    }
-
-    /// The `--trace` line format of [`export_trace`]: the one
-    /// serialisation of a trace event.
-    fn export_snapshot(&self) -> Option<Vec<u8>> {
-        Some(export_trace(self).into_bytes())
-    }
-
-    fn import_snapshot(&mut self, bytes: &[u8]) -> bool {
-        match std::str::from_utf8(bytes).map(parse_trace) {
-            Ok(Ok(trace)) => {
-                *self = trace;
-                true
-            }
-            _ => false,
-        }
     }
 }
 
@@ -144,25 +80,6 @@ macro_rules! tuple_sink {
 
             fn retained_events(&self) -> usize {
                 0 $(+ self.$idx.retained_events())+
-            }
-
-            fn export_snapshot(&self) -> Option<Vec<u8>> {
-                let mut enc = rfd_snap::Encoder::new();
-                $(enc.bytes(&self.$idx.export_snapshot()?);)+
-                Some(enc.into_bytes())
-            }
-
-            fn import_snapshot(&mut self, bytes: &[u8]) -> bool {
-                let mut dec = rfd_snap::Decoder::new(bytes);
-                $(
-                    let Ok(part) = dec.bytes("tuple sink part") else {
-                        return false;
-                    };
-                    if !self.$idx.import_snapshot(part) {
-                        return false;
-                    }
-                )+
-                dec.is_done()
             }
         }
     };
@@ -210,20 +127,6 @@ impl TraceSink for NullSink {
 
     fn finish(&mut self) {
         report_sink_obs(self.seen, 0);
-    }
-
-    fn export_snapshot(&self) -> Option<Vec<u8>> {
-        Some(self.seen.to_le_bytes().to_vec())
-    }
-
-    fn import_snapshot(&mut self, bytes: &[u8]) -> bool {
-        match <[u8; 8]>::try_from(bytes) {
-            Ok(raw) => {
-                self.seen = u64::from_le_bytes(raw);
-                true
-            }
-            Err(_) => false,
-        }
     }
 }
 
@@ -289,34 +192,35 @@ impl TraceSink for ConvergenceTracker {
     fn finish(&mut self) {
         report_sink_obs(self.seen, 0);
     }
+}
 
-    fn export_snapshot(&self) -> Option<Vec<u8>> {
-        let mut enc = rfd_snap::Encoder::new();
+impl ConvergenceTracker {
+    /// The tracker's state as a network snapshot stores it.
+    pub fn export_state(&self) -> Vec<u8> {
+        let mut enc = Encoder::new();
         encode_opt_time(&mut enc, self.first_flap);
         encode_opt_time(&mut enc, self.final_announcement);
         encode_opt_time(&mut enc, self.last_update);
         enc.u64(self.seen);
-        Some(enc.into_bytes())
+        enc.into_bytes()
     }
 
-    fn import_snapshot(&mut self, bytes: &[u8]) -> bool {
+    /// Rebuilds a tracker from [`export_state`](Self::export_state)'s
+    /// bytes.
+    ///
+    /// # Errors
+    ///
+    /// Truncated, malformed or trailing bytes.
+    pub fn import_state(bytes: &[u8]) -> Result<Self, SnapError> {
         const CTX: &str = "convergence tracker";
-        let mut dec = rfd_snap::Decoder::new(bytes);
-        let parse = (|| {
-            Ok::<_, rfd_snap::SnapError>(ConvergenceTracker {
-                first_flap: decode_opt_time(&mut dec, CTX)?,
-                final_announcement: decode_opt_time(&mut dec, CTX)?,
-                last_update: decode_opt_time(&mut dec, CTX)?,
+        decode_section(bytes, CTX, |dec| {
+            Ok(ConvergenceTracker {
+                first_flap: decode_opt_time(dec, CTX)?,
+                final_announcement: decode_opt_time(dec, CTX)?,
+                last_update: decode_opt_time(dec, CTX)?,
                 seen: dec.u64(CTX)?,
             })
-        })();
-        match parse {
-            Ok(restored) if dec.is_done() => {
-                *self = restored;
-                true
-            }
-            _ => false,
-        }
+        })
     }
 }
 
@@ -387,38 +291,62 @@ impl TraceSink for MessageCounter {
     fn finish(&mut self) {
         report_sink_obs(self.seen, 0);
     }
+}
 
-    fn export_snapshot(&self) -> Option<Vec<u8>> {
-        let mut enc = rfd_snap::Encoder::new();
+impl MessageCounter {
+    /// The counter's state as a network snapshot stores it.
+    pub fn export_state(&self) -> Vec<u8> {
+        let mut enc = Encoder::new();
         enc.usize(self.total);
         enc.usize(self.before_flap);
         enc.bool(self.flap_seen);
         encode_opt_time(&mut enc, self.cur_instant);
         enc.usize(self.cur_count);
         enc.u64(self.seen);
-        Some(enc.into_bytes())
+        enc.into_bytes()
     }
 
-    fn import_snapshot(&mut self, bytes: &[u8]) -> bool {
+    /// Rebuilds a counter from [`export_state`](Self::export_state)'s
+    /// bytes.
+    ///
+    /// # Errors
+    ///
+    /// Truncated, malformed or trailing bytes.
+    pub fn import_state(bytes: &[u8]) -> Result<Self, SnapError> {
         const CTX: &str = "message counter";
-        let mut dec = rfd_snap::Decoder::new(bytes);
-        let parse = (|| {
-            Ok::<_, rfd_snap::SnapError>(MessageCounter {
+        decode_section(bytes, CTX, |dec| {
+            Ok(MessageCounter {
                 total: dec.usize(CTX)?,
                 before_flap: dec.usize(CTX)?,
                 flap_seen: dec.bool(CTX)?,
-                cur_instant: decode_opt_time(&mut dec, CTX)?,
+                cur_instant: decode_opt_time(dec, CTX)?,
                 cur_count: dec.usize(CTX)?,
                 seen: dec.u64(CTX)?,
             })
-        })();
-        match parse {
-            Ok(restored) if dec.is_done() => {
-                *self = restored;
-                true
-            }
-            _ => false,
-        }
+        })
+    }
+}
+
+fn encode_opt_time(enc: &mut Encoder, t: Option<SimTime>) {
+    enc.option(t.as_ref(), |e, t| e.u64(t.as_micros()));
+}
+
+fn decode_opt_time(dec: &mut Decoder<'_>, ctx: &'static str) -> Result<Option<SimTime>, SnapError> {
+    dec.option(ctx, |d| d.u64(ctx).map(SimTime::from_micros))
+}
+
+/// Decodes one snapshot section with `read`, refusing trailing bytes.
+fn decode_section<T>(
+    bytes: &[u8],
+    ctx: &'static str,
+    read: impl FnOnce(&mut Decoder<'_>) -> Result<T, SnapError>,
+) -> Result<T, SnapError> {
+    let mut dec = Decoder::new(bytes);
+    let value = read(&mut dec)?;
+    if dec.is_done() {
+        Ok(value)
+    } else {
+        Err(SnapError::Invalid { context: ctx })
     }
 }
 
@@ -641,60 +569,6 @@ impl TraceSink for SuppressionStats {
         }
         report_sink_obs(self.seen, 0);
     }
-
-    fn export_snapshot(&self) -> Option<Vec<u8>> {
-        let mut enc = rfd_snap::Encoder::new();
-        // Sort the set so identical state always yields identical bytes
-        // (snapshot files are content-hashed and diffed).
-        let mut ever: Vec<(u32, u32, u32)> = self.ever.iter().copied().collect();
-        ever.sort_unstable();
-        enc.seq(&ever, |e, &(node, peer, prefix)| {
-            e.u32(node);
-            e.u32(peer);
-            e.u32(prefix);
-        });
-        enc.usize(self.noisy);
-        enc.usize(self.silent);
-        enc.f64(self.peak_penalty);
-        enc.u64(self.damped_now as u64);
-        enc.u64(self.peak_damped as u64);
-        enc.option(self.pending_damped.as_ref(), |e, &(at, d)| {
-            e.u64(at.as_micros());
-            e.u64(d as u64);
-        });
-        enc.u64(self.seen);
-        Some(enc.into_bytes())
-    }
-
-    fn import_snapshot(&mut self, bytes: &[u8]) -> bool {
-        const CTX: &str = "suppression stats";
-        let mut dec = rfd_snap::Decoder::new(bytes);
-        let parse = (|| {
-            let ever = dec
-                .seq(CTX, |d| Ok((d.u32(CTX)?, d.u32(CTX)?, d.u32(CTX)?)))?
-                .into_iter()
-                .collect();
-            Ok::<_, rfd_snap::SnapError>(SuppressionStats {
-                ever,
-                noisy: dec.usize(CTX)?,
-                silent: dec.usize(CTX)?,
-                peak_penalty: dec.f64(CTX)?,
-                damped_now: dec.u64(CTX)? as i64,
-                peak_damped: dec.u64(CTX)? as i64,
-                pending_damped: dec.option(CTX, |d| {
-                    Ok((SimTime::from_micros(d.u64(CTX)?), d.u64(CTX)? as i64))
-                })?,
-                seen: dec.u64(CTX)?,
-            })
-        })();
-        match parse {
-            Ok(restored) if dec.is_done() => {
-                *self = restored;
-                true
-            }
-            _ => false,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -912,31 +786,20 @@ mod tests {
     }
 
     #[test]
-    fn trace_snapshot_is_the_trace_line_format() {
-        let trace = feed(&pulse_stream(), &mut NullSink::new());
-        let bytes = trace.export_snapshot().expect("a trace exports");
-        assert_eq!(bytes, export_trace(&trace).into_bytes());
-        let mut restored = VecSink::new();
-        assert!(restored.import_snapshot(&bytes));
-        assert_eq!(restored.events(), trace.events());
-    }
-
-    #[test]
-    fn trace_import_refuses_bad_bytes_and_keeps_its_events() {
-        let mut sink = VecSink::new();
-        sink.record(t(7), flap(false));
-        for bad in [
-            &b"0 flap 0 down\n\xff\n"[..],
-            b"5000000 flap 0 down\n0 flap 0 up\n",
-            b"0 unknownkind 1 2\n",
-            b"0 suppress 1 2 0 extra\n",
-        ] {
-            assert!(
-                !sink.import_snapshot(bad),
-                "{:?}",
-                String::from_utf8_lossy(bad)
-            );
-            assert_eq!(sink.events(), &[crate::TraceEvent::new(t(7), flap(false))]);
+    fn aggregator_states_round_trip_and_refuse_trailing_bytes() {
+        let mut pair = (ConvergenceTracker::new(), MessageCounter::new());
+        feed(&pulse_stream(), &mut pair);
+        let conv = pair.0.export_state();
+        let msgs = pair.1.export_state();
+        let conv_back = ConvergenceTracker::import_state(&conv).unwrap();
+        let msgs_back = MessageCounter::import_state(&msgs).unwrap();
+        assert_eq!(conv_back.convergence_time(), pair.0.convergence_time());
+        assert_eq!(msgs_back.message_count(), pair.1.message_count());
+        for bytes in [&conv[..conv.len() - 1], &[conv.as_slice(), &[0]].concat()] {
+            assert!(ConvergenceTracker::import_state(bytes).is_err());
+        }
+        for bytes in [&msgs[..msgs.len() - 1], &[msgs.as_slice(), &[0]].concat()] {
+            assert!(MessageCounter::import_state(bytes).is_err());
         }
     }
 }

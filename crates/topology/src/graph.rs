@@ -1,6 +1,6 @@
 //! Undirected simple graphs over dense node indices.
 
-use std::collections::{TryReserveError, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 /// Identifier of a node (an autonomous system in the BGP experiments).
@@ -117,22 +117,6 @@ impl Graph {
             adjacency: vec![Vec::new(); n],
             links: Vec::new(),
         }
-    }
-
-    /// Like [`Graph::with_nodes`], but a count the process cannot
-    /// allocate is an error instead of an abort.
-    ///
-    /// # Errors
-    ///
-    /// The allocator's refusal to reserve `n` adjacency lists.
-    pub fn try_with_nodes(n: usize) -> Result<Self, TryReserveError> {
-        let mut adjacency = Vec::new();
-        adjacency.try_reserve_exact(n)?;
-        adjacency.resize_with(n, Vec::new);
-        Ok(Graph {
-            adjacency,
-            links: Vec::new(),
-        })
     }
 
     /// Number of nodes.

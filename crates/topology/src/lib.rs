@@ -12,7 +12,7 @@
 //!   — micro-topology gallery for tests and scenarios;
 //! * [`Relationships`] — customer/provider/peer labels for the
 //!   no-valley policy experiment (§7);
-//! * [`to_edge_list`] / [`parse_edge_list`] — plain-text persistence.
+//! * [`to_edge_list`] — the plain-text edge list `rfd topology` prints.
 //!
 //! # Examples
 //!
@@ -37,6 +37,6 @@ mod relationships;
 
 pub use generators::{clique, erdos_renyi_connected, internet_like, line, mesh_torus, ring, star};
 pub use graph::{Graph, Link, NodeId};
-pub use io::{parse_edge_list, to_edge_list, ParseGraphError};
+pub use io::to_edge_list;
 pub use partition::{partition, Partition};
 pub use relationships::{Relationship, Relationships};

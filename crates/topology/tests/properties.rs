@@ -1,10 +1,8 @@
-//! Property-based tests for topology generation, relationship
-//! inference, and serialisation.
+//! Property-based tests for topology generation and relationship
+//! inference.
 
 use proptest::prelude::*;
-use rfd_topology::{
-    internet_like, mesh_torus, parse_edge_list, to_edge_list, Graph, NodeId, Relationships,
-};
+use rfd_topology::{internet_like, mesh_torus, Graph, NodeId, Relationships};
 
 fn arbitrary_connected_graph() -> impl Strategy<Value = Graph> {
     // Build a random tree (guarantees connectivity) plus random extra
@@ -69,46 +67,6 @@ proptest! {
                 reach.iter().all(|&r| r),
                 "src {src} cannot reach everyone"
             );
-        }
-    }
-
-    /// Edge-list serialisation round-trips any graph.
-    #[test]
-    fn edge_list_round_trip(g in arbitrary_connected_graph()) {
-        let text = to_edge_list(&g);
-        let parsed = parse_edge_list(&text).expect("own output parses");
-        prop_assert_eq!(g, parsed);
-    }
-
-    /// Arbitrary bytes are refused with an error or parsed, never a
-    /// panic.
-    #[test]
-    fn edge_list_parser_survives_arbitrary_bytes(
-        bytes in prop::collection::vec(any::<u8>(), 0..300),
-    ) {
-        let _ = parse_edge_list(&String::from_utf8_lossy(&bytes));
-    }
-
-    /// A `nodes n` header followed by random edge lines — well-formed,
-    /// short, long, out of range or not numbers — parses or is refused,
-    /// never a panic, and a graph that parses has the declared size.
-    #[test]
-    fn edge_list_parser_survives_random_edge_lines(
-        n in 0usize..100_001,
-        lines in prop::collection::vec((0u32..200_000, 0u32..200_000, 0u8..5), 0..40),
-    ) {
-        let mut text = format!("nodes {n}\n");
-        for (a, b, shape) in lines {
-            text.push_str(&match shape {
-                0 => format!("{a} {b}\n"),
-                1 => format!("{a}\n"),
-                2 => format!("{a} {b} {a}\n"),
-                3 => format!("{a} -{b}\n"),
-                _ => format!("# {a} {b}\n"),
-            });
-        }
-        if let Ok(g) = parse_edge_list(&text) {
-            prop_assert_eq!(g.node_count(), n);
         }
     }
 

@@ -7,15 +7,14 @@ use std::process::ExitCode;
 use route_flap_damping::bgp::{Network, RunReport};
 use route_flap_damping::cli::{
     network_config, parse_explain_command, parse_figure_command, parse_firehose_command,
-    parse_intended_command, parse_run_options, parse_sweep_command, parse_topology_command, usage,
-    CliError, ReportFormat, RunOptions,
+    parse_intended_command, parse_run_options, parse_sweep_command, parse_topology_command,
+    resolve_isp, usage, CliError, ReportFormat,
 };
 use route_flap_damping::damping::{intended_behavior, FlapPattern};
 use route_flap_damping::experiments::output::{chaos_from_env, obs_begin};
-use route_flap_damping::experiments::pick_isp;
 use route_flap_damping::metrics::{export_trace, StateClassifier, StateSpan, Trace};
 use route_flap_damping::sim::SimDuration;
-use route_flap_damping::topology::{to_edge_list, Graph, NodeId};
+use route_flap_damping::topology::to_edge_list;
 use route_flap_damping::{explain, figure};
 
 fn main() -> ExitCode {
@@ -61,23 +60,6 @@ fn main() -> ExitCode {
 }
 
 type CmdResult = Result<(), Box<dyn std::error::Error>>;
-
-/// Resolves the ISP node of a run: a validated `--isp`, or the seeded
-/// random pick the experiments use.
-fn resolve_isp(opts: &RunOptions, graph: &Graph) -> Result<NodeId, String> {
-    match opts.isp {
-        Some(raw) => {
-            if raw as usize >= graph.node_count() {
-                return Err(format!(
-                    "--isp {raw} outside the {}-node graph",
-                    graph.node_count()
-                ));
-            }
-            Ok(NodeId::new(raw))
-        }
-        None => Ok(pick_isp(graph, opts.seed)),
-    }
-}
 
 fn cmd_run(args: &[String]) -> CmdResult {
     let opts = parse_run_options(args)?;

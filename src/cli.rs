@@ -13,9 +13,9 @@ use rfd_core::DampingParams;
 use rfd_experiments::args::{self, render_usage, Flag, Parsed, Table};
 use rfd_experiments::output::{exec_flags, obs, Exec, EXEC, OBS};
 use rfd_experiments::scenarios::{infer_relationships, TopologyKind};
-use rfd_experiments::SweepOptions;
+use rfd_experiments::{pick_isp, SweepOptions};
 use rfd_sim::SimDuration;
-use rfd_topology::Graph;
+use rfd_topology::{Graph, NodeId};
 
 use crate::figure::{self, SweepFigure};
 pub use rfd_experiments::args::CliError;
@@ -44,7 +44,8 @@ impl TopologySpec {
     /// Returns a human-readable message on malformed specs and on sizes
     /// the generator cannot build: a mesh needs W, H >= 1, an Internet
     /// graph N >= 3 (it attaches each new node to 2 earlier ones), a
-    /// ring N >= 3, a line or clique N >= 1.
+    /// ring N >= 3, a line or clique N >= 1; and no graph may hold more
+    /// nodes (W × H for a mesh) than a `NodeId` addresses, `u32::MAX`.
     pub fn parse(spec: &str) -> Result<Self, CliError> {
         let (kind, size) = spec
             .split_once(':')
@@ -72,14 +73,20 @@ impl TopologySpec {
                 )))
             }
         };
-        let (buildable, least) = match parsed {
-            TopologySpec::Mesh(w, h) => (w >= 1 && h >= 1, "W, H >= 1"),
-            TopologySpec::Internet(n) | TopologySpec::Ring(n) => (n >= 3, "N >= 3"),
-            TopologySpec::Line(n) | TopologySpec::Clique(n) => (n >= 1, "N >= 1"),
+        let (buildable, least, nodes) = match parsed {
+            TopologySpec::Mesh(w, h) => (w >= 1 && h >= 1, "W, H >= 1", w.checked_mul(h)),
+            TopologySpec::Internet(n) | TopologySpec::Ring(n) => (n >= 3, "N >= 3", Some(n)),
+            TopologySpec::Line(n) | TopologySpec::Clique(n) => (n >= 1, "N >= 1", Some(n)),
         };
         if !buildable {
             return Err(CliError(format!(
                 "topology `{spec}` is too small: {kind} needs {least}"
+            )));
+        }
+        if nodes.is_none_or(|n| n > u32::MAX as usize) {
+            return Err(CliError(format!(
+                "topology `{spec}` is too large: at most {} nodes",
+                u32::MAX
             )));
         }
         Ok(parsed)
@@ -459,6 +466,23 @@ pub fn parse_topology_command(
         p.parse("--seed")?.unwrap_or(1),
         p.get("--out").map(str::to_owned),
     ))
+}
+
+/// Resolves the ISP node of a run against its built graph: a validated
+/// `--isp`, or the seeded random pick the experiments use.
+///
+/// # Errors
+///
+/// Returns [`CliError`] when `--isp` names a node outside the graph.
+pub fn resolve_isp(opts: &RunOptions, graph: &Graph) -> Result<NodeId, CliError> {
+    match opts.isp {
+        Some(raw) if raw as usize >= graph.node_count() => Err(CliError(format!(
+            "--isp {raw} outside the {}-node graph",
+            graph.node_count()
+        ))),
+        Some(raw) => Ok(NodeId::new(raw)),
+        None => Ok(pick_isp(graph, opts.seed)),
+    }
 }
 
 /// Builds the [`NetworkConfig`] for parsed run options against a built

@@ -22,12 +22,10 @@ use std::fmt::Write as _;
 
 use rfd_bgp::Network;
 use rfd_core::{FlapPattern, LedgerEvent, LedgerFilter, LedgerRecord, UpdateKind};
-use rfd_experiments::pick_isp;
 use rfd_metrics::NullSink;
 use rfd_sim::{SimDuration, SimTime};
-use rfd_topology::NodeId;
 
-use crate::cli::{network_config, CliError, ExplainCommand};
+use crate::cli::{network_config, resolve_isp, CliError, ExplainCommand};
 
 /// The outcome of a focused replay: the filtered ledger stream plus
 /// enough scenario context to render it.
@@ -73,18 +71,7 @@ pub struct ExplainReport {
 pub fn replay(cmd: &ExplainCommand) -> Result<ExplainReport, CliError> {
     let opts = &cmd.run;
     let graph = opts.topology.build(opts.seed);
-    let isp = match opts.isp {
-        Some(raw) => {
-            if raw as usize >= graph.node_count() {
-                return Err(CliError(format!(
-                    "--isp {raw} outside the {}-node graph",
-                    graph.node_count()
-                )));
-            }
-            NodeId::new(raw)
-        }
-        None => pick_isp(&graph, opts.seed),
-    };
+    let isp = resolve_isp(opts, &graph)?;
     let config = network_config(opts, &graph);
     let mut net = Network::new_with_sink(&graph, isp, config, NullSink::new());
     net.warm_up();

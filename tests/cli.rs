@@ -165,6 +165,29 @@ fn run_rejects_bad_flags() {
             "sweep --quick --no-journal --topology ba:2",
             "`ba:2` is too small: ba needs N >= 3",
         ),
+        // Sizes no `NodeId` can address, refused before anything is
+        // allocated.
+        (
+            "run --topology ring:5000000000",
+            "`ring:5000000000` is too large: at most 4294967295 nodes",
+        ),
+        (
+            "topology --kind mesh:4294967296x4294967296",
+            "is too large: at most 4294967295 nodes",
+        ),
+        (
+            "sweep --quick --no-journal --topology torus:70000x70000",
+            "is too large: at most 4294967295 nodes",
+        ),
+        // An ISP outside the graph is a refused command line too.
+        (
+            "run --topology mesh:3x3 --isp 99",
+            "--isp 99 outside the 9-node graph",
+        ),
+        (
+            "explain --topology mesh:3x3 --isp 99",
+            "--isp 99 outside the 9-node graph",
+        ),
     ] {
         let out = rfd()
             .args(line.split(' '))
@@ -261,9 +284,8 @@ fn resume_skips_a_deeply_nested_journal_line() {
 #[test]
 fn topology_generates_parseable_edge_list() {
     let text = run_ok(&["topology", "--kind", "ring:6"]);
-    let graph = route_flap_damping::topology::parse_edge_list(&text).expect("valid edge list");
-    assert_eq!(graph.node_count(), 6);
-    assert_eq!(graph.link_count(), 6);
+    let ring = route_flap_damping::topology::ring(6);
+    assert_eq!(text, route_flap_damping::topology::to_edge_list(&ring));
 }
 
 #[test]

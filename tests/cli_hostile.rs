@@ -138,3 +138,35 @@ fn a_topology_spec_that_parses_builds() {
         }
     }
 }
+
+/// A graph no `NodeId` can address is refused at parse time, before
+/// anything is allocated for it; the largest addressable sizes parse.
+/// (Only parsed here: building them would exhaust memory.)
+#[test]
+fn a_topology_no_node_id_can_address_is_refused() {
+    let limit = u32::MAX as usize;
+    for spec in [
+        format!("mesh:{}x{}", 1usize << 32, 1usize << 32),
+        format!("mesh:{}x{}", limit + 2, limit),
+        format!("torus:{}x1", limit + 1),
+        "torus:70000x70000".to_owned(),
+        format!("ring:{}", limit + 1),
+        format!("ba:{}", usize::MAX),
+        format!("line:{}", limit + 1),
+        format!("clique:{}", limit + 1),
+    ] {
+        let err = TopologySpec::parse(&spec).expect_err(&spec);
+        assert!(
+            err.0.contains(&format!("at most {limit} nodes")),
+            "{spec}: {}",
+            err.0
+        );
+    }
+    for spec in [
+        format!("ring:{limit}"),
+        format!("mesh:{limit}x1"),
+        "mesh:65535x65537".to_owned(),
+    ] {
+        assert!(TopologySpec::parse(&spec).is_ok(), "{spec}");
+    }
+}
