@@ -32,6 +32,8 @@
 //!    MRAI and reuse timer fires (silent reuse timers do not affect the
 //!    metrics, matching the paper's footnote 3).
 
+use std::fmt::Write as _;
+
 use rfd_core::{FlapPattern, LedgerFilter, LedgerRecord, LinkStatus, RootCause};
 use rfd_metrics::{ConvergenceTracker, MessageCounter, Trace, TraceEventKind, TraceSink, VecSink};
 use rfd_sim::{
@@ -551,6 +553,7 @@ impl<S: TraceSink> Network<S> {
         let mut delay_rngs = Vec::with_capacity(nodes);
         let mut mrai_rngs = Vec::with_capacity(nodes);
         let mut path_table = PathTable::new();
+        let mut label = String::new();
         for id in graph.nodes() {
             let peers: Vec<NodeId> = graph.neighbors(id).to_vec();
             let rc = RouterConfig {
@@ -567,14 +570,11 @@ impl<S: TraceSink> Network<S> {
             }
             router.set_charging(false); // warm-up first
             routers.push(router);
-            delay_rngs.push(DetRng::from_seed_and_label(
-                config.seed,
-                &format!("delays/{}", id.raw()),
-            ));
-            mrai_rngs.push(DetRng::from_seed_and_label(
-                config.seed,
-                &format!("mrai/{}", id.raw()),
-            ));
+            for (stream, rngs) in [("delays", &mut delay_rngs), ("mrai", &mut mrai_rngs)] {
+                label.clear();
+                write!(label, "{stream}/{}", id.raw()).expect("writing to a String");
+                rngs.push(DetRng::from_seed_and_label(config.seed, &label));
+            }
         }
 
         Network {

@@ -12,56 +12,84 @@
 //! per-entry state); the entry holds the store slot plus a mirror of
 //! the suppression flag so the decision process reads one local bool.
 
+use std::num::NonZeroU32;
+
 use rfd_core::{RcnFilter, RootCause, SelectiveFilter};
 use rfd_topology::NodeId;
 
 use crate::config::PenaltyFilter;
 use crate::intern::Route;
 
-/// One (peer, prefix) entry of the RIB-IN.
+/// One (peer, prefix) entry of the RIB-IN: 40 bytes of hot state.
 #[derive(Debug, Clone)]
 pub struct RibInEntry {
     /// Latest route received from the peer (`None` after a withdrawal).
     pub route: Option<Route>,
-    /// Slot in the router's [`DamperStore`](rfd_core::DamperStore)
-    /// (absent when this router does not damp).
-    pub damper_slot: Option<u32>,
+    /// Slot in the router's [`DamperStore`](rfd_core::DamperStore) plus
+    /// one (absent when this router does not damp).
+    pub(crate) slot: Option<NonZeroU32>,
     /// Mirror of the store's suppression flag, maintained after every
     /// charge and reuse check.
     pub suppressed: bool,
-    /// RCN history/filter for this peer (RCN deployments); boxed, so
-    /// entries of other deployments stay 88 bytes.
-    pub rcn: Option<Box<RcnFilter>>,
+    /// How many times the damper has been charged, saturating (the
+    /// ledger's 1-based flap index; stays 0 without damping).
+    pub charges: u32,
+    /// State only the RCN and selective filters read, boxed on first
+    /// use: plain damping never allocates it.
+    pub(crate) filters: Option<Box<FilterState>>,
+}
+
+/// The part of a RIB-IN entry plain damping never reads.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct FilterState {
+    /// RCN history/filter for this peer (RCN deployments).
+    pub(crate) rcn: Option<RcnFilter>,
     /// Selective-damping filter for this peer.
-    pub selective: Option<SelectiveFilter>,
-    /// Root cause attached to the most recent update from this peer;
-    /// re-attached when a reuse of this entry triggers announcements.
-    pub last_rc: Option<RootCause>,
-    /// How many times the damper has been charged (the ledger's 1-based
-    /// flap index; stays 0 without damping).
-    pub charges: u64,
+    pub(crate) selective: Option<SelectiveFilter>,
+    /// Root cause of the most recent update from this peer (only RCN
+    /// stamps one); re-attached when a reuse triggers announcements.
+    pub(crate) last_rc: Option<RootCause>,
+}
+
+impl FilterState {
+    /// The state boxed, or `None` when every part is absent.
+    pub(crate) fn boxed(self) -> Option<Box<FilterState>> {
+        let any = self.rcn.is_some() || self.selective.is_some() || self.last_rc.is_some();
+        any.then(|| Box::new(self))
+    }
 }
 
 impl RibInEntry {
     /// Creates an empty entry configured for this router's damping
     /// deployment and filter choice. `damper_slot` is the slot the
     /// router allocated in its damper store (`None` disables damping
-    /// for the entry, and with it the filters).
+    /// for the entry, and with it the filters; `u32::MAX` panics).
     pub fn new(damper_slot: Option<u32>, filter: PenaltyFilter) -> Self {
-        let (rcn, selective) = match (damper_slot.is_some(), filter) {
-            (true, PenaltyFilter::Rcn) => (Some(Box::default()), None),
-            (true, PenaltyFilter::Selective) => (None, Some(SelectiveFilter::new())),
-            _ => (None, None),
-        };
+        let slot = damper_slot.map(|s| Self::pack_slot(s).expect("damper slot below u32::MAX"));
+        let mut filters = FilterState::default();
+        match (slot, filter) {
+            (Some(_), PenaltyFilter::Rcn) => filters.rcn = Some(RcnFilter::default()),
+            (Some(_), PenaltyFilter::Selective) => filters.selective = Some(SelectiveFilter::new()),
+            _ => {}
+        }
         RibInEntry {
             route: None,
-            damper_slot,
+            slot,
             suppressed: false,
-            rcn,
-            selective,
-            last_rc: None,
             charges: 0,
+            filters: filters.boxed(),
         }
+    }
+
+    /// The stored form of damper slot `slot` (`None` for `u32::MAX`).
+    pub(crate) fn pack_slot(slot: u32) -> Option<NonZeroU32> {
+        NonZeroU32::new(slot.wrapping_add(1))
+    }
+
+    /// The entry's slot in the router's damper store (`None` when this
+    /// router does not damp).
+    pub fn damper_slot(&self) -> Option<u32> {
+        self.slot.map(|s| s.get() - 1)
     }
 
     /// Whether the entry is currently suppressed.
@@ -72,11 +100,7 @@ impl RibInEntry {
     /// The route if it may be used in best-path selection (present and
     /// not suppressed).
     pub fn usable_route(&self) -> Option<Route> {
-        if self.suppressed {
-            None
-        } else {
-            self.route
-        }
+        self.route.filter(|_| !self.suppressed)
     }
 }
 
@@ -101,20 +125,24 @@ mod tests {
     fn entry_without_damping_never_suppressed() {
         let e = RibInEntry::new(None, PenaltyFilter::Plain);
         assert!(!e.is_suppressed());
-        assert!(e.damper_slot.is_none() && e.rcn.is_none() && e.selective.is_none());
+        assert!(e.damper_slot().is_none() && e.filters.is_none());
     }
 
     #[test]
     fn filter_wiring_matches_config() {
-        let e = RibInEntry::new(Some(0), PenaltyFilter::Rcn);
-        assert!(e.rcn.is_some() && e.selective.is_none());
-        let e = RibInEntry::new(Some(0), PenaltyFilter::Selective);
-        assert!(e.rcn.is_none() && e.selective.is_some());
-        let e = RibInEntry::new(Some(0), PenaltyFilter::Plain);
-        assert!(e.rcn.is_none() && e.selective.is_none());
-        // filters require a damper
-        let e = RibInEntry::new(None, PenaltyFilter::Rcn);
-        assert!(e.rcn.is_none());
+        let wiring = |slot, filter| {
+            let f = RibInEntry::new(slot, filter).filters;
+            f.map(|f| (f.rcn.is_some(), f.selective.is_some()))
+        };
+        assert_eq!(wiring(Some(0), PenaltyFilter::Rcn), Some((true, false)));
+        assert_eq!(
+            wiring(Some(0), PenaltyFilter::Selective),
+            Some((false, true))
+        );
+        // Plain damping allocates no filter state, and filters require
+        // a damper.
+        assert_eq!(wiring(Some(0), PenaltyFilter::Plain), None);
+        assert_eq!(wiring(None, PenaltyFilter::Rcn), None);
     }
 
     #[test]

@@ -23,8 +23,8 @@
 //!
 //! Prefix ids are dense (`0..origins`) and the peer set is fixed at
 //! construction, so a router keeps two flat tables and no per-prefix
-//! allocation. The per-(prefix, peer) slots — RIB-IN entry, RIB-OUT
-//! route and MRAI pacing side by side — sit in one table indexed
+//! allocation. The 64-byte per-(prefix, peer) slots (RIB-IN entry,
+//! RIB-OUT path id, MRAI pacing) sit in one table indexed
 //! `prefix × peers + slot`; the per-prefix heads (originated flag, best
 //! route, root cause to stamp) sit in a dense table beside it, so a
 //! handler reads the head and the slot as two independent loads rather
@@ -47,7 +47,7 @@ use rfd_sim::{DetRng, SimDuration, SimTime};
 use rfd_topology::NodeId;
 
 use crate::config::{PenaltyFilter, ProtocolOptions};
-use crate::intern::{PathTable, Route};
+use crate::intern::{PathId, PathTable, Route};
 use crate::message::{Prefix, UpdateMessage, UpdatePayload};
 use crate::policy::Policy;
 use crate::rib::{BestRoute, RibInEntry};
@@ -131,9 +131,9 @@ pub(crate) struct PeerSlot {
     /// Latest route from the peer, with damping state (`None` until the
     /// peer first sends an update for this prefix).
     pub(crate) rib_in: Option<RibInEntry>,
-    /// Last route advertised to the peer (`None`: nothing advertised or
-    /// withdrawn).
-    pub(crate) rib_out: Option<Route>,
+    /// Path of the last route advertised to the peer (`None`: nothing
+    /// advertised or withdrawn). The id fixes the rest of the route.
+    pub(crate) rib_out: Option<PathId>,
     /// MRAI pacing toward the peer.
     pub(crate) mrai: MraiPeer,
 }
@@ -406,6 +406,7 @@ impl Router {
         let watched = self.ledger_watches(from, prefix);
         let config_filter = self.config.filter;
         let node = self.id.raw();
+        let record = |out: &mut RouterOutput, event| out.record(now, node, from, prefix, event);
         let at = self.touch(prefix) * self.slots.len() + slot;
         // Disjoint field borrows: the damper store and the slot table
         // are mutated side by side below.
@@ -443,12 +444,15 @@ impl Router {
         // Charge the damping penalty (RFC 2439: every update for the
         // entry charges — unless a filter intervenes).
         if self.charging_enabled {
-            if let Some(damper_slot) = entry.damper_slot {
+            if let Some(damper_slot) = entry.damper_slot() {
                 let store = damper_store.as_mut().expect("damper slot implies store");
                 let params: DampingParams = *store.params();
-                let amount = if let Some(rcn) = entry.rcn.as_mut() {
+                let filters = entry.filters.as_deref_mut();
+                let (rcn, sel) =
+                    filters.map_or((None, None), |f| (f.rcn.as_mut(), f.selective.as_mut()));
+                let amount = if let Some(rcn) = rcn {
                     rcn.charge_for(kind, msg.root_cause, &params)
-                } else if let Some(sel) = entry.selective.as_mut() {
+                } else if let Some(sel) = sel {
                     let pref = match msg.degraded {
                         Some(true) => RelativePreference::Degraded,
                         Some(false) => RelativePreference::Improved,
@@ -466,11 +470,8 @@ impl Router {
                     let (anchor, stored) = store.stored_penalty(damper_slot);
                     let decayed = store.penalty_at(damper_slot, now);
                     if now > anchor && stored > 0.0 {
-                        out.record(
-                            now,
-                            node,
-                            from,
-                            prefix,
+                        record(
+                            out,
                             LedgerEvent::Decay {
                                 from: stored,
                                 to: decayed,
@@ -482,18 +483,15 @@ impl Router {
                 });
                 let outcome = store.charge_raw(damper_slot, now, amount);
                 entry.suppressed = store.is_suppressed(damper_slot);
-                entry.charges += 1;
+                entry.charges = entry.charges.saturating_add(1);
                 if let Some(before) = before {
-                    out.record(
-                        now,
-                        node,
-                        from,
-                        prefix,
+                    record(
+                        out,
                         LedgerEvent::Charge {
                             kind,
                             before,
                             after: outcome.penalty,
-                            flap: entry.charges,
+                            flap: u64::from(entry.charges),
                             crossed_cutoff: outcome.newly_suppressed,
                         },
                     );
@@ -517,23 +515,14 @@ impl Router {
                         .expect("newly suppressed entries have a deadline");
                     let armed = quantize_up(due, self.config.protocol.reuse_granularity);
                     if watched {
-                        out.record(
-                            now,
-                            node,
-                            from,
-                            prefix,
+                        record(
+                            out,
                             LedgerEvent::Suppressed {
                                 penalty: outcome.penalty,
                                 reuse_at: due,
                             },
                         );
-                        out.record(
-                            now,
-                            node,
-                            from,
-                            prefix,
-                            LedgerEvent::ReuseArmed { due: armed },
-                        );
+                        record(out, LedgerEvent::ReuseArmed { due: armed });
                     }
                     out.reuse_timers.push((from, prefix, armed));
                 }
@@ -543,7 +532,7 @@ impl Router {
         // Install the route and remember its root cause.
         entry.route = new_route;
         if msg.root_cause.is_some() {
-            entry.last_rc = msg.root_cause;
+            entry.filters.get_or_insert_with(Box::default).last_rc = msg.root_cause;
         }
 
         self.reselect(now, prefix, msg.root_cause, table, rng, policy, out);
@@ -673,6 +662,7 @@ impl Router {
     ) {
         let watched = self.ledger_watches(peer, prefix);
         let node = self.id.raw();
+        let record = |out: &mut RouterOutput, event| out.record(now, node, peer, prefix, event);
         let slot = self.slot_of(peer).expect("reuse timer for unknown peer");
         let i = self.known(prefix);
         let damper_store = &mut self.damper_store;
@@ -680,7 +670,7 @@ impl Router {
             .rib_in
             .as_mut()
             .expect("reuse timer for unknown peer");
-        let Some(damper_slot) = entry.damper_slot else {
+        let Some(damper_slot) = entry.damper_slot() else {
             return;
         };
         let store = damper_store.as_mut().expect("damper slot implies store");
@@ -688,7 +678,7 @@ impl Router {
             // Stale timer (entry already released): cancelled by doing
             // nothing.
             if watched {
-                out.record(now, node, peer, prefix, LedgerEvent::ReuseStale);
+                record(out, LedgerEvent::ReuseStale);
             }
             return;
         }
@@ -704,38 +694,26 @@ impl Router {
                 // timers).
                 let armed = quantize_up(retry_at, self.config.protocol.reuse_granularity);
                 if watched {
-                    out.record(
-                        now,
-                        node,
-                        peer,
-                        prefix,
+                    record(
+                        out,
                         LedgerEvent::ReuseDeferred {
                             penalty: penalty_at_check,
                             retry_at: armed,
                         },
                     );
-                    out.record(
-                        now,
-                        node,
-                        peer,
-                        prefix,
-                        LedgerEvent::ReuseArmed { due: armed },
-                    );
+                    record(out, LedgerEvent::ReuseArmed { due: armed });
                 }
                 out.reuse_timers.push((peer, prefix, armed));
             }
             ReuseCheck::Released => {
-                let reuse_rc = entry.last_rc;
+                let reuse_rc = entry.filters.as_ref().and_then(|f| f.last_rc);
                 // Sync the mirror before the decision process reads it.
                 entry.suppressed = false;
                 let new_best = self.decide(i, table, policy);
                 let noisy = new_best != self.heads[i].best;
                 if watched {
-                    out.record(
-                        now,
-                        node,
-                        peer,
-                        prefix,
+                    record(
+                        out,
                         LedgerEvent::Released {
                             penalty: penalty_at_check,
                             noisy,
@@ -893,6 +871,7 @@ impl Router {
     ) {
         let watched = self.ledger_watches(peer, prefix);
         let node = self.id.raw();
+        let record = |out: &mut RouterOutput, event| out.record(now, node, peer, prefix, event);
         let slot = self.slot_of(peer).expect("sync with non-peer");
         if self.down[slot] {
             return; // dead session: nothing can be sent
@@ -902,7 +881,7 @@ impl Router {
         let desired = Self::export_route(self.id, head, peer, table, policy, &self.config.protocol);
         let p = &mut self.rib[i * self.slots.len() + slot];
         let m = &mut p.mrai;
-        if desired == p.rib_out {
+        if desired.map(Route::id) == p.rib_out {
             m.dirty = false;
             return;
         }
@@ -914,11 +893,8 @@ impl Router {
                 if self.config.protocol.withdrawal_pacing && now < m.ready_at {
                     m.dirty = true;
                     if watched {
-                        out.record(
-                            now,
-                            node,
-                            peer,
-                            prefix,
+                        record(
+                            out,
                             LedgerEvent::MraiDeferred {
                                 ready_at: m.ready_at,
                                 held_for: m.ready_at.since(now),
@@ -950,7 +926,7 @@ impl Router {
                     let (jlo, jhi) = self.config.mrai_jitter;
                     m.ready_at = now + self.config.mrai.mul_f64(rng.uniform(jlo, jhi));
                     m.dirty = false;
-                    p.rib_out = Some(route);
+                    p.rib_out = Some(route.id());
                     let mut msg = UpdateMessage::announce(route)
                         .with_root_cause(head.current_rc)
                         .with_degraded(degraded);
@@ -960,11 +936,8 @@ impl Router {
                     // Owe an advertisement; coalesce behind the timer.
                     m.dirty = true;
                     if watched {
-                        out.record(
-                            now,
-                            node,
-                            peer,
-                            prefix,
+                        record(
+                            out,
                             LedgerEvent::MraiDeferred {
                                 ready_at: m.ready_at,
                                 held_for: m.ready_at.since(now),
@@ -985,7 +958,7 @@ impl Router {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rfd_core::DampingParams;
+    use rfd_core::{DampingParams, LinkStatus, SelectiveFilter};
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
@@ -1361,6 +1334,10 @@ mod tests {
         assert!(records
             .iter()
             .any(|rec| matches!(rec.event, LedgerEvent::ReuseDeferred { .. })));
+        assert!(
+            r.rib_in(n(0)).unwrap().filters.is_none(),
+            "plain damping boxes nothing"
+        );
     }
 
     #[test]
@@ -1474,6 +1451,88 @@ mod tests {
             out.ledger
         );
         assert_eq!(out.sends.len(), 1, "the held announcement goes out");
+    }
+
+    // ---- penalty filters ----
+
+    fn filtered_router(filter: PenaltyFilter, tb: &mut PathTable) -> Router {
+        let config = RouterConfig {
+            filter,
+            ..plain_config(true)
+        };
+        Router::new(n(1), vec![n(0), n(2)], false, config, tb)
+    }
+
+    /// Under RCN a noisy reuse stamps the announcements it triggers with
+    /// the root cause the released entry last arrived with, not the
+    /// prefix's current one.
+    #[test]
+    fn rcn_noisy_reuse_restamps_the_entrys_last_root_cause() {
+        let mut tb = PathTable::new();
+        let mut r = filtered_router(PenaltyFilter::Rcn, &mut tb);
+        let (policy, mut rng) = (Policy::ShortestPath, rng());
+        let rc = |status, seq| Some(RootCause::new((0, 9), status, seq));
+        // Three pulses with fresh root causes suppress the entry at
+        // t=300; a fourth announcement arrives while it is suppressed.
+        let mut out = RouterOutput::default();
+        for k in 0..7u64 {
+            let msg = match k % 2 {
+                0 => announce_from(&mut tb, 0).with_root_cause(rc(LinkStatus::Up, k)),
+                _ => UpdateMessage::withdraw().with_root_cause(rc(LinkStatus::Down, k)),
+            };
+            r.handle_update(t(k * 60), n(0), &msg, &mut tb, &mut rng, &policy, &mut out);
+        }
+        assert_eq!(r.heads[0].current_rc, rc(LinkStatus::Down, 5));
+        let mut due = out.reuse_timers.last().map(|&(_, _, at)| at);
+        while let Some(at) = due {
+            out = RouterOutput::default();
+            r.on_reuse_timer(
+                at,
+                n(0),
+                Prefix::ORIGIN,
+                &mut tb,
+                &mut rng,
+                &policy,
+                &mut out,
+            );
+            due = out.reuse_timers.first().map(|&(_, _, at)| at);
+        }
+        let sent: Vec<_> = out
+            .sends
+            .iter()
+            .map(|(to, m)| (*to, m.root_cause))
+            .collect();
+        assert_eq!(sent, [(n(2), rc(LinkStatus::Up, 6))], "a noisy release");
+    }
+
+    /// Selective damping charges nothing for a degraded re-announcement
+    /// and counts the skip, which only the snapshot reads.
+    #[test]
+    fn selective_skips_degraded_announcements() {
+        let mut tb = PathTable::new();
+        let mut r = filtered_router(PenaltyFilter::Selective, &mut tb);
+        let (policy, mut rng) = (Policy::ShortestPath, rng());
+        let (short, far) = (tb.originate(n(0)), tb.originate(n(9)));
+        let long = tb.prepend(far, n(0));
+        let mut charges = Vec::new();
+        for (at, route, degraded) in [
+            (0, short, None),
+            (10, long, Some(true)),
+            (20, short, Some(false)),
+        ] {
+            let mut out = RouterOutput::default();
+            let msg = UpdateMessage::announce(route).with_degraded(degraded);
+            r.handle_update(t(at), n(0), &msg, &mut tb, &mut rng, &policy, &mut out);
+            charges.extend(out.traces.iter().filter_map(|tr| match tr {
+                TraceEventKind::PenaltySample { charge, .. } => Some(*charge),
+                _ => None,
+            }));
+        }
+        // Only the improving change pays the attribute-change penalty.
+        assert_eq!(charges, [0.0, 0.0, 500.0]);
+        let entry = r.rib_in(n(0)).expect("entry");
+        let selective = entry.filters.as_ref().and_then(|f| f.selective.as_ref());
+        assert_eq!(selective.map(SelectiveFilter::skipped), Some(1));
     }
 
     // ---- protocol knobs ----
@@ -1792,10 +1851,11 @@ mod tests {
 
     #[test]
     fn per_peer_state_stays_compact() {
-        assert!(std::mem::size_of::<RibInEntry>() <= 88);
+        assert!(std::mem::size_of::<RibInEntry>() <= 40);
         assert!(std::mem::size_of::<MraiPeer>() <= 16);
-        // The flat table holds PeerSlot × peers × prefixes.
-        assert!(std::mem::size_of::<PeerSlot>() <= 128);
+        // The flat table holds PeerSlot × peers × prefixes: one cache
+        // line per slot.
+        assert!(std::mem::size_of::<PeerSlot>() <= 64);
         assert!(std::mem::size_of::<PrefixHead>() <= 56);
     }
 

@@ -39,7 +39,7 @@ use rfd_topology::{Graph, NodeId};
 use super::{Network, State};
 use crate::config::NetworkConfig;
 use crate::intern::{PathTable, Route};
-use crate::rib::{BestRoute, RibInEntry};
+use crate::rib::{BestRoute, FilterState, RibInEntry};
 use crate::router::{MraiPeer, PeerSlot, PrefixHead, Router};
 
 /// The fingerprint a snapshot is keyed by.
@@ -400,9 +400,7 @@ fn decode_trace(bytes: &[u8]) -> Result<VecSink, SnapError> {
     std::str::from_utf8(bytes)
         .ok()
         .and_then(|text| parse_trace(text).ok())
-        .ok_or(SnapError::Invalid {
-            context: "trace sink snapshot",
-        })
+        .ok_or(invalid("trace sink snapshot"))
 }
 
 fn encode_rng(enc: &mut Encoder, rng: &DetRng) {
@@ -428,11 +426,14 @@ fn decode_rng(dec: &mut Decoder<'_>) -> Result<DetRng, SnapError> {
 // (damping params, decay tables, the ledger filter) is rebuilt at
 // construction time and never serialised.
 
+/// A decode error naming what failed to decode.
+fn invalid(context: &'static str) -> SnapError {
+    SnapError::Invalid { context }
+}
+
 /// Resolves a raw path id against the restored table.
 fn route_of(table: &PathTable, raw: u32) -> Result<Route, SnapError> {
-    table.route_by_id(raw).ok_or(SnapError::Invalid {
-        context: "route id",
-    })
+    table.route_by_id(raw).ok_or(invalid("route id"))
 }
 
 /// Writes a root cause as (link a, link b, status, seq).
@@ -474,10 +475,11 @@ fn decode_store_state(dec: &mut Decoder<'_>) -> Result<DamperStoreState, SnapErr
 }
 
 fn encode_rib_in(enc: &mut Encoder, entry: &RibInEntry) {
+    let cold = entry.filters.as_deref();
     enc.option(entry.route.as_ref(), |e, r| e.u32(r.id().raw()));
-    enc.option(entry.damper_slot.as_ref(), |e, s| e.u32(*s));
+    enc.option(entry.damper_slot().as_ref(), |e, s| e.u32(*s));
     enc.bool(entry.suppressed);
-    enc.option(entry.rcn.as_ref(), |e, rcn| {
+    enc.option(cold.and_then(|c| c.rcn.as_ref()), |e, rcn| {
         e.usize(rcn.history().capacity());
         e.u8(match rcn.policy() {
             RcnChargePolicy::ByRootCause => 0,
@@ -486,46 +488,52 @@ fn encode_rib_in(enc: &mut Encoder, entry: &RibInEntry) {
         let history: Vec<RootCause> = rcn.history().entries().copied().collect();
         e.seq(&history, encode_root_cause);
     });
-    enc.option(entry.selective.as_ref(), |e, s| e.u64(s.skipped()));
-    enc.option(entry.last_rc.as_ref(), encode_root_cause);
-    enc.u64(entry.charges);
+    enc.option(cold.and_then(|c| c.selective.as_ref()), |e, s| {
+        e.u64(s.skipped())
+    });
+    enc.option(cold.and_then(|c| c.last_rc.as_ref()), encode_root_cause);
+    enc.u64(u64::from(entry.charges));
 }
 
 fn decode_rib_in(dec: &mut Decoder<'_>, table: &PathTable) -> Result<RibInEntry, SnapError> {
     let route = dec.option("rib-in route", |d| {
         route_of(table, d.u32("rib-in route id")?)
     })?;
-    let damper_slot = dec.option("rib-in damper slot", |d| d.u32("rib-in damper slot"))?;
+    let slot = dec.option("rib-in damper slot", |d| {
+        RibInEntry::pack_slot(d.u32("rib-in damper slot")?).ok_or(invalid("rib-in damper slot"))
+    })?;
     let suppressed = dec.bool("rib-in suppressed")?;
     let rcn = dec.option("rib-in rcn", |d| {
         // Every RCN filter the network builds has the default
         // capacity; anything else would be asserted on or allocated.
         let capacity = d.usize("rcn capacity")?;
         if capacity == 0 || capacity > RootCauseHistory::DEFAULT_CAPACITY {
-            return Err(SnapError::Invalid {
-                context: "rcn capacity",
-            });
+            return Err(invalid("rcn capacity"));
         }
         let policy = match d.u8("rcn policy")? {
             0 => RcnChargePolicy::ByRootCause,
             _ => RcnChargePolicy::ByUpdateKind,
         };
         let history = d.seq("rcn history", decode_root_cause)?;
-        Ok(Box::new(RcnFilter::restore(capacity, policy, history)))
+        Ok(RcnFilter::restore(capacity, policy, history))
     })?;
     let selective = dec.option("rib-in selective", |d| {
         Ok(SelectiveFilter::from_skipped(d.u64("selective skipped")?))
     })?;
     let last_rc = dec.option("rib-in last rc", decode_root_cause)?;
-    let charges = dec.u64("rib-in charges")?;
-    Ok(RibInEntry {
-        route,
-        damper_slot,
-        suppressed,
+    let charges =
+        u32::try_from(dec.u64("rib-in charges")?).map_err(|_| invalid("rib-in charges"))?;
+    let filters = FilterState {
         rcn,
         selective,
         last_rc,
+    };
+    Ok(RibInEntry {
+        route,
+        slot,
+        suppressed,
         charges,
+        filters: filters.boxed(),
     })
 }
 
@@ -545,9 +553,7 @@ fn decode_mrai(dec: &mut Decoder<'_>) -> Result<MraiPeer, SnapError> {
         timer_pending: dec.bool("mrai timer-pending")?,
         last_announced_len: dec.option("mrai last announced len", |d| {
             let len = d.usize("mrai last announced len")?;
-            u16::try_from(len).map_err(|_| SnapError::Invalid {
-                context: "mrai last announced len",
-            })
+            u16::try_from(len).map_err(|_| invalid("mrai last announced len"))
         })?,
     })
 }
@@ -572,7 +578,7 @@ impl Router {
                 e.u32(b.route.id().raw());
             });
             enc.seq(row, |e, p| {
-                e.option(p.rib_out.as_ref(), |e, r| e.u32(r.id().raw()));
+                e.option(p.rib_out.as_ref(), |e, id| e.u32(id.raw()));
             });
             enc.seq(row, |e, p| encode_mrai(e, &p.mrai));
             enc.option(head.current_rc.as_ref(), encode_root_cause);
@@ -619,10 +625,7 @@ impl Router {
         for _ in 0..n_prefixes {
             let id = dec.u32("prefix id")?;
             if id as usize >= origins {
-                return Err(SnapError::Invalid {
-                    context: "prefix id",
-                }
-                .into());
+                return Err(invalid("prefix id").into());
             }
             let id = id as usize;
             let originated = dec.bool("prefix originated")?;
@@ -632,10 +635,7 @@ impl Router {
             width(rib_in.len(), "rib-in width")?;
             let mut routes = rib_in.iter().flatten().filter_map(|e| e.route);
             if routes.any(|r| table.contains(r, self.id())) {
-                return Err(SnapError::Invalid {
-                    context: "rib-in route through the router",
-                }
-                .into());
+                return Err(invalid("rib-in route through the router").into());
             }
             let best = dec.option("prefix best", |d| {
                 let learned_from = d
@@ -649,7 +649,7 @@ impl Router {
             })?;
             let rib_out = dec.seq("prefix rib-out", |d| {
                 d.option("rib-out route", |d| {
-                    route_of(table, d.u32("rib-out route id")?)
+                    Ok(route_of(table, d.u32("rib-out route id")?)?.id())
                 })
             })?;
             width(rib_out.len(), "rib-out width")?;
@@ -693,6 +693,38 @@ mod tests {
                 })
             ));
         }
+    }
+
+    /// Values the entry's narrowed fields cannot hold are refused, never
+    /// truncated: damper slot `u32::MAX` and a charge count past
+    /// `u32::MAX`. The largest values that fit still decode.
+    #[test]
+    fn rib_in_refuses_a_crafted_slot_or_charge_count() {
+        let entry = |slot: u32, charges: u64| {
+            let mut enc = Encoder::new();
+            enc.u8(0); // no route
+            enc.option(Some(&slot), |e, s| e.u32(*s));
+            enc.bool(false);
+            enc.u8(0); // no RCN filter, selective filter or last root cause
+            enc.u8(0);
+            enc.u8(0);
+            enc.u64(charges);
+            enc.into_bytes()
+        };
+        let decode = |bytes: Vec<u8>| decode_rib_in(&mut Decoder::new(&bytes), &PathTable::new());
+        for (bytes, context) in [
+            (entry(u32::MAX, 0), "rib-in damper slot"),
+            (entry(0, u64::from(u32::MAX) + 1), "rib-in charges"),
+        ] {
+            let err = decode(bytes);
+            assert!(
+                matches!(err, Err(SnapError::Invalid { context: c }) if c == context),
+                "{context}: {err:?}"
+            );
+        }
+        let fits = decode(entry(u32::MAX - 1, u64::from(u32::MAX))).expect("fits");
+        assert_eq!(fits.damper_slot(), Some(u32::MAX - 1));
+        assert_eq!(fits.charges, u32::MAX);
     }
 
     /// A crafted RCN history capacity is refused, neither asserted on
