@@ -24,6 +24,15 @@
 //! iterates them — so neither the hash function
 //! ([`rfd_snap::MixHasher`]) nor the chain order can reach simulator
 //! output.
+//!
+//! A [`PathId`]'s value never reaches output either, and a
+//! [`PulseChain`](crate::PulseChain) relies on it: its forks share one
+//! table, so paths one fork interned are already present in the next
+//! and ids differ from a fresh run's. Nothing orders or prints by id:
+//! the decision process ranks by (policy class, path length, peer id),
+//! RIB-OUT compares ids only for equality (the dedup makes id and
+//! content equality the same), and trace events carry path lengths,
+//! never ids. Keep it so.
 
 use rfd_snap::MixMap;
 use rfd_topology::NodeId;

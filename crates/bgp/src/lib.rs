@@ -43,7 +43,7 @@ pub use config::{ConfigError, DampingDeployment, NetworkConfig, PenaltyFilter, P
 pub use intern::{InternStats, PathId, PathTable, Route};
 pub use message::{Prefix, UpdateMessage, UpdatePayload};
 pub use network::snapshot::{self, Snapshot, SnapshotError, SnapshotKey};
-pub use network::{NetEvent, Network, OriginAttachment, RunReport};
+pub use network::{NetEvent, Network, OriginAttachment, PulseChain, RunReport};
 pub use policy::Policy;
 pub use rib::{BestRoute, RibInEntry};
 pub use router::{Router, RouterConfig, RouterOutput};

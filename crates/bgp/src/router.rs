@@ -70,7 +70,7 @@ pub struct RouterConfig {
 
 /// Effects produced by handling one event at a router; the network
 /// harness turns them into scheduled events and trace records.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct RouterOutput {
     /// Messages to put on the wire, in order.
     pub sends: Vec<(NodeId, UpdateMessage)>,
@@ -185,7 +185,7 @@ pub struct Router {
 }
 
 /// Packs a (peer, prefix) pair into the damper store's slot key.
-fn damper_key(peer: NodeId, prefix: Prefix) -> u64 {
+pub(crate) fn damper_key(peer: NodeId, prefix: Prefix) -> u64 {
     (u64::from(peer.raw()) << 32) | u64::from(prefix.id())
 }
 

@@ -39,8 +39,9 @@ use rfd_topology::{Graph, NodeId};
 use super::{Network, State};
 use crate::config::NetworkConfig;
 use crate::intern::{PathTable, Route};
+use crate::message::Prefix;
 use crate::rib::{BestRoute, FilterState, RibInEntry};
-use crate::router::{MraiPeer, PeerSlot, PrefixHead, Router};
+use crate::router::{damper_key, MraiPeer, PeerSlot, PrefixHead, Router};
 
 /// The fingerprint a snapshot is keyed by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -590,8 +591,11 @@ impl Router {
     /// that disagrees with this router's peer set or damping
     /// deployment, names a prefix outside the network's `0..origins`
     /// (the prefix tables are indexed by it) or a path the table does not
-    /// hold, or puts a route containing this router in RIB-IN (the
-    /// decision process does not loop-check), is refused.
+    /// hold, puts a route containing this router in RIB-IN (the
+    /// decision process does not loop-check), or gives a RIB-IN entry a
+    /// damper slot the restored store does not hold for that entry's
+    /// (peer, prefix) — free, out of range, another entry's, or on a
+    /// router that does not damp — is refused.
     fn apply_snapshot(
         &mut self,
         dec: &mut Decoder<'_>,
@@ -633,6 +637,15 @@ impl Router {
                 d.option("rib-in entry", |d| decode_rib_in(d, table))
             })?;
             width(rib_in.len(), "rib-in width")?;
+            for (entry, &peer) in rib_in.iter().zip(&self.slots) {
+                let Some(slot) = entry.as_ref().and_then(RibInEntry::damper_slot) else {
+                    continue;
+                };
+                let held = self.damper_store.as_ref().and_then(|s| s.occupant(slot));
+                if held != Some(damper_key(peer, Prefix::new(id as u32))) {
+                    return Err(invalid("rib-in damper slot not held for its entry").into());
+                }
+            }
             let mut routes = rib_in.iter().flatten().filter_map(|e| e.route);
             if routes.any(|r| table.contains(r, self.id())) {
                 return Err(invalid("rib-in route through the router").into());

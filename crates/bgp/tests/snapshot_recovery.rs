@@ -378,8 +378,8 @@ fn crafted_payloads_are_refused() {
     let payload = rfd_snap::read_file(&path).expect("read back").payload;
     let marks = landmarks(&payload).expect("walk the payload");
     // (what is crafted, how, what the refusal says)
-    type Craft = fn(&mut [u8], &Landmarks);
-    let cases: [(&str, Craft, &str); 5] = [
+    type Craft = fn(&mut Vec<u8>, &Landmarks);
+    let cases: [(&str, Craft, &str); 6] = [
         (
             "prefix id 2^32 - 1",
             |b, m| put(b, m.prefix_id, &u32::MAX.to_le_bytes()),
@@ -412,6 +412,15 @@ fn crafted_payloads_are_refused() {
             |b, m| put(b, m.rib_in_width + 10, &m.looped_path.to_le_bytes()),
             "rib-in route through the router",
         ),
+        (
+            "damper slot 0 on a router that does not damp",
+            |b, m| {
+                let at = m.rib_in_width + 14;
+                assert_eq!(b[at], 0, "the undamped entry has no slot");
+                b.splice(at..=at, [1, 0, 0, 0, 0]);
+            },
+            "rib-in damper slot not held for its entry",
+        ),
     ];
     for (what, craft, refusal) in cases {
         let mut crafted = payload.clone();
@@ -425,6 +434,114 @@ fn crafted_payloads_are_refused() {
             .expect_err("a crafted payload must be refused");
         assert!(
             err.to_string().contains(refusal),
+            "{what}: unexpected error: {err}"
+        );
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+/// Where router 0's damper store and its first two RIB-IN entries'
+/// damper slots sit in the payload of a damped network.
+struct StoreLandmarks {
+    /// Slots in the store (all occupied after warm-up).
+    slots: u32,
+    /// Offset of the store's flag bytes.
+    flags: usize,
+    /// Offset of the store's free-list length.
+    free_len: usize,
+    /// Offset and value of the damper slot of router 0's first two
+    /// entries.
+    entry_slots: [(usize, u32); 2],
+}
+
+fn store_landmarks(payload: &[u8]) -> Result<StoreLandmarks, SnapError> {
+    let mut d = Decoder::new(payload);
+    let at = |d: &Decoder<'_>| payload.len() - d.remaining();
+    d.u64("now")?;
+    d.bool("warmed up")?;
+    for _ in 0..5 {
+        d.u64("counter")?;
+    }
+    for _ in 0..d.usize("paths")? {
+        d.seq("hops", |d| d.u32("hop"))?;
+    }
+    d.usize("routers")?;
+    d.bool("charging")?;
+    d.seq("down", |d| d.bool("down"))?;
+    assert_eq!(d.u8("damper store")?, 1, "router 0 damps");
+    let slots = d.seq("keys", |d| d.u64("key"))?.len() as u32;
+    d.seq("penalty", |d| d.u64("penalty"))?;
+    d.seq("anchor", |d| d.u64("anchor"))?;
+    let flags = at(&d) + 8;
+    d.seq("flags", |d| d.u8("flag"))?;
+    d.seq("reuse deadlines", |d| d.u64("deadline"))?;
+    let free_len = at(&d);
+    assert!(d.seq("free", |d| d.u32("free"))?.is_empty(), "no free slot");
+    assert!(d.usize("prefixes")? > 0, "router 0 knows prefix 0");
+    d.u32("prefix id")?;
+    d.bool("originated")?;
+    let mut entry_slots = Vec::new();
+    d.seq("rib-in", |d| {
+        d.option("rib-in entry", |d| {
+            d.option("route", |d| d.u32("route id"))?;
+            let slot_at = at(d) + 1;
+            let slot = d.option("damper slot", |d| d.u32("damper slot"))?;
+            entry_slots.push((slot_at, slot.expect("a damped entry has a slot")));
+            d.bool("suppressed")?;
+            for filter in ["rcn", "selective", "last root cause"] {
+                assert_eq!(d.u8(filter)?, 0, "no {filter}");
+            }
+            d.u64("charges")
+        })
+    })?;
+    Ok(StoreLandmarks {
+        slots,
+        flags,
+        free_len,
+        entry_slots: [entry_slots[0], entry_slots[1]],
+    })
+}
+
+/// A RIB-IN entry's damper slot must be one the restored store holds
+/// for that entry's (peer, prefix): an out-of-range slot, a free slot
+/// and another entry's slot are each refused with an error, where they
+/// used to restore and panic (or charge the wrong key) on the next
+/// update.
+#[test]
+fn crafted_damper_slots_are_refused() {
+    let (graph, isp, cfg) = small_scenario();
+    let key = snapshot::fingerprints(&graph, &[isp], &cfg);
+    let path = warm_snapshot_file("slots");
+    let payload = rfd_snap::read_file(&path).expect("read back").payload;
+    let marks = store_landmarks(&payload).expect("walk the payload");
+    type Craft = fn(&mut Vec<u8>, &StoreLandmarks);
+    let cases: [(&str, Craft); 3] = [
+        ("an out-of-range slot", |b, m| {
+            put(b, m.entry_slots[0].0, &m.slots.to_le_bytes())
+        }),
+        ("another entry's slot", |b, m| {
+            put(b, m.entry_slots[0].0, &m.entry_slots[1].1.to_le_bytes())
+        }),
+        ("a free slot", |b, m| {
+            let slot = m.entry_slots[0].1;
+            b[m.flags + slot as usize] = 0;
+            put(b, m.free_len, &1u64.to_le_bytes());
+            let list = m.free_len + 8;
+            b.splice(list..list, slot.to_le_bytes());
+        }),
+    ];
+    for (what, craft) in cases {
+        let mut crafted = payload.clone();
+        craft(&mut crafted, &marks);
+        rfd_snap::write_atomic(&path, key.config_fp, &crafted).expect("rewrite");
+        let snap = Snapshot::read(&path).expect("the container itself is valid");
+        let mut target = Network::new(&graph, isp, cfg.clone());
+        let err = snap
+            .resume_into(&mut target, &key)
+            .expect_err("a crafted payload must be refused");
+        assert!(
+            err.to_string()
+                .contains("rib-in damper slot not held for its entry"),
             "{what}: unexpected error: {err}"
         );
     }

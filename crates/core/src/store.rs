@@ -277,6 +277,15 @@ impl DamperStore {
         self.keys[slot as usize]
     }
 
+    /// The key of an occupied slot; `None` for a free or out-of-range
+    /// slot. Unlike [`key`](Self::key) it never panics, so it can vet a
+    /// slot read from outside (a snapshot payload).
+    pub fn occupant(&self, slot: u32) -> Option<u64> {
+        let i = slot as usize;
+        let occupied = self.flags.get(i).is_some_and(|f| f & OCCUPIED != 0);
+        occupied.then(|| self.keys[i])
+    }
+
     /// Whether the entry is currently suppressed.
     pub fn is_suppressed(&self, slot: u32) -> bool {
         self.check(slot);

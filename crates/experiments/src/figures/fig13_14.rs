@@ -6,13 +6,10 @@
 //! premature false suppression to swallow updates).
 
 use rfd_bgp::NetworkConfig;
-use rfd_core::DampingParams;
 
-use crate::figures::fig8_9::measured_specs;
+use crate::figures::fig8_9::{measured_specs, NO_DAMPING_MESH};
 use crate::scenarios::TopologyKind;
-use crate::sweep::{
-    calculation_series, estimate_t_up, measure_sweep, PulseSweep, SeriesSpec, SweepOptions,
-};
+use crate::sweep::{measure_pulse_figure, PulseSweep, SeriesSpec, SweepOptions};
 
 /// Legend label for the RCN series.
 pub const DAMPING_AND_RCN: &str = "Damping and RCN";
@@ -30,20 +27,13 @@ pub fn figure13_14_on(
     mesh: TopologyKind,
     internet: TopologyKind,
 ) -> PulseSweep {
-    let t_up = estimate_t_up(mesh, opts);
     let mut specs = measured_specs(mesh, internet);
     specs.push(SeriesSpec::by_seed(
         DAMPING_AND_RCN,
         mesh,
         NetworkConfig::paper_rcn_damping,
     ));
-    let mut sweep = measure_sweep("fig13-14", specs, &opts.pulse_counts(), opts);
-    sweep.series.push(calculation_series(
-        &DampingParams::cisco(),
-        opts.max_pulses,
-        t_up,
-    ));
-    sweep
+    measure_pulse_figure("fig13-14", specs, NO_DAMPING_MESH, opts)
 }
 
 #[cfg(test)]

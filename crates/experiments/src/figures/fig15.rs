@@ -38,7 +38,7 @@ pub fn figure15_on(opts: &SweepOptions, kind: TopologyKind) -> PulseSweep {
         SeriesSpec::by_seed(NO_POLICY, kind, NetworkConfig::paper_full_damping),
     ];
     let mut sweep = measure_sweep("fig15", specs, &opts.pulse_counts(), opts);
-    let t_up = estimate_t_up(kind, opts);
+    let t_up = estimate_t_up(opts.topology.unwrap_or(kind), opts);
     let mut intended = calculation_series(&DampingParams::cisco(), opts.max_pulses, t_up);
     intended.label = INTENDED.to_owned();
     sweep.series.push(intended);

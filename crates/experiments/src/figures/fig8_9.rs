@@ -9,12 +9,9 @@
 //! (muffling makes the ispAS reuse timer the last one standing).
 
 use rfd_bgp::NetworkConfig;
-use rfd_core::DampingParams;
 
 use crate::scenarios::TopologyKind;
-use crate::sweep::{
-    calculation_series, estimate_t_up, measure_sweep, PulseSweep, SeriesSpec, SweepOptions,
-};
+use crate::sweep::{measure_pulse_figure, measure_sweep, PulseSweep, SeriesSpec, SweepOptions};
 
 /// Series labels (matching the paper's legends).
 pub const NO_DAMPING_MESH: &str = "No Damping (simulation, mesh)";
@@ -85,21 +82,15 @@ pub fn figure8_9_bucketed_on(
 
 /// Parameterised variant for reduced-size tests and benches. All
 /// measured series run as a single grid ("fig8-9") so the thread pool
-/// spans series, pulse counts and seeds at once.
+/// spans series and seeds at once; the calculation reads `t_up` from
+/// the grid's no-damping `n = 1` cells.
 pub fn figure8_9_on(opts: &SweepOptions, mesh: TopologyKind, internet: TopologyKind) -> PulseSweep {
-    let t_up = estimate_t_up(mesh, opts);
-    let mut sweep = measure_sweep(
+    measure_pulse_figure(
         "fig8-9",
         measured_specs(mesh, internet),
-        &opts.pulse_counts(),
+        NO_DAMPING_MESH,
         opts,
-    );
-    sweep.series.push(calculation_series(
-        &DampingParams::cisco(),
-        opts.max_pulses,
-        t_up,
-    ));
-    sweep
+    )
 }
 
 /// Finds the measured critical point `N_h`: the smallest `n ≥ 1` from
@@ -172,6 +163,43 @@ mod tests {
             growth_damp < growth_nodamp,
             "damped growth {growth_damp} vs undamped {growth_nodamp}"
         );
+    }
+
+    /// Under a topology override the calculation's `t_up` is the
+    /// overriding topology's no-damping `n = 1` convergence, read from
+    /// the grid; when that cell fails, every calculated point is marked
+    /// failed instead of the sweep panicking on a NaN.
+    #[test]
+    fn calculation_reads_t_up_from_the_grid() {
+        let torus = TopologyKind::Mesh {
+            width: 6,
+            height: 6,
+        };
+        let opts = SweepOptions {
+            max_pulses: 2,
+            seeds: vec![1],
+            topology: Some(torus),
+            ..SweepOptions::default()
+        };
+        let sweep = figure8_9(&opts);
+        let no_damping = sweep.series(NO_DAMPING_MESH).unwrap().at(1).unwrap();
+        let calc = sweep.series(CALCULATION).unwrap();
+        assert_eq!(
+            calc.at(1).unwrap().convergence_secs,
+            no_damping.convergence_secs
+        );
+        let estimate = crate::sweep::estimate_t_up(torus, &opts);
+        assert_eq!(calc.at(2).unwrap().convergence_secs, estimate.as_secs_f64());
+
+        let chaos = format!("panic@{NO_DAMPING_MESH}|n=1|seed=1");
+        let opts = SweepOptions {
+            chaos: rfd_runner::ChaosPlan::parse(&chaos).unwrap(),
+            ..opts
+        };
+        let sweep = figure8_9(&opts);
+        let calc = sweep.series(CALCULATION).unwrap();
+        assert!(calc.points.iter().all(|p| p.failed_seeds == 1));
+        assert!(sweep.convergence_table().to_csv().contains(",FAILED:1\n"));
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub mod output;
 pub mod scenarios;
 pub mod sweep;
 
-pub use scenarios::{pick_isp, run_pattern_metrics, run_workload, TopologyKind};
+pub use scenarios::{pick_isp, run_workload, TopologyKind};
 pub use sweep::{
     calculation_series, estimate_t_up, measure_sweep, study_table, Column, PulseSweep, SeriesSpec,
     SweepOptions, SweepPoint, SweepSeries,

@@ -4,17 +4,20 @@
 //! runs (scenario × pulse count × seed). Those runs are embarrassingly
 //! parallel; this crate fans them out without giving up the repo's
 //! reproducibility guarantees. It runs keyed cells; the sweep owns the
-//! grid: the caller enumerates the cells, keys them and folds their
-//! results (`rfd-experiments`' `measure_sweep` does all three), and
-//! the runner only executes them.
+//! grid: the caller enumerates the cells, keys them, groups them into
+//! chains and folds their results (`rfd-experiments`' `measure_sweep`
+//! does all four), and the runner only executes them.
 //!
 //! ## Architecture
 //!
-//! * [`run_cells`] — the one entry point: given the grid's
-//!   [`GridFingerprint`] (grid.rs), the cell keys in grid order and an
-//!   `exec(index)` closure, it skips journaled cells, executes the
-//!   rest on the pool under supervision and returns every cell's
-//!   metrics by index;
+//! * [`run_chains`] — the one entry point: given the grid's
+//!   [`GridFingerprint`] (grid.rs), the cell keys in grid order, the
+//!   chains and a `start(chain)` closure, it skips journaled cells,
+//!   runs each chain that has a cell left as one pool job — its state
+//!   built once, then each cell supervised on it — and returns every
+//!   cell's metrics by index. A sweep chains one (series, seed) over its
+//!   pulse counts, so the simulation prefix those cells share runs
+//!   once;
 //! * [`pool`] — a std-only scoped thread pool fed by one atomic job
 //!   counter; results come back indexed by job, hiding completion
 //!   order, and a panicking job never strands its siblings;
@@ -35,39 +38,46 @@
 //!
 //! 1. a cell is a pure function of its index — the caller derives its
 //!    seed and scenario from its grid position, never from execution
-//!    order;
-//! 2. the pool returns results indexed by job, and [`run_cells`]
+//!    order, and a chain's state only saves work;
+//! 2. the pool returns results indexed by job, and [`run_chains`]
 //!    returns them in cell order;
 //! 3. the caller folds per-seed metrics in cell order, so even
 //!    floating-point rounding is identical run to run.
 //!
 //! ## Fault tolerance contract
 //!
-//! A sweep **finishes** even when individual cells fail. A panicking or
-//! journal-I/O-failed cell is quarantined as a [`CellFailure`]: its
-//! metrics slot holds the all-NaN [`RunMetrics::FAILED`] sentinel, the
-//! journal carries a failure record, and [`run_cells`] returns every
-//! failure so the caller can mark its points, print a report and exit
-//! non-zero. Re-running with resume executes exactly the
-//! failed/missing cells; because cells are pure functions of their
-//! index, the healed output is byte-identical to a run that never
-//! failed. For the same reason a failed cell is never retried in the
-//! same run — a deterministic panic would only recur.
+//! A sweep **finishes** even when individual cells fail. Supervision is
+//! per cell, not per chain: a panicking or journal-I/O-failed cell is
+//! quarantined as a [`CellFailure`]: its metrics slot holds the all-NaN
+//! [`RunMetrics::FAILED`] sentinel, the journal carries a failure
+//! record, the rest of its chain still runs (on a fresh state after a
+//! panic), and [`run_chains`] returns every failure so the caller can
+//! mark its points, print a report and exit non-zero. Re-running with
+//! resume executes exactly the failed/missing cells; because cells are
+//! pure functions of their index, the healed output is byte-identical
+//! to a run that never failed. For the same reason a failed cell is
+//! never retried in the same run — a deterministic panic would only
+//! recur.
 //!
 //! ```
-//! use rfd_runner::{run_cells, GridFingerprint, RunMetrics, RunnerConfig};
+//! use rfd_runner::{run_chains, GridFingerprint, RunMetrics, RunnerConfig};
 //!
-//! let pulses = [1, 2];
+//! let pulses = [1, 2, 3];
 //! let grid = GridFingerprint::new("doc", &["mesh"], &pulses, &[7], 0);
 //! let keys: Vec<String> = pulses.iter().map(|n| format!("mesh|n={n}|seed=7")).collect();
-//! let exec = |i: usize| RunMetrics {
-//!     convergence_secs: pulses[i] as f64 * 4.0,
-//!     messages: 7.0,
-//!     suppressed: 0.0,
+//! // One chain: its state is the work done so far, which later cells
+//! // extend instead of redoing.
+//! let chains = [vec![0, 1, 2]];
+//! let start = |_chain| {
+//!     let mut done = 0;
+//!     move |i: usize| {
+//!         done = done.max(pulses[i]);
+//!         RunMetrics { convergence_secs: done as f64 * 4.0, messages: 7.0, suppressed: 0.0 }
+//!     }
 //! };
 //! let on = |threads| RunnerConfig { threads, ..RunnerConfig::default() };
-//! let (seq, failures) = run_cells(&grid, &keys, &on(1), exec).unwrap();
-//! let (par, _) = run_cells(&grid, &keys, &on(4), exec).unwrap();
+//! let (seq, failures) = run_chains(&grid, &keys, &chains, &on(1), start).unwrap();
+//! let (par, _) = run_chains(&grid, &keys, &chains, &on(4), start).unwrap();
 //! assert_eq!(seq, par);
 //! assert_eq!(seq[1].convergence_secs, 8.0);
 //! assert!(failures.is_empty());
@@ -175,14 +185,24 @@ impl RunnerConfig {
 
 /// Executes the cells `keys` of the grid `fingerprint` and returns each
 /// cell's metrics in index order, plus the quarantined failures sorted
-/// by index. Cell `i` runs as `exec(i)` and is journaled under
-/// `keys[i]`.
+/// by index. Cell `i` is journaled under `keys[i]`.
+///
+/// `chains` partitions the cell indices into chains, the unit the pool
+/// schedules: one job per chain. A job calls `start(c)` to build chain
+/// `c`'s state — typically a simulation prefix its cells share — and
+/// then runs the state on each of the chain's cells, in the listed
+/// order, one supervised cell at a time. The state may only make cells
+/// cheaper: cell `i`'s metrics must not depend on which cells ran on
+/// the state before it, because resume runs only the missing cells and
+/// a failed cell drops the state (the chain's next cell starts it
+/// afresh).
 ///
 /// Cells already present in the journal (when `config.resume`) are not
 /// re-executed; their journaled metrics are spliced into place, which
 /// reproduces the exact output of an uninterrupted run because floats
-/// are journaled in shortest-round-trip form. Cells whose last journal
-/// record is a *failure* are re-run.
+/// are journaled in shortest-round-trip form. A chain with no cell left
+/// to run is never started. Cells whose last journal record is a
+/// *failure* are re-run.
 ///
 /// Individual cell faults — panics, journal-write errors — do **not**
 /// abort the run: the cell's slot holds [`RunMetrics::FAILED`], its
@@ -193,14 +213,16 @@ impl RunnerConfig {
 /// [`RunnerError::Io`] on filesystem errors setting up the journal,
 /// and [`RunnerError::JournalMismatch`] when resuming a journal that
 /// was written by a different grid.
-pub fn run_cells<F>(
+pub fn run_chains<F, C>(
     fingerprint: &GridFingerprint,
     keys: &[String],
+    chains: &[Vec<usize>],
     config: &RunnerConfig,
-    exec: F,
+    start: F,
 ) -> Result<(Vec<RunMetrics>, Vec<CellFailure>), RunnerError>
 where
-    F: Fn(usize) -> RunMetrics + Sync,
+    F: Fn(usize) -> C + Sync,
+    C: FnMut(usize) -> RunMetrics,
 {
     let (journal, resume_state) = match &config.journal_dir {
         Some(dir) if config.resume => {
@@ -226,62 +248,49 @@ where
         );
     }
 
-    // Splice journaled results in by index; queue the rest (including
-    // previously failed cells, which are *not* completed).
+    // Splice journaled results in by index; queue the rest of each
+    // chain (including previously failed cells, which are *not*
+    // completed).
     let mut metrics = vec![RunMetrics::FAILED; keys.len()];
-    let mut pending: Vec<usize> = Vec::new();
     for (index, key) in keys.iter().enumerate() {
-        match resume_state.completed.get(key) {
-            Some(m) => metrics[index] = *m,
-            None => pending.push(index),
+        if let Some(m) = resume_state.completed.get(key) {
+            metrics[index] = *m;
         }
     }
+    let pending: Vec<(usize, Vec<usize>)> = chains
+        .iter()
+        .enumerate()
+        .filter_map(|(chain, cells)| {
+            let done = |i: &usize| resume_state.completed.contains_key(&keys[*i]);
+            let todo: Vec<usize> = cells.iter().copied().filter(|i| !done(i)).collect();
+            (!todo.is_empty()).then_some((chain, todo))
+        })
+        .collect();
 
     let journal = journal.as_ref();
     let threads = config.effective_threads();
-    let fresh = pool::execute(threads, pending.len(), |worker, i| {
-        let index = pending[i];
-        let key = &keys[index];
-        let obs_span = rfd_obs::span("runner.cell");
-        let supervised = supervisor::supervise(index, key, &config.chaos, || exec(index));
-        drop(obs_span);
-        let supervised = match supervised {
-            Ok(s) => s,
-            Err(failure) => {
-                if let Some(journal) = journal {
-                    if let Err(e) =
-                        journal.record_failure(&failure.key, failure.kind, &failure.message)
-                    {
-                        eprintln!("rfd-runner: could not journal failure for {key}: {e}");
-                    }
-                }
-                return Err(failure);
+    let fresh = pool::execute(threads, pending.len(), |worker, job| {
+        let (chain, cells) = &pending[job];
+        let mut state = None;
+        let mut outcomes = Vec::with_capacity(cells.len());
+        for &index in cells {
+            let key = &keys[index];
+            let obs_span = rfd_obs::span("runner.cell");
+            let supervised = supervisor::supervise(index, key, &config.chaos, || {
+                state.get_or_insert_with(|| start(*chain))(index)
+            });
+            drop(obs_span);
+            if supervised.is_err() {
+                // A panic may have left the state half-updated.
+                state = None;
             }
-        };
-        rfd_obs::inc("runner.cells_completed");
-        rfd_obs::observe("runner.cell_us", supervised.duration.as_micros() as u64);
-        if let Some(journal) = journal {
-            let meta = RunMeta {
-                duration_secs: supervised.duration.as_secs_f64(),
-                thread: worker as u64,
-            };
-            if let Err(e) = journal.record_with(key, &supervised.value, Some(&meta)) {
-                // A cell whose result can't be journaled is a cell
-                // failure, not a process panic: the sweep finishes
-                // and resume re-runs it.
-                return Err(supervisor::fail_cell(CellFailure {
-                    index,
-                    key: key.clone(),
-                    kind: FailKind::JournalIo,
-                    message: e.to_string(),
-                }));
-            }
+            outcomes.push((index, settle(journal, worker, index, key, supervised)));
         }
-        Ok(supervised.value)
+        outcomes
     });
 
     let mut failures = Vec::new();
-    for (&index, outcome) in pending.iter().zip(fresh) {
+    for (index, outcome) in fresh.into_iter().flatten() {
         match outcome {
             Ok(m) => metrics[index] = m,
             Err(failure) => failures.push(failure),
@@ -289,6 +298,47 @@ where
     }
     failures.sort_by_key(|f| f.index);
     Ok((metrics, failures))
+}
+
+/// Journals one supervised cell: its metrics, or its failure. A cell
+/// whose result can't be journaled is a cell failure, not a process
+/// panic: the sweep finishes and resume re-runs it.
+fn settle(
+    journal: Option<&Journal>,
+    worker: usize,
+    index: usize,
+    key: &str,
+    supervised: Result<supervisor::Supervised<RunMetrics>, CellFailure>,
+) -> Result<RunMetrics, CellFailure> {
+    let supervised = match supervised {
+        Ok(s) => s,
+        Err(failure) => {
+            if let Some(journal) = journal {
+                if let Err(e) = journal.record_failure(&failure.key, failure.kind, &failure.message)
+                {
+                    eprintln!("rfd-runner: could not journal failure for {key}: {e}");
+                }
+            }
+            return Err(failure);
+        }
+    };
+    rfd_obs::inc("runner.cells_completed");
+    rfd_obs::observe("runner.cell_us", supervised.duration.as_micros() as u64);
+    if let Some(journal) = journal {
+        let meta = RunMeta {
+            duration_secs: supervised.duration.as_secs_f64(),
+            thread: worker as u64,
+        };
+        if let Err(e) = journal.record_with(key, &supervised.value, Some(&meta)) {
+            return Err(supervisor::fail_cell(CellFailure {
+                index,
+                key: key.to_owned(),
+                kind: FailKind::JournalIo,
+                message: e.to_string(),
+            }));
+        }
+    }
+    Ok(supervised.value)
 }
 
 #[cfg(test)]
@@ -322,6 +372,18 @@ mod tests {
         GridFingerprint::new("lib-test", &SERIES.map(|s| s.0), &PULSES, &SEEDS, salt)
     }
 
+    /// One chain per (series, seed), over the pulse counts: cells
+    /// `s·9 + seed`, `s·9 + 3 + seed`, `s·9 + 6 + seed`.
+    fn chains() -> Vec<Vec<usize>> {
+        (0..SERIES.len() * SEEDS.len())
+            .map(|c| {
+                (0..PULSES.len())
+                    .map(|p| c / 3 * 9 + p * 3 + c % 3)
+                    .collect()
+            })
+            .collect()
+    }
+
     /// A fake executor: a deterministic function of the cell index only.
     fn demo_exec(i: usize) -> RunMetrics {
         let ((_, scale), n, seed) = cell(i);
@@ -341,11 +403,21 @@ mod tests {
         }
     }
 
+    /// Runs the test grid's chains.
+    fn grid<C: FnMut(usize) -> RunMetrics>(
+        config: &RunnerConfig,
+        start: impl Fn(usize) -> C + Sync,
+    ) -> (Vec<RunMetrics>, Vec<CellFailure>) {
+        run_chains(&fingerprint(0), &keys(), &chains(), config, start).unwrap()
+    }
+
+    /// Runs the test grid with a stateless chain: every cell is
+    /// `exec(cell)`.
     fn run(
         config: &RunnerConfig,
         exec: impl Fn(usize) -> RunMetrics + Sync,
     ) -> (Vec<RunMetrics>, Vec<CellFailure>) {
-        run_cells(&fingerprint(0), &keys(), config, exec).unwrap()
+        grid(config, |_| &exec)
     }
 
     /// `demo_exec`, counting its calls in `executed`.
@@ -493,11 +565,13 @@ mod tests {
         // runs, and the journal is left as it was.
         let before = std::fs::read(journal_path(&dir, "lib-test")).unwrap();
         let executed = AtomicUsize::new(0);
-        let err = run_cells(
+        let exec = counting(&executed);
+        let err = run_chains(
             &fingerprint(99),
             &keys(),
+            &chains(),
             &config(1, Some(&dir), true),
-            counting(&executed),
+            |_| &exec,
         )
         .unwrap_err();
         assert!(matches!(err, RunnerError::JournalMismatch(_)));
@@ -506,6 +580,77 @@ mod tests {
         assert_eq!(
             std::fs::read(journal_path(&dir, "lib-test")).unwrap(),
             before
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Each chain is started once and runs its cells in the listed
+    /// order on one state, at any thread count; the cells still come
+    /// back by index.
+    #[test]
+    fn a_chain_starts_once_and_runs_its_cells_in_order() {
+        let chains = chains();
+        for threads in [1, 2, 4] {
+            let starts = AtomicUsize::new(0);
+            let (metrics, failures) = run_chains(
+                &fingerprint(0),
+                &keys(),
+                &chains,
+                &config(threads, None, false),
+                |c| {
+                    starts.fetch_add(1, Ordering::SeqCst);
+                    let mut next = chains[c].iter();
+                    move |i| {
+                        assert_eq!(next.next(), Some(&i), "chain {c} ran out of order");
+                        demo_exec(i)
+                    }
+                },
+            )
+            .unwrap();
+            assert!(failures.is_empty());
+            assert_eq!(starts.load(Ordering::SeqCst), chains.len());
+            assert_eq!(metrics, (0..CELLS).map(demo_exec).collect::<Vec<_>>());
+        }
+    }
+
+    /// A panicking cell fails alone: its chain's later cells run on a
+    /// freshly started state, and a chain with every cell journaled is
+    /// never started on resume.
+    #[test]
+    fn a_failed_cell_restarts_its_chain_and_resume_skips_finished_chains() {
+        let dir = tmp_dir("chain-restart");
+        let (reference, _) = run(&config(1, None, false), demo_exec);
+        let bad_key = "alpha|n=1|seed=20";
+        let starts = AtomicUsize::new(0);
+        let (metrics, failures) = grid(&config(1, Some(&dir), false), |_| {
+            starts.fetch_add(1, Ordering::SeqCst);
+            move |i| {
+                if keys()[i] == bad_key {
+                    panic!("injected failure");
+                }
+                demo_exec(i)
+            }
+        });
+        assert_eq!(failures.len(), 1);
+        assert_eq!(failures[0].key, bad_key);
+        assert_eq!(starts.load(Ordering::SeqCst), chains().len() + 1);
+        for (i, (got, want)) in metrics.iter().zip(&reference).enumerate() {
+            if i != failures[0].index {
+                assert_eq!(got, want, "cell {i}");
+            }
+        }
+
+        let starts = AtomicUsize::new(0);
+        let (healed, failures) = grid(&config(2, Some(&dir), true), |_| {
+            starts.fetch_add(1, Ordering::SeqCst);
+            demo_exec
+        });
+        assert!(failures.is_empty());
+        assert_eq!(healed, reference);
+        assert_eq!(
+            starts.load(Ordering::SeqCst),
+            1,
+            "only the failed cell's chain"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

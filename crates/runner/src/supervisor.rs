@@ -5,7 +5,7 @@
 //! boundary, so a panicking cell is *recorded* (kind and message)
 //! instead of tearing down the sweep. A cell is a pure function of its
 //! grid position, so a panic is not retried here: run again, it would
-//! panic again. The outcome is a [`CellFailure`] that `run_cells`
+//! panic again. The outcome is a [`CellFailure`] that `run_chains`
 //! returns — the sweep finishes every other cell, the journal records
 //! the failure, `--resume` re-runs exactly the failed cells once the
 //! cause is fixed, and the caller decides how loudly to exit.

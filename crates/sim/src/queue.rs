@@ -41,8 +41,9 @@ pub fn event_key(src: u32, seq: u64) -> u64 {
 /// The event queue and its clock, driven from outside by an
 /// [`EpochBarrier`] window plan: the owner pops events with
 /// [`pop_before`](Self::pop_before), handles them, and schedules what
-/// they cause.
-#[derive(Debug)]
+/// they cause. A clone is an independent copy of every pending event
+/// and of the clock.
+#[derive(Debug, Clone)]
 pub struct EventQueue<E> {
     wheel: TimerWheel<E>,
     now: SimTime,
@@ -195,6 +196,16 @@ impl EpochBarrier {
         self.windows
     }
 
+    /// The exclusive end of a window that starts at `t0`:
+    /// `min(t0 + lookahead, horizon + 1µs)`, both sums saturating. A
+    /// caller that must stop before some instant `t` (to inject an event
+    /// there) runs the next window only if its end is at most `t`.
+    pub fn window_end(&self, t0: SimTime) -> SimTime {
+        let natural = t0.saturating_add(self.lookahead);
+        let cap = self.horizon.saturating_add(SimDuration::from_micros(1));
+        natural.min(cap)
+    }
+
     /// Plans the next window given the earliest pending event time
     /// (`None` when the queue is empty) and the events processed so
     /// far in this run.
@@ -208,9 +219,7 @@ impl EpochBarrier {
         if processed >= self.budget {
             return WindowPlan::Done(RunOutcome::BudgetExhausted);
         }
-        let natural = t0.saturating_add(self.lookahead);
-        let cap = self.horizon.saturating_add(SimDuration::from_micros(1));
-        let end = natural.min(cap);
+        let end = self.window_end(t0);
         if end <= t0 {
             return WindowPlan::Done(RunOutcome::HorizonReached);
         }

@@ -58,7 +58,7 @@ enum SlotState {
     Cancelled,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct SlabEntry<E> {
     at: u64,
     seq: u64,
@@ -70,7 +70,7 @@ struct SlabEntry<E> {
 /// The wheel. The simulator drives it through
 /// [`EventQueue`](crate::EventQueue); it is public so the property
 /// tests can pin it against a reference binary-heap model directly.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct TimerWheel<E> {
     slab: Vec<SlabEntry<E>>,
     free: Vec<u32>,
