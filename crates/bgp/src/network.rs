@@ -16,9 +16,9 @@
 //! delays and MRAI jitter from its own RNG streams (`delays/<id>`,
 //! `mrai/<id>`), which keeps every draw tied to that node's event order.
 //! Because pops are already canonical, trace events and ledger records
-//! go straight to their consumers as the routers produce them. An
-//! [`EpochBarrier`] advances the queue in windows one minimum link delay
-//! wide and enforces the horizon and the event budget, both counted over
+//! go straight to their consumers as the routers produce them. The loop
+//! advances the queue in windows one minimum link delay wide and
+//! enforces the horizon and the event budget, the budget counted over
 //! the whole measured run. Parallelism lives one level up, in the sweep
 //! runner's pool.
 //!
@@ -47,10 +47,7 @@ use std::fmt::Write as _;
 
 use rfd_core::{FlapPattern, LedgerFilter, LedgerRecord, LinkStatus, RootCause};
 use rfd_metrics::{ConvergenceTracker, MessageCounter, Trace, TraceEventKind, TraceSink, VecSink};
-use rfd_sim::{
-    event_key, DetRng, EpochBarrier, EventQueue, RunOutcome, SimDuration, SimTime, WindowPlan,
-    INJECTOR_SRC,
-};
+use rfd_sim::{event_key, DetRng, EventQueue, RunOutcome, SimDuration, SimTime, INJECTOR_SRC};
 use rfd_snap::{MixMap, MixSet};
 use rfd_topology::{Graph, NodeId};
 
@@ -62,6 +59,10 @@ use crate::router::{Router, RouterConfig, RouterOutput};
 
 #[path = "snapshot.rs"]
 pub mod snapshot;
+
+/// Cap on the events of one measured run (and of the warm-up): a guard
+/// against runaway models, lowered only by tests.
+const DEFAULT_EVENT_BUDGET: u64 = 500_000_000;
 
 /// Events on the network's queue.
 #[derive(Debug, Clone, Copy)]
@@ -191,6 +192,14 @@ struct State<S> {
     /// Trace events discarded while muted.
     discarded: u64,
     queue: EventQueue<NetEvent>,
+    /// The last instant whose events run (from
+    /// [`NetworkConfig::horizon`]).
+    horizon: SimTime,
+    /// Cap on the events one run processes, counted from the start of
+    /// the measured workload (or of the warm-up).
+    budget: u64,
+    /// Windows executed over the network's lifetime.
+    windows: u64,
     /// The one [`RouterOutput`] every event is handled through:
     /// [`State::handle`] takes it, the router fills it,
     /// [`State::apply_output`] drains it and hands it back.
@@ -392,28 +401,34 @@ impl<S: TraceSink> State<S> {
         }
     }
 
-    /// The window loop: plans a window from the earliest pending event
-    /// and processes every event before its end, until the barrier
-    /// reports why the run is over (the budget counts the events
-    /// processed since `base`). Given a `pause`, it returns `None`
-    /// before the first window that would reach past it, so every
-    /// window so far falls where it falls in a run that had an event at
-    /// `pause` all along.
-    fn run(
-        &mut self,
-        barrier: &mut EpochBarrier,
-        base: u64,
-        pause: Option<SimTime>,
-    ) -> Option<RunOutcome> {
+    /// The window loop. A window starts at the earliest pending event
+    /// `t0` and runs every event before `min(t0 + lookahead, horizon +
+    /// 1 µs)`, the lookahead being the minimum link delay; both sums
+    /// saturate. Capping one past the horizon makes it exact: an event
+    /// at the horizon runs, a later one stays queued (an event at
+    /// [`SimTime::MAX`] lies beyond any horizon). Before each window the
+    /// run stops if the queue is empty, then if `t0` is beyond the
+    /// horizon, then if the budget is spent on the events processed
+    /// since `base`. Given a `pause`, it returns `None` before the first
+    /// window that would reach past it, so every window so far falls
+    /// where it falls in a run that had an event at `pause` all along.
+    fn run(&mut self, base: u64, pause: Option<SimTime>) -> Option<RunOutcome> {
+        let cap = self.horizon.saturating_add(SimDuration::from_micros(1));
         loop {
-            let min_next = self.queue.next_time();
-            if pause.is_some_and(|p| min_next.is_none_or(|t0| barrier.window_end(t0) > p)) {
+            let Some(t0) = self.queue.next_time() else {
+                return pause.is_none().then_some(RunOutcome::Quiescent);
+            };
+            let end = t0.saturating_add(self.delay_range.0).min(cap);
+            if pause.is_some_and(|p| end > p) {
                 return None;
             }
-            let end = match barrier.plan(min_next, self.queue.processed() - base) {
-                WindowPlan::Run { end } => end,
-                WindowPlan::Done(outcome) => return Some(outcome),
-            };
+            if t0 >= cap {
+                return Some(RunOutcome::HorizonReached);
+            }
+            if self.queue.processed() - base >= self.budget {
+                return Some(RunOutcome::BudgetExhausted);
+            }
+            self.windows += 1;
             while let Some((at, _, event)) = self.queue.pop_before(end) {
                 self.handle(at, event);
             }
@@ -452,23 +467,16 @@ impl<S: TraceSink> State<S> {
 #[derive(Clone)]
 pub struct Network<S: TraceSink = VecSink> {
     state: State<S>,
-    horizon: SimTime,
-    /// Cap on the events of one measured run, counted from its start
-    /// across [`Network::resume`] calls (and of the warm-up, too):
-    /// [`EpochBarrier::DEFAULT_EVENT_BUDGET`], lowered only by tests.
-    budget: u64,
     rcn_enabled: bool,
     /// Root-cause sequence numbers, stamped at injection time.
     rc_seq: u64,
     /// Canonical key sequence for injected (primed) events.
     inj_seq: u64,
-    /// Windows executed over the network's lifetime.
-    windows: u64,
     warmed_up: bool,
     /// Lifetime processed count at the instant the current measured
-    /// workload was primed; every [`RunReport`] counts
-    /// `processed - measured_base`, so a horizon-cut and resumed run
-    /// reports the same as an uninterrupted one.
+    /// workload was primed: the event budget and every [`RunReport`]
+    /// count from here, so a pulse-chain fork reports what a fresh run
+    /// does.
     measured_base: u64,
 }
 
@@ -626,18 +634,18 @@ impl<S: TraceSink> Network<S> {
                 muted: true,
                 discarded: 0,
                 queue: EventQueue::new(),
+                horizon: SimTime::ZERO + config.horizon,
+                budget: DEFAULT_EVENT_BUDGET,
+                windows: 0,
                 out: RouterOutput::default(),
                 sink,
                 conv: ConvergenceTracker::new(),
                 msgs: MessageCounter::new(),
                 ledger: Vec::new(),
             },
-            horizon: SimTime::ZERO + config.horizon,
-            budget: EpochBarrier::DEFAULT_EVENT_BUDGET,
             rcn_enabled: config.filter == crate::config::PenaltyFilter::Rcn,
             rc_seq: 0,
             inj_seq: 0,
-            windows: 0,
             warmed_up: false,
             measured_base: 0,
         }
@@ -674,7 +682,7 @@ impl<S: TraceSink> Network<S> {
     /// link delay) wide, so it covers few events: 1.9–9.1 on the perf
     /// ledger's workloads.
     pub fn windows(&self) -> u64 {
-        self.windows
+        self.state.windows
     }
 
     /// Total events processed over the network's lifetime (warm-up
@@ -774,12 +782,8 @@ impl<S: TraceSink> Network<S> {
     /// reach past it (`None`).
     fn drive(&mut self, pause: Option<SimTime>) -> Option<RunOutcome> {
         let obs_span = rfd_obs::is_enabled().then(|| rfd_obs::span("sim.run"));
-        // The window width is the minimum link delay.
-        let lookahead = self.state.delay_range.0;
-        let mut barrier = EpochBarrier::new(lookahead, self.horizon, self.budget);
         let before = self.events_processed();
-        let outcome = self.state.run(&mut barrier, self.measured_base, pause);
-        self.windows += barrier.windows();
+        let outcome = self.state.run(self.measured_base, pause);
         rfd_obs::add("sim.events", self.events_processed() - before);
         if let Some(mut span) = obs_span {
             span.sim_time_us(self.now().as_micros());
@@ -928,21 +932,6 @@ impl<S: TraceSink> Network<S> {
         // {[ispAS originAS], status, seq}.
         let rc = self.next_root_cause((att.isp.raw(), att.node.raw()), up);
         self.prime(at, NetEvent::OriginLink { origin, up, rc });
-    }
-
-    /// Continues the current workload after the horizon stopped it, to
-    /// quiescence or the next stop. The report covers the whole
-    /// measured workload, including the events processed before the
-    /// stop. A stop by the event budget is final: the budget counts
-    /// every event since the workload was primed, so `resume` after it
-    /// stops again at once.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before [`Network::warm_up`].
-    pub fn resume(&mut self) -> RunReport {
-        assert!(self.warmed_up, "resume requires a warmed-up network");
-        self.drain()
     }
 
     /// Flaps an **interior** link per `schedule` (failure injection):
@@ -1298,72 +1287,28 @@ mod tests {
         assert_ne!(run(100), run(200));
     }
 
-    /// A horizon that cuts the run between two pulses, with updates in
-    /// flight: a second `resume` under the same horizon is a no-op, and
-    /// once the horizon lifts the run finishes exactly like an
-    /// uninterrupted one — the messages routed but not yet delivered at
-    /// the cutoff were parked, not lost.
+    /// The horizon is inclusive: a withdrawal exactly at it runs, one
+    /// a microsecond past it stays queued, and either way the run
+    /// reports the horizon, not quiescence.
     #[test]
-    fn horizon_cutoff_parks_in_flight_messages() {
-        let g = mesh_torus(4, 4);
-        let isp = NodeId::new(2);
-        let cfg = NetworkConfig::paper_full_damping(11);
-        let far = SimTime::ZERO + cfg.horizon;
-        let (warm_end, uncut) = {
-            let mut net = Network::new(&g, isp, cfg.clone());
+    fn an_event_exactly_at_the_horizon_runs() {
+        let g = mesh_torus(3, 3);
+        let cfg = NetworkConfig::paper_full_damping(5);
+        let lead_in = SimDuration::from_secs(100);
+        let flap = {
+            let mut net = Network::new(&g, NodeId::new(2), cfg.clone());
             net.warm_up();
-            let warm_end = net.now();
-            let report = net.run_paper_workload(3);
-            (
-                warm_end,
-                (report.message_count, net.trace().events().to_vec()),
-            )
+            net.now().since(SimTime::ZERO) + lead_in
         };
-        // 100 s lead-in, withdrawal, announcement 60 s later; cut 300 ms
-        // after it, inside the 10–500 ms link-delay range.
-        let cut = SimDuration::from_secs(160) + SimDuration::from_millis(300);
-        let mut net = Network::new(
-            &g,
-            isp,
-            NetworkConfig {
-                horizon: warm_end.since(SimTime::ZERO) + cut,
-                ..cfg
-            },
-        );
-        let first = net.run_paper_workload(3);
-        assert_eq!(first.outcome, RunOutcome::HorizonReached);
-        let at_cut = |net: &Network, report: &RunReport| {
-            (
-                report.events_processed,
-                net.events_processed(),
-                net.windows(),
-                net.dropped_messages(),
-                net.trace().events().to_vec(),
-            )
-        };
-        let cut_state = at_cut(&net, &first);
-        let (_, _, _, dropped, events) = &cut_state;
-        let sent = events.iter().filter(|e| e.is_update_sent()).count() as u64;
-        let received = events.iter().filter(|e| e.is_update_received()).count() as u64;
-        assert!(
-            sent > received + dropped,
-            "the cut must catch updates in flight"
-        );
-        let again = net.resume();
-        assert_eq!(again.outcome, RunOutcome::HorizonReached);
-        assert_eq!(
-            cut_state,
-            at_cut(&net, &again),
-            "a second resume under the same horizon must change nothing"
-        );
-        net.horizon = far;
-        let rest = net.resume();
-        assert_eq!(rest.outcome, RunOutcome::Quiescent);
-        assert_eq!(
-            (rest.message_count, net.trace().events().to_vec()),
-            uncut,
-            "the cut-and-resumed run diverged"
-        );
+        for (horizon, ran) in [(flap, 1), (flap - SimDuration::from_micros(1), 0)] {
+            let mut cfg = cfg.clone();
+            cfg.horizon = horizon;
+            let mut net = Network::new(&g, NodeId::new(2), cfg);
+            net.warm_up();
+            let report = net.run_pulses(FlapPattern::paper_default(1), lead_in);
+            assert_eq!(report.outcome, RunOutcome::HorizonReached);
+            assert_eq!(report.events_processed, ran, "horizon {horizon}");
+        }
     }
 
     #[test]
@@ -1431,42 +1376,36 @@ mod tests {
         assert_eq!(sent, received + net.dropped_messages());
     }
 
-    /// A link-failure run cut at the horizon and finished with
-    /// `resume` reports the measured workload's events, exactly as the
-    /// uncut run does — never the warm-up's.
+    /// A link-failure run reports the measured workload's events,
+    /// never the warm-up's, whether it quiesces or the horizon cuts it.
     #[test]
-    fn link_schedule_resume_reports_measured_events_only() {
+    fn link_schedule_reports_measured_events_only() {
         let g = mesh_torus(4, 4);
         let (isp, a, b) = (NodeId::new(2), NodeId::new(5), NodeId::new(6));
         let schedule = rfd_core::FlapSchedule::from(FlapPattern::paper_default(3));
         let lead_in = SimDuration::from_secs(100);
-        let mut cfg = NetworkConfig::paper_full_damping(11);
-        let far = SimTime::ZERO + cfg.horizon;
-        let mut net = Network::new(&g, isp, cfg.clone());
-        net.warm_up();
-        let warm_end = net.now().since(SimTime::ZERO);
-        let uncut = net.run_link_schedule(a, b, &schedule, lead_in);
+        let cfg = NetworkConfig::paper_full_damping(11);
+        let run = |horizon| {
+            let mut cfg = cfg.clone();
+            cfg.horizon = horizon;
+            let mut net = Network::new(&g, isp, cfg);
+            net.warm_up();
+            let (warm, warm_end) = (net.events_processed(), net.now().since(SimTime::ZERO));
+            let report = net.run_link_schedule(a, b, &schedule, lead_in);
+            assert_eq!(report.events_processed, net.events_processed() - warm);
+            (report, warm_end)
+        };
+        let (uncut, warm_end) = run(cfg.horizon);
         assert_eq!(uncut.outcome, RunOutcome::Quiescent);
-
-        cfg.horizon = warm_end + SimDuration::from_secs(160);
-        let mut net = Network::new(&g, isp, cfg);
-        net.warm_up();
-        let first = net.run_link_schedule(a, b, &schedule, lead_in);
-        assert_eq!(first.outcome, RunOutcome::HorizonReached);
-        assert!(first.events_processed < uncut.events_processed);
-        net.horizon = far;
-        let rest = net.resume();
-        assert_eq!(rest.outcome, RunOutcome::Quiescent);
-        assert_eq!(
-            (rest.events_processed, rest.message_count),
-            (uncut.events_processed, uncut.message_count)
-        );
+        let (cut, _) = run(warm_end + SimDuration::from_secs(160));
+        assert_eq!(cut.outcome, RunOutcome::HorizonReached);
+        assert!(0 < cut.events_processed && cut.events_processed < uncut.events_processed);
     }
 
     /// Under an event budget that stops runs mid-flapping, every fork
     /// of a pulse chain stops where a fresh run stops, with the same
     /// report and trace: the budget counts from the measured start, not
-    /// from the fork. A budget stop is final.
+    /// from the fork.
     #[test]
     fn pulse_chain_forks_stop_where_fresh_runs_exhaust_the_budget() {
         let g = mesh_torus(4, 4);
@@ -1475,18 +1414,15 @@ mod tests {
         let warmed = |budget: u64| {
             let mut net = Network::new(&g, NodeId::new(5), NetworkConfig::paper_full_damping(7));
             net.warm_up();
-            net.budget = budget;
+            net.state.budget = budget;
             net
         };
         let fresh = |budget: u64, pulses: usize| {
             let mut net = warmed(budget);
             let report = net.run_pulses(FlapPattern::new(pulses, interval), lead_in);
-            if report.outcome == RunOutcome::BudgetExhausted {
-                assert_eq!(net.resume(), report, "a budget stop is final");
-            }
             (report, net.trace().events().to_vec())
         };
-        let uncut = fresh(EpochBarrier::DEFAULT_EVENT_BUDGET, 5).0;
+        let uncut = fresh(DEFAULT_EVENT_BUDGET, 5).0;
         assert_eq!(uncut.outcome, RunOutcome::Quiescent);
         for budget in [
             1,

@@ -198,7 +198,7 @@ impl Snapshot {
         enc.u64(net.rc_seq);
         enc.u64(net.inj_seq);
         enc.u64(net.events_processed());
-        enc.u64(net.windows);
+        enc.u64(net.state.windows);
         enc.u64(net.measured_base);
         encode_state(&mut enc, &net.state)?;
         Ok(Snapshot {
@@ -273,7 +273,7 @@ impl Snapshot {
         net.warmed_up = warmed_up;
         net.rc_seq = rc_seq;
         net.inj_seq = inj_seq;
-        net.windows = windows;
+        net.state.windows = windows;
         net.measured_base = measured_base;
         rfd_obs::inc("snapshot.restores");
         Ok(())

@@ -100,7 +100,7 @@ pub fn run_workload(
 
 /// The gap between the end of the warm-up and the first withdrawal of
 /// every workload.
-const LEAD_IN: SimDuration = SimDuration::from_secs(100);
+pub const LEAD_IN: SimDuration = SimDuration::from_secs(100);
 
 /// Builds and warms up the network of one sweep chain — a series'
 /// topology, configuration and flap interval at one seed — and starts

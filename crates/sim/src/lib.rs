@@ -10,9 +10,7 @@
 //! * [`TimerWheel`] — the event agenda: a hierarchical timer wheel
 //!   popping in `(time, key)` order with O(1) cancellation;
 //! * [`EventQueue`] — one wheel plus a clock; the model pops events up
-//!   to a window end, handles them and schedules more;
-//! * [`EpochBarrier`] — plans the windows the queue advances in and
-//!   enforces the run's horizon and event budget;
+//!   to an instant of its choosing, handles them and schedules more;
 //! * [`DetRng`] — seeded, splittable random streams so every run is
 //!   reproducible and structurally independent.
 //!
@@ -21,34 +19,23 @@
 //! A two-node "ping-pong" model:
 //!
 //! ```
-//! use rfd_sim::{
-//!     event_key, EpochBarrier, EventQueue, RunOutcome, SimDuration, SimTime, WindowPlan,
-//! };
+//! use rfd_sim::{event_key, EventQueue, SimDuration, SimTime};
 //!
 //! #[derive(Debug)]
 //! enum Ball { AtA, AtB }
 //!
 //! let mut queue = EventQueue::new();
 //! queue.schedule(SimTime::ZERO, event_key(0, 0), Ball::AtA);
-//! let (lookahead, horizon) = (SimDuration::from_millis(1), SimTime::from_secs(60));
-//! let mut barrier = EpochBarrier::new(lookahead, horizon, EpochBarrier::DEFAULT_EVENT_BUDGET);
 //! let mut volleys = 0;
-//! let outcome = loop {
-//!     match barrier.plan(queue.next_time(), queue.processed()) {
-//!         WindowPlan::Run { end } => {
-//!             while let Some((at, _, ball)) = queue.pop_before(end) {
-//!                 volleys += 1;
-//!                 if volleys < 10 {
-//!                     let next = match ball { Ball::AtA => Ball::AtB, Ball::AtB => Ball::AtA };
-//!                     let back = at + SimDuration::from_millis(5);
-//!                     queue.schedule(back, event_key(0, volleys), next);
-//!                 }
-//!             }
-//!         }
-//!         WindowPlan::Done(outcome) => break outcome,
+//! while let Some((at, _, ball)) = queue.pop_before(SimTime::from_secs(60)) {
+//!     volleys += 1;
+//!     if volleys < 10 {
+//!         let next = match ball { Ball::AtA => Ball::AtB, Ball::AtB => Ball::AtA };
+//!         let back = at + SimDuration::from_millis(5);
+//!         queue.schedule(back, event_key(0, volleys), next);
 //!     }
-//! };
-//! assert_eq!(outcome, RunOutcome::Quiescent);
+//! }
+//! assert!(queue.is_empty());
 //! assert_eq!(volleys, 10);
 //! assert_eq!(queue.now(), SimTime::from_micros(45_000));
 //! ```
@@ -63,7 +50,7 @@ mod rng;
 mod time;
 mod wheel;
 
-pub use queue::{event_key, EpochBarrier, EventQueue, RunOutcome, WindowPlan, INJECTOR_SRC};
+pub use queue::{event_key, EventQueue, RunOutcome, INJECTOR_SRC};
 pub use rng::DetRng;
 pub use time::{SimDuration, SimTime, MICROS_PER_SEC};
 pub use wheel::TimerWheel;

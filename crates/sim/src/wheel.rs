@@ -1,15 +1,15 @@
 //! A hierarchical timer wheel absorbing the MRAI/reuse timer flood.
 //!
-//! The wheel is the event agenda: strict `(time, seq)` FIFO pop order
-//! (or `(time, key)` under caller-supplied keys) and O(1) cancellation,
-//! while making the schedule/pop flood cheap: scheduling hashes the
-//! deadline into one of four levels of 64 slots (slot widths growing by
-//! 64× per level, ~16 ms at level 0 to ~76 h of total span), and
-//! popping drains one slot at a time into a small "front" heap that
-//! provides the exact global ordering.
+//! The wheel is the event agenda: it pops in `(time, key)` order under
+//! caller-supplied keys and cancels in O(1), while making the
+//! schedule/pop flood cheap: scheduling hashes the deadline into one of
+//! four levels of 64 slots (slot widths growing by 64× per level,
+//! ~16 ms at level 0 to ~76 h of total span), and popping drains one
+//! slot at a time into a small "front" heap that provides the exact
+//! global ordering.
 //!
 //! * **Front heap** — all live entries with `at < cursor` live in a
-//!   `BinaryHeap` ordered by `(at, seq)`. Because every wheel/overflow
+//!   `BinaryHeap` ordered by `(at, key)`. Because every wheel/overflow
 //!   entry is `≥ cursor`, the front minimum is the global minimum, so
 //!   pop order is identical to a plain binary heap's. The heap
 //!   only ever holds one drained slot's worth of entries (plus
@@ -61,7 +61,7 @@ enum SlotState {
 #[derive(Debug, Clone)]
 struct SlabEntry<E> {
     at: u64,
-    seq: u64,
+    key: u64,
     gen: u32,
     state: SlotState,
     event: Option<E>,
@@ -78,13 +78,12 @@ pub struct TimerWheel<E> {
     slots: Vec<Vec<Vec<u32>>>,
     /// Per-level bitmap of non-empty slots.
     occupancy: [u64; LEVELS],
-    /// Deadlines beyond the top rotation, ordered by `(at, seq)`.
+    /// Deadlines beyond the top rotation, ordered by `(at, key)`.
     overflow: BTreeMap<(u64, u64), u32>,
-    /// Entries with `at < cur`, ordered by `(at, seq)` ascending.
+    /// Entries with `at < cur`, ordered by `(at, key)` ascending.
     front: BinaryHeap<Reverse<(u64, u64, u32)>>,
     /// Cursor in µs: the wheel never holds an entry earlier than this.
     cur: u64,
-    next_seq: u64,
     live: usize,
 }
 
@@ -107,32 +106,20 @@ impl<E> TimerWheel<E> {
             overflow: BTreeMap::new(),
             front: BinaryHeap::new(),
             cur: 0,
-            next_seq: 0,
             live: 0,
         }
     }
 
-    /// Schedules `event` at `at`; the returned raw id packs
-    /// `(generation, slab slot)`.
-    pub fn schedule(&mut self, at: SimTime, event: E) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.schedule_keyed(at, seq, event)
-    }
-
-    /// Schedules `event` at `at` under a caller-supplied ordering key.
+    /// Schedules `event` at `at` under a caller-supplied ordering key;
+    /// the returned raw id packs `(generation, slab slot)`.
     ///
-    /// The key takes the place of the internal sequence number in every
-    /// ordering structure, so pop order is exactly `(at, key)` — the
-    /// contract the simulator's canonical event order is built on.
-    /// Callers must guarantee `(at, key)` pairs are unique (the
-    /// overflow map would silently coalesce duplicates); [`event_key`]
-    /// keys are globally unique by construction.
+    /// Pop order is exactly `(at, key)` — the contract the simulator's
+    /// canonical event order is built on. Callers must guarantee
+    /// `(at, key)` pairs are unique (the overflow map would silently
+    /// coalesce duplicates); [`event_key`] keys are globally unique by
+    /// construction.
     ///
     /// [`event_key`]: crate::event_key
-    /// Mixing `schedule_keyed` with plain [`schedule`](Self::schedule)
-    /// on one wheel forfeits the FIFO-at-same-time contract and should
-    /// be avoided.
     pub fn schedule_keyed(&mut self, at: SimTime, key: u64, event: E) -> u64 {
         let at_us = at.as_micros();
         let idx = self.alloc(at_us, key, event);
@@ -147,12 +134,12 @@ impl<E> TimerWheel<E> {
         (u64::from(gen) << 32) | u64::from(idx)
     }
 
-    fn alloc(&mut self, at: u64, seq: u64, event: E) -> u32 {
+    fn alloc(&mut self, at: u64, key: u64, event: E) -> u32 {
         self.live += 1;
         if let Some(idx) = self.free.pop() {
             let entry = &mut self.slab[idx as usize];
             entry.at = at;
-            entry.seq = seq;
+            entry.key = key;
             entry.state = SlotState::Live;
             entry.event = Some(event);
             return idx;
@@ -160,7 +147,7 @@ impl<E> TimerWheel<E> {
         let idx = u32::try_from(self.slab.len()).expect("timer wheel slab exhausted");
         self.slab.push(SlabEntry {
             at,
-            seq,
+            key,
             gen: 1,
             state: SlotState::Live,
             event: Some(event),
@@ -170,7 +157,7 @@ impl<E> TimerWheel<E> {
 
     /// Hashes an entry with `at >= self.cur` into its level/slot (or
     /// overflow).
-    fn place(&mut self, idx: u32, at: u64, seq: u64) {
+    fn place(&mut self, idx: u32, at: u64, key: u64) {
         debug_assert!(at >= self.cur);
         for level in 0..LEVELS {
             // End of the cursor's current rotation at this level;
@@ -183,7 +170,7 @@ impl<E> TimerWheel<E> {
                 return;
             }
         }
-        self.overflow.insert((at, seq), idx);
+        self.overflow.insert((at, key), idx);
     }
 
     /// Cancels a raw id. O(1); returns `true` the first time a live
@@ -223,7 +210,7 @@ impl<E> TimerWheel<E> {
     }
 
     /// Ensures the front heap's minimum is a live entry, advancing the
-    /// wheel as needed. Returns that entry's `(at, seq, idx)`.
+    /// wheel as needed. Returns that entry's `(at, key, idx)`.
     fn settle(&mut self) -> Option<(u64, u64, u32)> {
         loop {
             while let Some(&Reverse(key @ (_, _, idx))) = self.front.peek() {
@@ -239,15 +226,8 @@ impl<E> TimerWheel<E> {
         }
     }
 
-    /// Removes and returns the earliest live event.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.pop_keyed().map(|(at, _, event)| (at, event))
-    }
-
     /// Removes and returns the earliest live event together with its
-    /// ordering key (the internal sequence number for plainly-scheduled
-    /// entries; the caller's key for
-    /// [`schedule_keyed`](Self::schedule_keyed) ones).
+    /// ordering key.
     pub fn pop_keyed(&mut self) -> Option<(SimTime, u64, E)> {
         let head = self.settle()?;
         Some(self.take(head))
@@ -273,26 +253,6 @@ impl<E> TimerWheel<E> {
     /// The timestamp of the earliest live event.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         self.settle().map(|(at, _, _)| SimTime::from_micros(at))
-    }
-
-    /// Discards every entry. Generations are bumped so outstanding ids
-    /// can never resolve; sequence numbering continues.
-    pub fn clear(&mut self) {
-        for level in &mut self.slots {
-            for slot in level {
-                slot.clear();
-            }
-        }
-        self.occupancy = [0; LEVELS];
-        self.overflow.clear();
-        self.front.clear();
-        self.cur = 0;
-        self.live = 0;
-        for idx in 0..self.slab.len() {
-            if self.slab[idx].state != SlotState::Free {
-                self.release(idx as u32);
-            }
-        }
     }
 
     /// Moves the wheel forward until the front heap has entries (one
@@ -361,7 +321,7 @@ impl<E> TimerWheel<E> {
                     for idx in drained.drain(..) {
                         let entry = &self.slab[idx as usize];
                         if entry.state == SlotState::Live {
-                            self.front.push(Reverse((entry.at, entry.seq, idx)));
+                            self.front.push(Reverse((entry.at, entry.key, idx)));
                             any = true;
                         } else {
                             self.release(idx);
@@ -391,13 +351,13 @@ impl<E> TimerWheel<E> {
                     self.cur = at;
                     let horizon = (self.cur | (span(LEVELS - 1) - 1)) + 1;
                     while let Some(entry) = self.overflow.first_entry() {
-                        let &(at, seq) = entry.key();
+                        let &(at, key) = entry.key();
                         if at >= horizon {
                             break;
                         }
                         let idx = entry.remove();
                         if self.slab[idx as usize].state == SlotState::Live {
-                            self.place(idx, at, seq);
+                            self.place(idx, at, key);
                         } else {
                             self.release(idx);
                         }
@@ -419,10 +379,10 @@ impl<E> TimerWheel<E> {
             if entry.state != SlotState::Live {
                 self.release(idx);
             } else if entry.at < self.cur {
-                self.front.push(Reverse((entry.at, entry.seq, idx)));
+                self.front.push(Reverse((entry.at, entry.key, idx)));
             } else {
-                let (at, seq) = (entry.at, entry.seq);
-                self.place(idx, at, seq);
+                let (at, key) = (entry.at, entry.key);
+                self.place(idx, at, key);
             }
         }
         self.slots[level][slot] = moved;
@@ -437,6 +397,13 @@ mod tests {
         SimTime::from_micros(us)
     }
 
+    /// Pops everything left, as `(µs, key, event)`.
+    fn drain<E>(w: &mut TimerWheel<E>) -> Vec<(u64, u64, E)> {
+        std::iter::from_fn(|| w.pop_keyed())
+            .map(|(at, key, e)| (at.as_micros(), key, e))
+            .collect()
+    }
+
     #[test]
     fn pops_across_level_boundaries_in_order() {
         let mut w = TimerWheel::new();
@@ -449,42 +416,47 @@ mod tests {
             span(LEVELS - 1) + 1, // overflow
         ];
         for (i, &at) in times.iter().enumerate() {
-            w.schedule(t_us(at), i);
+            w.schedule_keyed(t_us(at), i as u64, i);
         }
-        let popped: Vec<(u64, usize)> = std::iter::from_fn(|| w.pop())
-            .map(|(at, e)| (at.as_micros(), e))
+        let expect: Vec<_> = times
+            .iter()
+            .enumerate()
+            .map(|(i, &a)| (a, i as u64, i))
             .collect();
-        let expect: Vec<(u64, usize)> = times.iter().enumerate().map(|(i, &a)| (a, i)).collect();
-        assert_eq!(popped, expect);
+        assert_eq!(drain(&mut w), expect);
     }
 
     #[test]
     fn schedule_behind_cursor_still_pops_in_global_order() {
         let mut w = TimerWheel::new();
-        w.schedule(t_us(100), "a");
-        assert_eq!(w.pop().unwrap().1, "a");
+        w.schedule_keyed(t_us(100), 1, "a");
+        assert_eq!(w.pop_keyed().unwrap().2, "a");
         // The cursor has advanced past 100; an earlier deadline must
-        // still pop before a later one.
-        w.schedule(t_us(50), "past");
-        w.schedule(t_us(10_000_000), "future");
-        assert_eq!(w.pop().unwrap(), (t_us(50), "past"));
-        assert_eq!(w.pop().unwrap(), (t_us(10_000_000), "future"));
+        // still pop before a later one, and a smaller key at the same
+        // past instant first.
+        w.schedule_keyed(t_us(10_000_000), 0, "future");
+        w.schedule_keyed(t_us(50), 4, "late");
+        w.schedule_keyed(t_us(50), 3, "early");
+        assert_eq!(
+            drain(&mut w),
+            [(50, 3, "early"), (50, 4, "late"), (10_000_000, 0, "future")]
+        );
     }
 
     #[test]
     fn generation_stamps_invalidate_delivered_ids() {
         let mut w = TimerWheel::new();
-        let a = w.schedule(t_us(10), 1);
-        assert_eq!(w.pop(), Some((t_us(10), 1)));
+        let a = w.schedule_keyed(t_us(10), 0, 1);
+        assert_eq!(w.pop_keyed(), Some((t_us(10), 0, 1)));
         // The slab slot is recycled; the old id's generation is stale.
-        let b = w.schedule(t_us(20), 2);
+        let b = w.schedule_keyed(t_us(20), 1, 2);
         assert!(
             !w.cancel(a),
             "delivered id must not cancel the recycled slot"
         );
         assert!(w.cancel(b));
         assert!(w.is_empty());
-        assert_eq!(w.pop(), None);
+        assert_eq!(w.pop_keyed(), None);
     }
 
     #[test]
@@ -492,7 +464,7 @@ mod tests {
         let mut w = TimerWheel::new();
         assert!(!w.cancel(42), "unknown id");
         let ids: Vec<u64> = (0..1000)
-            .map(|i| w.schedule(t_us(i * 1_000_000), i))
+            .map(|i| w.schedule_keyed(t_us(i * 1_000_000), i, i))
             .collect();
         for &id in &ids[1..] {
             assert!(w.cancel(id));
@@ -500,7 +472,7 @@ mod tests {
         assert!(!w.cancel(ids[1]), "double cancel reports false");
         assert_eq!(w.len(), 1, "len tracks live entries exactly");
         assert_eq!(w.peek_time(), Some(t_us(0)));
-        assert_eq!(w.pop(), Some((t_us(0), 0)));
+        assert_eq!(w.pop_keyed(), Some((t_us(0), 0, 0)));
         assert!(!w.cancel(ids[0]), "delivered id is stale");
         assert!(w.is_empty());
         assert_eq!(w.peek_time(), None);
@@ -510,35 +482,20 @@ mod tests {
     fn cancelled_entries_are_skipped_at_every_layer() {
         let mut w = TimerWheel::new();
         let ids: Vec<u64> = [
-            5u64,
-            slot_size(1) + 1,
-            span(LEVELS - 1) + 10, // overflow
+            (5u64, 1),
+            (slot_size(1) + 1, 0),
+            (span(LEVELS - 1) + 10, 0), // overflow
+            (7, 0),                     // same slot as the kept entry
         ]
         .iter()
-        .map(|&at| w.schedule(t_us(at), at))
+        .map(|&(at, key)| w.schedule_keyed(t_us(at), key, at))
         .collect();
-        let keep = w.schedule(t_us(7), 7u64);
+        w.schedule_keyed(t_us(7), 1, 7);
         for id in ids {
             assert!(w.cancel(id));
         }
         assert_eq!(w.len(), 1);
-        assert_eq!(w.pop(), Some((t_us(7), 7)));
-        assert_eq!(w.pop(), None);
-        let _ = keep;
-    }
-
-    #[test]
-    fn clear_resets_but_keeps_ids_unique() {
-        let mut w = TimerWheel::new();
-        let a = w.schedule(t_us(5), 1);
-        w.schedule(t_us(6), 2);
-        w.clear();
-        assert!(w.is_empty());
-        assert_eq!(w.pop(), None);
-        assert!(!w.cancel(a), "cleared ids are stale");
-        let b = w.schedule(t_us(7), 3);
-        assert_ne!(a, b);
-        assert_eq!(w.pop(), Some((t_us(7), 3)));
+        assert_eq!(drain(&mut w), [(7, 1, 7)]);
     }
 
     #[test]
@@ -547,38 +504,19 @@ mod tests {
         // Same instant, keys deliberately scheduled out of order; plus
         // entries across level boundaries and in the overflow region.
         let entries = [
-            (t_us(500), 9u64, "t500/k9"),
-            (t_us(500), 2, "t500/k2"),
-            (t_us(500), 5, "t500/k5"),
-            (t_us(slot_size(2) + 3), 1, "far"),
-            (t_us(span(LEVELS - 1) + 8), 0, "overflow"),
-            (t_us(3), 77, "first"),
+            (500, 9u64, "t500/k9"),
+            (500, 2, "t500/k2"),
+            (500, 5, "t500/k5"),
+            (slot_size(2) + 3, 1, "far"),
+            (span(LEVELS - 1) + 8, 0, "overflow"),
+            (3, 77, "first"),
         ];
         for &(at, key, tag) in &entries {
-            w.schedule_keyed(at, key, tag);
+            w.schedule_keyed(t_us(at), key, tag);
         }
-        let popped: Vec<(u64, u64, &str)> = std::iter::from_fn(|| w.pop_keyed())
-            .map(|(at, key, tag)| (at.as_micros(), key, tag))
-            .collect();
-        let mut expect: Vec<(u64, u64, &str)> = entries
-            .iter()
-            .map(|&(at, key, tag)| (at.as_micros(), key, tag))
-            .collect();
+        let mut expect = entries.to_vec();
         expect.sort_unstable_by_key(|&(at, key, _)| (at, key));
-        assert_eq!(popped, expect);
-    }
-
-    #[test]
-    fn keyed_schedule_behind_cursor_keeps_key_order() {
-        let mut w = TimerWheel::new();
-        w.schedule_keyed(t_us(100), 1, "a");
-        assert_eq!(w.pop_keyed().unwrap().2, "a");
-        // Cursor is past 100; a straggler with a smaller key at the
-        // same past instant must still pop first.
-        w.schedule_keyed(t_us(50), 4, "late");
-        w.schedule_keyed(t_us(50), 3, "early");
-        assert_eq!(w.pop_keyed().unwrap(), (t_us(50), 3, "early"));
-        assert_eq!(w.pop_keyed().unwrap(), (t_us(50), 4, "late"));
+        assert_eq!(drain(&mut w), expect);
     }
 
     #[test]
@@ -600,23 +538,13 @@ mod tests {
     }
 
     #[test]
-    fn keyed_entries_cancel_like_plain_ones() {
+    fn dense_same_slot_entries_pop_in_key_order() {
         let mut w = TimerWheel::new();
-        let id = w.schedule_keyed(t_us(10), 1, "gone");
-        w.schedule_keyed(t_us(10), 2, "kept");
-        assert!(w.cancel(id));
-        assert_eq!(w.pop_keyed(), Some((t_us(10), 2, "kept")));
-        assert_eq!(w.pop_keyed(), None);
-    }
-
-    #[test]
-    fn dense_same_slot_entries_fifo() {
-        let mut w = TimerWheel::new();
-        let t = t_us(slot_size(0) * 3 + 100);
-        for i in 0..50 {
-            w.schedule(t, i);
+        let t = slot_size(0) * 3 + 100;
+        for key in (0..50).rev() {
+            w.schedule_keyed(t_us(t), key, key);
         }
-        let order: Vec<i32> = std::iter::from_fn(|| w.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, (0..50).collect::<Vec<_>>());
+        let expect: Vec<_> = (0..50).map(|key| (t, key, key)).collect();
+        assert_eq!(drain(&mut w), expect);
     }
 }

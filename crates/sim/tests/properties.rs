@@ -7,53 +7,60 @@ use proptest::prelude::*;
 use rfd_sim::{event_key, DetRng, EventQueue, SimDuration, SimTime, TimerWheel};
 
 /// Reference model of the agenda: a binary heap ordered by
-/// `(time, insertion sequence)` with a tombstone set for cancellation.
-/// Obviously right rather than fast; [`TimerWheel`] is pinned against it.
+/// `(time, key)` with a tombstone set for cancellation. Obviously right
+/// rather than fast; [`TimerWheel`] is pinned against it.
 #[derive(Default)]
 struct HeapScheduler<E> {
-    heap: BinaryHeap<Reverse<(SimTime, u64)>>,
+    heap: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
     events: Vec<Option<E>>,
-    cancelled: HashSet<u64>,
+    cancelled: HashSet<usize>,
 }
 
 impl<E> HeapScheduler<E> {
-    fn schedule(&mut self, at: SimTime, event: E) -> u64 {
-        let seq = self.events.len() as u64;
+    fn schedule(&mut self, at: SimTime, key: u64, event: E) -> usize {
+        let id = self.events.len();
         self.events.push(Some(event));
-        self.heap.push(Reverse((at, seq)));
-        seq
+        self.heap.push(Reverse((at, key, id)));
+        id
     }
 
     /// Cancels a handle that is still pending (the only kind the
     /// differential tests cancel); `false` on a repeat.
-    fn cancel(&mut self, id: u64) -> bool {
+    fn cancel(&mut self, id: usize) -> bool {
         self.cancelled.insert(id)
     }
 
     /// Drops tombstoned entries from the front so the top is live.
     fn settle(&mut self) {
-        while let Some(&Reverse((_, seq))) = self.heap.peek() {
-            if !self.cancelled.remove(&seq) {
+        while let Some(&Reverse((_, _, id))) = self.heap.peek() {
+            if !self.cancelled.remove(&id) {
                 break;
             }
             self.heap.pop();
         }
     }
 
-    fn pop(&mut self) -> Option<(SimTime, E)> {
+    fn pop(&mut self) -> Option<(SimTime, u64, E)> {
         self.settle();
-        let Reverse((at, seq)) = self.heap.pop()?;
-        Some((at, self.events[seq as usize].take().expect("popped once")))
+        let Reverse((at, key, id)) = self.heap.pop()?;
+        Some((at, key, self.events[id].take().expect("popped once")))
     }
 
     fn peek_time(&mut self) -> Option<SimTime> {
         self.settle();
-        self.heap.peek().map(|&Reverse((at, _))| at)
+        self.heap.peek().map(|&Reverse((at, _, _))| at)
     }
 
     fn len(&self) -> usize {
         self.heap.len() - self.cancelled.len()
     }
+}
+
+/// A unique caller key for the `i`-th insertion that is not monotone in
+/// `i` (an odd multiplier is a bijection on `u64`), so key order and
+/// insertion order disagree.
+fn scrambled(i: usize) -> u64 {
+    (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
 proptest! {
@@ -63,11 +70,11 @@ proptest! {
     fn wheel_pops_sorted(times in proptest::collection::vec(0u64..1_000_000, 1..200)) {
         let mut s = TimerWheel::new();
         for (i, &t) in times.iter().enumerate() {
-            s.schedule(SimTime::from_micros(t), i);
+            s.schedule_keyed(SimTime::from_micros(t), scrambled(i), i);
         }
         let mut last = SimTime::ZERO;
         let mut count = 0;
-        while let Some((at, _)) = s.pop() {
+        while let Some((at, _, _)) = s.pop_keyed() {
             prop_assert!(at >= last);
             last = at;
             count += 1;
@@ -75,16 +82,19 @@ proptest! {
         prop_assert_eq!(count, times.len());
     }
 
-    /// Among events with equal timestamps, delivery preserves insertion
-    /// order (FIFO).
+    /// Among events with equal timestamps, delivery follows the key,
+    /// whatever the insertion order.
     #[test]
-    fn wheel_equal_times_fifo(n in 1usize..100, t in 0u64..1_000) {
+    fn wheel_equal_times_pop_in_key_order(n in 1usize..100, t in 0u64..1_000) {
         let mut s = TimerWheel::new();
         for i in 0..n {
-            s.schedule(SimTime::from_micros(t), i);
+            s.schedule_keyed(SimTime::from_micros(t), scrambled(i), i);
         }
-        let popped: Vec<usize> = std::iter::from_fn(|| s.pop().map(|(_, e)| e)).collect();
-        prop_assert_eq!(popped, (0..n).collect::<Vec<_>>());
+        let popped: Vec<u64> =
+            std::iter::from_fn(|| s.pop_keyed().map(|(_, key, _)| key)).collect();
+        let mut keys: Vec<u64> = (0..n).map(scrambled).collect();
+        keys.sort_unstable();
+        prop_assert_eq!(popped, keys);
     }
 
     /// Cancelling an arbitrary subset removes exactly that subset.
@@ -97,7 +107,7 @@ proptest! {
         let ids: Vec<_> = times
             .iter()
             .enumerate()
-            .map(|(i, &t)| (i, s.schedule(SimTime::from_micros(t), i)))
+            .map(|(i, &t)| (i, s.schedule_keyed(SimTime::from_micros(t), scrambled(i), i)))
             .collect();
         let mut expect: Vec<usize> = Vec::new();
         for (i, id) in &ids {
@@ -108,7 +118,8 @@ proptest! {
                 expect.push(*i);
             }
         }
-        let mut popped: Vec<usize> = std::iter::from_fn(|| s.pop().map(|(_, e)| e)).collect();
+        let mut popped: Vec<usize> =
+            std::iter::from_fn(|| s.pop_keyed().map(|(_, _, e)| e)).collect();
         popped.sort_unstable();
         expect.sort_unstable();
         prop_assert_eq!(popped, expect);
@@ -170,10 +181,11 @@ proptest! {
     }
 
     /// Differential test: [`TimerWheel`] and the reference
-    /// [`HeapScheduler`] deliver identical `(time, payload)` streams
-    /// under randomized interleavings of schedule, cancel (of live
-    /// handles only — the model does not track delivered ones), and pop. Times are
-    /// drawn from a coarse palette so FIFO ties are common.
+    /// [`HeapScheduler`] deliver identical `(time, key, payload)`
+    /// streams under randomized interleavings of schedule, cancel (of
+    /// live handles only — the model does not track delivered ones),
+    /// and pop. Times are drawn from a coarse palette so ties, broken
+    /// by the scrambled key, are common.
     #[test]
     fn wheel_matches_heap_reference(
         ops in proptest::collection::vec(
@@ -184,7 +196,7 @@ proptest! {
         let mut wheel = TimerWheel::new();
         let mut heap = HeapScheduler::default();
         // Live (not yet cancelled or popped) handles, keyed by payload.
-        let mut live: Vec<(usize, u64, u64)> = Vec::new();
+        let mut live: Vec<(usize, u64, usize)> = Vec::new();
         let mut next_payload = 0usize;
         // Pops advance time, so remember the floor: scheduling in the
         // past is legal, but keep most inserts clustered for ties.
@@ -192,7 +204,7 @@ proptest! {
             match sel {
                 0..=4 => {
                     // Mix a coarse palette (multiples of 250 ms, forcing
-                    // FIFO ties) with irregular fine-grained deadlines
+                    // ties) with irregular fine-grained deadlines
                     // that straddle wheel rotation boundaries.
                     let at = if sel < 3 {
                         SimTime::from_micros(t_raw * 250_000)
@@ -201,8 +213,8 @@ proptest! {
                     };
                     let p = next_payload;
                     next_payload += 1;
-                    let idw = wheel.schedule(at, p);
-                    let idh = heap.schedule(at, p);
+                    let idw = wheel.schedule_keyed(at, scrambled(p), p);
+                    let idh = heap.schedule(at, scrambled(p), p);
                     live.push((p, idw, idh));
                 }
                 5 | 6 if !live.is_empty() => {
@@ -210,10 +222,10 @@ proptest! {
                     prop_assert_eq!(wheel.cancel(idw), heap.cancel(idh));
                 }
                 _ => {
-                    let a = wheel.pop();
+                    let a = wheel.pop_keyed();
                     let b = heap.pop();
                     prop_assert_eq!(a, b);
-                    if let Some((_, p)) = a {
+                    if let Some((_, _, p)) = a {
                         live.retain(|(lp, _, _)| *lp != p);
                     }
                 }
@@ -222,9 +234,9 @@ proptest! {
             prop_assert_eq!(wheel.peek_time(), heap.peek_time());
         }
         // Drain both to the end: every remaining event must come out in
-        // the same (time, FIFO) order with the same payload.
+        // the same (time, key) order with the same payload.
         loop {
-            let a = wheel.pop();
+            let a = wheel.pop_keyed();
             let b = heap.pop();
             prop_assert_eq!(a, b);
             if a.is_none() {
@@ -245,21 +257,21 @@ proptest! {
     ) {
         let mut wheel = TimerWheel::new();
         let mut heap = HeapScheduler::default();
-        for (sel, mant, shift) in ops {
+        for (i, (sel, mant, shift)) in ops.into_iter().enumerate() {
             if sel < 4 {
                 // mant << shift sweeps from microseconds to ~2000 hours,
                 // crossing every level boundary and into overflow.
                 let at = SimTime::from_micros(mant << shift.min(45));
                 let p = (mant, shift);
-                wheel.schedule(at, p);
-                heap.schedule(at, p);
+                wheel.schedule_keyed(at, scrambled(i), p);
+                heap.schedule(at, scrambled(i), p);
             } else {
-                prop_assert_eq!(wheel.pop(), heap.pop());
+                prop_assert_eq!(wheel.pop_keyed(), heap.pop());
             }
             prop_assert_eq!(wheel.len(), heap.len());
         }
         loop {
-            let a = wheel.pop();
+            let a = wheel.pop_keyed();
             let b = heap.pop();
             prop_assert_eq!(a, b);
             if a.is_none() {

@@ -6,12 +6,13 @@ use std::process::ExitCode;
 
 use route_flap_damping::bgp::{Network, RunReport};
 use route_flap_damping::cli::{
-    network_config, parse_explain_command, parse_figure_command, parse_firehose_command,
-    parse_intended_command, parse_run_options, parse_sweep_command, parse_topology_command,
-    resolve_isp, usage, CliError, ReportFormat,
+    check_finished, network_config, parse_explain_command, parse_figure_command,
+    parse_firehose_command, parse_intended_command, parse_run_options, parse_sweep_command,
+    parse_topology_command, resolve_isp, usage, CliError, ReportFormat,
 };
 use route_flap_damping::damping::{intended_behavior, FlapPattern};
 use route_flap_damping::experiments::output::{chaos_from_env, obs_begin};
+use route_flap_damping::experiments::scenarios::LEAD_IN;
 use route_flap_damping::metrics::{export_trace, StateClassifier, StateSpan, Trace};
 use route_flap_damping::sim::SimDuration;
 use route_flap_damping::topology::to_edge_list;
@@ -66,6 +67,7 @@ fn cmd_run(args: &[String]) -> CmdResult {
     let graph = opts.topology.build(opts.seed);
     let isp = resolve_isp(&opts, &graph)?;
     let config = network_config(&opts, &graph);
+    let horizon = config.horizon;
     let _obs = obs_begin(&opts.obs, "run");
     println!(
         "topology {} nodes / {} links, ISP {isp}, {} pulses at {:.0} s, damping {}",
@@ -79,7 +81,6 @@ fn cmd_run(args: &[String]) -> CmdResult {
         },
     );
     let pattern = FlapPattern::new(opts.pulses, opts.interval);
-    let quiet = SimDuration::from_secs(100);
     let summary = |report: &RunReport,
                    suppressed: usize,
                    (noisy, silent): (usize, usize),
@@ -104,7 +105,8 @@ fn cmd_run(args: &[String]) -> CmdResult {
             route_flap_damping::metrics::SuppressionStats::new(),
         );
         net.warm_up();
-        let report = net.run_pulses(pattern, quiet);
+        let report = net.run_pulses(pattern, LEAD_IN);
+        check_finished(&report, horizon)?;
         let stats = net.into_sink();
         summary(
             &report,
@@ -116,7 +118,8 @@ fn cmd_run(args: &[String]) -> CmdResult {
     }
     let mut net = Network::new(&graph, isp, config);
     net.warm_up();
-    let report = net.run_pulses(pattern, quiet);
+    let report = net.run_pulses(pattern, LEAD_IN);
+    check_finished(&report, horizon)?;
     summary(
         &report,
         net.trace().ever_suppressed_entries(),

@@ -8,13 +8,15 @@
 
 use std::path::PathBuf;
 
-use rfd_bgp::{DampingDeployment, NetworkConfig, PenaltyFilter, Policy, ProtocolOptions};
-use rfd_core::DampingParams;
+use rfd_bgp::{
+    DampingDeployment, NetworkConfig, PenaltyFilter, Policy, ProtocolOptions, RunReport,
+};
+use rfd_core::{DampingParams, FlapPattern};
 use rfd_experiments::args::{self, render_usage, Flag, Parsed, Table};
 use rfd_experiments::output::{exec_flags, obs, Exec, EXEC, OBS};
-use rfd_experiments::scenarios::{infer_relationships, TopologyKind};
+use rfd_experiments::scenarios::{infer_relationships, TopologyKind, LEAD_IN};
 use rfd_experiments::{pick_isp, SweepOptions};
-use rfd_sim::SimDuration;
+use rfd_sim::{RunOutcome, SimDuration};
 use rfd_topology::{Graph, NodeId};
 
 use crate::figure::{self, SweepFigure};
@@ -162,6 +164,42 @@ fn presets() -> [(&'static str, DampingParams); 3] {
     ]
 }
 
+/// Refuses `pulses` pulses whose last flap, [`LEAD_IN`] +
+/// (2n − 1) × `interval` after the warm-up, lies past the default
+/// horizon: no run could simulate them. Counting how many flaps fit,
+/// by division, cannot overflow; the error names the largest pulse
+/// count that fits.
+fn check_pulses(flag: &str, pulses: usize, interval: SimDuration) -> Result<usize, CliError> {
+    let horizon = NetworkConfig::default().horizon;
+    let flaps = horizon.as_micros().saturating_sub(LEAD_IN.as_micros()) / interval.as_micros();
+    let fits = flaps.div_ceil(2);
+    if u64::try_from(pulses).is_ok_and(|n| n <= fits) {
+        return Ok(pulses);
+    }
+    Err(CliError(format!(
+        "{flag} {pulses} at {:.0} s intervals puts the last flap past the {:.0} s horizon \
+         ({:.0} s lead-in + (2n - 1) x interval); at most {fits} pulses fit",
+        interval.as_secs_f64(),
+        horizon.as_secs_f64(),
+        LEAD_IN.as_secs_f64(),
+    )))
+}
+
+/// Refuses a run the horizon or the event budget stopped before
+/// quiescence: its convergence time and message count would describe a
+/// workload that never finished.
+pub fn check_finished(report: &RunReport, horizon: SimDuration) -> Result<(), String> {
+    match report.outcome {
+        RunOutcome::Quiescent => Ok(()),
+        outcome => Err(format!(
+            "the run stopped early ({outcome:?}, horizon {:.0} s) after {} events; \
+             it has no convergence time",
+            horizon.as_secs_f64(),
+            report.events_processed
+        )),
+    }
+}
+
 /// Parses the arguments of `rfd run` (everything after the subcommand)
 /// against [`RUN`]; the [`CliError`] names the offending flag.
 pub fn parse_run_options(args: &[String]) -> Result<RunOptions, CliError> {
@@ -185,7 +223,7 @@ fn run_options(p: &Parsed<'_>) -> Result<RunOptions, CliError> {
         pulses: p.parse("--pulses")?.unwrap_or(1),
         interval: p
             .positive_secs("--interval")?
-            .unwrap_or(SimDuration::from_secs(60)),
+            .unwrap_or(FlapPattern::DEFAULT_INTERVAL),
         seed: p.parse("--seed")?.unwrap_or(1),
         damping: p
             .one_of("--damping", &[("off", None), cisco, juniper, ripe229])?
@@ -208,6 +246,7 @@ fn run_options(p: &Parsed<'_>) -> Result<RunOptions, CliError> {
             "--filter rcn|selective requires damping to be enabled".into(),
         ));
     }
+    check_pulses("--pulses", opts.pulses, opts.interval)?;
     Ok(opts)
 }
 
@@ -312,7 +351,11 @@ pub fn parse_sweep_command(args: &[String]) -> Result<SweepCommand, CliError> {
         quick: exec.quick,
         obs: exec.obs,
         opts: SweepOptions {
-            max_pulses: p.parse("--max-pulses")?.unwrap_or(exec.opts.max_pulses),
+            max_pulses: check_pulses(
+                "--max-pulses",
+                p.parse("--max-pulses")?.unwrap_or(exec.opts.max_pulses),
+                FlapPattern::DEFAULT_INTERVAL,
+            )?,
             seeds,
             journal_dir: exec.opts.journal_dir.filter(|_| !p.has("--no-journal")),
             topology: p
@@ -439,10 +482,12 @@ pub fn parse_intended_command(
 ) -> Result<(usize, SimDuration, DampingParams), CliError> {
     let p = args::parse(&INTENDED, args)?;
     let [cisco, juniper, _] = presets();
+    let interval = p
+        .positive_secs("--interval")?
+        .unwrap_or(FlapPattern::DEFAULT_INTERVAL);
     Ok((
-        p.parse("--pulses")?.unwrap_or(3),
-        p.positive_secs("--interval")?
-            .unwrap_or(SimDuration::from_secs(60)),
+        check_pulses("--pulses", p.parse("--pulses")?.unwrap_or(3), interval)?,
+        interval,
         p.one_of("--params", &[cisco, juniper])?.unwrap_or(cisco.1),
     ))
 }

@@ -22,10 +22,11 @@ use std::fmt::Write as _;
 
 use rfd_bgp::Network;
 use rfd_core::{FlapPattern, LedgerEvent, LedgerFilter, LedgerRecord, UpdateKind};
+use rfd_experiments::scenarios::LEAD_IN;
 use rfd_metrics::NullSink;
 use rfd_sim::{SimDuration, SimTime};
 
-use crate::cli::{network_config, resolve_isp, CliError, ExplainCommand};
+use crate::cli::{check_finished, network_config, resolve_isp, CliError, ExplainCommand};
 
 /// The outcome of a focused replay: the filtered ledger stream plus
 /// enough scenario context to render it.
@@ -67,12 +68,14 @@ pub struct ExplainReport {
 /// # Errors
 ///
 /// Returns [`CliError`] when `--isp`, `--peer` or `--node` name nodes
-/// outside the graph.
-pub fn replay(cmd: &ExplainCommand) -> Result<ExplainReport, CliError> {
+/// outside the graph, and the [`check_finished`] message when the run
+/// stopped before quiescence.
+pub fn replay(cmd: &ExplainCommand) -> Result<ExplainReport, Box<dyn std::error::Error>> {
     let opts = &cmd.run;
     let graph = opts.topology.build(opts.seed);
     let isp = resolve_isp(opts, &graph)?;
     let config = network_config(opts, &graph);
+    let horizon = config.horizon;
     let mut net = Network::new_with_sink(&graph, isp, config, NullSink::new());
     net.warm_up();
     let origin = net.origin().raw();
@@ -82,20 +85,20 @@ pub fn replay(cmd: &ExplainCommand) -> Result<ExplainReport, CliError> {
     if peer as usize >= node_count {
         return Err(CliError(format!(
             "--peer {peer} outside the {node_count}-node network"
-        )));
+        ))
+        .into());
     }
     if let Some(node) = cmd.node {
         if node as usize >= node_count {
             return Err(CliError(format!(
                 "--node {node} outside the {node_count}-node network"
-            )));
+            ))
+            .into());
         }
     }
     net.set_ledger(LedgerFilter::keys([(peer, cmd.prefix)]));
-    net.run_pulses(
-        FlapPattern::new(opts.pulses, opts.interval),
-        SimDuration::from_secs(100),
-    );
+    let report = net.run_pulses(FlapPattern::new(opts.pulses, opts.interval), LEAD_IN);
+    check_finished(&report, horizon)?;
     let mut records = net.take_ledger();
     if let Some(node) = cmd.node {
         records.retain(|r| r.node == node);

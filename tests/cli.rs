@@ -303,3 +303,22 @@ fn rcn_run_converges_quickly() {
     ]);
     assert!(text.contains("0 entries suppressed"), "{text}");
 }
+
+/// A run the horizon cuts off has no convergence time: `run` and
+/// `explain` fail, naming the outcome and the horizon, and print none.
+#[test]
+fn a_run_the_horizon_cuts_off_fails() {
+    for command in ["run", "explain"] {
+        let out = rfd()
+            .args([command, "--topology", "mesh:3x3", "--pulses", "820"])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "rfd {command}: {stderr}");
+        assert!(
+            stderr.contains("(HorizonReached, horizon 100000 s)"),
+            "{stderr}"
+        );
+        assert!(!String::from_utf8_lossy(&out.stdout).contains("converged"));
+    }
+}

@@ -170,3 +170,34 @@ fn a_topology_no_node_id_can_address_is_refused() {
         assert!(TopologySpec::parse(&spec).is_ok(), "{spec}");
     }
 }
+
+/// A pulse train whose last flap lies past the default horizon is
+/// refused at parse time, before any schedule is multiplied out or
+/// allocated; the error names the largest count that fits, which
+/// parses.
+#[test]
+fn a_pulse_train_past_the_horizon_is_refused() {
+    type Parse = fn(&[String]) -> Result<(), CliError>;
+    let run: Parse = |a| parse_run_options(a).map(drop);
+    let explain: Parse = |a| parse_explain_command(a).map(drop);
+    let sweep: Parse = |a| parse_sweep_command(a).map(drop);
+    let intended: Parse = |a| parse_intended_command(a).map(drop);
+    let words = |line: &str| line.split(' ').map(str::to_owned).collect::<Vec<_>>();
+    for (parse, line, fits) in [
+        (run, "--interval 10000000000000 --pulses 2", "0"),
+        (run, "--pulses 3000000000", "833"),
+        (explain, "--pulses 834", "833"),
+        (sweep, "--max-pulses 100000000000", "833"),
+        (intended, "--pulses 4294967296", "833"),
+        (intended, "--interval 10000000000000 --pulses 1000", "0"),
+    ] {
+        let err = parse(&words(line)).expect_err(line);
+        assert!(
+            err.0.contains(&format!("at most {fits} pulses fit")),
+            "{line}: {}",
+            err.0
+        );
+        let largest = format!("{} {fits}", line.rsplit_once(' ').unwrap().0);
+        assert!(parse(&words(&largest)).is_ok(), "{largest}");
+    }
+}

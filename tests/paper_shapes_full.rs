@@ -1,6 +1,6 @@
 //! Full paper-scale shape assertions (100-node mesh, the exact sizes
 //! the paper evaluates). All five run in the default suite: together
-//! they take about 9 s under the debug profile on a 2-vCPU machine.
+//! they take about 3.3 s under the debug profile on a 2-vCPU machine.
 //!
 //! The reduced-size versions of the same claims also run (see
 //! `rfd-experiments` unit tests and `tests/end_to_end.rs`).
@@ -13,44 +13,62 @@ use route_flap_damping::experiments::figures::fig8_9::{
     figure8_9, CALCULATION, FULL_DAMPING_MESH, NO_DAMPING_MESH,
 };
 use route_flap_damping::experiments::{
-    run_workload, SweepOptions, SweepPoint, SweepSeries, TopologyKind,
+    run_workload, PulseSweep, SweepOptions, SweepPoint, SweepSeries, TopologyKind,
 };
 use route_flap_damping::sim::SimDuration;
 
 #[test]
 fn figure8_full_scale_shape() {
-    let opts = SweepOptions {
-        max_pulses: 10,
-        seeds: vec![1, 2, 3],
-        ..SweepOptions::default()
-    };
-    let sweep = figure8_9(&opts);
-    let no_damp = sweep.series(NO_DAMPING_MESH).unwrap();
-    let damp = sweep.series(FULL_DAMPING_MESH).unwrap();
-    let calc = sweep.series(CALCULATION).unwrap();
+    // One grid per seed, so each seed has its own calculation (from its
+    // own t_up); the paper's claims are checked on the seed means.
+    let sweeps = [1, 2, 3].map(|seed| {
+        figure8_9(&SweepOptions {
+            max_pulses: 10,
+            seeds: vec![seed],
+            ..SweepOptions::default()
+        })
+    });
+    let at =
+        |sweep: &PulseSweep, label, n| sweep.series(label).unwrap().at(n).unwrap().convergence_secs;
+    let mean = |label, n| sweeps.iter().map(|s| at(s, label, n)).sum::<f64>() / 3.0;
 
     // No damping: sub-5-minute convergence at every pulse count.
-    for p in &no_damp.points {
-        assert!(p.convergence_secs < 300.0, "n={}", p.pulses);
+    for n in 0..=10 {
+        assert!(mean(NO_DAMPING_MESH, n) < 300.0, "n={n}");
     }
     // Small n: measured exceeds intended by at least 30 minutes.
     for n in 1..=3 {
-        let m = damp.at(n).unwrap().convergence_secs;
-        let c = calc.at(n).unwrap().convergence_secs;
+        let (m, c) = (mean(FULL_DAMPING_MESH, n), mean(CALCULATION, n));
         assert!(m > c + 1800.0, "n={n}: {m} vs {c}");
     }
     // The critical point: at n = 5 the measured curve first touches the
-    // calculation (paper's N_h = 5). Allow a generous band.
-    let m5 = damp.at(5).unwrap().convergence_secs;
-    let c5 = calc.at(5).unwrap().convergence_secs;
-    assert!(
-        (m5 - c5).abs() / c5 < 0.25,
-        "n=5: measured {m5} vs calculated {c5}"
-    );
-    // At n = 10 the two agree.
-    let m10 = damp.at(10).unwrap().convergence_secs;
-    let c10 = calc.at(10).unwrap().convergence_secs;
-    assert!((m10 - c10).abs() / c10 < 0.25, "n=10: {m10} vs {c10}");
+    // calculation (paper's N_h = 5), and at n = 10 the two agree. Allow
+    // a generous band.
+    for n in [5, 10] {
+        let (m, c) = (mean(FULL_DAMPING_MESH, n), mean(CALCULATION, n));
+        assert!(
+            (m - c).abs() / c < 0.25,
+            "n={n}: measured {m} vs calculated {c}"
+        );
+    }
+    // The band hides seed 2. Per seed, at every n >= 5, seeds 1 and 3
+    // sit on their own calculation (20–31 s below it), while seed 2
+    // stays 1,316–1,447 s above: EXPERIMENTS.md's unexplained excess.
+    // A change that moves seed 2 shows here.
+    for n in 5..=10 {
+        for (seed, sweep) in [1, 2, 3].into_iter().zip(&sweeps) {
+            let over = at(sweep, FULL_DAMPING_MESH, n) - at(sweep, CALCULATION, n);
+            let expected = if seed == 2 {
+                over >= 1000.0
+            } else {
+                over.abs() <= 60.0
+            };
+            assert!(
+                expected,
+                "seed {seed}, n={n}: {over:.1} s over the calculation"
+            );
+        }
+    }
 }
 
 #[test]
