@@ -11,8 +11,9 @@
 //!   reuse timers;
 //! * [`Policy`] — shortest-path and no-valley (Gao–Rexford) routing;
 //! * [`Network`] — the Figure 1 experiment harness: a topology plus an
-//!   origin AS attached to a chosen ISP AS, warm-up, pulse injection,
-//!   and trace capture.
+//!   origin AS attached to a chosen ISP AS, warm-up, injection of
+//!   [`rfd_core::FlapPattern`] pulse trains on origin or interior
+//!   links, and trace capture.
 //!
 //! # Examples
 //!
@@ -43,7 +44,7 @@ pub use config::{ConfigError, DampingDeployment, NetworkConfig, PenaltyFilter, P
 pub use intern::{InternStats, PathId, PathTable, Route};
 pub use message::{Prefix, UpdateMessage, UpdatePayload};
 pub use network::snapshot::{self, Snapshot, SnapshotError, SnapshotKey};
-pub use network::{NetEvent, Network, OriginAttachment, PulseChain, RunReport};
+pub use network::{NetEvent, Network, OriginAttachment, PulseChain, RunReport, EVENT_BUDGET};
 pub use policy::Policy;
 pub use rib::{BestRoute, RibInEntry};
 pub use router::{Router, RouterConfig, RouterOutput};

@@ -45,7 +45,7 @@
 
 use std::fmt::Write as _;
 
-use rfd_core::{FlapPattern, LedgerFilter, LedgerRecord, LinkStatus, RootCause};
+use rfd_core::{FlapPattern, LedgerFilter, LedgerRecord, LinkStatus, RootCause, UpdateKind};
 use rfd_metrics::{ConvergenceTracker, MessageCounter, Trace, TraceEventKind, TraceSink, VecSink};
 use rfd_sim::{event_key, DetRng, EventQueue, RunOutcome, SimDuration, SimTime, INJECTOR_SRC};
 use rfd_snap::{MixMap, MixSet};
@@ -61,8 +61,10 @@ use crate::router::{Router, RouterConfig, RouterOutput};
 pub mod snapshot;
 
 /// Cap on the events of one measured run (and of the warm-up): a guard
-/// against runaway models, lowered only by tests.
-const DEFAULT_EVENT_BUDGET: u64 = 500_000_000;
+/// against runaway models, lowered only by tests. The flaps a workload
+/// injects are events too, so a pulse train of more than half this many
+/// pulses can never finish.
+pub const EVENT_BUDGET: u64 = 500_000_000;
 
 /// Events on the network's queue.
 #[derive(Debug, Clone, Copy)]
@@ -635,7 +637,7 @@ impl<S: TraceSink> Network<S> {
                 discarded: 0,
                 queue: EventQueue::new(),
                 horizon: SimTime::ZERO + config.horizon,
-                budget: DEFAULT_EVENT_BUDGET,
+                budget: EVENT_BUDGET,
                 windows: 0,
                 out: RouterOutput::default(),
                 sink,
@@ -862,27 +864,13 @@ impl<S: TraceSink> Network<S> {
     ///
     /// Panics if called before [`Network::warm_up`].
     pub fn run_pulses(&mut self, pattern: FlapPattern, lead_in: SimDuration) -> RunReport {
-        self.run_schedule(&rfd_core::FlapSchedule::from(pattern), lead_in)
+        self.run_schedules(&[(0, &pattern)], lead_in)
     }
 
-    /// Like [`Network::run_pulses`], but with an arbitrary
-    /// [`rfd_core::FlapSchedule`] (randomised gaps, bursts, …) on the
-    /// origin link.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before [`Network::warm_up`].
-    pub fn run_schedule(
-        &mut self,
-        schedule: &rfd_core::FlapSchedule,
-        lead_in: SimDuration,
-    ) -> RunReport {
-        self.run_schedules(&[(0, schedule)], lead_in)
-    }
-
-    /// Runs several origin-link schedules simultaneously (multi-origin
-    /// workloads): each `(origin index, schedule)` pair flaps that
-    /// origin's access link, all offsets measured from the same start.
+    /// Runs several origin-link flap patterns simultaneously
+    /// (multi-origin workloads): each `(origin index, pattern)` pair
+    /// flaps that origin's access link, all offsets measured from the
+    /// same start.
     ///
     /// # Panics
     ///
@@ -890,10 +878,20 @@ impl<S: TraceSink> Network<S> {
     /// is out of range.
     pub fn run_schedules(
         &mut self,
-        schedules: &[(usize, &rfd_core::FlapSchedule)],
+        patterns: &[(usize, &FlapPattern)],
         lead_in: SimDuration,
     ) -> RunReport {
-        self.prime_schedules(schedules, lead_in);
+        let start = self.start_measured(lead_in);
+        for &(origin, pattern) in patterns {
+            assert!(
+                origin < self.state.origins.len(),
+                "origin index {origin} out of range"
+            );
+            for (offset, kind) in pattern.events() {
+                let up = kind == UpdateKind::ReAnnouncement;
+                self.prime_origin_flap(origin, start + offset.since(SimTime::ZERO), up);
+            }
+        }
         self.drain()
     }
 
@@ -905,26 +903,6 @@ impl<S: TraceSink> Network<S> {
         self.now() + lead_in
     }
 
-    /// Injects every flap event of `schedules` up-front and marks the
-    /// start of the measured phase.
-    fn prime_schedules(
-        &mut self,
-        schedules: &[(usize, &rfd_core::FlapSchedule)],
-        lead_in: SimDuration,
-    ) {
-        let start = self.start_measured(lead_in);
-        for &(origin, schedule) in schedules {
-            assert!(
-                origin < self.state.origins.len(),
-                "origin index {origin} out of range"
-            );
-            for &(offset, status) in schedule.events() {
-                let up = status == rfd_core::LinkStatus::Up;
-                self.prime_origin_flap(origin, start + offset.since(SimTime::ZERO), up);
-            }
-        }
-    }
-
     /// Injects one status change of `origin`'s access link.
     fn prime_origin_flap(&mut self, origin: usize, at: SimTime, up: bool) {
         let att = self.state.origins[origin];
@@ -934,7 +912,7 @@ impl<S: TraceSink> Network<S> {
         self.prime(at, NetEvent::OriginLink { origin, up, rc });
     }
 
-    /// Flaps an **interior** link per `schedule` (failure injection):
+    /// Flaps an **interior** link per `pattern` (failure injection):
     /// both endpoint sessions reset on each down event and re-advertise
     /// on each up event; in-flight messages on the dead link are lost.
     ///
@@ -946,7 +924,7 @@ impl<S: TraceSink> Network<S> {
         &mut self,
         a: NodeId,
         b: NodeId,
-        schedule: &rfd_core::FlapSchedule,
+        pattern: FlapPattern,
         lead_in: SimDuration,
     ) -> RunReport {
         assert!(
@@ -954,9 +932,9 @@ impl<S: TraceSink> Network<S> {
             "{a}–{b} is not a link of this network"
         );
         let start = self.start_measured(lead_in);
-        for &(offset, status) in schedule.events() {
+        for (offset, kind) in pattern.events() {
             let at = start + offset.since(SimTime::ZERO);
-            let up = status == rfd_core::LinkStatus::Up;
+            let up = kind == UpdateKind::ReAnnouncement;
             let rc = self.next_root_cause(norm_link(a, b), up);
             self.prime(
                 at,
@@ -996,8 +974,8 @@ impl<S: TraceSink> Network<S> {
 }
 
 /// One warmed-up network shared by every pulse count of a sweep: pulse
-/// `k` (from 0) withdraws `lead_in + 2k·interval` after the clock at
-/// [`PulseChain::new`] and re-announces `interval` later, exactly as
+/// `k` flaps at the offsets [`FlapPattern::pulse`] gives it, counted
+/// from `lead_in` after the clock at [`PulseChain::new`], exactly as
 /// [`Network::run_pulses`] with [`FlapPattern::new`]`(n, interval)`
 /// would inject it.
 ///
@@ -1056,12 +1034,12 @@ impl<S: TraceSink + Clone> PulseChain<S> {
             "pulse counts must not decrease along a chain ({pulses} after {})",
             self.primed
         );
+        let pattern = FlapPattern::new(pulses, self.interval);
         while self.primed < pulses {
-            let withdrawal = self.start + self.interval * (2 * self.primed as u64);
-            self.network.drive(Some(withdrawal));
-            self.network.prime_origin_flap(0, withdrawal, false);
-            self.network
-                .prime_origin_flap(0, withdrawal + self.interval, true);
+            let (down, up) = pattern.pulse(self.primed);
+            self.network.drive(Some(self.start + down));
+            self.network.prime_origin_flap(0, self.start + down, false);
+            self.network.prime_origin_flap(0, self.start + up, true);
             self.primed += 1;
         }
         let table = std::mem::take(&mut self.network.state.path_table);
@@ -1321,8 +1299,8 @@ mod tests {
         net.warm_up();
         // Pick a link on the shortest-path tree near the ISP.
         let (a, b) = (NodeId::new(0), NodeId::new(1));
-        let schedule = rfd_core::FlapSchedule::from(FlapPattern::paper_default(4));
-        let report = net.run_link_schedule(a, b, &schedule, SimDuration::from_secs(50));
+        let pattern = FlapPattern::paper_default(4);
+        let report = net.run_link_schedule(a, b, pattern, SimDuration::from_secs(50));
         assert_eq!(report.outcome, RunOutcome::Quiescent);
         assert!(report.message_count > 0);
         assert!(
@@ -1341,22 +1319,10 @@ mod tests {
         let g = mesh_torus(3, 3);
         let mut net = Network::new(&g, NodeId::new(0), NetworkConfig::paper_no_damping(9));
         net.warm_up();
-        let mut events = Vec::new();
-        for k in 0..8u64 {
-            events.push((
-                SimTime::from_micros(k * 400_000),
-                if k % 2 == 0 {
-                    rfd_core::LinkStatus::Down
-                } else {
-                    rfd_core::LinkStatus::Up
-                },
-            ));
-        }
-        let schedule = rfd_core::FlapSchedule::new(events);
         let report = net.run_link_schedule(
             NodeId::new(1),
             NodeId::new(2),
-            &schedule,
+            FlapPattern::new(4, SimDuration::from_millis(400)),
             SimDuration::from_secs(10),
         );
         assert_eq!(report.outcome, RunOutcome::Quiescent);
@@ -1382,7 +1348,7 @@ mod tests {
     fn link_schedule_reports_measured_events_only() {
         let g = mesh_torus(4, 4);
         let (isp, a, b) = (NodeId::new(2), NodeId::new(5), NodeId::new(6));
-        let schedule = rfd_core::FlapSchedule::from(FlapPattern::paper_default(3));
+        let pattern = FlapPattern::paper_default(3);
         let lead_in = SimDuration::from_secs(100);
         let cfg = NetworkConfig::paper_full_damping(11);
         let run = |horizon| {
@@ -1391,7 +1357,7 @@ mod tests {
             let mut net = Network::new(&g, isp, cfg);
             net.warm_up();
             let (warm, warm_end) = (net.events_processed(), net.now().since(SimTime::ZERO));
-            let report = net.run_link_schedule(a, b, &schedule, lead_in);
+            let report = net.run_link_schedule(a, b, pattern, lead_in);
             assert_eq!(report.events_processed, net.events_processed() - warm);
             (report, warm_end)
         };
@@ -1422,7 +1388,7 @@ mod tests {
             let report = net.run_pulses(FlapPattern::new(pulses, interval), lead_in);
             (report, net.trace().events().to_vec())
         };
-        let uncut = fresh(DEFAULT_EVENT_BUDGET, 5).0;
+        let uncut = fresh(EVENT_BUDGET, 5).0;
         assert_eq!(uncut.outcome, RunOutcome::Quiescent);
         for budget in [
             1,
@@ -1454,26 +1420,9 @@ mod tests {
         net.run_link_schedule(
             NodeId::new(0),
             NodeId::new(4),
-            &rfd_core::FlapSchedule::from(FlapPattern::paper_default(1)),
+            FlapPattern::paper_default(1),
             SimDuration::from_secs(1),
         );
-    }
-
-    #[test]
-    fn randomized_schedule_runs_to_quiescence() {
-        let g = mesh_torus(4, 4);
-        let mut net = Network::new(&g, NodeId::new(5), NetworkConfig::paper_full_damping(13));
-        net.warm_up();
-        let mut rng = rfd_sim::DetRng::from_seed(77);
-        let schedule = rfd_core::FlapSchedule::randomized(
-            4,
-            SimDuration::from_secs(20),
-            SimDuration::from_secs(120),
-            &mut rng,
-        );
-        let report = net.run_schedule(&schedule, SimDuration::from_secs(100));
-        assert_eq!(report.outcome, RunOutcome::Quiescent);
-        assert!(report.message_count > 0);
     }
 
     #[test]
@@ -1492,8 +1441,8 @@ mod tests {
             assert!(net.router(id).best_for(pfx0).is_some());
             assert!(net.router(id).best_for(pfx1).is_some());
         }
-        let schedule = rfd_core::FlapSchedule::from(FlapPattern::paper_default(3));
-        let report = net.run_schedules(&[(0, &schedule)], SimDuration::from_secs(100));
+        let pattern = FlapPattern::paper_default(3);
+        let report = net.run_schedules(&[(0, &pattern)], SimDuration::from_secs(100));
         assert_eq!(report.outcome, RunOutcome::Quiescent);
         // Damping engaged for prefix 0 only.
         let trace = net.trace();
@@ -1523,8 +1472,8 @@ mod tests {
         let isps = [NodeId::new(2), NodeId::new(13)];
         let mut net = Network::new_multi(&g, &isps, NetworkConfig::paper_full_damping(8));
         net.warm_up();
-        let s0 = rfd_core::FlapSchedule::from(FlapPattern::paper_default(2));
-        let s1 = rfd_core::FlapSchedule::from(FlapPattern::paper_default(4));
+        let s0 = FlapPattern::paper_default(2);
+        let s1 = FlapPattern::paper_default(4);
         let report = net.run_schedules(&[(0, &s0), (1, &s1)], SimDuration::from_secs(100));
         assert_eq!(report.outcome, RunOutcome::Quiescent);
         assert!(report.message_count > 0);

@@ -3,7 +3,7 @@
 //! the exact output of a 16-origin run with two flapping prefixes.
 
 use rfd_bgp::{Network, NetworkConfig, Policy};
-use rfd_core::{FlapPattern, FlapSchedule};
+use rfd_core::FlapPattern;
 use rfd_sim::{RunOutcome, SimDuration};
 use rfd_topology::{internet_like, NodeId, Relationships};
 
@@ -15,7 +15,7 @@ fn pins(config: impl FnOnce(&rfd_topology::Graph) -> NetworkConfig) -> (u64, usi
     let isps: Vec<NodeId> = (0..16).map(|i| NodeId::new(i * 7 % 60)).collect();
     let mut net = Network::new_multi(&graph, &isps, config(&graph));
     net.warm_up();
-    let flaps = FlapSchedule::from(FlapPattern::paper_default(3));
+    let flaps = FlapPattern::paper_default(3);
     let report = net.run_schedules(&[(0, &flaps), (1, &flaps)], SimDuration::from_secs(100));
     assert_eq!(report.outcome, RunOutcome::Quiescent);
     let trace = rfd_snap::fnv1a(rfd_metrics::export_trace(net.trace()).as_bytes());

@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
 use rfd_bgp::{snapshot, Network, NetworkConfig, Policy, Snapshot, SnapshotError};
-use rfd_core::{FlapPattern, FlapSchedule};
+use rfd_core::FlapPattern;
 use rfd_metrics::TraceEvent;
 use rfd_sim::{RunOutcome, SimDuration, SimTime};
 use rfd_snap::{Decoder, SnapError};
@@ -81,9 +81,9 @@ struct Observed {
     trace: Vec<TraceEvent>,
 }
 
-/// Runs `schedule` on a warmed-up `net` and records what it observed.
-fn run_workload(mut net: Network, schedule: &FlapSchedule) -> Observed {
-    let report = net.run_schedules(&[(0, schedule)], LEAD_IN);
+/// Runs `pattern` on a warmed-up `net` and records what it observed.
+fn run_workload(mut net: Network, pattern: FlapPattern) -> Observed {
+    let report = net.run_pulses(pattern, LEAD_IN);
     Observed {
         messages: report.message_count,
         convergence: report.convergence_time,
@@ -126,18 +126,18 @@ proptest! {
             cfg.policy = Policy::NoValley(Relationships::infer_by_degree(&graph, 0.25));
         }
         let key = snapshot::fingerprints(&graph, &[isp], &cfg);
-        let schedule = FlapSchedule::from(FlapPattern::paper_default(pulses));
+        let pattern = FlapPattern::paper_default(pulses);
 
         let mut warm = Network::new(&graph, isp, cfg.clone());
         warm.warm_up();
         let snap = Snapshot::capture(&warm, key).expect("a warm network is quiescent");
-        let straight = run_workload(warm, &schedule);
+        let straight = run_workload(warm, pattern);
 
         let mut restored = Network::new(&graph, isp, cfg);
         through_a_file(&snap, "round-trip")
             .resume_into(&mut restored, &key)
             .expect("resume");
-        prop_assert_eq!(straight, run_workload(restored, &schedule));
+        prop_assert_eq!(straight, run_workload(restored, pattern));
     }
 }
 

@@ -20,10 +20,11 @@ use crate::damper::Damper;
 use crate::params::DampingParams;
 use crate::update::UpdateKind;
 
-/// The origin's flapping workload: `n` *pulses*, each a withdrawal
-/// followed by a re-announcement, with a fixed gap between consecutive
-/// events. The final event is always an announcement (the link fully
-/// recovers), matching §5.1.
+/// The origin's flapping workload — the only description of a flap
+/// train: `n` *pulses*, each a withdrawal followed by a
+/// re-announcement, consecutive events one interval apart. The final
+/// event is always an announcement (the link fully recovers), matching
+/// §5.1.
 ///
 /// # Examples
 ///
@@ -32,7 +33,7 @@ use crate::update::UpdateKind;
 /// use rfd_sim::SimDuration;
 ///
 /// let pattern = FlapPattern::new(3, SimDuration::from_secs(60));
-/// let events = pattern.events();
+/// let events: Vec<_> = pattern.events().collect();
 /// assert_eq!(events.len(), 6); // 3 withdrawals + 3 announcements
 /// assert_eq!(pattern.final_announcement_at(), Some(events[5].0));
 /// ```
@@ -42,12 +43,26 @@ pub struct FlapPattern {
     interval: SimDuration,
 }
 
+/// The flap train's former name, kept only for the perf ledger
+/// (`perfledger/src/workloads.rs`), which still spells its workload
+/// `FlapSchedule::from(FlapPattern::paper_default(n))`.
+pub type FlapSchedule = FlapPattern;
+
 impl FlapPattern {
     /// The paper's default flapping interval (60 seconds).
     pub const DEFAULT_INTERVAL: SimDuration = SimDuration::from_secs(60);
 
     /// Creates a pattern of `pulses` pulses with the given event gap.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `interval` is zero and `pulses > 0`: the events of a
+    /// pattern strictly increase in time.
     pub fn new(pulses: usize, interval: SimDuration) -> Self {
+        assert!(
+            pulses == 0 || !interval.is_zero(),
+            "flap events must strictly increase in time: the interval must be positive"
+        );
         FlapPattern { pulses, interval }
     }
 
@@ -66,28 +81,31 @@ impl FlapPattern {
         self.interval
     }
 
-    /// The event sequence as seen by the adjacent router (ispAS):
-    /// withdrawal at `0`, re-announcement at `interval`, withdrawal at
-    /// `2·interval`, …
-    pub fn events(&self) -> Vec<(SimTime, UpdateKind)> {
-        let mut out = Vec::with_capacity(self.pulses * 2);
-        for k in 0..self.pulses {
-            let w_at = SimTime::ZERO + self.interval * (2 * k as u64);
-            let a_at = SimTime::ZERO + self.interval * (2 * k as u64 + 1);
-            out.push((w_at, UpdateKind::Withdrawal));
-            out.push((a_at, UpdateKind::ReAnnouncement));
-        }
-        out
+    /// Pulse `k` (from 0) as offsets from the pattern's start: the link
+    /// goes down at `2k·interval` and comes back up one interval later.
+    pub fn pulse(&self, k: usize) -> (SimDuration, SimDuration) {
+        let down = self.interval * (2 * k as u64);
+        (down, down + self.interval)
+    }
+
+    /// The event sequence as seen by the adjacent router (ispAS),
+    /// yielded lazily in time order: withdrawal at `0`, re-announcement
+    /// at `interval`, withdrawal at `2·interval`, …
+    pub fn events(self) -> impl Iterator<Item = (SimTime, UpdateKind)> {
+        (0..self.pulses).flat_map(move |k| {
+            let (down, up) = self.pulse(k);
+            [
+                (SimTime::ZERO + down, UpdateKind::Withdrawal),
+                (SimTime::ZERO + up, UpdateKind::ReAnnouncement),
+            ]
+        })
     }
 
     /// Instant of the final announcement (convergence time is measured
     /// from here), or `None` for an empty pattern.
     pub fn final_announcement_at(&self) -> Option<SimTime> {
-        if self.pulses == 0 {
-            None
-        } else {
-            Some(SimTime::ZERO + self.interval * (2 * self.pulses as u64 - 1))
-        }
+        let last = self.pulses.checked_sub(1)?;
+        Some(SimTime::ZERO + self.pulse(last).1)
     }
 }
 
@@ -159,8 +177,8 @@ pub fn intended_behavior(
     let mut damper = Damper::new(*params);
     let mut suppression_pulse = None;
     let mut final_penalty = 0.0;
-    for (idx, (at, kind)) in pattern.events().iter().enumerate() {
-        let outcome = damper.record_update(*at, *kind);
+    for (idx, (at, kind)) in pattern.events().enumerate() {
+        let outcome = damper.record_update(at, kind);
         if outcome.newly_suppressed && suppression_pulse.is_none() {
             suppression_pulse = Some(idx / 2 + 1);
         }
@@ -224,7 +242,7 @@ mod tests {
     #[test]
     fn pattern_event_layout() {
         let p = FlapPattern::paper_default(2);
-        let ev = p.events();
+        let ev: Vec<_> = p.events().collect();
         assert_eq!(ev.len(), 4);
         assert_eq!(ev[0], (SimTime::from_secs(0), UpdateKind::Withdrawal));
         assert_eq!(ev[1], (SimTime::from_secs(60), UpdateKind::ReAnnouncement));
@@ -240,8 +258,7 @@ mod tests {
         let pattern = FlapPattern::paper_default(5);
         let charges: Vec<(SimTime, f64)> = pattern
             .events()
-            .iter()
-            .map(|&(t, k)| (t, k.penalty(&params)))
+            .map(|(t, k)| (t, k.penalty(&params)))
             .collect();
         let closed = penalty_after_charges(&params, &charges);
         let mut damper = Damper::new(params);
@@ -332,6 +349,12 @@ mod tests {
         // low; suppression needs more pulses than at 60 s.
         let slow = suppression_trigger_pulse(&cisco(), SimDuration::from_mins(10), 50);
         assert!(slow.is_none_or(|n| n > 3));
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly increase")]
+    fn a_zero_interval_is_refused() {
+        FlapPattern::new(1, SimDuration::ZERO);
     }
 
     #[test]

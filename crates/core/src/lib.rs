@@ -16,6 +16,9 @@
 //! * [`SelectiveFilter`] — the simplified Mao et al. baseline;
 //! * [`ReuseList`] — RFC 2439's quantised reuse lists, the firehose's
 //!   reuse scheduler;
+//! * [`FlapPattern`] — the paper's workload: `n` pulses, events one
+//!   interval apart, yielded lazily; every simulated run and the §3
+//!   model flap from it;
 //! * [`intended_behavior`] / [`intended_curve`] — the §3 closed-form
 //!   model producing the paper's "calculation" lines.
 //!
@@ -53,14 +56,13 @@ mod params;
 mod penalty;
 mod rcn;
 mod reuse_list;
-mod schedule;
 mod selective;
 mod store;
 mod update;
 
 pub use analytic::{
     intended_behavior, intended_curve, penalty_after_charges, suppression_trigger_pulse,
-    FlapPattern, IntendedBehavior,
+    FlapPattern, FlapSchedule, IntendedBehavior,
 };
 pub use damper::{ChargeOutcome, Damper, ReuseCheck};
 pub use decay_table::DecayTable;
@@ -69,7 +71,6 @@ pub use params::{DampingParams, DampingParamsBuilder, ValidateParamsError};
 pub use penalty::Penalty;
 pub use rcn::{LinkStatus, RcnChargePolicy, RcnFilter, RootCause, RootCauseHistory};
 pub use reuse_list::ReuseList;
-pub use schedule::FlapSchedule;
 pub use selective::{RelativePreference, SelectiveFilter};
 pub use store::{DamperStore, DamperStoreState, DecayMode};
 pub use update::UpdateKind;

@@ -15,7 +15,7 @@ fn kind_from(i: u8) -> UpdateKind {
 }
 
 proptest! {
-    /// Exact-mode store vs a per-key `Damper` model on randomized
+    /// Exact-mode store vs a per-key `Damper` model on randomised
     /// update streams over several keys: every observable — penalty
     /// bits, suppression flags, reuse deadlines, forgettability, the
     /// stored anchor — must match bit for bit.

@@ -126,8 +126,8 @@ pub fn prefix_interference(kind: TopologyKind, pulses: usize, seed: u64) -> Inte
     net.warm_up();
     let flapping = net.origins()[0].prefix;
     let stable = net.origins()[1].prefix;
-    let schedule = rfd_core::FlapSchedule::from(FlapPattern::paper_default(pulses));
-    let report = net.run_schedules(&[(0, &schedule)], SimDuration::from_secs(100));
+    let pattern = FlapPattern::paper_default(pulses);
+    let report = net.run_schedules(&[(0, &pattern)], SimDuration::from_secs(100));
     let mut flapping_suppressed = 0;
     let mut stable_suppressed = 0;
     for e in net.trace().events() {

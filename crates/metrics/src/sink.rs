@@ -476,21 +476,14 @@ impl TraceSink for UpdateBins {
 }
 
 /// Online equivalents of [`Trace::reuse_counts`],
-/// [`Trace::ever_suppressed_entries`], [`Trace::peak_penalty`] and the
-/// peak of [`Trace::damped_link_series`]. Memory is O(distinct
-/// suppressed entries).
+/// [`Trace::ever_suppressed_entries`] and [`Trace::peak_penalty`].
+/// Memory is O(distinct suppressed entries).
 #[derive(Debug, Clone, Default)]
 pub struct SuppressionStats {
     ever: HashSet<(u32, u32, u32)>,
     noisy: usize,
     silent: usize,
     peak_penalty: f64,
-    damped_now: i64,
-    peak_damped: i64,
-    // Same-instant suppress/reuse deltas coalesce before the peak is
-    // sampled, mirroring `StepSeries::shift` — a suppression and a
-    // reuse at one instant must not register a transient peak.
-    pending_damped: Option<(SimTime, i64)>,
     seen: u64,
 }
 
@@ -516,36 +509,14 @@ impl SuppressionStats {
     pub fn peak_penalty(&self) -> f64 {
         self.peak_penalty
     }
-
-    /// Maximum simultaneous damped-link count (matches
-    /// `damped_link_series().max_value()`).
-    pub fn peak_damped_links(&self) -> i64 {
-        self.peak_damped
-    }
-}
-
-impl SuppressionStats {
-    fn shift_damped(&mut self, at: SimTime, delta: i64) {
-        match &mut self.pending_damped {
-            Some((t, d)) if *t == at => *d += delta,
-            pending => {
-                if let Some((_, d)) = pending.take() {
-                    self.damped_now += d;
-                    self.peak_damped = self.peak_damped.max(self.damped_now);
-                }
-                *pending = Some((at, delta));
-            }
-        }
-    }
 }
 
 impl TraceSink for SuppressionStats {
-    fn record(&mut self, at: SimTime, kind: TraceEventKind) {
+    fn record(&mut self, _at: SimTime, kind: TraceEventKind) {
         self.seen += 1;
         match kind {
             TraceEventKind::Suppressed { node, peer, prefix } => {
                 self.ever.insert((node, peer, prefix));
-                self.shift_damped(at, 1);
             }
             TraceEventKind::Reused { noisy, .. } => {
                 if noisy {
@@ -553,7 +524,6 @@ impl TraceSink for SuppressionStats {
                 } else {
                     self.silent += 1;
                 }
-                self.shift_damped(at, -1);
             }
             TraceEventKind::PenaltySample { value, .. } => {
                 self.peak_penalty = self.peak_penalty.max(value);
@@ -563,10 +533,6 @@ impl TraceSink for SuppressionStats {
     }
 
     fn finish(&mut self) {
-        if let Some((_, d)) = self.pending_damped.take() {
-            self.damped_now += d;
-            self.peak_damped = self.peak_damped.max(self.damped_now);
-        }
         report_sink_obs(self.seen, 0);
     }
 }
@@ -750,10 +716,6 @@ mod tests {
         );
         assert_eq!(sink.reuse_counts(), trace.reuse_counts());
         assert_eq!(sink.peak_penalty(), trace.peak_penalty());
-        assert_eq!(
-            sink.peak_damped_links(),
-            trace.damped_link_series().max_value()
-        );
     }
 
     #[test]

@@ -126,10 +126,6 @@ proptest! {
         prop_assert_eq!(stats.ever_suppressed_entries(), trace.ever_suppressed_entries());
         prop_assert_eq!(stats.reuse_counts(), trace.reuse_counts());
         prop_assert_eq!(stats.peak_penalty(), trace.peak_penalty());
-        prop_assert_eq!(
-            stats.peak_damped_links(),
-            trace.damped_link_series().max_value()
-        );
     }
 
     /// Online 5-second binning materialises exactly what `bin_events`

@@ -19,14 +19,15 @@
 //!
 //! Integrity rules enforced by [`Journal::resume`]:
 //!
-//! - the header's [`GridFingerprint`] must match the grid being
-//!   resumed (name, axis shapes, cell count, parameter hash); a
-//!   mismatch is refused. Headerless
-//!   journals from older versions are accepted as-is.
-//! - arbitrary byte corruption is tolerated: lines are decoded
-//!   individually and lossily (invalid UTF-8 included), damaged lines
-//!   are skipped and *counted*, intact lines before and after them
-//!   still load.
+//! - a non-empty journal must open with an intact header whose
+//!   [`GridFingerprint`] matches the grid being resumed (name, axis
+//!   shapes, cell count, parameter hash); a damaged or missing header
+//!   and a mismatch are both refused, since nothing else says which
+//!   grid wrote the cells.
+//! - after the header, arbitrary byte corruption is tolerated: lines
+//!   are decoded individually and lossily (invalid UTF-8 included),
+//!   damaged lines are skipped and *counted*, intact lines before and
+//!   after them still load.
 //! - **failure records** mark a cell as attempted-and-failed, not
 //!   completed — resume re-runs exactly those cells, whatever failure
 //!   kind the line names (journals may carry kinds this version no
@@ -122,9 +123,6 @@ pub struct ResumeState {
     pub failed: HashMap<String, String>,
     /// Damaged lines that were skipped during the scan.
     pub skipped_lines: usize,
-    /// Whether the journal carried a header line (pre-v2 journals
-    /// don't).
-    pub had_header: bool,
 }
 
 /// Journal file path for a grid name.
@@ -170,14 +168,17 @@ impl Journal {
     /// Opens a journal for resumption: returns the journal (in append
     /// mode) plus every intact record already on disk (see
     /// [`ResumeState`]). A missing or empty file behaves like a fresh
-    /// [`Journal::create`]. Damaged lines — truncated tails, corrupted
-    /// bytes, invalid UTF-8 — are skipped and counted, never fatal.
+    /// [`Journal::create`]. Damaged lines after the header — truncated
+    /// tails, corrupted bytes, invalid UTF-8 — are skipped and counted,
+    /// never fatal.
     ///
     /// # Errors
     ///
     /// [`RunnerError::JournalMismatch`] when the on-disk header
     /// identifies a different grid than `fingerprint`;
-    /// [`RunnerError::Io`] on filesystem errors.
+    /// [`RunnerError::JournalHeader`] when a non-empty journal does not
+    /// open with an intact header; [`RunnerError::Io`] on filesystem
+    /// errors.
     pub fn resume(
         dir: &Path,
         fingerprint: &GridFingerprint,
@@ -189,26 +190,27 @@ impl Journal {
         if path.exists() {
             File::open(&path)?.read_to_end(&mut bytes)?;
         }
-        for chunk in bytes.split(|&b| b == b'\n') {
-            if chunk.is_empty() {
-                continue;
+        let mut lines = bytes
+            .split(|&b| b == b'\n')
+            .filter(|chunk| !chunk.is_empty())
+            .map(|chunk| parse_record(&String::from_utf8_lossy(chunk)));
+        let fresh = match lines.next() {
+            None => true,
+            Some(Some(Record::Header(found))) if found == *fingerprint => false,
+            Some(Some(Record::Header(found))) => {
+                return Err(RunnerError::JournalMismatch(Box::new(
+                    crate::JournalMismatch {
+                        path,
+                        expected: fingerprint.clone(),
+                        found,
+                    },
+                )))
             }
-            let line = String::from_utf8_lossy(chunk);
-            match parse_record(&line) {
-                Some(Record::Header(found)) => {
-                    if !state.had_header {
-                        state.had_header = true;
-                        if found != *fingerprint {
-                            return Err(RunnerError::JournalMismatch(Box::new(
-                                crate::JournalMismatch {
-                                    path,
-                                    expected: fingerprint.clone(),
-                                    found,
-                                },
-                            )));
-                        }
-                    }
-                }
+            Some(_) => return Err(RunnerError::JournalHeader(path)),
+        };
+        for record in lines {
+            match record {
+                Some(Record::Header(_)) => {}
                 Some(Record::Run { key, metrics, .. }) => {
                     state.failed.remove(&key);
                     state.completed.insert(key, metrics);
@@ -221,11 +223,10 @@ impl Journal {
             }
         }
         let mut file = OpenOptions::new().create(true).append(true).open(&path)?;
-        if bytes.is_empty() {
+        if fresh {
             // Fresh file: stamp it with the header like `create` would.
             file.write_all(encode_header(fingerprint).as_bytes())?;
             file.flush()?;
-            state.had_header = true;
         }
         Ok((
             Journal {
@@ -544,25 +545,36 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A journal whose first line is not an intact header cannot be
+    /// matched to any grid: resume refuses it and leaves it as it was,
+    /// whether the header is missing (an old headerless journal) or
+    /// torn.
     #[test]
-    fn resume_accepts_pre_meta_headerless_journals() {
-        // A journal written by an older version (no header line, no
-        // duration/thread fields) must resume exactly as before.
-        let dir = tmp_dir("compat");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = journal_path(&dir, "grid");
-        std::fs::write(
-            &path,
-            "{\"key\":\"old-style\",\"convergence_secs\":7.5,\"messages\":12.0,\"suppressed\":1.0}\n\
-             {\"key\":\"new-style\",\"convergence_secs\":8.5,\"messages\":13.0,\"suppressed\":0.0,\"duration_secs\":0.25,\"thread\":1}\n",
-        )
-        .unwrap();
-        let (_, state) = Journal::resume(&dir, &fp("grid")).unwrap();
-        assert_eq!(state.completed.len(), 2);
-        assert_eq!(state.completed["old-style"].convergence_secs, 7.5);
-        assert_eq!(state.completed["new-style"].messages, 13.0);
-        assert_eq!(state.skipped_lines, 0);
-        assert!(!state.had_header);
+    fn resume_refuses_a_journal_without_an_intact_header() {
+        let dir = tmp_dir("headerless");
+        let journal = Journal::create(&dir, &fp("grid")).unwrap();
+        journal
+            .record(
+                "k",
+                &RunMetrics {
+                    convergence_secs: 7.5,
+                    messages: 12.0,
+                    suppressed: 1.0,
+                },
+            )
+            .unwrap();
+        let path = journal.path().to_path_buf();
+        drop(journal);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let (header, runs) = text.split_once('\n').unwrap();
+        let torn = format!("{}#\n{runs}", &header[..header.len() / 2]);
+        for damaged in [runs.to_owned(), torn] {
+            std::fs::write(&path, &damaged).unwrap();
+            let err = Journal::resume(&dir, &fp("grid")).unwrap_err();
+            assert!(matches!(err, RunnerError::JournalHeader(_)), "{err:?}");
+            assert!(err.to_string().contains("re-run without --resume"), "{err}");
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), damaged);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -585,7 +597,6 @@ mod tests {
         drop(journal);
 
         let (journal, state) = Journal::resume(&dir, &fp("grid")).unwrap();
-        assert!(state.had_header);
         assert_eq!(state.completed.len(), 2);
         assert_eq!(state.completed["a|n=1|seed=1"], m1);
         assert!(state.completed["a|n=1|seed=2"].messages.is_nan());

@@ -111,6 +111,9 @@ pub enum RunnerError {
     /// Resume was pointed at a journal written by a different grid
     /// (boxed to keep the common `Ok`/`Io` paths small).
     JournalMismatch(Box<JournalMismatch>),
+    /// Resume was pointed at a non-empty journal whose first line is
+    /// not an intact header, so no grid can be matched to its cells.
+    JournalHeader(PathBuf),
 }
 
 /// Details of a [`RunnerError::JournalMismatch`].
@@ -136,6 +139,12 @@ impl fmt::Display for RunnerError {
                 m.found,
                 m.expected,
             ),
+            RunnerError::JournalHeader(path) => write!(
+                f,
+                "journal {} does not start with an intact header, so nothing says \
+                 which sweep wrote it; re-run without --resume to start fresh",
+                path.display(),
+            ),
         }
     }
 }
@@ -144,7 +153,7 @@ impl std::error::Error for RunnerError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             RunnerError::Io(e) => Some(e),
-            RunnerError::JournalMismatch(_) => None,
+            RunnerError::JournalMismatch(_) | RunnerError::JournalHeader(_) => None,
         }
     }
 }
@@ -211,8 +220,9 @@ impl RunnerConfig {
 /// # Errors
 ///
 /// [`RunnerError::Io`] on filesystem errors setting up the journal,
-/// and [`RunnerError::JournalMismatch`] when resuming a journal that
-/// was written by a different grid.
+/// [`RunnerError::JournalMismatch`] when resuming a journal that was
+/// written by a different grid, and [`RunnerError::JournalHeader`] when
+/// resuming one whose header is damaged or missing.
 pub fn run_chains<F, C>(
     fingerprint: &GridFingerprint,
     keys: &[String],

@@ -182,7 +182,7 @@ proptest! {
 
     /// Differential test: [`TimerWheel`] and the reference
     /// [`HeapScheduler`] deliver identical `(time, key, payload)`
-    /// streams under randomized interleavings of schedule, cancel (of
+    /// streams under randomised interleavings of schedule, cancel (of
     /// live handles only — the model does not track delivered ones),
     /// and pop. Times are drawn from a coarse palette so ties, broken
     /// by the scrambled key, are common.

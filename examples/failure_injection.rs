@@ -10,7 +10,7 @@
 //! ```
 
 use route_flap_damping::bgp::{Network, NetworkConfig};
-use route_flap_damping::damping::{FlapPattern, FlapSchedule};
+use route_flap_damping::damping::FlapPattern;
 use route_flap_damping::metrics::export_trace;
 use route_flap_damping::sim::SimDuration;
 use route_flap_damping::topology::{mesh_torus, NodeId};
@@ -24,8 +24,8 @@ fn main() {
     // origin's prefix.
     let victim = *mesh.neighbors(isp).first().expect("isp has neighbours");
     println!("bouncing interior link {isp}–{victim} four times (the origin itself never flaps)");
-    let schedule = FlapSchedule::from(FlapPattern::paper_default(4));
-    let report = net.run_link_schedule(isp, victim, &schedule, SimDuration::from_secs(100));
+    let pulses = FlapPattern::paper_default(4);
+    let report = net.run_link_schedule(isp, victim, pulses, SimDuration::from_secs(100));
     println!(
         "{} updates, {} lost in flight on the dying link, converged {:.0} s after the link stabilised",
         report.message_count,

@@ -14,7 +14,7 @@
 //! ```
 
 use route_flap_damping::bgp::{Network, NetworkConfig};
-use route_flap_damping::damping::{FlapPattern, FlapSchedule};
+use route_flap_damping::damping::FlapPattern;
 use route_flap_damping::metrics::TraceEventKind;
 use route_flap_damping::sim::SimDuration;
 use route_flap_damping::topology::{mesh_torus, NodeId};
@@ -31,7 +31,7 @@ fn main() {
         flapping.prefix, flapping.isp, stable.prefix, stable.isp
     );
 
-    let storm = FlapSchedule::from(FlapPattern::paper_default(6));
+    let storm = FlapPattern::paper_default(6);
     let report = net.run_schedules(&[(0, &storm)], SimDuration::from_secs(100));
     println!(
         "storm of 6 pulses on {}: {} updates, converged {:.0} s after the last announcement",

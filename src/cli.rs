@@ -10,6 +10,7 @@ use std::path::PathBuf;
 
 use rfd_bgp::{
     DampingDeployment, NetworkConfig, PenaltyFilter, Policy, ProtocolOptions, RunReport,
+    EVENT_BUDGET,
 };
 use rfd_core::{DampingParams, FlapPattern};
 use rfd_experiments::args::{self, render_usage, Flag, Parsed, Table};
@@ -164,24 +165,32 @@ fn presets() -> [(&'static str, DampingParams); 3] {
     ]
 }
 
-/// Refuses `pulses` pulses whose last flap, [`LEAD_IN`] +
-/// (2n − 1) × `interval` after the warm-up, lies past the default
-/// horizon: no run could simulate them. Counting how many flaps fit,
-/// by division, cannot overflow; the error names the largest pulse
-/// count that fits.
+/// Refuses `pulses` pulses no run could finish: the last flap,
+/// [`LEAD_IN`] + (2n − 1) × `interval` after the warm-up, must lie
+/// within the default horizon, and the 2n injected flaps within the
+/// [`EVENT_BUDGET`]. Counting how many flaps fit, by division, cannot
+/// overflow; the error names the bound and the largest pulse count that
+/// fits.
 fn check_pulses(flag: &str, pulses: usize, interval: SimDuration) -> Result<usize, CliError> {
     let horizon = NetworkConfig::default().horizon;
     let flaps = horizon.as_micros().saturating_sub(LEAD_IN.as_micros()) / interval.as_micros();
-    let fits = flaps.div_ceil(2);
+    let (by_horizon, by_budget) = (flaps.div_ceil(2), EVENT_BUDGET / 2);
+    let fits = by_horizon.min(by_budget);
     if u64::try_from(pulses).is_ok_and(|n| n <= fits) {
         return Ok(pulses);
     }
+    let past = if by_horizon <= by_budget {
+        format!(
+            "the last flap past the {:.0} s horizon ({:.0} s lead-in + (2n - 1) x interval)",
+            horizon.as_secs_f64(),
+            LEAD_IN.as_secs_f64(),
+        )
+    } else {
+        format!("its 2n flaps past the {EVENT_BUDGET}-event budget")
+    };
     Err(CliError(format!(
-        "{flag} {pulses} at {:.0} s intervals puts the last flap past the {:.0} s horizon \
-         ({:.0} s lead-in + (2n - 1) x interval); at most {fits} pulses fit",
+        "{flag} {pulses} at {} s intervals puts {past}; at most {fits} pulses fit",
         interval.as_secs_f64(),
-        horizon.as_secs_f64(),
-        LEAD_IN.as_secs_f64(),
     )))
 }
 

@@ -14,7 +14,7 @@
 use std::cell::Cell;
 
 use rfd_bgp::{Network, NetworkConfig};
-use rfd_core::{DampingParams, FlapPattern, FlapSchedule};
+use rfd_core::{DampingParams, FlapPattern};
 use rfd_experiments::figures::{self, extensions, fig15, fig8_9, knobs, report15};
 use rfd_experiments::output::{results_dir, save_csv};
 use rfd_experiments::{
@@ -475,8 +475,8 @@ fn link_failure(cx: &Context) {
     for pulses in [1usize, 3, 5] {
         let mut net = Network::new(&graph, isp, NetworkConfig::paper_full_damping(seed));
         net.warm_up();
-        let schedule = FlapSchedule::from(FlapPattern::paper_default(pulses));
-        let report = net.run_link_schedule(isp, neighbor, &schedule, SimDuration::from_secs(100));
+        let pattern = FlapPattern::paper_default(pulses);
+        let report = net.run_link_schedule(isp, neighbor, pattern, SimDuration::from_secs(100));
         let (dropped, suppressed) = (
             net.dropped_messages(),
             net.trace().ever_suppressed_entries(),

@@ -12,8 +12,9 @@
 //!
 //! * [`sim`] — deterministic discrete-event engine (SSFNet-core
 //!   substitute);
-//! * [`damping`] — RFC 2439 damping, the RCN and selective filters, and
-//!   the §3 intended-behaviour model;
+//! * [`damping`] — RFC 2439 damping, the RCN and selective filters, the
+//!   paper's pulse workload (`FlapPattern`) and the §3
+//!   intended-behaviour model;
 //! * [`topology`] — torus meshes, Internet-like graphs, AS
 //!   relationships;
 //! * [`bgp`] — the path-vector protocol, routers, policies and the

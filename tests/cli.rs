@@ -281,6 +281,42 @@ fn resume_skips_a_deeply_nested_journal_line() {
     let _ = std::fs::remove_dir_all(results);
 }
 
+/// A journal whose header line is torn names no grid, so `--resume`
+/// must refuse it rather than splice its cells into whatever sweep is
+/// asked for: here a 4x4 torus's cells into the default 5x5 mesh's
+/// table.
+#[test]
+fn resume_refuses_a_journal_whose_header_is_damaged() {
+    let results = temp_dir("torn-header");
+    let sweep = |extra: &[&str]| {
+        rfd()
+            .args(["sweep", "--quick", "--threads", "1"])
+            .args(extra)
+            .env("RFD_RESULTS_DIR", &results)
+            .output()
+            .expect("rfd runs")
+    };
+    assert!(sweep(&["--topology", "torus:4x4"]).status.success());
+    let journal = results.join("fig8-9.runs.jsonl");
+    let text = std::fs::read_to_string(&journal).expect("journal written");
+    let (_, cells) = text.split_once('\n').unwrap();
+    let torn = format!("{{\"journal\":\"rfd-runs/v2\",\"grid\":\"fig8-9\",#\n{cells}");
+    std::fs::write(&journal, &torn).unwrap();
+    let csv = std::fs::read(results.join("fig8.csv")).unwrap();
+
+    let resumed = sweep(&["--resume"]);
+    assert_eq!(resumed.status.code(), Some(2), "{resumed:?}");
+    let stderr = String::from_utf8_lossy(&resumed.stderr);
+    assert!(
+        stderr.contains("does not start with an intact header"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("re-run without --resume"), "{stderr}");
+    assert_eq!(std::fs::read_to_string(&journal).unwrap(), torn);
+    assert_eq!(std::fs::read(results.join("fig8.csv")).unwrap(), csv);
+    let _ = std::fs::remove_dir_all(results);
+}
+
 #[test]
 fn topology_generates_parseable_edge_list() {
     let text = run_ok(&["topology", "--kind", "ring:6"]);

@@ -171,10 +171,10 @@ fn a_topology_no_node_id_can_address_is_refused() {
     }
 }
 
-/// A pulse train whose last flap lies past the default horizon is
-/// refused at parse time, before any schedule is multiplied out or
-/// allocated; the error names the largest count that fits, which
-/// parses.
+/// A pulse train whose last flap lies past the default horizon, or
+/// whose 2n flaps exceed the event budget, is refused at parse time,
+/// before any flap is injected; the error names the largest count that
+/// fits, which parses.
 #[test]
 fn a_pulse_train_past_the_horizon_is_refused() {
     type Parse = fn(&[String]) -> Result<(), CliError>;
@@ -190,6 +190,9 @@ fn a_pulse_train_past_the_horizon_is_refused() {
         (sweep, "--max-pulses 100000000000", "833"),
         (intended, "--pulses 4294967296", "833"),
         (intended, "--interval 10000000000000 --pulses 1000", "0"),
+        (run, BUDGET_BUSTER, "250000000"),
+        (explain, BUDGET_BUSTER, "250000000"),
+        (intended, BUDGET_BUSTER, "250000000"),
     ] {
         let err = parse(&words(line)).expect_err(line);
         assert!(
@@ -199,5 +202,28 @@ fn a_pulse_train_past_the_horizon_is_refused() {
         );
         let largest = format!("{} {fits}", line.rsplit_once(' ').unwrap().0);
         assert!(parse(&words(&largest)).is_ok(), "{largest}");
+    }
+}
+
+/// 10^10 pulses one microsecond apart fit the horizon; only the event
+/// budget (2n flaps, at most 5·10^8 events) refuses them.
+const BUDGET_BUSTER: &str = "--interval 0.000001 --pulses 10000000000";
+
+/// The binary turns that refusal into exit 2, naming the budget,
+/// for `rfd run` and `rfd intended` alike, without injecting a flap.
+#[test]
+fn a_pulse_train_past_the_event_budget_exits_2() {
+    for command in ["run", "intended"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_rfd"))
+            .arg(command)
+            .args(BUDGET_BUSTER.split(' '))
+            .output()
+            .expect("rfd runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "rfd {command}: {stderr}");
+        assert!(
+            stderr.contains("past the 500000000-event budget; at most 250000000 pulses fit"),
+            "rfd {command}: {stderr}"
+        );
     }
 }

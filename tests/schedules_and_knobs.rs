@@ -1,65 +1,10 @@
-//! Facade-level integration tests for the generalised workloads
-//! (randomised/bursty schedules, multiple origins) and protocol knobs.
+//! Facade-level integration tests for multi-origin workloads and
+//! protocol knobs.
 
 use route_flap_damping::bgp::{Network, NetworkConfig, ProtocolOptions};
-use route_flap_damping::damping::{DampingParams, FlapPattern, FlapSchedule};
-use route_flap_damping::sim::{DetRng, RunOutcome, SimDuration};
+use route_flap_damping::damping::FlapPattern;
+use route_flap_damping::sim::{RunOutcome, SimDuration};
 use route_flap_damping::topology::{mesh_torus, NodeId};
-
-#[test]
-fn bursty_schedule_damps_during_bursts_only() {
-    // Two bursts of 2 fast pulses, 40 minutes apart: each burst trips
-    // suppression; the long gap lets penalties decay.
-    let graph = mesh_torus(4, 4);
-    let mut net = Network::new(&graph, NodeId::new(5), NetworkConfig::paper_full_damping(2));
-    net.warm_up();
-    let schedule =
-        FlapSchedule::bursty(2, 2, SimDuration::from_secs(15), SimDuration::from_mins(40));
-    let report = net.run_schedule(&schedule, SimDuration::from_secs(100));
-    assert_eq!(report.outcome, RunOutcome::Quiescent);
-    assert!(net.trace().ever_suppressed_entries() > 0);
-    // Recovery after the final burst.
-    for id in graph.nodes() {
-        assert!(net.router(id).best().is_some());
-    }
-}
-
-#[test]
-fn randomized_schedule_matches_intended_model_qualitatively() {
-    // A randomised schedule whose gaps are long enough that the
-    // intended model predicts no ISP-side suppression.
-    let params = DampingParams::cisco();
-    let mut rng = DetRng::from_seed(4);
-    let schedule = FlapSchedule::randomized(
-        3,
-        SimDuration::from_mins(28),
-        SimDuration::from_mins(35),
-        &mut rng,
-    );
-    let (suppressed, delay) = schedule.intended_reuse_delay(&params);
-    assert!(!suppressed);
-    assert_eq!(delay, SimDuration::ZERO);
-
-    // The network agrees at the ISP: its origin entry never suppresses
-    // (remote entries may still falsely suppress from exploration —
-    // that is the paper's whole point).
-    let graph = mesh_torus(4, 4);
-    let mut net = Network::new(&graph, NodeId::new(3), NetworkConfig::paper_full_damping(4));
-    net.warm_up();
-    net.run_schedule(&schedule, SimDuration::from_secs(100));
-    let origin = net.origin();
-    let isp_suppressed = net.trace().events().iter().any(|e| {
-        matches!(
-            e.kind,
-            route_flap_damping::metrics::TraceEventKind::Suppressed { node, peer, .. }
-                if node == net.isp().raw() && peer == origin.raw()
-        )
-    });
-    assert!(
-        !isp_suppressed,
-        "slow flapping must not suppress at the ISP"
-    );
-}
 
 #[test]
 fn wrate_network_run_quiesces_and_recovers() {
@@ -136,9 +81,9 @@ fn three_origins_all_recover_after_mixed_storms() {
     let isps = [NodeId::new(0), NodeId::new(12), NodeId::new(24)];
     let mut net = Network::new_multi(&graph, &isps, NetworkConfig::paper_full_damping(10));
     net.warm_up();
-    let s0 = FlapSchedule::from(FlapPattern::paper_default(1));
-    let s1 = FlapSchedule::from(FlapPattern::paper_default(4));
-    let s2 = FlapSchedule::bursty(1, 2, SimDuration::from_secs(20), SimDuration::from_secs(60));
+    let s0 = FlapPattern::paper_default(1);
+    let s1 = FlapPattern::paper_default(4);
+    let s2 = FlapPattern::new(2, SimDuration::from_secs(20));
     let report = net.run_schedules(&[(0, &s0), (1, &s1), (2, &s2)], SimDuration::from_secs(100));
     assert_eq!(report.outcome, RunOutcome::Quiescent);
     for att in net.origins().to_vec() {
