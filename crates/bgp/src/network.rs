@@ -45,7 +45,7 @@
 
 use std::fmt::Write as _;
 
-use rfd_core::{FlapPattern, LedgerFilter, LedgerRecord, LinkStatus, RootCause, UpdateKind};
+use rfd_core::{FlapPattern, LedgerFilter, LedgerRecord, LinkStatus, RootCause};
 use rfd_metrics::{ConvergenceTracker, MessageCounter, Trace, TraceEventKind, TraceSink, VecSink};
 use rfd_sim::{event_key, DetRng, EventQueue, RunOutcome, SimDuration, SimTime, INJECTOR_SRC};
 use rfd_snap::{MixMap, MixSet};
@@ -163,7 +163,6 @@ fn norm_link(a: NodeId, b: NodeId) -> (u32, u32) {
 /// Everything the event loop touches: the routers and their per-node
 /// state, what the network has one of, the event queue, and the
 /// consumers of what the routers produce.
-#[derive(Clone)]
 struct State<S> {
     /// One router per node, indexed by node id.
     routers: Vec<Router>,
@@ -216,6 +215,12 @@ struct State<S> {
     /// filter is installed with `Network::set_ledger`).
     ledger: Vec<LedgerRecord>,
 }
+
+rfd_sim::clone_fields!(impl<S: Clone> Clone for State<S> {
+    routers, delay_rngs, mrai_rngs, seqs, path_table, policy, origins, delay_range,
+    last_delivery, down_links, dropped, muted, discarded, queue, horizon, budget, windows,
+    out, sink, conv, msgs, ledger,
+});
 
 impl<S: TraceSink> State<S> {
     /// Schedules an event created by `src` under `src`'s next
@@ -465,8 +470,7 @@ impl<S: TraceSink> State<S> {
 /// come from built-in aggregators either way.
 ///
 /// A clone is an independent copy of the whole simulation, pending
-/// events and path table included.
-#[derive(Clone)]
+/// events and path table included (`clone_from` reuses old buffers).
 pub struct Network<S: TraceSink = VecSink> {
     state: State<S>,
     rcn_enabled: bool,
@@ -480,6 +484,34 @@ pub struct Network<S: TraceSink = VecSink> {
     /// count from here, so a pulse-chain fork reports what a fresh run
     /// does.
     measured_base: u64,
+    /// Where the measured workload's flap offsets count from.
+    start: SimTime,
+    /// The measured workload's flap trains (room for one per origin).
+    trains: Vec<Train>,
+}
+
+rfd_sim::clone_fields!(impl<S: TraceSink + Clone> Clone for Network<S> {
+    state, rcn_enabled, rc_seq, inj_seq, warmed_up, measured_base, start, trains,
+});
+
+/// A link a measured workload flaps: the access link of the origin
+/// with this index, or an interior link whose two sessions both reset.
+#[derive(Debug, Clone, Copy)]
+enum FlapLink {
+    Origin(usize),
+    Interior(NodeId, NodeId),
+}
+
+/// One link's flaps in a measured workload, injected pulse by pulse.
+#[derive(Debug, Clone, Copy)]
+struct Train {
+    link: FlapLink,
+    pattern: FlapPattern,
+    /// Pulses injected so far.
+    primed: usize,
+    /// Next injector sequence number and last root-cause number.
+    seq: u64,
+    rc: u64,
 }
 
 impl<S: TraceSink> std::fmt::Debug for Network<S> {
@@ -650,6 +682,8 @@ impl<S: TraceSink> Network<S> {
             inj_seq: 0,
             warmed_up: false,
             measured_base: 0,
+            start: SimTime::ZERO,
+            trains: Vec::with_capacity(isps.len()),
         }
     }
 
@@ -760,23 +794,65 @@ impl<S: TraceSink> Network<S> {
         self.state.dropped
     }
 
-    /// Injects one event onto the queue under the next injector key.
-    fn prime(&mut self, at: SimTime, event: NetEvent) {
-        let key = event_key(INJECTOR_SRC, self.inj_seq);
-        self.inj_seq += 1;
+    /// Runs to just before the earliest withdrawal still to inject and
+    /// injects that pulse. The pause rule of [`State::run`] keeps every
+    /// window where it falls with the whole workload queued up front.
+    /// False once every pulse is in, or if the horizon or the event
+    /// budget stops the run first (a drain then reports that stop).
+    fn prime_next_pulse(&mut self) -> bool {
+        let trains = self.trains.iter().enumerate();
+        let pending = trains.filter(|(_, t)| t.primed < t.pattern.pulses());
+        let Some((i, _)) = pending.min_by_key(|(_, t)| t.pattern.pulse(t.primed).0) else {
+            return false;
+        };
+        let mut train = self.trains[i];
+        let (down, up) = train.pattern.pulse(train.primed);
+        if self.drive(Some(self.start + down)).is_some() {
+            return false;
+        }
+        for (offset, up) in [(down, false), (up, true)] {
+            let at = self.start + offset;
+            match train.link {
+                FlapLink::Origin(origin) => {
+                    let att = self.state.origins[origin];
+                    // §6.1: the detecting endpoint stamps a fresh root
+                    // cause {[ispAS originAS], status, seq}.
+                    let rc = self.root_cause(&mut train, (att.isp.raw(), att.node.raw()), up);
+                    self.inject(at, &mut train, NetEvent::OriginLink { origin, up, rc });
+                }
+                FlapLink::Interior(a, b) => {
+                    let rc = self.root_cause(&mut train, norm_link(a, b), up);
+                    for (node, peer, primary) in [(a, b, true), (b, a, false)] {
+                        let event = NetEvent::LinkSession {
+                            node,
+                            peer,
+                            up,
+                            rc,
+                            primary,
+                        };
+                        self.inject(at, &mut train, event);
+                    }
+                }
+            }
+        }
+        train.primed += 1;
+        self.trains[i] = train;
+        true
+    }
+
+    /// Injects one event of `train` under its next injector key.
+    fn inject(&mut self, at: SimTime, train: &mut Train, event: NetEvent) {
+        let key = event_key(INJECTOR_SRC, train.seq);
+        train.seq += 1;
         self.state.queue.schedule(at, key, event);
     }
 
-    fn next_root_cause(&mut self, link: (u32, u32), up: bool) -> Option<RootCause> {
-        if !self.rcn_enabled {
-            return None;
-        }
-        self.rc_seq += 1;
-        Some(RootCause::new(
-            link,
-            if up { LinkStatus::Up } else { LinkStatus::Down },
-            self.rc_seq,
-        ))
+    fn root_cause(&self, train: &mut Train, link: (u32, u32), up: bool) -> Option<RootCause> {
+        let status = if up { LinkStatus::Up } else { LinkStatus::Down };
+        self.rcn_enabled.then(|| {
+            train.rc += 1;
+            RootCause::new(link, status, train.rc)
+        })
     }
 
     /// Runs the queue until it drains or the horizon or event budget
@@ -881,35 +957,46 @@ impl<S: TraceSink> Network<S> {
         patterns: &[(usize, &FlapPattern)],
         lead_in: SimDuration,
     ) -> RunReport {
-        let start = self.start_measured(lead_in);
-        for &(origin, pattern) in patterns {
+        for &(origin, _) in patterns {
             assert!(
                 origin < self.state.origins.len(),
                 "origin index {origin} out of range"
             );
-            for (offset, kind) in pattern.events() {
-                let up = kind == UpdateKind::ReAnnouncement;
-                self.prime_origin_flap(origin, start + offset.since(SimTime::ZERO), up);
-            }
         }
+        let trains = patterns
+            .iter()
+            .map(|&(o, pattern)| (FlapLink::Origin(o), *pattern));
+        self.start_measured(lead_in, trains);
+        while self.prime_next_pulse() {}
         self.drain()
     }
 
-    /// Marks the start of the measured phase: returns the instant
-    /// `lead_in` from now, where workload offsets count from.
-    fn start_measured(&mut self, lead_in: SimDuration) -> SimTime {
+    /// Starts the measured phase with `trains`, their offsets counted
+    /// from `lead_in` after now. Each train gets the injector keys and
+    /// root-cause numbers that injecting every train up front, train
+    /// after train, would give it.
+    fn start_measured(
+        &mut self,
+        lead_in: SimDuration,
+        trains: impl IntoIterator<Item = (FlapLink, FlapPattern)>,
+    ) {
         assert!(self.warmed_up, "call warm_up() before running a workload");
         self.measured_base = self.events_processed();
-        self.now() + lead_in
-    }
-
-    /// Injects one status change of `origin`'s access link.
-    fn prime_origin_flap(&mut self, origin: usize, at: SimTime, up: bool) {
-        let att = self.state.origins[origin];
-        // §6.1: the detecting endpoint stamps a fresh root cause
-        // {[ispAS originAS], status, seq}.
-        let rc = self.next_root_cause((att.isp.raw(), att.node.raw()), up);
-        self.prime(at, NetEvent::OriginLink { origin, up, rc });
+        self.start = self.now() + lead_in;
+        self.trains.clear();
+        for (link, pattern) in trains {
+            let (seq, rc) = (self.inj_seq, self.rc_seq);
+            let flaps = 2 * pattern.pulses() as u64;
+            self.inj_seq += flaps * (1 + u64::from(matches!(link, FlapLink::Interior(..))));
+            self.rc_seq += flaps * u64::from(self.rcn_enabled);
+            self.trains.push(Train {
+                link,
+                pattern,
+                primed: 0,
+                seq,
+                rc,
+            });
+        }
     }
 
     /// Flaps an **interior** link per `pattern` (failure injection):
@@ -931,32 +1018,8 @@ impl<S: TraceSink> Network<S> {
             a.index() < self.state.routers.len() && self.router(a).peers().contains(&b),
             "{a}–{b} is not a link of this network"
         );
-        let start = self.start_measured(lead_in);
-        for (offset, kind) in pattern.events() {
-            let at = start + offset.since(SimTime::ZERO);
-            let up = kind == UpdateKind::ReAnnouncement;
-            let rc = self.next_root_cause(norm_link(a, b), up);
-            self.prime(
-                at,
-                NetEvent::LinkSession {
-                    node: a,
-                    peer: b,
-                    up,
-                    rc,
-                    primary: true,
-                },
-            );
-            self.prime(
-                at,
-                NetEvent::LinkSession {
-                    node: b,
-                    peer: a,
-                    up,
-                    rc,
-                    primary: false,
-                },
-            );
-        }
+        self.start_measured(lead_in, [(FlapLink::Interior(a, b), pattern)]);
+        while self.prime_next_pulse() {}
         self.drain()
     }
 
@@ -979,25 +1042,19 @@ impl<S: TraceSink> Network<S> {
 /// [`Network::run_pulses`] with [`FlapPattern::new`]`(n, interval)`
 /// would inject it.
 ///
-/// [`PulseChain::run`] advances the shared network to just before each
-/// withdrawal up to pulse `n`, injects that pulse under the injector
-/// key and root-cause sequence number a fresh run gives it, forks the
-/// network and drains the fork. The fork's report and sink equal those
-/// of a fresh `new` + `warm_up` + `run_pulses(n)`: each pause falls on
-/// a window boundary of the fresh run, and the horizon and event budget
-/// count from the measured start, not from the fork.
-///
-/// The fork borrows the shared network's [`PathTable`] (moved in and
-/// back, never cloned), so paths the fork interns stay in the table and
-/// later path ids differ from a fresh run's. No output depends on a
-/// path id (see the `intern` module's determinism note).
+/// [`PulseChain::run`] injects pulses into the shared network up to
+/// pulse `n` with a fresh run's injection loop, then forks the network
+/// and drains the fork, whose report and sink equal those of a fresh
+/// `new` + `warm_up` + `run_pulses(n)`. The first fork clones the
+/// network; every later one refills that spare in place (`clone_from`).
+/// A fork borrows the shared network's [`PathTable`] (moved in and
+/// back, never cloned), so later path ids differ from a fresh run's. No
+/// output depends on a path id (see the `intern` module's note).
 #[derive(Debug)]
 pub struct PulseChain<S: TraceSink + Clone = VecSink> {
     network: Network<S>,
-    interval: SimDuration,
-    start: SimTime,
-    /// Pulses injected into `network` so far.
-    primed: usize,
+    /// The network the last fork ran on (`None` before the first).
+    spare: Option<Network<S>>,
 }
 
 impl<S: TraceSink + Clone> PulseChain<S> {
@@ -1007,47 +1064,48 @@ impl<S: TraceSink + Clone> PulseChain<S> {
     ///
     /// Panics if the network is not warmed up.
     pub fn new(mut network: Network<S>, interval: SimDuration, lead_in: SimDuration) -> Self {
-        let start = network.start_measured(lead_in);
+        network.start_measured(
+            lead_in,
+            [(FlapLink::Origin(0), FlapPattern::new(0, interval))],
+        );
         PulseChain {
             network,
-            interval,
-            start,
-            primed: 0,
+            spare: None,
         }
     }
 
     /// Runs the `pulses`-pulse workload on a fork of the chain and
-    /// returns its report and its finished sink.
+    /// returns its report and its finished sink, which the next call
+    /// overwrites.
     ///
     /// # Panics
     ///
     /// Panics if `pulses` is below the pulse count of an earlier call,
     /// or if an earlier call panicked (its fork took the path table
     /// down with it; drop the chain and start a new one).
-    pub fn run(&mut self, pulses: usize) -> (RunReport, S) {
+    pub fn run(&mut self, pulses: usize) -> (RunReport, &S) {
         assert!(
             self.network.state.path_table.stats().distinct > 0,
             "a pulse chain is unusable after a panicked run"
         );
+        let train = &mut self.network.trains[0];
         assert!(
-            pulses >= self.primed,
+            pulses >= train.primed,
             "pulse counts must not decrease along a chain ({pulses} after {})",
-            self.primed
+            train.primed
         );
-        let pattern = FlapPattern::new(pulses, self.interval);
-        while self.primed < pulses {
-            let (down, up) = pattern.pulse(self.primed);
-            self.network.drive(Some(self.start + down));
-            self.network.prime_origin_flap(0, self.start + down, false);
-            self.network.prime_origin_flap(0, self.start + up, true);
-            self.primed += 1;
-        }
+        train.pattern = FlapPattern::new(pulses, train.pattern.interval());
+        while self.network.prime_next_pulse() {}
         let table = std::mem::take(&mut self.network.state.path_table);
-        let mut fork = self.network.clone();
+        if let Some(spare) = &mut self.spare {
+            spare.clone_from(&self.network);
+        }
+        let fork = self.spare.get_or_insert_with(|| self.network.clone());
         fork.state.path_table = table;
         let report = fork.drain();
         self.network.state.path_table = std::mem::take(&mut fork.state.path_table);
-        (report, fork.into_sink())
+        fork.state.sink.finish();
+        (report, &fork.state.sink)
     }
 }
 
@@ -1408,6 +1466,29 @@ mod tests {
             }
             assert!(stopped > 0, "budget {budget} stopped no run");
         }
+    }
+
+    /// Pulses go onto the queue as the run reaches them: at each pause
+    /// before a withdrawal, 10,000 pulses queue what 10 do.
+    #[test]
+    fn the_queue_holds_one_pulse_ahead_of_the_clock() {
+        let queued_at_pauses = |pulses| {
+            let mut net = Network::new(&line(2), NodeId::new(1), small_cfg(6));
+            net.warm_up();
+            let pattern = FlapPattern::new(pulses, SimDuration::from_secs(1));
+            net.start_measured(
+                SimDuration::from_secs(100),
+                [(FlapLink::Origin(0), pattern)],
+            );
+            let mut queued = Vec::new();
+            while net.prime_next_pulse() {
+                queued.push(net.state.queue.len());
+            }
+            queued
+        };
+        let (short, long) = (queued_at_pauses(10), queued_at_pauses(10_000));
+        assert_eq!((long.len(), &long[..10]), (10_000, &short[..]));
+        assert_eq!(long.iter().max(), short.iter().max());
     }
 
     #[test]

@@ -70,7 +70,7 @@ pub struct RouterConfig {
 
 /// Effects produced by handling one event at a router; the network
 /// harness turns them into scheduled events and trace records.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub struct RouterOutput {
     /// Messages to put on the wire, in order.
     pub sends: Vec<(NodeId, UpdateMessage)>,
@@ -84,6 +84,8 @@ pub struct RouterOutput {
     /// [`LedgerFilter`] is installed and matched).
     pub ledger: Vec<LedgerRecord>,
 }
+
+rfd_sim::clone_fields!(impl Clone for RouterOutput { sends, mrai_timers, reuse_timers, traces, ledger });
 
 impl RouterOutput {
     /// Appends one ledger record for `node`'s `(peer, prefix)` entry.
@@ -154,7 +156,7 @@ pub(crate) struct PrefixHead {
 }
 
 /// A single BGP router.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Router {
     id: NodeId,
     /// Neighbour set in construction order (fan-out order).
@@ -183,6 +185,10 @@ pub struct Router {
     /// default) keeps every emission site to a single branch.
     ledger: Option<Arc<LedgerFilter>>,
 }
+
+rfd_sim::clone_fields!(impl Clone for Router {
+    id, peers, slots, heads, rib, config, charging_enabled, down, self_route, damper_store, ledger,
+});
 
 /// Packs a (peer, prefix) pair into the damper store's slot key.
 pub(crate) fn damper_key(peer: NodeId, prefix: Prefix) -> u64 {

@@ -3,8 +3,8 @@
 //! equal those of `new` + `warm_up` + `run_pulses(n)` on a fresh
 //! network — under every protocol variant the sweeps use, on the
 //! paper's links and on slow ones (whose wide windows often straddle a
-//! withdrawal), and with a horizon that stops the run mid-flapping.
-//! (The network's unit tests check the forks under an event budget.)
+//! withdrawal), with a horizon that stops the run mid-flapping, and
+//! with repeated counts (unit tests in `network.rs` add event budgets).
 
 use proptest::prelude::*;
 use rfd_bgp::{Network, NetworkConfig, PenaltyFilter, Policy, PulseChain, RunReport};
@@ -45,14 +45,6 @@ fn config(variant: &str, graph: &Graph, seed: u64) -> NetworkConfig {
     config
 }
 
-/// What stops a run early, if anything.
-#[derive(Debug, Clone, Copy)]
-enum Limit {
-    None,
-    /// A horizon this far past the end of the warm-up.
-    Horizon(SimDuration),
-}
-
 #[derive(Debug, Clone)]
 struct Case {
     graph: Graph,
@@ -63,7 +55,8 @@ struct Case {
     seed: u64,
     interval: SimDuration,
     pulses: Vec<usize>,
-    limit: Limit,
+    /// A horizon this far past the end of the warm-up, if any.
+    horizon: Option<SimDuration>,
 }
 
 fn case_strategy() -> impl Strategy<Value = Case> {
@@ -71,9 +64,9 @@ fn case_strategy() -> impl Strategy<Value = Case> {
         (3usize..6, 3usize..6).prop_map(|(w, h)| (mesh_torus(w, h), 0u64)),
         (8usize..30, any::<u64>()).prop_map(|(n, seed)| (internet_like(n, 2, seed), seed)),
     ];
-    let limit = prop_oneof![
-        Just(Limit::None),
-        (100u64..1500).prop_map(|s| Limit::Horizon(SimDuration::from_secs(s))),
+    let horizon = prop_oneof![
+        Just(None),
+        (100u64..1500).prop_map(|s| Some(SimDuration::from_secs(s))),
     ];
     (
         graph,
@@ -81,11 +74,12 @@ fn case_strategy() -> impl Strategy<Value = Case> {
         prop_oneof![Just((0.01, 0.5)), Just((5.0, 10.0))],
         any::<u64>(),
         10u64..=120,
-        1u8..128,
-        limit,
+        prop::collection::vec(0usize..=6, 1..8),
+        horizon,
     )
         .prop_map(
-            |((graph, _), variant, delays, seed, interval, mask, limit)| {
+            |((graph, _), variant, delays, seed, interval, mut pulses, horizon)| {
+                pulses.sort_unstable();
                 let isp = NodeId::new((seed % graph.node_count() as u64) as u32);
                 Case {
                     graph,
@@ -94,15 +88,15 @@ fn case_strategy() -> impl Strategy<Value = Case> {
                     delays,
                     seed: seed % 1000,
                     interval: SimDuration::from_secs(interval),
-                    pulses: (0..=6).filter(|n| mask & (1 << n) != 0).collect(),
-                    limit,
+                    pulses,
+                    horizon,
                 }
             },
         )
 }
 
 impl Case {
-    /// A warmed-up network under the case's limit.
+    /// A warmed-up network under the case's horizon.
     fn network(&self) -> Network {
         let mut config = config(self.variant, &self.graph, self.seed);
         let (lo, hi) = self.delays;
@@ -110,7 +104,7 @@ impl Case {
             SimDuration::from_secs_f64(lo),
             SimDuration::from_secs_f64(hi),
         );
-        if let Limit::Horizon(past_warm_up) = self.limit {
+        if let Some(past_warm_up) = self.horizon {
             let mut probe = Network::new(&self.graph, self.isp, config.clone());
             probe.warm_up();
             config.horizon = probe.now().since(SimTime::ZERO) + past_warm_up;
@@ -147,6 +141,20 @@ proptest! {
             );
         }
     }
+}
+
+/// The same count twice forks the same run.
+#[test]
+fn the_same_count_twice_forks_the_same_run() {
+    let graph = mesh_torus(4, 4);
+    let mut network = Network::new(&graph, NodeId::new(5), NetworkConfig::paper_full_damping(3));
+    network.warm_up();
+    let mut chain = PulseChain::new(network, FlapPattern::DEFAULT_INTERVAL, LEAD_IN);
+    let (report, trace) = chain.run(3);
+    let first = (report, trace.events().to_vec());
+    assert!(first.0.message_count > 0 && trace.ever_suppressed_entries() > 0);
+    let (report, trace) = chain.run(3);
+    assert_eq!((report, trace.events().to_vec()), first);
 }
 
 /// A chain asked for fewer pulses than it already injected refuses.

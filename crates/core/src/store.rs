@@ -133,7 +133,7 @@ enum ChargeAmount {
 /// }
 /// assert!(store.is_suppressed(slot), "third flap trips the cutoff");
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct DamperStore {
     params: DampingParams,
     /// `params.as_unreachable()`, precomputed once.
@@ -155,6 +155,10 @@ pub struct DamperStore {
     free: Vec<u32>,
     live: usize,
 }
+
+rfd_sim::clone_fields!(impl Clone for DamperStore {
+    params, unreachable_params, tables, keys, penalty, anchor, flags, reuse_deadline, free, live,
+});
 
 impl DamperStore {
     /// An exact-mode store: bit-identical to per-entry

@@ -133,7 +133,7 @@ pub(crate) fn pulse_chain(
 /// horizon or the event budget cut it off): its metrics would describe
 /// a run that never finished.
 pub(crate) fn cell_metrics(
-    (report, stats): (RunReport, SuppressionStats),
+    (report, stats): (RunReport, &SuppressionStats),
 ) -> rfd_runner::RunMetrics {
     assert!(
         report.outcome == RunOutcome::Quiescent,

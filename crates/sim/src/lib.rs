@@ -54,3 +54,26 @@ pub use queue::{event_key, EventQueue, RunOutcome, INJECTOR_SRC};
 pub use rng::DetRng;
 pub use time::{SimDuration, SimTime, MICROS_PER_SEC};
 pub use wheel::TimerWheel;
+
+/// Implements `Clone` from one list of all of a struct's fields, as in
+/// `clone_fields!(impl<T: Clone> Clone for Queue<T> { items, now })`:
+/// `clone_from` refills each field with the field's own `clone_from`,
+/// keeping the old value's buffers. Both methods destructure without
+/// `..`, so a field missing from the list does not compile.
+#[macro_export]
+macro_rules! clone_fields {
+    (impl $(<$($param:ident: $first:ident $(+ $bound:ident)*),+>)? Clone for $ty:ty {
+        $($field:ident),* $(,)?
+    }) => {
+        impl $(<$($param: $first $(+ $bound)*),+>)? Clone for $ty {
+            fn clone(&self) -> Self {
+                let Self { $($field),* } = self;
+                Self { $($field: Clone::clone($field)),* }
+            }
+            fn clone_from(&mut self, source: &Self) {
+                let Self { $($field),* } = source;
+                $(self.$field.clone_from($field);)*
+            }
+        }
+    };
+}

@@ -41,12 +41,14 @@ pub fn event_key(src: u32, seq: u64) -> u64 {
 /// events with [`pop_before`](Self::pop_before), handles them, and
 /// schedules what they cause. A clone is an independent copy of every
 /// pending event and of the clock.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct EventQueue<E> {
     wheel: TimerWheel<E>,
     now: SimTime,
     processed: u64,
 }
+
+crate::clone_fields!(impl<E: Clone> Clone for EventQueue<E> { wheel, now, processed });
 
 impl<E> Default for EventQueue<E> {
     fn default() -> Self {

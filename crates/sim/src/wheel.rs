@@ -70,7 +70,7 @@ struct SlabEntry<E> {
 /// The wheel. The simulator drives it through
 /// [`EventQueue`](crate::EventQueue); it is public so the property
 /// tests can pin it against a reference binary-heap model directly.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct TimerWheel<E> {
     slab: Vec<SlabEntry<E>>,
     free: Vec<u32>,
@@ -86,6 +86,10 @@ pub struct TimerWheel<E> {
     cur: u64,
     live: usize,
 }
+
+crate::clone_fields!(impl<E: Clone> Clone for TimerWheel<E> {
+    slab, free, slots, occupancy, overflow, front, cur, live,
+});
 
 impl<E> Default for TimerWheel<E> {
     fn default() -> Self {

@@ -6,6 +6,9 @@
 //! * `tests/x.rs::name`: that file defines `fn name(`;
 //! * `module::tests::name`: some `module.rs` (or `module/mod.rs`) under
 //!   `src/` or `crates/` defines `fn name(`.
+//!
+//! Its Figure 8, 9, 13 and 15 tables quote `results/`, so every cell
+//! must equal the CSV value it rounds.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -114,4 +117,50 @@ fn a_citation_of_a_missing_test_is_caught() {
             "tests/silent_noisy.rs::no_such_test",
         ]
     );
+}
+
+/// Each cell is its `results/` value rounded half away from zero, in
+/// the CSV column whose label holds all of its column's words (`Full
+/// Damping (mesh)`). On a mismatch, fix the doc, never the CSV.
+#[test]
+fn experiments_md_tables_quote_results() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let doc = fs::read_to_string(root.join("EXPERIMENTS.md")).expect("read EXPERIMENTS.md");
+    let mut cells = 0;
+    for fig in [8, 9, 13, 15] {
+        let csv = fs::read_to_string(root.join(format!("results/fig{fig}.csv"))).expect("a CSV");
+        // A quoted label's commas are followed by a space; separators' are not.
+        let csv: Vec<Vec<_>> = (csv.lines())
+            .map(|line| {
+                line.replace(", ", " ")
+                    .split(',')
+                    .map(str::to_lowercase)
+                    .collect()
+            })
+            .collect();
+        let table: Vec<Vec<&str>> = (doc.lines())
+            .skip_while(|line| !line.starts_with(&format!("## Figure {fig} ")))
+            .skip_while(|line| !line.starts_with('|'))
+            .take_while(|line| line.starts_with('|'))
+            .filter(|line| !line.starts_with("|---"))
+            .map(|line| line.trim_matches('|').split('|').map(str::trim).collect())
+            .collect();
+        for (c, label) in table[0].iter().enumerate().skip(1) {
+            let label = label.to_lowercase();
+            let words: Vec<_> = label.split(|c: char| !c.is_alphanumeric()).collect();
+            let holds = |j: &usize| words.iter().all(|w| csv[0][*j].contains(w));
+            let [col] = (1..csv[0].len()).filter(holds).collect::<Vec<_>>()[..] else {
+                panic!("Figure {fig}: `{label}` does not name exactly one CSV column");
+            };
+            for row in &table[1..] {
+                let csv_row = csv.iter().find(|r| r[0] == row[0]).expect("the doc's n");
+                let value: f64 = csv_row[col].parse().expect("a numeric CSV cell");
+                let (n, quoted) = (row[0], row[c].trim_matches('*'));
+                let msg = format!("Figure {fig}, n = {n}, {label}: {quoted} quotes {value}");
+                assert_eq!(quoted.parse(), Ok(value.round()), "{msg}");
+                cells += 1;
+            }
+        }
+    }
+    assert!(cells >= 70, "only {cells} table cells found");
 }
