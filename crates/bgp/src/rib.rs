@@ -21,7 +21,7 @@ use crate::config::PenaltyFilter;
 use crate::intern::Route;
 
 /// One (peer, prefix) entry of the RIB-IN: 40 bytes of hot state.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct RibInEntry {
     /// Latest route received from the peer (`None` after a withdrawal).
     pub route: Option<Route>,
@@ -39,8 +39,10 @@ pub struct RibInEntry {
     pub(crate) filters: Option<Box<FilterState>>,
 }
 
+rfd_sim::clone_fields!(impl Clone for RibInEntry { route, slot, suppressed, charges, filters });
+
 /// The part of a RIB-IN entry plain damping never reads.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub(crate) struct FilterState {
     /// RCN history/filter for this peer (RCN deployments).
     pub(crate) rcn: Option<RcnFilter>,
@@ -50,6 +52,8 @@ pub(crate) struct FilterState {
     /// stamps one); re-attached when a reuse triggers announcements.
     pub(crate) last_rc: Option<RootCause>,
 }
+
+rfd_sim::clone_fields!(impl Clone for FilterState { rcn, selective, last_rc });
 
 impl FilterState {
     /// The state boxed, or `None` when every part is absent.

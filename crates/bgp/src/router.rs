@@ -128,7 +128,7 @@ pub(crate) struct MraiPeer {
 }
 
 /// One peer's share of a prefix's state.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub(crate) struct PeerSlot {
     /// Latest route from the peer, with damping state (`None` until the
     /// peer first sends an update for this prefix).
@@ -139,6 +139,8 @@ pub(crate) struct PeerSlot {
     /// MRAI pacing toward the peer.
     pub(crate) mrai: MraiPeer,
 }
+
+rfd_sim::clone_fields!(impl Clone for PeerSlot { rib_in, rib_out, mrai });
 
 /// The per-prefix head: what the decision process selected and how to
 /// stamp it.

@@ -10,7 +10,7 @@
 //! occurrences, so a single flap charges the penalty exactly once no
 //! matter how many updates it fans out into.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use crate::params::DampingParams;
 use crate::update::UpdateKind;
@@ -52,6 +52,10 @@ impl RootCause {
 /// entry is evicted FIFO. Re-seeing an evicted root cause would charge
 /// again, which is safe (it only makes damping more conservative).
 ///
+/// Every RCN RIB-IN entry owns one, and most hold a few root causes (a
+/// flap pulse adds two), so the history is one queue that lookups scan,
+/// allocated on the first sighting rather than at the bound.
+///
 /// # Examples
 ///
 /// ```
@@ -62,18 +66,23 @@ impl RootCause {
 /// assert!(history.observe(rc), "first sighting is new");
 /// assert!(!history.observe(rc), "repeat sighting is not");
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct RootCauseHistory {
     capacity: usize,
     order: VecDeque<RootCause>,
-    seen: HashSet<RootCause>,
 }
+
+rfd_sim::clone_fields!(impl Clone for RootCauseHistory { capacity, order });
 
 impl RootCauseHistory {
     /// Default capacity used by the protocol layer.
     pub const DEFAULT_CAPACITY: usize = 128;
 
-    /// Creates a history holding at most `capacity` root causes.
+    /// Room the first sighting reserves: eight flap pulses' root causes.
+    const FIRST_RESERVE: usize = 16;
+
+    /// Creates a history holding at most `capacity` root causes. It
+    /// allocates nothing until the first sighting.
     ///
     /// # Panics
     ///
@@ -82,29 +91,30 @@ impl RootCauseHistory {
         assert!(capacity > 0, "history capacity must be positive");
         RootCauseHistory {
             capacity,
-            order: VecDeque::with_capacity(capacity),
-            seen: HashSet::with_capacity(capacity),
+            order: VecDeque::new(),
         }
     }
 
     /// Records a sighting. Returns `true` iff this root cause was not in
     /// the history (i.e. the update should charge the penalty).
     pub fn observe(&mut self, rc: RootCause) -> bool {
-        if self.seen.contains(&rc) {
+        if self.contains(&rc) {
             return false;
         }
         if self.order.len() == self.capacity {
-            let evicted = self.order.pop_front().expect("non-empty at capacity");
-            self.seen.remove(&evicted);
+            self.order.pop_front();
+        }
+        if self.order.capacity() == 0 {
+            self.order
+                .reserve_exact(Self::FIRST_RESERVE.min(self.capacity));
         }
         self.order.push_back(rc);
-        self.seen.insert(rc);
         true
     }
 
     /// Whether `rc` is currently remembered.
     pub fn contains(&self, rc: &RootCause) -> bool {
-        self.seen.contains(rc)
+        self.order.contains(rc)
     }
 
     /// The configured capacity bound.
@@ -155,11 +165,13 @@ pub enum RcnChargePolicy {
 ///
 /// Updates without a root cause (e.g. from a non-RCN-speaking peer in a
 /// partial deployment) fall back to plain per-update charging.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct RcnFilter {
     history: RootCauseHistory,
     policy: RcnChargePolicy,
 }
+
+rfd_sim::clone_fields!(impl Clone for RcnFilter { history, policy });
 
 impl RcnFilter {
     /// Creates a filter with the given history capacity and charge

@@ -79,13 +79,12 @@ pub fn heterogeneous_params_demo(pulses: usize, rcn: bool) -> HeterogeneousResul
         .count();
     let reused_at = |node: u32, peer: u32| {
         trace
-            .events()
             .iter()
-            .rev()
-            .find(|e| {
+            .filter(|e| {
                 matches!(e.kind, TraceEventKind::Reused { node: n, peer: p, .. }
                     if n == node && p == peer)
             })
+            .last()
             .map(|e| rel(e.at))
             .unwrap_or(0.0)
     };
@@ -130,7 +129,7 @@ pub fn prefix_interference(kind: TopologyKind, pulses: usize, seed: u64) -> Inte
     let report = net.run_schedules(&[(0, &pattern)], SimDuration::from_secs(100));
     let mut flapping_suppressed = 0;
     let mut stable_suppressed = 0;
-    for e in net.trace().events() {
+    for e in net.trace().iter() {
         if let TraceEventKind::Suppressed { prefix, .. } = e.kind {
             if prefix == flapping.id() {
                 flapping_suppressed += 1;

@@ -71,7 +71,7 @@ pub fn figure7_with(kind: TopologyKind, seed: u64, target_distance: usize) -> Fi
 
     // Collect samples per (node, peer) entry.
     let mut samples: HashMap<(u32, u32), Vec<PenaltyPoint>> = HashMap::new();
-    for e in trace.events() {
+    for e in trace.iter() {
         if let TraceEventKind::PenaltySample {
             node,
             peer,

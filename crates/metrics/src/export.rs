@@ -41,7 +41,7 @@ impl std::error::Error for ParseTraceError {}
 /// Serialises a trace to the line format.
 pub fn export_trace(trace: &Trace) -> String {
     let mut out = String::new();
-    for e in trace.events() {
+    for e in trace.iter() {
         let t = e.at.as_micros();
         match e.kind {
             TraceEventKind::OriginFlap { prefix, up } => {
@@ -269,7 +269,7 @@ pub fn parse_trace(text: &str) -> Result<Trace, ParseTraceError> {
         if parts.next().is_some() {
             return Err(err("trailing fields"));
         }
-        if trace.events().last().is_some_and(|last| at < last.at) {
+        if trace.last_at().is_some_and(|last| at < last) {
             return Err(err("timestamps must be non-decreasing"));
         }
         trace.record(at, event);
@@ -403,6 +403,21 @@ mod tests {
             let e = parse_trace(text).unwrap_err();
             assert!(e.reason.contains(needle), "{text:?} gave {e}");
         }
+    }
+
+    #[test]
+    fn a_line_back_in_time_is_an_error_not_a_panic() {
+        let e = parse_trace("10 flap 0 down\n10 sent 1 2 W\n9 recv 1 2 W\n").unwrap_err();
+        assert_eq!(e.line, 3);
+        assert!(e.reason.contains("non-decreasing"), "{e}");
+        // Beyond the packed header's gap field, and back again.
+        let far = 1u64 << 40;
+        let e = parse_trace(&format!(
+            "0 flap 0 down\n{far} flap 0 up\n{} recv 1 2 A\n",
+            far - 1
+        ))
+        .unwrap_err();
+        assert_eq!(e.line, 3);
     }
 
     #[test]

@@ -47,4 +47,4 @@ pub use sink::{
 };
 pub use states::{DampingState, StateClassifier, StateSpan};
 pub use stats::RunningStats;
-pub use trace::{PenaltyPoint, Trace};
+pub use trace::{PenaltyPoint, Trace, TraceIter};

@@ -1,42 +1,52 @@
-//! Property-based tests for the metrics crate: export round-trips,
-//! series invariants, and statistics.
+//! Property-based tests for the metrics crate: the packed trace codec,
+//! export round-trips, series invariants, and statistics.
 
 use proptest::prelude::*;
 use rfd_metrics::{
-    bin_events, export_trace, parse_trace, RunningStats, StepSeries, Trace, TraceEventKind,
+    bin_events, export_trace, parse_trace, RunningStats, StepSeries, Trace, TraceEvent,
+    TraceEventKind,
 };
 use rfd_sim::{SimDuration, SimTime};
 
-fn event_kind_strategy() -> impl Strategy<Value = TraceEventKind> {
+/// Every kind, with ids from `id` and penalty values from `f`.
+fn kind_strategy<I, F>(
+    id: impl Fn() -> I,
+    f: impl Fn() -> F,
+) -> impl Strategy<Value = TraceEventKind>
+where
+    I: Strategy<Value = u32> + 'static,
+    F: Strategy<Value = f64> + 'static,
+{
     prop_oneof![
-        (any::<bool>(), 0u32..4).prop_map(|(up, prefix)| TraceEventKind::OriginFlap { prefix, up }),
-        (0u32..20, 0u32..20, any::<bool>()).prop_filter_map("self link", |(a, b, up)| {
-            (a != b).then_some(TraceEventKind::LinkFlap { a, b, up })
-        }),
-        (0u32..20, 0u32..20, any::<bool>()).prop_map(|(from, to, withdrawal)| {
+        (id(), any::<bool>()).prop_map(|(prefix, up)| TraceEventKind::OriginFlap { prefix, up }),
+        (id(), id(), any::<bool>()).prop_map(|(a, b, up)| TraceEventKind::LinkFlap { a, b, up }),
+        (id(), id(), any::<bool>()).prop_map(|(from, to, withdrawal)| {
             TraceEventKind::UpdateSent {
                 from,
                 to,
                 withdrawal,
             }
         }),
-        (0u32..20, 0u32..20, any::<bool>()).prop_map(|(from, to, withdrawal)| {
+        (id(), id(), any::<bool>()).prop_map(|(from, to, withdrawal)| {
             TraceEventKind::UpdateReceived {
                 from,
                 to,
                 withdrawal,
             }
         }),
-        (0u32..20, any::<bool>(), 0u32..30).prop_map(|(node, unreachable, path_len)| {
+        (id(), any::<bool>(), id()).prop_map(|(node, unreachable, path_len)| {
             TraceEventKind::BestRouteChanged {
                 node,
                 unreachable,
-                path_len: if unreachable { 0 } else { path_len },
+                path_len,
             }
         }),
-        (0u32..20, 0u32..20, 0u32..4)
-            .prop_map(|(node, peer, prefix)| { TraceEventKind::Suppressed { node, peer, prefix } }),
-        (0u32..20, 0u32..20, 0u32..4, any::<bool>()).prop_map(|(node, peer, prefix, noisy)| {
+        (id(), id(), id()).prop_map(|(node, peer, prefix)| TraceEventKind::Suppressed {
+            node,
+            peer,
+            prefix
+        }),
+        (id(), id(), id(), any::<bool>()).prop_map(|(node, peer, prefix, noisy)| {
             TraceEventKind::Reused {
                 node,
                 peer,
@@ -44,25 +54,22 @@ fn event_kind_strategy() -> impl Strategy<Value = TraceEventKind> {
                 noisy,
             }
         }),
-        (
-            0u32..20,
-            0u32..20,
-            0u32..4,
-            0.0f64..12_000.0,
-            0.0f64..1000.0,
-            any::<bool>()
-        )
-            .prop_map(|(node, peer, prefix, value, charge, suppressed)| {
-                TraceEventKind::PenaltySample {
-                    node,
-                    peer,
-                    prefix,
-                    value,
-                    charge,
-                    suppressed,
-                }
-            }),
+        ((id(), id(), id()), f(), f(), any::<bool>()).prop_map(
+            |((node, peer, prefix), value, charge, suppressed)| TraceEventKind::PenaltySample {
+                node,
+                peer,
+                prefix,
+                value,
+                charge,
+                suppressed,
+            }
+        ),
     ]
+}
+
+/// Kinds the text format round-trips: small ids, finite penalties.
+fn event_kind_strategy() -> impl Strategy<Value = TraceEventKind> {
+    kind_strategy(|| 0u32..20, || 0.0f64..12_000.0)
 }
 
 fn trace_strategy() -> impl Strategy<Value = Trace> {
@@ -77,7 +84,113 @@ fn trace_strategy() -> impl Strategy<Value = Trace> {
     })
 }
 
+/// Any id: small, anywhere in `u32`, or the top value.
+fn id_strategy() -> impl Strategy<Value = u32> {
+    prop_oneof![0u32..20, any::<u32>(), Just(u32::MAX)]
+}
+
+/// Any penalty value: ordinary, any bit pattern (NaN payloads
+/// included), or one of the values that compare unlike their bits.
+fn f64_strategy() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        0.0f64..12_000.0,
+        any::<u64>().prop_map(f64::from_bits),
+        prop_oneof![
+            Just(f64::NAN),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            Just(-0.0),
+        ],
+    ]
+}
+
+/// Gaps between events: same-instant bursts, the edge of the header's
+/// 28-bit gap field, and gaps far beyond it.
+fn gap_strategy() -> impl Strategy<Value = u64> {
+    const ESCAPE: u64 = (1 << 28) - 1;
+    prop_oneof![0u64..1_000, ESCAPE - 2..ESCAPE + 3, 0u64..1 << 40]
+}
+
+/// Events as recorded: a start time (zero or anywhere in the lower
+/// half of the clock), then gaps.
+fn events_strategy() -> impl Strategy<Value = Vec<TraceEvent>> {
+    (
+        prop_oneof![Just(0u64), 0u64..u64::MAX / 2],
+        proptest::collection::vec(
+            (gap_strategy(), kind_strategy(id_strategy, f64_strategy)),
+            0..80,
+        ),
+    )
+        .prop_map(|(start, items)| {
+            let mut now = start;
+            items
+                .into_iter()
+                .map(|(gap, kind)| {
+                    now += gap;
+                    TraceEvent::new(SimTime::from_micros(now), kind)
+                })
+                .collect()
+        })
+}
+
+/// An event with its f64s as bits, so NaN payloads and −0.0 compare
+/// exactly.
+fn exact(e: &TraceEvent) -> (u64, TraceEventKind, [u64; 2]) {
+    match e.kind {
+        TraceEventKind::PenaltySample {
+            node,
+            peer,
+            prefix,
+            value,
+            charge,
+            suppressed,
+        } => (
+            e.at.as_micros(),
+            TraceEventKind::PenaltySample {
+                node,
+                peer,
+                prefix,
+                value: 0.0,
+                charge: 0.0,
+                suppressed,
+            },
+            [value.to_bits(), charge.to_bits()],
+        ),
+        kind => (e.at.as_micros(), kind, [0; 2]),
+    }
+}
+
 proptest! {
+    /// The packed stream decodes to exactly what was recorded, bit for
+    /// bit; `events()` agrees with `iter()` and a `record` after it
+    /// refreshes the view.
+    #[test]
+    fn packed_trace_decodes_bit_for_bit(events in events_strategy()) {
+        let want: Vec<_> = events.iter().map(exact).collect();
+        let mut trace = Trace::new();
+        let (last, head) = match events.split_last() {
+            Some((last, head)) => (Some(last), head),
+            None => (None, &events[..]),
+        };
+        for e in head {
+            trace.record(e.at, e.kind);
+        }
+        prop_assert_eq!(trace.events().len(), head.len());
+        if let Some(e) = last {
+            trace.record(e.at, e.kind);
+        }
+        prop_assert_eq!(trace.len(), events.len());
+        prop_assert_eq!(trace.iter().len(), events.len());
+        prop_assert_eq!(trace.last_at(), last.map(|e| e.at));
+        let decoded: Vec<_> = trace.iter().map(|e| exact(&e)).collect();
+        prop_assert_eq!(&decoded, &want);
+        let viewed: Vec<_> = trace.events().iter().map(exact).collect();
+        prop_assert_eq!(&viewed, &want);
+        let cloned = trace.clone();
+        let recloned: Vec<_> = cloned.iter().map(|e| exact(&e)).collect();
+        prop_assert_eq!(&recloned, &want);
+    }
+
     /// Export → parse reproduces every event exactly.
     #[test]
     fn export_round_trips(trace in trace_strategy()) {

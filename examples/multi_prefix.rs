@@ -41,7 +41,7 @@ fn main() {
     );
 
     let mut suppressed = [0usize; 2];
-    for e in net.trace().events() {
+    for e in net.trace().iter() {
         if let TraceEventKind::Suppressed { prefix, .. } = e.kind {
             if prefix == flapping.prefix.id() {
                 suppressed[0] += 1;

@@ -99,6 +99,11 @@ fn run_and_trace_stats_round_trip() {
     assert!(text.contains("converged"));
     assert!(text.contains("states:"));
     assert!(text.contains("charging"));
+    // The exported bytes of this run (1,574 events), pinned when the
+    // trace was a `Vec<TraceEvent>`: the packed stream must export
+    // exactly what the unpacked one did.
+    let exported = std::fs::read(&trace_path).unwrap();
+    assert_eq!(rfd_snap::fnv1a(&exported), 0xb335_9290_375d_5dbe);
 
     let stats = run_ok(&["trace-stats", trace_str]);
     assert!(stats.contains("events"));
