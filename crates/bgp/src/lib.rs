@@ -44,7 +44,9 @@ pub use config::{ConfigError, DampingDeployment, NetworkConfig, PenaltyFilter, P
 pub use intern::{InternStats, PathId, PathTable, Route};
 pub use message::{Prefix, UpdateMessage, UpdatePayload};
 pub use network::snapshot::{self, Snapshot, SnapshotError, SnapshotKey};
-pub use network::{NetEvent, Network, OriginAttachment, PulseChain, RunReport, EVENT_BUDGET};
+pub use network::{
+    NetEvent, Network, OriginAttachment, PulseChain, RunReport, EVENT_BUDGET, LEAD_IN,
+};
 pub use policy::Policy;
 pub use rib::{BestRoute, RibInEntry};
 pub use router::{Router, RouterConfig, RouterOutput};

@@ -66,6 +66,10 @@ pub mod snapshot;
 /// pulses can never finish.
 pub const EVENT_BUDGET: u64 = 500_000_000;
 
+/// The gap between the end of the warm-up and the first withdrawal of
+/// every workload.
+pub const LEAD_IN: SimDuration = SimDuration::from_secs(100);
+
 /// Events on the network's queue.
 #[derive(Debug, Clone, Copy)]
 pub enum NetEvent {
@@ -1029,10 +1033,7 @@ impl<S: TraceSink> Network<S> {
         if !self.warmed_up {
             self.warm_up();
         }
-        self.run_pulses(
-            FlapPattern::paper_default(pulses),
-            SimDuration::from_secs(100),
-        )
+        self.run_pulses(FlapPattern::paper_default(pulses), LEAD_IN)
     }
 }
 
@@ -1207,7 +1208,7 @@ mod tests {
         let mut net = Network::new(&g, isp, NetworkConfig::paper_full_damping(5));
         net.warm_up();
 
-        let two = net.run_pulses(FlapPattern::paper_default(2), SimDuration::from_secs(100));
+        let two = net.run_pulses(FlapPattern::paper_default(2), LEAD_IN);
         assert_eq!(two.outcome, RunOutcome::Quiescent);
         assert_eq!(
             net.trace().ever_suppressed_entries(),
@@ -1217,12 +1218,11 @@ mod tests {
 
         let mut net = Network::new(&g, isp, NetworkConfig::paper_full_damping(5));
         net.warm_up();
-        let three = net.run_pulses(FlapPattern::paper_default(3), SimDuration::from_secs(100));
+        let three = net.run_pulses(FlapPattern::paper_default(3), LEAD_IN);
         assert_eq!(three.outcome, RunOutcome::Quiescent);
         let origin = net.origin();
         let entry_suppressions: Vec<_> = net
             .trace()
-            .events()
             .iter()
             .filter(|e| {
                 matches!(
@@ -1330,18 +1330,17 @@ mod tests {
     fn an_event_exactly_at_the_horizon_runs() {
         let g = mesh_torus(3, 3);
         let cfg = NetworkConfig::paper_full_damping(5);
-        let lead_in = SimDuration::from_secs(100);
         let flap = {
             let mut net = Network::new(&g, NodeId::new(2), cfg.clone());
             net.warm_up();
-            net.now().since(SimTime::ZERO) + lead_in
+            net.now().since(SimTime::ZERO) + LEAD_IN
         };
         for (horizon, ran) in [(flap, 1), (flap - SimDuration::from_micros(1), 0)] {
             let mut cfg = cfg.clone();
             cfg.horizon = horizon;
             let mut net = Network::new(&g, NodeId::new(2), cfg);
             net.warm_up();
-            let report = net.run_pulses(FlapPattern::paper_default(1), lead_in);
+            let report = net.run_pulses(FlapPattern::paper_default(1), LEAD_IN);
             assert_eq!(report.outcome, RunOutcome::HorizonReached);
             assert_eq!(report.events_processed, ran, "horizon {horizon}");
         }
@@ -1385,15 +1384,9 @@ mod tests {
         );
         assert_eq!(report.outcome, RunOutcome::Quiescent);
         // Sent == received + dropped.
-        let sent = net
-            .trace()
-            .events()
-            .iter()
-            .filter(|e| e.is_update_sent())
-            .count() as u64;
+        let sent = net.trace().iter().filter(|e| e.is_update_sent()).count() as u64;
         let received = net
             .trace()
-            .events()
             .iter()
             .filter(|e| e.is_update_received())
             .count() as u64;
@@ -1407,7 +1400,6 @@ mod tests {
         let g = mesh_torus(4, 4);
         let (isp, a, b) = (NodeId::new(2), NodeId::new(5), NodeId::new(6));
         let pattern = FlapPattern::paper_default(3);
-        let lead_in = SimDuration::from_secs(100);
         let cfg = NetworkConfig::paper_full_damping(11);
         let run = |horizon| {
             let mut cfg = cfg.clone();
@@ -1415,7 +1407,7 @@ mod tests {
             let mut net = Network::new(&g, isp, cfg);
             net.warm_up();
             let (warm, warm_end) = (net.events_processed(), net.now().since(SimTime::ZERO));
-            let report = net.run_link_schedule(a, b, pattern, lead_in);
+            let report = net.run_link_schedule(a, b, pattern, LEAD_IN);
             assert_eq!(report.events_processed, net.events_processed() - warm);
             (report, warm_end)
         };
@@ -1434,7 +1426,6 @@ mod tests {
     fn pulse_chain_forks_stop_where_fresh_runs_exhaust_the_budget() {
         let g = mesh_torus(4, 4);
         let interval = FlapPattern::DEFAULT_INTERVAL;
-        let lead_in = SimDuration::from_secs(100);
         let warmed = |budget: u64| {
             let mut net = Network::new(&g, NodeId::new(5), NetworkConfig::paper_full_damping(7));
             net.warm_up();
@@ -1443,8 +1434,8 @@ mod tests {
         };
         let fresh = |budget: u64, pulses: usize| {
             let mut net = warmed(budget);
-            let report = net.run_pulses(FlapPattern::new(pulses, interval), lead_in);
-            (report, net.trace().events().to_vec())
+            let report = net.run_pulses(FlapPattern::new(pulses, interval), LEAD_IN);
+            (report, net.trace().iter().collect::<Vec<_>>())
         };
         let uncut = fresh(EVENT_BUDGET, 5).0;
         assert_eq!(uncut.outcome, RunOutcome::Quiescent);
@@ -1453,13 +1444,13 @@ mod tests {
             uncut.events_processed / 4,
             uncut.events_processed * 3 / 4,
         ] {
-            let mut chain = PulseChain::new(warmed(budget), interval, lead_in);
+            let mut chain = PulseChain::new(warmed(budget), interval, LEAD_IN);
             let mut stopped = 0;
             for pulses in [0, 1, 3, 5] {
                 let (report, sink) = chain.run(pulses);
                 stopped += usize::from(report.outcome == RunOutcome::BudgetExhausted);
                 assert_eq!(
-                    (report, sink.events().to_vec()),
+                    (report, sink.iter().collect::<Vec<_>>()),
                     fresh(budget, pulses),
                     "budget {budget}, {pulses} pulses"
                 );
@@ -1476,10 +1467,7 @@ mod tests {
             let mut net = Network::new(&line(2), NodeId::new(1), small_cfg(6));
             net.warm_up();
             let pattern = FlapPattern::new(pulses, SimDuration::from_secs(1));
-            net.start_measured(
-                SimDuration::from_secs(100),
-                [(FlapLink::Origin(0), pattern)],
-            );
+            net.start_measured(LEAD_IN, [(FlapLink::Origin(0), pattern)]);
             let mut queued = Vec::new();
             while net.prime_next_pulse() {
                 queued.push(net.state.queue.len());
@@ -1523,12 +1511,11 @@ mod tests {
             assert!(net.router(id).best_for(pfx1).is_some());
         }
         let pattern = FlapPattern::paper_default(3);
-        let report = net.run_schedules(&[(0, &pattern)], SimDuration::from_secs(100));
+        let report = net.run_schedules(&[(0, &pattern)], LEAD_IN);
         assert_eq!(report.outcome, RunOutcome::Quiescent);
         // Damping engaged for prefix 0 only.
         let trace = net.trace();
         let suppressed_pfx: std::collections::BTreeSet<u32> = trace
-            .events()
             .iter()
             .filter_map(|e| match e.kind {
                 rfd_metrics::TraceEventKind::Suppressed { prefix, .. } => Some(prefix),
@@ -1555,7 +1542,7 @@ mod tests {
         net.warm_up();
         let s0 = FlapPattern::paper_default(2);
         let s1 = FlapPattern::paper_default(4);
-        let report = net.run_schedules(&[(0, &s0), (1, &s1)], SimDuration::from_secs(100));
+        let report = net.run_schedules(&[(0, &s0), (1, &s1)], LEAD_IN);
         assert_eq!(report.outcome, RunOutcome::Quiescent);
         assert!(report.message_count > 0);
         // Full recovery for both prefixes.
@@ -1586,7 +1573,7 @@ mod tests {
             origin.raw(),
             Prefix::ORIGIN.id(),
         )]));
-        let report = net.run_pulses(FlapPattern::paper_default(3), SimDuration::from_secs(100));
+        let report = net.run_pulses(FlapPattern::paper_default(3), LEAD_IN);
         assert_eq!(report, plain_report);
 
         let records = net.take_ledger();
@@ -1621,7 +1608,7 @@ mod tests {
             net.state.ledger.is_empty(),
             "warm-up must not reach the ledger"
         );
-        net.run_pulses(FlapPattern::paper_default(1), SimDuration::from_secs(100));
+        net.run_pulses(FlapPattern::paper_default(1), LEAD_IN);
         assert!(
             !net.take_ledger().is_empty(),
             "the measured phase buffers records"
@@ -1645,9 +1632,9 @@ mod tests {
             if audit {
                 net.set_ledger(rfd_core::LedgerFilter::all());
             }
-            let report = net.run_pulses(FlapPattern::paper_default(4), SimDuration::from_secs(100));
+            let report = net.run_pulses(FlapPattern::paper_default(4), LEAD_IN);
             let records = net.take_ledger().len();
-            (report, net.trace().events().to_vec(), records)
+            (report, net.trace().iter().collect::<Vec<_>>(), records)
         };
         let (plain_report, plain_trace, none) = run(false);
         let (report, trace, records) = run(true);
@@ -1665,7 +1652,7 @@ mod tests {
         let mut net = Network::new(&g, NodeId::new(2), cfg);
         net.warm_up();
         net.set_ledger(rfd_core::LedgerFilter::all());
-        net.run_pulses(FlapPattern::paper_default(1), SimDuration::from_secs(100));
+        net.run_pulses(FlapPattern::paper_default(1), LEAD_IN);
         assert!(matches!(
             crate::Snapshot::capture(&net, key),
             Err(crate::SnapshotError::UnsupportedSink(_))

@@ -2,9 +2,9 @@
 //! hold the per-(peer, prefix) RIB storage and the decision process to
 //! the exact output of a 16-origin run with two flapping prefixes.
 
-use rfd_bgp::{Network, NetworkConfig, Policy};
+use rfd_bgp::{Network, NetworkConfig, Policy, LEAD_IN};
 use rfd_core::FlapPattern;
-use rfd_sim::{RunOutcome, SimDuration};
+use rfd_sim::RunOutcome;
 use rfd_topology::{internet_like, NodeId, Relationships};
 
 /// Runs 16 origins on `internet_like(60, 2, 5)` with prefixes 0 and 1
@@ -16,7 +16,7 @@ fn pins(config: impl FnOnce(&rfd_topology::Graph) -> NetworkConfig) -> (u64, usi
     let mut net = Network::new_multi(&graph, &isps, config(&graph));
     net.warm_up();
     let flaps = FlapPattern::paper_default(3);
-    let report = net.run_schedules(&[(0, &flaps), (1, &flaps)], SimDuration::from_secs(100));
+    let report = net.run_schedules(&[(0, &flaps), (1, &flaps)], LEAD_IN);
     assert_eq!(report.outcome, RunOutcome::Quiescent);
     let trace = rfd_snap::fnv1a(rfd_metrics::export_trace(net.trace()).as_bytes());
     (report.events_processed, report.message_count, trace)

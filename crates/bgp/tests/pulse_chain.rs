@@ -7,13 +7,11 @@
 //! with repeated counts (unit tests in `network.rs` add event budgets).
 
 use proptest::prelude::*;
-use rfd_bgp::{Network, NetworkConfig, PenaltyFilter, Policy, PulseChain, RunReport};
+use rfd_bgp::{Network, NetworkConfig, PenaltyFilter, Policy, PulseChain, RunReport, LEAD_IN};
 use rfd_core::FlapPattern;
 use rfd_metrics::TraceEvent;
 use rfd_sim::{SimDuration, SimTime};
 use rfd_topology::{internet_like, mesh_torus, Graph, NodeId, Relationships};
-
-const LEAD_IN: SimDuration = SimDuration::from_secs(100);
 
 /// The protocol variants of the paper's sweeps and knob studies.
 const VARIANTS: [&str; 7] = [
@@ -117,7 +115,7 @@ impl Case {
     fn fresh(&self, pulses: usize) -> (RunReport, Vec<TraceEvent>) {
         let mut network = self.network();
         let report = network.run_pulses(FlapPattern::new(pulses, self.interval), LEAD_IN);
-        (report, network.trace().events().to_vec())
+        (report, network.trace().iter().collect::<Vec<_>>())
     }
 }
 
@@ -134,9 +132,9 @@ proptest! {
             let (fresh_report, fresh_trace) = case.fresh(n);
             prop_assert_eq!(&report, &fresh_report, "n={} in {:?}", n, case.pulses);
             prop_assert!(
-                trace.events() == fresh_trace.as_slice(),
+                trace.iter().eq(fresh_trace.iter().copied()),
                 "n={n}: the fork's trace differs from the fresh run's ({} vs {} events)",
-                trace.events().len(),
+                trace.len(),
                 fresh_trace.len()
             );
         }
@@ -151,10 +149,10 @@ fn the_same_count_twice_forks_the_same_run() {
     network.warm_up();
     let mut chain = PulseChain::new(network, FlapPattern::DEFAULT_INTERVAL, LEAD_IN);
     let (report, trace) = chain.run(3);
-    let first = (report, trace.events().to_vec());
+    let first = (report, trace.iter().collect::<Vec<_>>());
     assert!(first.0.message_count > 0 && trace.ever_suppressed_entries() > 0);
     let (report, trace) = chain.run(3);
-    assert_eq!((report, trace.events().to_vec()), first);
+    assert_eq!((report, trace.iter().collect::<Vec<_>>()), first);
 }
 
 /// A chain asked for fewer pulses than it already injected refuses.

@@ -15,7 +15,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
-use rfd_bgp::{snapshot, Network, NetworkConfig, Policy, Snapshot, SnapshotError};
+use rfd_bgp::{snapshot, Network, NetworkConfig, Policy, Snapshot, SnapshotError, LEAD_IN};
 use rfd_core::FlapPattern;
 use rfd_metrics::TraceEvent;
 use rfd_sim::{RunOutcome, SimDuration, SimTime};
@@ -33,8 +33,6 @@ fn scratch(tag: &str) -> PathBuf {
         std::process::id()
     ))
 }
-
-const LEAD_IN: SimDuration = SimDuration::from_secs(100);
 
 #[derive(Debug, Clone, Copy)]
 enum Topo {
@@ -91,7 +89,7 @@ fn run_workload(mut net: Network, pattern: FlapPattern) -> Observed {
         outcome: report.outcome,
         dropped: net.dropped_messages(),
         windows: net.windows(),
-        trace: net.trace().events().to_vec(),
+        trace: net.trace().iter().collect::<Vec<_>>(),
     }
 }
 

@@ -8,7 +8,7 @@
 //!   announcement;
 //! * **partial deployment** — damping enabled on a fraction of routers.
 
-use rfd_bgp::{DampingDeployment, Network, NetworkConfig, PenaltyFilter};
+use rfd_bgp::{DampingDeployment, Network, NetworkConfig, PenaltyFilter, LEAD_IN};
 use rfd_core::{DampingParams, FlapPattern};
 use rfd_metrics::TraceEventKind;
 use rfd_sim::SimDuration;
@@ -61,10 +61,7 @@ pub fn heterogeneous_params_demo(pulses: usize, rcn: bool) -> HeterogeneousResul
     let isp = NodeId::new(3);
     let mut network = Network::new(&base, isp, config);
     network.warm_up();
-    let report = network.run_pulses(
-        FlapPattern::paper_default(pulses),
-        SimDuration::from_secs(100),
-    );
+    let report = network.run_pulses(FlapPattern::paper_default(pulses), LEAD_IN);
     let trace = network.trace();
     let start = trace.first_flap_at().expect("flaps injected");
     let stop = trace.final_announcement_at().expect("flaps end");
@@ -126,7 +123,7 @@ pub fn prefix_interference(kind: TopologyKind, pulses: usize, seed: u64) -> Inte
     let flapping = net.origins()[0].prefix;
     let stable = net.origins()[1].prefix;
     let pattern = FlapPattern::paper_default(pulses);
-    let report = net.run_schedules(&[(0, &pattern)], SimDuration::from_secs(100));
+    let report = net.run_schedules(&[(0, &pattern)], LEAD_IN);
     let mut flapping_suppressed = 0;
     let mut stable_suppressed = 0;
     for e in net.trace().iter() {

@@ -4,12 +4,16 @@
 //! Internet-derived topologies. … Given a network topology, we randomly
 //! select a node to be the ispAS and attach an originAS to it."
 
-use rfd_bgp::{Network, NetworkConfig, PulseChain, RunReport};
+use rfd_bgp::{Network, NetworkConfig, PulseChain, RunReport, LEAD_IN};
 use rfd_metrics::{SuppressionStats, TraceSink};
 use rfd_sim::{DetRng, RunOutcome, SimDuration};
-use rfd_topology::{internet_like, mesh_torus, Graph, NodeId, Relationships};
+use rfd_topology::{clique, internet_like, line, mesh_torus, ring, Graph, NodeId, Relationships};
 
-/// Which topology family an experiment runs on.
+use crate::args::CliError;
+
+/// A topology an experiment runs on: one of the paper's two families,
+/// or one of the small graphs `rfd run` also takes. The command line
+/// names one as `KIND:SIZE` ([`TopologyKind::parse`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TopologyKind {
     /// A `width × height` torus ("mesh"); the paper uses 10×10.
@@ -26,6 +30,21 @@ pub enum TopologyKind {
         nodes: usize,
         /// Attachment degree.
         m: usize,
+    },
+    /// A cycle of `nodes` nodes.
+    Ring {
+        /// Number of nodes.
+        nodes: usize,
+    },
+    /// A path of `nodes` nodes.
+    Line {
+        /// Number of nodes.
+        nodes: usize,
+    },
+    /// A complete graph on `nodes` nodes.
+    Clique {
+        /// Number of nodes.
+        nodes: usize,
     },
 }
 
@@ -53,11 +72,91 @@ impl TopologyKind {
         }
     }
 
+    /// Parses a `KIND:SIZE` spec: `mesh:WxH` (alias `torus`),
+    /// `internet:N` (alias `ba`, attachment degree 2), `ring:N`,
+    /// `line:N` or `clique:N`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a human-readable message on malformed specs and on sizes
+    /// the generator cannot build: a mesh needs W, H >= 1, an Internet
+    /// graph N >= 3 (it attaches each new node to 2 earlier ones), a
+    /// ring N >= 3, a line or clique N >= 1; and no graph may hold more
+    /// nodes (W × H for a mesh) than a `NodeId` addresses, `u32::MAX`.
+    pub fn parse(spec: &str) -> Result<Self, CliError> {
+        let (kind, size) = spec
+            .split_once(':')
+            .ok_or_else(|| CliError(format!("topology must look like kind:size, got `{spec}`")))?;
+        let parse_n = |s: &str| {
+            s.parse::<usize>()
+                .map_err(|_| CliError(format!("bad size `{s}` in `{spec}`")))
+        };
+        let parsed = match kind {
+            // `torus` is an alias for `mesh` (the paper's mesh *is* a
+            // torus), `ba` for `internet` (Barabási–Albert).
+            "mesh" | "torus" => {
+                let (w, h) = size
+                    .split_once('x')
+                    .ok_or_else(|| CliError(format!("{kind} needs WxH, got `{size}`")))?;
+                TopologyKind::Mesh {
+                    width: parse_n(w)?,
+                    height: parse_n(h)?,
+                }
+            }
+            "internet" | "ba" => TopologyKind::Internet {
+                nodes: parse_n(size)?,
+                m: 2,
+            },
+            "ring" => TopologyKind::Ring {
+                nodes: parse_n(size)?,
+            },
+            "line" => TopologyKind::Line {
+                nodes: parse_n(size)?,
+            },
+            "clique" => TopologyKind::Clique {
+                nodes: parse_n(size)?,
+            },
+            other => {
+                return Err(CliError(format!(
+                    "unknown topology kind `{other}` (mesh|torus|internet|ba|ring|line|clique)"
+                )))
+            }
+        };
+        let (buildable, least, nodes) = match parsed {
+            TopologyKind::Mesh { width, height } => (
+                width >= 1 && height >= 1,
+                "W, H >= 1",
+                width.checked_mul(height),
+            ),
+            TopologyKind::Internet { nodes, .. } | TopologyKind::Ring { nodes } => {
+                (nodes >= 3, "N >= 3", Some(nodes))
+            }
+            TopologyKind::Line { nodes } | TopologyKind::Clique { nodes } => {
+                (nodes >= 1, "N >= 1", Some(nodes))
+            }
+        };
+        if !buildable {
+            return Err(CliError(format!(
+                "topology `{spec}` is too small: {kind} needs {least}"
+            )));
+        }
+        if nodes.is_none_or(|n| n > u32::MAX as usize) {
+            return Err(CliError(format!(
+                "topology `{spec}` is too large: at most {} nodes",
+                u32::MAX
+            )));
+        }
+        Ok(parsed)
+    }
+
     /// Builds the graph (Internet graphs are wired from `seed`).
     pub fn build(&self, seed: u64) -> Graph {
         match *self {
             TopologyKind::Mesh { width, height } => mesh_torus(width, height),
             TopologyKind::Internet { nodes, m } => internet_like(nodes, m, seed),
+            TopologyKind::Ring { nodes } => ring(nodes),
+            TopologyKind::Line { nodes } => line(nodes),
+            TopologyKind::Clique { nodes } => clique(nodes),
         }
     }
 
@@ -66,6 +165,9 @@ impl TopologyKind {
         match *self {
             TopologyKind::Mesh { width, height } => format!("mesh {}x{}", width, height),
             TopologyKind::Internet { nodes, .. } => format!("Internet {nodes}"),
+            TopologyKind::Ring { nodes } => format!("ring {nodes}"),
+            TopologyKind::Line { nodes } => format!("line {nodes}"),
+            TopologyKind::Clique { nodes } => format!("clique {nodes}"),
         }
     }
 }
@@ -97,10 +199,6 @@ pub fn run_workload(
     let report = network.run_pulses(rfd_core::FlapPattern::paper_default(pulses), LEAD_IN);
     (report, network)
 }
-
-/// The gap between the end of the warm-up and the first withdrawal of
-/// every workload.
-pub const LEAD_IN: SimDuration = SimDuration::from_secs(100);
 
 /// Builds and warms up the network of one sweep chain — a series'
 /// topology, configuration and flap interval at one seed — and starts

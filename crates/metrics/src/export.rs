@@ -374,7 +374,7 @@ mod tests {
         let text = export_trace(&original);
         let parsed = parse_trace(&text).unwrap();
         assert_eq!(parsed.len(), original.len());
-        for (a, b) in original.events().iter().zip(parsed.events()) {
+        for (a, b) in original.iter().zip(parsed.iter()) {
             assert_eq!(a, b);
         }
     }

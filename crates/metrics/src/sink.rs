@@ -726,7 +726,7 @@ mod tests {
         let trace = feed(&events, &mut vec_sink);
         feed(&events, &mut null);
         assert_eq!(vec_sink.retained_events(), events.len());
-        assert_eq!(vec_sink.events(), trace.events());
+        assert!(vec_sink.iter().eq(trace.iter()));
         assert_eq!(null.retained_events(), 0);
         assert_eq!(null.seen(), events.len() as u64);
     }

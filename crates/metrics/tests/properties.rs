@@ -197,7 +197,7 @@ proptest! {
         let text = export_trace(&trace);
         let parsed = parse_trace(&text).expect("own output parses");
         prop_assert_eq!(trace.len(), parsed.len());
-        for (a, b) in trace.events().iter().zip(parsed.events()) {
+        for (a, b) in trace.iter().zip(parsed.iter()) {
             prop_assert_eq!(a.at, b.at);
             prop_assert_eq!(&a.kind, &b.kind);
         }

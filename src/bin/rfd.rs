@@ -4,16 +4,17 @@
 
 use std::process::ExitCode;
 
-use route_flap_damping::bgp::{Network, RunReport};
+use route_flap_damping::bgp::RunReport;
 use route_flap_damping::cli::{
-    check_finished, network_config, parse_explain_command, parse_figure_command,
-    parse_firehose_command, parse_intended_command, parse_run_options, parse_sweep_command,
-    parse_topology_command, resolve_isp, usage, CliError, ReportFormat,
+    parse_explain_command, parse_figure_command, parse_firehose_command, parse_intended_command,
+    parse_run_options, parse_sweep_command, parse_topology_command, usage, CliError, ReportFormat,
+    RunPlan,
 };
 use route_flap_damping::damping::{intended_behavior, FlapPattern};
 use route_flap_damping::experiments::output::{chaos_from_env, obs_begin};
-use route_flap_damping::experiments::scenarios::LEAD_IN;
-use route_flap_damping::metrics::{export_trace, StateClassifier, StateSpan, Trace};
+use route_flap_damping::metrics::{
+    export_trace, StateClassifier, StateSpan, SuppressionStats, Trace,
+};
 use route_flap_damping::sim::SimDuration;
 use route_flap_damping::topology::to_edge_list;
 use route_flap_damping::{explain, figure};
@@ -64,15 +65,13 @@ type CmdResult = Result<(), Box<dyn std::error::Error>>;
 
 fn cmd_run(args: &[String]) -> CmdResult {
     let opts = parse_run_options(args)?;
-    let graph = opts.topology.build(opts.seed);
-    let isp = resolve_isp(&opts, &graph)?;
-    let config = network_config(&opts, &graph);
-    let horizon = config.horizon;
+    let plan = RunPlan::new(&opts)?;
     let _obs = obs_begin(&opts.obs, "run");
     println!(
-        "topology {} nodes / {} links, ISP {isp}, {} pulses at {:.0} s, damping {}",
-        graph.node_count(),
-        graph.link_count(),
+        "topology {} nodes / {} links, ISP {}, {} pulses at {:.0} s, damping {}",
+        plan.graph.node_count(),
+        plan.graph.link_count(),
+        plan.isp,
         opts.pulses,
         opts.interval.as_secs_f64(),
         match (&opts.damping, opts.filter) {
@@ -80,7 +79,6 @@ fn cmd_run(args: &[String]) -> CmdResult {
             (Some(_), f) => format!("on ({f:?})"),
         },
     );
-    let pattern = FlapPattern::new(opts.pulses, opts.interval);
     let summary = |report: &RunReport,
                    suppressed: usize,
                    (noisy, silent): (usize, usize),
@@ -98,15 +96,7 @@ fn cmd_run(args: &[String]) -> CmdResult {
     // (state spans, `--trace`) actually scans it; a plain run streams
     // into an O(1)-space aggregate sink.
     if opts.trace_out.is_none() && !opts.states {
-        let mut net = Network::new_with_sink(
-            &graph,
-            isp,
-            config,
-            route_flap_damping::metrics::SuppressionStats::new(),
-        );
-        net.warm_up();
-        let report = net.run_pulses(pattern, LEAD_IN);
-        check_finished(&report, horizon)?;
+        let (report, net, ()) = plan.execute(SuppressionStats::new(), |_| Ok(()))?;
         let stats = net.into_sink();
         summary(
             &report,
@@ -116,27 +106,22 @@ fn cmd_run(args: &[String]) -> CmdResult {
         );
         return Ok(());
     }
-    let mut net = Network::new(&graph, isp, config);
-    net.warm_up();
-    let report = net.run_pulses(pattern, LEAD_IN);
-    check_finished(&report, horizon)?;
+    let (report, net, ()) = plan.execute(Trace::new(), |_| Ok(()))?;
+    let trace = net.into_sink();
     summary(
         &report,
-        net.trace().ever_suppressed_entries(),
-        net.trace().reuse_counts(),
-        net.trace().peak_penalty(),
+        trace.ever_suppressed_entries(),
+        trace.reuse_counts(),
+        trace.peak_penalty(),
     );
     if opts.states {
         println!();
-        print_states(
-            net.trace(),
-            &StateClassifier::default().classify(net.trace()),
-        );
+        print_states(&trace, &StateClassifier::default().classify(&trace));
     }
     if let Some(path) = &opts.trace_out {
-        std::fs::write(path, export_trace(net.trace()))
+        std::fs::write(path, export_trace(&trace))
             .map_err(|e| format!("cannot write trace file {path}: {e}"))?;
-        println!("trace written to {path} ({} events)", net.trace().len());
+        println!("trace written to {path} ({} events)", trace.len());
     }
     Ok(())
 }

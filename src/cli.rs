@@ -9,109 +9,26 @@
 use std::path::PathBuf;
 
 use rfd_bgp::{
-    DampingDeployment, NetworkConfig, PenaltyFilter, Policy, ProtocolOptions, RunReport,
-    EVENT_BUDGET,
+    DampingDeployment, Network, NetworkConfig, PenaltyFilter, Policy, ProtocolOptions, RunReport,
+    EVENT_BUDGET, LEAD_IN,
 };
 use rfd_core::{DampingParams, FlapPattern};
 use rfd_experiments::args::{self, render_usage, Flag, Parsed, Table};
 use rfd_experiments::output::{exec_flags, obs, Exec, EXEC, OBS};
-use rfd_experiments::scenarios::{infer_relationships, TopologyKind, LEAD_IN};
-use rfd_experiments::{pick_isp, SweepOptions};
+use rfd_experiments::scenarios::infer_relationships;
+use rfd_experiments::{pick_isp, SweepOptions, TopologyKind};
+use rfd_metrics::TraceSink;
 use rfd_sim::{RunOutcome, SimDuration};
 use rfd_topology::{Graph, NodeId};
 
 use crate::figure::{self, SweepFigure};
 pub use rfd_experiments::args::CliError;
 
-/// A parsed topology specification, e.g. `mesh:10x10`, `internet:100`,
-/// `ring:8`, `line:5`, `clique:6`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TopologySpec {
-    /// `mesh:WxH`
-    Mesh(usize, usize),
-    /// `internet:N`
-    Internet(usize),
-    /// `ring:N`
-    Ring(usize),
-    /// `line:N`
-    Line(usize),
-    /// `clique:N`
-    Clique(usize),
-}
-
-impl TopologySpec {
-    /// Parses a spec string.
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable message on malformed specs and on sizes
-    /// the generator cannot build: a mesh needs W, H >= 1, an Internet
-    /// graph N >= 3 (it attaches each new node to 2 earlier ones), a
-    /// ring N >= 3, a line or clique N >= 1; and no graph may hold more
-    /// nodes (W × H for a mesh) than a `NodeId` addresses, `u32::MAX`.
-    pub fn parse(spec: &str) -> Result<Self, CliError> {
-        let (kind, size) = spec
-            .split_once(':')
-            .ok_or_else(|| CliError(format!("topology must look like kind:size, got `{spec}`")))?;
-        let parse_n = |s: &str| {
-            s.parse::<usize>()
-                .map_err(|_| CliError(format!("bad size `{s}` in `{spec}`")))
-        };
-        let parsed = match kind {
-            // `torus` is an alias for `mesh` (the paper's mesh *is* a
-            // torus), `ba` for `internet` (Barabási–Albert).
-            "mesh" | "torus" => {
-                let (w, h) = size
-                    .split_once('x')
-                    .ok_or_else(|| CliError(format!("{kind} needs WxH, got `{size}`")))?;
-                TopologySpec::Mesh(parse_n(w)?, parse_n(h)?)
-            }
-            "internet" | "ba" => TopologySpec::Internet(parse_n(size)?),
-            "ring" => TopologySpec::Ring(parse_n(size)?),
-            "line" => TopologySpec::Line(parse_n(size)?),
-            "clique" => TopologySpec::Clique(parse_n(size)?),
-            other => {
-                return Err(CliError(format!(
-                    "unknown topology kind `{other}` (mesh|torus|internet|ba|ring|line|clique)"
-                )))
-            }
-        };
-        let (buildable, least, nodes) = match parsed {
-            TopologySpec::Mesh(w, h) => (w >= 1 && h >= 1, "W, H >= 1", w.checked_mul(h)),
-            TopologySpec::Internet(n) | TopologySpec::Ring(n) => (n >= 3, "N >= 3", Some(n)),
-            TopologySpec::Line(n) | TopologySpec::Clique(n) => (n >= 1, "N >= 1", Some(n)),
-        };
-        if !buildable {
-            return Err(CliError(format!(
-                "topology `{spec}` is too small: {kind} needs {least}"
-            )));
-        }
-        if nodes.is_none_or(|n| n > u32::MAX as usize) {
-            return Err(CliError(format!(
-                "topology `{spec}` is too large: at most {} nodes",
-                u32::MAX
-            )));
-        }
-        Ok(parsed)
-    }
-
-    /// Builds the graph (Internet graphs use `seed`).
-    pub fn build(self, seed: u64) -> Graph {
-        match self {
-            TopologySpec::Mesh(w, h) => rfd_topology::mesh_torus(w, h),
-            TopologySpec::Internet(n) => rfd_topology::internet_like(n, 2, seed),
-            TopologySpec::Ring(n) => rfd_topology::ring(n),
-            TopologySpec::Line(n) => rfd_topology::line(n),
-            TopologySpec::Clique(n) => rfd_topology::clique(n),
-        }
-    }
-}
-
 /// Options for `rfd run`.
 #[derive(Debug, Clone)]
 pub struct RunOptions {
     /// Topology to simulate on.
-    pub topology: TopologySpec,
+    pub topology: TopologyKind,
     /// ISP node (None = seeded random pick).
     pub isp: Option<u32>,
     /// Number of pulses.
@@ -194,21 +111,6 @@ fn check_pulses(flag: &str, pulses: usize, interval: SimDuration) -> Result<usiz
     )))
 }
 
-/// Refuses a run the horizon or the event budget stopped before
-/// quiescence: its convergence time and message count would describe a
-/// workload that never finished.
-pub fn check_finished(report: &RunReport, horizon: SimDuration) -> Result<(), String> {
-    match report.outcome {
-        RunOutcome::Quiescent => Ok(()),
-        outcome => Err(format!(
-            "the run stopped early ({outcome:?}, horizon {:.0} s) after {} events; \
-             it has no convergence time",
-            horizon.as_secs_f64(),
-            report.events_processed
-        )),
-    }
-}
-
 /// Parses the arguments of `rfd run` (everything after the subcommand)
 /// against [`RUN`]; the [`CliError`] names the offending flag.
 pub fn parse_run_options(args: &[String]) -> Result<RunOptions, CliError> {
@@ -225,8 +127,8 @@ fn run_options(p: &Parsed<'_>) -> Result<RunOptions, CliError> {
     ];
     let opts = RunOptions {
         topology: match p.get("--topology") {
-            Some(spec) => TopologySpec::parse(spec)?,
-            None => TopologySpec::Mesh(10, 10),
+            Some(spec) => TopologyKind::parse(spec)?,
+            None => TopologyKind::PAPER_MESH,
         },
         isp: p.parse("--isp")?,
         pulses: p.parse("--pulses")?.unwrap_or(1),
@@ -314,13 +216,12 @@ pub struct SweepCommand {
     pub obs: Option<Option<PathBuf>>,
 }
 
-/// Maps a `--topology` spec onto a sweep-capable [`TopologyKind`]: only
-/// the paper's two families run whole pulse grids, so torus/mesh and
-/// ba/internet are accepted and the micro-topology gallery is not.
-fn sweep_topology(spec: &TopologySpec) -> Result<TopologyKind, CliError> {
-    match *spec {
-        TopologySpec::Mesh(width, height) => Ok(TopologyKind::Mesh { width, height }),
-        TopologySpec::Internet(nodes) => Ok(TopologyKind::Internet { nodes, m: 2 }),
+/// Refuses a `--topology` no sweep runs on: only the paper's two
+/// families run whole pulse grids, so torus/mesh and ba/internet are
+/// accepted and the micro-topology gallery is not.
+fn sweep_topology(kind: TopologyKind) -> Result<TopologyKind, CliError> {
+    match kind {
+        TopologyKind::Mesh { .. } | TopologyKind::Internet { .. } => Ok(kind),
         _ => Err(CliError(
             "sweep topologies are torus:RxC (mesh:WxH) or ba:N (internet:N)".into(),
         )),
@@ -369,7 +270,7 @@ pub fn parse_sweep_command(args: &[String]) -> Result<SweepCommand, CliError> {
             journal_dir: exec.opts.journal_dir.filter(|_| !p.has("--no-journal")),
             topology: p
                 .get("--topology")
-                .map(|spec| sweep_topology(&TopologySpec::parse(spec)?))
+                .map(|spec| sweep_topology(TopologyKind::parse(spec)?))
                 .transpose()?,
             ..exec.opts
         },
@@ -513,35 +414,89 @@ pub const TOPOLOGY: Table = Table { command: "rfd topology", base: None, flags: 
 /// (graph, seed, output file); the [`CliError`] names the offending flag.
 pub fn parse_topology_command(
     args: &[String],
-) -> Result<(TopologySpec, u64, Option<String>), CliError> {
+) -> Result<(TopologyKind, u64, Option<String>), CliError> {
     let p = args::parse(&TOPOLOGY, args)?;
     Ok((
-        TopologySpec::parse(p.get("--kind").expect("required by the table"))?,
+        TopologyKind::parse(p.get("--kind").expect("required by the table"))?,
         p.parse("--seed")?.unwrap_or(1),
         p.get("--out").map(str::to_owned),
     ))
 }
 
-/// Resolves the ISP node of a run against its built graph: a validated
-/// `--isp`, or the seeded random pick the experiments use.
-///
-/// # Errors
-///
-/// Returns [`CliError`] when `--isp` names a node outside the graph.
-pub fn resolve_isp(opts: &RunOptions, graph: &Graph) -> Result<NodeId, CliError> {
-    match opts.isp {
-        Some(raw) if raw as usize >= graph.node_count() => Err(CliError(format!(
-            "--isp {raw} outside the {}-node graph",
-            graph.node_count()
-        ))),
-        Some(raw) => Ok(NodeId::new(raw)),
-        None => Ok(pick_isp(graph, opts.seed)),
+/// One run of `rfd run` or `rfd explain`: its graph built and its ISP
+/// resolved, ready to [`execute`](Self::execute). The two commands
+/// differ only by the sink and the hook they execute it with.
+#[derive(Debug)]
+pub struct RunPlan<'a> {
+    opts: &'a RunOptions,
+    /// The topology, built from the run's seed.
+    pub graph: Graph,
+    /// The flapping ISP: the validated `--isp`, or the seeded random
+    /// pick the experiments use.
+    pub isp: NodeId,
+}
+
+impl<'a> RunPlan<'a> {
+    /// Builds the graph of `opts` and resolves its ISP.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CliError`] when `--isp` names a node outside the graph.
+    pub fn new(opts: &'a RunOptions) -> Result<Self, CliError> {
+        let graph = opts.topology.build(opts.seed);
+        let isp = match opts.isp {
+            Some(raw) if raw as usize >= graph.node_count() => {
+                return Err(CliError(format!(
+                    "--isp {raw} outside the {}-node graph",
+                    graph.node_count()
+                )))
+            }
+            Some(raw) => NodeId::new(raw),
+            None => pick_isp(&graph, opts.seed),
+        };
+        Ok(RunPlan { opts, graph, isp })
+    }
+
+    /// Builds the network observing `sink`, warms it up, hands it to
+    /// `hook`, then flaps the origin `pulses` times from [`LEAD_IN`]
+    /// after the warm-up and runs to quiescence. Returns the report, the
+    /// network and what `hook` returned.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`CliError`] of `hook`, or a message naming the
+    /// outcome and the horizon when the run stopped before quiescence.
+    pub fn execute<S: TraceSink, T>(
+        &self,
+        sink: S,
+        hook: impl FnOnce(&mut Network<S>) -> Result<T, CliError>,
+    ) -> Result<(RunReport, Network<S>, T), Box<dyn std::error::Error>> {
+        let opts = self.opts;
+        let config = network_config(opts, &self.graph);
+        let horizon = config.horizon;
+        let mut net = Network::new_with_sink(&self.graph, self.isp, config, sink);
+        net.warm_up();
+        let hooked = hook(&mut net)?;
+        let report = net.run_pulses(FlapPattern::new(opts.pulses, opts.interval), LEAD_IN);
+        // A run the horizon or the event budget stopped has no
+        // convergence time: it describes a workload that never finished.
+        if report.outcome != RunOutcome::Quiescent {
+            return Err(format!(
+                "the run stopped early ({:?}, horizon {:.0} s) after {} events; \
+                 it has no convergence time",
+                report.outcome,
+                horizon.as_secs_f64(),
+                report.events_processed
+            )
+            .into());
+        }
+        Ok((report, net, hooked))
     }
 }
 
 /// Builds the [`NetworkConfig`] for parsed run options against a built
 /// graph.
-pub fn network_config(opts: &RunOptions, graph: &Graph) -> NetworkConfig {
+fn network_config(opts: &RunOptions, graph: &Graph) -> NetworkConfig {
     NetworkConfig {
         seed: opts.seed,
         protocol: opts.protocol,
@@ -696,30 +651,35 @@ mod tests {
         );
 
         let cmd = parse_topology_command(&args("--kind ring:6 --seed 4 --out g.txt"));
-        assert_eq!(cmd, Ok((TopologySpec::Ring(6), 4, Some("g.txt".into()))));
+        let ring = TopologyKind::Ring { nodes: 6 };
+        assert_eq!(cmd, Ok((ring, 4, Some("g.txt".into()))));
         all_rejected(parse_topology_command, " | --kind blob:3 | --seed 1");
     }
 
     #[test]
     fn topology_specs_parse() {
         for (spec, parsed) in [
-            ("mesh:10x10", TopologySpec::Mesh(10, 10)),
-            ("internet:208", TopologySpec::Internet(208)),
-            ("ring:8", TopologySpec::Ring(8)),
+            ("mesh:10x10", TopologyKind::PAPER_MESH),
+            ("internet:208", TopologyKind::PAPER_INTERNET_208),
+            ("ring:8", TopologyKind::Ring { nodes: 8 }),
         ] {
-            assert_eq!(TopologySpec::parse(spec), Ok(parsed));
+            assert_eq!(TopologyKind::parse(spec), Ok(parsed));
         }
         for bad in ["mesh:10", "blob:3", "mesh"] {
-            assert!(TopologySpec::parse(bad).is_err(), "{bad}");
+            assert!(TopologyKind::parse(bad).is_err(), "{bad}");
         }
     }
 
     #[test]
     fn topology_aliases_parse() {
-        let (torus, ba) = (TopologySpec::Mesh(6, 7), TopologySpec::Internet(2000));
-        assert_eq!(TopologySpec::parse("torus:6x7"), Ok(torus));
-        assert_eq!(TopologySpec::parse("ba:2000"), Ok(ba));
-        assert!(TopologySpec::parse("torus:6").is_err());
+        let torus = TopologyKind::Mesh {
+            width: 6,
+            height: 7,
+        };
+        let ba = TopologyKind::Internet { nodes: 2000, m: 2 };
+        assert_eq!(TopologyKind::parse("torus:6x7"), Ok(torus));
+        assert_eq!(TopologyKind::parse("ba:2000"), Ok(ba));
+        assert!(TopologyKind::parse("torus:6").is_err());
     }
 
     #[test]
@@ -736,10 +696,13 @@ mod tests {
 
     #[test]
     fn topology_specs_build() {
-        assert_eq!(TopologySpec::Mesh(3, 3).build(1).node_count(), 9);
-        assert_eq!(TopologySpec::Internet(20).build(1).node_count(), 20);
-        assert_eq!(TopologySpec::Line(4).build(1).link_count(), 3);
-        assert_eq!(TopologySpec::Clique(4).build(1).link_count(), 6);
+        let (width, height) = (3, 3);
+        let mesh = TopologyKind::Mesh { width, height };
+        assert_eq!(mesh.build(1).node_count(), 9);
+        let ba = TopologyKind::Internet { nodes: 20, m: 2 };
+        assert_eq!(ba.build(1).node_count(), 20);
+        assert_eq!(TopologyKind::Line { nodes: 4 }.build(1).link_count(), 3);
+        assert_eq!(TopologyKind::Clique { nodes: 4 }.build(1).link_count(), 6);
     }
 
     #[test]
@@ -748,7 +711,7 @@ mod tests {
             "--topology ring:6 --pulses 3 --seed 9 --damping juniper --filter rcn --states",
         ))
         .unwrap();
-        assert_eq!(opts.topology, TopologySpec::Ring(6));
+        assert_eq!(opts.topology, TopologyKind::Ring { nodes: 6 });
         assert_eq!(opts.pulses, 3);
         assert_eq!(opts.seed, 9);
         assert_eq!(opts.damping, Some(DampingParams::juniper()));
@@ -790,7 +753,7 @@ mod tests {
         assert_eq!(cmd.prefix, 1);
         assert_eq!(cmd.node, None);
         assert!(cmd.json);
-        assert_eq!(cmd.run.topology, TopologySpec::Line(4));
+        assert_eq!(cmd.run.topology, TopologyKind::Line { nodes: 4 });
         assert_eq!(cmd.run.pulses, 3);
         assert_eq!(cmd.run.seed, 7);
     }

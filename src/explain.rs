@@ -20,13 +20,11 @@
 
 use std::fmt::Write as _;
 
-use rfd_bgp::Network;
-use rfd_core::{FlapPattern, LedgerEvent, LedgerFilter, LedgerRecord, UpdateKind};
-use rfd_experiments::scenarios::LEAD_IN;
+use rfd_core::{LedgerEvent, LedgerFilter, LedgerRecord, UpdateKind};
 use rfd_metrics::NullSink;
 use rfd_sim::{SimDuration, SimTime};
 
-use crate::cli::{check_finished, network_config, resolve_isp, CliError, ExplainCommand};
+use crate::cli::{CliError, ExplainCommand, RunPlan};
 
 /// The outcome of a focused replay: the filtered ledger stream plus
 /// enough scenario context to render it.
@@ -68,37 +66,37 @@ pub struct ExplainReport {
 /// # Errors
 ///
 /// Returns [`CliError`] when `--isp`, `--peer` or `--node` name nodes
-/// outside the graph, and the [`check_finished`] message when the run
-/// stopped before quiescence.
+/// outside the graph or `--prefix` a prefix the run does not
+/// originate, and the run's refusal when it stopped before quiescence.
 pub fn replay(cmd: &ExplainCommand) -> Result<ExplainReport, Box<dyn std::error::Error>> {
     let opts = &cmd.run;
-    let graph = opts.topology.build(opts.seed);
-    let isp = resolve_isp(opts, &graph)?;
-    let config = network_config(opts, &graph);
-    let horizon = config.horizon;
-    let mut net = Network::new_with_sink(&graph, isp, config, NullSink::new());
-    net.warm_up();
-    let origin = net.origin().raw();
-    // The origin AS is appended after `graph`, so ids run 0..=origin.
-    let node_count = origin as usize + 1;
-    let peer = cmd.peer.unwrap_or(origin);
-    if peer as usize >= node_count {
-        return Err(CliError(format!(
-            "--peer {peer} outside the {node_count}-node network"
-        ))
-        .into());
-    }
-    if let Some(node) = cmd.node {
-        if node as usize >= node_count {
+    let plan = RunPlan::new(opts)?;
+    let (_, mut net, (peer, origin)) = plan.execute(NullSink::new(), |net| {
+        let origin = net.origin().raw();
+        // The origin AS is appended after the graph, so ids run 0..=origin.
+        let node_count = origin as usize + 1;
+        let peer = cmd.peer.unwrap_or(origin);
+        if peer as usize >= node_count {
+            return Err(CliError(format!(
+                "--peer {peer} outside the {node_count}-node network"
+            )));
+        }
+        if let Some(node) = cmd.node.filter(|&node| node as usize >= node_count) {
             return Err(CliError(format!(
                 "--node {node} outside the {node_count}-node network"
-            ))
-            .into());
+            )));
         }
-    }
-    net.set_ledger(LedgerFilter::keys([(peer, cmd.prefix)]));
-    let report = net.run_pulses(FlapPattern::new(opts.pulses, opts.interval), LEAD_IN);
-    check_finished(&report, horizon)?;
+        // Origin `i` originates prefix `i`.
+        let prefixes = net.origins().len();
+        if cmd.prefix as usize >= prefixes {
+            return Err(CliError(format!(
+                "--prefix {} outside the {prefixes}-prefix run",
+                cmd.prefix
+            )));
+        }
+        net.set_ledger(LedgerFilter::keys([(peer, cmd.prefix)]));
+        Ok((peer, origin))
+    })?;
     let mut records = net.take_ledger();
     if let Some(node) = cmd.node {
         records.retain(|r| r.node == node);
@@ -108,9 +106,9 @@ pub fn replay(cmd: &ExplainCommand) -> Result<ExplainReport, Box<dyn std::error:
         peer,
         prefix: cmd.prefix,
         origin,
-        isp: isp.raw(),
-        nodes: node_count,
-        links: graph.link_count(),
+        isp: plan.isp.raw(),
+        nodes: origin as usize + 1,
+        links: plan.graph.link_count(),
         pulses: opts.pulses,
         interval: opts.interval,
         seed: opts.seed,

@@ -13,7 +13,7 @@
 
 use std::cell::Cell;
 
-use rfd_bgp::{Network, NetworkConfig};
+use rfd_bgp::{Network, NetworkConfig, LEAD_IN};
 use rfd_core::{DampingParams, FlapPattern};
 use rfd_experiments::figures::{self, extensions, fig15, fig8_9, knobs, report15};
 use rfd_experiments::output::{results_dir, save_csv};
@@ -476,7 +476,7 @@ fn link_failure(cx: &Context) {
         let mut net = Network::new(&graph, isp, NetworkConfig::paper_full_damping(seed));
         net.warm_up();
         let pattern = FlapPattern::paper_default(pulses);
-        let report = net.run_link_schedule(isp, neighbor, pattern, SimDuration::from_secs(100));
+        let report = net.run_link_schedule(isp, neighbor, pattern, LEAD_IN);
         let (dropped, suppressed) = (
             net.dropped_messages(),
             net.trace().ever_suppressed_entries(),

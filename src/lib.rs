@@ -48,7 +48,8 @@
 //! assert!(report.convergence_time.as_secs_f64() > 600.0);
 //! ```
 //!
-//! See `examples/` for runnable scenarios, and `rfd figure NAME` and
+//! The `rfd` binary runs every scenario: `rfd run` and `rfd explain`
+//! ([`cli`], [`explain`]) for one workload, and `rfd figure NAME` and
 //! `rfd sweep --figure` ([`figure`]) for the paper's evaluation
 //! artefacts.
 

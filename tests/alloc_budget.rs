@@ -8,11 +8,11 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use route_flap_damping::bgp::{Network, NetworkConfig, PulseChain};
+use route_flap_damping::bgp::{Network, NetworkConfig, PulseChain, LEAD_IN};
 use route_flap_damping::damping::FlapPattern;
 use route_flap_damping::experiments::{pick_isp, TopologyKind};
 use route_flap_damping::metrics::{NullSink, SuppressionStats};
-use route_flap_damping::sim::{RunOutcome, SimDuration};
+use route_flap_damping::sim::RunOutcome;
 use route_flap_damping::topology::{mesh_torus, NodeId};
 
 // Relaxed: a statistic that publishes no other data.
@@ -59,7 +59,7 @@ fn allocs_per_update() -> f64 {
     let mut net = Network::new_with_sink(&graph, NodeId::new(0), config, NullSink::new());
     net.warm_up();
     let before = ALLOCS.load(Ordering::Relaxed);
-    let report = net.run_pulses(FlapPattern::paper_default(3), SimDuration::from_secs(100));
+    let report = net.run_pulses(FlapPattern::paper_default(3), LEAD_IN);
     let allocs = ALLOCS.load(Ordering::Relaxed) - before;
     assert_eq!(report.outcome, RunOutcome::Quiescent);
     assert!(
@@ -113,7 +113,7 @@ fn chain_fork_allocs(config: NetworkConfig) -> Vec<u64> {
     let mut net = Network::new_with_sink(&graph, pick_isp(&graph, 1), config, sink);
     net.warm_up();
     let interval = FlapPattern::DEFAULT_INTERVAL;
-    let mut chain = PulseChain::new(net, interval, SimDuration::from_secs(100));
+    let mut chain = PulseChain::new(net, interval, LEAD_IN);
     let mut forks = Vec::new();
     for pulses in 0..=10 {
         let before = ALLOCS.load(Ordering::Relaxed);

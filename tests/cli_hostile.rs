@@ -10,11 +10,12 @@ use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use proptest::prelude::*;
 use route_flap_damping::cli::{
     parse_explain_command, parse_figure_command, parse_firehose_command, parse_intended_command,
-    parse_run_options, parse_sweep_command, parse_topology_command, CliError, TopologySpec,
-    EXPLAIN, FIREHOSE, INTENDED, RUN, SWEEP, TABLES, TOPOLOGY,
+    parse_run_options, parse_sweep_command, parse_topology_command, CliError, EXPLAIN, FIREHOSE,
+    INTENDED, RUN, SWEEP, TABLES, TOPOLOGY,
 };
 use route_flap_damping::experiments::args::Table;
 use route_flap_damping::experiments::output::EXEC;
+use route_flap_damping::experiments::TopologyKind;
 
 #[rustfmt::skip]
 const VALUES: &[&str] = &[
@@ -122,7 +123,7 @@ fn a_topology_spec_that_parses_builds() {
                     format!("{kind}:{a}")
                 };
                 let smallest = if mesh { a.min(b) } else { a };
-                match TopologySpec::parse(&spec) {
+                match TopologyKind::parse(&spec) {
                     Ok(parsed) => {
                         assert!(smallest >= least, "{spec} accepted");
                         for seed in [1, 7] {
@@ -155,7 +156,7 @@ fn a_topology_no_node_id_can_address_is_refused() {
         format!("line:{}", limit + 1),
         format!("clique:{}", limit + 1),
     ] {
-        let err = TopologySpec::parse(&spec).expect_err(&spec);
+        let err = TopologyKind::parse(&spec).expect_err(&spec);
         assert!(
             err.0.contains(&format!("at most {limit} nodes")),
             "{spec}: {}",
@@ -167,7 +168,7 @@ fn a_topology_no_node_id_can_address_is_refused() {
         format!("mesh:{limit}x1"),
         "mesh:65535x65537".to_owned(),
     ] {
-        assert!(TopologySpec::parse(&spec).is_ok(), "{spec}");
+        assert!(TopologyKind::parse(&spec).is_ok(), "{spec}");
     }
 }
 

@@ -41,7 +41,6 @@ fn full_event_trace_is_reproducible() {
         let mut net = Network::new(&graph, NodeId::new(3), NetworkConfig::paper_full_damping(5));
         net.run_paper_workload(2);
         net.trace()
-            .events()
             .iter()
             .map(|e| format!("{:?}@{}", e.kind, e.at))
             .collect::<Vec<_>>()
@@ -65,7 +64,7 @@ fn per_link_delivery_is_fifo() {
     let mut received: HashMap<(u32, u32), u32> = HashMap::new();
     let mut sends_seen: HashMap<(u32, u32), Vec<u32>> = HashMap::new();
     let mut recvs_seen: HashMap<(u32, u32), Vec<u32>> = HashMap::new();
-    for e in net.trace().events() {
+    for e in net.trace().iter() {
         match e.kind {
             TraceEventKind::UpdateSent { from, to, .. } => {
                 let n = sent.entry((from, to)).or_default();

@@ -57,7 +57,6 @@ fn secondary_charging_extends_some_reuse_timer() {
     let stop = net.trace().final_announcement_at().expect("flapped");
     let recharged = net
         .trace()
-        .events()
         .iter()
         .filter(|e| match e.kind {
             route_flap_damping::metrics::TraceEventKind::PenaltySample {

@@ -106,6 +106,25 @@ fn explain_respects_node_filter_and_rejects_bad_keys() {
     assert!(!out.status.success(), "out-of-range --peer must fail");
 }
 
+/// A prefix the run does not originate is refused like an out-of-range
+/// peer or node (exit 2, naming the flag), not narrated as a key that
+/// saw no damping decisions.
+#[test]
+fn explain_refuses_a_prefix_the_run_does_not_have() {
+    let out = rfd()
+        .args(["explain", "--topology", "line:4", "--isp", "3"])
+        .args(["--pulses", "4", "--interval", "120", "--prefix", "7"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--prefix 7 outside the 1-prefix run"),
+        "{stderr}"
+    );
+}
+
 #[test]
 fn explain_defaults_to_the_origin_entry() {
     let text = run_ok(&[

@@ -73,8 +73,8 @@ proptest! {
         prop_assert_eq!(report.outcome, RunOutcome::Quiescent);
 
         // Conservation: sends == receives overall.
-        let sent = net.trace().events().iter().filter(|e| e.is_update_sent()).count();
-        let received = net.trace().events().iter().filter(|e| e.is_update_received()).count();
+        let sent = net.trace().iter().filter(|e| e.is_update_sent()).count();
+        let received = net.trace().iter().filter(|e| e.is_update_received()).count();
         prop_assert_eq!(sent, received);
 
         // Recovery: the link ends up, so every node must route again.
@@ -114,7 +114,7 @@ proptest! {
         net.run_paper_workload(pulses);
         let mut state: std::collections::HashMap<(u32, u32), bool> =
             std::collections::HashMap::new();
-        for e in net.trace().events() {
+        for e in net.trace().iter() {
             match e.kind {
                 TraceEventKind::Suppressed { node, peer, .. } => {
                     let s = state.entry((node, peer)).or_insert(false);

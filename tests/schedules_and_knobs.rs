@@ -1,7 +1,7 @@
 //! Facade-level integration tests for multi-origin workloads and
 //! protocol knobs.
 
-use route_flap_damping::bgp::{Network, NetworkConfig, ProtocolOptions};
+use route_flap_damping::bgp::{Network, NetworkConfig, ProtocolOptions, LEAD_IN};
 use route_flap_damping::damping::FlapPattern;
 use route_flap_damping::sim::{RunOutcome, SimDuration};
 use route_flap_damping::topology::{mesh_torus, NodeId};
@@ -84,7 +84,7 @@ fn three_origins_all_recover_after_mixed_storms() {
     let s0 = FlapPattern::paper_default(1);
     let s1 = FlapPattern::paper_default(4);
     let s2 = FlapPattern::new(2, SimDuration::from_secs(20));
-    let report = net.run_schedules(&[(0, &s0), (1, &s1), (2, &s2)], SimDuration::from_secs(100));
+    let report = net.run_schedules(&[(0, &s0), (1, &s1), (2, &s2)], LEAD_IN);
     assert_eq!(report.outcome, RunOutcome::Quiescent);
     for att in net.origins().to_vec() {
         for id in graph.nodes() {

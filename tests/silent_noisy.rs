@@ -2,7 +2,7 @@
 //! and Figure 6 (noisy reuse) micro-scenarios, plus the muffling effect
 //! of §4.3 — all on topologies small enough to reason about exactly.
 
-use route_flap_damping::bgp::{Network, NetworkConfig};
+use route_flap_damping::bgp::{Network, NetworkConfig, LEAD_IN};
 use route_flap_damping::damping::FlapPattern;
 use route_flap_damping::metrics::TraceEventKind;
 use route_flap_damping::sim::SimDuration;
@@ -18,7 +18,7 @@ fn line_reuses_are_muffled_except_the_isp() {
     let isp = NodeId::new(3);
     let mut net = Network::new(&graph, isp, NetworkConfig::paper_full_damping(1));
     net.warm_up();
-    let report = net.run_pulses(FlapPattern::paper_default(5), SimDuration::from_secs(100));
+    let report = net.run_pulses(FlapPattern::paper_default(5), LEAD_IN);
     assert_eq!(
         report.outcome,
         route_flap_damping::sim::RunOutcome::Quiescent
@@ -28,7 +28,7 @@ fn line_reuses_are_muffled_except_the_isp() {
     let mut isp_noisy = 0;
     let mut remote_noisy = 0;
     let mut remote_silent = 0;
-    for e in net.trace().events() {
+    for e in net.trace().iter() {
         if let TraceEventKind::Reused {
             node, peer, noisy, ..
         } = e.kind
@@ -63,7 +63,7 @@ fn noisy_reuse_reannounces() {
     let isp = NodeId::new(2);
     let mut net = Network::new(&graph, isp, NetworkConfig::paper_full_damping(2));
     net.warm_up();
-    net.run_pulses(FlapPattern::paper_default(4), SimDuration::from_secs(100));
+    net.run_pulses(FlapPattern::paper_default(4), LEAD_IN);
     // After quiescence the route is restored everywhere.
     for id in 0..3u32 {
         assert!(
@@ -74,13 +74,12 @@ fn noisy_reuse_reannounces() {
     // The ISP's noisy reuse triggered updates after its timer fired.
     let trace = net.trace();
     let last_reuse = trace
-        .events()
         .iter()
-        .rev()
-        .find_map(|e| match e.kind {
+        .filter_map(|e| match e.kind {
             TraceEventKind::Reused { noisy: true, .. } => Some(e.at),
             _ => None,
         })
+        .last()
         .expect("a noisy reuse happened");
     assert!(
         trace.last_update_at().expect("updates flowed") >= last_reuse,
@@ -98,7 +97,7 @@ fn silent_reuse_when_better_route_exists() {
     let isp = NodeId::new(0);
     let mut net = Network::new(&graph, isp, NetworkConfig::paper_full_damping(3));
     net.warm_up();
-    net.run_pulses(FlapPattern::paper_default(1), SimDuration::from_secs(100));
+    net.run_pulses(FlapPattern::paper_default(1), LEAD_IN);
     let (noisy, silent) = net.trace().reuse_counts();
     // The single flap causes exploration around the ring; at least one
     // entry whose route is dominated gets suppressed and later released
@@ -122,11 +121,10 @@ fn no_updates_from_reuses_before_the_isp_releases() {
     let isp = NodeId::new(4);
     let mut net = Network::new(&graph, isp, NetworkConfig::paper_full_damping(4));
     net.warm_up();
-    net.run_pulses(FlapPattern::paper_default(6), SimDuration::from_secs(100));
+    net.run_pulses(FlapPattern::paper_default(6), LEAD_IN);
     let origin = net.origin();
     let trace = net.trace();
     let isp_reuse_at = trace
-        .events()
         .iter()
         .find_map(|e| match e.kind {
             TraceEventKind::Reused { node, peer, .. }
@@ -141,7 +139,6 @@ fn no_updates_from_reuses_before_the_isp_releases() {
     // network is quiet: find the last update before the reuse and
     // check the gap is the suppression period, not scattered updates.
     let updates_before: Vec<_> = trace
-        .events()
         .iter()
         .filter(|e| e.is_update_received() && e.at < isp_reuse_at)
         .map(|e| e.at)
