@@ -22,8 +22,8 @@
 //!
 //! **Not captured** (rebuilt or irrelevant on restore): decay tables
 //! and damping parameters, the policy and origins (all derived from
-//! config), and the path interner's dedup/memo caches and hit counters
-//! (caches never influence which id a path interns to).
+//! config), and the path interner's cell index and hit counters
+//! (rebuilt from the path list, which is in id order).
 
 use std::path::Path;
 
@@ -285,9 +285,9 @@ impl Snapshot {
 fn encode_state(enc: &mut Encoder, state: &State<VecSink>) -> Result<(), SnapshotError> {
     let table = &state.path_table;
     enc.usize(table.distinct());
-    for path in table.paths() {
-        enc.usize(path.len());
-        for hop in path {
+    for route in (0..table.distinct() as u32).map_while(|raw| table.route_by_id(raw)) {
+        enc.usize(route.len());
+        for hop in table.hops(route) {
             enc.u32(hop.raw());
         }
     }
@@ -332,18 +332,11 @@ fn encode_state(enc: &mut Encoder, state: &State<VecSink>) -> Result<(), Snapsho
 /// Reads what [`encode_state`] wrote into a freshly built state of the
 /// same shape.
 fn restore_state(state: &mut State<VecSink>, dec: &mut Decoder<'_>) -> Result<(), SnapshotError> {
-    let n_paths = dec.usize("path count")?;
-    let mut paths: Vec<Vec<NodeId>> = Vec::with_capacity(n_paths.min(dec.remaining()));
-    for _ in 0..n_paths {
-        let hops = dec.usize("path length")?;
-        let mut path = Vec::with_capacity(hops.min(dec.remaining()));
-        for _ in 0..hops {
-            path.push(NodeId::new(dec.u32("path hop")?));
-        }
-        paths.push(path);
-    }
+    let paths = dec.seq("path count", |d| {
+        d.seq("path length", |d| Ok(NodeId::new(d.u32("path hop")?)))
+    })?;
     state.path_table = PathTable::rebuild(paths).ok_or(SnapshotError::Shape(
-        "path table lists an empty, over-long or repeated path",
+        "path table lists an empty, over-long, looped or repeated path, or one before its tail",
     ))?;
     let table = &state.path_table;
     let origins = state.origins.len();

@@ -8,13 +8,15 @@
 //! * equality of [`Route`] handles ⇔ equality of the underlying paths
 //!   (hash-consing must neither merge distinct paths nor split equal
 //!   ones);
-//! * `contains` ⇔ naive membership scan (loop detection);
+//! * `contains` ⇔ naive membership scan (loop detection), also when
+//!   node ids collide mod 64 so that every suffix's bloom passes;
 //! * `prepend` ⇔ pushing onto the front of the vector;
 //! * `from_path` of any suffix (truncation re-interning) resolves back
 //!   to exactly that suffix;
-//! * `len`, `head`, `origin`, and `path` agree with the vector;
-//! * a route's id is its path's first-seen index — the order
-//!   `PathTable::rebuild` and the snapshot path list rely on.
+//! * `len`, `head`, `origin`, and `hops` agree with the vector;
+//! * a route's id is its path's first-seen index, and every path's
+//!   tail has a smaller id — the order `PathTable::rebuild` and the
+//!   snapshot path list rely on.
 
 use proptest::prelude::*;
 use rfd_bgp::{PathTable, Route};
@@ -34,6 +36,12 @@ enum Op {
     Truncate { slot: usize, keep: usize },
 }
 
+/// The `i`-th node id a script draws: three per bloom bit, so
+/// membership tests keep passing the bloom and are settled by the walk.
+fn node(i: u32) -> NodeId {
+    NodeId::new(i % 8 + 64 * (i / 8))
+}
+
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         (0u32..24).prop_map(Op::Originate),
@@ -51,15 +59,15 @@ fn run_script(table: &mut PathTable, script: &[Op]) -> (Vec<Route>, Vec<Vec<Node
     for op in script {
         match *op {
             Op::Originate(origin) => {
-                routes.push(table.originate(NodeId::new(origin)));
-                model.push(vec![NodeId::new(origin)]);
+                routes.push(table.originate(node(origin)));
+                model.push(vec![node(origin)]);
             }
-            Op::Prepend { slot, node } => {
+            Op::Prepend { slot, node: drawn } => {
                 if routes.is_empty() {
                     continue;
                 }
                 let i = slot % routes.len();
-                let node = NodeId::new(node);
+                let node = node(drawn);
                 if model[i].contains(&node) {
                     continue; // would loop: the table panics by contract
                 }
@@ -92,14 +100,13 @@ proptest! {
         let mut table = PathTable::new();
         let (routes, model) = run_script(&mut table, &script);
         for (route, path) in routes.iter().zip(&model) {
-            prop_assert_eq!(table.path(*route), path.as_slice());
+            prop_assert_eq!(table.hops(*route).collect::<Vec<_>>(), path.clone());
             prop_assert_eq!(route.len(), path.len());
             prop_assert_eq!(route.head(), path[0]);
             prop_assert_eq!(route.origin(), *path.last().unwrap());
-            // Membership agrees for every node id the script can draw
-            // (covers both bloom hits and bloom rejects).
-            for probe in 0..24u32 {
-                let node = NodeId::new(probe);
+            // Membership agrees for drawn ids, undrawn ids on the same
+            // bloom bits (walked to the origin) and ids on other bits.
+            for node in (0..32).map(node).chain((8..16).map(NodeId::new)) {
                 prop_assert_eq!(
                     table.contains(*route, node),
                     path.contains(&node),
@@ -129,10 +136,10 @@ proptest! {
         }
     }
 
-    /// Ids are dense first-seen indices: however collisions are chained
-    /// and whichever operation first produced a path, `id().raw()` is
-    /// the number of distinct paths seen before it, and `paths()` lists
-    /// them in that order.
+    /// Ids are dense first-seen indices: whichever operation first
+    /// produced a path, `id().raw()` is the number of distinct paths
+    /// seen before it, every path's tail has a smaller id, and
+    /// `paths()` lists them in that order.
     #[test]
     fn ids_are_first_seen_indices(script in proptest::collection::vec(op_strategy(), 1..80)) {
         let mut table = PathTable::new();
@@ -149,6 +156,10 @@ proptest! {
                 }
             };
             prop_assert_eq!(route.id().raw() as usize, index, "{}", table.display(*route));
+        }
+        for (id, path) in first_seen.iter().enumerate().filter(|(_, p)| p.len() > 1) {
+            let tail = table.from_path(&path[1..]);
+            prop_assert!((tail.id().raw() as usize) < id, "{}", table.display(tail));
         }
         prop_assert_eq!(table.paths().collect::<Vec<_>>(), first_seen);
     }

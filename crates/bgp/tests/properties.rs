@@ -443,7 +443,7 @@ proptest! {
                     } else {
                         let held = held.expect("the neighbour holds r's route");
                         prop_assert_eq!(held.head(), r);
-                        prop_assert_eq!(&table.path(held)[1..], table.path(best.route));
+                        prop_assert!(table.hops(held).skip(1).eq(table.hops(best.route)));
                     }
                 }
             }

@@ -260,7 +260,7 @@ fn warm_payload(graph: &rfd_topology::Graph, isps: &[NodeId]) -> Vec<u8> {
     payload
 }
 
-/// The path interner's hasher and collision chain, and the router's
+/// The path interner's cons cells and map, and the router's
 /// per-prefix storage, are invisible to the file format: the warm
 /// state of a fixed network has a pinned length and hash. Format
 /// version 5 has no pending-event section and no warm flag. The
@@ -292,8 +292,11 @@ fn checkpoint_bytes_are_pinned() {
 /// 0's charging flag, down flags, (absent) damper store and first
 /// prefix.
 struct Landmarks {
-    /// Per interned path: the offset of its first hop.
-    path_hops: Vec<usize>,
+    /// Per interned path: the offset of its first hop, and its hops.
+    paths: Vec<(usize, Vec<u32>)>,
+    /// A path of two hops or more that no other path extends (nothing
+    /// else changes with its head): its first hop's offset, its origin.
+    leaf: (usize, u32),
     prefix_id: usize,
     /// The first rib-in entry's route id sits 10 bytes past this.
     rib_in_width: usize,
@@ -325,16 +328,14 @@ fn landmarks(payload: &[u8]) -> Result<Landmarks, SnapError> {
     for _ in 0..5 {
         d.u64("counter")?;
     }
-    let (mut path_hops, mut looped_path) = (Vec::new(), None);
-    for id in 0..d.usize("paths")? {
-        let hops = d.usize("hops")?;
-        path_hops.push(at(&d));
-        for _ in 0..hops {
-            if d.u32("hop")? == 0 {
-                looped_path.get_or_insert(id as u32);
-            }
-        }
-    }
+    // A path's first hop sits past its 8-byte hop count.
+    let paths = d.seq("paths", |d| {
+        Ok((at(d) + 8, d.seq("hops", |d| d.u32("hop"))?))
+    })?;
+    let extended = |p: &[u32]| paths.iter().any(|(_, q)| q.get(1..) == Some(p));
+    let leaf = paths.iter().find(|(_, p)| p.len() >= 2 && !extended(p));
+    let leaf = leaf.map(|(at, p)| (*at, p[p.len() - 1]));
+    let looped = paths.iter().position(|(_, p)| p.contains(&0));
     d.usize("routers")?;
     d.bool("charging")?;
     d.seq("down", |d| d.bool("down"))?;
@@ -350,11 +351,12 @@ fn landmarks(payload: &[u8]) -> Result<Landmarks, SnapError> {
     assert_eq!(d.u8("best")?, 1, "router 0 has a best route");
     d.option("learned from", |d| d.u32("learned from"))?;
     Ok(Landmarks {
-        path_hops,
+        paths,
+        leaf: leaf.expect("warm-up prepends"),
         prefix_id,
         rib_in_width,
         best_route_id: at(&d),
-        looped_path: looped_path.expect("router 0 advertised a path"),
+        looped_path: looped.expect("router 0 advertised a path") as u32,
     })
 }
 
@@ -377,7 +379,7 @@ fn crafted_payloads_are_refused() {
     let marks = landmarks(&payload).expect("walk the payload");
     // (what is crafted, how, what the refusal says)
     type Craft = fn(&mut Vec<u8>, &Landmarks);
-    let cases: [(&str, Craft, &str); 6] = [
+    let cases: [(&str, Craft, &str); 8] = [
         (
             "prefix id 2^32 - 1",
             |b, m| put(b, m.prefix_id, &u32::MAX.to_le_bytes()),
@@ -390,11 +392,18 @@ fn crafted_payloads_are_refused() {
         ),
         (
             "path 1 repeats path 0",
-            |b, m| {
-                let first = b[m.path_hops[0]..m.path_hops[0] + 4].to_vec();
-                put(b, m.path_hops[1], &first)
-            },
+            |b, m| put(b, m.paths[1].0, &m.paths[0].1[0].to_le_bytes()),
             "repeated path",
+        ),
+        (
+            "path loops through its own head",
+            |b, m| put(b, m.leaf.0, &m.leaf.1.to_le_bytes()),
+            "looped",
+        ),
+        (
+            "path listed before its tail",
+            |b, m| put(b, m.leaf.0 + 4, &u32::MAX.to_le_bytes()),
+            "before its tail",
         ),
         (
             "rib-in one entry short",

@@ -88,7 +88,7 @@ impl Flag {
 }
 
 /// A command's flags: its own rows plus, optionally, every row of
-/// another command's table (`rfd explain` takes any `rfd run` flag).
+/// another table (`rfd run` and `rfd explain` take every `SCENARIO` flag).
 #[derive(Debug, Clone, Copy)]
 pub struct Table {
     /// How the command is invoked, positional arguments included.

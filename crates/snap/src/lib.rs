@@ -74,10 +74,10 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// Multiply-mix hasher for the hot paths' point-lookup maps (the path
-/// table's two, the DES's delivery clamps and down-link set, a
+/// table's cell index, the DES's delivery clamps and down-link set, a
 /// firehose shard's key index). Their keys are small integers the
-/// program made itself (node ids, path ids, FNV content hashes, packed
-/// peer/prefix pairs), so SipHash's resistance to crafted keys buys
+/// program made itself (node ids, path ids, packed peer/prefix
+/// pairs), so SipHash's resistance to crafted keys buys
 /// nothing and costs more than the lookup. No per-process seed;
 /// a map under it that is iterated for output must still be sorted.
 #[derive(Debug, Clone, Copy, Default)]

@@ -54,9 +54,10 @@ pub struct RunOptions {
     pub obs: Option<Option<PathBuf>>,
 }
 
-/// The flags of `rfd run` (and of every command that embeds a run).
+/// The flags that describe a run: the base of `rfd run` and of
+/// `rfd explain` (the replayed run must be describable exactly).
 #[rustfmt::skip]
-pub const RUN: Table = Table { command: "rfd run", base: None, flags: &[
+pub const SCENARIO: Table = Table { command: "SCENARIO", base: None, flags: &[
     Flag::value("--topology", "KIND:SIZE", "topology (default mesh:10x10)"),
     Flag::value("--isp", "N", "ISP node index (default: seeded random pick)"),
     Flag::value("--pulses", "N", "number of pulses (default 1)"),
@@ -65,11 +66,16 @@ pub const RUN: Table = Table { command: "rfd run", base: None, flags: &[
     Flag::value("--damping", "off|cisco|juniper|ripe229", "Table 1 preset (default cisco)"),
     Flag::value("--filter", "plain|rcn|selective", "penalty filter (default plain)"),
     Flag::value("--policy", "shortest|novalley", "routing policy (default shortest)"),
-    Flag::value("--trace", "FILE", "write the full event trace to FILE"),
-    Flag::switch("--states", "print the charging/suppression/releasing spans"),
     Flag::switch("--wrate", "pace withdrawals with MRAI too"),
     Flag::switch("--no-loop-avoidance", "turn sender-side loop avoidance off"),
     Flag::value("--reuse-granularity", "SECS", "quantise reuse timers to SECS ticks"),
+] };
+
+/// The flags of `rfd run`: a [`SCENARIO`] plus what to write of it.
+#[rustfmt::skip]
+pub const RUN: Table = Table { command: "rfd run", base: Some(&SCENARIO), flags: &[
+    Flag::value("--trace", "FILE", "write the full event trace to FILE"),
+    Flag::switch("--states", "print the charging/suppression/releasing spans"),
     OBS,
 ] };
 
@@ -114,10 +120,17 @@ fn check_pulses(flag: &str, pulses: usize, interval: SimDuration) -> Result<usiz
 /// Parses the arguments of `rfd run` (everything after the subcommand)
 /// against [`RUN`]; the [`CliError`] names the offending flag.
 pub fn parse_run_options(args: &[String]) -> Result<RunOptions, CliError> {
-    run_options(&args::parse(&RUN, args)?)
+    let p = args::parse(&RUN, args)?;
+    Ok(RunOptions {
+        trace_out: p.get("--trace").map(str::to_owned),
+        states: p.has("--states"),
+        obs: obs(&p),
+        ..run_options(&p)?
+    })
 }
 
-/// Reads the [`RUN`] flags of any table that embeds them.
+/// Reads the [`SCENARIO`] flags of any table based on it; the run
+/// writes no trace, prints no states and is not observed.
 fn run_options(p: &Parsed<'_>) -> Result<RunOptions, CliError> {
     let [cisco, juniper, ripe229] = presets().map(|(name, params)| (name, Some(params)));
     let filters = [
@@ -143,14 +156,14 @@ fn run_options(p: &Parsed<'_>) -> Result<RunOptions, CliError> {
             .one_of("--filter", &filters)?
             .unwrap_or(PenaltyFilter::Plain),
         no_valley: p.one_of("--policy", &[("shortest", false), ("novalley", true)])? == Some(true),
-        trace_out: p.get("--trace").map(str::to_owned),
-        states: p.has("--states"),
+        trace_out: None,
+        states: false,
         protocol: ProtocolOptions {
             withdrawal_pacing: p.has("--wrate"),
             sender_side_loop_avoidance: !p.has("--no-loop-avoidance"),
             reuse_granularity: p.positive_secs("--reuse-granularity")?,
         },
-        obs: obs(p),
+        obs: None,
     };
     if opts.filter != PenaltyFilter::Plain && opts.damping.is_none() {
         return Err(CliError(
@@ -165,7 +178,7 @@ fn run_options(p: &Parsed<'_>) -> Result<RunOptions, CliError> {
 /// damping ledger focused on one (peer, prefix) key.
 #[derive(Debug, Clone)]
 pub struct ExplainCommand {
-    /// The run to replay (same flags as `rfd run`).
+    /// The run to replay (no trace, states or obs: the replay writes none).
     pub run: RunOptions,
     /// Peer whose damping entries to audit (`None` = the origin AS,
     /// resolved once the network is built).
@@ -178,10 +191,10 @@ pub struct ExplainCommand {
     pub json: bool,
 }
 
-/// The flags of `rfd explain`: the audited key plus every [`RUN`] flag
-/// (the replayed run must be describable exactly).
+/// The flags of `rfd explain`: the audited key plus the replayed
+/// [`SCENARIO`].
 #[rustfmt::skip]
-pub const EXPLAIN: Table = Table { command: "rfd explain", base: Some(&RUN), flags: &[
+pub const EXPLAIN: Table = Table { command: "rfd explain", base: Some(&SCENARIO), flags: &[
     Flag::value("--peer", "N", "peer whose entry to audit (default: origin AS)"),
     Flag::value("--prefix", "N", "prefix id to audit (default 0)"),
     Flag::value("--node", "N", "only this observing router's records"),
@@ -524,9 +537,9 @@ const fn flagless(command: &'static str) -> Table {
 
 /// Every command line this workspace accepts, in `rfd help` order.
 #[rustfmt::skip]
-pub const TABLES: [&Table; 10] = [
-    &RUN, &EXPLAIN, &EXEC, &SWEEP, &FIREHOSE, &INTENDED, &TOPOLOGY, &flagless("rfd trace-stats FILE"),
-    &flagless("rfd obs-report FILE"), &flagless("rfd help"),
+pub const TABLES: [&Table; 11] = [
+    &RUN, &EXPLAIN, &SCENARIO, &EXEC, &SWEEP, &FIREHOSE, &INTENDED, &TOPOLOGY,
+    &flagless("rfd trace-stats FILE"), &flagless("rfd obs-report FILE"), &flagless("rfd help"),
 ];
 
 /// The top-level usage text: [`TABLES`] rendered, then the notes.
@@ -538,6 +551,8 @@ pub fn usage() -> String {
 }
 
 const NOTES: &str = "\
+SCENARIO: the flags that describe a run; `rfd run` and `rfd explain`
+  take every one of them.
 FIGURES: NAME is table1 fig3 fig4 fig7 fig10 extensions sweeps link_failure
   knobs, or all: every CSV, the three sweeps' included, none on stdout.
   CSVs and journals go under results/ (or $RFD_RESULTS_DIR).

@@ -81,7 +81,7 @@ fn steady_state_event_path_stays_off_the_allocator() {
         got <= 0.1,
         "{got:.3} allocations per update (budget 0.1). One of the per-event \
          mechanisms regressed: the reused `RouterOutput` (`State::handle`/`apply_output`), \
-         `PathTable`'s chained dedup and scratch-buffer loop check (`intern`/`from_path`), \
+         `PathTable`'s cells and cell index growing once per new path (`cons`), \
          or the SipHash-free `MixMap`s growing where they should be warm"
     );
 

@@ -126,6 +126,19 @@ fn explain_refuses_a_prefix_the_run_does_not_have() {
 }
 
 #[test]
+fn explain_refuses_the_run_flags_it_would_ignore() {
+    for flag in ["--obs", "--trace=t.txt", "--states"] {
+        let out = rfd().args(["explain", flag]).output().expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag `{flag}`")),
+            "{stderr}"
+        );
+    }
+}
+
+#[test]
 fn explain_defaults_to_the_origin_entry() {
     let text = run_ok(&[
         "explain",

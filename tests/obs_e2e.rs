@@ -8,7 +8,7 @@
 
 use route_flap_damping::experiments::figures::fig8_9;
 use route_flap_damping::experiments::{SweepOptions, TopologyKind};
-use route_flap_damping::{obs, runner};
+use route_flap_damping::{bgp, obs, runner, topology};
 
 fn opts(threads: usize) -> SweepOptions {
     SweepOptions {
@@ -120,4 +120,17 @@ fn obs_and_threads_do_not_perturb_results_and_trace_is_valid() {
     };
     assert_eq!(counter("runner.cell.panics"), 1.0);
     assert_eq!(counter("runner.cell.failures"), 1.0);
+
+    // `bgp.intern.bytes` adds each new path's growth: a table's `stats().bytes`.
+    obs::reset();
+    obs::enable();
+    let mut table = bgp::PathTable::new();
+    let origin = table.originate(topology::NodeId::new(0));
+    for fan in 1..200 {
+        table.prepend(origin, topology::NodeId::new(fan));
+    }
+    let counted = obs::counter("bgp.intern.bytes").get();
+    obs::disable();
+    obs::reset();
+    assert_eq!(counted, table.stats().bytes as u64);
 }
