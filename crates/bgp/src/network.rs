@@ -594,10 +594,9 @@ impl<S: TraceSink> Network<S> {
             .validate()
             .unwrap_or_else(|e| panic!("invalid configuration: {e}"));
         assert!(!isps.is_empty(), "need at least one origin attachment");
-        // The clone is necessary: origin nodes are appended below, and
-        // the caller keeps `base` (the same graph is reused across sweep
-        // cells). The policy, in contrast, is ours to keep — take it.
-        let mut graph = base.clone();
+        // Origin `i` is node `base + i`, linked to its ISP only. The
+        // graph is read, not copied (the caller reuses it across sweep
+        // cells); the policy, in contrast, is ours to keep — take it.
         let mut policy = std::mem::take(&mut config.policy);
         let mut origins = Vec::with_capacity(isps.len());
         for (i, &isp) in isps.iter().enumerate() {
@@ -605,8 +604,8 @@ impl<S: TraceSink> Network<S> {
                 isp.index() < base.node_count(),
                 "isp {isp} outside the base graph"
             );
-            let origin = graph.add_node();
-            graph.add_link(origin, isp);
+            let origin = u32::try_from(base.node_count() + i).expect("node ids fit in u32");
+            let origin = NodeId::new(origin);
             // Under policy routing, each origin AS is a *customer* of
             // its ISP (Figure 1: "a customer network, the originAS, is
             // connected to a router in its provider network, the
@@ -622,17 +621,32 @@ impl<S: TraceSink> Network<S> {
             });
         }
 
+        let nodes = base.node_count() + origins.len();
         let mut deploy_rng = DetRng::from_seed_and_label(config.seed, "damping-deployment");
-        let damping = config.damping.resolve(graph.node_count(), &mut deploy_rng);
+        let damping = config.damping.resolve(nodes, &mut deploy_rng);
 
-        let nodes = graph.node_count();
         let mut routers = Vec::with_capacity(nodes);
         let mut delay_rngs = Vec::with_capacity(nodes);
         let mut mrai_rngs = Vec::with_capacity(nodes);
         let mut path_table = PathTable::new();
         let mut label = String::new();
-        for id in graph.nodes() {
-            let peers: Vec<NodeId> = graph.neighbors(id).to_vec();
+        for id in (0..nodes as u32).map(NodeId::new) {
+            // The neighbour order of the base graph with each origin
+            // appended at its ISP, as adding the links would have made it:
+            // it is the fan-out order, which fixes the MRAI jitter draws.
+            let inner: &[NodeId] = if id.index() < base.node_count() {
+                base.neighbors(id)
+            } else {
+                &[]
+            };
+            let attached = origins.iter().filter_map(|a| {
+                if a.isp == id {
+                    Some(a.node)
+                } else {
+                    (a.node == id).then_some(a.isp)
+                }
+            });
+            let peers = inner.iter().copied().chain(attached);
             let rc = RouterConfig {
                 damping: damping[id.index()],
                 filter: config.filter,
@@ -640,7 +654,7 @@ impl<S: TraceSink> Network<S> {
                 mrai_jitter: config.mrai_jitter,
                 protocol: config.protocol,
             };
-            let mut router = Router::new(id, peers, false, rc, &mut path_table);
+            let mut router = Router::with_peers(id, peers, rc, &mut path_table);
             router.reserve_prefixes(origins.len());
             if let Some(att) = origins.iter().find(|a| a.node == id) {
                 router.originate(att.prefix);
@@ -1019,7 +1033,7 @@ impl<S: TraceSink> Network<S> {
         lead_in: SimDuration,
     ) -> RunReport {
         assert!(
-            a.index() < self.state.routers.len() && self.router(a).peers().contains(&b),
+            a.index() < self.state.routers.len() && self.router(a).peers().any(|p| p == b),
             "{a}–{b} is not a link of this network"
         );
         self.start_measured(lead_in, [(FlapLink::Interior(a, b), pattern)]);

@@ -7,9 +7,9 @@
 //! (`Copy`), so RIB reads and writes move 16 bytes, not path vectors.
 //!
 //! Damping state itself lives in the router's central
-//! [`DamperStore`](rfd_core::DamperStore) (one SoA store per router, so
-//! decay sweeps and reuse checks touch dense arrays instead of chasing
-//! per-entry state); the entry holds the store slot plus a mirror of
+//! [`DamperStore`](rfd_core::DamperStore) (one row array per router,
+//! sized once for every (peer, prefix) entry, instead of per-entry
+//! state); the entry holds the store slot plus a mirror of
 //! the suppression flag so the decision process reads one local bool.
 
 use std::num::NonZeroU32;

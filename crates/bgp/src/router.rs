@@ -22,17 +22,20 @@
 //! ## Storage layout
 //!
 //! Prefix ids are dense (`0..origins`) and the peer set is fixed at
-//! construction, so a router keeps two flat tables and no per-prefix
-//! allocation. The 64-byte per-(prefix, peer) slots (RIB-IN entry,
-//! RIB-OUT path id, MRAI pacing) sit in one table indexed
-//! `prefix × peers + slot`; the per-prefix heads (originated flag, best
-//! route, root cause to stamp) sit in a dense table beside it, so a
-//! handler reads the head and the slot as two independent loads rather
-//! than a pointer chase. `Network` sizes both once from its origin
-//! count; a standalone router grows them on the first update for a new
-//! prefix. Slot order is ascending `NodeId` (a once-built sorted peer
-//! index), so the decision process visits candidates lowest peer first,
-//! and head order is ascending prefix id. Routes are interned [`Route`]
+//! construction, so a router keeps three flat tables and no per-prefix
+//! or per-peer allocation. The link table holds one `Link` per peer in
+//! ascending `NodeId` order — the slot order — with the session state
+//! and the fan-out order as slot indices, so a peer's slot is one binary
+//! search away and a fan-out walks slots with none. The 64-byte
+//! per-(prefix, peer) slots (RIB-IN entry, RIB-OUT path id, MRAI pacing)
+//! sit in one table indexed `prefix × peers + slot`; the per-prefix
+//! heads (originated flag, best route, root cause to stamp) sit in a
+//! dense table beside it, so a handler reads the head and the slot as
+//! two independent loads rather than a pointer chase. `Network` sizes
+//! both, and the damper store's rows, once from its origin count; a
+//! standalone router grows them on the first update for a new prefix.
+//! The decision process visits candidates lowest peer first, and head
+//! order is ascending prefix id. Routes are interned [`Route`]
 //! handles (see [`crate::intern`]); the [`PathTable`] is threaded
 //! through every handler so the hot path never clones a path vector.
 
@@ -157,28 +160,36 @@ pub(crate) struct PrefixHead {
     pub(crate) known: bool,
 }
 
+/// One entry of a router's link table: slot `i`'s peer and session,
+/// plus position `i` of the fan-out order.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Link {
+    /// The peer of this slot (the table is sorted by it).
+    pub(crate) peer: NodeId,
+    /// Session currently down (failure injection); no messages are sent
+    /// to a down peer.
+    pub(crate) down: bool,
+    /// The slot of the `i`-th peer in construction order, which is the
+    /// order updates fan out in (it fixes the MRAI jitter draws).
+    fanout: u32,
+}
+
 /// A single BGP router.
 #[derive(Debug)]
 pub struct Router {
     id: NodeId,
-    /// Neighbour set in construction order (fan-out order).
-    peers: Vec<NodeId>,
-    /// The same peers sorted ascending: `slots[i]` is the peer of slot
-    /// `i`, looked up by binary search.
-    pub(crate) slots: Vec<NodeId>,
+    /// One [`Link`] per peer, sorted by peer: `links[i]` is slot `i`.
+    pub(crate) links: Vec<Link>,
     /// Per-prefix heads, indexed by prefix id.
     pub(crate) heads: Vec<PrefixHead>,
-    /// Per-(prefix, peer) slots, indexed `prefix × slots.len() + slot`.
+    /// Per-(prefix, peer) slots, indexed `prefix × links.len() + slot`.
     pub(crate) rib: Vec<PeerSlot>,
     config: RouterConfig,
     pub(crate) charging_enabled: bool,
-    /// Per slot: session currently down (failure injection); no
-    /// messages are sent to a down peer.
-    pub(crate) down: Vec<bool>,
     /// This router's own single-hop route, interned once.
     self_route: Route,
-    /// Central damping state for every (peer, prefix) entry: dense SoA
-    /// arrays in place of per-entry state machines. `None` when this
+    /// Central damping state for every (peer, prefix) entry: one dense
+    /// row array in place of per-entry state machines. `None` when this
     /// router does not damp. Exact mode unless the reuse-granularity
     /// knob is set, in which case penalty decay is bucketed to the same
     /// tick.
@@ -189,7 +200,7 @@ pub struct Router {
 }
 
 rfd_sim::clone_fields!(impl Clone for Router {
-    id, peers, slots, heads, rib, config, charging_enabled, down, self_route, damper_store, ledger,
+    id, links, heads, rib, config, charging_enabled, self_route, damper_store, ledger,
 });
 
 /// Packs a (peer, prefix) pair into the damper store's slot key.
@@ -207,6 +218,10 @@ impl Router {
     /// is true the router originates [`Prefix::ORIGIN`] (nothing is
     /// advertised until [`Router::kickoff`]); further prefixes can be
     /// added with [`Router::originate`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `peers` lists a peer twice.
     pub fn new(
         id: NodeId,
         peers: Vec<NodeId>,
@@ -214,10 +229,35 @@ impl Router {
         config: RouterConfig,
         table: &mut PathTable,
     ) -> Self {
-        let mut slots = peers.clone();
-        slots.sort_unstable();
-        slots.dedup();
-        let n = slots.len();
+        let mut router = Router::with_peers(id, peers.iter().copied(), config, table);
+        if originates {
+            router.originate(Prefix::ORIGIN);
+        }
+        router
+    }
+
+    /// [`Router::new`] with the peers walked, not held: the link table
+    /// is the one allocation. `peers`' order is the fan-out order.
+    pub(crate) fn with_peers(
+        id: NodeId,
+        peers: impl Iterator<Item = NodeId> + Clone,
+        config: RouterConfig,
+        table: &mut PathTable,
+    ) -> Self {
+        let mut links = Vec::with_capacity(peers.clone().count());
+        links.extend(peers.clone().map(|peer| Link {
+            peer,
+            down: false,
+            fanout: 0,
+        }));
+        links.sort_unstable_by_key(|l| l.peer);
+        if let Some(w) = links.windows(2).find(|w| w[0].peer == w[1].peer) {
+            panic!("router {id} lists peer {} twice", w[0].peer);
+        }
+        for (i, peer) in peers.enumerate() {
+            let slot = links.binary_search_by_key(&peer, |l| l.peer);
+            links[i].fanout = slot.expect("a listed peer") as u32;
+        }
         let self_route = table.originate(id);
         let damper_store = config.damping.map(|params| {
             match config.protocol.reuse_granularity {
@@ -228,28 +268,22 @@ impl Router {
                 Some(g) => DamperStore::bucketed(params, g, 4096),
             }
         });
-        let mut router = Router {
+        Router {
             id,
-            peers,
-            slots,
+            links,
             heads: Vec::new(),
             rib: Vec::new(),
             config,
             charging_enabled: true,
-            down: vec![false; n],
             self_route,
             damper_store,
             ledger: None,
-        };
-        if originates {
-            router.originate(Prefix::ORIGIN);
         }
-        router
     }
 
     /// The slot index of `peer`, if it is a neighbour.
     fn slot_of(&self, peer: NodeId) -> Option<usize> {
-        self.slots.binary_search(&peer).ok()
+        self.links.binary_search_by_key(&peer, |l| l.peer).ok()
     }
 
     /// The head of `prefix`, if this router has state for it.
@@ -257,12 +291,15 @@ impl Router {
         self.heads.get(prefix.id() as usize).filter(|h| h.known)
     }
 
-    /// Sizes both tables exactly for prefix ids `0..prefixes`, so they
-    /// never grow (nor round up) mid-run.
+    /// Sizes both tables and the damper store's rows exactly for prefix
+    /// ids `0..prefixes`, so they never grow (nor round up) mid-run.
     pub(crate) fn reserve_prefixes(&mut self, prefixes: usize) {
         let more = prefixes.saturating_sub(self.heads.len());
         self.heads.reserve_exact(more);
-        self.rib.reserve_exact(more * self.slots.len());
+        self.rib.reserve_exact(more * self.links.len());
+        if let Some(store) = &mut self.damper_store {
+            store.reserve(more * self.links.len());
+        }
         self.grow_to(prefixes);
     }
 
@@ -270,7 +307,7 @@ impl Router {
     fn grow_to(&mut self, prefixes: usize) {
         if prefixes > self.heads.len() {
             self.heads.resize_with(prefixes, PrefixHead::default);
-            let slots = prefixes * self.slots.len();
+            let slots = prefixes * self.links.len();
             self.rib.resize_with(slots, PeerSlot::default);
         }
     }
@@ -305,9 +342,10 @@ impl Router {
         self.id
     }
 
-    /// This router's neighbour set.
-    pub fn peers(&self) -> &[NodeId] {
-        &self.peers
+    /// This router's neighbour set, in construction (fan-out) order.
+    pub fn peers(&self) -> impl Iterator<Item = NodeId> + '_ {
+        let links = &self.links;
+        links.iter().map(|l| links[l.fanout as usize].peer)
     }
 
     /// Whether this router originates the default experiment prefix.
@@ -362,7 +400,7 @@ impl Router {
     /// Read access to the RIB-IN entry for one (peer, prefix).
     pub fn rib_in_for(&self, prefix: Prefix, peer: NodeId) -> Option<&RibInEntry> {
         let i = self.head(prefix).map(|_| prefix.id() as usize)?;
-        self.rib[i * self.slots.len() + self.slot_of(peer)?]
+        self.rib[i * self.links.len() + self.slot_of(peer)?]
             .rib_in
             .as_ref()
     }
@@ -376,7 +414,7 @@ impl Router {
 
     /// Whether the session to `peer` is currently down.
     pub fn session_is_down(&self, peer: NodeId) -> bool {
-        self.slot_of(peer).is_some_and(|slot| self.down[slot])
+        self.slot_of(peer).is_some_and(|slot| self.links[slot].down)
     }
 
     /// Advertises every originated/known prefix to all peers (used once
@@ -415,7 +453,7 @@ impl Router {
         let config_filter = self.config.filter;
         let node = self.id.raw();
         let record = |out: &mut RouterOutput, event| out.record(now, node, from, prefix, event);
-        let at = self.touch(prefix) * self.slots.len() + slot;
+        let at = self.touch(prefix) * self.links.len() + slot;
         // Disjoint field borrows: the damper store and the slot table
         // are mutated side by side below.
         let damper_store = &mut self.damper_store;
@@ -567,13 +605,13 @@ impl Router {
         let slot = self
             .slot_of(peer)
             .unwrap_or_else(|| panic!("session event for non-peer {peer}"));
-        self.down[slot] = true;
+        self.links[slot].down = true;
         for i in 0..self.heads.len() {
             if !self.heads[i].known {
                 continue;
             }
             // Nothing stays advertised over a dead session.
-            let p = &mut self.rib[i * self.slots.len() + slot];
+            let p = &mut self.rib[i * self.links.len() + slot];
             p.rib_out = None;
             p.mrai.dirty = false;
             let prefix = Prefix::new(i as u32);
@@ -602,7 +640,7 @@ impl Router {
         let slot = self
             .slot_of(peer)
             .unwrap_or_else(|| panic!("session event for non-peer {peer}"));
-        self.down[slot] = false;
+        self.links[slot].down = false;
         for i in 0..self.heads.len() {
             if !self.heads[i].known {
                 continue;
@@ -612,7 +650,7 @@ impl Router {
             if rc.is_some() {
                 self.heads[i].current_rc = rc;
             }
-            self.sync_peer(now, Prefix::new(i as u32), peer, table, rng, policy, out);
+            self.sync_peer(now, Prefix::new(i as u32), slot, table, rng, policy, out);
         }
     }
 
@@ -631,12 +669,12 @@ impl Router {
         let slot = self
             .slot_of(peer)
             .expect("MRAI timer for unknown peer/prefix");
-        let at = self.known(prefix) * self.slots.len() + slot;
+        let at = self.known(prefix) * self.links.len() + slot;
         let m = &mut self.rib[at].mrai;
         m.timer_pending = false;
         if m.dirty {
             let sends_before = out.sends.len();
-            self.sync_peer(now, prefix, peer, table, rng, policy, out);
+            self.sync_peer(now, prefix, slot, table, rng, policy, out);
             // Ledger: a deferred change going out now is an MRAI flush
             // (nothing sent means WRATE coalescing absorbed the flap).
             if watched {
@@ -674,7 +712,7 @@ impl Router {
         let slot = self.slot_of(peer).expect("reuse timer for unknown peer");
         let i = self.known(prefix);
         let damper_store = &mut self.damper_store;
-        let entry = self.rib[i * self.slots.len() + slot]
+        let entry = self.rib[i * self.links.len() + slot]
             .rib_in
             .as_mut()
             .expect("reuse timer for unknown peer");
@@ -799,9 +837,9 @@ impl Router {
                 route: self.self_route,
             });
         }
-        let row = &self.rib[i * self.slots.len()..][..self.slots.len()];
+        let row = &self.rib[i * self.links.len()..][..self.links.len()];
         let mut best: Option<((u8, usize, usize), BestRoute)> = None;
-        for (p, &peer) in row.iter().zip(&self.slots) {
+        for (p, &Link { peer, .. }) in row.iter().zip(&self.links) {
             let Some(route) = p.rib_in.as_ref().and_then(RibInEntry::usable_route) else {
                 continue;
             };
@@ -856,38 +894,38 @@ impl Router {
         policy: &Policy,
         out: &mut RouterOutput,
     ) {
-        // Index loop instead of iterating (and cloning) `self.peers`:
+        // Index loop instead of iterating (and cloning) the links:
         // sync_peer needs `&mut self`.
-        for i in 0..self.peers.len() {
-            let peer = self.peers[i];
-            self.sync_peer(now, prefix, peer, table, rng, policy, out);
+        for i in 0..self.links.len() {
+            let slot = self.links[i].fanout as usize;
+            self.sync_peer(now, prefix, slot, table, rng, policy, out);
         }
     }
 
-    /// Brings RIB-OUT for `(peer, prefix)` in line with the current
-    /// best route: withdrawals immediately, announcements under MRAI
-    /// pacing.
+    /// Brings RIB-OUT for `(slot's peer, prefix)` in line with the
+    /// current best route: withdrawals immediately, announcements under
+    /// MRAI pacing.
     fn sync_peer(
         &mut self,
         now: SimTime,
         prefix: Prefix,
-        peer: NodeId,
+        slot: usize,
         table: &mut PathTable,
         rng: &mut DetRng,
         policy: &Policy,
         out: &mut RouterOutput,
     ) {
+        let Link { peer, down, .. } = self.links[slot];
+        if down {
+            return; // dead session: nothing can be sent
+        }
         let watched = self.ledger_watches(peer, prefix);
         let node = self.id.raw();
         let record = |out: &mut RouterOutput, event| out.record(now, node, peer, prefix, event);
-        let slot = self.slot_of(peer).expect("sync with non-peer");
-        if self.down[slot] {
-            return; // dead session: nothing can be sent
-        }
         let i = self.known(prefix);
         let head = &self.heads[i];
         let desired = Self::export_route(self.id, head, peer, table, policy, &self.config.protocol);
-        let p = &mut self.rib[i * self.slots.len() + slot];
+        let p = &mut self.rib[i * self.links.len() + slot];
         let m = &mut p.mrai;
         if desired.map(Route::id) == p.rib_out {
             m.dirty = false;

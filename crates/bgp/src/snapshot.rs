@@ -556,14 +556,14 @@ impl Router {
     /// Serialises all mutable router state into `enc`.
     fn encode_snapshot(&self, enc: &mut Encoder) {
         enc.bool(self.charging_enabled);
-        enc.seq(&self.down, |e, d| e.bool(*d));
+        enc.seq(&self.links, |e, l| e.bool(l.down));
         let store_state = self.damper_store.as_ref().map(DamperStore::export_state);
         enc.option(store_state.as_ref(), encode_store_state);
         enc.usize(self.known_prefixes().count());
         for prefix in self.known_prefixes() {
             let id = prefix.id() as usize;
             let head = &self.heads[id];
-            let row = &self.rib[id * self.slots.len()..][..self.slots.len()];
+            let row = &self.rib[id * self.links.len()..][..self.links.len()];
             enc.u32(prefix.id());
             enc.bool(head.originated);
             enc.seq(row, |e, p| e.option(p.rib_in.as_ref(), encode_rib_in));
@@ -595,7 +595,7 @@ impl Router {
         table: &PathTable,
         origins: usize,
     ) -> Result<(), SnapshotError> {
-        let n = self.slots.len();
+        let n = self.links.len();
         let width = |len: usize, what| {
             if len == n {
                 Ok(())
@@ -606,7 +606,9 @@ impl Router {
         self.charging_enabled = dec.bool("router charging flag")?;
         let down = dec.seq("router down flags", |d| d.bool("down flag"))?;
         width(down.len(), "router peer count")?;
-        self.down = down;
+        for (link, down) in self.links.iter_mut().zip(down) {
+            link.down = down;
+        }
         let store_state = dec.option("router damper store", decode_store_state)?;
         match (self.damper_store.as_mut(), store_state) {
             (Some(store), Some(state)) => store
@@ -630,12 +632,12 @@ impl Router {
                 d.option("rib-in entry", |d| decode_rib_in(d, table))
             })?;
             width(rib_in.len(), "rib-in width")?;
-            for (entry, &peer) in rib_in.iter().zip(&self.slots) {
+            for (entry, link) in rib_in.iter().zip(&self.links) {
                 let Some(slot) = entry.as_ref().and_then(RibInEntry::damper_slot) else {
                     continue;
                 };
                 let held = self.damper_store.as_ref().and_then(|s| s.occupant(slot));
-                if held != Some(damper_key(peer, Prefix::new(id as u32))) {
+                if held != Some(damper_key(link.peer, Prefix::new(id as u32))) {
                     return Err(invalid("rib-in damper slot not held for its entry").into());
                 }
             }

@@ -436,7 +436,7 @@ proptest! {
                 let closer = graph.neighbors(r).iter().filter(|q| dist[q.index()] == d.checked_sub(1));
                 let from = if d == 0 { origin.node } else { *closer.min().unwrap() };
                 prop_assert_eq!(best.learned_from, Some(from), "{} to {}", r, p);
-                for &q in net.router(r).peers() {
+                for q in net.router(r).peers() {
                     let held = net.router(q).rib_in_for(p, r).and_then(|e| e.route);
                     if table.contains(best.route, q) {
                         prop_assert_eq!(held, None, "{} holds {}'s route to {}", q, r, p);

@@ -11,7 +11,7 @@
 //!
 //! `Damper` is the **reference model** and the analytic engine, not the
 //! routers' hot path: the routers and the firehose keep their entries
-//! in the SoA [`DamperStore`](crate::DamperStore), whose exact mode is
+//! in a [`DamperStore`](crate::DamperStore), whose exact mode is
 //! pinned to this state machine bit for bit (`tests/store_model.rs`,
 //! `exact_store_matches_damper_bit_for_bit`, the firehose shard
 //! tests), and `analytic.rs`, `schedule.rs` and the Figure 3

@@ -121,7 +121,7 @@ impl DecayTable {
     }
 
     /// The strength-reduced divider for this table's tick, shared with
-    /// the SoA store so timestamp quantisation never pays a hardware
+    /// the damper store so timestamp quantisation never pays a hardware
     /// divide.
     pub(crate) fn tick_div(&self) -> TickDiv {
         self.tick_div
@@ -160,7 +160,7 @@ impl DecayTable {
 
     /// Fixed-point decay: `milli` (milli-units of penalty) decayed over
     /// `ticks`, rounded to the nearest milli-unit. The hot-path form
-    /// used by the SoA damper store — integer in, integer out, so
+    /// used by the damper store — integer in, integer out, so
     /// aggregation over shards stays order-free.
     #[inline]
     pub fn decay_milli(&self, milli: u64, ticks: u64) -> u64 {

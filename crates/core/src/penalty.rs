@@ -44,7 +44,7 @@ impl Penalty {
         }
     }
 
-    /// Rehydrates a penalty from its stored parts (SoA damper store).
+    /// Rehydrates a penalty from its stored parts (a damper store row).
     pub(crate) fn from_parts(value: f64, updated_at: SimTime) -> Self {
         Penalty { value, updated_at }
     }

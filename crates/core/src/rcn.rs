@@ -54,7 +54,8 @@ impl RootCause {
 ///
 /// Every RCN RIB-IN entry owns one, and most hold a few root causes (a
 /// flap pulse adds two), so the history is one queue that lookups scan,
-/// allocated on the first sighting rather than at the bound.
+/// allocated with room for sixteen rather than at the bound. Its `Clone`
+/// keeps that room, so a forked network's entries never regrow it.
 ///
 /// # Examples
 ///
@@ -72,17 +73,32 @@ pub struct RootCauseHistory {
     order: VecDeque<RootCause>,
 }
 
-rfd_sim::clone_fields!(impl Clone for RootCauseHistory { capacity, order });
+impl Clone for RootCauseHistory {
+    fn clone(&self) -> Self {
+        let mut order = VecDeque::with_capacity(self.order.capacity());
+        order.extend(&self.order);
+        RootCauseHistory {
+            capacity: self.capacity,
+            order,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.capacity = source.capacity;
+        self.order.clear();
+        self.order.reserve(source.order.capacity());
+        self.order.extend(&source.order);
+    }
+}
 
 impl RootCauseHistory {
     /// Default capacity used by the protocol layer.
     pub const DEFAULT_CAPACITY: usize = 128;
 
-    /// Room the first sighting reserves: eight flap pulses' root causes.
+    /// Room reserved up front: eight flap pulses' root causes.
     const FIRST_RESERVE: usize = 16;
 
-    /// Creates a history holding at most `capacity` root causes. It
-    /// allocates nothing until the first sighting.
+    /// Creates a history holding at most `capacity` root causes.
     ///
     /// # Panics
     ///
@@ -91,7 +107,7 @@ impl RootCauseHistory {
         assert!(capacity > 0, "history capacity must be positive");
         RootCauseHistory {
             capacity,
-            order: VecDeque::new(),
+            order: VecDeque::with_capacity(Self::FIRST_RESERVE.min(capacity)),
         }
     }
 
@@ -103,10 +119,6 @@ impl RootCauseHistory {
         }
         if self.order.len() == self.capacity {
             self.order.pop_front();
-        }
-        if self.order.capacity() == 0 {
-            self.order
-                .reserve_exact(Self::FIRST_RESERVE.min(self.capacity));
         }
         self.order.push_back(rc);
         true

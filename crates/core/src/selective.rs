@@ -4,10 +4,14 @@
 //! Selective damping attaches to each announcement a preference value
 //! relative to the sender's previous announcement. The receiver treats a
 //! run of successively *degrading* announcements as path exploration and
-//! skips the penalty for them. Unlike RCN it has no notion of root cause,
-//! so it neither catches every exploration update nor addresses secondary
-//! charging — reuse announcements look like fresh (often improving)
-//! routes and still charge.
+//! skips the penalty for them. Unlike RCN it has no notion of root cause:
+//! it drops every degrading attribute change, whatever caused it. So it
+//! also blocks secondary charging when the secondary updates degrade —
+//! on the Fig. 8 mesh at 5 and 8 pulses (seed 2) the re-suppressing
+//! charges after a noisy reuse were degrading attribute changes, and
+//! selective damping removes that excess as RCN does. It does not filter
+//! improving announcements, reuse announcements included: those still
+//! charge, as do withdrawals.
 
 use crate::params::DampingParams;
 use crate::update::UpdateKind;

@@ -1,10 +1,12 @@
-//! SoA damper store: the hot-path engine behind per-route damping.
+//! The damper store: the hot-path engine behind per-route damping.
 //!
 //! A [`DamperStore`] holds the damping state of many (peer, prefix)
-//! entries in parallel dense arrays — penalty, decay anchor, flags, and
-//! reuse deadline — with free-list slot recycling, so that decay and
-//! eviction sweeps walk cache-linear memory instead of chasing
-//! per-entry heap boxes. It exposes the same operations as the
+//! entries as one dense array of 32-byte rows — key, penalty, decay
+//! anchor with the flags in its top bits, and reuse deadline — with
+//! free-list slot recycling. One array is one allocation to size, grow
+//! and clone: a router reserves its rows once, a fork copies them into
+//! one buffer, and a charge touches one row's half cache line. It
+//! exposes the same operations as the
 //! per-entry [`Damper`](crate::Damper) state machine, keyed by slot;
 //! `Damper` stays beside it as the reference model the store is tested
 //! against and as the engine of the analytic curves.
@@ -40,6 +42,67 @@ const OCCUPIED: u8 = 1;
 const SUPPRESSED: u8 = 2;
 /// Route is reachable — selects the reachable decay rate.
 const REACHABLE: u8 = 4;
+/// The flags sit in the anchor word's top three bits.
+const FLAG_SHIFT: u32 = 61;
+/// The anchor word's anchor bits.
+const ANCHOR_MASK: u64 = (1 << FLAG_SHIFT) - 1;
+
+/// One entry's state: 32 bytes, two to a cache line.
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    /// Caller-provided identity (e.g. packed peer/prefix).
+    key: u64,
+    /// Exact mode: `f64::to_bits` of the penalty. Bucketed mode:
+    /// penalty in milli-units.
+    penalty: u64,
+    /// The decay anchor (exact mode: µs; bucketed mode: tick) below
+    /// [`FLAG_SHIFT`], OCCUPIED | SUPPRESSED | REACHABLE above it.
+    anchor: u64,
+    /// Last armed reuse deadline in µs (`u64::MAX` when none).
+    reuse_deadline: u64,
+}
+
+impl Row {
+    fn flags(&self) -> u8 {
+        (self.anchor >> FLAG_SHIFT) as u8
+    }
+
+    fn has(&self, flag: u8) -> bool {
+        self.flags() & flag != 0
+    }
+
+    fn set_flags(&mut self, flags: u8) {
+        self.anchor = (self.anchor & ANCHOR_MASK) | (u64::from(flags) << FLAG_SHIFT);
+    }
+
+    fn anchor(&self) -> u64 {
+        self.anchor & ANCHOR_MASK
+    }
+
+    fn set_anchor(&mut self, anchor: u64) {
+        assert!(anchor <= ANCHOR_MASK, "decay anchor {anchor} past 2^61");
+        self.anchor = (self.anchor & !ANCHOR_MASK) | anchor;
+    }
+}
+
+/// The row array. Its `Clone` keeps the source's capacity, so a clone of
+/// a store whose rows were reserved up front never regrows either.
+#[derive(Debug, Default)]
+struct Rows(Vec<Row>);
+
+impl Clone for Rows {
+    fn clone(&self) -> Self {
+        let mut rows = Vec::with_capacity(self.0.capacity());
+        rows.extend_from_slice(&self.0);
+        Rows(rows)
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.0.clear();
+        self.0.reserve(source.0.capacity());
+        self.0.extend_from_slice(&source.0);
+    }
+}
 
 /// How the store computes decay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,7 +150,7 @@ impl Tables {
     }
 }
 
-/// The raw slot arrays of a [`DamperStore`], exported for
+/// The raw slot state of a [`DamperStore`] as columns, exported for
 /// checkpointing and re-imported into a freshly constructed store of
 /// the same mode and parameters (params and decay tables are rebuilt
 /// from config on restore, never serialized).
@@ -117,7 +180,10 @@ enum ChargeAmount {
     Milli(u64),
 }
 
-/// SoA damping state for a population of RIB-IN entries.
+/// Damping state for a population of RIB-IN entries.
+///
+/// Charges must stay below 2^61 µs of simulated time (about 73,000
+/// years): the flags share the anchor word, so a later charge panics.
 ///
 /// # Examples
 ///
@@ -140,24 +206,15 @@ pub struct DamperStore {
     unreachable_params: DampingParams,
     /// `Some` in bucketed mode.
     tables: Option<Arc<Tables>>,
-    /// Caller-provided identity of each slot (e.g. packed peer/prefix).
-    keys: Vec<u64>,
-    /// Exact mode: `f64::to_bits` of the penalty. Bucketed mode:
-    /// penalty in milli-units.
-    penalty: Vec<u64>,
-    /// Exact mode: anchor instant in µs. Bucketed mode: anchor tick.
-    anchor: Vec<u64>,
-    /// OCCUPIED | SUPPRESSED | REACHABLE.
-    flags: Vec<u8>,
-    /// Last armed reuse deadline in µs (`u64::MAX` when none).
-    reuse_deadline: Vec<u64>,
+    /// One row per slot ever allocated, indexed by slot.
+    rows: Rows,
     /// Recycled slots.
     free: Vec<u32>,
     live: usize,
 }
 
 rfd_sim::clone_fields!(impl Clone for DamperStore {
-    params, unreachable_params, tables, keys, penalty, anchor, flags, reuse_deadline, free, live,
+    params, unreachable_params, tables, rows, free, live,
 });
 
 impl DamperStore {
@@ -168,11 +225,7 @@ impl DamperStore {
             params,
             unreachable_params: params.as_unreachable(),
             tables: None,
-            keys: Vec::new(),
-            penalty: Vec::new(),
-            anchor: Vec::new(),
-            flags: Vec::new(),
-            reuse_deadline: Vec::new(),
+            rows: Rows::default(),
             free: Vec::new(),
             live: 0,
         }
@@ -242,164 +295,162 @@ impl DamperStore {
 
     /// Total slots ever allocated (live + free).
     pub fn capacity(&self) -> usize {
-        self.flags.len()
+        self.rows.0.len()
+    }
+
+    /// Makes room for `additional` more slots in one allocation, so the
+    /// next `additional` inserts never grow the row array.
+    pub fn reserve(&mut self, additional: usize) {
+        self.rows.0.reserve_exact(additional);
     }
 
     /// Allocates a fresh, undamped entry for `key`, recycling a free
     /// slot when one exists.
     pub fn insert(&mut self, key: u64) -> u32 {
         self.live += 1;
+        let row = Row {
+            key,
+            penalty: 0,
+            anchor: u64::from(OCCUPIED | REACHABLE) << FLAG_SHIFT,
+            reuse_deadline: u64::MAX,
+        };
         if let Some(slot) = self.free.pop() {
-            let i = slot as usize;
-            self.keys[i] = key;
-            self.penalty[i] = 0;
-            self.anchor[i] = 0;
-            self.flags[i] = OCCUPIED | REACHABLE;
-            self.reuse_deadline[i] = u64::MAX;
+            self.rows.0[slot as usize] = row;
             return slot;
         }
-        let slot = u32::try_from(self.flags.len()).expect("store slot space exhausted");
-        self.keys.push(key);
-        self.penalty.push(0);
-        self.anchor.push(0);
-        self.flags.push(OCCUPIED | REACHABLE);
-        self.reuse_deadline.push(u64::MAX);
+        let slot = u32::try_from(self.rows.0.len()).expect("store slot space exhausted");
+        self.rows.0.push(row);
         slot
     }
 
     /// Frees a slot for recycling.
     pub fn remove(&mut self, slot: u32) {
-        self.check(slot);
-        self.flags[slot as usize] = 0;
+        self.row_mut(slot).set_flags(0);
         self.free.push(slot);
         self.live -= 1;
     }
 
     /// The key the slot was inserted with.
     pub fn key(&self, slot: u32) -> u64 {
-        self.check(slot);
-        self.keys[slot as usize]
+        self.row(slot).key
     }
 
     /// The key of an occupied slot; `None` for a free or out-of-range
     /// slot. Unlike [`key`](Self::key) it never panics, so it can vet a
     /// slot read from outside (a snapshot payload).
     pub fn occupant(&self, slot: u32) -> Option<u64> {
-        let i = slot as usize;
-        let occupied = self.flags.get(i).is_some_and(|f| f & OCCUPIED != 0);
-        occupied.then(|| self.keys[i])
+        let row = self.rows.0.get(slot as usize)?;
+        row.has(OCCUPIED).then_some(row.key)
     }
 
     /// Whether the entry is currently suppressed.
     pub fn is_suppressed(&self, slot: u32) -> bool {
-        self.check(slot);
-        self.flags[slot as usize] & SUPPRESSED != 0
+        self.row(slot).has(SUPPRESSED)
     }
 
     /// Number of currently suppressed entries (linear flag scan).
     pub fn suppressed_count(&self) -> usize {
-        self.flags
+        let both = OCCUPIED | SUPPRESSED;
+        self.rows
+            .0
             .iter()
-            .filter(|&&f| f & (OCCUPIED | SUPPRESSED) == OCCUPIED | SUPPRESSED)
+            .filter(|r| r.flags() & both == both)
             .count()
     }
 
     /// The last reuse deadline handed out for this slot, if any.
     pub fn reuse_deadline(&self, slot: u32) -> Option<SimTime> {
-        self.check(slot);
-        let us = self.reuse_deadline[slot as usize];
+        let us = self.row(slot).reuse_deadline;
         (us != u64::MAX).then(|| SimTime::from_micros(us))
     }
 
-    fn check(&self, slot: u32) {
-        assert!(
-            self.flags
-                .get(slot as usize)
-                .is_some_and(|f| f & OCCUPIED != 0),
-            "slot {slot} is not occupied"
-        );
+    /// The row of an occupied slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot is free or out of range.
+    fn row(&self, slot: u32) -> &Row {
+        match self.rows.0.get(slot as usize) {
+            Some(row) if row.has(OCCUPIED) => row,
+            _ => panic!("slot {slot} is not occupied"),
+        }
     }
 
-    /// The decay parameters in effect for a slot right now.
-    fn effective_params(&self, slot: u32) -> &DampingParams {
-        if self.flags[slot as usize] & REACHABLE != 0 {
+    /// [`row`](Self::row), mutably.
+    fn row_mut(&mut self, slot: u32) -> &mut Row {
+        self.row(slot);
+        &mut self.rows.0[slot as usize]
+    }
+
+    /// The decay parameters in effect for a row right now.
+    fn effective_params(&self, row: &Row) -> &DampingParams {
+        if row.has(REACHABLE) {
             &self.params
         } else {
             &self.unreachable_params
         }
     }
 
-    fn effective_table<'a>(&self, tables: &'a Tables, slot: u32) -> &'a DecayTable {
-        if self.flags[slot as usize] & REACHABLE != 0 {
+    fn effective_table<'a>(tables: &'a Tables, row: &Row) -> &'a DecayTable {
+        if row.has(REACHABLE) {
             &tables.reachable
         } else {
             &tables.unreachable
         }
     }
 
-    /// Exact-mode penalty, rehydrated from the SoA arrays.
-    fn exact_penalty(&self, slot: u32) -> Penalty {
-        let i = slot as usize;
+    /// Exact-mode penalty, rehydrated from a row.
+    fn exact_penalty(row: &Row) -> Penalty {
         Penalty::from_parts(
-            f64::from_bits(self.penalty[i]),
-            SimTime::from_micros(self.anchor[i]),
+            f64::from_bits(row.penalty),
+            SimTime::from_micros(row.anchor()),
         )
     }
 
-    fn put_exact_penalty(&mut self, slot: u32, p: Penalty) {
-        let i = slot as usize;
-        self.penalty[i] = p.raw_value().to_bits();
-        self.anchor[i] = p.updated_at().as_micros();
+    fn put_exact_penalty(row: &mut Row, p: Penalty) {
+        row.penalty = p.raw_value().to_bits();
+        row.set_anchor(p.updated_at().as_micros());
     }
 
     /// The decayed penalty value at `now`. In bucketed mode, `now`
     /// quantises down to the decay tick.
     pub fn penalty_at(&self, slot: u32, now: SimTime) -> f64 {
-        self.check(slot);
+        let row = self.row(slot);
         match &self.tables {
-            None => self
-                .exact_penalty(slot)
-                .value_at(now, self.effective_params(slot)),
-            Some(tables) => self.bucketed_value_milli(tables, slot, now) as f64 / 1000.0,
+            None => Self::exact_penalty(row).value_at(now, self.effective_params(row)),
+            Some(tables) => Self::bucketed_state(tables, row, now).1 as f64 / 1000.0,
         }
     }
 
     /// The raw stored penalty and the instant it is exact at (the lazy
     /// decay anchor) — the shape the lifecycle ledger reports.
     pub fn stored_penalty(&self, slot: u32) -> (SimTime, f64) {
-        self.check(slot);
-        let i = slot as usize;
+        let row = self.row(slot);
         match &self.tables {
             None => {
-                let p = self.exact_penalty(slot);
+                let p = Self::exact_penalty(row);
                 (p.updated_at(), p.raw_value())
             }
             Some(tables) => (
-                SimTime::from_micros(self.anchor[i] * tables.tick_us),
-                self.penalty[i] as f64 / 1000.0,
+                SimTime::from_micros(row.anchor() * tables.tick_us),
+                row.penalty as f64 / 1000.0,
             ),
         }
     }
 
-    /// Bucketed penalty in milli-units decayed to `now`'s tick.
-    fn bucketed_value_milli(&self, tables: &Tables, slot: u32, now: SimTime) -> u64 {
-        self.bucketed_state(tables, slot, now).1
-    }
-
-    /// `(now's tick, penalty decayed to that tick)` — one quantisation
-    /// serving both the decay and the new anchor on the charge path.
+    /// `(now's tick, penalty in milli-units decayed to that tick)` — one
+    /// quantisation serving both the decay and the new anchor on the
+    /// charge path.
     #[inline]
-    fn bucketed_state(&self, tables: &Tables, slot: u32, now: SimTime) -> (u64, u64) {
-        let i = slot as usize;
+    fn bucketed_state(tables: &Tables, row: &Row, now: SimTime) -> (u64, u64) {
         let now_tick = tables.tick_div.div(now.as_micros());
+        let anchor = row.anchor();
         assert!(
-            now_tick >= self.anchor[i],
-            "penalty queried in the past: tick {now_tick} < {anchor}",
-            anchor = self.anchor[i]
+            now_tick >= anchor,
+            "penalty queried in the past: tick {now_tick} < {anchor}"
         );
-        let decayed = self
-            .effective_table(tables, slot)
-            .decay_milli(self.penalty[i], now_tick - self.anchor[i]);
+        let decayed =
+            Self::effective_table(tables, row).decay_milli(row.penalty, now_tick - anchor);
         (now_tick, decayed)
     }
 
@@ -413,11 +464,11 @@ impl DamperStore {
             None => ChargeAmount::Value(kind.penalty(&self.params)),
         };
         let outcome = self.charge_impl(slot, now, amount);
-        let i = slot as usize;
+        let row = self.row_mut(slot);
         if kind == UpdateKind::Withdrawal {
-            self.flags[i] &= !REACHABLE;
+            row.set_flags(row.flags() & !REACHABLE);
         } else {
-            self.flags[i] |= REACHABLE;
+            row.set_flags(row.flags() | REACHABLE);
         }
         outcome
     }
@@ -440,24 +491,23 @@ impl DamperStore {
     }
 
     fn charge_impl(&mut self, slot: u32, now: SimTime, amount: ChargeAmount) -> ChargeOutcome {
-        self.check(slot);
         let mut obs_span = rfd_obs::is_enabled().then(|| rfd_obs::span("damper.charge"));
-        let i = slot as usize;
-        let was_suppressed = self.flags[i] & SUPPRESSED != 0;
+        let mut row = *self.row(slot);
+        let was_suppressed = row.has(SUPPRESSED);
         let (value, suppressed) = match amount {
             ChargeAmount::Milli(amount_milli) => {
                 let tables = self.tables.as_ref().expect("milli charge in exact mode");
-                let (now_tick, decayed) = self.bucketed_state(tables, slot, now);
+                let (now_tick, decayed) = Self::bucketed_state(tables, &row, now);
                 let milli = (decayed + amount_milli).min(tables.ceiling_milli);
                 let over_cutoff = milli > tables.cutoff_milli;
-                self.penalty[i] = milli;
-                self.anchor[i] = now_tick;
+                row.penalty = milli;
+                row.set_anchor(now_tick);
                 (milli as f64 / 1000.0, was_suppressed || over_cutoff)
             }
             ChargeAmount::Value(amount) => {
-                let mut p = self.exact_penalty(slot);
-                let value = p.charge(now, amount, self.effective_params(slot));
-                self.put_exact_penalty(slot, p);
+                let mut p = Self::exact_penalty(&row);
+                let value = p.charge(now, amount, self.effective_params(&row));
+                Self::put_exact_penalty(&mut row, p);
                 (
                     value,
                     was_suppressed || value > self.params.cutoff_threshold(),
@@ -465,7 +515,7 @@ impl DamperStore {
             }
         };
         if suppressed {
-            self.flags[i] |= SUPPRESSED;
+            row.set_flags(row.flags() | SUPPRESSED);
         }
         let newly_suppressed = suppressed && !was_suppressed;
         if let Some(span) = &mut obs_span {
@@ -476,9 +526,10 @@ impl DamperStore {
                 rfd_obs::mark("damper.suppressed");
             }
         }
+        self.rows.0[slot as usize] = row;
         let reuse_at = if suppressed && (self.tables.is_none() || newly_suppressed) {
             let at = now + self.time_until_reusable(slot, now);
-            self.reuse_deadline[i] = at.as_micros();
+            self.rows.0[slot as usize].reuse_deadline = at.as_micros();
             Some(at)
         } else {
             None
@@ -493,23 +544,23 @@ impl DamperStore {
     /// Time until the penalty decays below the reuse threshold (zero if
     /// already below).
     pub fn time_until_reusable(&self, slot: u32, now: SimTime) -> SimDuration {
-        self.check(slot);
+        let row = self.row(slot);
         match &self.tables {
-            None => self.exact_penalty(slot).time_until_below(
+            None => Self::exact_penalty(row).time_until_below(
                 now,
                 self.params.reuse_threshold(),
-                self.effective_params(slot),
+                self.effective_params(row),
             ),
             Some(tables) => {
                 // The bucketed value is anchored at `now`'s tick start;
                 // the closed-form wait runs from there, so the deadline
                 // can sit up to one decay tick early of the exact one.
-                let milli = self.bucketed_value_milli(tables, slot, now);
+                let milli = Self::bucketed_state(tables, row, now).1;
                 if milli < tables.reuse_milli {
                     return SimDuration::ZERO;
                 }
                 let ratio = milli as f64 / tables.reuse_milli as f64;
-                let secs = ratio.ln() / self.effective_params(slot).lambda();
+                let secs = ratio.ln() / self.effective_params(row).lambda();
                 let anchor =
                     SimTime::from_micros(tables.tick_div.div(now.as_micros()) * tables.tick_us);
                 let deadline =
@@ -535,21 +586,20 @@ impl DamperStore {
     ///
     /// Panics if the entry is not suppressed.
     pub fn on_reuse_due(&mut self, slot: u32, now: SimTime) -> ReuseCheck {
-        self.check(slot);
-        let i = slot as usize;
         assert!(
-            self.flags[i] & SUPPRESSED != 0,
+            self.is_suppressed(slot),
             "reuse timer fired for an unsuppressed entry"
         );
         let wait = self.time_until_reusable(slot, now);
+        let row = &mut self.rows.0[slot as usize];
         if wait.is_zero() {
-            self.flags[i] &= !SUPPRESSED;
-            self.reuse_deadline[i] = u64::MAX;
+            row.set_flags(row.flags() & !SUPPRESSED);
+            row.reuse_deadline = u64::MAX;
             rfd_obs::inc("damper.reuses");
             ReuseCheck::Released
         } else {
             let retry_at = now + wait;
-            self.reuse_deadline[i] = retry_at.as_micros();
+            row.reuse_deadline = retry_at.as_micros();
             rfd_obs::inc("damper.reuse_deferrals");
             ReuseCheck::StillSuppressed { retry_at }
         }
@@ -558,41 +608,41 @@ impl DamperStore {
     /// True when the penalty has decayed far enough that the damping
     /// state can be dropped.
     pub fn is_forgettable(&self, slot: u32, now: SimTime) -> bool {
-        self.check(slot);
-        if self.flags[slot as usize] & SUPPRESSED != 0 {
+        let row = self.row(slot);
+        if row.has(SUPPRESSED) {
             return false;
         }
         match &self.tables {
-            None => self
-                .exact_penalty(slot)
-                .is_negligible(now, self.effective_params(slot)),
-            Some(tables) => self.bucketed_value_milli(tables, slot, now) < tables.forgive_milli,
+            None => Self::exact_penalty(row).is_negligible(now, self.effective_params(row)),
+            Some(tables) => Self::bucketed_state(tables, row, now).1 < tables.forgive_milli,
         }
     }
 
-    /// Exports the raw slot arrays for checkpointing. Pair with
+    /// Exports the slot state as columns for checkpointing. Pair with
     /// [`import_state`](Self::import_state) on a freshly built store of
     /// the same mode and parameters.
     pub fn export_state(&self) -> DamperStoreState {
+        let rows = &self.rows.0;
         DamperStoreState {
-            keys: self.keys.clone(),
-            penalty: self.penalty.clone(),
-            anchor: self.anchor.clone(),
-            flags: self.flags.clone(),
-            reuse_deadline: self.reuse_deadline.clone(),
+            keys: rows.iter().map(|r| r.key).collect(),
+            penalty: rows.iter().map(|r| r.penalty).collect(),
+            anchor: rows.iter().map(Row::anchor).collect(),
+            flags: rows.iter().map(Row::flags).collect(),
+            reuse_deadline: rows.iter().map(|r| r.reuse_deadline).collect(),
             free: self.free.clone(),
         }
     }
 
-    /// Overwrites the slot arrays with checkpointed state. The store
+    /// Overwrites the slot state with checkpointed columns. The store
     /// must have been constructed with the same mode and parameters the
     /// exporter used; only the per-slot state travels.
     ///
     /// # Errors
     ///
-    /// Returns a message when the arrays are mutually inconsistent
-    /// (mismatched lengths, free list disagreeing with flags) — the
-    /// shape a corrupt snapshot payload would produce.
+    /// Returns a message when the columns are mutually inconsistent
+    /// (mismatched lengths, free list disagreeing with flags) or hold
+    /// what no store writes (flag bits beyond the three, an anchor past
+    /// 2^61) — the shape a corrupt snapshot payload would produce.
     pub fn import_state(&mut self, state: DamperStoreState) -> Result<(), String> {
         let n = state.flags.len();
         if state.keys.len() != n
@@ -601,6 +651,12 @@ impl DamperStore {
             || state.reuse_deadline.len() != n
         {
             return Err("damper store arrays have mismatched lengths".into());
+        }
+        let all = OCCUPIED | SUPPRESSED | REACHABLE;
+        if state.flags.iter().any(|&f| f & !all != 0)
+            || state.anchor.iter().any(|&a| a > ANCHOR_MASK)
+        {
+            return Err("damper store flag or anchor out of range".into());
         }
         let occupied = state.flags.iter().filter(|&&f| f & OCCUPIED != 0).count();
         if state.free.len() != n - occupied
@@ -613,31 +669,30 @@ impl DamperStore {
         {
             return Err("damper store free list disagrees with slot flags".into());
         }
-        self.keys = state.keys;
-        self.penalty = state.penalty;
-        self.anchor = state.anchor;
-        self.flags = state.flags;
-        self.reuse_deadline = state.reuse_deadline;
+        self.rows.0.clear();
+        self.rows.0.extend((0..n).map(|i| Row {
+            key: state.keys[i],
+            penalty: state.penalty[i],
+            anchor: state.anchor[i] | (u64::from(state.flags[i]) << FLAG_SHIFT),
+            reuse_deadline: state.reuse_deadline[i],
+        }));
         self.free = state.free;
         self.live = occupied;
         Ok(())
     }
 
     /// Frees every forgettable slot, invoking `evicted(slot, key)` for
-    /// each. The scan is cache-linear over the flag and penalty arrays.
+    /// each, in one linear scan of the rows.
     pub fn sweep_forgettable(&mut self, now: SimTime, mut evicted: impl FnMut(u32, u64)) -> usize {
         let mut count = 0;
-        for i in 0..self.flags.len() {
-            if self.flags[i] & (OCCUPIED | SUPPRESSED) != OCCUPIED {
+        for i in 0..self.rows.0.len() {
+            let (slot, row) = (i as u32, self.rows.0[i]);
+            if !row.has(OCCUPIED) || !self.is_forgettable(slot, now) {
                 continue;
             }
-            let slot = i as u32;
-            if self.is_forgettable(slot, now) {
-                let key = self.keys[i];
-                self.remove(slot);
-                evicted(slot, key);
-                count += 1;
-            }
+            self.remove(slot);
+            evicted(slot, row.key);
+            count += 1;
         }
         count
     }
@@ -788,6 +843,32 @@ mod tests {
             store.penalty_at(slot, probe).to_bits(),
             model.penalty_at(probe).to_bits()
         );
+    }
+
+    #[test]
+    fn state_round_trips_and_refuses_what_no_store_writes() {
+        let params = DampingParams::cisco();
+        let mut store = DamperStore::exact(params);
+        let hot = store.insert(1);
+        let cold = store.insert(2);
+        store.charge_raw(hot, t(60), 3000.0);
+        store.remove(cold);
+        let state = store.export_state();
+        assert_eq!(
+            (state.flags.clone(), state.anchor[0]),
+            (vec![7, 0], 60_000_000)
+        );
+        let mut copy = DamperStore::exact(params);
+        copy.import_state(state.clone()).unwrap();
+        assert_eq!(copy.export_state(), state);
+        assert!(copy.is_suppressed(hot) && copy.len() == 1);
+        let corrupt: [fn(&mut DamperStoreState); 2] =
+            [|s| s.flags[0] |= 8, |s| s.anchor[0] = 1 << 61];
+        for corrupt in corrupt {
+            let mut bad = state.clone();
+            corrupt(&mut bad);
+            assert!(copy.import_state(bad).is_err());
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Property tests pinning the SoA [`DamperStore`] to its predecessor,
+//! Property tests pinning the row-array [`DamperStore`] to its predecessor,
 //! the per-key [`Damper`] state machine, and bounding the bucketed
 //! reuse path against exact timers.
 

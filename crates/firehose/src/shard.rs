@@ -1,11 +1,11 @@
-//! Per-shard damping state: one SoA [`DamperStore`] plus the bucketed
+//! Per-shard damping state: one [`DamperStore`] plus the bucketed
 //! reuse/decay sweep.
 //!
 //! Each shard owns the keys that hash to it and nothing else — no locks
 //! on the hot path. Damping state lives in a dense
-//! [`DamperStore`] (struct-of-arrays, so charge
-//! and sweep loops walk flat `u64`/`f64` arrays instead of chasing a
-//! HashMap of per-key state machines); the shard keeps only the
+//! [`DamperStore`] (one array of 32-byte rows, so charge and sweep
+//! loops walk flat memory instead of chasing a HashMap of per-key
+//! state machines); the shard keeps only the
 //! key → slot index beside it. Reuse timers and the forgotten-state
 //! eviction sweep run at fixed *simulated-time* boundaries (multiples
 //! of [`ShardOptions::reuse_tick`]): a boundary is processed when the
@@ -361,7 +361,7 @@ mod tests {
 
     #[test]
     fn exact_shard_matches_the_per_key_damper_model() {
-        // The refactor contract: in exact mode the SoA store must give
+        // The refactor contract: in exact mode the store must give
         // the same charge outcomes a standalone Damper does, including
         // the reuse deadline carried by a suppression.
         let params = DampingParams::cisco();

@@ -9,21 +9,26 @@
 //! global ordering.
 //!
 //! * **Front heap** — all live entries with `at < cursor` live in a
-//!   `BinaryHeap` ordered by `(at, key)`. Because every wheel/overflow
-//!   entry is `≥ cursor`, the front minimum is the global minimum, so
-//!   pop order is identical to a plain binary heap's. The heap
-//!   only ever holds one drained slot's worth of entries (plus
+//!   `BinaryHeap` ordered by `(at, key, slab index)`. Because every
+//!   wheel/overflow entry is `≥ cursor`, the front minimum is the global
+//!   minimum, so pop order is identical to a plain binary heap's. The
+//!   heap only ever holds one drained slot's worth of entries (plus
 //!   stragglers scheduled into the past), so its `log n` is tiny.
+//! * **Slot lists** — each of the 256 slots is a chain of 64-byte blocks
+//!   of slab indices in one shared arena, with a head index per slot and
+//!   a free-block list. A drained block goes back on that list, so a
+//!   wheel allocates only when its arena reaches a new peak, never per
+//!   slot; a cascade reads its slot 14 indices per cache line.
 //! * **Cancellation** — entries live in a slab with per-slot generation
 //!   stamps; the raw `u64` id packs `(generation, slot)`. Cancel flips
 //!   the slot state and drops the payload in O(1) — no tombstone set to
 //!   grow under MRAI reprogramming churn.
 //! * **Overflow** — deadlines beyond the top level's rotation go to an
-//!   ordered map and are re-hashed into the wheel when the cursor
+//!   ordered set and are re-hashed into the wheel when the cursor
 //!   reaches them (never at simulation scale: the span is ~76 hours).
 
 use std::cmp::Reverse;
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
@@ -36,6 +41,11 @@ const SLOT_BITS: u32 = 6;
 const SLOTS: usize = 1 << SLOT_BITS;
 /// Number of levels. Total span 2^(14 + 6·4) µs ≈ 76 h.
 const LEVELS: usize = 4;
+/// Slab indices per arena block: 14 of them, a fill count and a link
+/// make 64 bytes.
+const BLOCK_LEN: usize = 14;
+/// The end of a block chain.
+const NIL: u32 = u32::MAX;
 
 const fn shift(level: usize) -> u32 {
     SHIFT0 + SLOT_BITS * level as u32
@@ -67,6 +77,16 @@ struct SlabEntry<E> {
     event: Option<E>,
 }
 
+/// One arena block of a slot's list (or of the free-block list).
+#[derive(Debug, Clone, Copy)]
+#[repr(C, align(64))]
+struct Block {
+    idx: [u32; BLOCK_LEN],
+    len: u32,
+    /// The next block of the same chain, or [`NIL`].
+    next: u32,
+}
+
 /// The wheel. The simulator drives it through
 /// [`EventQueue`](crate::EventQueue); it is public so the property
 /// tests can pin it against a reference binary-heap model directly.
@@ -74,13 +94,17 @@ struct SlabEntry<E> {
 pub struct TimerWheel<E> {
     slab: Vec<SlabEntry<E>>,
     free: Vec<u32>,
-    /// `slots[level][slot]` holds slab indices.
-    slots: Vec<Vec<Vec<u32>>>,
+    /// The block arena every slot list lives in.
+    blocks: Vec<Block>,
+    /// Head of the free-block chain.
+    free_block: u32,
+    /// `heads[level * SLOTS + slot]`: the slot's newest block, or [`NIL`].
+    heads: [u32; LEVELS * SLOTS],
     /// Per-level bitmap of non-empty slots.
     occupancy: [u64; LEVELS],
-    /// Deadlines beyond the top rotation, ordered by `(at, key)`.
-    overflow: BTreeMap<(u64, u64), u32>,
-    /// Entries with `at < cur`, ordered by `(at, key)` ascending.
+    /// Deadlines beyond the top rotation, as `(at, key, slab index)`.
+    overflow: BTreeSet<(u64, u64, u32)>,
+    /// Entries with `at < cur`, ordered by `(at, key, slab index)`.
     front: BinaryHeap<Reverse<(u64, u64, u32)>>,
     /// Cursor in µs: the wheel never holds an entry earlier than this.
     cur: u64,
@@ -88,7 +112,7 @@ pub struct TimerWheel<E> {
 }
 
 crate::clone_fields!(impl<E: Clone> Clone for TimerWheel<E> {
-    slab, free, slots, occupancy, overflow, front, cur, live,
+    slab, free, blocks, free_block, heads, occupancy, overflow, front, cur, live,
 });
 
 impl<E> Default for TimerWheel<E> {
@@ -103,11 +127,11 @@ impl<E> TimerWheel<E> {
         TimerWheel {
             slab: Vec::new(),
             free: Vec::new(),
-            slots: (0..LEVELS)
-                .map(|_| (0..SLOTS).map(|_| Vec::new()).collect())
-                .collect(),
+            blocks: Vec::new(),
+            free_block: NIL,
+            heads: [NIL; LEVELS * SLOTS],
             occupancy: [0; LEVELS],
-            overflow: BTreeMap::new(),
+            overflow: BTreeSet::new(),
             front: BinaryHeap::new(),
             cur: 0,
             live: 0,
@@ -118,10 +142,11 @@ impl<E> TimerWheel<E> {
     /// the returned raw id packs `(generation, slab slot)`.
     ///
     /// Pop order is exactly `(at, key)` — the contract the simulator's
-    /// canonical event order is built on. Callers must guarantee
-    /// `(at, key)` pairs are unique (the overflow map would silently
-    /// coalesce duplicates); [`event_key`] keys are globally unique by
-    /// construction.
+    /// canonical event order is built on. Entries sharing an `(at, key)`
+    /// pair are all kept, in the wheel and past its span alike, and pop
+    /// in slab-slot order (schedule order while no slot is recycled in
+    /// between); [`event_key`] keys are unique by construction, so the
+    /// simulator never relies on that.
     ///
     /// [`event_key`]: crate::event_key
     pub fn schedule_keyed(&mut self, at: SimTime, key: u64, event: E) -> u64 {
@@ -169,12 +194,51 @@ impl<E> TimerWheel<E> {
             let rot_end = (self.cur | (span(level) - 1)) + 1;
             if at < rot_end {
                 let slot = ((at >> shift(level)) & (SLOTS as u64 - 1)) as usize;
-                self.slots[level][slot].push(idx);
+                self.push_to(level * SLOTS + slot, idx);
                 self.occupancy[level] |= 1 << slot;
                 return;
             }
         }
-        self.overflow.insert((at, key), idx);
+        self.overflow.insert((at, key, idx));
+    }
+
+    /// Appends a slab index to list `list`, starting a block (a recycled
+    /// one when the free-block chain has one) when the newest is full.
+    fn push_to(&mut self, list: usize, idx: u32) {
+        let head = self.heads[list];
+        if let Some(block) = self.blocks.get_mut(head as usize) {
+            if (block.len as usize) < BLOCK_LEN {
+                block.idx[block.len as usize] = idx;
+                block.len += 1;
+                return;
+            }
+        }
+        let mut fresh = Block {
+            idx: [0; BLOCK_LEN],
+            len: 1,
+            next: head,
+        };
+        fresh.idx[0] = idx;
+        self.heads[list] = if self.free_block == NIL {
+            self.blocks.push(fresh);
+            u32::try_from(self.blocks.len() - 1).expect("timer wheel arena exhausted")
+        } else {
+            let at = self.free_block;
+            self.free_block = std::mem::replace(&mut self.blocks[at as usize], fresh).next;
+            at
+        };
+    }
+
+    /// Unlinks the first block of the detached chain `chain` onto the
+    /// free-block list and returns a copy of it, so the caller can
+    /// place its entries while the arena is free to reuse the block.
+    fn pop_block(&mut self, chain: &mut u32) -> Option<Block> {
+        let at = *chain;
+        let block = *self.blocks.get(at as usize)?;
+        *chain = block.next;
+        self.blocks[at as usize].next = self.free_block;
+        self.free_block = at;
+        Some(block)
     }
 
     /// Cancels a raw id. O(1); returns `true` the first time a live
@@ -318,21 +382,21 @@ impl<E> TimerWheel<E> {
             match best {
                 Some((slot_start, 0, slot)) => {
                     // Drain the level-0 slot into the front heap.
-                    let slot_end = slot_start + slot_size(0);
                     self.occupancy[0] &= !(1 << slot);
-                    let mut drained = std::mem::take(&mut self.slots[0][slot]);
+                    let mut chain = std::mem::replace(&mut self.heads[slot], NIL);
                     let mut any = false;
-                    for idx in drained.drain(..) {
-                        let entry = &self.slab[idx as usize];
-                        if entry.state == SlotState::Live {
-                            self.front.push(Reverse((entry.at, entry.key, idx)));
-                            any = true;
-                        } else {
-                            self.release(idx);
+                    while let Some(block) = self.pop_block(&mut chain) {
+                        for &idx in &block.idx[..block.len as usize] {
+                            let entry = &self.slab[idx as usize];
+                            if entry.state == SlotState::Live {
+                                self.front.push(Reverse((entry.at, entry.key, idx)));
+                                any = true;
+                            } else {
+                                self.release(idx);
+                            }
                         }
                     }
-                    self.slots[0][slot] = drained;
-                    self.cur = slot_end;
+                    self.cur = slot_start + slot_size(0);
                     if any {
                         return true;
                     }
@@ -347,19 +411,15 @@ impl<E> TimerWheel<E> {
                     // Wheel empty: pull the overflow horizon in. Every
                     // overflow key is beyond the cursor's top-level
                     // rotation, so no wheel entry can precede it.
-                    let Some((&(at, _), _)) = self.overflow.iter().next() else {
+                    let Some(&(at, _, _)) = self.overflow.first() else {
                         // Only cancelled debris was left.
                         debug_assert_eq!(self.live, 0);
                         return false;
                     };
                     self.cur = at;
                     let horizon = (self.cur | (span(LEVELS - 1) - 1)) + 1;
-                    while let Some(entry) = self.overflow.first_entry() {
-                        let &(at, key) = entry.key();
-                        if at >= horizon {
-                            break;
-                        }
-                        let idx = entry.remove();
+                    while self.overflow.first().is_some_and(|&(at, ..)| at < horizon) {
+                        let (at, key, idx) = self.overflow.pop_first().expect("checked above");
                         if self.slab[idx as usize].state == SlotState::Live {
                             self.place(idx, at, key);
                         } else {
@@ -377,19 +437,20 @@ impl<E> TimerWheel<E> {
     fn cascade(&mut self, slot_start: u64, level: usize, slot: usize) {
         debug_assert!(level > 0 && self.cur >= slot_start);
         self.occupancy[level] &= !(1 << slot);
-        let mut moved = std::mem::take(&mut self.slots[level][slot]);
-        for idx in moved.drain(..) {
-            let entry = &self.slab[idx as usize];
-            if entry.state != SlotState::Live {
-                self.release(idx);
-            } else if entry.at < self.cur {
-                self.front.push(Reverse((entry.at, entry.key, idx)));
-            } else {
-                let (at, key) = (entry.at, entry.key);
-                self.place(idx, at, key);
+        let mut chain = std::mem::replace(&mut self.heads[level * SLOTS + slot], NIL);
+        while let Some(block) = self.pop_block(&mut chain) {
+            for &idx in &block.idx[..block.len as usize] {
+                let entry = &self.slab[idx as usize];
+                if entry.state != SlotState::Live {
+                    self.release(idx);
+                } else if entry.at < self.cur {
+                    self.front.push(Reverse((entry.at, entry.key, idx)));
+                } else {
+                    let (at, key) = (entry.at, entry.key);
+                    self.place(idx, at, key);
+                }
             }
         }
-        self.slots[level][slot] = moved;
     }
 }
 
@@ -550,5 +611,36 @@ mod tests {
         }
         let expect: Vec<_> = (0..50).map(|key| (t, key, key)).collect();
         assert_eq!(drain(&mut w), expect);
+    }
+
+    #[test]
+    fn duplicate_keys_keep_both_events_in_and_past_the_span() {
+        for at in [SimTime::from_secs(1), SimTime::from_secs(100 * 3600)] {
+            let mut w = TimerWheel::new();
+            w.schedule_keyed(at, 7, "a");
+            w.schedule_keyed(at, 7, "b");
+            assert_eq!(w.len(), 2);
+            assert_eq!(w.pop_keyed(), Some((at, 7, "a")), "at {at}");
+            assert_eq!(w.pop_keyed(), Some((at, 7, "b")), "at {at}");
+            assert_eq!((w.pop_keyed(), w.len()), (None, 0), "at {at}");
+        }
+    }
+
+    #[test]
+    fn recycled_blocks_keep_slot_lists_apart() {
+        // More entries than one block holds, in two slots, drained and
+        // refilled so the second round runs on recycled blocks.
+        let mut w = TimerWheel::new();
+        for round in 0..2u64 {
+            let base = round * slot_size(2);
+            for key in 0..40u64 {
+                let at = base + (key % 2) * slot_size(1) + key;
+                w.schedule_keyed(t_us(at), key, key);
+            }
+            let got: Vec<u64> = drain(&mut w).into_iter().map(|(_, k, _)| k).collect();
+            let (even, odd): (Vec<u64>, Vec<u64>) = (0..40).partition(|k| k % 2 == 0);
+            assert_eq!(got, [even, odd].concat(), "round {round}");
+        }
+        assert!(w.blocks.len() <= 4, "{} blocks", w.blocks.len());
     }
 }

@@ -1,6 +1,7 @@
-//! The steady-state event path's allocation budget.
+//! The allocation budgets of building, running and forking a network.
 //!
-//! After warm-up, handling a BGP update (or forking a pulse chain)
+//! A build allocates per table, not per wheel slot or per router list;
+//! after warm-up, handling a BGP update (or forking a pulse chain)
 //! should touch the allocator only when a buffer kept for the whole run
 //! grows. This file holds exactly one `#[test]`: the counter below is
 //! process-wide, and a sibling test on another thread would count too.
@@ -72,35 +73,56 @@ fn allocs_per_update() -> f64 {
 
 #[test]
 fn steady_state_event_path_stays_off_the_allocator() {
-    // Measured: 0.058 — buffers kept for the run (delivery clamps, the
+    // Measured: 463 calls for the 101 routers of the Fig. 8 mesh, damped
+    // (seed 1): a link table, two RIB tables and a damper row array per
+    // router. A per-peer, per-column or per-wheel-slot vector would add
+    // one per router or hundreds per warm-up (1,381 when there were).
+    let graph = TopologyKind::PAPER_MESH.build(1);
+    let config = NetworkConfig::paper_full_damping(1);
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let sink = SuppressionStats::new();
+    let mut net = Network::new_with_sink(&graph, pick_isp(&graph, 1), config, sink);
+    net.warm_up();
+    let build = ALLOCS.load(Ordering::Relaxed) - before;
+    let routers = graph.node_count() as u64 + 1;
+    assert!(
+        build <= 5 * routers,
+        "Network::new + warm_up made {build} allocator calls for {routers} routers \
+         (budget 5 per router). A router keeps its peers, session flags and fan-out \
+         order in one link table and its damper store in one row array, and the timer \
+         wheel keeps its slot lists in one block arena"
+    );
+
+    // Measured: 0.00126 — buffers kept for the run (delivery clamps, the
     // `RouterOutput` vectors) growing, never a per-event or per-window
     // allocation (the run has about as many windows as updates, so one
-    // would add about 1).
+    // would add about 1; per-slot wheel vectors added 0.055).
     let got = allocs_per_update();
     assert!(
-        got <= 0.1,
-        "{got:.3} allocations per update (budget 0.1). One of the per-event \
+        got <= 0.0025,
+        "{got:.5} allocations per update (budget 0.0025). One of the per-event \
          mechanisms regressed: the reused `RouterOutput` (`State::handle`/`apply_output`), \
-         `PathTable`'s cells and cell index growing once per new path (`cons`), \
-         or the SipHash-free `MixMap`s growing where they should be warm"
+         the timer wheel's block arena, `PathTable`'s cells and cell index growing once \
+         per new path (`cons`), or the SipHash-free `MixMap`s growing where they should \
+         be warm"
     );
 
     // A pulse chain over n = 0..=10 on the Fig. 8 mesh, seed 1, with
-    // plain damping and with the RCN filter. Measured from the fourth
-    // fork on: 9-35 calls damped (1,300+ as clones); 12-57 with RCN from
-    // the fifth (1,560-1,890 while its histories refilled by cloning).
-    // RCN's fork 3 makes 111, 96 of them timer-wheel slot vectors
-    // growing to new peaks, so its budget starts one fork later.
-    for (series, config, first) in [
-        ("damped", NetworkConfig::paper_full_damping(1), 3),
-        ("rcn", NetworkConfig::paper_rcn_damping(1), 4),
+    // plain damping and with the RCN filter. Measured from the second
+    // fork on: 1-24 calls damped, 1-79 with RCN (mostly the filter state
+    // of entries the fork itself creates); the first fork clones the
+    // network (414 and 1,138 calls).
+    for (series, config) in [
+        ("damped", NetworkConfig::paper_full_damping(1)),
+        ("rcn", NetworkConfig::paper_rcn_damping(1)),
     ] {
         let forks = chain_fork_allocs(config);
         assert!(
-            forks[first..].iter().all(|&calls| calls <= 100),
-            "{series}: allocator calls per fork {forks:?} (budget 100 from fork {first} \
-             on). `PulseChain::run` should refill its spare network with `clone_from`, and \
-             every `clone_fields!` type in it should refill its buffers in place"
+            forks[1..].iter().all(|&calls| calls <= 100),
+            "{series}: allocator calls per fork {forks:?} (budget 100 from fork 1 on). \
+             `PulseChain::run` should refill its spare network with `clone_from`, every \
+             `clone_fields!` type in it should refill its buffers in place, and the \
+             damper rows and RCN histories should clone with their source's capacity"
         );
     }
 }
